@@ -13,7 +13,7 @@ use bench::snapshot_32;
 use comm::{CartDecomp, World};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dpp::Threaded;
-use hacc_core::{RunnerConfig, TestBed};
+use hacc_core::{RunnerConfig, Strategy, TestBed};
 use halo::{fof_and_centers_timed, FofConfig, SubhaloParams};
 use nbody::SimConfig;
 
@@ -77,7 +77,7 @@ fn bench_measured_table2(c: &mut Criterion) {
     c.bench_function("measured_table2_rank_analysis", |b| b.iter(run));
 }
 
-/// Execute the three workflows for real (Table 3/4 measured analog).
+/// Execute every workflow strategy for real (Table 3/4 measured analog).
 fn bench_measured_workflows(c: &mut Criterion) {
     let backend = Threaded::with_available_parallelism();
     let cfg = RunnerConfig {
@@ -96,13 +96,11 @@ fn bench_measured_workflows(c: &mut Criterion) {
         ..Default::default()
     };
     let bed = TestBed::create(cfg, &backend);
-    let a = bed.run_in_situ_only(&backend);
-    let b = bed.run_offline_only(&backend);
-    let co = bed.run_combined_simple(&backend);
+    let runs = Strategy::ALL.map(|strategy| bed.run(strategy, &backend));
     println!("\nmeasured Table 4 analog (local seconds):");
-    for run in [&a, &b, &co] {
+    for run in &runs {
         println!(
-            "  {:<22} read {:>7.3}  write {:>7.3}  redist {:>7.3}  analysis {:>7.3}  halos {}",
+            "  {:<32} read {:>7.3}  write {:>7.3}  redist {:>7.3}  analysis {:>7.3}  halos {}",
             run.strategy,
             run.phases.read,
             run.phases.write,
@@ -111,19 +109,16 @@ fn bench_measured_workflows(c: &mut Criterion) {
             run.centers.len()
         );
     }
-    hacc_core::runner::assert_same_centers(&a.centers, &b.centers);
-    hacc_core::runner::assert_same_centers(&a.centers, &co.centers);
+    for run in &runs[1..] {
+        hacc_core::runner::assert_same_centers(&runs[0].centers, &run.centers);
+    }
 
     let mut group = c.benchmark_group("measured_workflows");
-    group.bench_function("in_situ_only", |bch| {
-        bch.iter(|| bed.run_in_situ_only(&backend))
-    });
-    group.bench_function("offline_only", |bch| {
-        bch.iter(|| bed.run_offline_only(&backend))
-    });
-    group.bench_function("combined_simple", |bch| {
-        bch.iter(|| bed.run_combined_simple(&backend))
-    });
+    for strategy in Strategy::ALL {
+        group.bench_function(strategy.label(), |bch| {
+            bch.iter(|| bed.run(strategy, &backend))
+        });
+    }
     group.finish();
 }
 

@@ -614,19 +614,10 @@ impl Listener {
         self.state.lock().seen_len()
     }
 
-    /// Signal the end of the main application and wait for the final sweep;
-    /// returns every file submitted, in submission order.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use stop_report(): stop() discards the crash flag, cache skips, \
-                and retry/compaction accounting the report carries"
-    )]
-    pub fn stop(self) -> Vec<PathBuf> {
-        self.stop_report().submitted
-    }
-
-    /// Like [`Listener::stop`], but returns the full [`ListenerReport`]
-    /// (crash flag, retry counts) for the chaos harness.
+    /// Signal the end of the main application, wait for the final sweep and
+    /// return the full [`ListenerReport`]: every file submitted (in
+    /// submission order), cache skips, the crash flag and the
+    /// retry/compaction accounting.
     pub fn stop_report(self) -> ListenerReport {
         self.stop.store(true, Ordering::Release);
         self.handle.join().expect("listener thread panicked")
@@ -1181,29 +1172,6 @@ mod tests {
             "recovered file is not resubmitted"
         );
         assert_eq!(count.load(Ordering::SeqCst), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_stop_delegates_to_stop_report() {
-        // The divergent stop() path is gone: it is now a thin (deprecated)
-        // wrapper over stop_report(), so both APIs observe the same run.
-        let dir = tmpdir("stopdelegate");
-        std::fs::write(dir.join("a.hcio"), b"x").unwrap();
-        let listener = Listener::spawn(
-            dir.clone(),
-            ListenerConfig {
-                poll_interval: Duration::from_millis(5),
-                suffix: ".hcio".into(),
-                ..Default::default()
-            },
-            |_| {},
-        );
-        std::thread::sleep(Duration::from_millis(60));
-        let files = listener.stop();
-        assert_eq!(files.len(), 1);
-        assert!(files[0].ends_with("a.hcio"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,9 +1,14 @@
-//! Real end-to-end execution of the three workflows (paper §4.2) on an
-//! actual (downscaled) simulation: the same algorithms, the same data
-//! movement, real files on disk, a real listener — measured in local wall
-//! seconds. The `model` module projects the same structure onto the paper's
+//! Real end-to-end execution of the workflows (paper §4.2) on an actual
+//! (downscaled) simulation: the same algorithms, the same data movement,
+//! real files on disk, a real listener — measured in local wall seconds.
+//! The `model` module projects the same structure onto the paper's
 //! platforms; this module proves the plumbing works and exhibits the same
 //! qualitative trade-offs.
+//!
+//! Every [`Strategy`] is the same stages — find, split at a threshold, ship
+//! Level 2, center, merge — under a different placement, so one executor,
+//! [`TestBed::run`], walks the stages a strategy declares (DESIGN.md §9
+//! "Workflow wiring" has the stage × strategy table).
 
 use crate::cost::PhaseSeconds;
 use crate::listener::{CacheGate, Listener, ListenerConfig};
@@ -11,13 +16,14 @@ use cache::{ArtifactCache, CacheKey, Digest, Fingerprint, FingerprintBuilder};
 use comm::{redistribute, CartDecomp, World};
 use cosmotools::{
     centers_from_catalog, centers_from_level2, merge_center_sets, write_level2_container,
-    CenterRecord, Container, SnapshotMeta,
+    CenterRecord, Container, RenderParams, SnapshotMeta,
 };
 use dpp::Backend;
 use faults::{BackoffPolicy, FaultInjector, FaultKind};
 use halo::{fof_and_centers_timed, FofConfig, HaloCatalog, RankTiming};
 use nbody::{Particle, SimConfig, Simulation};
-use std::path::PathBuf;
+use parking_lot::Mutex;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,7 +70,7 @@ pub struct RunnerConfig {
     /// workload is bandwidth-bound, not compute-bound) into
     /// `workdir/coscheduled/render/`. `None` disables rendering entirely —
     /// zero behavior change for halo-only runs.
-    pub render: Option<cosmotools::RenderParams>,
+    pub render: Option<RenderParams>,
 }
 
 impl Default for RunnerConfig {
@@ -97,28 +103,22 @@ impl Default for RunnerConfig {
 }
 
 impl RunnerConfig {
+    fn decomp(&self) -> CartDecomp {
+        CartDecomp::new(self.nranks, self.sim.cosmology.box_size)
+    }
+
     /// FOF configuration derived from the run.
     pub fn fof(&self) -> FofConfig {
         let l = self.sim.cosmology.box_size;
         let np = self.sim.np as f64;
         let link = self.linking_length * l / np;
-        let decomp = CartDecomp::new(self.nranks, l);
         FofConfig {
             link_length: link,
             min_size: self.min_size,
             // As wide as feasible: FOF chains can stretch far beyond a
             // virial radius, and the overload shell must cover the largest
             // halo extent (paper §3.3.1).
-            overload_width: (25.0 * link).min(0.45 * decomp.min_block_width()),
-        }
-    }
-
-    /// Decide a fault at `site`: the explicit injector when configured,
-    /// otherwise the global one.
-    fn fault(&self, site: &str) -> Option<FaultKind> {
-        match &self.injector {
-            Some(inj) => inj.check(site),
-            None => faults::poll(site),
+            overload_width: (25.0 * link).min(0.45 * self.decomp().min_block_width()),
         }
     }
 
@@ -162,33 +162,167 @@ impl RunnerConfig {
     fn cache_key(&self, op: &str, input: Digest) -> CacheKey {
         CacheKey::compose(op, input, self.fingerprint())
     }
+
+    /// Stage (c), the fault guard every in-situ stage enters through. One
+    /// poll of `site` per attempt (the explicit injector when configured,
+    /// otherwise the global one): a stall delays the stage, a transient
+    /// failure retries under `insitu_retry` and is counted into `retries`, a
+    /// crash or exhausted retries fail it — the caller owns the degradation.
+    fn guard(&self, site: &'static str, retries: &mut u64) -> bool {
+        let mut attempt: u32 = 0;
+        loop {
+            let fault = match &self.injector {
+                Some(inj) => inj.check(site),
+                None => faults::poll(site),
+            };
+            match fault {
+                None => return true,
+                Some(FaultKind::Crash) => {
+                    telemetry::instant!("faults", site, 1);
+                    return false;
+                }
+                Some(FaultKind::Stall(d)) => {
+                    telemetry::instant!("faults", site, 2);
+                    std::thread::sleep(d);
+                    return true;
+                }
+                Some(FaultKind::Transient) => {
+                    telemetry::instant!("faults", site, 0);
+                    attempt += 1;
+                    *retries += 1;
+                    telemetry::count!("runner", "insitu_retries", 1);
+                    if attempt >= self.insitu_retry.max_attempts {
+                        return false;
+                    }
+                    std::thread::sleep(self.insitu_retry.delay(attempt - 1));
+                }
+            }
+        }
+    }
+
+    /// Stage (d), first half: bin particles onto their spatial owner ranks
+    /// (the "already distributed in memory" state).
+    fn distribute(&self, particles: &[Particle]) -> Vec<Vec<Particle>> {
+        let decomp = self.decomp();
+        let mut per_rank: Vec<Vec<Particle>> = vec![Vec::new(); self.nranks];
+        for p in particles {
+            per_rank[decomp.owner_of(p.pos_f64())].push(*p);
+        }
+        per_rank
+    }
+
+    /// Stage (d), second half: distributed FOF + centers up to `threshold`;
+    /// per-rank catalogs and find/center timings.
+    fn analyze(
+        &self,
+        per_rank: &[Vec<Particle>],
+        threshold: usize,
+        backend: &dyn Backend,
+    ) -> (Vec<HaloCatalog>, Vec<RankTiming>) {
+        let decomp = self.decomp();
+        let fof = self.fof();
+        let results = World::new(self.nranks).run(|c| {
+            fof_and_centers_timed(
+                c,
+                &decomp,
+                &per_rank[c.rank()],
+                &fof,
+                backend,
+                self.softening,
+                threshold,
+            )
+        });
+        results.into_iter().unzip()
+    }
 }
 
-/// Serialize a memoized analysis result: the wall seconds the original
-/// computation took (so a hit can be credited as saved node-seconds in the
-/// cost report) followed by the fixed-width center records.
-fn encode_memo(seconds: f64, centers: &[CenterRecord]) -> Vec<u8> {
-    let mut out = seconds.to_bits().to_le_bytes().to_vec();
-    out.extend_from_slice(&cosmotools::encode_centers(centers));
-    out
+/// One of the six workflow strategies (paper §4.2), as plain data: what is
+/// shipped off the simulation, how it travels, and what triggers the
+/// off-line stage. All of them yield the same Level 3 catalog.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Strategy {
+    /// Everything in situ: nothing is shipped — no I/O, no redistribution.
+    InSitu,
+    /// Level 1 (the raw particles) to disk, read back, redistributed,
+    /// everything analyzed off-line.
+    Offline,
+    /// Combined: in-situ find + small centers, Level 2 (the particles of the
+    /// halos above [`RunnerConfig::threshold`]) shipped by the given
+    /// transport, off-line centers for the large halos, merge.
+    Combined(Transport),
+    /// Combined, co-scheduled variation: the simulation re-runs with an
+    /// in-situ hook that emits a Level 2 file every `emit_every` steps (and
+    /// at the last); a listener submits a real analysis job (thread) per
+    /// file while the simulation is still stepping.
+    CombinedCoScheduled {
+        /// Steps between Level 2 emits (at least 1).
+        emit_every: usize,
+    },
 }
 
-/// Inverse of [`encode_memo`]; `None` on a malformed payload (the caller
-/// falls back to recomputing — a bad memo must never poison a catalog).
-fn decode_memo(bytes: &[u8]) -> Option<(f64, Vec<CenterRecord>)> {
+/// How the Level 2 container of a combined strategy reaches the centering
+/// stage. All three carry the same serialized bytes, so the variations share
+/// memoized center sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    /// The simple variation: through `level2.hcio`, read back only when the
+    /// off-line job actually runs.
+    File,
+    /// The in-transit variation (§4.2's hypothetical third option): the
+    /// Level 2 data never touches the file system — it is handed to the
+    /// analysis stage through shared memory, paying only the redistribution.
+    Memory,
+    /// In-transit, **streamed**: as per-block HCCK chunks through the small
+    /// replicated `stream_store/` instead of being handed over whole.
+    Chunks,
+}
+
+impl Strategy {
+    /// Every strategy, the co-scheduled one at `emit_every = 4`.
+    pub const ALL: [Strategy; 6] = [
+        Strategy::InSitu,
+        Strategy::Offline,
+        Strategy::Combined(Transport::File),
+        Strategy::Combined(Transport::Memory),
+        Strategy::Combined(Transport::Chunks),
+        Strategy::CombinedCoScheduled { emit_every: 4 },
+    ];
+
+    /// The strategy's name: [`WorkflowRun::strategy`] and its telemetry span.
+    pub fn label(self) -> &'static str {
+        match self {
+            Strategy::InSitu => "in-situ",
+            Strategy::Offline => "off-line",
+            Strategy::Combined(Transport::File) => "combined (simple)",
+            Strategy::Combined(Transport::Memory) => "combined (in-transit)",
+            Strategy::Combined(Transport::Chunks) => "combined (in-transit, streamed)",
+            Strategy::CombinedCoScheduled { .. } => "combined (co-scheduled)",
+        }
+    }
+}
+
+/// Memoize an analysis result: the wall seconds the original computation
+/// took (so a hit can be credited as saved node-seconds in the cost report)
+/// followed by the fixed-width center records.
+fn memo_insert(cache: &ArtifactCache, key: CacheKey, seconds: f64, centers: &[CenterRecord]) {
+    let mut memo = seconds.to_bits().to_le_bytes().to_vec();
+    memo.extend_from_slice(&cosmotools::encode_centers(centers));
+    cache.insert(key, &memo).expect("cache insert");
+}
+
+/// Look up and decode a memo written by [`memo_insert`]. A verified hit
+/// with an undecodable payload is treated as a miss (the artifact belongs
+/// to something else entirely; the caller recomputes — a bad memo must
+/// never poison a catalog).
+fn memo_lookup(cache: &ArtifactCache, key: CacheKey) -> Option<(f64, Vec<CenterRecord>)> {
+    let bytes = cache.lookup(key)?;
     let secs_bytes: [u8; 8] = bytes.get(..8)?.try_into().ok()?;
     let seconds = f64::from_bits(u64::from_le_bytes(secs_bytes));
     Some((seconds, cosmotools::decode_centers(&bytes[8..])?))
 }
 
-/// Look up and decode a memo; a verified hit with an undecodable payload is
-/// treated as a miss (the artifact belongs to something else entirely).
-fn memo_lookup(cache: &ArtifactCache, key: CacheKey) -> Option<(f64, Vec<CenterRecord>)> {
-    cache.lookup(key).and_then(|bytes| decode_memo(&bytes))
-}
-
 /// Result of executing one workflow for real.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkflowRun {
     /// Strategy label.
     pub strategy: String,
@@ -201,9 +335,9 @@ pub struct WorkflowRun {
     /// For co-scheduled runs: analysis jobs that started before the
     /// simulation finished.
     pub overlapped_jobs: usize,
-    /// Analysis steps where in-situ processing failed and the workflow fell
-    /// back to re-shipping the last good Level-2 output (graceful
-    /// degradation; zero on a fault-free run).
+    /// In-situ stages that failed and degraded gracefully: an analysis step
+    /// that fell back to re-shipping the last good Level-2 output, or a
+    /// visualization frame that was lost (zero on a fault-free run).
     pub degraded_steps: usize,
     /// Transient in-situ analysis failures absorbed by retries.
     pub insitu_retries: u64,
@@ -235,14 +369,19 @@ pub struct WorkflowRun {
     pub render_cache_hits: u64,
 }
 
-/// Pool-counter delta for a region of work: dispatches issued and wall
-/// seconds spent inside them since `before` was snapshotted.
-fn pool_delta(backend: &dyn Backend, before: dpp::PoolStats) -> (u64, f64) {
-    let d = backend
-        .pool_stats()
-        .unwrap_or_default()
-        .delta_since(&before);
-    (d.dispatches, d.total_dispatch_nanos as f64 * 1e-9)
+/// Run `f` and add its wall seconds to `acc`.
+fn timed<T>(acc: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *acc += t0.elapsed().as_secs_f64();
+    out
+}
+
+/// Read a Level 1/2 container file this run wrote itself.
+fn read_own_file(path: &Path) -> Container {
+    cosmotools::read_file(path)
+        .expect("io")
+        .expect("valid container")
 }
 
 /// The shared testbed: one finished simulation reused by every strategy.
@@ -278,400 +417,213 @@ impl TestBed {
         }
     }
 
-    fn decomp(&self) -> CartDecomp {
-        CartDecomp::new(self.cfg.nranks, self.cfg.sim.cosmology.box_size)
-    }
-
     /// Rank-local particle sets (the "already distributed in memory" state).
     pub fn distributed(&self) -> Vec<Vec<Particle>> {
-        let decomp = self.decomp();
-        let mut per_rank: Vec<Vec<Particle>> = vec![Vec::new(); self.cfg.nranks];
-        for p in &self.particles {
-            per_rank[decomp.owner_of(p.pos_f64())].push(*p);
-        }
-        per_rank
+        self.cfg.distribute(&self.particles)
     }
 
-    /// Distributed FOF + centers up to `threshold`; returns per-rank
-    /// catalogs and timings.
-    fn analyze(
-        &self,
-        per_rank: &[Vec<Particle>],
-        threshold: usize,
-        backend: &dyn Backend,
-    ) -> (Vec<HaloCatalog>, Vec<RankTiming>) {
-        let decomp = self.decomp();
-        let fof = self.cfg.fof();
-        let world = World::new(self.cfg.nranks);
-        let softening = self.cfg.softening;
-        let results = world.run(|c| {
-            fof_and_centers_timed(
-                c,
-                &decomp,
-                &per_rank[c.rank()],
-                &fof,
-                backend,
-                softening,
-                threshold,
-            )
-        });
-        results.into_iter().unzip()
-    }
-
-    /// Strategy 1: everything in situ (no I/O, no redistribution).
+    /// [`Strategy::InSitu`].
     pub fn run_in_situ_only(&self, backend: &dyn Backend) -> WorkflowRun {
-        let _span = telemetry::span!("runner", "in_situ_only");
-        let pool0 = backend.pool_stats().unwrap_or_default();
-        let per_rank = self.distributed();
-        let t0 = Instant::now();
-        let (catalogs, timings) = self.analyze(&per_rank, usize::MAX, backend);
-        let analysis = t0.elapsed().as_secs_f64();
-        let centers = collect_centers(&catalogs);
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        WorkflowRun {
-            strategy: "in-situ".into(),
-            phases: PhaseSeconds {
-                sim: self.sim_seconds,
-                analysis,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: timings,
-            overlapped_jobs: 0,
-            degraded_steps: 0,
-            insitu_retries: 0,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits: 0,
-            cache_misses: 0,
-            saved_analysis_seconds: 0.0,
-            render_seconds: 0.0,
-            render_bytes: 0,
-            frames_rendered: 0,
-            render_cache_hits: 0,
-        }
+        self.run(Strategy::InSitu, backend)
     }
 
-    /// Strategy 2: write Level 1 to disk, read it back, redistribute, then
-    /// analyze everything off-line.
-    ///
-    /// With [`RunnerConfig::cache`] set, the whole post-processing stage is
-    /// memoized under the Level 1 file's content digest: a re-run over
-    /// unchanged inputs skips read, redistribution, and analysis entirely
-    /// and reuses the stored Level 3 centers.
+    /// [`Strategy::Offline`].
     pub fn run_offline_only(&self, backend: &dyn Backend) -> WorkflowRun {
-        let _span = telemetry::span!("runner", "offline_only");
-        let pool0 = backend.pool_stats().unwrap_or_default();
-        let path = self.cfg.workdir.join("level1.hcio");
-        // Simulation side: write Level 1 (one block per rank), stamped with
-        // its content digest — the cache identity of this input.
-        let t_w = Instant::now();
-        let container = Container {
-            meta: self.meta.clone(),
-            blocks: self.distributed(),
-        };
-        let l1_digest = cosmotools::write_file_digest(&path, &container).expect("write level 1");
-        let write = t_w.elapsed().as_secs_f64();
+        self.run(Strategy::Offline, backend)
+    }
 
-        // Cache consultation: an existing, verified artifact for exactly
-        // this input and configuration replaces the whole post job.
-        if let Some(c) = &self.cfg.cache {
-            let key = self.cfg.cache_key("offline_analysis", l1_digest);
-            if let Some((saved, centers)) = memo_lookup(c, key) {
-                let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-                return WorkflowRun {
-                    strategy: "off-line".into(),
-                    phases: PhaseSeconds {
-                        sim: self.sim_seconds,
-                        write,
-                        ..Default::default()
-                    },
-                    centers,
-                    rank_timings: Vec::new(),
-                    overlapped_jobs: 0,
-                    degraded_steps: 0,
-                    insitu_retries: 0,
-                    pool_dispatches,
-                    dispatch_overhead_seconds,
-                    cache_hits: 1,
-                    cache_misses: 0,
-                    saved_analysis_seconds: saved,
-                    render_seconds: 0.0,
-                    render_bytes: 0,
-                    frames_rendered: 0,
-                    render_cache_hits: 0,
-                };
+    /// [`Strategy::Combined`] by [`Transport::File`].
+    pub fn run_combined_simple(&self, backend: &dyn Backend) -> WorkflowRun {
+        self.run(Strategy::Combined(Transport::File), backend)
+    }
+
+    /// [`Strategy::Combined`] by [`Transport::Memory`].
+    pub fn run_combined_intransit(&self, backend: &dyn Backend) -> WorkflowRun {
+        self.run(Strategy::Combined(Transport::Memory), backend)
+    }
+
+    /// [`Strategy::Combined`] by [`Transport::Chunks`].
+    pub fn run_combined_intransit_streamed(&self, backend: &dyn Backend) -> WorkflowRun {
+        self.run(Strategy::Combined(Transport::Chunks), backend)
+    }
+
+    /// [`Strategy::CombinedCoScheduled`].
+    pub fn run_combined_coscheduled(
+        &self,
+        backend: &dyn Backend,
+        emit_every: usize,
+    ) -> WorkflowRun {
+        self.run(Strategy::CombinedCoScheduled { emit_every }, backend)
+    }
+
+    /// The one executor, stage (a): open the strategy's span, walk the
+    /// stages it declares — in line over the finished simulation, or from a
+    /// re-run's step hook with the listener driving the off-line stage — and
+    /// assemble the [`WorkflowRun`] with the pool-counter delta of this run.
+    pub fn run(&self, strategy: Strategy, backend: &dyn Backend) -> WorkflowRun {
+        let _span = telemetry::span!("runner", strategy.label());
+        let pool0 = backend.pool_stats().unwrap_or_default();
+        let mut run = WorkflowRun {
+            strategy: strategy.label().into(),
+            ..Default::default()
+        };
+        match strategy {
+            Strategy::CombinedCoScheduled { emit_every } => {
+                self.run_stepping(emit_every, backend, &mut run)
+            }
+            _ => {
+                run.phases.sim = self.sim_seconds;
+                self.run_inline(strategy, backend, &mut run);
             }
         }
+        let pool = backend.pool_stats().unwrap_or_default().delta_since(&pool0);
+        run.pool_dispatches = pool.dispatches;
+        run.dispatch_overhead_seconds = pool.total_dispatch_nanos as f64 * 1e-9;
+        run
+    }
 
-        // Post-processing job: read, redistribute, analyze.
-        let t_r = Instant::now();
-        let read_back = cosmotools::read_file(&path)
-            .expect("io")
-            .expect("valid level 1 container");
-        let read = t_r.elapsed().as_secs_f64();
+    /// Stage (b): answer an off-line stage from the artifact cache or
+    /// compute it. A verified artifact for exactly this input and
+    /// configuration replaces the stage and credits what it cost when it
+    /// first ran; on a miss, `compute` runs (billing its own phases) and is
+    /// memoized with the phase seconds it added — what a future hit skips.
+    fn memoized(
+        &self,
+        op: &str,
+        input: Digest,
+        run: &mut WorkflowRun,
+        compute: impl FnOnce(&mut WorkflowRun) -> Vec<CenterRecord>,
+    ) -> Vec<CenterRecord> {
+        let key = self.cfg.cache_key(op, input);
+        let cache = self.cfg.cache.as_deref();
+        if let Some((saved, centers)) = cache.and_then(|c| memo_lookup(c, key)) {
+            run.cache_hits += 1;
+            run.saved_analysis_seconds += saved;
+            return centers;
+        }
+        let before = run.phases.total();
+        let centers = compute(run);
+        if let Some(c) = cache {
+            run.cache_misses += 1;
+            memo_insert(c, key, run.phases.total() - before, &centers);
+        }
+        centers
+    }
 
+    /// The post-hoc strategies: every stage runs once, in line, over the
+    /// testbed's finished simulation.
+    fn run_inline(&self, strategy: Strategy, backend: &dyn Backend, run: &mut WorkflowRun) {
+        let cfg = &self.cfg;
+        // In-situ stage: find everything and center the halos up to the
+        // threshold — all of them when nothing is shipped, none when the raw
+        // particles are.
+        let mut catalogs = Vec::new();
+        if strategy != Strategy::Offline {
+            let combined = matches!(strategy, Strategy::Combined(_));
+            let threshold = if combined { cfg.threshold } else { usize::MAX };
+            let per_rank = self.distributed();
+            (catalogs, run.rank_timings) = timed(&mut run.phases.analysis, || {
+                cfg.analyze(&per_rank, threshold, backend)
+            });
+        }
+        let in_situ_centers = collect_centers(&catalogs);
+        let (op, file, transport) = match strategy {
+            Strategy::Offline => ("offline_analysis", "level1.hcio", Transport::File),
+            Strategy::Combined(transport) => ("l2_centers", "level2.hcio", transport),
+            _ => {
+                run.centers = in_situ_centers;
+                return;
+            }
+        };
+
+        // Ship stage: Level 1 is one block of particles per rank, Level 2
+        // one block per large halo; the serialized bytes are the cache
+        // identity of the off-line stage's input.
+        let level1 = strategy == Strategy::Offline;
+        let shipped = || {
+            let meta = self.meta.clone();
+            if level1 {
+                let blocks = self.distributed();
+                Container { meta, blocks }
+            } else {
+                write_level2_container(&large_halos(catalogs, cfg.threshold), meta)
+            }
+        };
+        let path = cfg.workdir.join(file);
+        let (digest, in_memory) = if transport == Transport::File {
+            let digest = timed(&mut run.phases.write, || {
+                cosmotools::write_file_digest(&path, &shipped()).expect("write shipped level")
+            });
+            (digest, None)
+        } else {
+            // Level 2 stays in memory ("Level 2 in external memory" in
+            // Table 4): no write, no read — only the redistribution of halo
+            // blocks onto the analysis ranks, here a hand-off of the
+            // container itself or of its chunks.
+            let container = timed(&mut run.phases.redistribute, || match transport {
+                Transport::Chunks => self.stream_through_store(&shipped()),
+                _ => shipped(),
+            });
+            (cosmotools::container_digest(&container), Some(container))
+        };
+
+        // Off-line stage: the post-processing job — or the memoized centers
+        // for exactly these shipped bytes, which replace the whole job. A
+        // file is read back only when the job actually runs.
+        let off_line_centers = self.memoized(op, digest, run, |run| {
+            let container =
+                in_memory.unwrap_or_else(|| timed(&mut run.phases.read, || read_own_file(&path)));
+            if level1 {
+                self.analyze_level1(&container.blocks, backend, run)
+            } else {
+                // Center each Level 2 block in a small job.
+                timed(&mut run.phases.analysis, || {
+                    centers_over_ranks(&container, cfg.softening, backend)
+                })
+            }
+        });
+        run.centers = merge_center_sets(in_situ_centers, off_line_centers);
+    }
+
+    /// The off-line job over Level 1: redistribute, then analyze everything.
+    fn analyze_level1(
+        &self,
+        blocks: &[Vec<Particle>],
+        backend: &dyn Backend,
+        run: &mut WorkflowRun,
+    ) -> Vec<CenterRecord> {
         // The file's blocks land on ranks round-robin (as if freshly read by
         // a different job), then get redistributed to spatial owners.
-        let t_d = Instant::now();
-        let decomp = self.decomp();
+        let decomp = self.cfg.decomp();
         let nranks = self.cfg.nranks;
-        let blocks = read_back.blocks;
-        let world = World::new(nranks);
-        let per_rank: Vec<Vec<Particle>> = world.run(|c| {
-            // Round-robin initial placement.
-            let mine: Vec<Particle> = blocks
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % nranks == c.rank())
-                .flat_map(|(_, b)| b.iter().copied())
-                .collect();
-            redistribute(c, &decomp, mine)
+        let per_rank = timed(&mut run.phases.redistribute, || {
+            World::new(nranks).run(|c| {
+                let mine: Vec<Particle> = blocks
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % nranks == c.rank())
+                    .flat_map(|(_, b)| b.iter().copied())
+                    .collect();
+                redistribute(c, &decomp, mine)
+            })
         });
-        let redistribute_s = t_d.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        let (catalogs, timings) = self.analyze(&per_rank, usize::MAX, backend);
-        let analysis = t0.elapsed().as_secs_f64();
-        let centers = collect_centers(&catalogs);
-        // Memoize what a future hit will skip: the whole post job.
-        let mut cache_misses = 0;
-        if let Some(c) = &self.cfg.cache {
-            cache_misses = 1;
-            let key = self.cfg.cache_key("offline_analysis", l1_digest);
-            let memo = encode_memo(read + redistribute_s + analysis, &centers);
-            c.insert(key, &memo).expect("cache insert");
-        }
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        WorkflowRun {
-            strategy: "off-line".into(),
-            phases: PhaseSeconds {
-                sim: self.sim_seconds,
-                read,
-                redistribute: redistribute_s,
-                analysis,
-                write,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: timings,
-            overlapped_jobs: 0,
-            degraded_steps: 0,
-            insitu_retries: 0,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits: 0,
-            cache_misses,
-            saved_analysis_seconds: 0.0,
-            render_seconds: 0.0,
-            render_bytes: 0,
-            frames_rendered: 0,
-            render_cache_hits: 0,
-        }
+        let (catalogs, timings) = timed(&mut run.phases.analysis, || {
+            self.cfg.analyze(&per_rank, usize::MAX, backend)
+        });
+        run.rank_timings = timings;
+        collect_centers(&catalogs)
     }
 
-    /// Strategy 3 (simple variation): in-situ find + small centers, Level 2
-    /// to disk, off-line centers for the large halos, merge.
-    pub fn run_combined_simple(&self, backend: &dyn Backend) -> WorkflowRun {
-        let _span = telemetry::span!("runner", "combined_simple");
-        let pool0 = backend.pool_stats().unwrap_or_default();
-        let per_rank = self.distributed();
-        // In-situ stage.
-        let t0 = Instant::now();
-        let (catalogs, timings) = self.analyze(&per_rank, self.cfg.threshold, backend);
-        let analysis_insitu = t0.elapsed().as_secs_f64();
-        let small_centers = collect_centers(&catalogs);
-        // Large halos → Level 2 file.
-        let t_w = Instant::now();
-        let mut large = HaloCatalog::new();
-        for cat in catalogs {
-            let (_, l) = cat.split_by_size(self.cfg.threshold);
-            large.merge(l);
-        }
-        let l2 = write_level2_container(&large, self.meta.clone());
-        let path = self.cfg.workdir.join("level2.hcio");
-        let l2_digest = cosmotools::write_file_digest(&path, &l2).expect("write level 2");
-        let write = t_w.elapsed().as_secs_f64();
-
-        // Off-line stage: read Level 2, center each block in a small job —
-        // or reuse the memoized centers for exactly these Level 2 bytes.
-        let mut read = 0.0;
-        let mut analysis_post = 0.0;
-        let mut cache_hits = 0;
-        let mut cache_misses = 0;
-        let mut saved_analysis_seconds = 0.0;
-        let key = self.cfg.cache_key("l2_centers", l2_digest);
-        let cached = self.cfg.cache.as_deref().and_then(|c| memo_lookup(c, key));
-        let large_centers = match cached {
-            Some((saved, centers)) => {
-                cache_hits = 1;
-                saved_analysis_seconds = saved;
-                centers
-            }
-            None => {
-                let t_r = Instant::now();
-                let l2_back = cosmotools::read_file(&path)
-                    .expect("io")
-                    .expect("valid level 2 container");
-                read = t_r.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                let centers =
-                    centers_over_ranks(&l2_back, self.cfg.post_ranks, self.cfg.softening, backend);
-                analysis_post = t1.elapsed().as_secs_f64();
-                if let Some(c) = &self.cfg.cache {
-                    cache_misses = 1;
-                    c.insert(key, &encode_memo(read + analysis_post, &centers))
-                        .expect("cache insert");
-                }
-                centers
-            }
-        };
-
-        let centers = merge_center_sets(small_centers, large_centers);
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        WorkflowRun {
-            strategy: "combined (simple)".into(),
-            phases: PhaseSeconds {
-                sim: self.sim_seconds,
-                read,
-                analysis: analysis_insitu + analysis_post,
-                write,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: timings,
-            overlapped_jobs: 0,
-            degraded_steps: 0,
-            insitu_retries: 0,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits,
-            cache_misses,
-            saved_analysis_seconds,
-            render_seconds: 0.0,
-            render_bytes: 0,
-            frames_rendered: 0,
-            render_cache_hits: 0,
-        }
-    }
-
-    /// Strategy 3 (in-transit variation, §4.2's hypothetical third option):
-    /// the Level 2 data never touches the file system — it is handed to the
-    /// analysis stage through shared memory, paying only the redistribution.
-    pub fn run_combined_intransit(&self, backend: &dyn Backend) -> WorkflowRun {
-        let _span = telemetry::span!("runner", "combined_intransit");
-        let pool0 = backend.pool_stats().unwrap_or_default();
-        let per_rank = self.distributed();
-        let t0 = Instant::now();
-        let (catalogs, timings) = self.analyze(&per_rank, self.cfg.threshold, backend);
-        let analysis_insitu = t0.elapsed().as_secs_f64();
-        let small_centers = collect_centers(&catalogs);
-
-        // Level 2 stays in memory ("Level 2 in external memory" in Table 4):
-        // no write, no read — only the redistribution of halo blocks onto
-        // the analysis ranks, here a hand-off of the container itself.
-        let t_d = Instant::now();
-        let mut large = HaloCatalog::new();
-        for cat in catalogs {
-            let (_, l) = cat.split_by_size(self.cfg.threshold);
-            large.merge(l);
-        }
-        let container = write_level2_container(&large, self.meta.clone());
-        let redistribute_s = t_d.elapsed().as_secs_f64();
-
-        // Same serialized bytes as the simple variation's Level 2 file, so
-        // the two variations share memoized center sets.
-        let mut analysis_post = 0.0;
-        let mut cache_hits = 0;
-        let mut cache_misses = 0;
-        let mut saved_analysis_seconds = 0.0;
-        let key = self
-            .cfg
-            .cache_key("l2_centers", cosmotools::container_digest(&container));
-        let cached = self.cfg.cache.as_deref().and_then(|c| memo_lookup(c, key));
-        let large_centers = match cached {
-            Some((saved, centers)) => {
-                cache_hits = 1;
-                saved_analysis_seconds = saved;
-                centers
-            }
-            None => {
-                let t1 = Instant::now();
-                let centers = centers_over_ranks(
-                    &container,
-                    self.cfg.post_ranks,
-                    self.cfg.softening,
-                    backend,
-                );
-                analysis_post = t1.elapsed().as_secs_f64();
-                if let Some(c) = &self.cfg.cache {
-                    cache_misses = 1;
-                    c.insert(key, &encode_memo(analysis_post, &centers))
-                        .expect("cache insert");
-                }
-                centers
-            }
-        };
-
-        let centers = merge_center_sets(small_centers, large_centers);
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        WorkflowRun {
-            strategy: "combined (in-transit)".into(),
-            phases: PhaseSeconds {
-                sim: self.sim_seconds,
-                redistribute: redistribute_s,
-                analysis: analysis_insitu + analysis_post,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: timings,
-            overlapped_jobs: 0,
-            degraded_steps: 0,
-            insitu_retries: 0,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits,
-            cache_misses,
-            saved_analysis_seconds,
-            render_seconds: 0.0,
-            render_bytes: 0,
-            frames_rendered: 0,
-            render_cache_hits: 0,
-        }
-    }
-
-    /// Strategy 3 (in-transit, **streamed** variation): like
-    /// [`TestBed::run_combined_intransit`], but the Level-2 container is
-    /// split into per-block chunks that travel through a small replicated
-    /// [`cache::DistributedStore`] (3 nodes, 2 replicas, under the workdir)
-    /// instead of being handed over whole: the emitter side publishes each
-    /// chunk as produced, the analysis side fetches the set back (replica
-    /// routing applies — one node is killed between publish and fetch to
-    /// prove the chunks stay reachable) and reassembles the container
-    /// byte-exactly. Because the chunk protocol is lossless, the reassembled
-    /// digest equals the whole-container digest and the memoized center set
-    /// is shared with the simple and plain in-transit variations.
-    pub fn run_combined_intransit_streamed(&self, backend: &dyn Backend) -> WorkflowRun {
+    /// [`Transport::Chunks`]: split the container into per-block chunks that
+    /// travel through a small replicated [`cache::DistributedStore`] (3
+    /// nodes, 2 replicas, under the workdir): the emitter side publishes each
+    /// chunk as produced, the analysis side fetches the set back and
+    /// reassembles the container byte-exactly. Because the chunk protocol is
+    /// lossless, the reassembled digest equals the whole-container digest and
+    /// the memoized center set is shared with the file and memory transports.
+    fn stream_through_store(&self, container: &Container) -> Container {
         use cache::{DistributedConfig, DistributedStore};
-        use cosmotools::{assemble_chunks, chunk_container};
 
-        let _span = telemetry::span!("runner", "combined_intransit_streamed");
-        let pool0 = backend.pool_stats().unwrap_or_default();
-        let per_rank = self.distributed();
-        let t0 = Instant::now();
-        let (catalogs, timings) = self.analyze(&per_rank, self.cfg.threshold, backend);
-        let analysis_insitu = t0.elapsed().as_secs_f64();
-        let small_centers = collect_centers(&catalogs);
-
-        let t_d = Instant::now();
-        let mut large = HaloCatalog::new();
-        for cat in catalogs {
-            let (_, l) = cat.split_by_size(self.cfg.threshold);
-            large.merge(l);
-        }
-        let container = write_level2_container(&large, self.meta.clone());
-
-        // Emitter side: publish the chunk set into a replicated store.
         let store_dir = self.cfg.workdir.join("stream_store");
         let _ = std::fs::remove_dir_all(&store_dir);
         let store = DistributedStore::open(
@@ -684,8 +636,7 @@ impl TestBed {
         )
         .expect("open stream store");
         let fp = self.cfg.fingerprint();
-        let chunks = chunk_container(&container);
-        let keys: Vec<CacheKey> = chunks
+        let keys: Vec<CacheKey> = cosmotools::chunk_container(container)
             .iter()
             .map(|chunk| {
                 let key = CacheKey::compose("l2chunk", cache::digest_bytes(chunk), fp);
@@ -700,124 +651,90 @@ impl TestBed {
             .iter()
             .map(|&k| store.lookup(k).expect("chunk lost with one dead node"))
             .collect();
-        let container = assemble_chunks(&fetched).expect("reassemble streamed Level 2");
-        let redistribute_s = t_d.elapsed().as_secs_f64();
-
-        // Identical bytes ⇒ identical digest ⇒ the memoized center set is
-        // shared with the simple / in-transit variations.
-        let mut analysis_post = 0.0;
-        let mut cache_hits = 0;
-        let mut cache_misses = 0;
-        let mut saved_analysis_seconds = 0.0;
-        let key = self
-            .cfg
-            .cache_key("l2_centers", cosmotools::container_digest(&container));
-        let cached = self.cfg.cache.as_deref().and_then(|c| memo_lookup(c, key));
-        let large_centers = match cached {
-            Some((saved, centers)) => {
-                cache_hits = 1;
-                saved_analysis_seconds = saved;
-                centers
-            }
-            None => {
-                let t1 = Instant::now();
-                let centers = centers_over_ranks(
-                    &container,
-                    self.cfg.post_ranks,
-                    self.cfg.softening,
-                    backend,
-                );
-                analysis_post = t1.elapsed().as_secs_f64();
-                if let Some(c) = &self.cfg.cache {
-                    cache_misses = 1;
-                    c.insert(key, &encode_memo(analysis_post, &centers))
-                        .expect("cache insert");
-                }
-                centers
-            }
-        };
-
-        let centers = merge_center_sets(small_centers, large_centers);
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        WorkflowRun {
-            strategy: "combined (in-transit, streamed)".into(),
-            phases: PhaseSeconds {
-                sim: self.sim_seconds,
-                redistribute: redistribute_s,
-                analysis: analysis_insitu + analysis_post,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: timings,
-            overlapped_jobs: 0,
-            degraded_steps: 0,
-            insitu_retries: 0,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits,
-            cache_misses,
-            saved_analysis_seconds,
-            render_seconds: 0.0,
-            render_bytes: 0,
-            frames_rendered: 0,
-            render_cache_hits: 0,
-        }
+        cosmotools::assemble_chunks(&fetched).expect("reassemble streamed Level 2")
     }
 
-    /// Strategy 3 (co-scheduled variation): the simulation re-runs with an
-    /// in-situ hook that emits a Level 2 file every `emit_every` steps; a
-    /// listener submits a real analysis job (thread) per file while the
-    /// simulation is still stepping.
-    pub fn run_combined_coscheduled(
-        &self,
-        backend: &dyn Backend,
-        emit_every: usize,
-    ) -> WorkflowRun {
-        use parking_lot::Mutex;
-        use std::sync::Arc;
+    /// In-situ visualization of one step, independent of the Level-2 emit
+    /// cadence. A memoized frame's encoded bytes replay without touching the
+    /// renderer (or its fault site), so warm re-runs recompute nothing.
+    fn render_step(&self, sim: &Simulation, backend: &dyn Backend, run: &mut WorkflowRun) {
+        let cfg = &self.cfg;
+        let Some(rp) = &cfg.render else {
+            return;
+        };
+        let step = sim.step_index();
+        // Frames live in a subdirectory with their own suffix, invisible to
+        // the `.hcio` listener sweep.
+        let render_dir = cfg.workdir.join("coscheduled").join("render");
+        std::fs::create_dir_all(&render_dir).expect("mkdir render");
+        let _render_span = telemetry::span!("render", "emit", step);
+        let t_r = Instant::now();
+        let frame_path = render_dir.join(format!("frame_step{step:04}.hcim"));
+        let step_digest = cache::digest_bytes(&(step as u64).to_le_bytes());
+        let key = cfg.cache_key("render_frame", step_digest);
+        let emitted = if let Some(bytes) = cfg.cache.as_deref().and_then(|c| c.lookup(key)) {
+            std::fs::write(&frame_path, &bytes).expect("write cached frame");
+            run.render_cache_hits += 1;
+            telemetry::count!("render", "cache_hits", 1);
+            Some(bytes.len())
+        } else if cfg.guard(RENDER_FAULT_SITE, &mut run.insitu_retries) {
+            let box_size = cfg.sim.cosmology.box_size;
+            let frame =
+                cosmotools::render_frame(backend, sim.particles(), box_size, rp, step as u64);
+            let bytes = cosmotools::write_image(&frame);
+            std::fs::write(&frame_path, bytes.as_ref()).expect("write frame");
+            if let Some(c) = &cfg.cache {
+                c.insert(key, bytes.as_ref()).expect("cache insert");
+            }
+            Some(bytes.len())
+        } else {
+            // This attempt loses the step's frame; a re-run recovers it
+            // (every earlier frame replays from the cache, and the
+            // injector's crash budget is spent).
+            run.degraded_steps += 1;
+            telemetry::count!("runner", "render_failures", 1);
+            None
+        };
+        if let Some(len) = emitted {
+            run.frames_rendered += 1;
+            run.render_bytes += len as u64;
+        }
+        run.render_seconds += t_r.elapsed().as_secs_f64();
+    }
 
-        let _span = telemetry::span!("runner", "combined_coscheduled");
-        let pool0 = backend.pool_stats().unwrap_or_default();
-        let dir = self.cfg.workdir.join("coscheduled");
+    /// The co-scheduled strategy: the simulation re-runs with the in-situ
+    /// stages in its step hook, and the listener drives the off-line stage
+    /// per emitted file.
+    fn run_stepping(&self, emit_every: usize, backend: &dyn Backend, run: &mut WorkflowRun) {
+        assert!(
+            emit_every > 0,
+            "run_combined_coscheduled: emit_every must be at least 1 step"
+        );
+        let cfg = &self.cfg;
+        let dir = cfg.workdir.join("coscheduled");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
-        // Visualization frames live in a subdirectory with their own suffix,
-        // invisible to the `.hcio` listener sweep.
-        let render_dir = dir.join("render");
-        if self.cfg.render.is_some() {
-            std::fs::create_dir_all(&render_dir).expect("mkdir render");
-        }
-        let mut render_seconds = 0.0f64;
-        let mut render_bytes = 0u64;
-        let mut frames_rendered = 0u64;
-        let mut render_cache_hits = 0u64;
 
         // The analysis-job launcher the listener drives: each file becomes a
-        // center-finding job on `post_ranks` ranks.
-        type JobResult = (PathBuf, Vec<CenterRecord>, f64);
-        let results: Arc<Mutex<Vec<JobResult>>> = Arc::new(Mutex::new(Vec::new()));
-        let handles: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let r2 = Arc::clone(&results);
-        let h2 = Arc::clone(&handles);
-        let post_ranks = self.cfg.post_ranks;
-        let softening = self.cfg.softening;
-        let fingerprint = self.cfg.fingerprint();
+        // center-finding job (a thread) yielding `(file, centers, start)`.
+        type Job = std::thread::JoinHandle<(PathBuf, Vec<CenterRecord>, f64)>;
+        let jobs: Arc<Mutex<Vec<Job>>> = Arc::default();
+        let launched = Arc::clone(&jobs);
+        let softening = cfg.softening;
+        let fingerprint = cfg.fingerprint();
+        let l2_key = move |digest| CacheKey::compose("l2_centers", digest, fingerprint);
         // The listener consults the cache before submitting: a file whose
         // analysis artifact already exists and verifies is recorded as
         // handled without spawning a job (crash-restart and duplicate scans
         // never re-submit completed work). Each job that does run memoizes
         // its result, so the *next* co-scheduled run over identical Level 2
         // bytes skips it.
-        let gate = self.cfg.cache.clone().map(|c| {
-            CacheGate::new(move |p: &std::path::Path| {
-                let Ok(digest) = cosmotools::file_digest(p) else {
-                    return false;
-                };
-                c.contains_verified(CacheKey::compose("l2_centers", digest, fingerprint))
+        let gate = cfg.cache.clone().map(|c| {
+            CacheGate::new(move |p: &Path| {
+                cosmotools::file_digest(p).is_ok_and(|digest| c.contains_verified(l2_key(digest)))
             })
         });
-        let job_cache = self.cfg.cache.clone();
+        let job_cache = cfg.cache.clone();
         let sim_start = Instant::now();
         let listener = Listener::spawn(
             dir.clone(),
@@ -828,313 +745,122 @@ impl TestBed {
             },
             move |path| {
                 let path = path.to_path_buf();
-                let r3 = Arc::clone(&r2);
                 let job_cache = job_cache.clone();
-                let handle = std::thread::spawn(move || {
+                launched.lock().push(std::thread::spawn(move || {
                     // Job start time in the shared epoch, before any work.
                     let started_at = sim_start.elapsed().as_secs_f64();
                     let bytes = std::fs::read(&path).expect("io");
                     let input_digest = cache::digest_bytes(&bytes);
                     let container = cosmotools::read_container(&bytes).expect("valid container");
                     let t_job = Instant::now();
-                    let centers =
-                        centers_over_ranks(&container, post_ranks, softening, &dpp::Serial);
+                    let centers = centers_over_ranks(&container, softening, &dpp::Serial);
                     let job_seconds = t_job.elapsed().as_secs_f64();
                     if let Some(c) = &job_cache {
-                        let key = CacheKey::compose("l2_centers", input_digest, fingerprint);
-                        c.insert(key, &encode_memo(job_seconds, &centers))
-                            .expect("cache insert");
+                        memo_insert(c, l2_key(input_digest), job_seconds, &centers);
                     }
-                    r3.lock().push((path, centers, started_at));
-                });
-                h2.lock().push(handle);
+                    (path, centers, started_at)
+                }));
             },
         );
 
         // Re-run the simulation with the in-situ hook.
-        let t0 = Instant::now();
-        let mut sim = Simulation::new(backend, self.cfg.sim.clone());
-        let threshold = self.cfg.threshold;
-        let fof_link = self.cfg.fof();
-        let decomp = self.decomp();
-        let nranks = self.cfg.nranks;
-        let mut insitu_analysis = 0.0;
-        let mut fallback_seconds = 0.0;
-        let mut degraded = 0usize;
-        let mut insitu_retries = 0u64;
+        let mut sim = Simulation::new(backend, cfg.sim.clone());
         let mut last_good: Option<PathBuf> = None;
         let mut small_centers: Vec<CenterRecord> = Vec::new();
         let mut emitted = 0usize;
-        let rcfg = &self.cfg;
         sim.run_with_hook(backend, |step, sim| {
+            // Rendering precedes the halo stage so an analysis fault can
+            // never drop a frame.
+            self.render_step(sim, backend, run);
             let last = step == sim.total_steps();
-            // In-situ visualization: one frame per step, independent of the
-            // Level-2 emit cadence. A memoized frame's encoded bytes replay
-            // without touching the renderer, so warm re-runs recompute
-            // nothing; rendering precedes the halo stage so an analysis
-            // fault can never drop a frame.
-            if let Some(rp) = rcfg.render {
-                let _render_span = telemetry::span!("render", "emit", step);
-                let t_r = Instant::now();
-                let frame_path = render_dir.join(format!("frame_step{step:04}.hcim"));
-                let key = CacheKey::compose(
-                    "render_frame",
-                    cache::digest_bytes(&(step as u64).to_le_bytes()),
-                    fingerprint,
-                );
-                let cached = rcfg.cache.as_deref().and_then(|c| c.lookup(key));
-                if let Some(bytes) = cached {
-                    std::fs::write(&frame_path, &bytes).expect("write cached frame");
-                    render_cache_hits += 1;
-                    frames_rendered += 1;
-                    render_bytes += bytes.len() as u64;
-                    telemetry::count!("render", "cache_hits", 1);
-                } else {
-                    let mut attempt: u32 = 0;
-                    let render_ok = loop {
-                        match rcfg.fault(RENDER_FAULT_SITE) {
-                            Some(FaultKind::Crash) => {
-                                telemetry::instant!("faults", RENDER_FAULT_SITE, 1);
-                                break false;
-                            }
-                            Some(FaultKind::Stall(d)) => {
-                                telemetry::instant!("faults", RENDER_FAULT_SITE, 2);
-                                std::thread::sleep(d);
-                            }
-                            Some(FaultKind::Transient) => {
-                                telemetry::instant!("faults", RENDER_FAULT_SITE, 0);
-                                attempt += 1;
-                                insitu_retries += 1;
-                                telemetry::count!("runner", "insitu_retries", 1);
-                                if attempt >= rcfg.insitu_retry.max_attempts {
-                                    break false;
-                                }
-                                std::thread::sleep(rcfg.insitu_retry.delay(attempt - 1));
-                                continue;
-                            }
-                            None => {}
-                        }
-                        break true;
-                    };
-                    if render_ok {
-                        let frame = cosmotools::render_frame(
-                            backend,
-                            sim.particles(),
-                            decomp.box_size(),
-                            &rp,
-                            step as u64,
-                        );
-                        let bytes = cosmotools::write_image(&frame);
-                        std::fs::write(&frame_path, bytes.as_ref()).expect("write frame");
-                        if let Some(c) = &rcfg.cache {
-                            c.insert(key, bytes.as_ref()).expect("cache insert");
-                        }
-                        frames_rendered += 1;
-                        render_bytes += bytes.len() as u64;
-                    } else {
-                        // This attempt loses the step's frame; a re-run
-                        // recovers it (every earlier frame replays from the
-                        // cache, and the injector's crash budget is spent).
-                        degraded += 1;
-                        telemetry::count!("runner", "render_failures", 1);
-                    }
-                }
-                render_seconds += t_r.elapsed().as_secs_f64();
-            }
             if !(step % emit_every == 0 || last) {
                 return;
             }
             let _step_span = telemetry::span!("runner", "in_situ_step", step);
+            // A Level 2 file is emitted at every analysis step (possibly
+            // empty — the listener and downstream jobs handle that), exactly
+            // like the per-timestep outputs of the paper's co-scheduled runs.
+            let path = dir.join(format!("l2_step{step:04}.hcio"));
+            let meta = SnapshotMeta {
+                step: step as u64,
+                redshift: sim.redshift(),
+                box_size: cfg.sim.cosmology.box_size,
+            };
+            emitted += 1;
             // Fault-aware in-situ stage: a transient failure retries under
             // the configured policy; a crash (or exhausted retries) degrades
             // gracefully — the last good Level-2 output is re-shipped for
             // off-line analysis instead, and the step is recorded as
             // degraded in the cost model's `fallback` phase.
-            let mut attempt: u32 = 0;
-            let insitu_ok = loop {
-                match rcfg.fault(RUNNER_FAULT_SITE) {
-                    Some(FaultKind::Crash) => {
-                        telemetry::instant!("faults", RUNNER_FAULT_SITE, 1);
-                        break false;
-                    }
-                    Some(FaultKind::Stall(d)) => {
-                        telemetry::instant!("faults", RUNNER_FAULT_SITE, 2);
-                        std::thread::sleep(d);
-                    }
-                    Some(FaultKind::Transient) => {
-                        telemetry::instant!("faults", RUNNER_FAULT_SITE, 0);
-                        attempt += 1;
-                        insitu_retries += 1;
-                        telemetry::count!("runner", "insitu_retries", 1);
-                        if attempt >= rcfg.insitu_retry.max_attempts {
-                            break false;
-                        }
-                        std::thread::sleep(rcfg.insitu_retry.delay(attempt - 1));
-                        continue;
-                    }
-                    None => {}
-                }
-                break true;
-            };
-            if !insitu_ok {
-                let tf = Instant::now();
-                degraded += 1;
+            if !cfg.guard(RUNNER_FAULT_SITE, &mut run.insitu_retries) {
+                run.degraded_steps += 1;
                 telemetry::count!("runner", "degraded_steps", 1);
-                let path = dir.join(format!("l2_step{step:04}.hcio"));
-                match &last_good {
-                    Some(prev) => {
+                timed(&mut run.phases.fallback, || {
+                    if let Some(prev) = &last_good {
                         std::fs::copy(prev, &path).expect("fallback copy");
-                    }
-                    None => {
+                    } else {
                         // Nothing good yet: an empty Level-2 container keeps
                         // the downstream pipeline shape intact.
-                        let meta = SnapshotMeta {
-                            step: step as u64,
-                            redshift: sim.redshift(),
-                            box_size: decomp.box_size(),
-                        };
                         let container = write_level2_container(&HaloCatalog::new(), meta);
                         cosmotools::write_file(&path, &container).expect("write fallback level 2");
                     }
-                }
-                emitted += 1;
-                fallback_seconds += tf.elapsed().as_secs_f64();
+                });
                 return;
             }
-            let ta = Instant::now();
-            // Distribute and analyze in situ.
-            let mut per_rank: Vec<Vec<Particle>> = vec![Vec::new(); nranks];
-            for p in sim.particles() {
-                per_rank[decomp.owner_of(p.pos_f64())].push(*p);
-            }
-            let world = World::new(nranks);
-            let results = world.run(|c| {
-                fof_and_centers_timed(
-                    c,
-                    &decomp,
-                    &per_rank[c.rank()],
-                    &fof_link,
-                    backend,
-                    softening,
-                    threshold,
-                )
-            });
-            let mut large = HaloCatalog::new();
-            for (cat, _) in results {
+            let large = timed(&mut run.phases.analysis, || {
+                let per_rank = cfg.distribute(sim.particles());
+                let (catalogs, _) = cfg.analyze(&per_rank, cfg.threshold, backend);
                 if last {
-                    small_centers.extend(centers_from_catalog(&cat));
+                    small_centers = collect_centers(&catalogs);
                 }
-                let (_, l) = cat.split_by_size(threshold);
-                large.merge(l);
-            }
-            insitu_analysis += ta.elapsed().as_secs_f64();
-            // Emit the Level 2 file at every analysis step (possibly empty —
-            // the listener and downstream jobs handle that), exactly like
-            // the per-timestep outputs of the paper's co-scheduled runs.
-            {
-                let meta = SnapshotMeta {
-                    step: step as u64,
-                    redshift: sim.redshift(),
-                    box_size: decomp.box_size(),
-                };
-                let container = write_level2_container(&large, meta);
-                let path = dir.join(format!("l2_step{step:04}.hcio"));
-                cosmotools::write_file(&path, &container).expect("write level 2");
-                last_good = Some(path);
-                emitted += 1;
-            }
+                large_halos(catalogs, cfg.threshold)
+            });
+            let container = write_level2_container(&large, meta);
+            cosmotools::write_file(&path, &container).expect("write level 2");
+            last_good = Some(path);
         });
-        let _ = t0;
         // Simulation end in the same epoch as the job start times.
-        let sim_end = sim_start.elapsed().as_secs_f64();
+        run.phases.sim = sim_start.elapsed().as_secs_f64();
 
         // Main job done: stop the listener (final sweep) and join jobs.
         let report = listener.stop_report();
-        for h in std::mem::take(&mut *handles.lock()) {
-            h.join().expect("analysis job panicked");
-        }
-        let job_results = std::mem::take(&mut *results.lock());
+        let job_results: Vec<_> = std::mem::take(&mut *jobs.lock())
+            .into_iter()
+            .map(|job| job.join().expect("analysis job panicked"))
+            .collect();
         assert_eq!(
             report.submitted.len() + report.cache_skipped.len(),
             emitted,
             "every emitted file gets a job or a verified cache hit"
         );
-
-        // Credit the cache hits: what each reused artifact cost when it was
-        // first computed, read back from the memo payloads.
-        let mut saved_analysis_seconds = 0.0;
-        let mut skipped_last_centers: Option<Vec<CenterRecord>> = None;
-        let last_file = dir.join(format!("l2_step{:04}.hcio", self.cfg.sim.nsteps));
-        if let Some(c) = &self.cfg.cache {
-            for p in &report.cache_skipped {
-                let Ok(digest) = cosmotools::file_digest(p) else {
-                    continue;
-                };
-                let key = CacheKey::compose("l2_centers", digest, fingerprint);
-                if let Some((saved, centers)) = memo_lookup(c, key) {
-                    saved_analysis_seconds += saved;
-                    if *p == last_file {
-                        skipped_last_centers = Some(centers);
-                    }
-                }
-            }
+        run.overlapped_jobs = job_results
+            .iter()
+            .filter(|(_, _, started_at)| *started_at < run.phases.sim)
+            .count();
+        if cfg.cache.is_some() {
+            run.cache_misses = report.submitted.len() as u64;
         }
 
         // Reconcile: the final step's large-halo centers + in-situ centers.
-        // A gate-skipped final file takes its centers from the cache; if the
+        let last_file = dir.join(format!("l2_step{:04}.hcio", cfg.sim.nsteps));
+        let last_job = job_results.into_iter().find(|(p, _, _)| *p == last_file);
+        let mut large_centers = last_job.map(|(_, c, _)| c).unwrap_or_default();
+        // The gate-skipped files are answered by stage (b), which credits
+        // what each reused artifact cost when it was first computed. If an
         // entry vanished between the gate and here (eviction, poisoning),
-        // recompute — degrade to work, never to a wrong catalog.
-        let large_centers = match job_results.iter().find(|(p, _, _)| *p == last_file) {
-            Some((_, c, _)) => c.clone(),
-            None if report.cache_skipped.contains(&last_file) => skipped_last_centers
-                .unwrap_or_else(|| {
-                    let container = cosmotools::read_file(&last_file)
-                        .expect("io")
-                        .expect("valid container");
-                    centers_over_ranks(
-                        &container,
-                        self.cfg.post_ranks,
-                        self.cfg.softening,
-                        &dpp::Serial,
-                    )
-                }),
-            None => Vec::new(),
-        };
-        let overlapped = job_results
-            .iter()
-            .filter(|(_, _, started_at)| *started_at < sim_end)
-            .count();
-        let centers = merge_center_sets(small_centers, large_centers);
-        let (pool_dispatches, dispatch_overhead_seconds) = pool_delta(backend, pool0);
-        let cache_hits = report.cache_skipped.len() as u64;
-        let cache_misses = if self.cfg.cache.is_some() {
-            report.submitted.len() as u64
-        } else {
-            0
-        };
-        WorkflowRun {
-            strategy: "combined (co-scheduled)".into(),
-            phases: PhaseSeconds {
-                sim: sim_end,
-                analysis: insitu_analysis,
-                fallback: fallback_seconds,
-                ..Default::default()
-            },
-            centers,
-            rank_timings: Vec::new(),
-            overlapped_jobs: overlapped,
-            degraded_steps: degraded,
-            insitu_retries,
-            pool_dispatches,
-            dispatch_overhead_seconds,
-            cache_hits,
-            cache_misses,
-            saved_analysis_seconds,
-            render_seconds,
-            render_bytes,
-            frames_rendered,
-            render_cache_hits,
+        // recompute it — degrade to work, never to a wrong catalog.
+        for p in &report.cache_skipped {
+            let digest = cosmotools::file_digest(p).expect("io");
+            let centers = self.memoized("l2_centers", digest, run, |run| {
+                timed(&mut run.phases.fallback, || {
+                    centers_over_ranks(&read_own_file(p), softening, &dpp::Serial)
+                })
+            });
+            if *p == last_file {
+                large_centers = centers;
+            }
         }
+        run.centers = merge_center_sets(small_centers, large_centers);
     }
 }
 
@@ -1168,52 +894,26 @@ pub fn measured_table2(
     backend: &dyn Backend,
     at_steps: &[usize],
 ) -> Vec<MeasuredEpoch> {
-    let decomp = CartDecomp::new(cfg.nranks, cfg.sim.cosmology.box_size);
-    let fof = cfg.fof();
     let mut rows = Vec::new();
     let mut sim = Simulation::new(backend, cfg.sim.clone());
-    let nranks = cfg.nranks;
-    let softening = cfg.softening;
     sim.run_with_hook(backend, |step, sim| {
         if !at_steps.contains(&step) {
             return;
         }
-        let mut per_rank: Vec<Vec<Particle>> = vec![Vec::new(); nranks];
-        for p in sim.particles() {
-            per_rank[decomp.owner_of(p.pos_f64())].push(*p);
-        }
-        let world = World::new(nranks);
-        let results = world.run(|c| {
-            fof_and_centers_timed(
-                c,
-                &decomp,
-                &per_rank[c.rank()],
-                &fof,
-                &dpp::Serial, // ranks are the parallelism; per-rank serial
-                softening,
-                usize::MAX,
-            )
-        });
-        let find_max = results
+        // Ranks are the parallelism; per-rank serial.
+        let per_rank = cfg.distribute(sim.particles());
+        let (catalogs, timings) = cfg.analyze(&per_rank, usize::MAX, &dpp::Serial);
+        let extremes = |seconds: fn(&RankTiming) -> f64| {
+            let per_rank = timings.iter().map(seconds);
+            let max = per_rank.clone().fold(0.0f64, f64::max);
+            (max, per_rank.fold(f64::INFINITY, f64::min))
+        };
+        let (find_max, find_min) = extremes(|t| t.find_seconds);
+        let (center_max, center_min) = extremes(|t| t.center_seconds);
+        let n_halos: usize = catalogs.iter().map(|c| c.len()).sum();
+        let largest = catalogs
             .iter()
-            .map(|(_, t)| t.find_seconds)
-            .fold(0.0f64, f64::max);
-        let find_min = results
-            .iter()
-            .map(|(_, t)| t.find_seconds)
-            .fold(f64::INFINITY, f64::min);
-        let center_max = results
-            .iter()
-            .map(|(_, t)| t.center_seconds)
-            .fold(0.0f64, f64::max);
-        let center_min = results
-            .iter()
-            .map(|(_, t)| t.center_seconds)
-            .fold(f64::INFINITY, f64::min);
-        let n_halos: usize = results.iter().map(|(c, _)| c.len()).sum();
-        let largest = results
-            .iter()
-            .flat_map(|(c, _)| c.halos.iter().map(|h| h.count()))
+            .flat_map(|c| c.halos.iter().map(|h| h.count()))
             .max()
             .unwrap_or(0);
         rows.push(MeasuredEpoch {
@@ -1240,29 +940,39 @@ fn collect_centers(catalogs: &[HaloCatalog]) -> Vec<CenterRecord> {
     out
 }
 
-/// Center every block of a Level 2 container, blocks spread over
-/// `post_ranks` worker threads (the small off-line/co-scheduled job).
+/// Stage (e): the halos above `threshold` of every rank's catalog, merged —
+/// the content of a Level 2 container.
+fn large_halos(catalogs: Vec<HaloCatalog>, threshold: usize) -> HaloCatalog {
+    let mut large = HaloCatalog::new();
+    for cat in catalogs {
+        let (_, l) = cat.split_by_size(threshold);
+        large.merge(l);
+    }
+    large
+}
+
+/// Center every block of a Level 2 container (the small off-line /
+/// co-scheduled job); parallelism comes from `backend` inside the
+/// per-block most-bound-particle search.
 pub fn centers_over_ranks(
     container: &Container,
-    post_ranks: usize,
     softening: f64,
     backend: &dyn Backend,
 ) -> Vec<CenterRecord> {
-    let _ = post_ranks; // parallelism handled inside mbp_brute via backend
     let mut centers = centers_from_level2(backend, container, softening);
     centers.sort_by_key(|r| r.halo_id);
     centers
 }
 
-/// Run every strategy and verify they produce identical Level 3 outputs.
+/// Run every strategy ([`Strategy::ALL`]) and verify they all produce the
+/// same Level 3 output.
 pub fn compare_all(cfg: RunnerConfig, backend: &dyn Backend) -> Vec<WorkflowRun> {
     let bed = TestBed::create(cfg, backend);
-    let a = bed.run_in_situ_only(backend);
-    let b = bed.run_offline_only(backend);
-    let c = bed.run_combined_simple(backend);
-    assert_same_centers(&a.centers, &b.centers);
-    assert_same_centers(&a.centers, &c.centers);
-    vec![a, b, c]
+    let runs: Vec<WorkflowRun> = Strategy::ALL.iter().map(|&s| bed.run(s, backend)).collect();
+    for run in &runs[1..] {
+        assert_same_centers(&runs[0].centers, &run.centers);
+    }
+    runs
 }
 
 /// Every workflow must find the same halos with the same centers.
@@ -1311,8 +1021,21 @@ mod tests {
     #[test]
     fn all_strategies_agree_on_level3_output() {
         let backend = Threaded::new(4);
+        // `compare_all` itself asserts every catalog equals the in-situ one.
         let runs = compare_all(tiny_cfg("agree"), &backend);
-        assert_eq!(runs.len(), 3);
+        let labels: Vec<&str> = runs.iter().map(|r| r.strategy.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "in-situ",
+                "off-line",
+                "combined (simple)",
+                "combined (in-transit)",
+                "combined (in-transit, streamed)",
+                "combined (co-scheduled)"
+            ]
+        );
+        assert_eq!(labels, Strategy::ALL.map(Strategy::label));
         // Some halos must actually exist for the comparison to mean anything.
         assert!(
             !runs[0].centers.is_empty(),
@@ -1322,6 +1045,77 @@ mod tests {
         assert_eq!(runs[0].phases.read, 0.0);
         assert!(runs[1].phases.read > 0.0);
         assert!(runs[1].phases.write > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "emit_every must be at least 1")]
+    fn coscheduled_rejects_a_zero_emit_cadence() {
+        let bed = TestBed::create(tiny_cfg("emit0"), &dpp::Serial);
+        bed.run_combined_coscheduled(&dpp::Serial, 0);
+    }
+
+    /// The executor's fault surface, pinned: one `render.emit` poll per
+    /// rendered frame, one `runner.insitu` poll per analysis step (steps 4
+    /// and 8), none for a cache-replayed frame — the `(site, hits)` list the
+    /// crash-schedule explorer enumerates.
+    #[test]
+    fn coscheduled_polls_exactly_the_recorded_fault_sites() {
+        let mut cfg = tiny_cfg("polls");
+        cfg.sim.nsteps = 8;
+        let cache_dir = cfg.workdir.join("artifact_cache");
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        cfg.cache = Some(Arc::new(ArtifactCache::open(&cache_dir, None).unwrap()));
+        cfg.render = Some(cosmotools::RenderParams {
+            ng: 12,
+            ..Default::default()
+        });
+        let mut bed = TestBed::create(cfg, &dpp::Serial);
+        let polls = |bed: &mut TestBed| {
+            let recorder = faults::FaultPlan::record_only(3).build();
+            bed.cfg.injector = Some(Arc::clone(&recorder));
+            let run = bed.run_combined_coscheduled(&dpp::Serial, 4);
+            assert_eq!((run.degraded_steps, run.frames_rendered), (0, 8));
+            recorder.sites_reached()
+        };
+        assert_eq!(
+            polls(&mut bed),
+            [
+                (RENDER_FAULT_SITE.to_string(), 8),
+                (RUNNER_FAULT_SITE.to_string(), 2)
+            ]
+        );
+        assert_eq!(polls(&mut bed), [(RUNNER_FAULT_SITE.to_string(), 2)]);
+    }
+
+    /// Cold → warm over the four memoizable post-hoc strategies, each
+    /// against its own cache: the warm run answers its one off-line stage
+    /// from the memo and reproduces the catalog byte for byte.
+    #[test]
+    fn posthoc_strategies_replay_byte_identical_catalogs_warm() {
+        let backend = Threaded::new(4);
+        let mut bed = TestBed::create(tiny_cfg("coldwarm"), &backend);
+        let memoizable = [
+            Strategy::Offline,
+            Strategy::Combined(Transport::File),
+            Strategy::Combined(Transport::Memory),
+            Strategy::Combined(Transport::Chunks),
+        ];
+        for (i, strategy) in memoizable.iter().enumerate() {
+            let cache_dir = bed.cfg.workdir.join(format!("artifact_cache_{i}"));
+            let _ = std::fs::remove_dir_all(&cache_dir);
+            bed.cfg.cache = Some(Arc::new(ArtifactCache::open(&cache_dir, None).unwrap()));
+            let cold = bed.run(*strategy, &backend);
+            let warm = bed.run(*strategy, &backend);
+            let label = strategy.label();
+            assert_eq!((cold.cache_hits, cold.cache_misses), (0, 1), "{label}");
+            assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0), "{label}");
+            assert!(warm.saved_analysis_seconds > 0.0, "{label}");
+            assert_eq!(
+                cosmotools::encode_centers(&cold.centers),
+                cosmotools::encode_centers(&warm.centers),
+                "{label}"
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 use cache::ArtifactCache;
 use cosmotools::encode_centers;
 use dpp::Threaded;
-use hacc_core::{format_table4, JobCost, PhaseSeconds, RunnerConfig, TestBed, WorkflowCost};
+use hacc_core::{
+    format_table4, JobCost, PhaseSeconds, RunnerConfig, Strategy, TestBed, WorkflowCost,
+};
 use nbody::SimConfig;
 use std::sync::Arc;
 
@@ -50,15 +52,14 @@ fn main() {
 
     let run_all = |label: &str| {
         println!("\n-- {label} pass --");
-        let runs = [
-            bed.run_offline_only(&backend),
-            bed.run_combined_simple(&backend),
-            bed.run_combined_intransit(&backend),
-            bed.run_combined_coscheduled(&backend, 8),
-        ];
+        // Every strategy with an off-line stage to memoize (all but in-situ).
+        let runs: Vec<_> = Strategy::ALL[1..]
+            .iter()
+            .map(|&strategy| bed.run(strategy, &backend))
+            .collect();
         for r in &runs {
             println!(
-                "{:<26} hits {:>3}  misses {:>3}  read {:>7.3} s  analysis {:>7.3} s  saved {:>7.3} s",
+                "{:<32} hits {:>3}  misses {:>3}  read {:>7.3} s  analysis {:>7.3} s  saved {:>7.3} s",
                 r.strategy,
                 r.cache_hits,
                 r.cache_misses,
@@ -111,7 +112,7 @@ fn main() {
     // Credit the measured savings into a Table 4-style report: saved
     // analysis wall-seconds × the nodes an analysis job holds = saved
     // node-seconds, surfaced next to the phase columns.
-    let cosched = warm.last().expect("four runs");
+    let cosched = warm.last().expect("the co-scheduled run");
     let cost = WorkflowCost {
         strategy: "co-scheduled (warm cache)".into(),
         simulation: JobCost {

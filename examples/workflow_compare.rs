@@ -16,7 +16,7 @@
 
 use dpp::Threaded;
 use hacc_core::experiments::{format_table3, table3_4};
-use hacc_core::{format_table4, TestBed, TitanFrame};
+use hacc_core::{format_table4, Strategy, TestBed, TitanFrame};
 use scenarios::Scenario;
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
         .expect("valid scenario id");
     let mut cfg = scenario.load.runner_config(77);
     cfg.workdir = std::env::temp_dir().join("hacc_workflow_compare");
-    println!("== measured: real execution of the three workflows ==");
+    println!("== measured: real execution of every workflow strategy ==");
     println!("scenario: {scenario}");
     let bed = TestBed::create(cfg, &backend);
     println!(
@@ -54,19 +54,15 @@ fn main() {
         bed.particles.len()
     );
 
-    let in_situ = bed.run_in_situ_only(&backend);
-    let off_line = bed.run_offline_only(&backend);
-    let combined = bed.run_combined_simple(&backend);
-    let intransit = bed.run_combined_intransit(&backend);
-    let cosched = bed.run_combined_coscheduled(&backend, 8);
+    let runs = Strategy::ALL.map(|strategy| bed.run(strategy, &backend));
 
     println!(
-        "{:<26} {:>8} {:>8} {:>12} {:>10} {:>8} {:>8}",
+        "{:<32} {:>8} {:>8} {:>12} {:>10} {:>8} {:>8}",
         "strategy", "read", "write", "redistribute", "analysis", "halos", "overlap"
     );
-    for run in [&in_situ, &off_line, &combined, &intransit, &cosched] {
+    for run in &runs {
         println!(
-            "{:<26} {:>8.3} {:>8.3} {:>12.3} {:>10.3} {:>8} {:>8}",
+            "{:<32} {:>8.3} {:>8.3} {:>12.3} {:>10.3} {:>8} {:>8}",
             run.strategy,
             run.phases.read,
             run.phases.write,
@@ -79,19 +75,20 @@ fn main() {
     // Measured dispatch overhead per strategy: the pool counters the cost
     // model's analysis phase is calibrated against.
     println!(
-        "{:<26} {:>12} {:>16}",
+        "{:<32} {:>12} {:>16}",
         "strategy", "dispatches", "dispatch secs"
     );
-    for run in [&in_situ, &off_line, &combined, &intransit, &cosched] {
+    for run in &runs {
         println!(
-            "{:<26} {:>12} {:>16.4}",
+            "{:<32} {:>12} {:>16.4}",
             run.strategy, run.pool_dispatches, run.dispatch_overhead_seconds
         );
     }
     // Every strategy must agree on the science output.
-    hacc_core::runner::assert_same_centers(&in_situ.centers, &off_line.centers);
-    hacc_core::runner::assert_same_centers(&in_situ.centers, &combined.centers);
-    hacc_core::runner::assert_same_centers(&in_situ.centers, &intransit.centers);
+    let in_situ = &runs[0];
+    for run in &runs[1..] {
+        hacc_core::runner::assert_same_centers(&in_situ.centers, &run.centers);
+    }
     println!("all strategies produced identical Level 3 center sets ✓");
 
     // Per-rank imbalance of the in-situ analysis (the paper's core story).

@@ -15,6 +15,12 @@ test:
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
+# e2e_bench is a workspace of its own, so nothing above compiles it: build
+# it and run its own tests against the product crates, to catch a
+# `hacc-core` API break before the benchmark pipeline does.
+e2e-quick:
+    cargo test -q --release --offline --manifest-path e2e_bench/Cargo.toml
+
 # Dispatch-layer microbenchmarks (persistent pool vs spawn-per-dispatch).
 bench-dispatch:
     cargo bench -p bench --bench dispatch_overhead
