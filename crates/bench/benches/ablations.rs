@@ -134,9 +134,10 @@ fn bench_fof_engines(c: &mut Criterion) {
         ));
     }
     let positions: Vec<[f64; 3]> = parts.iter().map(|p| p.pos_f64()).collect();
+    let cols = halo::Coords::from_rows(&positions);
     let link = 0.8;
     let mut group = c.benchmark_group("ablation_fof_engines");
-    group.bench_function("kdtree", |b| b.iter(|| halo::fof_kdtree(&positions, link)));
+    group.bench_function("kdtree", |b| b.iter(|| halo::fof_kdtree_cols(&cols, link)));
     group.bench_function("grid_periodic", |b| {
         b.iter(|| halo::fof_grid(&positions, link, 100.0))
     });

@@ -1,22 +1,23 @@
-//! Layout differential: every kernel rewritten for the SoA / packed-column
-//! layout must agree **bit-for-bit** with its retained row-layout (or
-//! scalar) reference, on every backend, over the adversarial corpus from
-//! [`crate::inputs`].
+//! Layout differential: every kernel written for the SoA / packed-column
+//! layout must agree **bit-for-bit** with a from-first-principles reference,
+//! on every backend, over the adversarial corpus from [`crate::inputs`].
 //!
-//! The references are deliberately independent implementations — the old
-//! code paths are kept, not re-expressed in terms of the new ones — so a
-//! disagreement here means the rewrite changed semantics, not that both
-//! sides drifted together:
+//! The product crates carry one body per kernel, so the references live
+//! here. They share no code with what they check — a disagreement means the
+//! kernel changed semantics, not that both sides drifted together:
 //!
 //! * `cic-soa` — [`nbody::pm::cic_deposit_soa`] (cache-blocked, column
-//!   sweep) vs [`nbody::pm::cic_deposit`] (scalar AoS), every backend,
-//!   over [`inputs::particle_cases`] including NaN/±inf positions.
+//!   sweep) vs [`cic_deposit_scalar_ref`] (per-particle scalar loop with the
+//!   same per-backend chunking), every backend, over
+//!   [`inputs::particle_cases`] including NaN/±inf positions.
 //! * `fof-cols` — [`halo::fof_kdtree_cols`] (packed leaf lanes) vs
-//!   [`halo::fof::fof_kdtree`] (row k-d tree), plus column vs row tree
-//!   queries, over [`inputs::coord_cases`].
+//!   [`halo::fof_brute`] labels (both number groups by first appearance, so
+//!   the O(n²) engine is a label-for-label oracle), plus the column tree's
+//!   radius and k-nearest queries vs the linear scan [`dist2_scan_ref`],
+//!   over [`inputs::coord_cases`].
 //! * `mbp-cols` — [`halo::potential_at`] / [`halo::mbp_brute_cols`]
 //!   (blocked lane sweep, fixed summation order) vs
-//!   [`halo::mbp::potential_of`] (scalar AoS), every backend.
+//!   [`potential_scalar_ref`] (scalar per-pair loop), every backend.
 //! * `radix-u64` — [`dpp::ops::radix_sort_u64`] (specialized flat-key
 //!   engine) vs [`dpp::ops::radix_sort_by_key`] (generic reference),
 //!   every backend, over [`inputs::u64_cases`].
@@ -24,16 +25,18 @@
 //!   blocked binning) vs an inline scalar reference, every backend, over
 //!   [`inputs::f64_cases`] including NaN scatter.
 //!
-//! Everything is [`Cmp::BitEq`]: the rewrites fix their summation order to
+//! Everything is [`Cmp::BitEq`]: the kernels fix their summation order to
 //! the reference order by construction (see DESIGN.md §12), so there is no
 //! tolerance anywhere in this module.
 
 use crate::differential::{roster, Cmp, DiffReport};
 use crate::inputs;
-use dpp::{ops, Serial};
-use halo::{fof_kdtree_cols, mbp_brute_cols, potential_at, Coords, KdTree};
-use nbody::pm::{cic_deposit, cic_deposit_soa};
-use nbody::ParticleSoA;
+use dpp::{ops, Backend, Serial};
+use fft::Grid3;
+use halo::{fof_brute, fof_kdtree_cols, mbp_brute_cols, potential_at, Coords, KdTree};
+use nbody::pm::{cic_deposit_soa, to_grid_units};
+use nbody::{Particle, ParticleSoA};
+use parking_lot::Mutex;
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
@@ -69,6 +72,88 @@ fn histogram_scalar_ref(values: &[f64], lo: f64, hi: f64, nbins: usize) -> (Vec<
     (bins, skipped)
 }
 
+/// Scalar CIC deposit reference: one particle at a time, `rem_euclid` wrap
+/// and `% ng` per corner, returning the overdensity `δ = ρ/ρ̄ − 1`. The whole
+/// function is kept — chunking by `backend.concurrency()`, partials merged
+/// in chunk order — so it stays comparable to
+/// [`nbody::pm::cic_deposit_soa`] bit for bit on every backend, not only on
+/// `Serial`.
+pub fn cic_deposit_scalar_ref(
+    backend: &dyn Backend,
+    particles: &[Particle],
+    ng: usize,
+    box_size: f64,
+) -> Grid3<f64> {
+    let ncell = ng * ng * ng;
+    let partials: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
+    let grain = (particles.len() / backend.concurrency().max(1)).max(4096);
+    backend.dispatch(particles.len(), grain, &|r| {
+        let start = r.start;
+        let mut local = vec![0.0f64; ncell];
+        for p in &particles[r] {
+            let u = [
+                to_grid_units(p.pos[0], box_size, ng),
+                to_grid_units(p.pos[1], box_size, ng),
+                to_grid_units(p.pos[2], box_size, ng),
+            ];
+            let i = [u[0] as usize % ng, u[1] as usize % ng, u[2] as usize % ng];
+            let d = [u[0] - i[0] as f64, u[1] - i[1] as f64, u[2] - i[2] as f64];
+            let m = p.mass as f64;
+            for (dx, wx) in [(0usize, 1.0 - d[0]), (1, d[0])] {
+                for (dy, wy) in [(0usize, 1.0 - d[1]), (1, d[1])] {
+                    for (dz, wz) in [(0usize, 1.0 - d[2]), (1, d[2])] {
+                        let x = (i[0] + dx) % ng;
+                        let y = (i[1] + dy) % ng;
+                        let z = (i[2] + dz) % ng;
+                        local[(x * ng + y) * ng + z] += m * wx * wy * wz;
+                    }
+                }
+            }
+        }
+        partials.lock().push((start, local));
+    });
+    let mut partials = partials.into_inner();
+    partials.sort_by_key(|(s, _)| *s);
+    let mut rho = vec![0.0f64; ncell];
+    for (_, local) in partials {
+        for (gv, lv) in rho.iter_mut().zip(&local) {
+            *gv += lv;
+        }
+    }
+    let total: f64 = particles.iter().map(|p| p.mass as f64).sum();
+    let mean = total / ncell as f64;
+    if mean > 0.0 {
+        for v in &mut rho {
+            *v = *v / mean - 1.0;
+        }
+    }
+    Grid3::from_vec([ng, ng, ng], rho)
+}
+
+/// Scalar potential reference: `φ(i) = Σ_{j≠i} −m_j / (d_ij + ε)` summed in
+/// ascending `j`, one pair at a time over the AoS slice.
+pub fn potential_scalar_ref(particles: &[Particle], i: usize, softening: f64) -> f64 {
+    let pi = particles[i].pos_f64();
+    let mut acc = 0.0;
+    for (j, p) in particles.iter().enumerate() {
+        if j == i {
+            continue;
+        }
+        let q = p.pos_f64();
+        let d = ((q[0] - pi[0]).powi(2) + (q[1] - pi[1]).powi(2) + (q[2] - pi[2]).powi(2)).sqrt();
+        acc -= p.mass as f64 / (d + softening);
+    }
+    acc
+}
+
+/// Linear-scan neighbour reference: the squared distance from `q` to every
+/// row, by index, in the tree queries' own distance expression.
+pub fn dist2_scan_ref(rows: &[[f64; 3]], q: [f64; 3]) -> Vec<f64> {
+    rows.iter()
+        .map(|p| (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2))
+        .collect()
+}
+
 /// Run the layout differential and collect every mismatch.
 pub fn run_layout_differential() -> DiffReport {
     let mut rep = DiffReport::default();
@@ -80,9 +165,9 @@ pub fn run_layout_differential() -> DiffReport {
     // --- cic-soa ---------------------------------------------------------
     rep.op("cic-soa");
     for case in inputs::particle_cases() {
-        let reference = cic_deposit(&Serial, &case.data, ng, box_size);
+        let reference = cic_deposit_scalar_ref(&Serial, &case.data, ng, box_size);
         let soa = ParticleSoA::from_aos(&case.data);
-        // SoA on Serial against AoS on Serial (the layout change itself) …
+        // Blocked kernel on Serial against the scalar loop on Serial …
         let got = cic_deposit_soa(&Serial, &soa, ng, box_size);
         rep.check_f64_slice(
             Cmp::BitEq,
@@ -92,14 +177,14 @@ pub fn run_layout_differential() -> DiffReport {
             reference.as_slice(),
             got.as_slice(),
         );
-        // … and both layouts on every parallel backend. The layout claim
-        // proper — SoA ≡ AoS *on the same backend* — is bit-exact
+        // … and both on every parallel backend. The claim proper — kernel ≡
+        // scalar reference *on the same backend* — is bit-exact
         // everywhere. The cross-backend comparison inherits the documented
         // reduction semantics: `static-*` reassociates the per-chunk grid
         // merge, so it gets tolerance-level agreement (with NaN as a
         // class), exactly like float `reduce`.
         for (name, b) in &backends {
-            let aos = cic_deposit(b.as_ref(), &case.data, ng, box_size);
+            let aos = cic_deposit_scalar_ref(b.as_ref(), &case.data, ng, box_size);
             let soa_grid = cic_deposit_soa(b.as_ref(), &soa, ng, box_size);
             rep.check_f64_slice(
                 Cmp::BitEq,
@@ -130,19 +215,19 @@ pub fn run_layout_differential() -> DiffReport {
     for case in inputs::coord_cases() {
         let cols = Coords::from_rows(&case.data);
         for link in [0.25f64, 0.7] {
-            let labels_rows = halo::fof::fof_kdtree(&case.data, link);
-            let labels_cols = fof_kdtree_cols(&cols, link);
             rep.check_eq(
                 "fof-cols",
                 &format!("labels/{}/link={link}", case.name),
                 "cols-engine",
-                &labels_rows,
-                &labels_cols,
+                &fof_brute(&case.data, link),
+                &fof_kdtree_cols(&cols, link),
             );
         }
-        // Tree structure and query agreement between the two builds.
-        let t_rows = KdTree::build(&case.data, None);
-        let t_cols = KdTree::build_cols(&cols, None);
+        // Tree queries against the linear scan. Which of several points at
+        // exactly the k-th distance is returned depends on traversal order,
+        // so k-nearest is compared on the distances, each checked against
+        // the scan's distance for the index it came with.
+        let tree = KdTree::build_cols(&cols, None);
         if !case.data.is_empty() {
             let queries = [
                 case.data[0],
@@ -150,31 +235,37 @@ pub fn run_layout_differential() -> DiffReport {
                 [4.0, 4.0, 4.0],
             ];
             for (qi, q) in queries.iter().enumerate() {
-                let wr = t_rows.within_radius(&case.data, *q, 0.9);
-                let wc = t_cols.within_radius_cols(&cols, *q, 0.9);
+                let d2 = dist2_scan_ref(&case.data, *q);
+                let within_ref: Vec<u32> = (0..d2.len() as u32)
+                    .filter(|&i| d2[i as usize] <= 0.9 * 0.9)
+                    .collect();
+                let mut within_got = tree.within_radius_cols(&cols, *q, 0.9);
+                within_got.sort_unstable();
                 rep.check_eq(
                     "fof-cols",
                     &format!("within_radius/{}/q{qi}", case.name),
                     "cols-engine",
-                    &wr,
-                    &wc,
+                    &within_ref,
+                    &within_got,
                 );
-                let kr: Vec<(u32, u64)> = t_rows
-                    .k_nearest(&case.data, *q, 8)
-                    .into_iter()
-                    .map(|(i, d)| (i, d.to_bits()))
+                let mut nearest = d2.clone();
+                nearest.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                let knn_ref: Vec<(u64, u64)> = nearest
+                    .iter()
+                    .take(8)
+                    .map(|d| (d.to_bits(), d.to_bits()))
                     .collect();
-                let kc: Vec<(u32, u64)> = t_cols
+                let knn_got: Vec<(u64, u64)> = tree
                     .k_nearest_cols(&cols, *q, 8)
                     .into_iter()
-                    .map(|(i, d)| (i, d.to_bits()))
+                    .map(|(i, d)| (d.to_bits(), d2[i as usize].to_bits()))
                     .collect();
                 rep.check_eq(
                     "fof-cols",
                     &format!("k_nearest/{}/q{qi}", case.name),
                     "cols-engine",
-                    &kr,
-                    &kc,
+                    &knn_ref,
+                    &knn_got,
                 );
             }
         }
@@ -192,7 +283,7 @@ pub fn run_layout_differential() -> DiffReport {
         // Per-particle potentials: blocked column sweep vs scalar loop.
         let stride = (case.data.len() / 64).max(1);
         for i in (0..case.data.len()).step_by(stride) {
-            let scalar = halo::mbp::potential_of(&case.data, i, softening);
+            let scalar = potential_scalar_ref(&case.data, i, softening);
             let blocked = potential_at(&coords, &masses, i, softening);
             rep.check_f64_scalar(
                 Cmp::BitEq,
@@ -295,6 +386,47 @@ mod tests {
         let (bins, skipped) = histogram_scalar_ref(&v, 0.0, 1.0, 2);
         assert_eq!(bins, vec![2, 1]);
         assert_eq!(skipped, 3);
+    }
+
+    fn blob(n: usize) -> Vec<Particle> {
+        (0..n)
+            .map(|i| {
+                let t = 41.1 + i as f64;
+                let c = |f: f64| (((t * f).fract() - 0.5) * 4.0) as f32;
+                Particle::at_rest([c(0.618), c(0.414), c(0.732)], 1.0, i as u64)
+            })
+            .collect()
+    }
+
+    fn assert_potentials_match(parts: &[Particle], probes: impl Iterator<Item = usize>) {
+        let coords = Coords::from_particles(parts);
+        let masses: Vec<f64> = parts.iter().map(|p| p.mass as f64).collect();
+        for i in probes {
+            let a = potential_scalar_ref(parts, i, 1e-3);
+            let b = potential_at(&coords, &masses, i, 1e-3);
+            assert_eq!(a.to_bits(), b.to_bits(), "n={} i={i}", parts.len());
+        }
+    }
+
+    #[test]
+    fn blocked_potential_matches_scalar_across_lane_boundaries() {
+        // Lengths straddle the kernel's strip width so full strips, partial
+        // tails, and a self term in either are all hit.
+        for n in [1usize, 7, 8, 9, 15, 16, 17, 63, 64, 65, 300] {
+            assert_potentials_match(&blob(n), [0, n / 2, n - 1].into_iter());
+        }
+    }
+
+    #[test]
+    fn blocked_potential_handles_nan_positions_in_full_strips() {
+        // The corpus' `specials` case is shorter than one strip; this puts
+        // non-finite positions inside the blocked path too.
+        let mut parts = blob(40);
+        parts[3].pos[0] = f32::NAN;
+        parts[17].pos[1] = -f32::NAN;
+        parts[25].pos[2] = f32::INFINITY;
+        parts[31].pos[0] = -0.0;
+        assert_potentials_match(&parts, 0..40);
     }
 
     #[test]

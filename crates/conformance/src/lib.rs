@@ -17,10 +17,10 @@
 //!   Serial, Threaded (fresh, single-worker, and pool-shared), and
 //!   StaticThreaded backends and checks **byte agreement** under the
 //!   documented total-order semantics, reporting every disagreement.
-//! * [`layout`] — the SoA/column kernel differential: every kernel
-//!   rewritten for the packed layout (CIC deposit, FOF, MBP, radix,
-//!   histogram) against its retained row-layout reference, bit-for-bit,
-//!   on every backend.
+//! * [`layout`] — the SoA/column kernel differential: every packed-layout
+//!   kernel (CIC deposit, FOF, MBP, radix, histogram) against a scalar or
+//!   brute-force reference, bit-for-bit, on every backend; the scalar CIC
+//!   and potential references live there, not in the product crates.
 //! * [`oracles`] — metamorphic physics oracles: FOF catalog invariance
 //!   under particle permutation, periodic translation, and 1/2/4/8-rank
 //!   domain splits; MBP brute ≡ A*; FFT Parseval and impulse identities;

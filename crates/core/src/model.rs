@@ -15,7 +15,6 @@
 //! Everything else (I/O, redistribution, charging, queueing) comes from the
 //! `simhpc` facility models.
 
-use crate::autosplit::plan_coschedule;
 use crate::cost::{JobCost, PhaseSeconds, WorkflowCost};
 use halo::massfn::{qcontinuum, MassFunction};
 use halo::mbp::COEFF_TITAN_GPU;
@@ -259,26 +258,23 @@ impl TitanFrame {
             .filter(|&n| n > spec.threshold)
             .collect();
         // Off-loaded halos are packed onto the post job's nodes (LPT).
-        let post_center_max = plan_coschedule(&offloaded)
-            .map(|plan| {
-                // Repack onto exactly post_nodes ranks.
-                let mut rank_secs = vec![0.0f64; spec.post_nodes];
-                let mut order: Vec<f64> =
-                    offloaded.iter().map(|&n| self.center_seconds(n)).collect();
-                order.sort_by(|a, b| b.partial_cmp(a).unwrap());
-                for s in order {
-                    let r = rank_secs
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                        .map(|(r, _)| r)
-                        .unwrap();
-                    rank_secs[r] += s;
-                }
-                let _ = plan;
-                rank_secs.into_iter().fold(0.0, f64::max)
-            })
-            .unwrap_or(0.0);
+        let post_center_max = if offloaded.is_empty() {
+            0.0
+        } else {
+            let mut rank_secs = vec![0.0f64; spec.post_nodes];
+            let mut order: Vec<f64> = offloaded.iter().map(|&n| self.center_seconds(n)).collect();
+            order.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            for s in order {
+                let r = rank_secs
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                    .map(|(r, _)| r)
+                    .unwrap();
+                rank_secs[r] += s;
+            }
+            rank_secs.into_iter().fold(0.0, f64::max)
+        };
         let queue_partial =
             simhpc::QueuePolicy::titan().synthetic_wait(spec.post_nodes, t.total_nodes);
         let combined = WorkflowCost {

@@ -31,9 +31,7 @@ pub fn compute_power_spectrum(
 ) -> Vec<PowerBin> {
     assert!(ng.is_power_of_two(), "mesh must be a power of two");
     assert!(nbins > 0);
-    // Convert once to the column layout; the SoA deposit is byte-identical
-    // to `cic_deposit` and substantially faster at the mesh sizes the
-    // in-situ task uses.
+    // Convert once to the column layout the deposit kernel sweeps.
     let soa = ParticleSoA::from_aos(particles);
     let delta = cic_deposit_soa(backend, &soa, ng, box_size);
     power_spectrum_of_field(backend, &delta, box_size, nbins)

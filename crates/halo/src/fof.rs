@@ -2,13 +2,15 @@
 //!
 //! Three interchangeable engines:
 //!
-//! * [`fof_kdtree`] — the paper's approach: a balanced k-d tree traversed
-//!   recursively, using bounding boxes to merge or exclude whole subtrees at
-//!   once (non-periodic; the parallel driver handles periodicity through
-//!   overload regions).
+//! * [`fof_kdtree_cols`] — the paper's approach: a balanced k-d tree
+//!   traversed recursively, using bounding boxes to merge or exclude whole
+//!   subtrees at once (non-periodic; the parallel driver handles periodicity
+//!   through overload regions).
 //! * [`fof_grid`] — a linked-cell engine with full periodic wrap, used for
 //!   single-domain catalogs and as an independent cross-check.
-//! * [`fof_brute`] — O(n²) oracle for tests.
+//! * [`fof_brute`] — O(n²) oracle for tests. All three number groups by
+//!   first appearance in input order, so equal partitions are equal label
+//!   vectors.
 
 use crate::columns::Coords;
 use crate::kdtree::{KdTree, LEAF_SIZE};
@@ -34,92 +36,15 @@ pub fn fof_brute(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
     uf.labels().0
 }
 
-/// k-d tree FOF (non-periodic): dual-tree traversal with bounding-box
-/// pruning and whole-subtree linking. Returns group labels (dense, numbered
-/// by first appearance in input order).
-pub fn fof_kdtree(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
-    let n = positions.len();
-    let mut uf = UnionFind::new(n);
-    if n > 0 {
-        let tree = KdTree::build(positions, None);
-        process(&tree, positions, tree.root(), link, &mut uf);
-    }
-    uf.labels().0
-}
-
-/// Recursive per-node processing: resolve children, then link across them.
-fn process(tree: &KdTree, pos: &[[f64; 3]], id: usize, link: f64, uf: &mut UnionFind) {
-    let node = tree.node(id);
-    match node.children {
-        None => {
-            let idx = tree.indices(node);
-            let b2 = link * link;
-            for (a, &i) in idx.iter().enumerate() {
-                for &j in &idx[a + 1..] {
-                    if dist2(pos[i as usize], pos[j as usize]) <= b2 {
-                        uf.union(i as usize, j as usize);
-                    }
-                }
-            }
-        }
-        Some((l, r)) => {
-            process(tree, pos, l, link, uf);
-            process(tree, pos, r, link, uf);
-            connect(tree, pos, l, r, link, uf);
-        }
-    }
-}
-
-/// Link pairs spanning two disjoint subtrees, pruning on box distance and
-/// short-circuiting once the two subtrees are already in one group.
-fn connect(tree: &KdTree, pos: &[[f64; 3]], a: usize, b: usize, link: f64, uf: &mut UnionFind) {
-    let na = tree.node(a);
-    let nb = tree.node(b);
-    if na.bbox.min_dist2_box(&nb.bbox) > link * link {
-        return; // exclusion: no pair can be within the linking length
-    }
-    // Short-circuit: if representative particles of both subtrees are already
-    // connected AND every particle within each subtree is connected to its
-    // representative, nothing new can be learned. Checking full connectivity
-    // is as costly as linking, so we only short-circuit for leaf pairs below.
-    match (na.children, nb.children) {
-        (None, None) => {
-            let b2 = link * link;
-            let ia = tree.indices(na);
-            let ib = tree.indices(nb);
-            for &i in ia {
-                for &j in ib {
-                    if dist2(pos[i as usize], pos[j as usize]) <= b2 {
-                        uf.union(i as usize, j as usize);
-                    }
-                }
-            }
-        }
-        (Some((l, r)), _) if na.end - na.start >= nb.end - nb.start => {
-            connect(tree, pos, l, b, link, uf);
-            connect(tree, pos, r, b, link, uf);
-        }
-        (_, Some((l, r))) => {
-            connect(tree, pos, a, l, link, uf);
-            connect(tree, pos, a, r, link, uf);
-        }
-        (Some((l, r)), None) => {
-            connect(tree, pos, l, b, link, uf);
-            connect(tree, pos, r, b, link, uf);
-        }
-    }
-}
-
-/// Column-layout k-d tree FOF over packed coordinates. Identical labels to
-/// [`fof_kdtree`] on the row equivalent of `coords` (same tree, same
-/// traversal, same union sequence).
+/// k-d tree FOF (non-periodic) over packed coordinates: dual-tree traversal
+/// with bounding-box pruning and whole-subtree linking. Returns group labels
+/// (dense, numbered by first appearance in input order — the same numbering
+/// as [`fof_brute`], so the two agree label for label).
 ///
 /// Leaves are gathered once into contiguous stack lanes (bounded by
 /// [`LEAF_SIZE`]) so the O(k²) pair loops run over packed `f64` arrays the
 /// compiler can vectorize, instead of chasing the tree's index indirection
-/// per pair. The distance expression and pair visit order match the row
-/// engine exactly, so the resulting partition — and the label numbering by
-/// first appearance — is identical.
+/// per pair.
 pub fn fof_kdtree_cols(coords: &Coords, link: f64) -> Vec<u32> {
     let n = coords.len();
     let mut uf = UnionFind::new(n);
@@ -165,6 +90,7 @@ impl LeafLanes {
     }
 }
 
+/// Recursive per-node processing: resolve children, then link across them.
 fn process_cols(tree: &KdTree, coords: &Coords, id: usize, link: f64, uf: &mut UnionFind) {
     let node = tree.node(id);
     match node.children {
@@ -188,11 +114,12 @@ fn process_cols(tree: &KdTree, coords: &Coords, id: usize, link: f64, uf: &mut U
     }
 }
 
+/// Link pairs spanning two disjoint subtrees, pruning on box distance.
 fn connect_cols(tree: &KdTree, coords: &Coords, a: usize, b: usize, link: f64, uf: &mut UnionFind) {
     let na = tree.node(a);
     let nb = tree.node(b);
     if na.bbox.min_dist2_box(&nb.bbox) > link * link {
-        return;
+        return; // exclusion: no pair can be within the linking length
     }
     match (na.children, nb.children) {
         (None, None) => {
@@ -335,6 +262,10 @@ pub fn canonical_partition(labels: &[u32]) -> Vec<Vec<u32>> {
 mod tests {
     use super::*;
 
+    fn fof_kdtree(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
+        fof_kdtree_cols(&Coords::from_rows(positions), link)
+    }
+
     fn blob(center: [f64; 3], n: usize, spread: f64, seed: u64) -> Vec<[f64; 3]> {
         (0..n)
             .map(|i| {
@@ -372,35 +303,14 @@ mod tests {
     }
 
     #[test]
-    fn cols_engine_labels_identical_to_rows() {
-        let mut pos = blob([5.0, 5.0, 5.0], 400, 3.0, 11);
-        pos.extend(blob([9.0, 6.0, 5.0], 300, 2.5, 12));
-        pos.extend(blob([25.0, 25.0, 25.0], 200, 4.0, 13));
-        let cols = Coords::from_rows(&pos);
-        for link in [0.3, 0.7, 1.5] {
-            assert_eq!(
-                fof_kdtree(&pos, link),
-                fof_kdtree_cols(&cols, link),
-                "link={link}"
-            );
-        }
-        // Degenerate inputs agree too.
-        assert!(fof_kdtree_cols(&Coords::new(), 1.0).is_empty());
-        assert_eq!(
-            fof_kdtree_cols(&Coords::from_rows(&[[0.0; 3]]), 1.0),
-            vec![0]
-        );
-    }
-
-    #[test]
     fn kdtree_matches_brute_force() {
         let mut pos = blob([5.0, 5.0, 5.0], 120, 3.0, 3);
         pos.extend(blob([8.0, 5.0, 5.0], 80, 2.5, 4));
         pos.extend(blob([20.0, 20.0, 20.0], 60, 4.0, 5));
+        // Label for label, not just the same partition: both engines number
+        // groups by first appearance in input order.
         for link in [0.3, 0.7, 1.5] {
-            let a = canonical_partition(&fof_kdtree(&pos, link));
-            let b = canonical_partition(&fof_brute(&pos, link));
-            assert_eq!(a, b, "link={link}");
+            assert_eq!(fof_kdtree(&pos, link), fof_brute(&pos, link), "link={link}");
         }
     }
 

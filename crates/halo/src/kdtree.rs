@@ -3,15 +3,12 @@
 //! finder (k-nearest-neighbour densities), and the A* center finder
 //! (optimistic potential bounds).
 //!
-//! Two equivalent build/query paths exist: the row-based originals
-//! ([`KdTree::build`], [`KdTree::within_radius`], [`KdTree::k_nearest`]) and
-//! the packed-column versions ([`KdTree::build_cols`],
-//! [`KdTree::within_radius_cols`], [`KdTree::k_nearest_cols`]) over
-//! [`Coords`]. The column build compares single packed lanes in the median
-//! select instead of loading 24-byte rows; both paths use the same median
-//! algorithm and comparator over the same values, so they produce identical
-//! trees and identical query results — the layout conformance suite checks
-//! this bit-for-bit.
+//! The tree is built and queried over packed [`Coords`] columns
+//! ([`KdTree::build_cols`], [`KdTree::within_radius_cols`],
+//! [`KdTree::k_nearest_cols`]): the median select compares single packed
+//! lanes of the split axis, and leaf scans load coordinates from contiguous
+//! columns. Callers holding rows or particles convert once with
+//! [`Coords::from_rows`] / [`Coords::from_particles`].
 
 use crate::columns::Coords;
 
@@ -118,68 +115,9 @@ pub struct KdTree {
 pub const LEAF_SIZE: usize = 24;
 
 impl KdTree {
-    /// Build over `positions` (with unit masses). `masses` may be supplied
-    /// for mass-weighted uses.
-    pub fn build(positions: &[[f64; 3]], masses: Option<&[f64]>) -> Self {
-        let n = positions.len();
-        if let Some(m) = masses {
-            assert_eq!(m.len(), n, "one mass per position");
-        }
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let mut nodes = Vec::new();
-        if n > 0 {
-            Self::build_node(positions, masses, &mut order, 0, n, &mut nodes);
-        }
-        KdTree { nodes, order }
-    }
-
-    fn build_node(
-        positions: &[[f64; 3]],
-        masses: Option<&[f64]>,
-        order: &mut [u32],
-        start: usize,
-        end: usize,
-        nodes: &mut Vec<KdNode>,
-    ) -> usize {
-        let mut bbox = Aabb::empty();
-        let mut mass = 0.0;
-        for &i in &order[start..end] {
-            bbox.include(positions[i as usize]);
-            mass += masses.map_or(1.0, |m| m[i as usize]);
-        }
-        let id = nodes.len();
-        nodes.push(KdNode {
-            bbox,
-            mass,
-            start,
-            end,
-            children: None,
-        });
-        if end - start > LEAF_SIZE {
-            // Split on the widest axis at the median (balanced tree).
-            let axis = (0..3)
-                .max_by(|&a, &b| {
-                    (bbox.hi[a] - bbox.lo[a])
-                        .partial_cmp(&(bbox.hi[b] - bbox.lo[b]))
-                        .unwrap()
-                })
-                .unwrap();
-            let mid = (start + end) / 2;
-            order[start..end].select_nth_unstable_by(mid - start, |&a, &b| {
-                positions[a as usize][axis]
-                    .partial_cmp(&positions[b as usize][axis])
-                    .unwrap()
-            });
-            let left = Self::build_node(positions, masses, order, start, mid, nodes);
-            let right = Self::build_node(positions, masses, order, mid, end, nodes);
-            nodes[id].children = Some((left, right));
-        }
-        id
-    }
-
-    /// Build over packed coordinate columns. Produces a tree identical to
-    /// [`KdTree::build`] on the row equivalent of `coords`; the median
-    /// select touches only the split axis' packed column.
+    /// Build over packed coordinate columns (unit masses unless `masses` is
+    /// supplied for mass-weighted uses). The median select touches only the
+    /// split axis' packed column.
     pub fn build_cols(coords: &Coords, masses: Option<&[f64]>) -> Self {
         let n = coords.len();
         if let Some(m) = masses {
@@ -218,7 +156,7 @@ impl KdTree {
             children: None,
         });
         if end - start > LEAF_SIZE {
-            // Same split rule as the row build: widest axis, median element.
+            // Split on the widest axis at the median (balanced tree).
             let axis = (0..3)
                 .max_by(|&a, &b| {
                     (bbox.hi[a] - bbox.lo[a])
@@ -265,104 +203,7 @@ impl KdTree {
     }
 
     /// Indices of all particles within `r` of `query` (Euclidean,
-    /// non-periodic).
-    pub fn within_radius(&self, positions: &[[f64; 3]], query: [f64; 3], r: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        if self.nodes.is_empty() {
-            return out;
-        }
-        let r2 = r * r;
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if node.bbox.min_dist2_point(query) > r2 {
-                continue;
-            }
-            match node.children {
-                Some((l, rgt)) => {
-                    stack.push(l);
-                    stack.push(rgt);
-                }
-                None => {
-                    for &i in self.indices(node) {
-                        let p = positions[i as usize];
-                        let d2 = (p[0] - query[0]).powi(2)
-                            + (p[1] - query[1]).powi(2)
-                            + (p[2] - query[2]).powi(2);
-                        if d2 <= r2 {
-                            out.push(i);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// The `k` nearest neighbours of `query` (including the query point
-    /// itself if it is in the tree). Returns `(index, dist²)` sorted by
-    /// distance.
-    pub fn k_nearest(&self, positions: &[[f64; 3]], query: [f64; 3], k: usize) -> Vec<(u32, f64)> {
-        if self.nodes.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        // Max-heap of current best k (keyed on dist²).
-        let mut heap: Vec<(f64, u32)> = Vec::with_capacity(k + 1);
-        let worst = |h: &Vec<(f64, u32)>| {
-            if h.len() < k {
-                f64::INFINITY
-            } else {
-                h.iter().map(|e| e.0).fold(0.0, f64::max)
-            }
-        };
-        let mut stack = vec![self.root()];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if node.bbox.min_dist2_point(query) > worst(&heap) {
-                continue;
-            }
-            match node.children {
-                Some((l, r)) => {
-                    // Visit the closer child first for better pruning.
-                    let dl = self.nodes[l].bbox.min_dist2_point(query);
-                    let dr = self.nodes[r].bbox.min_dist2_point(query);
-                    if dl < dr {
-                        stack.push(r);
-                        stack.push(l);
-                    } else {
-                        stack.push(l);
-                        stack.push(r);
-                    }
-                }
-                None => {
-                    for &i in self.indices(node) {
-                        let p = positions[i as usize];
-                        let d2 = (p[0] - query[0]).powi(2)
-                            + (p[1] - query[1]).powi(2)
-                            + (p[2] - query[2]).powi(2);
-                        if d2 < worst(&heap) || heap.len() < k {
-                            heap.push((d2, i));
-                            if heap.len() > k {
-                                // Drop the farthest.
-                                let (mi, _) = heap
-                                    .iter()
-                                    .enumerate()
-                                    .max_by(|a, b| a.1 .0.partial_cmp(&b.1 .0).unwrap())
-                                    .unwrap();
-                                heap.swap_remove(mi);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut out: Vec<(u32, f64)> = heap.into_iter().map(|(d2, i)| (i, d2)).collect();
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Column-layout [`KdTree::within_radius`]: identical traversal and
-    /// distance expression, with leaf coordinates loaded from packed lanes.
+    /// non-periodic), in tree-traversal order.
     pub fn within_radius_cols(&self, coords: &Coords, query: [f64; 3], r: f64) -> Vec<u32> {
         let mut out = Vec::new();
         if self.nodes.is_empty() {
@@ -397,13 +238,15 @@ impl KdTree {
         out
     }
 
-    /// Column-layout [`KdTree::k_nearest`]: identical traversal, heap
-    /// discipline, and tie-breaking over packed coordinate lanes.
+    /// The `k` nearest neighbours of `query` (including the query point
+    /// itself if it is in the tree). Returns `(index, dist²)` sorted by
+    /// distance, then index.
     pub fn k_nearest_cols(&self, coords: &Coords, query: [f64; 3], k: usize) -> Vec<(u32, f64)> {
         if self.nodes.is_empty() || k == 0 {
             return Vec::new();
         }
         let (xs, ys, zs) = (coords.xs(), coords.ys(), coords.zs());
+        // Max-heap of current best k (keyed on dist²).
         let mut heap: Vec<(f64, u32)> = Vec::with_capacity(k + 1);
         let worst = |h: &Vec<(f64, u32)>| {
             if h.len() < k {
@@ -420,6 +263,7 @@ impl KdTree {
             }
             match node.children {
                 Some((l, r)) => {
+                    // Visit the closer child first for better pruning.
                     let dl = self.nodes[l].bbox.min_dist2_point(query);
                     let dr = self.nodes[r].bbox.min_dist2_point(query);
                     if dl < dr {
@@ -439,6 +283,7 @@ impl KdTree {
                         if d2 < worst(&heap) || heap.len() < k {
                             heap.push((d2, i));
                             if heap.len() > k {
+                                // Drop the farthest.
                                 let (mi, _) = heap
                                     .iter()
                                     .enumerate()
@@ -492,8 +337,7 @@ mod tests {
 
     #[test]
     fn builds_balanced_over_random_cloud() {
-        let pos = cloud(10_000);
-        let tree = KdTree::build(&pos, None);
+        let tree = KdTree::build_cols(&Coords::from_rows(&cloud(10_000)), None);
         assert_eq!(tree.len(), 10_000);
         let root = tree.node(tree.root());
         assert_eq!(root.start, 0);
@@ -508,11 +352,12 @@ mod tests {
     #[test]
     fn within_radius_matches_brute_force() {
         let pos = cloud(2000);
-        let tree = KdTree::build(&pos, None);
+        let cols = Coords::from_rows(&pos);
+        let tree = KdTree::build_cols(&cols, None);
         for qi in [0usize, 100, 999] {
             let q = pos[qi];
             let r = 7.5;
-            let mut got = tree.within_radius(&pos, q, r);
+            let mut got = tree.within_radius_cols(&cols, q, r);
             got.sort_unstable();
             let mut expect: Vec<u32> = (0..pos.len() as u32)
                 .filter(|&i| {
@@ -528,10 +373,11 @@ mod tests {
     #[test]
     fn k_nearest_matches_brute_force() {
         let pos = cloud(1500);
-        let tree = KdTree::build(&pos, None);
+        let cols = Coords::from_rows(&pos);
+        let tree = KdTree::build_cols(&cols, None);
         let q = pos[42];
         let k = 16;
-        let got = tree.k_nearest(&pos, q, k);
+        let got = tree.k_nearest_cols(&cols, q, k);
         let mut all: Vec<(u32, f64)> = (0..pos.len() as u32)
             .map(|i| {
                 let p = pos[i as usize];
@@ -552,65 +398,26 @@ mod tests {
     #[test]
     fn k_larger_than_n_returns_all() {
         let pos = cloud(5);
-        let tree = KdTree::build(&pos, None);
-        let got = tree.k_nearest(&pos, pos[0], 10);
+        let cols = Coords::from_rows(&pos);
+        let tree = KdTree::build_cols(&cols, None);
+        let got = tree.k_nearest_cols(&cols, pos[0], 10);
         assert_eq!(got.len(), 5);
     }
 
     #[test]
     fn empty_tree_queries() {
-        let tree = KdTree::build(&[], None);
+        let cols = Coords::new();
+        let tree = KdTree::build_cols(&cols, None);
         assert!(tree.is_empty());
-        assert!(tree.within_radius(&[], [0.0; 3], 1.0).is_empty());
-        assert!(tree.k_nearest(&[], [0.0; 3], 3).is_empty());
-    }
-
-    #[test]
-    fn column_build_produces_identical_tree() {
-        let pos = cloud(5000);
-        let cols = Coords::from_rows(&pos);
-        let a = KdTree::build(&pos, None);
-        let b = KdTree::build_cols(&cols, None);
-        assert_eq!(a.order, b.order, "reordering must match");
-        assert_eq!(a.nodes.len(), b.nodes.len());
-        for (na, nb) in a.nodes.iter().zip(&b.nodes) {
-            assert_eq!(na.start, nb.start);
-            assert_eq!(na.end, nb.end);
-            assert_eq!(na.children, nb.children);
-            assert_eq!(na.mass.to_bits(), nb.mass.to_bits());
-            for d in 0..3 {
-                assert_eq!(na.bbox.lo[d].to_bits(), nb.bbox.lo[d].to_bits());
-                assert_eq!(na.bbox.hi[d].to_bits(), nb.bbox.hi[d].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn column_queries_match_row_queries() {
-        let pos = cloud(2000);
-        let cols = Coords::from_rows(&pos);
-        let tree = KdTree::build(&pos, None);
-        for qi in [0usize, 77, 1999] {
-            let q = pos[qi];
-            let a = tree.within_radius(&pos, q, 6.5);
-            let b = tree.within_radius_cols(&cols, q, 6.5);
-            assert_eq!(a, b);
-            let ka = tree.k_nearest(&pos, q, 12);
-            let kb = tree.k_nearest_cols(&cols, q, 12);
-            assert_eq!(ka.len(), kb.len());
-            for (x, y) in ka.iter().zip(&kb) {
-                assert_eq!(x.0, y.0);
-                assert_eq!(x.1.to_bits(), y.1.to_bits());
-            }
-        }
+        assert!(tree.within_radius_cols(&cols, [0.0; 3], 1.0).is_empty());
+        assert!(tree.k_nearest_cols(&cols, [0.0; 3], 3).is_empty());
     }
 
     #[test]
     fn masses_accumulate_up_the_tree() {
-        let pos = cloud(100);
         let masses: Vec<f64> = (0..100).map(|i| (i % 3 + 1) as f64).collect();
         let total: f64 = masses.iter().sum();
-        let tree = KdTree::build(&pos, Some(&masses));
+        let tree = KdTree::build_cols(&Coords::from_rows(&cloud(100)), Some(&masses));
         assert!((tree.node(tree.root()).mass - total).abs() < 1e-9);
         if let Some((l, r)) = tree.node(tree.root()).children {
             let sum = tree.node(l).mass + tree.node(r).mass;

@@ -4,7 +4,7 @@
 //! the `dpp` data-parallel layer:
 //!
 //! * **FOF halo identification** (§3.3.1) — balanced k-d tree with
-//!   bounding-box pruning ([`fof::fof_kdtree`]), a periodic linked-cell
+//!   bounding-box pruning ([`fof::fof_kdtree_cols`]), a periodic linked-cell
 //!   engine ([`fof::fof_grid`]), and the rank-parallel driver with overload
 //!   regions ([`parallel::parallel_fof`]).
 //! * **MBP center finding** (§3.3.2) — the data-parallel O(n²) kernel
@@ -34,12 +34,11 @@ pub mod unionfind;
 
 pub use catalog::{unwrap_positions, Halo, HaloCatalog};
 pub use columns::Coords;
-pub use fof::{fof_brute, fof_grid, fof_kdtree, fof_kdtree_cols, members_by_group};
+pub use fof::{fof_brute, fof_grid, fof_kdtree_cols, members_by_group};
 pub use kdtree::{Aabb, KdTree};
 pub use massfn::{fit_power_law, FittedMassFunction, MassFunction};
 pub use mbp::{
-    center_time_titan_gpu, mbp_astar, mbp_brute, mbp_brute_cols, potential_at, potential_of,
-    MbpResult,
+    center_time_titan_gpu, mbp_astar, mbp_brute, mbp_brute_cols, potential_at, MbpResult,
 };
 pub use parallel::{fof_and_centers_timed, parallel_fof, FofConfig, RankTiming};
 pub use properties::{halo_properties, HaloProperties};

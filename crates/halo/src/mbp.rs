@@ -27,37 +27,23 @@ pub struct MbpResult {
     pub exact_evaluations: usize,
 }
 
-/// Exact potential of particle `i` (O(n)).
-pub fn potential_of(particles: &[Particle], i: usize, softening: f64) -> f64 {
-    let pi = particles[i].pos_f64();
-    let mut acc = 0.0;
-    for (j, p) in particles.iter().enumerate() {
-        if j == i {
-            continue;
-        }
-        let q = p.pos_f64();
-        let d = ((q[0] - pi[0]).powi(2) + (q[1] - pi[1]).powi(2) + (q[2] - pi[2]).powi(2)).sqrt();
-        acc -= p.mass as f64 / (d + softening);
-    }
-    acc
-}
-
 /// Lanes per block in the column potential sweep. Sixteen f64 values span
 /// two cache lines and give the out-of-order core four 4-wide AVX2 strips
 /// (or two AVX-512 strips) of independent sqrt/divide work to pipeline.
 const MBP_LANES: usize = 16;
 
-/// Exact potential of point `i` over packed coordinate columns, blocked in
-/// [`MBP_LANES`]-wide strips. Bit-identical to [`potential_of`] on the
-/// particle equivalent.
+/// Exact potential of point `i` (O(n)) over packed coordinate columns,
+/// blocked in [`MBP_LANES`]-wide strips.
 ///
 /// Each strip computes its distances, softened inverses, and mass weights
 /// into a stack lane array — a branch-light loop the compiler can vectorize
 /// (sqrt and divide are the dominant cost and both have packed forms) — and
 /// then folds the lanes into the accumulator serially in index order.
 /// **Summation order is fixed**: contributions are subtracted in ascending
-/// `j` exactly like the scalar reference; only the expensive per-pair math
-/// is reassociated into lanes, never the reduction. The self term is
+/// `j`, so the result is bit-identical to the plain scalar loop
+/// (`conformance::layout::potential_scalar_ref` is that loop, and the layout
+/// battery holds the two equal); only the expensive per-pair math is
+/// reassociated into lanes, never the reduction. The self term is
 /// excluded by a select (`j == i` contributes a literal `0.0`, and
 /// `acc - 0.0` is an IEEE-754 identity for every value including −0.0 and
 /// NaN), not by a mask multiply, which would turn NaN positions into
@@ -135,11 +121,8 @@ pub fn mbp_brute_cols(
 
 /// Data-parallel brute-force MBP: all potentials, then argmin.
 ///
-/// Converts to packed columns once and runs [`mbp_brute_cols`]; the result
-/// is bit-identical to mapping [`potential_of`] over the AoS slice (the
-/// conformance suite holds both paths to that).
+/// Converts to packed columns once and runs [`mbp_brute_cols`].
 pub fn mbp_brute(backend: &dyn Backend, particles: &[Particle], softening: f64) -> MbpResult {
-    assert!(!particles.is_empty(), "cannot center an empty halo");
     let coords = Coords::from_particles(particles);
     let masses: Vec<f64> = particles.iter().map(|p| p.mass as f64).collect();
     mbp_brute_cols(backend, &coords, &masses, softening)
@@ -147,18 +130,18 @@ pub fn mbp_brute(backend: &dyn Backend, particles: &[Particle], softening: f64) 
 
 /// Serial A*-style MBP with tree-based optimistic bounds.
 ///
-/// For each particle an *admissible* (never less negative than the truth)
-/// lower bound of the potential is computed by traversing the k-d tree and
-/// using each pruned node's **maximum** possible distance… inverted: the
-/// bound uses the *minimum* distance to each node, making the estimate at
-/// least as negative as the exact value, so the first exact evaluation that
-/// beats all remaining bounds is the global minimum.
+/// For each particle an *admissible* lower bound of the potential is
+/// computed by traversing the k-d tree and placing each pruned node's whole
+/// mass at its *minimum* possible distance, making the estimate at least as
+/// negative as the exact value, so the first exact evaluation that beats all
+/// remaining bounds is the global minimum.
 pub fn mbp_astar(particles: &[Particle], softening: f64) -> MbpResult {
     assert!(!particles.is_empty(), "cannot center an empty halo");
     let n = particles.len();
-    let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
+    let coords = Coords::from_particles(particles);
+    let (xs, ys, zs) = (coords.xs(), coords.ys(), coords.zs());
     let masses: Vec<f64> = particles.iter().map(|p| p.mass as f64).collect();
-    let tree = KdTree::build(&positions, Some(&masses));
+    let tree = KdTree::build_cols(&coords, Some(&masses));
     // Map particle index → slot in the tree's reordered index array, so leaf
     // membership of the query particle can be tested against node ranges.
     let mut slot_of = vec![0usize; n];
@@ -169,7 +152,7 @@ pub fn mbp_astar(particles: &[Particle], softening: f64) -> MbpResult {
     // Optimistic bound per particle: open nodes while they are "close and
     // big", otherwise bound the whole node by its minimum distance.
     let bound_of = |i: usize| -> f64 {
-        let q = positions[i];
+        let q = coords.get(i);
         let mut acc = 0.0;
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
@@ -192,10 +175,9 @@ pub fn mbp_astar(particles: &[Particle], softening: f64) -> MbpResult {
                             if j == i {
                                 continue;
                             }
-                            let p = positions[j];
-                            let d = ((p[0] - q[0]).powi(2)
-                                + (p[1] - q[1]).powi(2)
-                                + (p[2] - q[2]).powi(2))
+                            let d = ((xs[j] - q[0]).powi(2)
+                                + (ys[j] - q[1]).powi(2)
+                                + (zs[j] - q[2]).powi(2))
                             .sqrt();
                             acc -= masses[j] / (d + softening);
                         }
@@ -215,13 +197,13 @@ pub fn mbp_astar(particles: &[Particle], softening: f64) -> MbpResult {
     order.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
 
     let mut best_idx = order[0].0;
-    let mut best_pot = potential_of(particles, best_idx, softening);
+    let mut best_pot = potential_at(&coords, &masses, best_idx, softening);
     let mut evals = 1;
     for &(i, bound) in order.iter().skip(1) {
         if bound >= best_pot {
             break; // no remaining candidate can beat the best exact value
         }
-        let pot = potential_of(particles, i, softening);
+        let pot = potential_at(&coords, &masses, i, softening);
         evals += 1;
         if pot < best_pot || (pot == best_pot && i < best_idx) {
             best_pot = pot;
@@ -251,6 +233,11 @@ pub fn center_time_titan_gpu(n: u64) -> f64 {
 mod tests {
     use super::*;
     use dpp::{Serial, Threaded};
+
+    fn potential_of(particles: &[Particle], i: usize, softening: f64) -> f64 {
+        let masses: Vec<f64> = particles.iter().map(|p| p.mass as f64).collect();
+        potential_at(&Coords::from_particles(particles), &masses, i, softening)
+    }
 
     fn blob(n: usize, seed: u64) -> Vec<Particle> {
         (0..n)
@@ -305,46 +292,15 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_is_byte_identical_to_scalar() {
-        // Lengths straddle the lane width so partial tail strips are hit.
-        for n in [1usize, 7, 8, 9, 63, 64, 65, 300] {
-            let parts = blob(n, 3);
-            let coords = Coords::from_particles(&parts);
-            let masses: Vec<f64> = parts.iter().map(|p| p.mass as f64).collect();
-            for i in [0, n / 2, n - 1] {
-                let a = potential_of(&parts, i, 1e-3);
-                let b = potential_at(&coords, &masses, i, 1e-3);
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_kernel_handles_nan_positions_identically() {
-        let mut parts = blob(40, 4);
-        parts[3].pos[0] = f32::NAN;
-        parts[17].pos[1] = -f32::NAN;
-        parts[25].pos[2] = f32::INFINITY;
-        parts[31].pos[0] = -0.0;
-        let coords = Coords::from_particles(&parts);
-        let masses: Vec<f64> = parts.iter().map(|p| p.mass as f64).collect();
-        for i in 0..parts.len() {
-            let a = potential_of(&parts, i, 1e-3);
-            let b = potential_at(&coords, &masses, i, 1e-3);
-            assert_eq!(a.to_bits(), b.to_bits(), "i={i}");
-        }
-        // A lone particle with a NaN position must yield exactly 0.0 (the
-        // self term is excluded by select, not a mask multiply).
+    fn lone_particle_with_nan_position_has_zero_potential() {
+        // The self term is excluded by select, not a mask multiply, so a
+        // NaN position must not poison the (empty) sum.
         let lone = vec![Particle::at_rest([f32::NAN, 0.0, 0.0], 1.0, 0)];
-        let c = Coords::from_particles(&lone);
-        assert_eq!(
-            potential_at(&c, &[1.0], 0, 1e-3).to_bits(),
-            0.0f64.to_bits()
-        );
+        assert_eq!(potential_of(&lone, 0, 1e-3).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
-    fn brute_matches_scalar_reference_map() {
+    fn brute_matches_per_particle_potential_map() {
         let parts = blob(500, 6);
         let t = Threaded::new(4);
         let r = mbp_brute(&t, &parts, 1e-3);

@@ -106,7 +106,7 @@ pub fn parallel_fof(
     }
 
     // Serial FOF on the extended patch (non-periodic: the shell covers the
-    // seams). The column engine yields labels identical to `fof_kdtree`.
+    // seams).
     let labels = fof_kdtree_cols(&Coords::from_rows(&positions), cfg.link_length);
     let groups = members_by_group(&labels);
 

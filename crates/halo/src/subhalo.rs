@@ -11,6 +11,7 @@
 //! 3. unbind: iteratively remove particles with positive total energy, at
 //!    most one quarter of the positive-energy particles per pass.
 
+use crate::columns::Coords;
 use crate::kdtree::KdTree;
 use nbody::particle::Particle;
 
@@ -52,16 +53,18 @@ pub struct Subhalo {
 /// Uses the standard cubic-spline–like estimate: mass of the k neighbours
 /// over the kernel volume set by the distance to the k-th.
 pub fn local_densities(particles: &[Particle], k: usize) -> Vec<f64> {
+    let coords = Coords::from_particles(particles);
+    densities_over(particles, &coords, &KdTree::build_cols(&coords, None), k)
+}
+
+/// [`local_densities`] over an already-built tree, so [`find_subhalos`] can
+/// share one `coords` + `tree` between the density estimate and its walk.
+fn densities_over(particles: &[Particle], coords: &Coords, tree: &KdTree, k: usize) -> Vec<f64> {
     let n = particles.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let k = k.min(n);
-    let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
-    let tree = KdTree::build(&positions, None);
     let mut rho = vec![0.0f64; n];
     for i in 0..n {
-        let nn = tree.k_nearest(&positions, positions[i], k);
+        let nn = tree.k_nearest_cols(coords, coords.get(i), k);
         let h2 = nn.last().map(|&(_, d2)| d2).unwrap_or(0.0);
         if h2 <= 0.0 {
             rho[i] = f64::INFINITY; // coincident points: formally infinite
@@ -89,9 +92,9 @@ pub fn find_subhalos(particles: &[Particle], params: &SubhaloParams) -> Vec<Subh
     if n < params.min_size {
         return Vec::new();
     }
-    let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
-    let rho = local_densities(particles, params.n_neighbors);
-    let tree = KdTree::build(&positions, None);
+    let coords = Coords::from_particles(particles);
+    let tree = KdTree::build_cols(&coords, None);
+    let rho = densities_over(particles, &coords, &tree, params.n_neighbors);
 
     // Process in descending density.
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -123,7 +126,7 @@ pub fn find_subhalos(particles: &[Particle], params: &SubhaloParams) -> Vec<Subh
     for &i in &order {
         let iu = i as usize;
         // Denser neighbours among the k nearest.
-        let nn = tree.k_nearest(&positions, positions[iu], params.n_neighbors);
+        let nn = tree.k_nearest_cols(&coords, coords.get(iu), params.n_neighbors);
         let mut attached: Vec<u32> = Vec::new();
         for &(j, _) in &nn {
             if j == i {

@@ -1,8 +1,8 @@
 //! Property tests for the halo analysis algorithms.
 
 use halo::{
-    fof_brute, fof_kdtree, fof_kdtree_cols, mbp_astar, mbp_brute, members_by_group, potential_of,
-    so_mass, Coords, KdTree, MassFunction,
+    fof_brute, fof_kdtree_cols, mbp_astar, mbp_brute, members_by_group, potential_at, so_mass,
+    Coords, KdTree, MassFunction,
 };
 use nbody::particle::Particle;
 use proptest::prelude::*;
@@ -24,21 +24,39 @@ fn particles_from(positions: &[[f64; 3]]) -> Vec<Particle> {
         .collect()
 }
 
-fn canon(labels: &[u32]) -> Vec<Vec<u32>> {
-    let mut groups = members_by_group(labels);
-    groups.sort_by_key(|g| g.first().copied().unwrap_or(u32::MAX));
-    groups
+fn fof_kdtree(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
+    fof_kdtree_cols(&Coords::from_rows(positions), link)
+}
+
+/// Deterministic Fisher–Yates permutation of `0..n` from the seed.
+fn permutation(n: usize, seed: u64) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    let mut state = seed | 1;
+    for i in (1..n).rev() {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let j = (state >> 33) as usize % (i + 1);
+        perm.swap(i, j);
+    }
+    perm
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn fof_kdtree_equals_brute(positions in cloud(0..220, 20.0), link in 0.3f64..3.0) {
-        prop_assert_eq!(
-            canon(&fof_kdtree(&positions, link)),
-            canon(&fof_brute(&positions, link))
-        );
+    fn fof_kdtree_labels_equal_brute_labels_exactly(
+        positions in cloud(0..220, 20.0), link in 0.3f64..3.0, seed in any::<u64>()
+    ) {
+        // The same label *vector*, not just the same canonical partition:
+        // both engines number groups by first appearance in input order,
+        // which is what makes the O(n²) engine a bit-level oracle for the
+        // tree engine — before and after any reordering of the input.
+        prop_assert_eq!(fof_kdtree(&positions, link), fof_brute(&positions, link));
+        let perm = permutation(positions.len(), seed);
+        let permuted: Vec<[f64; 3]> = perm.iter().map(|&k| positions[k]).collect();
+        prop_assert_eq!(fof_kdtree(&permuted, link), fof_brute(&permuted, link));
     }
 
     #[test]
@@ -72,31 +90,14 @@ proptest! {
     }
 
     #[test]
-    fn fof_and_mbp_permutation_invariant_in_either_layout(
+    fn fof_and_mbp_permutation_invariant(
         positions in cloud(2..120, 10.0), seed in any::<u64>()
     ) {
-        let n = positions.len();
-        // Deterministic Fisher–Yates permutation from the seed.
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut state = seed | 1;
-        for i in (1..n).rev() {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let j = (state >> 33) as usize % (i + 1);
-            perm.swap(i, j);
-        }
+        let perm = permutation(positions.len(), seed);
         let permuted: Vec<[f64; 3]> = perm.iter().map(|&k| positions[k]).collect();
         let link = 0.9;
-
-        // Row and column engines yield *identical* labels on the same
-        // input, before and after permutation.
-        let rows = fof_kdtree(&positions, link);
-        let cols = fof_kdtree_cols(&Coords::from_rows(&positions), link);
-        prop_assert_eq!(&rows, &cols);
-        let rows_p = fof_kdtree(&permuted, link);
-        let cols_p = fof_kdtree_cols(&Coords::from_rows(&permuted), link);
-        prop_assert_eq!(&rows_p, &cols_p);
+        let labels = fof_kdtree(&positions, link);
+        let labels_p = fof_kdtree(&permuted, link);
 
         // The catalog (the partition into groups, named by original
         // particle identity) is invariant under the permutation.
@@ -113,11 +114,11 @@ proptest! {
                 })
                 .collect()
         };
-        prop_assert_eq!(partition(&rows, None), partition(&rows_p, Some(&perm)));
+        prop_assert_eq!(partition(&labels, None), partition(&labels_p, Some(&perm)));
 
         // The MBP center (by particle identity) is invariant under the
-        // permutation in both layouts; only the argmin's tie-break and the
-        // summation association may move, and random clouds have no ties.
+        // permutation; only the argmin's tie-break and the summation
+        // association may move, and random clouds have no ties.
         let parts = particles_from(&positions);
         let parts_p: Vec<Particle> = perm.iter().map(|&k| parts[k]).collect();
         let base = mbp_brute(&dpp::Serial, &parts, 1e-3);
@@ -141,16 +142,18 @@ proptest! {
     fn mbp_is_the_argmin_of_exact_potentials(positions in cloud(2..100, 5.0)) {
         let parts = particles_from(&positions);
         let r = mbp_brute(&dpp::Serial, &parts, 1e-3);
+        let coords = Coords::from_particles(&parts);
+        let masses = vec![1.0; parts.len()];
         for i in 0..parts.len() {
-            prop_assert!(potential_of(&parts, i, 1e-3) >= r.potential - 1e-12);
+            prop_assert!(potential_at(&coords, &masses, i, 1e-3) >= r.potential - 1e-12);
         }
     }
 
     #[test]
     fn knn_matches_brute_force(positions in cloud(1..250, 30.0), qi in any::<prop::sample::Index>(), k in 1usize..20) {
         let q = positions[qi.index(positions.len())];
-        let tree = KdTree::build(&positions, None);
-        let got = tree.k_nearest(&positions, q, k);
+        let cols = Coords::from_rows(&positions);
+        let got = KdTree::build_cols(&cols, None).k_nearest_cols(&cols, q, k);
         let mut all: Vec<(u32, f64)> = (0..positions.len() as u32)
             .map(|i| {
                 let p = positions[i as usize];

@@ -1,7 +1,6 @@
 //! Particle-mesh gravity: CIC deposit, k-space Poisson solve, CIC force
 //! interpolation. All mesh quantities live in *grid units* (cell = 1).
 
-use crate::particle::Particle;
 use crate::soa::ParticleSoA;
 use dpp::Backend;
 use fft::{freq_index, Complex, Fft3d, Grid3};
@@ -19,8 +18,8 @@ pub fn to_grid_units(pos: f32, box_size: f64, ng: usize) -> f64 {
 /// coordinate: `fmod(u, ngf) == u` exactly whenever `0 ≤ u < ngf` (including
 /// −0.0 and denormals), and NaN fails the range test into the slow path, so
 /// both branches return the same bits as an unconditional `rem_euclid` for
-/// every possible input. The SoA deposit uses this to keep the `fmod`
-/// libcall off its hot path.
+/// every possible input. The deposit uses this to keep the `fmod` libcall
+/// off its hot path.
 #[inline]
 fn wrap_grid(u: f64, ngf: f64) -> f64 {
     if (0.0..ngf).contains(&u) {
@@ -30,86 +29,29 @@ fn wrap_grid(u: f64, ngf: f64) -> f64 {
     }
 }
 
-/// Cloud-in-cell deposit of particle mass onto an `ng³` mesh. Returns the
-/// *overdensity* field `δ = ρ/ρ̄ − 1`, where the mean is taken over the mesh.
-pub fn cic_deposit(
-    backend: &dyn Backend,
-    particles: &[Particle],
-    ng: usize,
-    box_size: f64,
-) -> Grid3<f64> {
-    let ncell = ng * ng * ng;
-    // Partial grids are collected per chunk and merged in chunk order so the
-    // floating-point result is identical run-to-run and backend-to-backend.
-    let partials: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
-    let grain = (particles.len() / backend.concurrency().max(1)).max(4096);
-    backend.dispatch(particles.len(), grain, &|r| {
-        let start = r.start;
-        let mut local = vec![0.0f64; ncell];
-        for p in &particles[r] {
-            let u = [
-                to_grid_units(p.pos[0], box_size, ng),
-                to_grid_units(p.pos[1], box_size, ng),
-                to_grid_units(p.pos[2], box_size, ng),
-            ];
-            let i = [u[0] as usize % ng, u[1] as usize % ng, u[2] as usize % ng];
-            let d = [u[0] - i[0] as f64, u[1] - i[1] as f64, u[2] - i[2] as f64];
-            let m = p.mass as f64;
-            for (dx, wx) in [(0usize, 1.0 - d[0]), (1, d[0])] {
-                for (dy, wy) in [(0usize, 1.0 - d[1]), (1, d[1])] {
-                    for (dz, wz) in [(0usize, 1.0 - d[2]), (1, d[2])] {
-                        let x = (i[0] + dx) % ng;
-                        let y = (i[1] + dy) % ng;
-                        let z = (i[2] + dz) % ng;
-                        local[(x * ng + y) * ng + z] += m * wx * wy * wz;
-                    }
-                }
-            }
-        }
-        partials.lock().push((start, local));
-    });
-    let mut partials = partials.into_inner();
-    partials.sort_by_key(|(s, _)| *s);
-    let mut rho = vec![0.0f64; ncell];
-    for (_, local) in partials {
-        for (gv, lv) in rho.iter_mut().zip(&local) {
-            *gv += lv;
-        }
-    }
-    let total: f64 = particles.iter().map(|p| p.mass as f64).sum();
-    let mean = total / ncell as f64;
-    if mean > 0.0 {
-        for v in &mut rho {
-            *v = *v / mean - 1.0;
-        }
-    }
-    Grid3::from_vec([ng, ng, ng], rho)
-}
-
 /// Particles per block in the two-phase SoA deposit. Sized so the per-block
 /// scratch (seven 8-byte lanes) stays within a fraction of L1.
 const CIC_BLOCK: usize = 64;
 
-/// Cache-blocked cloud-in-cell deposit over the SoA layout. Byte-identical
-/// to [`cic_deposit`] on the converted particle set.
+/// Cloud-in-cell deposit of particle mass onto an `ng³` mesh. Returns the
+/// *overdensity* field `δ = ρ/ρ̄ − 1`, where the mean is taken over the mesh.
 ///
-/// The kernel is restructured, not renumbered: each chunk walks its
-/// particles in blocks of [`CIC_BLOCK`]. Phase one sweeps the packed
-/// position/mass columns in three vectorizable passes: (a) the pure
-/// `pos / box · ng` arithmetic over fixed-size column windows, (b) a
-/// block-level range check that only falls back to the scalar `rem_euclid`
-/// wrap when some lane is out of `[0, ng)` (bit-identical either way — see
-/// [`wrap_grid`]), and (c) truncation to cell indices plus fractional
-/// offsets. Indices truncate through `i32` (`u as i32` equals `u as usize`
-/// for every wrapped value including NaN→0, and ng is asserted to fit), so
-/// the cast vectorizes on plain SSE2 where a 64-bit cast would not. Phase
-/// two scatters the eight corner contributions per particle with
-/// straight-line adds in the same `(dx, dy, dz)` order and the same
-/// `((m·wx)·wy)·wz` association as the AoS kernel, replacing the 24 integer
-/// modulos per particle with three compare-and-wrap increments. Chunk
-/// partials are merged in chunk order exactly as in [`cic_deposit`], so the
-/// result is bit-equal across layouts and backends — the layout conformance
-/// suite enforces this over the adversarial corpus.
+/// Each chunk walks its particles in blocks of [`CIC_BLOCK`]. Phase one
+/// sweeps the packed position/mass columns in three vectorizable passes:
+/// (a) the pure `pos / box · ng` arithmetic over fixed-size column windows,
+/// (b) a block-level range check that only falls back to the scalar
+/// `rem_euclid` wrap when some lane is out of `[0, ng)` (bit-identical
+/// either way — see [`wrap_grid`]), and (c) truncation to cell indices plus
+/// fractional offsets. Indices truncate through `i32` (`u as i32` equals
+/// `u as usize` for every wrapped value including NaN→0, and ng is asserted
+/// to fit), so the cast vectorizes on plain SSE2 where a 64-bit cast would
+/// not. Phase two scatters the eight corner contributions per particle with
+/// straight-line adds in `(dx, dy, dz)` order and `((m·wx)·wy)·wz`
+/// association, the per-axis `% ng` wraps done as compare-and-wrap
+/// increments. Partial grids are collected per chunk and merged in chunk
+/// order, so the result is identical run-to-run; `conformance::layout` holds
+/// it bit-equal, on every backend, to the scalar per-particle loop
+/// (`cic_deposit_scalar_ref`) over the adversarial corpus.
 pub fn cic_deposit_soa(
     backend: &dyn Backend,
     particles: &ParticleSoA,
@@ -195,7 +137,7 @@ fn deposit_chunk_soa(
             }
             // Phase 1c: cell indices and fractional offsets. Every lane is
             // now in `[0, ng)` or NaN (→ 0 under Rust's saturating cast), so
-            // the AoS kernel's `% ng` after the cast is the identity.
+            // no `% ng` is needed after the cast.
             for k in 0..CIC_BLOCK {
                 ix[k] = ux[k] as i32;
                 iy[k] = uy[k] as i32;
@@ -204,9 +146,9 @@ fn deposit_chunk_soa(
                 fy[k] = uy[k] - iy[k] as f64;
                 fz[k] = uz[k] - iz[k] as f64;
             }
-            // Phase 2: scatter eight corners per particle. Same visit order
-            // and product association as the AoS kernel; the `% ng` wraps
-            // become compare-and-reset since the base cell is already < ng.
+            // Phase 2: scatter eight corners per particle in the scalar
+            // reference's visit order and product association; the `% ng`
+            // wraps are compare-and-reset since the base cell is already < ng.
             for k in 0..CIC_BLOCK {
                 let (x0, y0, z0) = (ix[k] as usize, iy[k] as usize, iz[k] as usize);
                 let x1 = if x0 + 1 == ng { 0 } else { x0 + 1 };
@@ -425,10 +367,15 @@ pub fn cic_interpolate(field: &Grid3<f64>, pos: [f32; 3], box_size: f64) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::particle::Particle;
     use dpp::{Serial, Threaded};
 
     fn one_particle_at(pos: [f32; 3]) -> Vec<Particle> {
         vec![Particle::at_rest(pos, 1.0, 0)]
+    }
+
+    fn cic_deposit(b: &dyn Backend, parts: &[Particle], ng: usize, box_size: f64) -> Grid3<f64> {
+        cic_deposit_soa(b, &ParticleSoA::from_aos(parts), ng, box_size)
     }
 
     #[test]
@@ -502,48 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_deposit_is_byte_identical_to_aos() {
-        let t = Threaded::new(4);
-        let parts: Vec<Particle> = (0..5000)
-            .map(|i| {
-                let f = i as f32;
-                Particle::at_rest(
-                    [(f * 0.37) % 32.0, (f * 0.71) % 32.0, (f * 0.13) % 32.0],
-                    1.0 + (i % 7) as f32 * 0.25,
-                    i,
-                )
-            })
-            .collect();
-        let soa = ParticleSoA::from_aos(&parts);
-        for backend in [&Serial as &dyn Backend, &t] {
-            let a = cic_deposit(backend, &parts, 16, 32.0);
-            let b = cic_deposit_soa(backend, &soa, 16, 32.0);
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn soa_deposit_handles_non_finite_positions_identically() {
-        // NaN (both sign bits), infinities, and signed zeros must flow
-        // through the SoA fast path exactly as through the AoS kernel.
-        let parts = vec![
-            Particle::at_rest([f32::NAN, 1.0, 2.0], 1.0, 0),
-            Particle::at_rest([-f32::NAN, -0.0, 0.0], 1.0, 1),
-            Particle::at_rest([f32::INFINITY, 3.0, 1.0], 1.0, 2),
-            Particle::at_rest([f32::NEG_INFINITY, 0.5, 7.9], 1.0, 3),
-            Particle::at_rest([1.25, 2.5, 3.75], 2.0, 4),
-        ];
-        let soa = ParticleSoA::from_aos(&parts);
-        let a = cic_deposit(&Serial, &parts, 4, 8.0);
-        let b = cic_deposit_soa(&Serial, &soa, 4, 8.0);
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     fn det_deposit_matches_serial_soa_single_chunk() {
         // With one chunk the det variant is literally the same computation as
         // the dynamic-grain deposit on Serial.
@@ -567,7 +472,6 @@ mod tests {
 
     #[test]
     fn det_deposit_is_byte_identical_across_backends_multi_chunk() {
-        use crate::soa::ParticleSoA;
         use dpp::StaticThreaded;
         // 4097 particles with grain 512 → 9 chunks: the case where dynamic
         // chunking diverges between backends. The det variant must not.

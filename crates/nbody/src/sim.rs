@@ -7,8 +7,10 @@
 use crate::cosmology::Cosmology;
 use crate::ic::{zeldovich_particles, IcConfig};
 use crate::particle::Particle;
-use crate::pm::{cic_deposit, cic_interpolate, poisson_accel};
+use crate::pm::{cic_deposit_soa, cic_interpolate, poisson_accel};
+use crate::soa::ParticleSoA;
 use dpp::{par_for_each_mut, Backend, DEFAULT_GRAIN};
+use fft::Grid3;
 
 /// Full simulation configuration.
 #[derive(Debug, Clone)]
@@ -183,12 +185,10 @@ impl Simulation {
 
     /// Momentum update: `p += g·f(a)·da` with `g` from the PM solve at `a`.
     fn kick(&mut self, backend: &dyn Backend, a: f64, da: f64) {
-        let ng = self.cfg.ng;
         let l = self.cfg.cosmology.box_size;
         // EdS: ∇²φ = (3/2a) δ (Ω_m = 1 dynamics; see cosmology.rs).
         let prefactor = 1.5 / a;
-        let delta = cic_deposit(backend, &self.particles, ng, l);
-        let accel = poisson_accel(backend, &delta, prefactor);
+        let accel = poisson_accel(backend, &self.overdensity(backend), prefactor);
         let kick = Cosmology::leapfrog_f(a) * da;
         par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |_, p| {
             let g = [
@@ -202,14 +202,15 @@ impl Simulation {
         });
     }
 
+    /// CIC overdensity of the current particle state on the PM mesh.
+    fn overdensity(&self, backend: &dyn Backend) -> Grid3<f64> {
+        let soa = ParticleSoA::from_aos(&self.particles);
+        cic_deposit_soa(backend, &soa, self.cfg.ng, self.cfg.cosmology.box_size)
+    }
+
     /// Clustering diagnostic: RMS of the CIC overdensity field.
     pub fn density_rms(&self, backend: &dyn Backend) -> f64 {
-        let delta = cic_deposit(
-            backend,
-            &self.particles,
-            self.cfg.ng,
-            self.cfg.cosmology.box_size,
-        );
+        let delta = self.overdensity(backend);
         let n = delta.len() as f64;
         (delta.as_slice().iter().map(|v| v * v).sum::<f64>() / n).sqrt()
     }
@@ -218,7 +219,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpp::Threaded;
+    use dpp::{Serial, Threaded};
 
     fn tiny_cfg() -> SimConfig {
         SimConfig {
@@ -276,6 +277,21 @@ mod tests {
             rms1 > 3.0 * rms0,
             "structure must grow: initial rms {rms0}, final {rms1}"
         );
+    }
+
+    #[test]
+    fn density_rms_is_the_rms_of_the_column_deposit() {
+        // The stepper's deposit and the kernel the benchmark ledger times
+        // (`cic_deposit_soa`) must be one and the same, bit for bit.
+        let mut sim = Simulation::new(&Serial, tiny_cfg());
+        sim.step(&Serial);
+        let soa = ParticleSoA::from_aos(sim.particles());
+        for backend in [&Serial as &dyn Backend, &Threaded::new(2)] {
+            let delta = cic_deposit_soa(backend, &soa, 16, 32.0);
+            let n = delta.len() as f64;
+            let rms = (delta.as_slice().iter().map(|v| v * v).sum::<f64>() / n).sqrt();
+            assert_eq!(sim.density_rms(backend).to_bits(), rms.to_bits());
+        }
     }
 
     #[test]

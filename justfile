@@ -36,6 +36,15 @@ bench-kernels:
     BENCH_KERNELS_JSON=$(pwd)/BENCH_kernels.json cargo bench -p bench --bench kernels
     cargo run --release -p bench --bin bench_check -- BENCH_kernels.json
 
+# First-party non-test Rust lines per crate (the number ROADMAP tracks):
+# every `src/**/*.rs` line above the file's top-level `#[cfg(test)]`, the
+# vendored stand-ins (rand, proptest, criterion, parking_lot, bytes) left out.
+loc:
+    @for c in src crates/*/src; do \
+        case $c in crates/rand/*|crates/proptest/*|crates/criterion/*|crates/parking_lot/*|crates/bytes/*) continue;; esac; \
+        find $c -name '*.rs' -print0 | xargs -0 awk -v c=$c 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{printf "%7d %s\n", n, c}'; \
+    done | awk '{s+=$1; print} END{printf "%7d total\n", s}'
+
 # Run the workflow comparison with telemetry armed and export a Chrome
 # trace (load trace.json in Perfetto / chrome://tracing).
 trace-demo:

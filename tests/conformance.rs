@@ -84,8 +84,8 @@ fn dpp_differential_backends_agree() {
     );
 }
 
-/// Every kernel rewritten for the SoA/column layout (CIC deposit, FOF,
-/// MBP, radix, histogram) against its retained row-layout reference,
+/// Every SoA/column kernel (CIC deposit, FOF, MBP, radix, histogram)
+/// against its scalar / brute-force reference in `conformance::layout`,
 /// bit-for-bit, on every backend, over the adversarial particle/coordinate
 /// corpus — NaN of either sign, ±inf, signed zeros, denormals, and
 /// grain-boundary lengths included.
