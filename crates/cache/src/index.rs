@@ -1,18 +1,15 @@
-//! The on-disk cache index: an append-only log of `put`/`del` records that
-//! survives crash/restart with the same torn-append-healing discipline as
-//! `core::journal`.
+//! The on-disk cache index: an append-only log of `put`/`del` records, a
+//! typed view over the crate's durable [`LineLog`] (which owns the
+//! torn-append healing and the staged, renamed rewrite).
 //!
-//! An entry is a single `write` call of one line; a crash mid-append leaves
-//! bytes with no trailing newline, which [`Index::load`] drops (the entry
-//! never committed). The next append seals such a fragment with a newline
-//! first, so the fragment can never corrupt a later (good) entry by
-//! concatenation — it reads back as an unparseable line, which replay
-//! skips. Because a `put` only lands *after* the object file is durably in
-//! place, a dropped or sealed index line degrades to a cache miss and a
-//! recompute, never to a false hit.
+//! A torn append never commits and a sealed fragment reads back as an
+//! unparseable line, which replay skips. Because a `put` only lands *after*
+//! the object file is durably in place, a dropped or sealed index line
+//! degrades to a cache miss and a recompute, never to a false hit.
 
 use crate::digest::{CacheKey, Digest};
-use std::io::{self, Write};
+use crate::linelog::LineLog;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// First line of every index file; guards against feeding the cache an
@@ -33,18 +30,21 @@ pub struct IndexEntry {
 /// Append-only `put`/`del` log at a fixed path.
 #[derive(Debug, Clone)]
 pub struct Index {
-    path: PathBuf,
+    log: LineLog,
 }
 
 impl Index {
     /// An index stored at `path` (created on first append).
     pub fn new(path: PathBuf) -> Self {
-        Index { path }
+        let staging = path.with_extension("compact");
+        Index {
+            log: LineLog::new(path, INDEX_HEADER, staging),
+        }
     }
 
     /// The backing file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Replay the log into the set of live entries, ordered oldest-put
@@ -54,37 +54,12 @@ impl Index {
     /// A missing file is an empty index; a wrong header is an error; a torn
     /// (newline-less) tail and sealed unparseable fragments are skipped.
     pub fn load(&self) -> io::Result<Vec<IndexEntry>> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let text = String::from_utf8_lossy(&bytes);
-        let mut lines = text.split_inclusive('\n');
-        match lines.next() {
-            None => return Ok(Vec::new()),
-            Some(header) if header.trim_end_matches('\n') == INDEX_HEADER => {}
-            Some(other) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "not an artifact-cache index (header {:?})",
-                        other.trim_end()
-                    ),
-                ));
-            }
-        }
         // Replay: later records win; seq remembers when each live entry was
         // last put so the final collect preserves recency order.
         let mut live: std::collections::BTreeMap<u128, (u64, IndexEntry)> =
             std::collections::BTreeMap::new();
-        for (seq, line) in lines.enumerate() {
-            // A chunk without its trailing newline is a torn append: the
-            // record never committed.
-            if !line.ends_with('\n') {
-                continue;
-            }
-            match Self::parse_line(line.trim_end_matches('\n')) {
+        for (seq, line) in self.log.lines()?.iter().enumerate() {
+            match Self::parse_line(line) {
                 Some(Record::Put(entry)) => {
                     live.insert(entry.key.0 .0, (seq as u64, entry));
                 }
@@ -127,67 +102,30 @@ impl Index {
 
     /// Record that `entry` is live (object already durably written).
     pub fn append_put(&self, entry: &IndexEntry) -> io::Result<()> {
-        self.append_line(&format!("put {} {} {}", entry.key, entry.digest, entry.len))
+        self.log.append(&Self::put_line(entry))
     }
 
     /// Record that `key` is gone (evicted or poisoned).
     pub fn append_del(&self, key: CacheKey) -> io::Result<()> {
-        self.append_line(&format!("del {key}"))
+        self.log.append(&format!("del {key}"))
     }
 
     /// Current size of the log file in bytes (0 when it does not exist
     /// yet). Drives threshold-triggered compaction.
     pub fn size_bytes(&self) -> io::Result<u64> {
-        match std::fs::metadata(&self.path) {
-            Ok(m) => Ok(m.len()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
-            Err(e) => Err(e),
-        }
+        self.log.size_bytes()
     }
 
-    /// Atomically replace the log with exactly `entries` (in the given
-    /// order, which becomes the replay/recency order): the compacted file
-    /// is staged beside the log, synced, then renamed over it, so a crash
-    /// at any point leaves either the old log or the new one — never a
-    /// mixture. Superseded `put`s and all `del`s vanish.
+    /// Atomically (staged, synced, renamed) replace the log with exactly
+    /// `entries`, in the given order, which becomes the replay/recency
+    /// order. Superseded `put`s and all `del`s vanish.
     pub fn rewrite(&self, entries: &[IndexEntry]) -> io::Result<()> {
-        let tmp = self.path.with_extension("compact");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            let mut buf = String::with_capacity(64 * (entries.len() + 1));
-            buf.push_str(INDEX_HEADER);
-            buf.push('\n');
-            for e in entries {
-                buf.push_str(&format!("put {} {} {}\n", e.key, e.digest, e.len));
-            }
-            f.write_all(buf.as_bytes())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)
+        self.log.stage(entries.iter().map(Self::put_line))?;
+        self.log.commit()
     }
 
-    /// One write call per record keeps a torn append detectable as a
-    /// missing trailing newline; a pre-existing torn fragment is sealed
-    /// first so it cannot merge with this record.
-    fn append_line(&self, line: &str) -> io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        if f.metadata()?.len() == 0 {
-            f.write_all(format!("{INDEX_HEADER}\n").as_bytes())?;
-        } else {
-            use std::io::{Read, Seek, SeekFrom};
-            f.seek(SeekFrom::End(-1))?;
-            let mut last = [0u8; 1];
-            f.read_exact(&mut last)?;
-            if last[0] != b'\n' {
-                f.write_all(b"\n")?;
-            }
-        }
-        f.write_all(format!("{line}\n").as_bytes())?;
-        f.sync_data()
+    fn put_line(entry: &IndexEntry) -> String {
+        format!("put {} {} {}", entry.key, entry.digest, entry.len)
     }
 }
 
@@ -200,6 +138,7 @@ enum Record {
 mod tests {
     use super::*;
     use crate::digest::digest_bytes;
+    use std::io::Write;
 
     fn tmpfile(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("cache_index_test_{}", std::process::id()));
@@ -313,5 +252,42 @@ mod tests {
             .unwrap();
         drop(f);
         assert_eq!(idx.load().unwrap(), vec![a]);
+    }
+
+    #[test]
+    fn log_bytes_of_the_previous_format_load_append_and_rewrite_unchanged() {
+        // A log exactly as the pre-`LineLog` code wrote it (torn tail
+        // included): it must load, and appends and rewrites must keep
+        // producing the same bytes under the same file names.
+        let idx = Index::new(tmpfile("fixture.idx"));
+        let (k1, k2, k3) = (
+            "0".repeat(31) + "1",
+            "0".repeat(31) + "2",
+            "0".repeat(31) + "3",
+        );
+        let d = "f".repeat(32);
+        let fixture =
+            format!("hacc-artifact-cache v1\nput {k1} {d} 5\nput {k2} {d} 7\ndel {k1}\nput 00");
+        std::fs::write(idx.path(), &fixture).unwrap();
+        let e = |k: u128, len| IndexEntry {
+            key: CacheKey(Digest(k)),
+            digest: Digest(u128::MAX),
+            len,
+        };
+        assert_eq!(idx.load().unwrap(), vec![e(2, 7)]);
+        idx.append_put(&e(3, 9)).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(idx.path()).unwrap(),
+            format!("{fixture}\nput {k3} {d} 9\n"),
+            "append seals the torn tail, then one line"
+        );
+        let staging = idx.path().with_file_name("fixture.compact");
+        std::fs::write(&staging, "stale").unwrap();
+        idx.rewrite(&idx.load().unwrap()).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(idx.path()).unwrap(),
+            format!("hacc-artifact-cache v1\nput {k2} {d} 7\nput {k3} {d} 9\n")
+        );
+        assert!(!staging.exists(), "rewrite stages at <stem>.compact");
     }
 }

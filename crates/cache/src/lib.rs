@@ -15,9 +15,9 @@
 //! * [`CacheKey::compose`] — `(operation, input digest, fingerprint)` in one
 //!   128-bit key.
 //! * [`ArtifactCache`] — the store: objects at `objects/<digest>` written
-//!   tmp+rename and deduplicated by digest; a `put`/`del` index log that
-//!   survives crash/restart with the same torn-append-healing discipline as
-//!   `core::journal` and self-compacts once it bloats past a threshold;
+//!   tmp+rename and deduplicated by digest; a `put`/`del` index log over
+//!   the durable [`LineLog`] (torn-append healing, staged rewrites; shared
+//!   with `core::journal`) that self-compacts past a size threshold;
 //!   verify-on-lookup so a poisoned or torn entry degrades to a recompute,
 //!   never a wrong catalog; LRU byte-budget eviction driven by an ordered
 //!   recency structure (an eviction storm is O(k log n)); a metadata-level
@@ -39,15 +39,17 @@
 
 mod digest;
 mod index;
+mod linelog;
 mod router;
 mod shard;
 mod store;
 
 pub use digest::{digest_bytes, CacheKey, Digest, Fingerprint, FingerprintBuilder, Hasher};
 pub use index::{Index, IndexEntry, INDEX_HEADER};
+pub use linelog::LineLog;
 pub use router::ShardRouter;
 pub use shard::{
-    DistStats, DistributedConfig, DistributedStore, MaintenanceHandle, RemoteFetchModel,
-    SITE_FETCH_REMOTE, SITE_REPLICATE,
+    DistStats, DistributedConfig, DistributedStore, RemoteFetchModel, SITE_FETCH_REMOTE,
+    SITE_REPLICATE,
 };
 pub use store::{ArtifactCache, CacheStats};

@@ -37,8 +37,6 @@ use crate::store::{ArtifactCache, CacheStats};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// Fault site polled once per secondary replica write.
 pub const SITE_REPLICATE: &str = "cache.replicate";
@@ -343,16 +341,21 @@ impl DistributedStore {
             // Secondary replica: degrade on trouble, never fail the insert.
             match faults::fault_point!("cache.replicate") {
                 Some(faults::FaultKind::Transient) => {
+                    telemetry::instant!("faults", "cache.replicate", 0);
                     self.replica_skips.fetch_add(1, Ordering::Relaxed);
                     telemetry::count!("store", "replica_skips", 1);
                     continue;
                 }
                 Some(faults::FaultKind::Crash) => {
                     // The target node dies mid-replication.
+                    telemetry::instant!("faults", "cache.replicate", 1);
                     self.fault_kill(node);
                     continue;
                 }
-                Some(faults::FaultKind::Stall(d)) => std::thread::sleep(d),
+                Some(faults::FaultKind::Stall(d)) => {
+                    telemetry::instant!("faults", "cache.replicate", 2);
+                    std::thread::sleep(d);
+                }
                 None => {}
             }
             match self.shards[node].cache.insert(key, payload) {
@@ -392,15 +395,20 @@ impl DistributedStore {
                     Some(faults::FaultKind::Transient) => {
                         // Link hiccup: this replica is unreachable for this
                         // fetch; try the next one.
+                        telemetry::instant!("faults", "cache.fetch.remote", 0);
                         telemetry::count!("store", "fetch_faults", 1);
                         continue;
                     }
                     Some(faults::FaultKind::Crash) => {
                         // The remote node dies; route around it.
+                        telemetry::instant!("faults", "cache.fetch.remote", 1);
                         self.fault_kill(node);
                         continue;
                     }
-                    Some(faults::FaultKind::Stall(d)) => std::thread::sleep(d),
+                    Some(faults::FaultKind::Stall(d)) => {
+                        telemetry::instant!("faults", "cache.fetch.remote", 2);
+                        std::thread::sleep(d);
+                    }
                     None => {}
                 }
             }
@@ -480,72 +488,6 @@ impl DistributedStore {
             }
         }
         Ok(restored)
-    }
-
-    /// Compact every live shard's index log now. Returns total bytes
-    /// reclaimed. (Shards also self-compact amortised via
-    /// `index_compact_bytes`; this is the explicit/background entry point.)
-    pub fn compact(&self) -> io::Result<u64> {
-        let mut reclaimed = 0;
-        for shard in &self.shards {
-            if shard.alive.load(Ordering::Relaxed) {
-                reclaimed += shard.cache.compact_index()?;
-            }
-        }
-        Ok(reclaimed)
-    }
-
-    /// Total compactions across shards (threshold-triggered + explicit).
-    pub fn compactions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.cache.stats().compactions)
-            .sum()
-    }
-
-    /// Spawn the background maintenance thread: every `interval` it
-    /// compacts shard indexes (and heals replication when `heal` is set).
-    /// The thread stops when the returned handle drops.
-    pub fn spawn_maintenance(
-        self: &Arc<Self>,
-        interval: Duration,
-        heal: bool,
-    ) -> MaintenanceHandle {
-        let store = Arc::clone(self);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
-                let _ = store.compact();
-                if heal {
-                    let _ = store.heal();
-                }
-            }
-        });
-        MaintenanceHandle {
-            stop,
-            thread: Some(thread),
-        }
-    }
-}
-
-/// Stops the background maintenance thread when dropped.
-#[derive(Debug)]
-pub struct MaintenanceHandle {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for MaintenanceHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -717,27 +659,5 @@ mod tests {
             (1, 0, 0)
         );
         assert_eq!(s.remote_seconds(), 0.0);
-    }
-
-    #[test]
-    fn maintenance_thread_compacts_in_the_background() {
-        let mut c = cfg(2, 1);
-        c.index_compact_bytes = None; // no amortised compaction—only the thread
-        let s = Arc::new(DistributedStore::open(tmpdir("maint"), c).unwrap());
-        for i in 0..60 {
-            s.insert(key("churn"), format!("payload {i}").as_bytes())
-                .unwrap();
-        }
-        let bloated = (0..2).map(|k| s.shard(k).index_bytes()).sum::<u64>();
-        let handle = s.spawn_maintenance(Duration::from_millis(20), false);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while s.compactions() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        drop(handle);
-        assert!(s.compactions() > 0, "maintenance thread never compacted");
-        let after = (0..2).map(|k| s.shard(k).index_bytes()).sum::<u64>();
-        assert!(after < bloated, "compaction did not shrink the index logs");
-        assert_eq!(s.lookup(key("churn")).as_deref(), Some(&b"payload 59"[..]));
     }
 }

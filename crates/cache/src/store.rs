@@ -60,6 +60,9 @@ struct State {
     recency: BTreeSet<(u64, u128)>,
     total_bytes: u64,
     next_seq: u64,
+    /// Index log size right after the previous rewrite (0 before the
+    /// first); the next one is due only once the log has doubled from here.
+    compacted_bytes: u64,
 }
 
 impl State {
@@ -285,15 +288,20 @@ impl ArtifactCache {
             Some(faults::FaultKind::Transient) => {
                 // A transient read error: this lookup misses, the entry
                 // survives for the next one.
+                telemetry::instant!("faults", "cache.read", 0);
                 return self.miss();
             }
             Some(faults::FaultKind::Crash) => {
                 // The object is gone for good (disk corruption, a purged
                 // scratch filesystem): poison the entry.
+                telemetry::instant!("faults", "cache.read", 1);
                 self.remove_entry(&mut state, key);
                 return self.miss();
             }
-            Some(faults::FaultKind::Stall(d)) => std::thread::sleep(d),
+            Some(faults::FaultKind::Stall(d)) => {
+                telemetry::instant!("faults", "cache.read", 2);
+                std::thread::sleep(d);
+            }
             None => {}
         }
         let payload = match std::fs::read(self.object_path(entry.digest)) {
@@ -304,8 +312,14 @@ impl ArtifactCache {
             }
         };
         let verify_start = Instant::now();
-        let forced_fail = faults::fault_point!("cache.verify").is_some();
-        let ok = !forced_fail
+        let forced_fail = faults::fault_point!("cache.verify");
+        match forced_fail {
+            Some(faults::FaultKind::Transient) => telemetry::instant!("faults", "cache.verify", 0),
+            Some(faults::FaultKind::Crash) => telemetry::instant!("faults", "cache.verify", 1),
+            Some(faults::FaultKind::Stall(_)) => telemetry::instant!("faults", "cache.verify", 2),
+            None => {}
+        }
+        let ok = forced_fail.is_none()
             && payload.len() as u64 == entry.len
             && digest_bytes(&payload) == entry.digest;
         telemetry::observe!(
@@ -444,7 +458,10 @@ impl ArtifactCache {
     /// The live entries in recency order (least recent first) — lets a
     /// sharded wrapper enumerate a node's holdings for re-replication.
     pub fn live_entries(&self) -> Vec<IndexEntry> {
-        let state = self.state.lock();
+        Self::live_locked(&self.state.lock())
+    }
+
+    fn live_locked(state: &State) -> Vec<IndexEntry> {
         state
             .recency
             .iter()
@@ -468,36 +485,27 @@ impl ArtifactCache {
     /// preserved), reclaiming space taken by `del`s and superseded `put`s.
     /// Returns bytes reclaimed. Crash-safe: staged and renamed atomically.
     pub fn compact_index(&self) -> io::Result<u64> {
-        let mut state = self.state.lock();
-        self.compact_locked(&mut state)
+        self.compact_locked(&mut self.state.lock())
     }
 
     fn compact_locked(&self, state: &mut State) -> io::Result<u64> {
         let before = self.index.size_bytes()?;
-        let entries: Vec<IndexEntry> = state
-            .recency
-            .iter()
-            .map(|&(_, k)| {
-                let e = &state.entries[&k];
-                IndexEntry {
-                    key: CacheKey(Digest(k)),
-                    digest: e.digest,
-                    len: e.len,
-                }
-            })
-            .collect();
-        self.index.rewrite(&entries)?;
+        self.index.rewrite(&Self::live_locked(state))?;
         self.compactions.fetch_add(1, Ordering::Relaxed);
         telemetry::count!("cache", "compactions", 1);
-        let after = self.index.size_bytes()?;
-        Ok(before.saturating_sub(after))
+        state.compacted_bytes = self.index.size_bytes()?;
+        Ok(before.saturating_sub(state.compacted_bytes))
     }
 
-    /// Threshold-triggered compaction after an insert; failures are
+    /// Threshold-triggered compaction after an insert, due when the log
+    /// exceeds the limit *and* has at least doubled since the previous
+    /// rewrite: a live set larger than the limit then costs O(log n)
+    /// rewrites over n inserts instead of one per insert. Failures are
     /// swallowed (the append-only log is still valid, just long).
     fn maybe_compact(&self, state: &mut State) {
         if let Some(limit) = self.index_compact_bytes {
-            if self.index.size_bytes().unwrap_or(0) > limit {
+            let size = self.index_bytes();
+            if size > limit && size >= 2 * state.compacted_bytes {
                 let _ = self.compact_locked(state);
             }
         }
@@ -795,6 +803,31 @@ mod tests {
         assert!(reclaimed > 0);
         assert_eq!(c.index_bytes(), before - reclaimed);
         assert_eq!(c.lookup(key("churn")).as_deref(), Some(&b"payload 49"[..]));
+    }
+
+    #[test]
+    fn live_set_over_the_limit_compacts_logarithmically() {
+        // Regression: once the live entries alone exceeded the limit, every
+        // insert rewrote the whole index (a rewrite cannot shrink the log
+        // below its live size), so a resident service slowed linearly.
+        let dir = tmpdir("compact_log");
+        let c = ArtifactCache::open(&dir, None)
+            .unwrap()
+            .with_index_compact_bytes(2_000);
+        for i in 0..200u32 {
+            c.insert(key(&format!("distinct{i}")), format!("p{i}").as_bytes())
+                .unwrap();
+        }
+        let compactions = c.stats().compactions;
+        assert!(
+            (1..=8).contains(&compactions),
+            "200 inserts over a 2 000-byte limit took {compactions} rewrites"
+        );
+        let live = c.live_entries();
+        assert_eq!(live.len(), 200);
+        drop(c);
+        let c = ArtifactCache::open(&dir, None).unwrap();
+        assert_eq!(c.live_entries(), live, "reopen replays the same live set");
     }
 
     #[test]

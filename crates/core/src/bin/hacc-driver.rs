@@ -34,12 +34,6 @@ fn main() -> ExitCode {
     // table on stdout.
     let trace_out = opt(rest, "--trace");
     let guard = trace_out.as_ref().map(|_| {
-        if !telemetry::COMPILED_WITH_RECORDING {
-            eprintln!(
-                "warning: built without the `recording` feature; \
-                 the trace will be empty (rebuild with `--features recording`)"
-            );
-        }
         telemetry::install(std::sync::Arc::new(telemetry::Recorder::new(
             telemetry::Clock::Wall,
         )))
@@ -83,8 +77,7 @@ const USAGE: &str = "usage:
   hacc-driver experiments [table1|table2|table3|fig3|fig4|qcontinuum|all]
   hacc-driver trace-check <trace.json>
 options (any command):
-  --trace <file>   export a Chrome trace-event JSON of the run
-                   (build with `--features recording` to capture events)";
+  --trace <file>   record the run and export a Chrome trace-event JSON";
 
 /// Pull `--key value` from an argument list.
 fn opt(args: &[String], key: &str) -> Option<String> {

@@ -7,17 +7,21 @@
 //! set: one header line, then one absolute path per line, appended after
 //! each successful submission.
 //!
-//! Torn writes are tolerated by construction: an entry is a single
-//! `write` of `path + "\n"`, and [`Journal::load`] drops a trailing chunk
-//! with no newline terminator. A torn entry therefore reverts to
+//! The journal is a typed view over [`cache::LineLog`], which owns the
+//! durability discipline (the cache index sits on the same log). Torn
+//! writes are tolerated by construction: an entry is a single `write` of
+//! `path + "\n"`, and [`Journal::load`] drops a trailing chunk with no
+//! newline terminator; the next append seals such a fragment, which then
+//! reads back as a bogus path no output file matches. A torn entry reverts to
 //! "unhandled" — the restarted listener submits that file again, which is
 //! the safe direction only when the fault model's crash points sit *between*
 //! per-file handling units (see DESIGN.md "Fault model"); within this repo's
 //! injected crashes the submit+append pair is never split, so replay yields
 //! the same handled-file set with no duplicates.
 
+use cache::LineLog;
 use std::collections::BTreeSet;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// First line of every journal file; guards against feeding the listener an
@@ -27,47 +31,34 @@ pub const JOURNAL_HEADER: &str = "hacc-listener-journal v1";
 /// Append-only handled-file journal at a fixed path.
 #[derive(Debug, Clone)]
 pub struct Journal {
-    path: PathBuf,
+    log: LineLog,
 }
 
 impl Journal {
     /// A journal stored at `path` (created on first append).
     pub fn new(path: PathBuf) -> Self {
-        Journal { path }
+        let mut staging = path.clone().into_os_string();
+        staging.push(".tmp");
+        Journal {
+            log: LineLog::new(path, JOURNAL_HEADER, PathBuf::from(staging)),
+        }
     }
 
     /// The backing file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Read the handled-file set back. A missing file is an empty set; a
     /// file with the wrong header is an error; an incomplete (torn) final
     /// line is dropped.
     pub fn load(&self) -> io::Result<BTreeSet<PathBuf>> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(BTreeSet::new()),
-            Err(e) => return Err(e),
-        };
-        let text = String::from_utf8_lossy(&bytes);
-        let mut lines = text.split_inclusive('\n');
-        match lines.next() {
-            None => return Ok(BTreeSet::new()),
-            Some(header) if header.trim_end_matches('\n') == JOURNAL_HEADER => {}
-            Some(other) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("not a listener journal (header {:?})", other.trim_end()),
-                ));
-            }
-        }
-        Ok(lines
-            // A chunk without its trailing newline is a torn append: the
-            // entry never committed.
-            .filter(|l| l.ends_with('\n'))
-            .map(|l| PathBuf::from(l.trim_end_matches('\n')))
-            .filter(|p| !p.as_os_str().is_empty())
+        Ok(self
+            .log
+            .lines()?
+            .into_iter()
+            .filter(|l| !l.is_empty())
+            .map(PathBuf::from)
             .collect())
     }
 
@@ -75,54 +66,18 @@ impl Journal {
     /// use. The entry must not contain a newline — the journal is
     /// line-oriented.
     pub fn append(&self, entry: &Path) -> io::Result<()> {
-        let line = entry.to_string_lossy();
-        if line.contains('\n') {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "journal entries must not contain newlines",
-            ));
-        }
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&self.path)?;
-        if f.metadata()?.len() == 0 {
-            f.write_all(format!("{JOURNAL_HEADER}\n").as_bytes())?;
-        } else {
-            // A torn append from a previous crash left bytes with no
-            // newline; terminate them so the fragment cannot corrupt this
-            // (good) entry by concatenation. The fragment then reads back as
-            // a bogus path no output file matches.
-            use std::io::{Read, Seek, SeekFrom};
-            f.seek(SeekFrom::End(-1))?;
-            let mut last = [0u8; 1];
-            f.read_exact(&mut last)?;
-            if last[0] != b'\n' {
-                f.write_all(b"\n")?;
-            }
-        }
-        // One write call per entry keeps a torn append detectable as a
-        // missing trailing newline.
-        f.write_all(format!("{line}\n").as_bytes())?;
-        f.sync_data()
+        self.log.append(&entry.to_string_lossy())
     }
 
     /// Current size of the backing file in bytes (0 when it does not exist).
     /// Compaction triggers compare against this.
     pub fn size_bytes(&self) -> io::Result<u64> {
-        match std::fs::metadata(&self.path) {
-            Ok(m) => Ok(m.len()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
-            Err(e) => Err(e),
-        }
+        self.log.size_bytes()
     }
 
     /// The staging path used by [`Journal::rewrite`]: `<path>.tmp`.
     pub fn staging_path(&self) -> PathBuf {
-        let mut os = self.path.clone().into_os_string();
-        os.push(".tmp");
-        PathBuf::from(os)
+        self.log.staging_path().to_path_buf()
     }
 
     /// Stage a full journal (header + `entries`) into [`staging_path`]
@@ -132,24 +87,7 @@ impl Journal {
     ///
     /// [`staging_path`]: Journal::staging_path
     pub fn stage(&self, entries: &BTreeSet<PathBuf>) -> io::Result<()> {
-        let mut buf = String::with_capacity(64 * (entries.len() + 1));
-        buf.push_str(JOURNAL_HEADER);
-        buf.push('\n');
-        for entry in entries {
-            let line = entry.to_string_lossy();
-            if line.contains('\n') {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "journal entries must not contain newlines",
-                ));
-            }
-            buf.push_str(&line);
-            buf.push('\n');
-        }
-        let staging = self.staging_path();
-        let mut f = std::fs::File::create(&staging)?;
-        f.write_all(buf.as_bytes())?;
-        f.sync_data()
+        self.log.stage(entries.iter().map(|e| e.to_string_lossy()))
     }
 
     /// Publish a previously [`stage`]d journal over the live file via an
@@ -157,7 +95,7 @@ impl Journal {
     ///
     /// [`stage`]: Journal::stage
     pub fn commit_staged(&self) -> io::Result<()> {
-        std::fs::rename(self.staging_path(), &self.path)
+        self.log.commit()
     }
 
     /// Atomically replace the journal with exactly `entries` (plus the
@@ -204,6 +142,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn tmpfile(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("journal_test_{}", std::process::id()));
@@ -363,5 +302,33 @@ mod tests {
         j.stage(&keep).unwrap();
         j.commit_staged().unwrap();
         assert_eq!(j.load().unwrap(), keep);
+    }
+
+    #[test]
+    fn journal_bytes_of_the_previous_format_load_append_and_rewrite_unchanged() {
+        // A journal exactly as the pre-`LineLog` code wrote it (torn tail
+        // included): it must load, and appends and rewrites must keep
+        // producing the same bytes under the same file names.
+        let j = Journal::new(tmpfile("fixture.journal"));
+        let fixture = "hacc-listener-journal v1\n/out/b.hcio\n/out/a.hcio\n/out/c.hc";
+        std::fs::write(j.path(), fixture).unwrap();
+        let set = j.load().unwrap();
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            [Path::new("/out/a.hcio"), Path::new("/out/b.hcio")]
+        );
+        j.append(Path::new("/out/d.hcio")).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(j.path()).unwrap(),
+            format!("{fixture}\n/out/d.hcio\n"),
+            "append seals the torn tail, then one line"
+        );
+        assert!(j.staging_path().ends_with("fixture.journal.tmp"));
+        j.rewrite(&set).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(j.path()).unwrap(),
+            "hacc-listener-journal v1\n/out/a.hcio\n/out/b.hcio\n"
+        );
+        assert!(!j.staging_path().exists());
     }
 }

@@ -10,13 +10,12 @@
 //! truncate. Two guards address this:
 //!
 //! * **quiescence gate** — a new file is submitted only once its size is
-//!   unchanged across two consecutive polls ([`ListenerConfig::require_quiescence`]);
-//!   the final sweep at [`Listener::stop`] applies the same gate (with
-//!   faster re-polls, bounded by [`ListenerConfig::stop_grace`]), so a file
-//!   still being written at stop time is never submitted truncated;
+//!   unchanged across two consecutive polls; the final sweep at
+//!   [`Listener::stop`] applies the same gate (with faster re-polls, bounded
+//!   by [`ListenerConfig::stop_grace`]), so a file still being written at
+//!   stop time is never submitted truncated;
 //! * **temporary exclusion** — writers that stage through `foo.tmp` + rename
-//!   are supported by skipping names with a configured suffix outright
-//!   ([`ListenerConfig::exclude_suffix`]).
+//!   are supported by skipping names ending in `.tmp` outright.
 //!
 //! On a real facility the listener itself fails: submissions bounce,
 //! directory scans hit filesystem hiccups, and the listener process gets
@@ -55,6 +54,11 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
+/// Names ending with this suffix are never reacted to, even when they match
+/// `prefix`/`suffix` — covers writers that stage output through a temporary
+/// name before an atomic rename.
+const EXCLUDE_SUFFIX: &str = ".tmp";
+
 /// Listener configuration.
 #[derive(Debug, Clone)]
 pub struct ListenerConfig {
@@ -65,14 +69,6 @@ pub struct ListenerConfig {
     pub prefix: String,
     /// …and ends with this suffix.
     pub suffix: String,
-    /// Never react to names ending with this suffix, even when they match
-    /// `prefix`/`suffix` — covers writers that stage output through a
-    /// temporary name before an atomic rename. `None` disables the filter.
-    pub exclude_suffix: Option<String>,
-    /// Submit a newly appeared file only after its size is unchanged across
-    /// two consecutive polls, so in-progress writes are never picked up.
-    /// [`Listener::stop`]'s final sweep honors the same gate.
-    pub require_quiescence: bool,
     /// Backoff policy for transient submit/journal failures.
     pub retry: BackoffPolicy,
     /// Persisted handled-file set: preloaded on spawn, appended after every
@@ -124,8 +120,6 @@ impl Default for ListenerConfig {
             poll_interval: Duration::from_millis(20),
             prefix: String::new(),
             suffix: String::new(),
-            exclude_suffix: Some(".tmp".to_string()),
-            require_quiescence: true,
             retry: BackoffPolicy {
                 base_seconds: 0.005,
                 factor: 2.0,
@@ -212,11 +206,7 @@ pub(crate) fn matching_files(dir: &Path, cfg: &ListenerConfig) -> Vec<PathBuf> {
                 .map(|n| {
                     n.starts_with(&cfg.prefix)
                         && n.ends_with(&cfg.suffix)
-                        && cfg
-                            .exclude_suffix
-                            .as_deref()
-                            .map(|x| !n.ends_with(x))
-                            .unwrap_or(true)
+                        && !n.ends_with(EXCLUDE_SUFFIX)
                 })
                 .unwrap_or(false)
         })
@@ -380,11 +370,13 @@ where
         if state.lock().is_handled(f) {
             continue;
         }
-        if cfg.require_quiescence {
-            let Ok(meta) = std::fs::metadata(f) else {
-                continue; // raced with a writer's rename/delete
-            };
-            let size = meta.len();
+        // Quiescence gate: submit only once the size is unchanged across
+        // two consecutive polls, so in-progress writes are never picked up.
+        let Ok(meta) = std::fs::metadata(f) else {
+            continue; // raced with a writer's rename/delete
+        };
+        let size = meta.len();
+        {
             let mut st = state.lock();
             if st.pending.get(f) != Some(&size) {
                 // First sighting, or still growing: wait for a poll where

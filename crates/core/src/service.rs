@@ -914,7 +914,10 @@ fn analyze_bytes(
             inner.died.store(true, Ordering::SeqCst);
             return Err(SubmitError(format!("{site}: crashed by fault injection")));
         }
-        Some(FaultKind::Stall(d)) => std::thread::sleep(d),
+        Some(FaultKind::Stall(d)) => {
+            telemetry::instant!("faults", "service.analysis", 2);
+            std::thread::sleep(d);
+        }
         Some(FaultKind::Transient) => {
             telemetry::instant!("faults", "service.analysis", 0);
             return Err(SubmitError(format!("{site}: transient analysis failure")));
@@ -1024,7 +1027,10 @@ fn run_emitter(inner: Arc<Inner>, c: Arc<CampaignState>) {
                     inner.died.store(true, Ordering::SeqCst);
                     return;
                 }
-                Some(FaultKind::Stall(d)) => std::thread::sleep(d),
+                Some(FaultKind::Stall(d)) => {
+                    telemetry::instant!("faults", "service.emit", 2);
+                    std::thread::sleep(d);
+                }
                 Some(FaultKind::Transient) => {
                     telemetry::instant!("faults", "service.emit", 0);
                     let _ = std::fs::remove_file(&tmp);
@@ -1076,7 +1082,10 @@ fn stream_emitter(inner: &Inner, c: &CampaignState) {
                         inner.died.store(true, Ordering::SeqCst);
                         return;
                     }
-                    Some(FaultKind::Stall(d)) => std::thread::sleep(d),
+                    Some(FaultKind::Stall(d)) => {
+                        telemetry::instant!("faults", "service.emit", 2);
+                        std::thread::sleep(d);
+                    }
                     Some(FaultKind::Transient) => {
                         telemetry::instant!("faults", "service.emit", 0);
                         std::thread::sleep(Duration::from_millis(1));

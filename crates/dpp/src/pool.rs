@@ -22,8 +22,8 @@
 //! (dispatches, chunk claims by workers vs. the caller, worker wake-ups,
 //! cumulative dispatch wall time) expose the dispatch layer's behavior to the
 //! instrumentation and the benches: each dispatch also feeds the `dpp`
-//! telemetry counters (`dispatches`, `dispatch_nanos`) when recording is
-//! armed, and the workflow runner folds the per-run dispatch totals into its
+//! telemetry counters (`dispatches`, `dispatch_nanos`) while a recorder is
+//! installed, and the workflow runner folds the per-run dispatch totals into its
 //! measured cost accounting (`WorkflowRun::dispatch_overhead_seconds`), so
 //! the cost model's analysis phase sees real dispatch overhead.
 //!

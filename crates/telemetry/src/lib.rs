@@ -5,16 +5,14 @@
 //! in Perfetto / `chrome://tracing`), Prometheus-style text metrics, and a
 //! human-readable per-phase summary table.
 //!
-//! # Feature gating (the `faults` pattern)
+//! # Arming (the `faults` rule)
 //!
-//! The [`span!`]/[`count!`]/[`observe!`]/[`instant!`] macros compile to
-//! no-ops unless the `recording` feature is enabled, so instrumented hot
-//! paths (the dpp dispatch path most of all) carry zero overhead by default.
-//! With the feature on, every record is one relaxed atomic load when no
-//! recorder is installed. The library API itself — [`Recorder`],
-//! [`install`], [`Histogram`], the exporters, and the [`json`] parser — is
-//! always compiled, so exporter tests and the examples' summary tables work
-//! in every build.
+//! There is one build. An event is recorded iff a [`Recorder`] is
+//! [`install`]ed: with none installed, every [`span!`]/[`count!`]/
+//! [`observe!`]/[`instant!`] site is one inlined relaxed atomic load and a
+//! branch (the same disarmed check `faults::poll` makes, measured at ~1 ns),
+//! and the recording body stays out of line. Instrumented sites are per
+//! dispatch, per message, per job or per file — never per particle.
 //!
 //! # Determinism
 //!
@@ -257,8 +255,7 @@ impl Recorder {
 
 // ------------------------------------------------------------ global state
 
-/// Fast-path switch: true while a recorder is installed (and, implicitly,
-/// the `recording` feature compiled the macros to something real).
+/// Fast-path switch: true while a recorder is installed.
 static ARMED: AtomicBool = AtomicBool::new(false);
 /// Bumped on every install/uninstall so thread-local lane caches detect
 /// recorder turnover.
@@ -314,12 +311,6 @@ pub fn install(recorder: Arc<Recorder>) -> RecorderGuard {
 pub fn is_armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
-
-/// Whether this build compiled the recording macros in. When `false`, the
-/// `span!`/`count!`/`observe!`/`instant!` call sites are no-ops and an
-/// installed recorder sees only explicitly recorded events — callers use
-/// this to warn that a requested trace will come out empty.
-pub const COMPILED_WITH_RECORDING: bool = cfg!(feature = "recording");
 
 // -------------------------------------------------------- event dimension
 
@@ -429,153 +420,128 @@ struct ActiveSpan {
     name: &'static str,
 }
 
-impl SpanHandle {
-    /// A handle that records nothing (what the disabled macros return).
-    pub const fn disabled() -> Self {
-        SpanHandle(None)
+impl Drop for SpanHandle {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(active) = self.0.take() {
+            close_span(active);
+        }
     }
 }
 
-impl Drop for SpanHandle {
-    fn drop(&mut self) {
-        let Some(active) = self.0.take() else { return };
-        if !ARMED.load(Ordering::Relaxed) {
+/// Push one event stamped with this thread's lane and dimension.
+fn push(
+    rec: &Recorder,
+    ctx: &ThreadCtx,
+    layer: &'static str,
+    name: &'static str,
+    ts: u64,
+    kind: EventKind,
+) {
+    ctx.lane.push(
+        Event {
+            layer,
+            name,
+            ts,
+            lane: ctx.lane.id,
+            dim: current_dim(),
+            kind,
+        },
+        &rec.sink,
+    );
+}
+
+#[inline(never)]
+fn close_span(active: ActiveSpan) {
+    if !ARMED.load(Ordering::Relaxed) {
+        return;
+    }
+    with_ctx(|rec, ctx| {
+        if ctx.generation != active.generation {
             return;
         }
-        with_ctx(|rec, ctx| {
-            if ctx.generation != active.generation {
-                return;
-            }
-            if let Some(pos) = ctx.span_stack.iter().rposition(|&s| s == active.id) {
-                ctx.span_stack.truncate(pos);
-            }
-            ctx.lane.push(
-                Event {
-                    layer: active.layer,
-                    name: active.name,
-                    ts: rec.now(),
-                    lane: ctx.lane.id,
-                    dim: current_dim(),
-                    kind: EventKind::SpanEnd { id: active.id },
-                },
-                &rec.sink,
-            );
-        });
-    }
+        if let Some(pos) = ctx.span_stack.iter().rposition(|&s| s == active.id) {
+            ctx.span_stack.truncate(pos);
+        }
+        let kind = EventKind::SpanEnd { id: active.id };
+        push(rec, ctx, active.layer, active.name, rec.now(), kind);
+    });
 }
 
-/// Open a span. Nests under the thread's innermost open span. Returns a
-/// recording handle, or a no-op handle when no recorder is installed.
-pub fn enter_span(layer: &'static str, name: &'static str, arg: u64) -> SpanHandle {
-    if !ARMED.load(Ordering::Relaxed) {
-        return SpanHandle(None);
-    }
-    let active = with_ctx(|rec, ctx| {
+#[inline(never)]
+fn open_span(layer: &'static str, name: &'static str, arg: u64) -> SpanHandle {
+    SpanHandle(with_ctx(|rec, ctx| {
         let id = rec.next_span.fetch_add(1, Ordering::Relaxed) + 1;
         let parent = ctx.span_stack.last().copied().unwrap_or(0);
         ctx.span_stack.push(id);
-        ctx.lane.push(
-            Event {
-                layer,
-                name,
-                ts: rec.now(),
-                lane: ctx.lane.id,
-                dim: current_dim(),
-                kind: EventKind::SpanBegin { id, parent, arg },
-            },
-            &rec.sink,
-        );
+        let kind = EventKind::SpanBegin { id, parent, arg };
+        push(rec, ctx, layer, name, rec.now(), kind);
         ActiveSpan {
             id,
             generation: ctx.generation,
             layer,
             name,
         }
-    });
-    SpanHandle(active)
+    }))
 }
 
-/// Add `delta` to the counter `(layer, name)`.
-pub fn add_count(layer: &'static str, name: &'static str, delta: u64) {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
-    }
-    with_ctx(|rec, ctx| {
-        ctx.lane.push(
-            Event {
-                layer,
-                name,
-                ts: rec.now(),
-                lane: ctx.lane.id,
-                dim: current_dim(),
-                kind: EventKind::Count { delta },
-            },
-            &rec.sink,
-        );
-    });
+#[inline(never)]
+fn record(layer: &'static str, name: &'static str, kind: EventKind) {
+    with_ctx(|rec, ctx| push(rec, ctx, layer, name, rec.now(), kind));
 }
 
-/// Record `value` into the histogram `(layer, name)`.
-pub fn observe(layer: &'static str, name: &'static str, value: u64) {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
-    }
-    with_ctx(|rec, ctx| {
-        ctx.lane.push(
-            Event {
-                layer,
-                name,
-                ts: rec.now(),
-                lane: ctx.lane.id,
-                dim: current_dim(),
-                kind: EventKind::Observe { value },
-            },
-            &rec.sink,
-        );
-    });
-}
-
-/// Record a zero-duration span (an instantaneous occurrence — e.g. a fault
-/// firing — tagged with the active span as its parent).
-pub fn instant(layer: &'static str, name: &'static str, arg: u64) {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
-    }
+#[inline(never)]
+fn record_instant(layer: &'static str, name: &'static str, arg: u64) {
     with_ctx(|rec, ctx| {
         let id = rec.next_span.fetch_add(1, Ordering::Relaxed) + 1;
         let parent = ctx.span_stack.last().copied().unwrap_or(0);
         let ts = rec.now();
-        ctx.lane.push(
-            Event {
-                layer,
-                name,
-                ts,
-                lane: ctx.lane.id,
-                dim: current_dim(),
-                kind: EventKind::SpanBegin { id, parent, arg },
-            },
-            &rec.sink,
-        );
-        ctx.lane.push(
-            Event {
-                layer,
-                name,
-                ts,
-                lane: ctx.lane.id,
-                dim: current_dim(),
-                kind: EventKind::SpanEnd { id },
-            },
-            &rec.sink,
-        );
+        let begin = EventKind::SpanBegin { id, parent, arg };
+        push(rec, ctx, layer, name, ts, begin);
+        push(rec, ctx, layer, name, ts, EventKind::SpanEnd { id });
     });
+}
+
+/// Open a span. Nests under the thread's innermost open span. Returns a
+/// recording handle, or a no-op handle when no recorder is installed.
+#[inline]
+pub fn enter_span(layer: &'static str, name: &'static str, arg: u64) -> SpanHandle {
+    if !ARMED.load(Ordering::Relaxed) {
+        return SpanHandle(None);
+    }
+    open_span(layer, name, arg)
+}
+
+/// Add `delta` to the counter `(layer, name)`.
+#[inline]
+pub fn add_count(layer: &'static str, name: &'static str, delta: u64) {
+    if ARMED.load(Ordering::Relaxed) {
+        record(layer, name, EventKind::Count { delta });
+    }
+}
+
+/// Record `value` into the histogram `(layer, name)`.
+#[inline]
+pub fn observe(layer: &'static str, name: &'static str, value: u64) {
+    if ARMED.load(Ordering::Relaxed) {
+        record(layer, name, EventKind::Observe { value });
+    }
+}
+
+/// Record a zero-duration span (an instantaneous occurrence — e.g. a fault
+/// firing — tagged with the active span as its parent).
+#[inline]
+pub fn instant(layer: &'static str, name: &'static str, arg: u64) {
+    if ARMED.load(Ordering::Relaxed) {
+        record_instant(layer, name, arg);
+    }
 }
 
 // ----------------------------------------------------------------- macros
 
 /// Open a span: `span!("layer", "name")` or `span!("layer", "name", arg)`.
 /// Bind the result (`let _span = span!(…)`) — the span closes when the
-/// handle drops. Compiles to a no-op without the `recording` feature.
-#[cfg(feature = "recording")]
+/// handle drops.
 #[macro_export]
 macro_rules! span {
     ($layer:expr, $name:expr) => {
@@ -586,25 +552,7 @@ macro_rules! span {
     };
 }
 
-/// Open a span: `span!("layer", "name")` or `span!("layer", "name", arg)`.
-/// Bind the result (`let _span = span!(…)`) — the span closes when the
-/// handle drops. Compiles to a no-op without the `recording` feature.
-#[cfg(not(feature = "recording"))]
-#[macro_export]
-macro_rules! span {
-    ($layer:expr, $name:expr) => {{
-        let _ = (&$layer, &$name);
-        $crate::SpanHandle::disabled()
-    }};
-    ($layer:expr, $name:expr, $arg:expr) => {{
-        let _ = (&$layer, &$name, &$arg);
-        $crate::SpanHandle::disabled()
-    }};
-}
-
-/// Add to a counter: `count!("layer", "name", delta)`. Compiles to a no-op
-/// without the `recording` feature.
-#[cfg(feature = "recording")]
+/// Add to a counter: `count!("layer", "name", delta)`.
 #[macro_export]
 macro_rules! count {
     ($layer:expr, $name:expr, $delta:expr) => {
@@ -612,19 +560,7 @@ macro_rules! count {
     };
 }
 
-/// Add to a counter: `count!("layer", "name", delta)`. Compiles to a no-op
-/// without the `recording` feature.
-#[cfg(not(feature = "recording"))]
-#[macro_export]
-macro_rules! count {
-    ($layer:expr, $name:expr, $delta:expr) => {{
-        let _ = (&$layer, &$name, &$delta);
-    }};
-}
-
 /// Record a histogram observation: `observe!("layer", "name", value)`.
-/// Compiles to a no-op without the `recording` feature.
-#[cfg(feature = "recording")]
 #[macro_export]
 macro_rules! observe {
     ($layer:expr, $name:expr, $value:expr) => {
@@ -632,34 +568,12 @@ macro_rules! observe {
     };
 }
 
-/// Record a histogram observation: `observe!("layer", "name", value)`.
-/// Compiles to a no-op without the `recording` feature.
-#[cfg(not(feature = "recording"))]
-#[macro_export]
-macro_rules! observe {
-    ($layer:expr, $name:expr, $value:expr) => {{
-        let _ = (&$layer, &$name, &$value);
-    }};
-}
-
 /// Record an instantaneous event: `instant!("layer", "name", arg)`.
-/// Compiles to a no-op without the `recording` feature.
-#[cfg(feature = "recording")]
 #[macro_export]
 macro_rules! instant {
     ($layer:expr, $name:expr, $arg:expr) => {
         $crate::instant($layer, $name, $arg as u64)
     };
-}
-
-/// Record an instantaneous event: `instant!("layer", "name", arg)`.
-/// Compiles to a no-op without the `recording` feature.
-#[cfg(not(feature = "recording"))]
-#[macro_export]
-macro_rules! instant {
-    ($layer:expr, $name:expr, $arg:expr) => {{
-        let _ = (&$layer, &$name, &$arg);
-    }};
 }
 
 // -------------------------------------------------------------- histogram
@@ -1359,35 +1273,18 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "recording"))]
     #[test]
-    fn macros_are_noops_without_the_feature() {
+    fn macros_record_iff_a_recorder_is_installed() {
         let _serial = INSTALL_LOCK.lock();
-        let guard = install(Arc::new(Recorder::new(Clock::Wall)));
-        {
+        let fire = || {
             let _s = span!("test", "macro_span", 1);
             count!("test", "macro_count", 2);
             observe!("test", "macro_observe", 3);
             instant!("test", "macro_instant", 4);
-        }
-        let trace = guard.finish();
-        assert!(
-            trace.events.is_empty(),
-            "disabled macros must record nothing even when armed"
-        );
-    }
-
-    #[cfg(feature = "recording")]
-    #[test]
-    fn macros_record_with_the_feature() {
-        let _serial = INSTALL_LOCK.lock();
+        };
+        fire(); // nothing installed: nothing may reach the next recorder
         let guard = install(Arc::new(Recorder::new(Clock::Wall)));
-        {
-            let _s = span!("test", "macro_span", 1);
-            count!("test", "macro_count", 2);
-            observe!("test", "macro_observe", 3);
-            instant!("test", "macro_instant", 4);
-        }
+        fire();
         let trace = guard.finish();
         assert_eq!(trace.spans().len(), 2);
         assert_eq!(trace.counters()[&("test", "macro_count")], 2);

@@ -18,11 +18,6 @@ use nbody::SimConfig;
 use simhpc::{machine, BatchSimulator, JobRequest, QueuePolicy};
 
 fn main() {
-    if !telemetry::COMPILED_WITH_RECORDING {
-        eprintln!(
-            "note: built without `--features recording`; the telemetry summary will be empty"
-        );
-    }
     let guard = telemetry::install(std::sync::Arc::new(telemetry::Recorder::new(
         telemetry::Clock::Wall,
     )));

@@ -8,11 +8,13 @@
 //!
 //! ```text
 //! cargo run --release --example workflow_compare
-//! cargo run --release --features recording --example workflow_compare -- --trace out.json
+//! cargo run --release --example workflow_compare -- --trace out.json
 //! ```
 //!
 //! With `--trace <file>` the run exports a Chrome trace-event JSON
-//! (Perfetto-loadable); the telemetry summary table prints either way.
+//! (Perfetto-loadable) and, for that run only, drops 2% of `comm.send`
+//! packets so the `faults` layer is in it; the telemetry summary table
+//! prints either way.
 
 use dpp::Threaded;
 use hacc_core::experiments::{format_table3, table3_4};
@@ -26,14 +28,19 @@ fn main() {
             .position(|a| a == "--trace")
             .and_then(|i| args.get(i + 1).cloned())
     };
-    if !telemetry::COMPILED_WITH_RECORDING {
-        eprintln!(
-            "note: built without `--features recording`; the telemetry summary will be empty"
-        );
-    }
     let guard = telemetry::install(std::sync::Arc::new(telemetry::Recorder::new(
         telemetry::Clock::Wall,
     )));
+    // Only an exported trace runs under a fault plan, so that it shows the
+    // `faults` layer beside the other six; dropped packets are retransmitted
+    // transparently (the fault is only recorded), so no result changes.
+    let _faults = trace_out.is_some().then(|| {
+        faults::install(
+            faults::FaultPlan::new(1)
+                .with_site(faults::SiteSpec::transient("comm.send", 0.02))
+                .build(),
+        )
+    });
     let backend = Threaded::with_available_parallelism();
 
     // ---------------- measured (real execution) ----------------

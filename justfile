@@ -45,10 +45,10 @@ loc:
         find $c -name '*.rs' -print0 | xargs -0 awk -v c=$c 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{printf "%7d %s\n", n, c}'; \
     done | awk '{s+=$1; print} END{printf "%7d total\n", s}'
 
-# Run the workflow comparison with telemetry armed and export a Chrome
-# trace (load trace.json in Perfetto / chrome://tracing).
+# Run the workflow comparison and export a Chrome trace (load trace.json in
+# Perfetto / chrome://tracing).
 trace-demo:
-    cargo run --release --features recording --example workflow_compare -- --trace trace.json
+    cargo run --release --example workflow_compare -- --trace trace.json
 
 # Incremental re-execution: every workflow twice against one artifact cache;
 # the warm pass must hit for everything and change no catalog byte.

@@ -1,6 +1,9 @@
-//! Armed-tracing integration test: the co-scheduled workflow plus the batch
-//! facility model run under injected faults with the telemetry recorder in
-//! logical-clock mode, and the exported Chrome trace must
+//! Tracing integration tests on the one (default) build: an event is
+//! recorded iff a recorder is installed, a fault fires iff an injector is.
+//!
+//! The co-scheduled workflow plus the batch facility model run under
+//! injected faults with the telemetry recorder in logical-clock mode, and
+//! the exported Chrome trace must
 //!
 //! 1. parse as trace-event JSON,
 //! 2. contain spans from all seven instrumented layers
@@ -10,12 +13,15 @@
 //!    canonically, so any nondeterminism in the instrumentation shows up
 //!    as a diff here).
 //!
-//! Only compiled with `--features recording`; the plan keeps faults to
-//! discrete-event sites (comm, runner, scheduler) whose hit counts replay
-//! exactly — the poll-driven `listener.*` sites stay fault-free.
-#![cfg(feature = "recording")]
+//! The plan keeps faults to discrete-event sites (comm, runner, scheduler)
+//! whose hit counts replay exactly — the poll-driven `listener.*` sites stay
+//! fault-free. Two more tests pin that recording never changes a catalog
+//! byte and that store faults leave their `faults` instants in the trace.
 
-use cache::ArtifactCache;
+use cache::{
+    digest_bytes, ArtifactCache, CacheKey, DistributedConfig, DistributedStore, FingerprintBuilder,
+    SITE_FETCH_REMOTE,
+};
 use dpp::Threaded;
 use faults::{FaultPlan, SiteSpec};
 use hacc_core::runner::{RunnerConfig, TestBed, RUNNER_FAULT_SITE};
@@ -56,14 +62,14 @@ fn tiny_cfg(name: &str) -> RunnerConfig {
     }
 }
 
-/// One armed round: co-scheduled workflow under global comm/runner faults,
-/// then the batch facility model under scheduler faults, all on a single
-/// logical-clock recorder. Returns the exported Chrome JSON.
-fn traced_round(bed: &TestBed, backend: &Threaded) -> String {
-    let recorder = telemetry::install(Arc::new(telemetry::Recorder::new(
-        telemetry::Clock::Logical,
-    )));
+const LAYERS: [&str; 7] = [
+    "cache", "comm", "dpp", "faults", "listener", "runner", "simhpc",
+];
 
+/// One chaos round: the co-scheduled workflow under global comm/runner
+/// faults, then the batch facility model under scheduler faults. Returns the
+/// workflow's encoded Level 3 catalog.
+fn chaos_round(bed: &TestBed, backend: &Threaded) -> Vec<u8> {
     // Global plan covering the discrete-event sites the workflow consults
     // internally (same shape as chaos.rs's determinism test).
     let injector = FaultPlan::new(chaos_seed())
@@ -71,14 +77,15 @@ fn traced_round(bed: &TestBed, backend: &Threaded) -> String {
         .with_site(SiteSpec::transient("comm.recv", 0.10))
         .with_site(SiteSpec::transient(RUNNER_FAULT_SITE, 0.12))
         .build();
-    {
+    let catalog = {
         let _faults = faults::install(Arc::clone(&injector));
         let run = bed.run_combined_coscheduled(backend, 4);
         assert!(!run.centers.is_empty(), "the workload must do real work");
-    }
+        cosmotools::encode_centers(&run.centers)
+    };
 
-    // The batch-facility model on the same recorder, with an explicit
-    // injector at the scheduler site: covers the `simhpc` layer.
+    // The batch-facility model with an explicit injector at the scheduler
+    // site: covers the `simhpc` layer.
     let sched = FaultPlan::new(chaos_seed())
         .with_site(SiteSpec::transient(SCHEDULER_FAULT_SITE, 0.3))
         .build();
@@ -93,7 +100,16 @@ fn traced_round(bed: &TestBed, backend: &Threaded) -> String {
         ));
     }
     let _ = sim.run_to_completion();
+    catalog
+}
 
+/// One chaos round on a single logical-clock recorder. Returns the exported
+/// Chrome JSON.
+fn traced_round(bed: &TestBed, backend: &Threaded) -> String {
+    let recorder = telemetry::install(Arc::new(telemetry::Recorder::new(
+        telemetry::Clock::Logical,
+    )));
+    chaos_round(bed, backend);
     recorder.finish().chrome_json()
 }
 
@@ -126,9 +142,7 @@ fn armed_chaos_run_exports_identical_seven_layer_traces() {
         .iter()
         .filter_map(|e| e.get("cat").and_then(|c| c.as_str()))
         .collect();
-    for layer in [
-        "cache", "comm", "dpp", "faults", "listener", "runner", "simhpc",
-    ] {
+    for layer in LAYERS {
         assert!(
             cats.contains(layer),
             "trace must carry `{layer}` spans, got {cats:?}"
@@ -139,4 +153,79 @@ fn armed_chaos_run_exports_identical_seven_layer_traces() {
         a, b,
         "same CHAOS_SEED must export byte-identical logical traces"
     );
+}
+
+#[test]
+fn recording_changes_no_catalog_byte_and_covers_every_layer() {
+    let _serial = GLOBAL_LOCK.lock();
+    let backend = Threaded::new(4);
+    let mut bed = TestBed::create(tiny_cfg("onoff"), &backend);
+    let cache_dir = bed.cfg.workdir.join("trace_cache");
+
+    bed.cfg.cache = Some(fresh_cache(&cache_dir));
+    let recorder = telemetry::install(Arc::new(telemetry::Recorder::new(telemetry::Clock::Wall)));
+    let recorded = chaos_round(&bed, &backend);
+    let trace = recorder.finish();
+
+    bed.cfg.cache = Some(fresh_cache(&cache_dir));
+    assert!(!telemetry::is_armed());
+    let unrecorded = chaos_round(&bed, &backend);
+
+    assert_eq!(
+        recorded, unrecorded,
+        "installing a recorder must not change the catalog"
+    );
+    let layers = trace.layers();
+    for layer in LAYERS {
+        assert!(
+            layers.contains(&layer),
+            "the default build must record `{layer}` events, got {layers:?}"
+        );
+    }
+}
+
+#[test]
+fn fired_store_faults_appear_as_instants() {
+    let _serial = GLOBAL_LOCK.lock();
+    let dir = std::env::temp_dir().join(format!("hacc_trace_store_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DistributedConfig {
+        nodes: 3,
+        replicas: 2,
+        ..DistributedConfig::default()
+    };
+    let store = DistributedStore::open(&dir, cfg).expect("open store");
+    let key = CacheKey::compose(
+        "trace-test",
+        digest_bytes(b"artifact"),
+        FingerprintBuilder::new().finish(),
+    );
+    store.insert(key, b"payload").expect("insert");
+
+    let recorder = telemetry::install(Arc::new(telemetry::Recorder::new(
+        telemetry::Clock::Logical,
+    )));
+    // The primary's read fails once, so the lookup falls over to the
+    // replica: a remote fetch, which stalls and then succeeds.
+    let injector = FaultPlan::new(chaos_seed())
+        .with_site(SiteSpec::transient("cache.read", 1.0).with_max_faults(1))
+        .with_site(SiteSpec::stall(
+            SITE_FETCH_REMOTE,
+            1.0,
+            std::time::Duration::from_millis(1),
+        ))
+        .build();
+    {
+        let _faults = faults::install(injector);
+        assert_eq!(store.lookup(key).as_deref(), Some(&b"payload"[..]));
+    }
+    let fired: BTreeSet<(&str, u64)> = recorder
+        .finish()
+        .spans()
+        .iter()
+        .filter(|s| s.layer == "faults")
+        .map(|s| (s.name, s.arg))
+        .collect();
+    assert!(fired.contains(&("cache.read", 0)), "got {fired:?}");
+    assert!(fired.contains(&(SITE_FETCH_REMOTE, 2)), "got {fired:?}");
 }
