@@ -4,19 +4,22 @@
 //! measurements of every SoA/column kernel (`after`) against a denominator
 //! that lives outside the product crates' hot path (`before`: the scalar
 //! references in `conformance::layout`, `fof_grid`, the generic radix
-//! engine, an inline scalar histogram), written to `BENCH_kernels.json`
+//! engine, an inline scalar histogram; for the PM solve, the per-line FFT
+//! reference and the stepper that re-solves at every kick), written to
+//! `BENCH_kernels.json`
 //! when `BENCH_KERNELS_JSON=<path>` is set (`just bench-kernels`).
 //! `BENCH_QUICK=1` trims repetitions and problem sizes for the CI
 //! regression gate (`bench_check`).
 
 use bench::{blob, snapshot_32};
 use comm::World;
-use conformance::layout::{cic_deposit_scalar_ref, potential_scalar_ref};
+use conformance::integrator::step_resolving;
+use conformance::layout::{cic_deposit_scalar_ref, fft3d_line_ref, potential_scalar_ref};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpp::{ops, Serial, Threaded};
 use fft::{Complex, Fft3d, Grid3};
 use halo::Coords;
-use nbody::ParticleSoA;
+use nbody::{ParticleSoA, SimConfig, Simulation};
 use simhpc::{machine, BatchSimulator, JobRequest, QueuePolicy};
 use std::time::Instant;
 
@@ -218,6 +221,90 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         rows.push(KernelRow {
             kernel: "mbp",
             n,
+            before_ms: before,
+            after_ms: after,
+        });
+    }
+
+    // The two PM rows run on a two-worker pool, not on `Serial`: half of
+    // what they measure is dispatch shape (one line per chunk vs blocks of
+    // lines; 2N solves vs N + 1), which a serial run cannot see, and two
+    // workers is what the workflow benchmark uses. Quick mode keeps the 64³
+    // mesh — the names carry it, and the rows take well under a second.
+    // Both rows need two free cores: with one stolen, each side runs at its
+    // serial time and the ratios read ≈ 1.2 and ≈ 1.4, which the gate takes
+    // for a regression — re-run before believing it.
+    let pool2 = Threaded::new(2);
+    // Milliseconds per call and a shared pool: more repetitions than the
+    // single-thread rows need for the minimum to settle.
+    let pm_reps = 4 * reps;
+
+    // 3-D FFT at the production mesh, forward + inverse: one gathered line
+    // per dispatched chunk (the reference) vs the in-place contiguous pass
+    // and tiled strided passes.
+    {
+        let dims = [64, 64, 64];
+        let plan = Fft3d::new(dims).unwrap();
+        let mut grid = Grid3::from_vec(
+            dims,
+            (0..dims.iter().product::<usize>())
+                .map(|i| Complex::new((i as f64 * 0.1).sin(), (i as f64 * 0.3).cos()))
+                .collect(),
+        );
+        let before = time_ms(pm_reps, || {
+            fft3d_line_ref(&pool2, &mut grid, false);
+            fft3d_line_ref(&pool2, &mut grid, true);
+        });
+        let after = time_ms(pm_reps, || {
+            plan.forward(&pool2, &mut grid).unwrap();
+            plan.inverse(&pool2, &mut grid).unwrap();
+        });
+        rows.push(KernelRow {
+            kernel: "fft3d_64",
+            n: grid.len(),
+            before_ms: before,
+            after_ms: after,
+        });
+    }
+
+    // Two consecutive 64³ leapfrog steps: every kick re-solving (the stepper
+    // before the force was carried) vs the closing kick's field reused by
+    // the next opening kick. Both simulations are one step in, so `after`
+    // starts with a carried field, as every step but a run's first does.
+    {
+        let cfg = SimConfig {
+            np: 64,
+            ng: 64,
+            nsteps: 64,
+            seed: 16,
+            ..SimConfig::default()
+        };
+        let mut resolving = Simulation::new(&pool2, cfg.clone());
+        let mut carried = Simulation::from_state(
+            cfg,
+            resolving.particles().to_vec(),
+            resolving.scale_factor(),
+            0,
+        );
+        step_resolving(&mut resolving, &pool2);
+        carried.step(&pool2);
+        let before = time_ms(pm_reps, || {
+            step_resolving(&mut resolving, &pool2);
+            step_resolving(&mut resolving, &pool2);
+        });
+        let after = time_ms(pm_reps, || {
+            carried.step(&pool2);
+            carried.step(&pool2);
+        });
+        // A finished simulation's `step` is a no-op: the timings above mean
+        // something only if neither run ran out of steps.
+        assert!(
+            !resolving.finished() && !carried.finished(),
+            "pm_step_64 ran past nsteps: raise it with the repetitions"
+        );
+        rows.push(KernelRow {
+            kernel: "pm_step_64",
+            n: carried.particles().len(),
             before_ms: before,
             after_ms: after,
         });

@@ -92,9 +92,11 @@ fn bench_measured_workflows(c: &mut Criterion) {
         post_ranks: 2,
         threshold: 200,
         min_size: 20,
-        workdir: std::env::temp_dir().join("hacc_bench_workflows"),
+        // Per process: two bench runs on one host must not share files.
+        workdir: std::env::temp_dir().join(format!("hacc_bench_workflows_{}", std::process::id())),
         ..Default::default()
     };
+    let workdir = cfg.workdir.clone();
     let bed = TestBed::create(cfg, &backend);
     let runs = Strategy::ALL.map(|strategy| bed.run(strategy, &backend));
     println!("\nmeasured Table 4 analog (local seconds):");
@@ -120,6 +122,7 @@ fn bench_measured_workflows(c: &mut Criterion) {
         });
     }
     group.finish();
+    let _ = std::fs::remove_dir_all(workdir);
 }
 
 /// Subhalo finding on the real halos of the snapshot (§4.2 measured analog).

@@ -5,18 +5,27 @@
 //! ```
 //!
 //! Validates that the JSON parses, carries the `bench-kernels-v1` schema,
-//! and covers every rewritten kernel (`cic`, `fof`, `mbp`, `radix`,
-//! `histogram`) with finite positive timings. With `--baseline`, also fails
-//! if any kernel's speedup regressed by more than 25% relative to the
-//! baseline's speedup — a machine-independent ratio, so a quick-mode CI run
-//! can be gated against the committed full-mode `BENCH_kernels.json`.
+//! and covers every rewritten kernel (`cic`, `fof`, `mbp`, `fft3d_64`,
+//! `pm_step_64`, `radix`, `histogram`) with finite positive timings. With
+//! `--baseline`, also fails if any kernel's speedup regressed by more than
+//! 25% relative to the baseline's speedup — a machine-independent ratio, so
+//! a quick-mode CI run can be gated against the committed full-mode
+//! `BENCH_kernels.json`.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use telemetry::json::{self, Value};
 
 /// Kernels the trajectory must cover.
-const REQUIRED: [&str; 5] = ["cic", "fof", "mbp", "radix", "histogram"];
+const REQUIRED: [&str; 7] = [
+    "cic",
+    "fof",
+    "mbp",
+    "fft3d_64",
+    "pm_step_64",
+    "radix",
+    "histogram",
+];
 
 /// Maximum tolerated relative speedup regression vs the baseline.
 const MAX_REGRESSION: f64 = 0.25;

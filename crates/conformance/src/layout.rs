@@ -18,6 +18,13 @@
 //! * `mbp-cols` — [`halo::potential_at`] / [`halo::mbp_brute_cols`]
 //!   (blocked lane sweep, fixed summation order) vs
 //!   [`potential_scalar_ref`] (scalar per-pair loop), every backend.
+//! * `fft3d-tiled` — [`fft::Fft3d`] (in-place contiguous pass, tiled strided
+//!   passes) vs [`fft3d_line_ref`] (one gathered line at a time), forward
+//!   and inverse, every backend.
+//! * `poisson-kspace` — [`nbody::pm::poisson_accel`] (one parallel k-space
+//!   pass writing all three `g_k`, solver workspace) vs
+//!   [`poisson_three_sweep_ref`] (one serial sweep and one fresh grid per
+//!   axis) on a seeded `δ`, every backend.
 //! * `radix-u64` — [`dpp::ops::radix_sort_u64`] (specialized flat-key
 //!   engine) vs [`dpp::ops::radix_sort_by_key`] (generic reference),
 //!   every backend, over [`inputs::u64_cases`].
@@ -31,19 +38,23 @@
 
 use crate::differential::{roster, Cmp, DiffReport};
 use crate::inputs;
-use dpp::{ops, Backend, Serial};
-use fft::Grid3;
+use dpp::{ops, Backend, SendPtr, Serial};
+use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3};
 use halo::{fof_brute, fof_kdtree_cols, mbp_brute_cols, potential_at, Coords, KdTree};
-use nbody::pm::{cic_deposit_soa, to_grid_units};
+use nbody::pm::{cic_deposit_soa, poisson_accel, to_grid_units};
 use nbody::{Particle, ParticleSoA};
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 5] = [
+pub const REQUIRED_KERNELS: [&str; 7] = [
     "cic-soa",
     "fof-cols",
     "mbp-cols",
+    "fft3d-tiled",
+    "poisson-kspace",
     "radix-u64",
     "histogram-blocked",
 ];
@@ -152,6 +163,118 @@ pub fn dist2_scan_ref(rows: &[[f64; 3]], q: [f64; 3]) -> Vec<f64> {
     rows.iter()
         .map(|p| (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2))
         .collect()
+}
+
+/// Per-line 3-D FFT reference: the separable transform as `fft::Fft3d` ran
+/// it before its passes were tiled — every line along the active axis, one
+/// per dispatched chunk, gathered cell by cell into a scratch line,
+/// transformed by the axis' [`Fft1d`] plan and scattered back. Inverse
+/// includes the `1/n` scale per line, as the plan applies it.
+pub fn fft3d_line_ref(backend: &dyn Backend, grid: &mut Grid3<Complex>, inverse: bool) {
+    let [nx, ny, nz] = grid.dims();
+    for axis in 0..3 {
+        let n_axis = grid.dims()[axis];
+        let plan = Fft1d::new(n_axis).expect("power-of-two dims");
+        let nlines = (nx * ny * nz) / n_axis;
+
+        // For a line identified by the two fixed coordinates, compute the flat
+        // index of its first element and the stride between elements.
+        let (stride, line_start): (usize, Box<dyn Fn(usize) -> usize + Sync>) = match axis {
+            0 => (
+                ny * nz,
+                Box::new(move |l| l), // l = y*nz + z in 0..ny*nz
+            ),
+            1 => (
+                nz,
+                Box::new(move |l| {
+                    let (x, z) = (l / nz, l % nz);
+                    x * ny * nz + z
+                }),
+            ),
+            2 => (1, Box::new(move |l| l * nz)),
+            _ => unreachable!(),
+        };
+
+        let ptr = SendPtr(grid.as_mut_slice().as_mut_ptr());
+        backend.dispatch(nlines, 1, &|lines| {
+            let mut scratch = vec![Complex::ZERO; n_axis];
+            for l in lines {
+                let base = line_start(l);
+                // Gather the (possibly strided) line.
+                for (k, s) in scratch.iter_mut().enumerate() {
+                    // SAFETY: each line's index set {base + k*stride} is
+                    // disjoint across lines of the same axis and in bounds.
+                    *s = unsafe { *ptr.at(base + k * stride) };
+                }
+                if inverse {
+                    plan.inverse(&mut scratch).expect("planned length");
+                } else {
+                    plan.forward(&mut scratch).expect("planned length");
+                }
+                for (k, s) in scratch.iter().enumerate() {
+                    // SAFETY: as above.
+                    unsafe { ptr.write(base + k * stride, *s) };
+                }
+            }
+        });
+    }
+}
+
+/// Three-sweep Poisson reference: `nbody::pm::poisson_accel` as it was
+/// before the k-space pass was fused — one forward transform of `δ`, then
+/// per axis a serial sweep over all of k-space into a fresh spectral grid
+/// (`freq_index` and the division recomputed per cell and per axis) and an
+/// inverse transform, all through [`fft3d_line_ref`].
+pub fn poisson_three_sweep_ref(
+    backend: &dyn Backend,
+    delta: &Grid3<f64>,
+    prefactor: f64,
+) -> [Grid3<f64>; 3] {
+    let dims = delta.dims();
+    let ng = dims[0];
+    assert!(dims[1] == ng && dims[2] == ng, "mesh must be cubic");
+
+    // Forward transform of δ.
+    let mut dk = Grid3::from_vec(
+        dims,
+        delta
+            .as_slice()
+            .iter()
+            .map(|&r| Complex::from_real(r))
+            .collect(),
+    );
+    fft3d_line_ref(backend, &mut dk, false);
+
+    let two_pi = 2.0 * std::f64::consts::PI;
+    [0, 1, 2].map(|axis| {
+        let mut gk = Grid3::filled(dims, Complex::ZERO);
+        for x in 0..ng {
+            let kx = two_pi * freq_index(x, ng) as f64 / ng as f64;
+            for y in 0..ng {
+                let ky = two_pi * freq_index(y, ng) as f64 / ng as f64;
+                for z in 0..ng {
+                    let kz = two_pi * freq_index(z, ng) as f64 / ng as f64;
+                    let k2 = kx * kx + ky * ky + kz * kz;
+                    if k2 == 0.0 {
+                        continue;
+                    }
+                    let kd = [kx, ky, kz][axis];
+                    // φ_k = −prefactor δ_k / k²; g_k = −i k_d φ_k
+                    //     = i k_d prefactor δ_k / k².
+                    let phi_factor = prefactor / k2;
+                    let d = *dk.get(x, y, z);
+                    *gk.get_mut(x, y, z) = Complex::new(-d.im, d.re).scale(kd * phi_factor);
+                }
+            }
+        }
+        fft3d_line_ref(backend, &mut gk, true);
+        Grid3::from_vec(dims, gk.as_slice().iter().map(|z| z.re).collect())
+    })
+}
+
+/// Flatten a complex grid to `re, im, re, im, …` for the bit-equality checks.
+fn re_im(grid: &Grid3<Complex>) -> Vec<f64> {
+    grid.as_slice().iter().flat_map(|z| [z.re, z.im]).collect()
 }
 
 /// Run the layout differential and collect every mismatch.
@@ -305,6 +428,71 @@ pub fn run_layout_differential() -> DiffReport {
                 &(reference.index, reference.potential.to_bits()),
                 &(got.index, got.potential.to_bits()),
             );
+        }
+    }
+
+    // --- fft3d-tiled -----------------------------------------------------
+    // Shapes: every axis shorter than, equal to and longer than a tile of
+    // strided lines, non-cubic included; 64³ is the production mesh.
+    rep.op("fft3d-tiled");
+    // The references are the previous passes, not the `Serial` backend, so
+    // `Serial` is one more backend under test here.
+    let with_serial: Vec<(&str, &dyn Backend)> = std::iter::once(("serial", &Serial as _))
+        .chain(backends.iter().map(|(n, b)| (n.as_str(), b.as_ref())))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x000F_F73D);
+    for dims in [[8usize, 4, 16], [16, 16, 16], [64, 64, 64]] {
+        let plan = Fft3d::new(dims).expect("power-of-two dims");
+        let input: Vec<Complex> = (0..dims.iter().product::<usize>())
+            .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        for inverse in [false, true] {
+            let dir = if inverse { "inverse" } else { "forward" };
+            let mut reference = Grid3::from_vec(dims, input.clone());
+            fft3d_line_ref(&Serial, &mut reference, inverse);
+            let reference = re_im(&reference);
+            for &(name, b) in &with_serial {
+                let mut got = Grid3::from_vec(dims, input.clone());
+                if inverse {
+                    plan.inverse(b, &mut got).expect("planned dims");
+                } else {
+                    plan.forward(b, &mut got).expect("planned dims");
+                }
+                rep.check_f64_slice(
+                    Cmp::BitEq,
+                    "fft3d-tiled",
+                    &format!("{dir}/{dims:?}"),
+                    name,
+                    &reference,
+                    &re_im(&got),
+                );
+            }
+        }
+    }
+
+    // --- poisson-kspace --------------------------------------------------
+    rep.op("poisson-kspace");
+    for ng in [8usize, 32] {
+        let delta = Grid3::from_vec(
+            [ng, ng, ng],
+            (0..ng * ng * ng)
+                .map(|_| rng.gen_range(-1.0..3.0))
+                .collect(),
+        );
+        let prefactor = 1.5 / 0.37;
+        let reference = poisson_three_sweep_ref(&Serial, &delta, prefactor);
+        for &(name, b) in &with_serial {
+            let got = poisson_accel(b, &delta, prefactor);
+            for axis in 0..3 {
+                rep.check_f64_slice(
+                    Cmp::BitEq,
+                    "poisson-kspace",
+                    &format!("ng={ng}/g{axis}"),
+                    name,
+                    reference[axis].as_slice(),
+                    got[axis].as_slice(),
+                );
+            }
         }
     }
 

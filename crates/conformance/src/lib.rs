@@ -21,6 +21,10 @@
 //!   kernel (CIC deposit, FOF, MBP, radix, histogram) against a scalar or
 //!   brute-force reference, bit-for-bit, on every backend; the scalar CIC
 //!   and potential references live there, not in the product crates.
+//! * [`integrator`] — the KDK steppers' carried force field: stepping with
+//!   and without it, continuing vs. restarting from the same (possibly
+//!   mutated) state, all bit-for-bit on every backend and rank count, and
+//!   exactly `N + 1` PM solves for `N` steps, counted.
 //! * [`oracles`] — metamorphic physics oracles: FOF catalog invariance
 //!   under particle permutation, periodic translation, and 1/2/4/8-rank
 //!   domain splits; MBP brute ≡ A*; FFT Parseval and impulse identities;
@@ -55,6 +59,7 @@ pub mod differential;
 pub mod explorer;
 pub mod golden;
 pub mod inputs;
+pub mod integrator;
 pub mod layout;
 pub mod multi;
 pub mod oracles;
@@ -65,6 +70,7 @@ pub mod strategies;
 pub use differential::{assert_dpp_conformance, run_dpp_differential, DiffReport, Disagreement};
 pub use explorer::{explore, ExplorationReport, ExplorerConfig, ScheduleOutcome};
 pub use golden::{compare_or_bless, GoldenOutcome};
+pub use integrator::assert_integrator_conformance;
 pub use layout::{assert_layout_conformance, run_layout_differential, REQUIRED_KERNELS};
 pub use multi::{explore_multi, multi_reference, MultiConfig, MultiReport, MultiScheduleOutcome};
 pub use render::{

@@ -1,4 +1,6 @@
-//! Iterative radix-2 Cooley–Tukey FFT with cached twiddle factors.
+//! Iterative radix-2 Cooley–Tukey FFT with cached twiddle factors (both
+//! directions: the inverse table is the forward one conjugated, built once
+//! with the plan, so the butterfly loop reads a table and never negates).
 
 use crate::complex::Complex;
 
@@ -40,6 +42,8 @@ pub struct Fft1d {
     n: usize,
     /// Twiddles `e^{-2πik/n}` for `k < n/2` (forward direction).
     twiddles: Vec<Complex>,
+    /// The same twiddles conjugated (inverse direction).
+    twiddles_inv: Vec<Complex>,
     /// Bit-reversal permutation.
     rev: Vec<u32>,
 }
@@ -50,9 +54,10 @@ impl Fft1d {
         if n == 0 || !n.is_power_of_two() {
             return Err(FftError::NonPowerOfTwo(n));
         }
-        let twiddles = (0..n / 2)
+        let twiddles: Vec<Complex> = (0..n / 2)
             .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
             .collect();
+        let twiddles_inv = twiddles.iter().map(|w| w.conj()).collect();
         let bits = n.trailing_zeros();
         let rev = (0..n as u32)
             .map(|i| {
@@ -63,7 +68,12 @@ impl Fft1d {
                 }
             })
             .collect();
-        Ok(Fft1d { n, twiddles, rev })
+        Ok(Fft1d {
+            n,
+            twiddles,
+            twiddles_inv,
+            rev,
+        })
     }
 
     /// Transform length.
@@ -79,19 +89,28 @@ impl Fft1d {
     /// In-place forward DFT: `X[k] = Σ x[j] e^{-2πijk/n}` (no normalization).
     pub fn forward(&self, data: &mut [Complex]) -> Result<(), FftError> {
         self.check(data)?;
-        self.transform(data, false);
+        self.run(data, false);
         Ok(())
     }
 
     /// In-place inverse DFT with `1/n` normalization.
     pub fn inverse(&self, data: &mut [Complex]) -> Result<(), FftError> {
         self.check(data)?;
-        self.transform(data, true);
-        let s = 1.0 / self.n as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(s);
-        }
+        self.run(data, true);
         Ok(())
+    }
+
+    /// One line of a 3-D pass: [`Fft1d::forward`] or [`Fft1d::inverse`]
+    /// (normalization included) on a line the caller cut to the plan length.
+    pub(crate) fn run(&self, data: &mut [Complex], inverse: bool) {
+        debug_assert_eq!(data.len(), self.n);
+        self.transform(data, inverse);
+        if inverse {
+            let s = 1.0 / self.n as f64;
+            for z in data.iter_mut() {
+                *z = z.scale(s);
+            }
+        }
     }
 
     fn check(&self, data: &[Complex]) -> Result<(), FftError> {
@@ -117,6 +136,11 @@ impl Fft1d {
             }
         }
         // Butterflies.
+        let twiddles = if inverse {
+            &self.twiddles_inv
+        } else {
+            &self.twiddles
+        };
         let mut len = 2;
         while len <= n {
             let half = len / 2;
@@ -124,10 +148,7 @@ impl Fft1d {
             let mut base = 0;
             while base < n {
                 for k in 0..half {
-                    let mut w = self.twiddles[k * step];
-                    if inverse {
-                        w = w.conj();
-                    }
+                    let w = twiddles[k * step];
                     let a = data[base + k];
                     let b = data[base + k + half] * w;
                     data[base + k] = a + b;

@@ -1,10 +1,40 @@
-//! Separable 3-D FFT over [`Grid3<Complex>`], parallelized line-by-line on a
-//! `dpp` backend (every 1-D line along the active axis is independent).
+//! Separable 3-D FFT over [`Grid3<Complex>`], parallelized over blocks of
+//! lines on a `dpp` backend (every 1-D line along the active axis is
+//! independent).
+//!
+//! # Pass layout
+//!
+//! A transform is three passes, x then y then z, each running the axis'
+//! [`Fft1d`] plan over every line along it:
+//!
+//! * **z (contiguous)** — a line is `nz` adjacent cells, so it is transformed
+//!   in place on the grid slice: no copy in, no copy out.
+//! * **x and y (strided)** — a line's cells are `ny·nz` (resp. `nz`) apart,
+//!   but neighbouring *lines* are adjacent in memory. A chunk gathers
+//!   [`TILE_LINES`] neighbouring lines at once into a line-major tile — each
+//!   read is a contiguous run of `TILE_LINES` cells, not one cell per cache
+//!   line — transforms the tile's lines, and scatters them back the same way.
+//!   The tile is allocated once per dispatched chunk.
+//!
+//! Every pass is dispatched over *lines* (4 096 of them at 64³) in chunks of
+//! many lines, so it clears `dpp`'s small-`n` inline threshold and runs on
+//! the pool; a chunk walks its lines tile by tile.
+//!
+//! Every line is still handed, alone and in natural order, to the same 1-D
+//! routine (bit reversal, then butterflies stage by stage, then the `1/n`
+//! scale on the inverse), and lines never interact within a pass, so the
+//! result is bit-identical to transforming one gathered line at a time —
+//! whatever the tile width, chunking or backend. `conformance::layout` holds
+//! it to exactly that reference (`fft3d_line_ref`).
 
 use crate::complex::Complex;
 use crate::fft1d::{Fft1d, FftError};
 use crate::grid::Grid3;
 use dpp::{Backend, SendPtr};
+
+/// Neighbouring strided lines gathered per tile: 16 cells × 16 B is four
+/// cache lines per contiguous read, and a 64-point tile (16 KiB) stays in L1.
+const TILE_LINES: usize = 16;
 
 /// A plan for 3-D transforms of a fixed power-of-two shape.
 #[derive(Debug, Clone)]
@@ -61,76 +91,72 @@ impl Fft3d {
                 got: grid.len(),
             });
         }
+        let _span = telemetry::span!("fft", if inverse { "inverse" } else { "forward" });
         for axis in 0..3 {
-            self.transform_axis(backend, grid, axis, inverse)?;
+            self.transform_axis(backend, grid, axis, inverse);
         }
         Ok(())
     }
 
-    /// Transform all lines along `axis`. Lines are independent, so they are
-    /// dispatched in parallel; strided lines are gathered into a scratch
-    /// buffer per line.
+    /// Transform all lines along `axis`; lines are independent, so blocks of
+    /// them are dispatched in parallel. See the module docs for the layout
+    /// of each pass.
     fn transform_axis(
         &self,
         backend: &dyn Backend,
         grid: &mut Grid3<Complex>,
         axis: usize,
         inverse: bool,
-    ) -> Result<(), FftError> {
+    ) {
         let [nx, ny, nz] = self.dims;
-        let n_axis = self.dims[axis];
+        let n = self.dims[axis];
         let plan = &self.plans[axis];
-        let nlines = (nx * ny * nz) / n_axis;
-
-        // For a line identified by the two fixed coordinates, compute the flat
-        // index of its first element and the stride between elements.
-        let (stride, line_start): (usize, Box<dyn Fn(usize) -> usize + Sync>) = match axis {
-            0 => (
-                ny * nz,
-                Box::new(move |l| l), // l = y*nz + z in 0..ny*nz
-            ),
-            1 => (
-                nz,
-                Box::new(move |l| {
-                    let (x, z) = (l / nz, l % nz);
-                    x * ny * nz + z
-                }),
-            ),
-            2 => (1, Box::new(move |l| l * nz)),
-            _ => unreachable!(),
-        };
-
         let ptr = SendPtr(grid.as_mut_slice().as_mut_ptr());
-        let err = parking_lot::Mutex::new(None::<FftError>);
-        backend.dispatch(nlines, 1, &|lines| {
-            let mut scratch = vec![Complex::ZERO; n_axis];
-            for l in lines {
-                let base = line_start(l);
-                // Gather the (possibly strided) line.
-                for (k, s) in scratch.iter_mut().enumerate() {
-                    // SAFETY: each line's index set {base + k*stride} is
-                    // disjoint across lines of the same axis and in bounds.
-                    *s = unsafe { *ptr.at(base + k * stride) };
+        // Dispatch over lines, a few chunks per worker: enough to balance,
+        // few enough that a chunk's tile is allocated a handful of times per
+        // pass. Line `l` starts at flat index `(l / stride)·n·stride +
+        // l % stride` and its cells are `stride` apart, so lines `l..l + r`
+        // within one block of `stride` lines are `r` adjacent cells, `n` times.
+        let stride = [ny * nz, nz, 1][axis];
+        let nlines = nx * ny * nz / n;
+        let grain = (nlines / (4 * backend.concurrency().max(1))).max(1);
+        backend.dispatch(nlines, grain, &|lines| {
+            if stride == 1 {
+                // SAFETY: contiguous lines `[lines.start, lines.end)` are the
+                // flat range `[lines.start·n, lines.end·n)`, in bounds and
+                // disjoint from every other chunk's.
+                let block = unsafe { ptr.slice_mut(lines.start * n, lines.len() * n) };
+                for line in block.chunks_exact_mut(n) {
+                    plan.run(line, inverse);
                 }
-                let r = if inverse {
-                    plan.inverse(&mut scratch)
-                } else {
-                    plan.forward(&mut scratch)
-                };
-                if let Err(e) = r {
-                    *err.lock() = Some(e);
-                    return;
+                return;
+            }
+            let mut tile = vec![Complex::ZERO; TILE_LINES * n];
+            let mut l = lines.start;
+            while l < lines.end {
+                let run = TILE_LINES.min(lines.end - l).min(stride - l % stride);
+                let base = (l / stride) * n * stride + l % stride;
+                // SAFETY (both blocks): lines `l..l + run` own the index set
+                // `{base + k·stride + j : k < n, j < run}`, in bounds and
+                // disjoint from every other line's.
+                for k in 0..n {
+                    let src = unsafe { ptr.slice_mut(base + k * stride, run) };
+                    for (j, v) in src.iter().enumerate() {
+                        tile[j * n + k] = *v;
+                    }
                 }
-                for (k, s) in scratch.iter().enumerate() {
-                    // SAFETY: as above.
-                    unsafe { ptr.write(base + k * stride, *s) };
+                for line in tile[..run * n].chunks_exact_mut(n) {
+                    plan.run(line, inverse);
                 }
+                for k in 0..n {
+                    let dst = unsafe { ptr.slice_mut(base + k * stride, run) };
+                    for (j, v) in dst.iter_mut().enumerate() {
+                        *v = tile[j * n + k];
+                    }
+                }
+                l += run;
             }
         });
-        match err.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! # fft — Fourier transforms for the particle-mesh solver and power spectra
 //!
 //! Power-of-two complex FFTs: cached-plan 1-D radix-2 transforms ([`Fft1d`])
-//! and separable 3-D transforms ([`Fft3d`]) parallelized line-by-line over a
-//! [`dpp::Backend`]. A dense [`Grid3`] container and real-grid helpers round
+//! and separable 3-D transforms ([`Fft3d`]) parallelized over blocks of lines
+//! on a [`dpp::Backend`] (contiguous axis in place, strided axes tiled). A dense [`Grid3`] container and real-grid helpers round
 //! out what the HACC-equivalent solver (`nbody`) and the in-situ power
 //! spectrum (`cosmotools`) need.
 //!

@@ -14,6 +14,7 @@
 //! halo sizes the same way.
 
 use rand::Rng;
+use std::sync::Arc;
 
 /// Tabulated mass function over `[m_min, m_max_table]` (particle-count units).
 #[derive(Debug, Clone)]
@@ -24,10 +25,12 @@ pub struct MassFunction {
     pub m_cut: f64,
     /// Smallest halo (the paper discards halos under 40 particles).
     pub m_min: f64,
-    /// Tabulation grid (log-spaced mass bin edges).
-    grid: Vec<f64>,
+    /// Tabulation grid (log-spaced mass bin edges). Shared, like `cdf`, so a
+    /// clone — what [`MassFunction::q_continuum`] hands every caller — copies
+    /// two pointers, not 64 KiB of table.
+    grid: Arc<[f64]>,
     /// Cumulative distribution over the grid (last = 1).
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
 }
 
 /// Number of tabulation points.
@@ -61,8 +64,8 @@ impl MassFunction {
             alpha,
             m_cut,
             m_min,
-            grid,
-            cdf,
+            grid: grid.into(),
+            cdf: cdf.into(),
         }
     }
 
@@ -175,14 +178,22 @@ impl MassFunction {
 
     /// The calibration matching the paper's Q Continuum z = 0 catalog:
     /// 167,686,789 halos ≥ 40 particles, 84,719 above 300,000, largest ≈ 25 M.
+    ///
+    /// The nested bisection behind it (~0.5 s) runs once per process; every
+    /// call hands out a clone sharing that one table.
     pub fn q_continuum() -> MassFunction {
-        MassFunction::calibrate(
-            40.0,
-            300_000.0,
-            84_719.0 / 167_686_789.0,
-            25.0e6,
-            167_686_789,
-        )
+        static CALIBRATED: std::sync::OnceLock<MassFunction> = std::sync::OnceLock::new();
+        CALIBRATED
+            .get_or_init(|| {
+                MassFunction::calibrate(
+                    40.0,
+                    300_000.0,
+                    84_719.0 / 167_686_789.0,
+                    25.0e6,
+                    167_686_789,
+                )
+            })
+            .clone()
     }
 }
 

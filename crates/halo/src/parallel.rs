@@ -35,6 +35,17 @@ pub fn parallel_fof(
     locals: &[Particle],
     cfg: &FofConfig,
 ) -> HaloCatalog {
+    parallel_fof_counted(comm, decomp, locals, cfg).0
+}
+
+/// [`parallel_fof`] plus the size of the extended patch it linked (locals,
+/// ghosts and periodic self-images): the rank's identification work.
+fn parallel_fof_counted(
+    comm: &Communicator,
+    decomp: &CartDecomp,
+    locals: &[Particle],
+    cfg: &FofConfig,
+) -> (HaloCatalog, usize) {
     assert!(cfg.link_length > 0.0);
     assert!(
         cfg.overload_width >= cfg.link_length,
@@ -137,17 +148,24 @@ pub fn parallel_fof(
             }
         }
     }
-    catalog
+    (catalog, positions.len())
 }
 
 /// Per-rank timing of distributed halo analysis, the quantity behind the
-/// paper's Table 2 ("Max/Min Find" and "Max/Min Center").
+/// paper's Table 2 ("Max/Min Find" and "Max/Min Center"), with the counted
+/// work behind each clock: seconds vary with the host's load, the counts
+/// repeat exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RankTiming {
     /// Seconds in halo identification (FOF).
     pub find_seconds: f64,
     /// Seconds in MBP center finding.
     pub center_seconds: f64,
+    /// Particles linked by the identification: local plus ghost.
+    pub find_work: u64,
+    /// Pair evaluations of the brute-force centers: Σ nᵢ² over the halos
+    /// centred on this rank.
+    pub center_work: u64,
 }
 
 /// Run FOF + brute-force MBP centers on this rank, timing each phase.
@@ -164,12 +182,14 @@ pub fn fof_and_centers_timed(
     center_threshold: usize,
 ) -> (HaloCatalog, RankTiming) {
     let t0 = std::time::Instant::now();
-    let mut catalog = parallel_fof(comm, decomp, locals, cfg);
+    let (mut catalog, linked) = parallel_fof_counted(comm, decomp, locals, cfg);
     let find_seconds = t0.elapsed().as_secs_f64();
 
     let t1 = std::time::Instant::now();
+    let mut center_work = 0u64;
     for halo in &mut catalog.halos {
         if halo.count() <= center_threshold {
+            center_work += (halo.count() as u64).pow(2);
             let r = crate::mbp::mbp_brute(backend, &halo.particles, softening);
             halo.mbp_center = Some(halo.particles[r.index].pos_f64());
         }
@@ -180,6 +200,8 @@ pub fn fof_and_centers_timed(
         RankTiming {
             find_seconds,
             center_seconds,
+            find_work: linked as u64,
+            center_work,
         },
     )
 }

@@ -8,6 +8,11 @@
 //! the same equations; they agree to floating-point noise over short
 //! horizons and statistically over long ones (the N-body system is chaotic,
 //! so different summation orders diverge eventually).
+//!
+//! Like `Simulation`, the stepper solves the force once per step: the closing
+//! kick's acceleration slabs are carried to the next step's opening kick
+//! (same validity rule — see the `sim` module docs), which here also saves
+//! two ghost-plane exchanges and a slab-FFT all-to-all per step.
 
 use crate::cosmology::Cosmology;
 use crate::ic::{zeldovich_particles, IcConfig};
@@ -29,6 +34,9 @@ pub struct DistSim<'a> {
     a: f64,
     step: usize,
     plane_seq: u64,
+    /// The last kick's acceleration slabs while positions and `a` are
+    /// unchanged since their solve; `None` otherwise.
+    carried: Option<[Grid3<f64>; 3]>,
 }
 
 impl<'a> DistSim<'a> {
@@ -69,6 +77,7 @@ impl<'a> DistSim<'a> {
             a,
             step: 0,
             plane_seq: 0,
+            carried: None,
         }
     }
 
@@ -91,6 +100,14 @@ impl<'a> DistSim<'a> {
     /// Rank-local particles.
     pub fn particles(&self) -> &[Particle] {
         &self.particles
+    }
+
+    /// Drop the carried force field, so the next kick re-solves (to the same
+    /// bits). **Collective**: a solve exchanges ghost planes and FFT slabs, so
+    /// a rank that discards alone enters those exchanges without its peers
+    /// and the run deadlocks — call it on every rank or on none.
+    pub fn discard_carried_force(&mut self) {
+        self.carried = None;
     }
 
     /// Current scale factor.
@@ -128,6 +145,7 @@ impl<'a> DistSim<'a> {
     /// ring exchange folds the ghost into the next rank's first plane.
     /// Returns the local overdensity slab `[slab, ng, ng]`.
     fn deposit(&mut self) -> Grid3<f64> {
+        let _span = telemetry::span!("nbody", "deposit");
         let tag = self.next_plane_tag();
         slab_deposit_with_tag(
             self.comm,
@@ -142,6 +160,7 @@ impl<'a> DistSim<'a> {
     /// with an extra ghost plane appended (dims `[slab+1, ng, ng]`) so CIC
     /// interpolation can reach across the upper boundary.
     fn accelerations(&mut self, delta: &Grid3<f64>, prefactor: f64) -> [Grid3<f64>; 3] {
+        let _span = telemetry::span!("nbody", "pm_solve");
         let ng = self.cfg.ng;
         let s = self.slab();
         let two_pi = 2.0 * std::f64::consts::PI;
@@ -202,11 +221,20 @@ impl<'a> DistSim<'a> {
         [it.next().unwrap(), it.next().unwrap(), it.next().unwrap()]
     }
 
-    /// Momentum half/full kick at scale factor `a` over `da`.
+    /// Momentum half/full kick at scale factor `a` over `da`, on the carried
+    /// field if there is one (collective either way: every rank carries or
+    /// none does).
     fn kick(&mut self, a: f64, da: f64) {
-        let prefactor = 1.5 / a; // EdS ∇²φ = (3/2a)δ, see cosmology.rs
-        let delta = self.deposit();
-        let accel = self.accelerations(&delta, prefactor);
+        let accel = match self.carried.take() {
+            Some(accel) => accel,
+            None => {
+                let prefactor = 1.5 / a; // EdS ∇²φ = (3/2a)δ, see cosmology.rs
+                let delta = self.deposit();
+                telemetry::count!("nbody", "pm_solves", 1);
+                self.accelerations(&delta, prefactor)
+            }
+        };
+        let _span = telemetry::span!("nbody", "kick", self.step);
         let f = Cosmology::leapfrog_f(a) * da;
         // Split borrows: interpolation needs &self fields, not &self.
         let ng = self.cfg.ng;
@@ -221,10 +249,13 @@ impl<'a> DistSim<'a> {
                 p.vel[d] += (f * g[d]) as f32;
             }
         }
+        self.carried = Some(accel);
     }
 
     /// Drift positions and re-home particles that crossed slab boundaries.
     fn drift(&mut self, a_half: f64, da: f64) {
+        let _span = telemetry::span!("nbody", "drift", self.step);
+        self.carried = None;
         let l = self.cfg.cosmology.box_size;
         let ng = self.cfg.ng;
         let grid_to_mpc = l / ng as f64;
@@ -260,6 +291,9 @@ impl<'a> DistSim<'a> {
         self.kick(a_next, da / 2.0);
         self.a = a_next;
         self.step += 1;
+        if self.finished() {
+            self.carried = None;
+        }
     }
 
     /// Run all remaining steps.

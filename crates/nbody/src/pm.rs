@@ -1,8 +1,14 @@
 //! Particle-mesh gravity: CIC deposit, k-space Poisson solve, CIC force
 //! interpolation. All mesh quantities live in *grid units* (cell = 1).
+//!
+//! The solve lives in [`PoissonSolver`], which a stepper keeps across steps
+//! for its FFT plan, `k` table and acceleration grids (the spectral grids
+//! are transient): one forward transform, one parallel pass over k-space
+//! producing all three `g_k`, three inverse transforms. [`poisson_accel`] is
+//! the one-shot form.
 
 use crate::soa::ParticleSoA;
-use dpp::Backend;
+use dpp::{Backend, SendPtr};
 use fft::{freq_index, Complex, Fft3d, Grid3};
 use parking_lot::Mutex;
 
@@ -283,59 +289,123 @@ pub fn cic_deposit_soa_det(
     merge_and_normalize(partials.into_inner(), masses, ng)
 }
 
+/// The k-space Poisson solver for one cubic `ng³` mesh: what survives a solve
+/// is the FFT plan, the angular-frequency table and the three real
+/// acceleration grids, so the result stays readable (the carried force of
+/// [`crate::sim::Simulation`]) until the next solve overwrites it. The three
+/// spectral grids are transient — allocated by a solve and released as each
+/// inverse transform finishes — so a stepper holds 3·ng³·8 B between steps
+/// and no more.
+pub struct PoissonSolver {
+    plan: Fft3d,
+    /// `2π·freq_index(i, ng)/ng` for every bin `i` (the mesh is cubic, so
+    /// one table serves all three axes).
+    k: Vec<f64>,
+    accel: [Grid3<f64>; 3],
+}
+
+impl PoissonSolver {
+    /// Solver for an `ng³` mesh (`ng` a power of two).
+    pub fn new(ng: usize) -> Self {
+        let dims = [ng, ng, ng];
+        let two_pi = 2.0 * std::f64::consts::PI;
+        PoissonSolver {
+            plan: Fft3d::new(dims).expect("mesh dims must be powers of two"),
+            k: (0..ng)
+                .map(|i| two_pi * freq_index(i, ng) as f64 / ng as f64)
+                .collect(),
+            accel: std::array::from_fn(|_| Grid3::filled(dims, 0.0)),
+        }
+    }
+
+    /// Solve `∇²φ = prefactor·δ` and leave `g = −∇φ` in [`Self::accel`].
+    ///
+    /// One forward transform of `δ`, one pass over k-space, three inverse
+    /// transforms. The k-space pass is dispatched over mesh rows; per cell it
+    /// reads `δ_k` once, forms `prefactor / k²` once and writes all three
+    /// `g_k = i·k_d·(prefactor / k²)·δ_k` — the same expression, operand for
+    /// operand, as solving one axis at a time, so the result is bit-equal to
+    /// that (`conformance::layout`, `poisson-kspace`).
+    pub fn solve(&mut self, backend: &dyn Backend, delta: &Grid3<f64>, prefactor: f64) {
+        let _span = telemetry::span!("nbody", "pm_solve");
+        let ng = self.k.len();
+        assert_eq!(delta.dims(), [ng, ng, ng], "mesh/solver shape mismatch");
+        let dims = [ng, ng, ng];
+
+        // `δ_k`, overwritten in place by `g_x`'s spectrum; then `g_y`'s, `g_z`'s.
+        let from_real = delta.as_slice().iter().map(|&r| Complex::from_real(r));
+        let mut spec = [
+            Grid3::from_vec(dims, from_real.collect()),
+            Grid3::filled(dims, Complex::ZERO),
+            Grid3::filled(dims, Complex::ZERO),
+        ];
+        self.plan
+            .forward(backend, &mut spec[0])
+            .expect("planned dims");
+
+        // Dispatched over the ng² rows (x, y): 4 096 at 64³, which clears
+        // dpp's small-n inline threshold where ng planes would not.
+        let k = &self.k[..];
+        let grids = spec
+            .each_mut()
+            .map(|g| SendPtr(g.as_mut_slice().as_mut_ptr()));
+        let rows = ng * ng;
+        let grain = (rows / (4 * backend.concurrency().max(1))).max(1);
+        backend.dispatch(rows, grain, &|chunk| {
+            for row in chunk {
+                // SAFETY: row `(x, y)` is the flat range `[row·ng, (row+1)·ng)`
+                // of each grid, in bounds and touched by this chunk only.
+                let [gx, gy, gz] =
+                    [&grids[0], &grids[1], &grids[2]].map(|g| unsafe { g.slice_mut(row * ng, ng) });
+                let (kx, ky) = (k[row / ng], k[row % ng]);
+                for z in 0..ng {
+                    let kz = k[z];
+                    let k2 = kx * kx + ky * ky + kz * kz;
+                    if k2 == 0.0 {
+                        (gx[z], gy[z], gz[z]) = (Complex::ZERO, Complex::ZERO, Complex::ZERO);
+                        continue;
+                    }
+                    // φ_k = −prefactor δ_k / k²; g_k = −i k_d φ_k
+                    //     = i k_d prefactor δ_k / k².
+                    let phi_factor = prefactor / k2;
+                    let d = gx[z];
+                    let i_d = Complex::new(-d.im, d.re);
+                    gx[z] = i_d.scale(kx * phi_factor);
+                    gy[z] = i_d.scale(ky * phi_factor);
+                    gz[z] = i_d.scale(kz * phi_factor);
+                }
+            }
+        });
+
+        for (mut gk, g) in spec.into_iter().zip(&mut self.accel) {
+            self.plan.inverse(backend, &mut gk).expect("planned dims");
+            for (r, c) in g.as_mut_slice().iter_mut().zip(gk.as_slice()) {
+                *r = c.re;
+            }
+        }
+    }
+
+    /// The acceleration components of the last [`Self::solve`] (grid units).
+    pub fn accel(&self) -> &[Grid3<f64>; 3] {
+        &self.accel
+    }
+}
+
 /// Solve `∇²φ = (3 Ω/2a) δ` on the periodic mesh and return the acceleration
 /// components `g = −∇φ` as three real grids (grid units).
 ///
 /// `prefactor` is `(3 Ω/2a)`; the Poisson kernel uses the continuum `k²` in
-/// grid angular frequencies.
+/// grid angular frequencies. A one-shot [`PoissonSolver`]: callers that solve
+/// repeatedly keep the solver instead.
 pub fn poisson_accel(backend: &dyn Backend, delta: &Grid3<f64>, prefactor: f64) -> [Grid3<f64>; 3] {
     let dims = delta.dims();
-    let ng = dims[0];
-    assert!(dims[1] == ng && dims[2] == ng, "mesh must be cubic");
-    let plan = Fft3d::new(dims).expect("mesh dims must be powers of two");
-
-    // Forward transform of δ.
-    let mut dk = Grid3::from_vec(
-        dims,
-        delta
-            .as_slice()
-            .iter()
-            .map(|&r| Complex::from_real(r))
-            .collect(),
+    assert!(
+        dims[1] == dims[0] && dims[2] == dims[0],
+        "mesh must be cubic"
     );
-    plan.forward(backend, &mut dk).expect("forward FFT");
-
-    let two_pi = 2.0 * std::f64::consts::PI;
-    let mut out: Vec<Grid3<f64>> = Vec::with_capacity(3);
-    for axis in 0..3 {
-        let mut gk = Grid3::filled(dims, Complex::ZERO);
-        for x in 0..ng {
-            let kx = two_pi * freq_index(x, ng) as f64 / ng as f64;
-            for y in 0..ng {
-                let ky = two_pi * freq_index(y, ng) as f64 / ng as f64;
-                for z in 0..ng {
-                    let kz = two_pi * freq_index(z, ng) as f64 / ng as f64;
-                    let k2 = kx * kx + ky * ky + kz * kz;
-                    if k2 == 0.0 {
-                        continue;
-                    }
-                    let kd = [kx, ky, kz][axis];
-                    // φ_k = −prefactor δ_k / k²; g_k = −i k_d φ_k
-                    //     = i k_d prefactor δ_k / k².
-                    let phi_factor = prefactor / k2;
-                    let d = *dk.get(x, y, z);
-                    *gk.get_mut(x, y, z) = Complex::new(-d.im, d.re).scale(kd * phi_factor);
-                }
-            }
-        }
-        plan.inverse(backend, &mut gk).expect("inverse FFT");
-        out.push(Grid3::from_vec(
-            dims,
-            gk.as_slice().iter().map(|z| z.re).collect(),
-        ));
-    }
-    let mut it = out.into_iter();
-    [it.next().unwrap(), it.next().unwrap(), it.next().unwrap()]
+    let mut solver = PoissonSolver::new(dims[0]);
+    solver.solve(backend, delta, prefactor);
+    solver.accel
 }
 
 /// Trilinear (CIC) interpolation of a mesh field at a position given in box

@@ -1,13 +1,32 @@
 //! The HACC-equivalent simulation driver: kick–drift–kick leapfrog over the
 //! scale factor with PM gravity.
 //!
+//! # One force solve per step
+//!
+//! A step is half-kick at `a0`, drift, half-kick at `a1`. Between the closing
+//! kick of one step and the opening kick of the next neither the positions
+//! nor `a` change, so the two kicks need the same field: the closing kick's
+//! solve is *carried* across the step boundary and the opening kick reads it.
+//! An `N`-step run therefore performs `N + 1` deposits and Poisson solves,
+//! not `2N`. The carried field is valid exactly while positions and `a` are
+//! what it was solved for: the drift and [`Simulation::particles_mut`] discard
+//! it, [`Simulation::from_state`] (and so a checkpoint restore) starts without
+//! one, it is never written to a checkpoint, and it is freed with the rest of
+//! the solver workspace once the run is [`Simulation::finished`]. A kick that
+//! finds no field solves for one — the deposit and the FFT are deterministic
+//! per backend, so that yields the bits the carried field would have held, and
+//! a restarted or perturbed run cannot tell the difference.
+//!
 //! Hooks are provided so the in-situ analysis layer (`cosmotools`) can run at
 //! the end of any step, exactly as HACC calls CosmoTools from its main loop.
+//! A hook sees `&Simulation`: particles, `a` and the step index of the step
+//! just closed. It cannot invalidate the carried field and must not assume
+//! one exists.
 
 use crate::cosmology::Cosmology;
 use crate::ic::{zeldovich_particles, IcConfig};
 use crate::particle::Particle;
-use crate::pm::{cic_deposit_soa, cic_interpolate, poisson_accel};
+use crate::pm::{cic_deposit_soa, cic_interpolate, PoissonSolver};
 use crate::soa::ParticleSoA;
 use dpp::{par_for_each_mut, Backend, DEFAULT_GRAIN};
 use fft::Grid3;
@@ -51,6 +70,10 @@ pub struct Simulation {
     particles: Vec<Particle>,
     a: f64,
     step: usize,
+    /// PM solver workspace: built by the first kick, freed once finished.
+    solver: Option<PoissonSolver>,
+    /// `solver`'s field was solved for the current positions and `a`.
+    carried: bool,
 }
 
 impl Simulation {
@@ -66,12 +89,7 @@ impl Simulation {
         };
         let particles = zeldovich_particles(backend, &cfg.cosmology, &ic, cfg.ng);
         let a = Cosmology::a_of_z(cfg.z_init);
-        Simulation {
-            cfg,
-            particles,
-            a,
-            step: 0,
-        }
+        Self::from_state(cfg, particles, a, 0)
     }
 
     /// Reconstruct a simulation from checkpointed state (see
@@ -83,6 +101,8 @@ impl Simulation {
             particles,
             a,
             step,
+            solver: None,
+            carried: false,
         }
     }
 
@@ -121,8 +141,10 @@ impl Simulation {
         &self.particles
     }
 
-    /// Mutable particle view (used by tests and failure injection).
+    /// Mutable particle view (used by tests and failure injection). Discards
+    /// the carried force field: the next kick re-solves.
     pub fn particles_mut(&mut self) -> &mut [Particle] {
+        self.carried = false;
         &mut self.particles
     }
 
@@ -146,24 +168,33 @@ impl Simulation {
         let l = self.cfg.cosmology.box_size;
         let grid_to_mpc = l / ng as f64;
 
-        // Half kick at a0.
+        // Half kick at a0, on the field the previous step's closing kick
+        // left behind when there is one.
         self.kick(backend, a0, da / 2.0);
 
         // Drift with momenta at a_half: dx/da = f(a) p / a² (grid units).
         let drift = Cosmology::leapfrog_f(a_half) / (a_half * a_half) * da * grid_to_mpc;
-        par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |_, p| {
-            for d in 0..3 {
-                let x = (p.pos[d] as f64 + drift * p.vel[d] as f64).rem_euclid(l);
-                // rem_euclid may return exactly `l` after f32 rounding.
-                p.pos[d] = if x >= l { 0.0 } else { x as f32 };
-            }
-        });
+        {
+            let _span = telemetry::span!("nbody", "drift", self.step);
+            self.carried = false;
+            par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |_, p| {
+                for d in 0..3 {
+                    let x = (p.pos[d] as f64 + drift * p.vel[d] as f64).rem_euclid(l);
+                    // rem_euclid may return exactly `l` after f32 rounding.
+                    p.pos[d] = if x >= l { 0.0 } else { x as f32 };
+                }
+            });
+        }
 
-        // Half kick at a1 with re-solved forces.
+        // Half kick at a1 with re-solved forces, kept for the next step.
         self.kick(backend, a1, da / 2.0);
 
         self.a = a1;
         self.step += 1;
+        if self.finished() {
+            self.solver = None;
+            self.carried = false;
+        }
     }
 
     /// Run all remaining steps, invoking `hook(step_index, &sim)` after each
@@ -183,12 +214,22 @@ impl Simulation {
         self.run_with_hook(backend, |_, _| {});
     }
 
-    /// Momentum update: `p += g·f(a)·da` with `g` from the PM solve at `a`.
+    /// Momentum update: `p += g·f(a)·da` with `g` from the PM solve at `a` —
+    /// the carried one if it is still current, a fresh one otherwise.
     fn kick(&mut self, backend: &dyn Backend, a: f64, da: f64) {
         let l = self.cfg.cosmology.box_size;
-        // EdS: ∇²φ = (3/2a) δ (Ω_m = 1 dynamics; see cosmology.rs).
-        let prefactor = 1.5 / a;
-        let accel = poisson_accel(backend, &self.overdensity(backend), prefactor);
+        if !self.carried {
+            let delta = self.overdensity(backend);
+            // EdS: ∇²φ = (3/2a) δ (Ω_m = 1 dynamics; see cosmology.rs).
+            let prefactor = 1.5 / a;
+            self.solver
+                .get_or_insert_with(|| PoissonSolver::new(self.cfg.ng))
+                .solve(backend, &delta, prefactor);
+            telemetry::count!("nbody", "pm_solves", 1);
+            self.carried = true;
+        }
+        let accel = self.solver.as_ref().expect("solved above").accel();
+        let _span = telemetry::span!("nbody", "kick", self.step);
         let kick = Cosmology::leapfrog_f(a) * da;
         par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |_, p| {
             let g = [
@@ -204,6 +245,7 @@ impl Simulation {
 
     /// CIC overdensity of the current particle state on the PM mesh.
     fn overdensity(&self, backend: &dyn Backend) -> Grid3<f64> {
+        let _span = telemetry::span!("nbody", "deposit");
         let soa = ParticleSoA::from_aos(&self.particles);
         cic_deposit_soa(backend, &soa, self.cfg.ng, self.cfg.cosmology.box_size)
     }

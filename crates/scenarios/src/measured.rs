@@ -11,15 +11,16 @@ impl LoadRegime {
     /// The downscaled real-execution configuration this regime names.
     ///
     /// `Medium` is the historical `workflow_compare` setup (32³ particles,
-    /// 30 steps, 8 analysis ranks); `Light` halves the work for smoke runs
-    /// and `Heavy` pushes the particle count and rank fan-out up. The
+    /// 30 steps, 8 analysis ranks); `Light` halves the grid for smoke runs
+    /// and `Heavy` doubles it and the rank fan-out. Every `np` is a power of
+    /// two (the FFT mesh requires it) that the rank count divides. The
     /// workdir is left at the [`RunnerConfig::default`] scratch location —
     /// override it per example.
     pub fn runner_config(self, seed: u64) -> RunnerConfig {
         let (np, nsteps, nranks, post_ranks, threshold) = match self {
-            LoadRegime::Light => (24, 20, 4, 2, 150),
+            LoadRegime::Light => (16, 20, 4, 2, 150),
             LoadRegime::Medium => (32, 30, 8, 2, 200),
-            LoadRegime::Heavy => (48, 40, 16, 4, 300),
+            LoadRegime::Heavy => (64, 40, 16, 4, 300),
         };
         RunnerConfig {
             sim: SimConfig {
@@ -61,9 +62,13 @@ mod tests {
         let heavy = LoadRegime::Heavy.runner_config(1);
         assert!(light.sim.np < heavy.sim.np);
         assert!(light.nranks < heavy.nranks);
-        // Rank counts must divide cleanly into the particle grid's slabs.
+        // Rank counts must divide cleanly into the particle grid's slabs,
+        // and the mesh must be one `Simulation::new` accepts.
         for cfg in [&light, &heavy] {
             assert_eq!(cfg.sim.np % cfg.nranks, 0);
+            assert!(cfg.sim.np.is_power_of_two() && cfg.sim.ng.is_power_of_two());
         }
+        let sim = nbody::Simulation::new(&dpp::Serial, light.sim.clone());
+        assert_eq!(sim.particles().len(), light.sim.np.pow(3));
     }
 }

@@ -46,10 +46,7 @@ impl LoadRegime {
 /// Q Continuum mass function under `seed`. Deterministic per (regime, seed).
 pub fn synthesize(regime: LoadRegime, seed: u64) -> Workload {
     let (n_halos, n_snapshots, background_jobs, load_factor, sim_seconds) = regime.params();
-    // The Q Continuum calibration is a nested bisection — far more expensive
-    // than an entire simulated run — so share one table across the sweep.
-    static MF: std::sync::OnceLock<MassFunction> = std::sync::OnceLock::new();
-    let mf = MF.get_or_init(MassFunction::q_continuum);
+    let mf = MassFunction::q_continuum();
     let mut rng = StdRng::seed_from_u64(seed);
     let halo_sizes: Vec<u64> = mf
         .sample_many(&mut rng, n_halos)

@@ -84,8 +84,9 @@ fn dpp_differential_backends_agree() {
     );
 }
 
-/// Every SoA/column kernel (CIC deposit, FOF, MBP, radix, histogram)
-/// against its scalar / brute-force reference in `conformance::layout`,
+/// Every SoA/column kernel (CIC deposit, FOF, MBP, radix, histogram) and
+/// both passes of the PM solve (tiled 3-D FFT, fused k-space sweep) against
+/// its scalar / brute-force / per-line reference in `conformance::layout`,
 /// bit-for-bit, on every backend, over the adversarial particle/coordinate
 /// corpus — NaN of either sign, ±inf, signed zeros, denormals, and
 /// grain-boundary lengths included.
@@ -109,6 +110,19 @@ fn layout_rewrites_agree_with_row_references() {
         "expected the full backend roster, got {:?}",
         report.backends
     );
+}
+
+/// The KDK steppers solve the PM force once per step by carrying the closing
+/// kick's field to the next opening kick. That must be invisible: stepping
+/// with the field discarded before every kick, and restarting from any
+/// (possibly mutated) mid-run state, give the same bits on every backend and
+/// on 1/2/4 `DistSim` ranks; and an N-step run performs exactly N + 1 solves.
+#[test]
+fn carried_force_field_is_invisible_and_counted() {
+    // `DistSim` steps over a comm World (fault-instrumented sites): an armed
+    // crash schedule firing in one rank would leave its peers blocked.
+    let _serial = GLOBAL_INJECTOR_LOCK.lock();
+    conformance::assert_integrator_conformance();
 }
 
 /// The in-situ visualization battery: every backend renders byte-identical

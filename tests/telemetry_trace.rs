@@ -6,8 +6,9 @@
 //! the exported Chrome trace must
 //!
 //! 1. parse as trace-event JSON,
-//! 2. contain spans from all seven instrumented layers
-//!    (`dpp`, `comm`, `simhpc`, `runner`, `listener`, `faults`, `cache`), and
+//! 2. contain spans from the seven workflow layers (`dpp`, `comm`, `simhpc`,
+//!    `runner`, `listener`, `faults`, `cache`) and the two kernel layers the
+//!    stepper records at phase granularity (`nbody`, `fft`), and
 //! 3. be **byte-identical** across two runs with the same `CHAOS_SEED`
 //!    (the logical clock erases wall-time, and the export orders spans
 //!    canonically, so any nondeterminism in the instrumentation shows up
@@ -62,8 +63,8 @@ fn tiny_cfg(name: &str) -> RunnerConfig {
     }
 }
 
-const LAYERS: [&str; 7] = [
-    "cache", "comm", "dpp", "faults", "listener", "runner", "simhpc",
+const LAYERS: [&str; 9] = [
+    "cache", "comm", "dpp", "faults", "fft", "listener", "nbody", "runner", "simhpc",
 ];
 
 /// One chaos round: the co-scheduled workflow under global comm/runner
