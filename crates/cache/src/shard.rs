@@ -34,6 +34,7 @@
 use crate::digest::{CacheKey, Digest};
 use crate::router::ShardRouter;
 use crate::store::{ArtifactCache, CacheStats};
+use faults::Fired;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -339,22 +340,16 @@ impl DistributedStore {
                 continue;
             }
             // Secondary replica: degrade on trouble, never fail the insert.
-            match faults::fault_point!("cache.replicate") {
-                Some(faults::FaultKind::Transient) => {
-                    telemetry::instant!("faults", "cache.replicate", 0);
+            match faults::poll_site(None, SITE_REPLICATE, SITE_REPLICATE) {
+                Some(Fired::Transient) => {
                     self.replica_skips.fetch_add(1, Ordering::Relaxed);
                     telemetry::count!("store", "replica_skips", 1);
                     continue;
                 }
-                Some(faults::FaultKind::Crash) => {
+                Some(Fired::Crash) => {
                     // The target node dies mid-replication.
-                    telemetry::instant!("faults", "cache.replicate", 1);
                     self.fault_kill(node);
                     continue;
-                }
-                Some(faults::FaultKind::Stall(d)) => {
-                    telemetry::instant!("faults", "cache.replicate", 2);
-                    std::thread::sleep(d);
                 }
                 None => {}
             }
@@ -391,23 +386,17 @@ impl DistributedStore {
                 continue;
             }
             if i > 0 {
-                match faults::fault_point!("cache.fetch.remote") {
-                    Some(faults::FaultKind::Transient) => {
+                match faults::poll_site(None, SITE_FETCH_REMOTE, SITE_FETCH_REMOTE) {
+                    Some(Fired::Transient) => {
                         // Link hiccup: this replica is unreachable for this
                         // fetch; try the next one.
-                        telemetry::instant!("faults", "cache.fetch.remote", 0);
                         telemetry::count!("store", "fetch_faults", 1);
                         continue;
                     }
-                    Some(faults::FaultKind::Crash) => {
+                    Some(Fired::Crash) => {
                         // The remote node dies; route around it.
-                        telemetry::instant!("faults", "cache.fetch.remote", 1);
                         self.fault_kill(node);
                         continue;
-                    }
-                    Some(faults::FaultKind::Stall(d)) => {
-                        telemetry::instant!("faults", "cache.fetch.remote", 2);
-                        std::thread::sleep(d);
                     }
                     None => {}
                 }

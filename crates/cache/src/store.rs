@@ -13,6 +13,7 @@
 
 use crate::digest::{digest_bytes, CacheKey, Digest};
 use crate::index::{Index, IndexEntry};
+use faults::Fired;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -284,23 +285,15 @@ impl ArtifactCache {
             Some(e) => *e,
             None => return self.miss(),
         };
-        match faults::fault_point!("cache.read") {
-            Some(faults::FaultKind::Transient) => {
-                // A transient read error: this lookup misses, the entry
-                // survives for the next one.
-                telemetry::instant!("faults", "cache.read", 0);
-                return self.miss();
-            }
-            Some(faults::FaultKind::Crash) => {
+        match faults::poll_site(None, "cache.read", "cache.read") {
+            // A transient read error: this lookup misses, the entry
+            // survives for the next one.
+            Some(Fired::Transient) => return self.miss(),
+            Some(Fired::Crash) => {
                 // The object is gone for good (disk corruption, a purged
                 // scratch filesystem): poison the entry.
-                telemetry::instant!("faults", "cache.read", 1);
                 self.remove_entry(&mut state, key);
                 return self.miss();
-            }
-            Some(faults::FaultKind::Stall(d)) => {
-                telemetry::instant!("faults", "cache.read", 2);
-                std::thread::sleep(d);
             }
             None => {}
         }
@@ -312,13 +305,7 @@ impl ArtifactCache {
             }
         };
         let verify_start = Instant::now();
-        let forced_fail = faults::fault_point!("cache.verify");
-        match forced_fail {
-            Some(faults::FaultKind::Transient) => telemetry::instant!("faults", "cache.verify", 0),
-            Some(faults::FaultKind::Crash) => telemetry::instant!("faults", "cache.verify", 1),
-            Some(faults::FaultKind::Stall(_)) => telemetry::instant!("faults", "cache.verify", 2),
-            None => {}
-        }
+        let forced_fail = faults::poll_site(None, "cache.verify", "cache.verify");
         let ok = forced_fail.is_none()
             && payload.len() as u64 == entry.len
             && digest_bytes(&payload) == entry.digest;

@@ -6,7 +6,7 @@
 //! receives match on `(source, tag)` with out-of-order buffering, mirroring
 //! MPI matching semantics.
 
-use faults::{fault_point, FaultKind};
+use faults::Fired;
 use std::any::Any;
 use std::cell::RefCell;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -108,17 +108,8 @@ impl Communicator {
         // Fault site: a `Transient` fault models a dropped packet that the
         // transport retransmits (delivery still happens, the fault is only
         // recorded); a `Stall` delays the send; a `Crash` kills this rank.
-        match fault_point!("comm.send") {
-            Some(FaultKind::Stall(d)) => {
-                telemetry::instant!("faults", "comm.send", 2);
-                std::thread::sleep(d)
-            }
-            Some(FaultKind::Crash) => {
-                telemetry::instant!("faults", "comm.send", 1);
-                panic!("rank {} crashed by fault injection", self.rank)
-            }
-            Some(FaultKind::Transient) => telemetry::instant!("faults", "comm.send", 0),
-            None => {}
+        if faults::poll_site(None, "comm.send", "comm.send") == Some(Fired::Crash) {
+            panic!("rank {} crashed by fault injection", self.rank)
         }
         telemetry::count!("comm", "bytes_sent", std::mem::size_of::<T>());
         self.senders[dst]
@@ -219,17 +210,8 @@ impl Communicator {
 
     /// Fault site on the receive path; mirrors the send-side semantics.
     fn apply_recv_fault(&self) {
-        match fault_point!("comm.recv") {
-            Some(FaultKind::Stall(d)) => {
-                telemetry::instant!("faults", "comm.recv", 2);
-                std::thread::sleep(d)
-            }
-            Some(FaultKind::Crash) => {
-                telemetry::instant!("faults", "comm.recv", 1);
-                panic!("rank {} crashed by fault injection", self.rank)
-            }
-            Some(FaultKind::Transient) => telemetry::instant!("faults", "comm.recv", 0),
-            None => {}
+        if faults::poll_site(None, "comm.recv", "comm.recv") == Some(Fired::Crash) {
+            panic!("rank {} crashed by fault injection", self.rank)
         }
     }
 

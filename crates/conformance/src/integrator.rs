@@ -138,7 +138,7 @@ fn check_invalidation() {
 }
 
 /// Serializes recorder installs: `telemetry::install` panics on a second one.
-static RECORDER: Mutex<()> = Mutex::new(());
+pub(crate) static RECORDER: Mutex<()> = Mutex::new(());
 
 /// The `nbody.pm_solves` count of `work`, which must tag its stepping threads
 /// with `telemetry::with_dim(dim)` so concurrent tests' solves stay out.

@@ -7,6 +7,12 @@
 //! recovery bleeding into a *neighbor's* catalog, cache namespace, or
 //! exactly-once accounting.
 //!
+//! The campaigns come from one table ([`MultiConfig::specs`]) that
+//! alternates the two ingest sources — odd campaigns stage whole files into
+//! a drop directory, even ones stream chunk announcements — so every phase
+//! below is one exactly-once battery over both sources of the service's one
+//! journaled consumer.
+//!
 //! The sweep has the same three phases:
 //!
 //! 1. **Reference** — a fault-free multi-campaign service run; each
@@ -16,7 +22,8 @@
 //!    vacuous).
 //! 2. **Record** — a record-only pass enumerates every fault site the
 //!    multi-campaign service actually reaches, including the per-campaign
-//!    `service.c<id>.emit` / `service.c<id>.analysis` sites.
+//!    `service.c<id>.emit` / `service.c<id>.analysis` sites, and pins the
+//!    counted work of a fault-free run (`assert_counted_work`).
 //! 3. **Schedules** — for every reached site, a crash is armed at its first
 //!    hit; the service incarnation dies, a fresh one over the same root
 //!    recovers from the shard journals and the cache, and the sweep asserts
@@ -66,11 +73,13 @@ impl MultiConfig {
 
     /// The campaign specs of one service run: distinct names and seeds,
     /// stable across incarnations (which keeps ids — and therefore fault
-    /// sites — stable too).
+    /// sites — stable too). Odd campaigns are whole-file, even ones
+    /// streamed, so the default pair exercises both ingest sources.
     pub fn specs(&self) -> Vec<CampaignSpec> {
         (1..=self.campaigns)
-            .map(|k| {
-                CampaignSpec::new(
+            .map(|k| CampaignSpec {
+                stream: k % 2 == 0,
+                ..CampaignSpec::new(
                     format!("mc{k}"),
                     self.seed.wrapping_mul(1000) + k as u64,
                     self.steps,
@@ -328,6 +337,41 @@ pub fn multi_reference(cfg: &MultiConfig) -> BTreeMap<String, Vec<u8>> {
     catalogs
 }
 
+/// The counted-work pin of a fault-free run, read off the record pass: per
+/// handled key the consumer polls `listener.submit` and `listener.journal`
+/// once and the job polls `service.c<id>.analysis` once; the emitter polls
+/// `service.c<id>.emit` once per published unit — a step for a whole-file
+/// campaign, a chunk for a streamed one; and every drop is loaded (read or
+/// assembled, then digested) exactly once. The site counts are the same
+/// before and after the ingest paths were folded into one consumer.
+fn assert_counted_work(
+    specs: &[CampaignSpec],
+    sites: &[(String, u64)],
+    counters: &BTreeMap<(&'static str, &'static str, u64), u64>,
+) {
+    let polls = |site: &str| sites.iter().find(|(s, _)| s == site).map_or(0, |(_, n)| *n);
+    let count = |name, id| counters.get(&("service", name, id)).copied().unwrap_or(0);
+    let keys: u64 = specs.iter().map(|s| s.steps as u64).sum();
+    assert_eq!(polls("listener.submit"), keys, "one submit poll per key");
+    assert_eq!(polls("listener.journal"), keys, "one journal poll per key");
+    for (spec, id) in specs.iter().zip(1u64..) {
+        let steps = spec.steps as u64;
+        let name = &spec.name;
+        let analysis = polls(&faults::campaign_site(id, "analysis"));
+        assert_eq!(analysis, steps, "{name}: one analysis poll per key");
+        assert_eq!(count("analyses", id), steps, "{name}: one analysis per key");
+        assert_eq!(count("drops_loaded", id), steps, "{name}: one load per key");
+        let emits = polls(&faults::campaign_site(id, "emit"));
+        if spec.stream {
+            let chunks = count("chunks_published", id);
+            assert!(chunks > steps, "{name}: steps must split into chunks");
+            assert_eq!(emits, chunks, "{name}: one emit poll per chunk");
+        } else {
+            assert_eq!(emits, steps, "{name}: one emit poll per step");
+        }
+    }
+}
+
 /// Explore every crash schedule the multi-campaign service reaches. See the
 /// module docs for the three phases. Panics if the reference or record pass
 /// misbehaves; schedule failures are reported in the returned
@@ -340,8 +384,13 @@ pub fn explore_multi(cfg: &MultiConfig) -> MultiReport {
     let sites_enumerated = {
         let injector = FaultPlan::record_only(cfg.seed).build();
         let _guard = faults::install(Arc::clone(&injector));
+        let _serial = crate::integrator::RECORDER.lock();
+        let recorder = telemetry::install(Arc::new(telemetry::Recorder::new(
+            telemetry::Clock::Logical,
+        )));
         let specs = cfg.specs();
         let (crashed, reports) = run_incarnation(&cfg.root.join("record"), &specs);
+        let counters = recorder.finish().counters_by_dim();
         assert!(!crashed, "record-only pass crashed without any armed fault");
         for rep in &reports {
             assert_eq!(
@@ -352,7 +401,9 @@ pub fn explore_multi(cfg: &MultiConfig) -> MultiReport {
                 rep.name
             );
         }
-        injector.sites_reached()
+        let sites = injector.sites_reached();
+        assert_counted_work(&specs, &sites, &counters);
+        sites
     };
 
     // Phase 3: one schedule per reached site, crashing its first hit.

@@ -18,11 +18,19 @@
 //! per-file handling units (see DESIGN.md "Fault model"); within this repo's
 //! injected crashes the submit+append pair is never split, so replay yields
 //! the same handled-file set with no duplicates.
+//!
+//! **One writer at a time.** Any worker may append to a shard journal while
+//! another compacts it, and an append landing between a rewrite's read and
+//! its rename would vanish with the old file. Every mutation therefore runs
+//! under one lock, shared by the clones of a handle (readers need none:
+//! appends are single writes, rewrites are atomic renames).
 
 use cache::LineLog;
+use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// First line of every journal file; guards against feeding the listener an
 /// unrelated file.
@@ -32,6 +40,8 @@ pub const JOURNAL_HEADER: &str = "hacc-listener-journal v1";
 #[derive(Debug, Clone)]
 pub struct Journal {
     log: LineLog,
+    /// Held by every mutation, across every clone of this handle.
+    writer: Arc<Mutex<()>>,
 }
 
 impl Journal {
@@ -41,6 +51,7 @@ impl Journal {
         staging.push(".tmp");
         Journal {
             log: LineLog::new(path, JOURNAL_HEADER, PathBuf::from(staging)),
+            writer: Arc::default(),
         }
     }
 
@@ -66,6 +77,7 @@ impl Journal {
     /// use. The entry must not contain a newline — the journal is
     /// line-oriented.
     pub fn append(&self, entry: &Path) -> io::Result<()> {
+        let _writer = self.writer.lock();
         self.log.append(&entry.to_string_lossy())
     }
 
@@ -87,6 +99,11 @@ impl Journal {
     ///
     /// [`staging_path`]: Journal::staging_path
     pub fn stage(&self, entries: &BTreeSet<PathBuf>) -> io::Result<()> {
+        let _writer = self.writer.lock();
+        self.stage_locked(entries)
+    }
+
+    fn stage_locked(&self, entries: &BTreeSet<PathBuf>) -> io::Result<()> {
         self.log.stage(entries.iter().map(|e| e.to_string_lossy()))
     }
 
@@ -95,6 +112,7 @@ impl Journal {
     ///
     /// [`stage`]: Journal::stage
     pub fn commit_staged(&self) -> io::Result<()> {
+        let _writer = self.writer.lock();
         self.log.commit()
     }
 
@@ -110,8 +128,9 @@ impl Journal {
     /// compaction. A rewrite also heals any torn trailing fragment as a side
     /// effect, because only fully committed entries are written back.
     pub fn rewrite(&self, entries: &BTreeSet<PathBuf>) -> io::Result<()> {
-        self.stage(entries)?;
-        self.commit_staged()
+        let _writer = self.writer.lock();
+        self.stage_locked(entries)?;
+        self.log.commit()
     }
 
     /// Size-triggered compaction: when the journal has grown past
@@ -128,13 +147,15 @@ impl Journal {
         threshold_bytes: u64,
         retain: impl Fn(&Path) -> bool,
     ) -> io::Result<Option<usize>> {
+        let _writer = self.writer.lock();
         if self.size_bytes()? <= threshold_bytes {
             return Ok(None);
         }
         let before = self.load()?;
         let kept: BTreeSet<PathBuf> = before.iter().filter(|p| retain(p)).cloned().collect();
         let dropped = before.len() - kept.len();
-        self.rewrite(&kept)?;
+        self.stage_locked(&kept)?;
+        self.log.commit()?;
         Ok(Some(dropped))
     }
 }
@@ -302,6 +323,38 @@ mod tests {
         j.stage(&keep).unwrap();
         j.commit_staged().unwrap();
         assert_eq!(j.load().unwrap(), keep);
+    }
+
+    /// Fails at the parent of this change: an append that lands between a
+    /// compaction's `load` and its rename is renamed away.
+    #[test]
+    fn appends_racing_a_compactor_lose_nothing() {
+        let j = Journal::new(tmpfile("race.journal"));
+        let _ = std::fs::remove_file(j.path());
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                    j.compact_if_larger(0, |_| true).unwrap();
+                }
+            });
+            let appenders: Vec<_> = (0..4)
+                .map(|t| {
+                    let j = j.clone();
+                    s.spawn(move || {
+                        for i in 0..200 {
+                            j.append(Path::new(&format!("/out/t{t}_{i:03}.hcio")))
+                                .unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for a in appenders {
+                a.join().unwrap();
+            }
+            stop.store(true, std::sync::atomic::Ordering::Release);
+        });
+        assert_eq!(j.load().unwrap().len(), 800, "an append was compacted away");
     }
 
     #[test]

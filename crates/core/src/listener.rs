@@ -4,37 +4,53 @@
 //! resumes checking. A final sweep after the main job completes catches
 //! outputs written at the very end of the run.
 //!
-//! Large simulation outputs take many poll intervals to write (the paper's
-//! level-2 files are ~30 GB), so a file's *appearance* is not a safe submit
-//! signal — analyzing a half-written container would fail or, worse, silently
-//! truncate. Two guards address this:
+//! This module holds the repository's **one journaled ingest path**: a
+//! `Source` says which keys are ready and the consumer (`Watch::sweep`)
+//! owns everything between "ready" and "durably handled", so the
+//! exactly-once argument exists once (DESIGN.md §11):
 //!
-//! * **quiescence gate** — a new file is submitted only once its size is
-//!   unchanged across two consecutive polls; the final sweep at
-//!   [`Listener::stop`] applies the same gate (with faster re-polls, bounded
-//!   by [`ListenerConfig::stop_grace`]), so a file still being written at
-//!   stop time is never submitted truncated;
-//! * **temporary exclusion** — writers that stage through `foo.tmp` + rename
-//!   are supported by skipping names ending in `.tmp` outright.
+//! * **source contract** — a *stable key* per work item (the path that is
+//!   journaled and reported), its *content* once ready, and the *liveness*
+//!   of its own keys for journal compaction. There are two: the
+//!   `DirSource` below and the service's announcement source
+//!   ([`crate::stream`]).
+//! * **consumer contract** — per ready key, in order: already handled? →
+//!   cache gate → submit with retry → journal append → mark handled. A
+//!   crash before the submit redoes the key after a restart; one between
+//!   submit and append redoes it too, which the cache gate turns into a skip
+//!   wherever the job memoizes its product; one after the append finds the
+//!   key in the journal.
 //!
-//! On a real facility the listener itself fails: submissions bounce,
-//! directory scans hit filesystem hiccups, and the listener process gets
-//! killed. Three mechanisms make those survivable:
+//! Two drivers schedule that step: the [`Listener`] thread here (one watch,
+//! plus the stop-time final-sweep loop) and the service's shard workers.
+//!
+//! Large outputs take many poll intervals to write (the paper's level-2
+//! files are ~30 GB), so a file's *appearance* is not a safe submit signal.
+//! The directory source guards against half-written input twice:
+//!
+//! * **quiescence gate** — a file is ready only once its size is unchanged
+//!   across two consecutive polls; the final sweep applies the same gate
+//!   (faster re-polls, bounded by [`ListenerConfig::stop_grace`]), so a file
+//!   still being written at stop time is never submitted truncated;
+//! * **temporary exclusion** — names ending in `.tmp` are skipped outright,
+//!   which covers writers that stage through `foo.tmp` + rename.
+//!
+//! The listener itself fails too — submissions bounce, scans hit filesystem
+//! hiccups, the process gets killed:
 //!
 //! * **retry with backoff** — a transient scan error skips one poll; a
-//!   transient submit error is retried under the capped exponential
-//!   [`ListenerConfig::retry`] policy, and a file whose submissions all fail
-//!   stays unhandled so a later poll tries again;
+//!   transient submit error is retried under [`ListenerConfig::retry`], and
+//!   a key whose submissions all fail stays unhandled for a later poll;
 //! * **crash-recovery journal** — with [`ListenerConfig::journal`] set,
-//!   every handled file is appended to a [`crate::journal::Journal`] and
+//!   every handled key is appended to a [`crate::journal::Journal`] and
 //!   preloaded on spawn, so a restarted listener never double-submits;
-//! * **fault sites** — `listener.scan`, `listener.submit`, and
-//!   `listener.journal` consult the [`ListenerConfig::injector`] (or the
-//!   globally installed one), letting the chaos harness rehearse all of the
-//!   above deterministically.
+//! * **fault sites** — `listener.{scan,submit,journal,compact}` consult the
+//!   [`ListenerConfig::injector`] (or the globally installed one), so the
+//!   chaos harness can rehearse all of the above deterministically. A
+//!   `Stall` delays the operation and then lets it proceed, at every site.
 
 use crate::journal::Journal;
-use faults::{BackoffPolicy, FaultInjector, FaultKind};
+use faults::{BackoffPolicy, FaultInjector, Fired};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
@@ -77,8 +93,8 @@ pub struct ListenerConfig {
     /// Fault injector consulted at the `listener.*` sites; `None` falls back
     /// to the globally installed injector (usually none — no faults).
     pub injector: Option<Arc<FaultInjector>>,
-    /// How long [`Listener::stop`]'s final sweep keeps waiting for files
-    /// that are still growing before giving up on them.
+    /// How long [`Listener::stop_report`]'s final sweep keeps waiting for
+    /// files that are still growing before giving up on them.
     pub stop_grace: Duration,
     /// Artifact-cache gate: consulted with each quiescent file *before*
     /// submission. When it returns `true` — a verified analysis product for
@@ -87,12 +103,14 @@ pub struct ListenerConfig {
     /// duplicate scan never re-runs work whose output artifact survives.
     pub cache_gate: Option<CacheGate>,
     /// Size-triggered journal compaction: once the journal file exceeds this
-    /// many bytes, it is rewritten (tmp + atomic rename) keeping only
-    /// entries whose output file still exists on disk. `None` disables
-    /// compaction — acceptable for one-shot runs, but a resident service
-    /// must set it or the journal grows without bound. Assumes outputs are
-    /// write-once: a handled file that is deleted and later *recreated
-    /// under the same name* would be resubmitted after compaction.
+    /// many bytes, it is rewritten (tmp + atomic rename) without the entries
+    /// of the watched directory whose output file no longer exists on disk
+    /// (entries under any other directory are not this listener's to judge
+    /// and are kept). `None` disables compaction — acceptable for one-shot
+    /// runs, but a resident service must set it or the journal grows without
+    /// bound. Assumes outputs are write-once: a handled file that is deleted
+    /// and later *recreated under the same name* would be resubmitted after
+    /// compaction.
     pub journal_compact_bytes: Option<u64>,
 }
 
@@ -136,14 +154,10 @@ impl Default for ListenerConfig {
 }
 
 impl ListenerConfig {
-    /// Decide a fault at `site`: the explicit injector when configured,
-    /// otherwise the process-global one. Shared with the service's sharded
-    /// listener, which reuses the `listener.*` sites.
-    pub(crate) fn fault(&self, site: &str) -> Option<FaultKind> {
-        match &self.injector {
-            Some(inj) => inj.check(site),
-            None => faults::poll(site),
-        }
+    /// Poll the fault site `site` (recorded under `label`) on the explicit
+    /// injector when configured, otherwise the process-global one.
+    pub(crate) fn fault(&self, site: &str, label: &'static str) -> Option<Fired> {
+        faults::poll_site(self.injector.as_deref(), site, label)
     }
 }
 
@@ -169,134 +183,326 @@ pub struct ListenerReport {
     pub compactions: u64,
 }
 
-impl ListenerReport {
-    /// Fold another report's accounting into this one. The service's shard
-    /// workers sweep into a fresh per-sweep report and absorb it into the
-    /// campaign's cumulative one afterwards, so no lock is held across a
-    /// sweep (holding the report lock while the sweep takes the scan lock
-    /// would invert the order a concurrent snapshot takes them in).
-    pub fn absorb(&mut self, other: ListenerReport) {
-        self.submitted.extend(other.submitted);
-        self.crashed |= other.crashed;
-        self.submit_retries += other.submit_retries;
-        self.journal_failures += other.journal_failures;
-        self.cache_skipped.extend(other.cache_skipped);
-        self.compactions += other.compactions;
+/// The snapshot side of a [`Watch`]: the handled set — which keys need no
+/// further work — and the running report.
+///
+/// Besides the plain set there is the *cover*: every key `<=` the cover is
+/// handled without being resident. The directory source, whose keys arrive
+/// in sorted order, advances it over the fully handled prefix of its
+/// listing, which **evicts** that prefix — steady-state memory tracks the
+/// unhandled tail, not every key ever handled. The journal is the durable
+/// copy that lets the source take the cover back if its invariant breaks.
+#[derive(Default)]
+pub(crate) struct Progress {
+    /// Handled keys above the cover.
+    seen: BTreeSet<PathBuf>,
+    cover: Option<PathBuf>,
+    /// Keys handled so far, journal-recovered ones included — kept apart
+    /// because eviction makes `seen.len()` an undercount.
+    total: usize,
+    report: ListenerReport,
+}
+
+impl Progress {
+    pub(crate) fn is_handled(&self, key: &Path) -> bool {
+        self.cover.as_deref().is_some_and(|c| key <= c) || self.seen.contains(key)
+    }
+
+    fn mark(&mut self, key: &Path) {
+        self.seen.insert(key.to_path_buf());
+        self.total += 1;
+    }
+
+    /// Raise the cover to `key` and evict what it now covers.
+    fn cover_through(&mut self, key: &Path) {
+        self.seen = self.seen.split_off(key);
+        self.seen.remove(key);
+        self.cover = Some(key.to_path_buf());
+    }
+
+    /// Drop the cover and make `journaled` (the durable copy of what it
+    /// stood for) resident again.
+    fn uncover(&mut self, journaled: impl IntoIterator<Item = PathBuf>) {
+        self.seen.extend(journaled);
+        self.cover = None;
     }
 }
 
-/// A running listener thread.
-pub struct Listener {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<ListenerReport>,
-    state: Arc<Mutex<ScanState>>,
+/// Where ready work comes from. A source owns what is specific to its
+/// transport and nothing of the handling discipline; see the module docs for
+/// the contract. Only the thread that holds the watch's source lock — the
+/// one sweeping — ever calls these.
+pub(crate) trait Source {
+    /// What a ready key carries to the gate and the job.
+    type Item;
+
+    /// Poll the transport and return, in handling order, the keys that may
+    /// be ready this sweep. Also the place to forget what was buffered for
+    /// keys handled since, and — for a source that keeps a cover — to
+    /// advance it over them, or to repair the handled set from `journal`
+    /// when it no longer holds. `progress` is the watch's snapshot lock, so
+    /// the transport is polled before taking it.
+    fn candidates(&mut self, progress: &Mutex<Progress>, journal: Option<&Journal>)
+        -> Vec<PathBuf>;
+
+    /// The content of `key`, or `None` when it is not ready after all
+    /// (still growing, not fetchable): the key waits for a later sweep.
+    fn fetch(&mut self, key: &Path) -> Option<Self::Item>;
+
+    /// Does `key` — one of this watch's own — still stand for something? A
+    /// journal compaction drops the entries that do not. By default a key
+    /// lives as long as its source does.
+    fn is_live(&self, _key: &Path) -> bool {
+        true
+    }
 }
 
-pub(crate) fn matching_files(dir: &Path, cfg: &ListenerConfig) -> Vec<PathBuf> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut out: Vec<PathBuf> = entries
-        .flatten()
-        .filter(|e| e.file_type().map(|t| t.is_file()).unwrap_or(false))
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .map(|n| {
-                    n.starts_with(&cfg.prefix)
-                        && n.ends_with(&cfg.suffix)
-                        && !n.ends_with(EXCLUDE_SUFFIX)
-                })
-                .unwrap_or(false)
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// Per-directory scan state, shared between the poll thread and the
-/// [`Listener`] handle (and, in service mode, between shard workers): the
-/// seen set, the quiescence size map, and the steady-state cursor.
+/// One watched key space: a source, the consumer that takes its ready keys
+/// to "durably handled", and the handled set and report that result.
 ///
-/// The cursor is the heart of the O(new-files) steady state. Matching files
-/// are handled in sorted name order, and once a *contiguous prefix* of the
-/// sorted listing is fully handled the cursor advances to the prefix's last
-/// name: every later sweep dismisses the whole prefix with one binary
-/// search instead of probing each name against the seen set, and the
-/// prefix's entries are **evicted** from the seen set, so steady-state
-/// per-file work and memory track the unhandled tail — not every file ever
-/// handled. Eviction is enabled only when a journal is configured: the
-/// journal is the durable copy that rebuilds the seen set if the cursor's
-/// invariant ever breaks (a file appearing *below* the cursor, detected by
-/// comparing a fingerprint of the below-cursor name listing against the
-/// one recorded when the cursor advanced — a bare count would miss a
-/// deletion and an out-of-order arrival cancelling each other out).
-pub(crate) struct ScanState {
-    /// Handled files not (yet) covered by the cursor.
-    seen: BTreeSet<PathBuf>,
-    /// Size at the previous poll for files still being written.
-    pending: HashMap<PathBuf, u64>,
-    /// Greatest name of the fully-handled sorted prefix; every present
-    /// matching file `<=` this path is handled.
-    cursor: Option<PathBuf>,
-    /// How many matching files were `<= cursor` when it last advanced.
-    below: usize,
-    /// [`names_fingerprint`] of those below-cursor names at that advance.
-    below_fp: u64,
-    /// Total files handled (journal-recovered included) — the counter
-    /// behind [`Listener::handled`], kept separately because eviction makes
-    /// `seen.len()` an undercount.
-    handled_total: usize,
+/// Lock order: `source`, then `progress`. `source` is held for a whole
+/// sweep, by the sweeping thread alone; `progress` only ever for a few
+/// instructions — so a snapshot, which takes `progress` alone, never waits
+/// for a sweep, an analysis job or a journal append.
+pub(crate) struct Watch<I> {
+    /// Every key of this watch is `dir/<name>`; that is what "own key"
+    /// means when the journal is shared with other watches.
+    pub(crate) dir: PathBuf,
+    pub(crate) cfg: ListenerConfig,
+    journal: Option<Journal>,
+    source: Mutex<Box<dyn Source<Item = I> + Send>>,
+    progress: Mutex<Progress>,
 }
 
-impl ScanState {
-    pub(crate) fn new() -> Self {
-        ScanState {
-            seen: BTreeSet::new(),
-            pending: HashMap::new(),
-            cursor: None,
-            below: 0,
-            below_fp: 0,
-            handled_total: 0,
+/// An injected `Crash` killed the consuming thread.
+#[derive(Debug)]
+pub(crate) struct Died;
+
+/// `true`: a verified product for exactly this item exists, skip the job.
+pub(crate) type Gate<'a, I> = &'a dyn Fn(&Path, &I) -> bool;
+/// The job submitted for a ready item.
+pub(crate) type Job<'a, I> = &'a mut dyn FnMut(&Path, &I) -> Result<(), SubmitError>;
+
+impl<I> Watch<I> {
+    /// A watch over `dir` fed by `source` and journaling into `journal`,
+    /// with `recovered` (this watch's keys found in a journal) handled from
+    /// the start.
+    pub(crate) fn new(
+        dir: PathBuf,
+        cfg: ListenerConfig,
+        journal: Option<Journal>,
+        source: Box<dyn Source<Item = I> + Send>,
+        recovered: BTreeSet<PathBuf>,
+    ) -> Watch<I> {
+        let progress = Progress {
+            total: recovered.len(),
+            seen: recovered,
+            ..Progress::default()
+        };
+        Watch {
+            dir,
+            cfg,
+            journal,
+            source: Mutex::new(source),
+            progress: Mutex::new(progress),
         }
     }
 
-    /// Preload journal-recovered entries; each counts as handled.
-    pub(crate) fn recover(&mut self, entries: impl IntoIterator<Item = PathBuf>) {
-        let before = self.seen.len();
-        self.seen.extend(entries);
-        self.handled_total += self.seen.len() - before;
-    }
-
-    /// Total files handled so far (recovered included).
+    /// Keys handled so far (recovered included).
     pub(crate) fn handled_total(&self) -> usize {
-        self.handled_total
+        self.progress.lock().total
     }
 
-    /// Entries currently resident in memory — bounded by the unhandled tail
-    /// once the cursor is active, not by total files handled.
-    pub(crate) fn seen_len(&self) -> usize {
-        self.seen.len()
+    /// [`Watch::handled_total`] and the report so far, under one lock.
+    pub(crate) fn snapshot(&self) -> (usize, ListenerReport) {
+        let p = self.progress.lock();
+        (p.total, p.report.clone())
     }
 
-    pub(crate) fn is_handled(&self, f: &Path) -> bool {
-        self.cursor.as_deref().is_some_and(|c| f <= c) || self.seen.contains(f)
+    /// Run `op` until it succeeds, under the retry policy, polling the fault
+    /// site before every attempt (a transient fault fails the attempt).
+    /// Failed attempts are added to `failed`; `Ok(false)`: all of them were.
+    fn retry(
+        &self,
+        site: &'static str,
+        failed: &mut u64,
+        op: &mut dyn FnMut() -> bool,
+    ) -> Result<bool, Died> {
+        for attempt in 0..self.cfg.retry.max_attempts {
+            if attempt > 0 {
+                std::thread::sleep(self.cfg.retry.delay(attempt - 1));
+            }
+            match self.cfg.fault(site, site) {
+                Some(Fired::Crash) => return Err(Died),
+                None if op() => return Ok(true),
+                Some(Fired::Transient) | None => {}
+            }
+            *failed += 1;
+        }
+        Ok(false)
     }
 
-    pub(crate) fn mark_handled(&mut self, f: &Path) {
-        self.pending.remove(f);
-        self.seen.insert(f.to_path_buf());
-        self.handled_total += 1;
+    /// One scheduled visit: the `listener.scan` poll, then — unless the scan
+    /// failed — one [`Watch::sweep`]. A transient scan failure (filesystem
+    /// hiccup) skips the visit; the next one is the retry.
+    pub(crate) fn poll(&self, gate: Gate<I>, job: Job<I>) -> Result<(), Died> {
+        match self.cfg.fault("listener.scan", "listener.scan") {
+            Some(Fired::Crash) => Err(Died),
+            Some(Fired::Transient) => Ok(()),
+            None => self.sweep(gate, job).map(drop),
+        }
+    }
+
+    /// The consumer: take every ready key from "ready" to "durably handled"
+    /// — cache gate, submission with retry, journal append, handled mark —
+    /// then compact the journal if it outgrew its threshold. Returns how
+    /// many of this sweep's candidates are still unhandled.
+    ///
+    /// A key the gate vouches for is recorded as handled — journal included,
+    /// so a restart does not resubmit it either — without running `job`. A
+    /// key whose submissions all failed stays unhandled for a later sweep.
+    /// A journal append that exhausts its retries is counted and let go: the
+    /// job ran but went unrecorded, so a restarted listener may resubmit.
+    pub(crate) fn sweep(&self, gate: Gate<I>, job: Job<I>) -> Result<usize, Died> {
+        let journal = self.journal.as_ref();
+        let mut source = self.source.lock();
+        let keys = source.candidates(&self.progress, journal);
+        for key in &keys {
+            if self.progress.lock().is_handled(key) {
+                continue;
+            }
+            let Some(item) = source.fetch(key) else {
+                continue;
+            };
+            let cached = gate(key, &item);
+            let _span = (!cached).then(|| telemetry::span!("listener", "submit"));
+            if cached {
+                telemetry::count!("listener", "cache_skipped", 1);
+            } else {
+                let mut failed = 0;
+                let submitted = self.retry("listener.submit", &mut failed, &mut || {
+                    job(key, &item).is_ok()
+                });
+                self.progress.lock().report.submit_retries += failed;
+                if !submitted? {
+                    continue;
+                }
+            }
+            let journaled = match journal {
+                Some(j) => self.retry("listener.journal", &mut 0, &mut || j.append(key).is_ok())?,
+                None => true,
+            };
+            let mut p = self.progress.lock();
+            p.report.journal_failures += u64::from(!journaled);
+            if cached {
+                p.report.cache_skipped.push(key.clone());
+            } else {
+                telemetry::count!("listener", "submitted", 1);
+                p.report.submitted.push(key.clone());
+            }
+            p.mark(key);
+        }
+        let unhandled = {
+            let p = self.progress.lock();
+            keys.iter().filter(|k| !p.is_handled(k)).count()
+        };
+        // Size-triggered journal compaction (tmp + rename, see
+        // [`Journal::rewrite`]). Liveness is the source's call, and only for
+        // this watch's own keys: on a journal shared with other watches
+        // their entries are not ours to judge. The fault site is polled only
+        // when a compaction is due, so its hits count real compactions.
+        if let (Some(j), Some(threshold)) = (journal, self.cfg.journal_compact_bytes) {
+            if j.size_bytes().is_ok_and(|s| s > threshold) {
+                let live = |k: &Path| k.parent() != Some(&self.dir) || source.is_live(k);
+                match self.cfg.fault("listener.compact", "listener.compact") {
+                    Some(Fired::Crash) => {
+                        // The worst window: survivors staged, rename not issued.
+                        if let Ok(all) = j.load() {
+                            let _ = j.stage(&all.into_iter().filter(|k| live(k)).collect());
+                        }
+                        return Err(Died);
+                    }
+                    // Pure maintenance: skip this round, the next sweep retries.
+                    Some(Fired::Transient) => return Ok(unhandled),
+                    None => {}
+                }
+                if let Ok(Some(_dropped)) = j.compact_if_larger(threshold, live) {
+                    telemetry::count!("listener", "journal_compactions", 1);
+                    self.progress.lock().report.compactions += 1;
+                }
+            }
+        }
+        Ok(unhandled)
+    }
+}
+
+/// The directory source: the matching files of one directory, in sorted
+/// name order, each ready once its size held still across two polls.
+///
+/// The cover is the heart of the O(new-files) steady state. Once a
+/// *contiguous prefix* of the sorted listing is fully handled the cover
+/// advances to the prefix's last name: every later sweep dismisses the whole
+/// prefix with one binary search instead of probing each name, and the
+/// consumer evicts the prefix from its handled set. The invariant — every
+/// present matching file `<=` the cover is handled — breaks when a file
+/// appears *below* the cover; that is detected by comparing a fingerprint of
+/// the below-cover listing against the one recorded when the cover advanced
+/// (a bare count would miss a deletion and an out-of-order arrival
+/// cancelling each other out), and repaired from the journal.
+pub(crate) struct DirSource<I> {
+    dir: PathBuf,
+    prefix: String,
+    suffix: String,
+    /// Turns a quiescent file into the item handed on (`None`: unreadable
+    /// right now, try again next sweep).
+    load: fn(&Path) -> Option<I>,
+    /// Size at the previous poll for files still being written.
+    sizes: HashMap<PathBuf, u64>,
+    /// How many matching files were `<=` the cover when it last advanced…
+    below: usize,
+    /// …and the [`names_fingerprint`] of exactly those names.
+    below_fp: u64,
+}
+
+impl<I> DirSource<I> {
+    /// Watch `dir` for the names `cfg` selects.
+    pub(crate) fn new(dir: PathBuf, cfg: &ListenerConfig, load: fn(&Path) -> Option<I>) -> Self {
+        DirSource {
+            dir,
+            prefix: cfg.prefix.clone(),
+            suffix: cfg.suffix.clone(),
+            load,
+            sizes: HashMap::new(),
+            below: 0,
+            below_fp: 0,
+        }
+    }
+
+    /// Regular files of the directory whose name matches, sorted.
+    fn matching_files(&self) -> Vec<PathBuf> {
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        let wanted = |n: &str| {
+            n.starts_with(&self.prefix) && n.ends_with(&self.suffix) && !n.ends_with(EXCLUDE_SUFFIX)
+        };
+        let mut out: Vec<PathBuf> = entries
+            .flatten()
+            .filter(|e| e.file_type().is_ok_and(|t| t.is_file()))
+            .map(|e| e.path())
+            .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(wanted))
+            .collect();
+        out.sort();
+        out
     }
 }
 
 /// Order-sensitive fingerprint of a sorted name listing, used to detect any
-/// change to the below-cursor prefix — including a deletion and an
+/// change to the below-cover prefix — including a deletion and an
 /// out-of-order arrival that leave the *count* unchanged. In-memory only
 /// (recomputed per process), so per-process determinism is all that is
 /// required. Hashing the prefix is O(below) per sweep, the same order as
-/// the directory listing that produced `files` in the first place.
+/// the directory listing that produced it in the first place.
 fn names_fingerprint(files: &[PathBuf]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -306,170 +512,80 @@ fn names_fingerprint(files: &[PathBuf]) -> u64 {
     h.finish()
 }
 
-/// One gated sweep over `dir`: quiescence check, cache gate, submission
-/// with retry, journal append, cursor advance/eviction, and size-triggered
-/// journal compaction. Returns `false` when an injected crash killed the
-/// scanning thread mid-sweep.
-///
-/// Shared by the single-directory [`Listener`] and the service's sharded
-/// listener. `state` must not be swept concurrently by another thread
-/// (other threads may read its counters through the mutex).
-pub(crate) fn sweep_dir<F>(
-    dir: &Path,
-    cfg: &ListenerConfig,
-    state: &Mutex<ScanState>,
-    journal: Option<&Journal>,
-    on_file: &mut F,
-    report: &mut ListenerReport,
-) -> bool
-where
-    F: FnMut(&Path) -> Result<(), SubmitError>,
-{
-    let files = matching_files(dir, cfg);
-    // Cursor guard: the invariant is "every present matching file `<=
-    // cursor` is handled". If the below-cursor name listing drifted from
-    // the one recorded when the cursor advanced — detected by fingerprint,
-    // not count, so a deletion and an out-of-order arrival cannot cancel
-    // each other out — a file appeared below the cursor: rebuild the seen
-    // set from the journal and fall back to per-file probing for this sweep.
-    let mut start = 0usize;
-    // Set when drift was detected but the journal could not be read back:
-    // the cursor baseline must not be re-recorded from the drifted listing,
-    // or the next sweep would see a clean match and skip the newcomer
-    // forever.
-    let mut cursor_suspect = false;
-    {
-        let mut st = state.lock();
-        if let Some(cursor) = st.cursor.clone() {
-            let below = files.partition_point(|f| f.as_path() <= cursor.as_path());
-            if below == st.below && names_fingerprint(&files[..below]) == st.below_fp {
-                start = below;
-            } else if let Some(j) = journal {
-                match j.load() {
-                    Ok(entries) => {
-                        telemetry::count!("listener", "cursor_rebuilds", 1);
-                        st.seen
-                            .extend(entries.into_iter().filter(|p| p.parent() == Some(dir)));
-                        st.cursor = None;
-                        st.below = 0;
-                        st.below_fp = 0;
-                    }
-                    Err(_) => {
-                        // The durable copy is unreadable right now; keep
-                        // trusting the cursor — skipping is the safe side
-                        // for exactly-once (the newcomer waits for a sweep
-                        // where the journal reads back).
-                        start = below;
-                        cursor_suspect = true;
-                    }
-                }
-            }
-        }
-    }
-    for f in &files[start..] {
-        if state.lock().is_handled(f) {
-            continue;
-        }
-        // Quiescence gate: submit only once the size is unchanged across
-        // two consecutive polls, so in-progress writes are never picked up.
-        let Ok(meta) = std::fs::metadata(f) else {
-            continue; // raced with a writer's rename/delete
+impl<I> Source for DirSource<I> {
+    type Item = I;
+
+    /// List the directory, check that the cover still holds, extend it over
+    /// the prefix earlier sweeps finished, and return the tail above it.
+    fn candidates(
+        &mut self,
+        progress: &Mutex<Progress>,
+        journal: Option<&Journal>,
+    ) -> Vec<PathBuf> {
+        let mut files = self.matching_files();
+        let mut handled = progress.lock();
+        self.sizes.retain(|f, _| !handled.is_handled(f));
+        // No cover without a journal: evicting without a durable copy would
+        // turn a rebuild into double submission.
+        let Some(journal) = journal else {
+            return files;
         };
-        let size = meta.len();
-        {
-            let mut st = state.lock();
-            if st.pending.get(f) != Some(&size) {
-                // First sighting, or still growing: wait for a poll where
-                // the size holds steady.
-                st.pending.insert(f.clone(), size);
-                continue;
+        let below = handled.cover.as_deref();
+        let below = below.map(|c| files.partition_point(|f| f.as_path() <= c));
+        let mut start = 0;
+        if let Some(below) = below {
+            start = below;
+            if below != self.below || names_fingerprint(&files[..below]) != self.below_fp {
+                // A file appeared below the cover: fall back to per-file
+                // probing against the journaled set.
+                let Ok(entries) = journal.load() else {
+                    // The durable copy is unreadable right now; keep
+                    // trusting the cover — skipping is the safe side for
+                    // exactly-once — and keep the stale baseline, so the
+                    // next sweep re-detects the drift instead of seeing a
+                    // clean match and skipping the newcomer forever.
+                    return files.split_off(below);
+                };
+                telemetry::count!("listener", "cursor_rebuilds", 1);
+                let dir = &self.dir;
+                handled.uncover(entries.into_iter().filter(|p| p.parent() == Some(dir)));
+                start = 0;
             }
         }
-        // Cache gate: a verified artifact for this exact file means the
-        // submission would recompute something that already exists. Record
-        // the file as handled — journal included, so a restart doesn't
-        // resubmit it either — without running a job. Checked only after
-        // quiescence: a half-written file's digest matches nothing anyway,
-        // but there is no point hashing a moving target.
-        if let Some(gate) = &cfg.cache_gate {
-            if (gate.0)(f) {
-                telemetry::count!("listener", "cache_skipped", 1);
-                if let Some(j) = journal {
-                    if !journal_append(f, cfg, report, j) {
-                        return false; // crashed mid-append
-                    }
-                }
-                report.cache_skipped.push(f.clone());
-                state.lock().mark_handled(f);
-                continue;
-            }
-        }
-        if !submit_one(f, cfg, on_file, report, journal) {
-            return false; // crashed mid-submit
-        }
-        if report.submitted.last().map(PathBuf::as_path) == Some(f.as_path()) {
-            state.lock().mark_handled(f);
-        }
-    }
-    // Advance the cursor over the (possibly longer) contiguous handled
-    // prefix and evict what it now covers. Journal-gated: evicting without
-    // a durable copy would turn a cursor rebuild into double submission.
-    // Suspect-gated: while a detected drift awaits its journal rebuild, the
-    // stale baseline is kept so the next sweep re-detects it.
-    if journal.is_some() && !cursor_suspect {
-        let mut st = state.lock();
-        let mut idx =
-            files.partition_point(|f| st.cursor.as_deref().is_some_and(|c| f.as_path() <= c));
-        while idx < files.len() && st.is_handled(&files[idx]) {
+        let mut idx = start;
+        while idx < files.len() && handled.is_handled(&files[idx]) {
             idx += 1;
         }
-        if idx > 0 && (st.below != idx || st.cursor.is_none()) {
-            let cursor = files[idx - 1].clone();
-            let tail = st.seen.split_off(&cursor);
-            st.seen = tail;
-            st.seen.remove(&cursor);
-            st.cursor = Some(cursor);
-            st.below = idx;
-            st.below_fp = names_fingerprint(&files[..idx]);
+        if idx > 0 && (idx != self.below || handled.cover.is_none()) {
+            handled.cover_through(&files[idx - 1]);
+            self.below = idx;
+            self.below_fp = names_fingerprint(&files[..idx]);
         }
+        files.split_off(idx)
     }
-    // Size-triggered journal compaction, reusing the torn-append-healing
-    // tmp+rename discipline (see [`Journal::rewrite`]): entries whose
-    // output file vanished are dead weight a resident process would carry
-    // forever. The `listener.compact` fault site lets the chaos harness
-    // crash the worst window (survivors staged, rename not yet issued).
-    if let (Some(j), Some(threshold)) = (journal, cfg.journal_compact_bytes) {
-        // Consult the fault site only when a compaction is actually due, so
-        // recorded hit counts track real compactions, not every sweep.
-        if j.size_bytes().map(|s| s > threshold).unwrap_or(false) {
-            match cfg.fault("listener.compact") {
-                Some(FaultKind::Crash) => {
-                    telemetry::instant!("faults", "listener.compact", 1);
-                    if let Ok(live) = j.load() {
-                        let kept = live.into_iter().filter(|p| p.exists()).collect();
-                        let _ = j.stage(&kept);
-                    }
-                    return false; // died between staging and publish
-                }
-                Some(FaultKind::Stall(d)) => {
-                    telemetry::instant!("faults", "listener.compact", 2);
-                    std::thread::sleep(d);
-                }
-                Some(FaultKind::Transient) => {
-                    // Compaction is pure maintenance: skip this round, the
-                    // next sweep retries.
-                    telemetry::instant!("faults", "listener.compact", 0);
-                    return true;
-                }
-                None => {}
-            }
-            if let Ok(Some(_dropped)) = j.compact_if_larger(threshold, |p| p.exists()) {
-                telemetry::count!("listener", "journal_compactions", 1);
-                report.compactions += 1;
-            }
+
+    /// Quiescence gate: ready only once the size is unchanged across two
+    /// consecutive polls, so in-progress writes are never picked up.
+    fn fetch(&mut self, key: &Path) -> Option<I> {
+        let size = std::fs::metadata(key).ok()?.len(); // Err: raced a rename/delete
+        if self.sizes.get(key) != Some(&size) {
+            self.sizes.insert(key.to_path_buf(), size);
+            return None;
         }
+        (self.load)(key)
     }
-    true
+
+    fn is_live(&self, key: &Path) -> bool {
+        key.exists()
+    }
+}
+
+/// A running listener thread.
+pub struct Listener {
+    stop: Arc<AtomicBool>,
+    /// Returns whether an injected crash killed the thread.
+    handle: std::thread::JoinHandle<bool>,
+    watch: Arc<Watch<()>>,
 }
 
 impl Listener {
@@ -495,86 +611,31 @@ impl Listener {
         F: FnMut(&Path) -> Result<(), SubmitError> + Send + 'static,
     {
         let stop = Arc::new(AtomicBool::new(false));
-        let state = Arc::new(Mutex::new(ScanState::new()));
         // Crash recovery: files a previous listener run already handled are
         // seen from the start and never resubmitted.
         let journal = cfg.journal.clone().map(Journal::new);
-        if let Some(j) = &journal {
-            let recovered = j.load().expect("listener journal unreadable");
-            telemetry::count!("listener", "journal_recovered", recovered.len());
-            state.lock().recover(recovered);
-        }
-        let stop2 = Arc::clone(&stop);
-        let state2 = Arc::clone(&state);
+        let recovered = match &journal {
+            Some(j) => j.load().expect("listener journal unreadable"),
+            None => BTreeSet::new(),
+        };
+        telemetry::count!("listener", "journal_recovered", recovered.len());
+        let source = Box::new(DirSource::new(dir.clone(), &cfg, |_| Some(())));
+        let watch = Arc::new(Watch::new(dir, cfg, journal, source, recovered));
+        let (stop2, watch2) = (Arc::clone(&stop), Arc::clone(&watch));
         let handle = std::thread::spawn(move || {
-            let mut report = ListenerReport::default();
-            loop {
-                if stop2.load(Ordering::Acquire) {
-                    // Final sweeps "to catch the last output data" — under
-                    // the same quiescence gate as regular polls (a file may
-                    // still be mid-write when stop is requested), re-polling
-                    // quickly until nothing unhandled remains or the grace
-                    // period runs out.
-                    let deadline = Instant::now() + cfg.stop_grace;
-                    loop {
-                        if !sweep_dir(
-                            &dir,
-                            &cfg,
-                            &state2,
-                            journal.as_ref(),
-                            &mut on_file,
-                            &mut report,
-                        ) {
-                            report.crashed = true;
-                            return report;
-                        }
-                        let all_handled = {
-                            let st = state2.lock();
-                            matching_files(&dir, &cfg).iter().all(|f| st.is_handled(f))
-                        };
-                        if all_handled || Instant::now() >= deadline {
-                            break;
-                        }
-                        // Re-poll quickly, but not so quickly that a slow
-                        // writer's size appears unchanged between passes.
-                        std::thread::sleep(cfg.poll_interval.min(Duration::from_millis(25)));
-                    }
-                    break;
-                }
+            let cfg = &watch2.cfg;
+            // Files travel by path here: the callbacks read what they need.
+            let gate = |key: &Path, _: &()| cfg.cache_gate.as_ref().is_some_and(|g| (g.0)(key));
+            let mut job = |key: &Path, _: &()| on_file(key);
+            while !stop2.load(Ordering::Acquire) {
                 telemetry::count!("listener", "scans", 1);
-                match cfg.fault("listener.scan") {
-                    Some(FaultKind::Crash) => {
-                        // The listener process dies: no final sweep, no
-                        // journal flush beyond what already committed.
-                        telemetry::instant!("faults", "listener.scan", 1);
-                        report.crashed = true;
-                        return report;
-                    }
-                    Some(FaultKind::Stall(d)) => {
-                        telemetry::instant!("faults", "listener.scan", 2);
-                        std::thread::sleep(d);
-                    }
-                    Some(FaultKind::Transient) => {
-                        // Directory scan failed (filesystem hiccup); the
-                        // next poll is the retry.
-                        telemetry::instant!("faults", "listener.scan", 0);
-                    }
-                    None => {
-                        if !sweep_dir(
-                            &dir,
-                            &cfg,
-                            &state2,
-                            journal.as_ref(),
-                            &mut on_file,
-                            &mut report,
-                        ) {
-                            report.crashed = true;
-                            return report;
-                        }
-                    }
+                if watch2.poll(&gate, &mut job).is_err() {
+                    // The listener process dies: no final sweep, no journal
+                    // flush beyond what already committed.
+                    return true;
                 }
                 // Interruptible sleep: check the stop flag every few ms so
-                // stop() never blocks for a whole poll interval.
+                // stopping never blocks for a whole poll interval.
                 let mut remaining = cfg.poll_interval;
                 let slice = Duration::from_millis(5);
                 while remaining > Duration::ZERO && !stop2.load(Ordering::Acquire) {
@@ -583,27 +644,41 @@ impl Listener {
                     remaining = remaining.saturating_sub(nap);
                 }
             }
-            report
+            // Final sweeps "to catch the last output data" — under the same
+            // quiescence gate as regular polls (a file may still be
+            // mid-write when stop is requested), re-polling quickly until
+            // nothing unhandled remains or the grace period runs out.
+            let deadline = Instant::now() + cfg.stop_grace;
+            loop {
+                match watch2.sweep(&gate, &mut job) {
+                    Err(Died) => return true,
+                    Ok(0) => return false,
+                    Ok(_) if Instant::now() >= deadline => return false,
+                    // Re-poll quickly, but not so quickly that a slow
+                    // writer's size appears unchanged between passes.
+                    Ok(_) => std::thread::sleep(cfg.poll_interval.min(Duration::from_millis(25))),
+                }
+            }
         });
         Listener {
             stop,
             handle,
-            state,
+            watch,
         }
     }
 
     /// Number of files handled so far (journal-recovered files included).
     pub fn handled(&self) -> usize {
-        self.state.lock().handled_total()
+        self.watch.handled_total()
     }
 
     /// Entries currently resident in the in-memory seen set. With a journal
     /// configured this is bounded by the *unhandled tail* of the directory —
-    /// the cursor evicts handled-and-journaled entries — not by the total
+    /// the cover evicts handled-and-journaled entries — not by the total
     /// number of files ever handled. Exposed for diagnostics and the
     /// backlog regression tests.
     pub fn seen_len(&self) -> usize {
-        self.state.lock().seen_len()
+        self.watch.progress.lock().seen.len()
     }
 
     /// Signal the end of the main application, wait for the final sweep and
@@ -612,99 +687,10 @@ impl Listener {
     /// retry/compaction accounting.
     pub fn stop_report(self) -> ListenerReport {
         self.stop.store(true, Ordering::Release);
-        self.handle.join().expect("listener thread panicked")
+        let crashed = self.handle.join().expect("listener thread panicked");
+        let (_, report) = self.watch.snapshot();
+        ListenerReport { crashed, ..report }
     }
-}
-
-/// Submit one quiescent file with retry-with-backoff on transient failures.
-///
-/// Returns `false` only when an injected `Crash` fault killed the listener.
-/// Success is visible to the caller as `report.submitted.last() == Some(f)`;
-/// a file whose attempts are exhausted is simply not appended (a later poll
-/// retries it from scratch).
-pub(crate) fn submit_one<F>(
-    f: &Path,
-    cfg: &ListenerConfig,
-    on_file: &mut F,
-    report: &mut ListenerReport,
-    journal: Option<&Journal>,
-) -> bool
-where
-    F: FnMut(&Path) -> Result<(), SubmitError>,
-{
-    let _span = telemetry::span!("listener", "submit");
-    for attempt in 0..cfg.retry.max_attempts {
-        if attempt > 0 {
-            std::thread::sleep(cfg.retry.delay(attempt - 1));
-        }
-        let outcome = match cfg.fault("listener.submit") {
-            Some(FaultKind::Crash) => {
-                telemetry::instant!("faults", "listener.submit", 1);
-                return false;
-            }
-            Some(FaultKind::Transient) => {
-                telemetry::instant!("faults", "listener.submit", 0);
-                Err(SubmitError("injected transient fault".into()))
-            }
-            Some(FaultKind::Stall(d)) => {
-                telemetry::instant!("faults", "listener.submit", 2);
-                std::thread::sleep(d);
-                on_file(f)
-            }
-            None => on_file(f),
-        };
-        match outcome {
-            Ok(()) => {
-                if let Some(j) = journal {
-                    if !journal_append(f, cfg, report, j) {
-                        return false; // crashed mid-append
-                    }
-                }
-                telemetry::count!("listener", "submitted", 1);
-                report.submitted.push(f.to_path_buf());
-                return true;
-            }
-            Err(_) => report.submit_retries += 1,
-        }
-    }
-    true // attempts exhausted; the file stays unhandled for a later poll
-}
-
-/// Append a handled file to the journal, retrying transient failures.
-/// Returns `false` when an injected `Crash` fault fired.
-pub(crate) fn journal_append(
-    f: &Path,
-    cfg: &ListenerConfig,
-    report: &mut ListenerReport,
-    j: &Journal,
-) -> bool {
-    for attempt in 0..cfg.retry.max_attempts {
-        if attempt > 0 {
-            std::thread::sleep(cfg.retry.delay(attempt - 1));
-        }
-        match cfg.fault("listener.journal") {
-            Some(FaultKind::Crash) => {
-                telemetry::instant!("faults", "listener.journal", 1);
-                return false;
-            }
-            Some(FaultKind::Transient) => {
-                telemetry::instant!("faults", "listener.journal", 0);
-                continue;
-            }
-            Some(FaultKind::Stall(d)) => {
-                telemetry::instant!("faults", "listener.journal", 2);
-                std::thread::sleep(d);
-            }
-            None => {}
-        }
-        if j.append(f).is_ok() {
-            return true;
-        }
-    }
-    // The submission happened but could not be recorded; a restarted
-    // listener may resubmit this file.
-    report.journal_failures += 1;
-    true
 }
 
 #[cfg(test)]
@@ -1015,6 +1001,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `Stall` means "delay, then proceed" at every site. This thread used
+    /// to sleep a `listener.scan` stall and then *skip* the sweep, so under a
+    /// stall at every scan nothing was handled before the final sweep.
+    #[test]
+    fn a_stalled_scan_is_delayed_not_skipped() {
+        let dir = tmpdir("stallscan");
+        std::fs::write(dir.join("a.hcio"), b"x").unwrap();
+        let plan = faults::FaultPlan::new(5)
+            .with_site(faults::SiteSpec::stall(
+                "listener.scan",
+                1.0,
+                Duration::from_millis(1),
+            ))
+            .build();
+        let listener = Listener::spawn(
+            dir.clone(),
+            ListenerConfig {
+                poll_interval: Duration::from_millis(5),
+                suffix: ".hcio".into(),
+                injector: Some(plan),
+                ..Default::default()
+            },
+            |_| {},
+        );
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while listener.handled() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(listener.handled(), 1, "handled by a regular, stalled poll");
+        listener.stop_report();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn crashed_listener_restarts_from_journal_without_double_submit() {
         let dir = tmpdir("crashjournal");
@@ -1269,69 +1288,46 @@ mod tests {
             std::fs::write(&p, b"handled").unwrap();
             j.append(&p).unwrap();
         }
-        let state = Mutex::new(ScanState::new());
-        state.lock().recover(j.load().unwrap());
+        let source = Box::new(DirSource::new(dir.clone(), &cfg, |_| Some(())));
+        let recovered = j.load().unwrap();
+        let watch = Watch::new(dir.clone(), cfg, Some(j), source, recovered);
         let count = std::cell::Cell::new(0usize);
-        let mut report = ListenerReport::default();
-        let mut on_file = |_: &Path| {
+        let mut on_file = |_: &Path, _: &()| {
             count.set(count.get() + 1);
             Ok(())
         };
-        // Sweep 1 establishes the cursor over the handled prefix.
-        assert!(sweep_dir(
-            &dir,
-            &cfg,
-            &state,
-            Some(&j),
-            &mut on_file,
-            &mut report
-        ));
-        assert!(state.lock().cursor.is_some(), "cursor must be active");
-        assert_eq!(state.lock().seen_len(), 0, "prefix fully evicted");
+        let mut sweep_once = || watch.sweep(&|_, _| false, &mut on_file).unwrap();
+        // Sweep 1 establishes the cover over the handled prefix.
+        sweep_once();
+        assert!(
+            watch.progress.lock().cover.is_some(),
+            "cover must be active"
+        );
+        assert_eq!(watch.progress.lock().seen.len(), 0, "prefix fully evicted");
 
         // An external sweep deletes one handled file while a straggler
-        // lands below the cursor: the below-cursor count is unchanged (5).
+        // lands below the cover: the below-cover count is unchanged (5).
         std::fs::remove_file(dir.join("m_03.hcio")).unwrap();
         std::fs::write(dir.join("m_01a.hcio"), b"late").unwrap();
 
         // Sweep 2 detects the fingerprint drift, rebuilds from the journal,
         // and starts the newcomer's quiescence window; sweep 3 submits it.
-        assert!(sweep_dir(
-            &dir,
-            &cfg,
-            &state,
-            Some(&j),
-            &mut on_file,
-            &mut report
-        ));
-        assert!(sweep_dir(
-            &dir,
-            &cfg,
-            &state,
-            Some(&j),
-            &mut on_file,
-            &mut report
-        ));
+        sweep_once();
+        sweep_once();
         assert_eq!(
             count.get(),
             1,
             "the straggler must be submitted exactly once"
         );
+        let (_, report) = watch.snapshot();
         assert_eq!(report.submitted.len(), 1);
         assert!(report.submitted[0].ends_with("m_01a.hcio"));
 
         // Steady state again: further sweeps submit nothing and the seen
-        // set shrinks back under the re-advanced cursor.
-        assert!(sweep_dir(
-            &dir,
-            &cfg,
-            &state,
-            Some(&j),
-            &mut on_file,
-            &mut report
-        ));
+        // set shrinks back under the re-advanced cover.
+        assert_eq!(sweep_once(), 0);
         assert_eq!(count.get(), 1);
-        assert_eq!(state.lock().handled_total(), 6);
+        assert_eq!(watch.handled_total(), 6);
         std::fs::remove_dir_all(&dir).ok();
     }
 

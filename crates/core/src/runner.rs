@@ -19,7 +19,7 @@ use cosmotools::{
     CenterRecord, Container, RenderParams, SnapshotMeta,
 };
 use dpp::Backend;
-use faults::{BackoffPolicy, FaultInjector, FaultKind};
+use faults::{BackoffPolicy, FaultInjector, Fired};
 use halo::{fof_and_centers_timed, FofConfig, HaloCatalog, RankTiming};
 use nbody::{Particle, SimConfig, Simulation};
 use parking_lot::Mutex;
@@ -171,23 +171,10 @@ impl RunnerConfig {
     fn guard(&self, site: &'static str, retries: &mut u64) -> bool {
         let mut attempt: u32 = 0;
         loop {
-            let fault = match &self.injector {
-                Some(inj) => inj.check(site),
-                None => faults::poll(site),
-            };
-            match fault {
+            match faults::poll_site(self.injector.as_deref(), site, site) {
                 None => return true,
-                Some(FaultKind::Crash) => {
-                    telemetry::instant!("faults", site, 1);
-                    return false;
-                }
-                Some(FaultKind::Stall(d)) => {
-                    telemetry::instant!("faults", site, 2);
-                    std::thread::sleep(d);
-                    return true;
-                }
-                Some(FaultKind::Transient) => {
-                    telemetry::instant!("faults", site, 0);
+                Some(Fired::Crash) => return false,
+                Some(Fired::Transient) => {
                     attempt += 1;
                     *retries += 1;
                     telemetry::count!("runner", "insitu_retries", 1);

@@ -10,18 +10,20 @@
 //!
 //! * **Campaign registry** — [`WorkflowService::submit_campaign`] admits a
 //!   [`CampaignSpec`] and returns a [`CampaignId`]; per-campaign state
-//!   (scan cursor, executions, catalog, scoped pool counters) lives in a
+//!   (its watch, executions, catalog, scoped pool counters) lives in a
 //!   `CampaignId`-keyed registry. [`WorkflowService::detach`] tears one
 //!   campaign down without disturbing its neighbors.
 //! * **Sharded listener** — the watch namespace is partitioned into N
 //!   shards, each with its own crash-recovery [`Journal`] and its own
 //!   scanning thread. Scan work is queued as due-tasks; a shard worker
 //!   prefers its own shard's tasks but **steals** overdue work from other
-//!   shards, so one slow campaign cannot starve the rest. Each sweep reuses
-//!   the single-directory listener's gated scan
-//!   ([`crate::listener`]: quiescence, cache gate, retry, journal append,
-//!   cursor eviction, size-triggered compaction) — the sharding changes
-//!   who scans, not how.
+//!   shards, so one slow campaign cannot starve the rest. A worker is only
+//!   a scheduler: every visit is one `Watch::poll` of the campaign's
+//!   watch — the same journaled consumer the single-directory listener
+//!   runs ([`crate::listener`]: cache gate, retry, journal append,
+//!   compaction), fed by the directory source for a whole-file campaign and
+//!   by the announcement source ([`crate::stream`]) for a streamed one. The
+//!   sharding changes who sweeps, never how a key gets handled.
 //! * **Admission control** — every admitted campaign enqueues one batch
 //!   job and holds one admission slot until it completes or is detached;
 //!   when the slots (or the active-campaign bound) fill,
@@ -50,20 +52,18 @@
 
 use crate::journal::Journal;
 use crate::listener::{
-    journal_append, submit_one, sweep_dir, CacheGate, ListenerConfig, ListenerReport, ScanState,
-    SubmitError,
+    self, DirSource, ListenerConfig, ListenerReport, Source, SubmitError, Watch,
 };
-use crate::stream::{ChunkRef, StreamHub};
+use crate::stream::{drop_name, ChunkRef, Payload, StreamHub, StreamSource};
 use cache::{
     CacheKey, Digest, DistributedConfig, DistributedStore, Fingerprint, FingerprintBuilder,
     RemoteFetchModel,
 };
 use cosmotools::{
-    assemble_chunks, chunk_container, encode_centers, write_container, CenterRecord, Container,
-    SnapshotMeta,
+    chunk_container, encode_centers, write_container, CenterRecord, Container, SnapshotMeta,
 };
 use dpp::{Backend, PoolStats, Threaded};
-use faults::{FaultInjector, FaultKind};
+use faults::{FaultInjector, Fired};
 use halo::mbp_brute;
 use nbody::Particle;
 use parking_lot::Mutex;
@@ -356,17 +356,16 @@ struct ScanTask {
 struct CampaignState {
     id: u64,
     spec: CampaignSpec,
-    /// Drop directory (`<root>/<name>/drop`).
-    dir: PathBuf,
     /// Owning shard: its journal records this campaign's handled files.
     shard: usize,
     /// The campaign's batch job in the simulator; cancelled if the campaign
     /// is detached while still running.
     job: JobId,
-    /// Listener configuration (per-campaign cache gate baked in).
-    lcfg: ListenerConfig,
-    scan: Mutex<ScanState>,
-    lreport: Mutex<ListenerReport>,
+    /// The campaign's ingest over its drop directory (`<root>/<name>/drop`):
+    /// the source (directory or announcements), the consumer configuration
+    /// (`watch.cfg` also carries the injector the per-campaign sites poll),
+    /// the handled set and the listener-side report.
+    watch: Watch<Payload>,
     executions: Mutex<BTreeMap<String, u64>>,
     status: Mutex<CampaignStatus>,
     catalog: Mutex<Option<Vec<u8>>>,
@@ -377,19 +376,13 @@ struct CampaignState {
     /// Set by detach/shutdown; the emitter thread checks it.
     cancel: AtomicBool,
     emitter: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Streaming mode: the campaign's read position in its hub topic.
-    stream_cursor: Mutex<usize>,
-    /// Streaming mode: announced-but-not-yet-ingested chunks, keyed
-    /// `step → index → ref`. A step leaves this map only once handled.
-    pending_chunks: Mutex<BTreeMap<u64, BTreeMap<u32, ChunkRef>>>,
 }
 
 impl CampaignState {
     /// Snapshot the campaign. Each lock is taken in its own statement so
-    /// the guard drops before the next acquisition — built as struct-literal
-    /// temporaries the guards would all live to the end of the expression,
-    /// and holding `scan` while taking `lreport` inverts the order a shard
-    /// worker mid-sweep uses, deadlocking a concurrent `report`/`detach`.
+    /// the guard drops before the next acquisition; the watch is read
+    /// through its snapshot lock, which no sweep holds for longer than a
+    /// few instructions, so a `report`/`detach` never waits for one.
     fn report(&self, died: bool) -> CampaignReport {
         let status = match *self.status.lock() {
             CampaignStatus::Running if died => CampaignStatus::Failed,
@@ -397,8 +390,7 @@ impl CampaignState {
         };
         let catalog = self.catalog.lock().clone();
         let executions = self.executions.lock().clone();
-        let handled = self.scan.lock().handled_total();
-        let listener = self.lreport.lock().clone();
+        let (handled, listener) = self.watch.snapshot();
         CampaignReport {
             id: CampaignId(self.id),
             name: self.spec.name.clone(),
@@ -418,7 +410,7 @@ struct Inner {
     cfg: ServiceConfig,
     store: Arc<DistributedStore>,
     /// Pub/sub edge for streaming campaigns (topic = campaign id).
-    hub: StreamHub,
+    hub: Arc<StreamHub>,
     sim: Mutex<BatchSimulator>,
     registry: Mutex<BTreeMap<u64, Arc<CampaignState>>>,
     queue: Mutex<Vec<ScanTask>>,
@@ -474,7 +466,7 @@ impl WorkflowService {
         let inner = Arc::new(Inner {
             cfg,
             store,
-            hub: StreamHub::new(),
+            hub: Arc::default(),
             sim: Mutex::new(sim),
             registry: Mutex::new(BTreeMap::new()),
             queue: Mutex::new(Vec::new()),
@@ -561,33 +553,31 @@ impl WorkflowService {
             }
         }
         telemetry::count!("service", "journal_recovered", recovered.len());
-        let mut scan = ScanState::new();
-        scan.recover(recovered);
 
-        let product_fp = spec.product_fingerprint();
-        let gate_cache = Arc::clone(&inner.store);
         let lcfg = ListenerConfig {
             poll_interval: inner.cfg.poll_interval,
             prefix: "l2_".into(),
             suffix: ".hcio".into(),
             injector: inner.cfg.injector.clone(),
             journal_compact_bytes: inner.cfg.journal_compact_bytes,
-            cache_gate: Some(CacheGate::new(move |p| match cosmotools::file_digest(p) {
-                Ok(d) => gate_cache.contains_verified(CacheKey::compose("centers", d, product_fp)),
-                Err(_) => false,
-            })),
             ..ListenerConfig::default()
         };
+        let source: Box<dyn Source<Item = Payload> + Send> = if spec.stream {
+            Box::new(StreamSource::new(id, dir.clone(), &inner.hub, &inner.store))
+        } else {
+            // A drop that cannot be read right now waits for a later sweep.
+            let load = |p: &Path| std::fs::read(p).ok().map(Payload::new);
+            Box::new(DirSource::new(dir.clone(), &lcfg, load))
+        };
         let shard = (id as usize) % inner.journals.len();
+        let journal = Some(inner.journals[shard].clone());
+        let watch = Watch::new(dir, lcfg, journal, source, recovered);
         let state = Arc::new(CampaignState {
             id,
             spec,
-            dir,
             shard,
             job,
-            lcfg,
-            scan: Mutex::new(scan),
-            lreport: Mutex::new(ListenerReport::default()),
+            watch,
             executions: Mutex::new(BTreeMap::new()),
             status: Mutex::new(CampaignStatus::Running),
             catalog: Mutex::new(None),
@@ -595,8 +585,6 @@ impl WorkflowService {
             backend: inner.base.scoped(),
             cancel: AtomicBool::new(false),
             emitter: Mutex::new(None),
-            stream_cursor: Mutex::new(0),
-            pending_chunks: Mutex::new(BTreeMap::new()),
         });
         registry.insert(id, Arc::clone(&state));
         drop(registry);
@@ -716,14 +704,10 @@ impl WorkflowService {
         if was_running {
             self.inner.sim.lock().cancel(c.job);
         }
-        let j = &self.inner.journals[c.shard];
-        if let Ok(entries) = j.load() {
-            let kept: BTreeSet<PathBuf> = entries
-                .into_iter()
-                .filter(|p| p.parent() != Some(&*c.dir))
-                .collect();
-            let _ = j.rewrite(&kept);
-        }
+        // One guarded read-filter-publish: a neighbor's append on the same
+        // shard journal cannot fall between the read and the rename.
+        let _ = self.inner.journals[c.shard]
+            .compact_if_larger(0, |p| p.parent() != Some(&*c.watch.dir));
         telemetry::count!("service", "campaigns_detached", 1);
         Ok(c.report(self.inner.died.load(Ordering::SeqCst)))
     }
@@ -777,7 +761,8 @@ impl Drop for WorkflowService {
 }
 
 /// One shard worker: pops due scan tasks (its own shard first, then steals),
-/// sweeps the campaign's drop directory through the shared gated scan, and
+/// pays the campaign's watch one visit of the shared consumer
+/// ([`Watch::poll`], journaling into the campaign's owning shard), and
 /// either finalizes the campaign or re-queues the task.
 fn shard_worker(inner: Arc<Inner>, me: usize) {
     loop {
@@ -811,38 +796,16 @@ fn shard_worker(inner: Arc<Inner>, me: usize) {
         inner.scans.fetch_add(1, Ordering::Relaxed);
         telemetry::count!("service", "scans", 1);
 
-        // Scan-level fault poll, mirroring the single-directory listener's
-        // thread loop: Transient skips this poll, Crash kills the
-        // incarnation.
-        let mut crashed = false;
-        let mut skip = false;
-        match c.lcfg.fault("listener.scan") {
-            Some(FaultKind::Crash) => {
-                telemetry::instant!("faults", "listener.scan", 1);
-                crashed = true;
-            }
-            Some(FaultKind::Stall(d)) => {
-                telemetry::instant!("faults", "listener.scan", 2);
-                std::thread::sleep(d);
-            }
-            Some(FaultKind::Transient) => {
-                telemetry::instant!("faults", "listener.scan", 0);
-                skip = true;
-            }
-            None => {}
-        }
-        if !crashed && !skip {
-            crashed = if c.spec.stream {
-                !stream_sweep(&inner, &c)
-            } else {
-                !run_sweep(&inner, &c)
-            };
-        }
-        if crashed {
+        // One visit of the shared consumer. The gate and the job both work
+        // from the item the source loaded: one read, one hash per handling.
+        let gate =
+            |_: &Path, d: &Payload| inner.store.contains_verified(c.spec.product_key(d.digest));
+        let mut job = |key: &Path, d: &Payload| analyze(&inner, &c, key, d);
+        if c.watch.poll(&gate, &mut job).is_err() {
             inner.died.store(true, Ordering::SeqCst);
             return;
         }
-        let done = c.scan.lock().handled_total() >= c.spec.steps;
+        let done = c.watch.handled_total() >= c.spec.steps;
         if done {
             finalize(&inner, &c);
         } else {
@@ -855,86 +818,44 @@ fn shard_worker(inner: Arc<Inner>, me: usize) {
     }
 }
 
-/// One gated sweep of a campaign's drop directory, journaling into the
-/// campaign's owning shard. Returns `false` when an injected crash killed
-/// the sweep.
-fn run_sweep(inner: &Inner, c: &CampaignState) -> bool {
-    let journal = &inner.journals[c.shard];
-    let mut on_file = |p: &Path| analyze_file(inner, c, p);
-    // Sweep into a per-sweep delta and absorb it afterwards: holding
-    // `lreport` across the sweep (which locks `scan` repeatedly) would pin
-    // the lreport→scan order for the whole sweep, deadlocking against any
-    // concurrent snapshot that touches the same pair — and would stall
-    // `report()` callers for a full sweep besides.
-    let mut delta = ListenerReport::default();
-    let ok = sweep_dir(
-        &c.dir,
-        &c.lcfg,
-        &c.scan,
-        Some(journal),
-        &mut on_file,
-        &mut delta,
-    );
-    c.lreport.lock().absorb(delta);
-    ok
-}
-
-/// The analysis job for one whole-file drop: read it back and hand the
-/// bytes to the shared [`analyze_bytes`].
-fn analyze_file(inner: &Inner, c: &CampaignState, path: &Path) -> Result<(), SubmitError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| SubmitError(format!("read {}: {e}", path.display())))?;
-    let stem = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    analyze_bytes(inner, c, &bytes, &stem)
-}
-
-/// The analysis job proper, shared by the whole-file and streaming paths:
+/// The analysis job for one ready drop, whichever source produced it:
 /// parse, per-block MBP centers through the campaign's scoped backend,
 /// memoize under the campaign's namespaced key in the distributed store,
 /// count the completed execution. Consults the per-campaign
-/// `service.c<id>.analysis` fault site. `exec_name` keys the execution
-/// counter (the drop file name in both modes, so exactly-once accounting is
-/// mode-independent).
-fn analyze_bytes(
+/// `service.c<id>.analysis` fault site. The key's file name keys the
+/// execution counter (the drop file name in both modes, so exactly-once
+/// accounting is mode-independent).
+fn analyze(
     inner: &Inner,
     c: &CampaignState,
-    bytes: &[u8],
-    exec_name: &str,
+    key: &Path,
+    drop: &Payload,
 ) -> Result<(), SubmitError> {
+    let exec_name = key.file_name().unwrap_or_default().to_string_lossy();
     if inner.died.load(Ordering::SeqCst) {
         return Err(SubmitError("service incarnation is down".into()));
     }
     let site = faults::campaign_site(c.id, "analysis");
-    match c.lcfg.fault(&site) {
-        Some(FaultKind::Crash) => {
-            telemetry::instant!("faults", "service.analysis", 1);
+    match c.watch.cfg.fault(&site, "service.analysis") {
+        Some(Fired::Crash) => {
             inner.died.store(true, Ordering::SeqCst);
             return Err(SubmitError(format!("{site}: crashed by fault injection")));
         }
-        Some(FaultKind::Stall(d)) => {
-            telemetry::instant!("faults", "service.analysis", 2);
-            std::thread::sleep(d);
-        }
-        Some(FaultKind::Transient) => {
-            telemetry::instant!("faults", "service.analysis", 0);
+        Some(Fired::Transient) => {
             return Err(SubmitError(format!("{site}: transient analysis failure")));
         }
         None => {}
     }
-    let digest = cache::digest_bytes(bytes);
-    let container = cosmotools::read_container(bytes)
+    let container = cosmotools::read_container(&drop.bytes)
         .map_err(|e| SubmitError(format!("parse {exec_name}: {e:?}")))?;
     let payload = encode_centers(&container_centers(&container, &c.backend));
     inner
         .store
-        .insert(c.spec.product_key(digest), &payload)
+        .insert(c.spec.product_key(drop.digest), &payload)
         .map_err(|e| SubmitError(format!("cache insert: {e}")))?;
     *c.executions
         .lock()
-        .entry(exec_name.to_string())
+        .entry(exec_name.into_owned())
         .or_insert(0) += 1;
     telemetry::count!("service", "analyses", 1);
     Ok(())
@@ -990,85 +911,26 @@ fn assemble(inner: &Inner, c: &CampaignState) -> (Vec<u8>, u64) {
     (catalog, misses)
 }
 
-/// The campaign emitter: stages each deterministic Level-2 drop through
-/// `name.tmp` + atomic rename, polling the per-campaign
-/// `service.c<id>.emit` fault site in the window between staging and
-/// publish (a crash there strands a `.tmp` the listeners must never
-/// submit). Already-published steps are skipped — that is how a restarted
-/// incarnation resumes.
+/// The campaign emitter: publishes the deterministic Level-2 drop of every
+/// step, one *unit* at a time — the whole file, or each chunk of a streamed
+/// campaign. The loop owns what both modes share: the stop / died / cancel
+/// check before every attempt, the retry pacing, and what an injected crash
+/// means (the incarnation dies). How a unit goes out, and where the
+/// `service.c<id>.emit` poll sits in it, is up to [`publish_file`] or
+/// [`publish_chunk`].
 fn run_emitter(inner: Arc<Inner>, c: Arc<CampaignState>) {
     let _dim = telemetry::with_dim(c.id);
-    if c.spec.stream {
-        stream_emitter(&inner, &c);
-        return;
-    }
-    let site = faults::campaign_site(c.id, "emit");
-    for step in 0..c.spec.steps {
-        let path = c.dir.join(step_file_name(step));
-        loop {
-            if inner.stop.load(Ordering::SeqCst)
-                || inner.died.load(Ordering::SeqCst)
-                || c.cancel.load(Ordering::SeqCst)
-            {
-                return;
-            }
-            if path.exists() {
-                break;
-            }
-            let bytes = write_container(&step_container(c.spec.seed, step));
-            let tmp = c.dir.join(format!("{}.tmp", step_file_name(step)));
-            if std::fs::write(&tmp, &bytes).is_err() {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            match c.lcfg.fault(&site) {
-                Some(FaultKind::Crash) => {
-                    telemetry::instant!("faults", "service.emit", 1);
-                    inner.died.store(true, Ordering::SeqCst);
-                    return;
-                }
-                Some(FaultKind::Stall(d)) => {
-                    telemetry::instant!("faults", "service.emit", 2);
-                    std::thread::sleep(d);
-                }
-                Some(FaultKind::Transient) => {
-                    telemetry::instant!("faults", "service.emit", 0);
-                    let _ = std::fs::remove_file(&tmp);
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
-                None => {}
-            }
-            if std::fs::rename(&tmp, &path).is_err() {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            break;
-        }
-        std::thread::sleep(inner.cfg.poll_interval);
-    }
-}
-
-/// The streaming emitter: per step, split the deterministic Level-2
-/// container into its chunk set, publish every chunk into the distributed
-/// store, and announce it on the campaign's hub topic. The per-campaign
-/// `service.c<id>.emit` fault site is polled once per chunk — a Transient
-/// retries the chunk, a Crash kills the incarnation mid-step (some chunks
-/// durable, the set incomplete), which is exactly the torn state the
-/// analysis side must tolerate. A restarted incarnation re-runs all steps:
-/// inserts dedup by content and re-announcements of handled steps are
-/// filtered by the scan state, so resumption is idempotent.
-fn stream_emitter(inner: &Inner, c: &CampaignState) {
-    let site = faults::campaign_site(c.id, "emit");
     for step in 0..c.spec.steps {
         let container = step_container(c.spec.seed, step);
-        let chunks = chunk_container(&container);
-        let total = if container.blocks.is_empty() {
-            0
+        let units = if c.spec.stream {
+            chunk_container(&container)
         } else {
-            chunks.len() as u32
+            vec![write_container(&container)]
         };
-        for (index, chunk) in chunks.iter().enumerate() {
+        // A block-less container travels as one `total = 0` sentinel chunk.
+        let empty = container.blocks.is_empty();
+        let total = if empty { 0 } else { units.len() as u32 };
+        for (index, unit) in units.iter().enumerate() {
             loop {
                 if inner.stop.load(Ordering::SeqCst)
                     || inner.died.load(Ordering::SeqCst)
@@ -1076,149 +938,89 @@ fn stream_emitter(inner: &Inner, c: &CampaignState) {
                 {
                     return;
                 }
-                match c.lcfg.fault(&site) {
-                    Some(FaultKind::Crash) => {
-                        telemetry::instant!("faults", "service.emit", 1);
+                let published = if c.spec.stream {
+                    publish_chunk(&inner, &c, step as u64, index as u32, total, unit)
+                } else {
+                    publish_file(&c, step, unit)
+                };
+                match published {
+                    Ok(true) => break,
+                    Ok(false) => std::thread::sleep(Duration::from_millis(1)),
+                    Err(listener::Died) => {
                         inner.died.store(true, Ordering::SeqCst);
                         return;
                     }
-                    Some(FaultKind::Stall(d)) => {
-                        telemetry::instant!("faults", "service.emit", 2);
-                        std::thread::sleep(d);
-                    }
-                    Some(FaultKind::Transient) => {
-                        telemetry::instant!("faults", "service.emit", 0);
-                        std::thread::sleep(Duration::from_millis(1));
-                        continue;
-                    }
-                    None => {}
                 }
-                let key = c.spec.chunk_key(step as u64, index as u32, chunk);
-                if inner.store.insert(key, chunk).is_err() {
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
-                inner.hub.publish(
-                    c.id,
-                    ChunkRef {
-                        step: step as u64,
-                        index: index as u32,
-                        total,
-                        key,
-                        len: chunk.len() as u64,
-                    },
-                );
-                telemetry::count!("service", "chunks_published", 1);
-                break;
             }
         }
         std::thread::sleep(inner.cfg.poll_interval);
     }
 }
 
-/// One streaming-ingest pass for a campaign: drain the hub topic, fold the
-/// announcements into the pending-chunk map, and for every step whose chunk
-/// set is complete fetch the payloads back out of the store (replica
-/// routing and remote-fetch costs apply), reassemble the container
-/// byte-exactly, and run it through the same gate/submit/journal discipline
-/// as the whole-file sweep — keyed by the *virtual* drop path
-/// `<drop>/l2_NNNN.hcio`, so journals, recovery, and execution accounting
-/// are mode-independent. Returns `false` when an injected crash killed the
-/// pass.
-fn stream_sweep(inner: &Inner, c: &CampaignState) -> bool {
-    {
-        let mut cursor = c.stream_cursor.lock();
-        let (batch, next) = inner.hub.drain_from(c.id, *cursor);
-        *cursor = next;
-        if !batch.is_empty() {
-            let mut pending = c.pending_chunks.lock();
-            for r in batch {
-                pending.entry(r.step).or_default().insert(r.index, r);
-            }
-        }
-    }
-    // Steps whose chunk set is complete (`total == 0` is the block-less
-    // sentinel: one chunk is the whole set).
-    let ready: Vec<(u64, Vec<ChunkRef>)> = c
-        .pending_chunks
-        .lock()
-        .iter()
-        .filter(|(_, chunks)| {
-            chunks
-                .values()
-                .next()
-                .is_some_and(|r| chunks.len() >= r.total.max(1) as usize)
-        })
-        .map(|(step, chunks)| (*step, chunks.values().copied().collect()))
-        .collect();
-    let journal = &inner.journals[c.shard];
-    let mut delta = ListenerReport::default();
-    let mut ok = true;
-    for (step, refs) in ready {
-        let virt = c.dir.join(step_file_name(step as usize));
-        if c.scan.lock().is_handled(&virt) {
-            // Handled by a previous incarnation (journal-recovered) or a
-            // duplicate announcement; drop the buffered chunks.
-            c.pending_chunks.lock().remove(&step);
-            continue;
-        }
-        let mut encoded: Vec<Vec<u8>> = Vec::with_capacity(refs.len());
-        let mut missing = false;
-        for r in &refs {
-            match inner.store.lookup(r.key) {
-                Some(b) => encoded.push(b),
-                None => {
-                    missing = true;
-                    break;
-                }
-            }
-        }
-        let container = if missing {
-            None
-        } else {
-            assemble_chunks(&encoded).ok()
-        };
-        let Some(container) = container else {
-            // A chunk is unreachable right now (replicas down, or a torn
-            // set from a crashed emitter). Leave the step pending: heal or
-            // the restarted emitter's re-publish makes a later pass whole.
-            telemetry::count!("service", "stream_stalls", 1);
-            continue;
-        };
-        let bytes = write_container(&container);
-        let digest = cache::digest_bytes(&bytes);
-        // Same cache gate as the whole-file path: a verified product for
-        // these exact bytes means the step is already analyzed — record it
-        // handled (journal included) without running a job.
-        if inner.store.contains_verified(c.spec.product_key(digest)) {
-            telemetry::count!("listener", "cache_skipped", 1);
-            if !journal_append(&virt, &c.lcfg, &mut delta, journal) {
-                ok = false; // crashed mid-append
-                break;
-            }
-            delta.cache_skipped.push(virt.clone());
-            c.scan.lock().mark_handled(&virt);
-            c.pending_chunks.lock().remove(&step);
-            continue;
-        }
-        let exec_name = step_file_name(step as usize);
-        let mut on_file = |_: &Path| analyze_bytes(inner, c, &bytes, &exec_name);
-        if !submit_one(&virt, &c.lcfg, &mut on_file, &mut delta, Some(journal)) {
-            ok = false; // crashed mid-submit
-            break;
-        }
-        if delta.submitted.last().map(PathBuf::as_path) == Some(virt.as_path()) {
-            c.scan.lock().mark_handled(&virt);
-            c.pending_chunks.lock().remove(&step);
-        }
-    }
-    c.lreport.lock().absorb(delta);
-    ok
+/// One poll of the campaign's `service.c<id>.emit` site.
+fn emit_fault(c: &CampaignState) -> Option<Fired> {
+    let site = faults::campaign_site(c.id, "emit");
+    c.watch.cfg.fault(&site, "service.emit")
 }
 
-/// Drop file name for one step.
-fn step_file_name(step: usize) -> String {
-    format!("l2_{step:04}.hcio")
+/// One attempt to publish a whole-file drop (`Ok(false)` asks for a retry):
+/// stage it as `name.tmp`, poll the emit site in the window between staging
+/// and publish (a crash there strands a `.tmp` the listeners must never
+/// submit), rename into place. An already-published step is done — that is
+/// how a restarted incarnation resumes.
+fn publish_file(c: &CampaignState, step: usize, bytes: &[u8]) -> Result<bool, listener::Died> {
+    let path = c.watch.dir.join(drop_name(step));
+    if path.exists() {
+        return Ok(true);
+    }
+    let tmp = c.watch.dir.join(format!("{}.tmp", drop_name(step)));
+    if std::fs::write(&tmp, bytes).is_err() {
+        return Ok(false);
+    }
+    match emit_fault(c) {
+        Some(Fired::Crash) => Err(listener::Died),
+        Some(Fired::Transient) => {
+            let _ = std::fs::remove_file(&tmp);
+            Ok(false)
+        }
+        None => Ok(std::fs::rename(&tmp, &path).is_ok()),
+    }
+}
+
+/// One attempt to publish one chunk of a streamed step (`Ok(false)` asks for
+/// a retry): poll the emit site, insert the chunk into the distributed
+/// store, announce it on the campaign's hub topic. A crash mid-step leaves
+/// the set incomplete — the torn state the analysis side must tolerate. A
+/// restarted incarnation re-runs all steps: inserts dedup by content and
+/// re-announced handled steps are filtered out, so resuming is idempotent.
+fn publish_chunk(
+    inner: &Inner,
+    c: &CampaignState,
+    step: u64,
+    index: u32,
+    total: u32,
+    bytes: &[u8],
+) -> Result<bool, listener::Died> {
+    match emit_fault(c) {
+        Some(Fired::Crash) => return Err(listener::Died),
+        Some(Fired::Transient) => return Ok(false),
+        None => {}
+    }
+    let key = c.spec.chunk_key(step, index, bytes);
+    if inner.store.insert(key, bytes).is_err() {
+        return Ok(false);
+    }
+    let len = bytes.len() as u64;
+    let chunk = ChunkRef {
+        step,
+        index,
+        total,
+        key,
+        len,
+    };
+    inner.hub.publish(c.id, chunk);
+    telemetry::count!("service", "chunks_published", 1);
+    Ok(true)
 }
 
 /// The deterministic Level-2 container for one campaign step: a few
@@ -1365,7 +1167,7 @@ mod tests {
         assert_eq!(rep.catalog.as_deref(), Some(&reference_catalog(&spec)[..]));
         assert_eq!(rep.assembly_misses, 0, "products must come from the cache");
         assert!(
-            (0..spec.steps).all(|s| rep.executions.get(&step_file_name(s)) == Some(&1)),
+            (0..spec.steps).all(|s| rep.executions.get(&drop_name(s)) == Some(&1)),
             "each drop analyzed exactly once: {:?}",
             rep.executions
         );
@@ -1397,7 +1199,7 @@ mod tests {
                 spec.name
             );
             assert!(
-                (0..spec.steps).all(|s| rep.executions.get(&step_file_name(s)) == Some(&1)),
+                (0..spec.steps).all(|s| rep.executions.get(&drop_name(s)) == Some(&1)),
                 "campaign {} executions: {:?}",
                 spec.name,
                 rep.executions
@@ -1696,7 +1498,7 @@ mod tests {
             );
             for s in 0..spec.steps {
                 assert_eq!(
-                    executions.get(&(spec.name.clone(), step_file_name(s))),
+                    executions.get(&(spec.name.clone(), drop_name(s))),
                     Some(&1),
                     "campaign {} step {s} not exactly-once: {executions:?}",
                     spec.name
@@ -1724,7 +1526,7 @@ mod tests {
         );
         assert_eq!(rep.assembly_misses, 0, "products must come from the store");
         assert!(
-            (0..spec.steps).all(|s| rep.executions.get(&step_file_name(s)) == Some(&1)),
+            (0..spec.steps).all(|s| rep.executions.get(&drop_name(s)) == Some(&1)),
             "each streamed step analyzed exactly once: {:?}",
             rep.executions
         );
@@ -1772,6 +1574,59 @@ mod tests {
             second.listener.cache_skipped.len(),
             spec.steps,
             "every streamed step must be satisfied by the surviving artifacts"
+        );
+    }
+
+    /// Fails at the parent of this change: the whole-file neighbour's
+    /// compaction judged *every* entry of the shared shard journal by
+    /// `exists()`, which a streamed campaign's virtual keys never pass, so a
+    /// restart found none of them and fell back to the cache gate.
+    #[test]
+    fn streamed_keys_survive_a_neighbours_compaction_on_a_shared_shard() {
+        let root = scratch("mixed-compaction");
+        let cfg = || ServiceConfig {
+            shards: 1,
+            journal_compact_bytes: Some(128),
+            ..quick_cfg(root.clone())
+        };
+        // The whole-file campaign outlives the streamed one, so its
+        // compactions keep running after the last virtual key is journaled.
+        let specs = [
+            CampaignSpec::new("files", 61, 8),
+            CampaignSpec::streamed("chunks", 62, 4),
+        ];
+        let run = || {
+            let svc = WorkflowService::start(cfg()).unwrap();
+            let ids: Vec<_> = specs
+                .iter()
+                .map(|s| svc.submit_campaign(s.clone()).unwrap())
+                .collect();
+            svc.wait_all();
+            let report = svc.shutdown();
+            assert!(!report.crashed);
+            ids.iter()
+                .map(|id| report.campaigns[&id.0].clone())
+                .collect::<Vec<_>>()
+        };
+        let first = run();
+        assert!(
+            first[0].listener.compactions > 0,
+            "compaction must have run"
+        );
+        for (rep, spec) in first.iter().zip(&specs) {
+            assert_eq!(rep.catalog.as_deref(), Some(&reference_catalog(spec)[..]));
+        }
+        let streamed = &run()[1];
+        assert_eq!(streamed.status, CampaignStatus::Completed);
+        assert_eq!(
+            streamed.handled, specs[1].steps,
+            "recovered from the journal"
+        );
+        assert!(streamed.listener.submitted.is_empty());
+        assert!(
+            streamed.listener.cache_skipped.is_empty(),
+            "the journal, not the cache gate, must answer for every step: {:?}",
+            streamed.listener.cache_skipped
         );
     }
 

@@ -36,11 +36,11 @@ const HIST_REPLICAS: usize = 4;
 /// losing them.
 ///
 /// Each chunk runs a two-phase blocked loop: phase one maps a
-/// [`HIST_BLOCK`]-wide strip of values straight to clamped bin indices in a
+/// `HIST_BLOCK`-wide strip of values straight to clamped bin indices in a
 /// stack lane array — a branch-free sweep of subtract/divide/floor/compare
 /// selects the compiler can vectorize, with NaNs routed to a dedicated
 /// overflow slot (`nbins`) instead of a branch — and phase two scatters the
-/// count increments across [`HIST_REPLICAS`] independent local arrays. The
+/// count increments across `HIST_REPLICAS` independent local arrays. The
 /// binning expression is unchanged from the scalar form and counts are
 /// integers, so the result is identical bin-for-bin.
 pub fn histogram_counted(

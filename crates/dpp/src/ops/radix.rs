@@ -114,7 +114,7 @@ const FAST_BUCKETS: usize = 1 << FAST_RADIX_BITS;
 /// Specialized flat-key engine: same pass structure as
 /// [`radix_sort_by_key`] (per-chunk digit histograms, a scan over
 /// (digit × chunk), stable scatter), but with the generic machinery
-/// stripped out for the hot path — [`FAST_RADIX_BITS`]-wide digits halve
+/// stripped out for the hot path — `FAST_RADIX_BITS`-wide digits halve
 /// the pass count, per-chunk histograms land in preallocated stripes each
 /// chunk owns (no mutex, no partial-vector sort), keys move as raw `u64`
 /// copies instead of `clone()`, and a pass whose digit is constant across

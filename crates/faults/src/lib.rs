@@ -422,6 +422,60 @@ pub fn poll(site: &str) -> Option<FaultKind> {
     inj.check(site)
 }
 
+/// What is left of a fault for the polling site to branch on, once
+/// [`poll_site`] has recorded it and slept a stall in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fired {
+    /// The operation fails once; the site retries or skips it.
+    Transient,
+    /// The component dies; the site unwinds to its crash handling.
+    Crash,
+}
+
+/// Poll `site` — on `injector` when the component carries one, otherwise on
+/// the global one — and record a fired fault as the `faults` telemetry
+/// instant named `label` (the site's static name; per-campaign sites share
+/// one label) with arg 0 / 1 / 2 for transient / crash / stall. Returns the
+/// raw kind, unslept: only a site that lives on a virtual clock (the batch
+/// simulator) wants this form, everyone else calls [`poll_site`].
+#[inline]
+pub fn poll_recorded(
+    injector: Option<&FaultInjector>,
+    site: &str,
+    label: &'static str,
+) -> Option<FaultKind> {
+    let kind = match injector {
+        Some(inj) => inj.check(site),
+        None => poll(site),
+    }?;
+    let arg = match kind {
+        FaultKind::Transient => 0,
+        FaultKind::Crash => 1,
+        FaultKind::Stall(_) => 2,
+    };
+    telemetry::instant!("faults", label, arg);
+    Some(kind)
+}
+
+/// The poll every wall-clock fault site makes: [`poll_recorded`], then a
+/// `Stall` is slept here — at every site a stall means "delay, then
+/// proceed" — so the caller only sees what it must branch on.
+#[inline]
+pub fn poll_site(
+    injector: Option<&FaultInjector>,
+    site: &str,
+    label: &'static str,
+) -> Option<Fired> {
+    match poll_recorded(injector, site, label)? {
+        FaultKind::Transient => Some(Fired::Transient),
+        FaultKind::Crash => Some(Fired::Crash),
+        FaultKind::Stall(d) => {
+            std::thread::sleep(d);
+            None
+        }
+    }
+}
+
 /// Mark a fault site. Evaluates to `Option<FaultKind>`: `None` on the happy
 /// path, `Some(kind)` when the installed plan injects a fault here.
 ///
@@ -632,6 +686,24 @@ mod tests {
         assert_eq!(b.delay_seconds(2), 4.0);
         assert_eq!(b.delay_seconds(3), 5.0, "capped");
         assert_eq!(b.delay(10), Duration::from_secs_f64(5.0));
+    }
+
+    #[test]
+    fn poll_site_sleeps_stalls_and_returns_what_callers_branch_on() {
+        let inj = FaultPlan::new(1)
+            .with_site(SiteSpec::transient("t", 1.0))
+            .with_site(SiteSpec::crash_at("c", 0))
+            .with_site(SiteSpec::stall("s", 1.0, Duration::from_millis(20)))
+            .build();
+        assert_eq!(poll_site(Some(&inj), "t", "t"), Some(Fired::Transient));
+        assert_eq!(poll_site(Some(&inj), "c", "c"), Some(Fired::Crash));
+        let t0 = std::time::Instant::now();
+        assert_eq!(poll_site(Some(&inj), "s", "s"), None, "a stall proceeds");
+        assert!(t0.elapsed() >= Duration::from_millis(20), "after its delay");
+        let unslept = poll_recorded(Some(&inj), "s", "s");
+        assert_eq!(unslept, Some(FaultKind::Stall(Duration::from_millis(20))));
+        assert_eq!(poll_site(Some(&inj), "quiet", "quiet"), None);
+        assert_eq!(inj.fault_count(), 4);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   in place on the grid slice: no copy in, no copy out.
 //! * **x and y (strided)** — a line's cells are `ny·nz` (resp. `nz`) apart,
 //!   but neighbouring *lines* are adjacent in memory. A chunk gathers
-//!   [`TILE_LINES`] neighbouring lines at once into a line-major tile — each
+//!   `TILE_LINES` neighbouring lines at once into a line-major tile — each
 //!   read is a contiguous run of `TILE_LINES` cells, not one cell per cache
 //!   line — transforms the tile's lines, and scatters them back the same way.
 //!   The tile is allocated once per dispatched chunk.

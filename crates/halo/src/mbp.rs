@@ -33,7 +33,7 @@ pub struct MbpResult {
 const MBP_LANES: usize = 16;
 
 /// Exact potential of point `i` (O(n)) over packed coordinate columns,
-/// blocked in [`MBP_LANES`]-wide strips.
+/// blocked in `MBP_LANES`-wide strips.
 ///
 /// Each strip computes its distances, softened inverses, and mass weights
 /// into a stack lane array — a branch-light loop the compiler can vectorize

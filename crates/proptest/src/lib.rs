@@ -225,7 +225,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Size specification for [`vec`]: an exact length or a half-open range.
+    /// Size specification for [`vec()`]: an exact length or a half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

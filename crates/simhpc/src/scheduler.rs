@@ -32,7 +32,7 @@ pub enum QueueDiscipline {
     /// earliest time enough nodes free up; younger jobs may jump ahead only
     /// if they both fit now *and* finish before that reservation — the
     /// discipline real schedulers use, and what the paper's "schedulers
-    /// available at the time were generally inadequate" remark (Ref. [31])
+    /// available at the time were generally inadequate" remark (Ref. \[31\])
     /// is about.
     FcfsBackfill,
     /// Conservative backfill: *every* blocked job gets a reservation in an
@@ -631,21 +631,21 @@ impl BatchSimulator {
                     j += 1;
                     continue;
                 }
-                let fault = self
-                    .faults
-                    .as_ref()
-                    .and_then(|inj| inj.check(SCHEDULER_FAULT_SITE));
+                // Unslept poll: this clock is virtual, a stall is added to
+                // the job's end time instead. No injector, no poll — the
+                // simulator never falls back to the global one.
+                let fault = self.faults.as_deref().and_then(|inj| {
+                    faults::poll_recorded(Some(inj), SCHEDULER_FAULT_SITE, SCHEDULER_FAULT_SITE)
+                });
                 match fault {
                     Some(FaultKind::Stall(d)) if !d.is_zero() => {
                         // The job hangs: it holds its nodes for `d` longer,
                         // then hits another completion event (and another
                         // fault check).
-                        telemetry::instant!("faults", "scheduler.job", 2);
                         self.running[j].end += d.as_secs_f64();
                         j += 1;
                     }
                     Some(FaultKind::Transient) | Some(FaultKind::Crash) => {
-                        telemetry::instant!("faults", "scheduler.job", 0);
                         // The attempt dies at its would-be end time. Free the
                         // nodes; requeue under capped exponential backoff or
                         // report the job exhausted.

@@ -1,7 +1,7 @@
 # Developer workflow shortcuts. `just` (or `just check`) mirrors CI.
 
 # Run everything CI runs, in the same order.
-check: fmt build test clippy
+check: fmt build test clippy doc
 
 fmt:
     cargo fmt --all --check
@@ -14,6 +14,11 @@ test:
 
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# The workspace's rustdoc must build without a warning (broken intra-doc
+# links and public docs that link private items included).
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # e2e_bench is a workspace of its own, so nothing above compiles it: build
 # it and run its own tests against the product crates, to catch a
