@@ -141,6 +141,9 @@ fn bench_fof_engines(c: &mut Criterion) {
     group.bench_function("grid_periodic", |b| {
         b.iter(|| halo::fof_grid(&positions, link, 100.0))
     });
+    group.bench_function("grid_periodic_dense_ref", |b| {
+        b.iter(|| conformance::layout::fof_grid_dense_ref(&positions, link, 100.0))
+    });
     group.bench_function("brute_n2", |b| b.iter(|| halo::fof_brute(&positions, link)));
     group.finish();
 }

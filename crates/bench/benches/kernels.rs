@@ -2,19 +2,22 @@
 //! spectrum, k-d tree construction/queries, the message-passing layer, and
 //! the batch-queue simulator — plus the **layout trajectory**: self-timed
 //! measurements of every SoA/column kernel (`after`) against a denominator
-//! that lives outside the product crates' hot path (`before`: the scalar
-//! references in `conformance::layout`, `fof_grid`, the generic radix
-//! engine, an inline scalar histogram; for the PM solve, the per-line FFT
-//! reference and the stepper that re-solves at every kick), written to
-//! `BENCH_kernels.json`
-//! when `BENCH_KERNELS_JSON=<path>` is set (`just bench-kernels`).
+//! that lives outside the product crates' hot path (`before`: the scalar,
+//! dense-cell and grid-per-chunk references in `conformance::layout`, the
+//! generic radix engine, an inline scalar histogram; for the PM solve, the
+//! per-line FFT reference and the stepper that re-solves at every kick),
+//! written to `BENCH_kernels.json` when `BENCH_KERNELS_JSON=<path>` is set
+//! (`just bench-kernels`).
 //! `BENCH_QUICK=1` trims repetitions and problem sizes for the CI
 //! regression gate (`bench_check`).
 
 use bench::{blob, snapshot_32};
 use comm::World;
 use conformance::integrator::step_resolving;
-use conformance::layout::{cic_deposit_scalar_ref, fft3d_line_ref, potential_scalar_ref};
+use conformance::layout::{
+    cic_deposit_det_partials_ref, cic_deposit_scalar_ref, fft3d_line_ref, fof_grid_dense_ref,
+    potential_scalar_ref,
+};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpp::{ops, Serial, Threaded};
 use fft::{Complex, Fft3d, Grid3};
@@ -172,11 +175,13 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         });
     }
 
-    // FOF over a clustered cloud: the linked-cell engine vs the k-d tree
+    // FOF over a clustered cloud: the dense-cell linked-cell reference (what
+    // `fof_grid` was when this row was first recorded) vs the k-d tree
     // engine. The box (64) keeps every blob in the interior, so the grid's
-    // periodic wrap is inert and both find the same groups. The grid pays a
-    // fixed per-cell cost whatever `n` is, so quick mode keeps the full `n`
-    // (tens of ms) for its ratio to be comparable with the committed one.
+    // periodic wrap is inert and both find the same groups. The reference
+    // pays a fixed per-cell cost whatever `n` is, so quick mode keeps the
+    // full `n` (tens of ms) for its ratio to be comparable with the
+    // committed one.
     {
         let n = 60_000;
         let mut positions: Vec<[f64; 3]> = Vec::with_capacity(n);
@@ -192,7 +197,7 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         }
         let cols = Coords::from_rows(&positions);
         let link = 0.4;
-        let before = time_ms(reps, || halo::fof_grid(&positions, link, 64.0));
+        let before = time_ms(reps, || fof_grid_dense_ref(&positions, link, 64.0));
         let after = time_ms(reps, || halo::fof_kdtree_cols(&cols, link));
         rows.push(KernelRow {
             kernel: "fof",
@@ -305,6 +310,55 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         rows.push(KernelRow {
             kernel: "pm_step_64",
             n: carried.particles().len(),
+            before_ms: before,
+            after_ms: after,
+        });
+    }
+
+    // The two kernels behind the in-situ path, on what the workflow
+    // benchmark's `insitu_render` hands them: a 64³ box eight steps in.
+    // Quick mode keeps the size (the names carry it).
+    {
+        let cfg = SimConfig {
+            np: 64,
+            ng: 64,
+            nsteps: 8,
+            seed: 18,
+            ..SimConfig::default()
+        };
+        let box_size = cfg.cosmology.box_size;
+        let mut sim = Simulation::new(&pool2, cfg);
+        sim.run(&pool2);
+        let n = sim.particles().len();
+
+        // Periodic FOF at b = 0.2 (`box/link` = 320): one list per cell of
+        // a 256³ mesh vs counting-sort cells bounded by `n`.
+        let positions: Vec<[f64; 3]> = sim.particles().iter().map(|p| p.pos_f64()).collect();
+        let link = 0.2 * box_size / 64.0;
+        let before = time_ms(reps, || fof_grid_dense_ref(&positions, link, box_size));
+        let after = time_ms(reps, || halo::fof_grid(&positions, link, box_size));
+        rows.push(KernelRow {
+            kernel: "fof_grid_64",
+            n,
+            before_ms: before,
+            after_ms: after,
+        });
+
+        // A frame's deterministic deposit, in LOD order on the render mesh:
+        // a dense grid per chunk vs sparse partials. Two-worker pool, as the
+        // PM rows and for their reason: `after` runs its chunks on both.
+        let selected = cosmotools::lod_select(sim.particles(), 1, 0);
+        let soa = ParticleSoA::from_aos(&selected);
+        let grain = cosmotools::RENDER_DEPOSIT_GRAIN;
+        let before = time_ms(pm_reps, || {
+            cic_deposit_det_partials_ref(&pool2, &selected, 64, box_size, grain)
+        });
+        let after = time_ms(pm_reps, || {
+            nbody::pm::cic_deposit_soa_det(&pool2, &soa, 64, box_size, grain)
+        });
+        rows.push(KernelRow {
+            kernel: "render_deposit_64",
+            n,
             before_ms: before,
             after_ms: after,
         });

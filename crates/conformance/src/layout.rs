@@ -25,6 +25,18 @@
 //!   pass writing all three `g_k`, solver workspace) vs
 //!   [`poisson_three_sweep_ref`] (one serial sweep and one fresh grid per
 //!   axis) on a seeded `δ`, every backend.
+//! * `fof-grid` — [`halo::fof_grid`] (counting-sort cells, at most `8n` of
+//!   them) vs [`fof_grid_dense_ref`] (one list per cell of a mesh up to 256
+//!   a side) label for label, and vs [`fof_periodic_images_ref`]
+//!   ([`halo::fof_brute`] over the 27 periodic images) on the small inputs,
+//!   over [`fof_grid_cases`]: links across each face of the box, particles on
+//!   cell edges, the fewest cells a mesh can have, a mesh of 10⁶ cells a
+//!   side.
+//! * `cic-det` — [`nbody::pm::cic_deposit_soa_det`] (sparse per-chunk
+//!   partials) vs [`cic_deposit_det_partials_ref`] (a dense grid per chunk),
+//!   on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded` ×3, over
+//!   [`cic_det_cases`] at chunk sizes that put `n` below, at and well above
+//!   the 64-chunk cap.
 //! * `radix-u64` — [`dpp::ops::radix_sort_u64`] (specialized flat-key
 //!   engine) vs [`dpp::ops::radix_sort_by_key`] (generic reference),
 //!   every backend, over [`inputs::u64_cases`].
@@ -38,10 +50,11 @@
 
 use crate::differential::{roster, Cmp, DiffReport};
 use crate::inputs;
-use dpp::{ops, Backend, SendPtr, Serial};
+use dpp::{ops, Backend, SendPtr, Serial, StaticThreaded, Threaded};
 use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3};
-use halo::{fof_brute, fof_kdtree_cols, mbp_brute_cols, potential_at, Coords, KdTree};
-use nbody::pm::{cic_deposit_soa, poisson_accel, to_grid_units};
+use halo::unionfind::UnionFind;
+use halo::{fof_brute, fof_grid, fof_kdtree_cols, mbp_brute_cols, potential_at, Coords, KdTree};
+use nbody::pm::{cic_deposit_soa, cic_deposit_soa_det, poisson_accel, to_grid_units};
 use nbody::{Particle, ParticleSoA};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -49,9 +62,11 @@ use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 7] = [
+pub const REQUIRED_KERNELS: [&str; 9] = [
     "cic-soa",
+    "cic-det",
     "fof-cols",
+    "fof-grid",
     "mbp-cols",
     "fft3d-tiled",
     "poisson-kspace",
@@ -83,6 +98,42 @@ fn histogram_scalar_ref(values: &[f64], lo: f64, hi: f64, nbins: usize) -> (Vec<
     (bins, skipped)
 }
 
+/// One particle's eight CIC corner contributions, added to `local` (`ng³`
+/// cells): `rem_euclid` wrap, `% ng` per corner, `m·wx·wy·wz` left to right.
+fn deposit_scalar(local: &mut [f64], p: &Particle, ng: usize, box_size: f64) {
+    let u = [
+        to_grid_units(p.pos[0], box_size, ng),
+        to_grid_units(p.pos[1], box_size, ng),
+        to_grid_units(p.pos[2], box_size, ng),
+    ];
+    let i = [u[0] as usize % ng, u[1] as usize % ng, u[2] as usize % ng];
+    let d = [u[0] - i[0] as f64, u[1] - i[1] as f64, u[2] - i[2] as f64];
+    let m = p.mass as f64;
+    for (dx, wx) in [(0usize, 1.0 - d[0]), (1, d[0])] {
+        for (dy, wy) in [(0usize, 1.0 - d[1]), (1, d[1])] {
+            for (dz, wz) in [(0usize, 1.0 - d[2]), (1, d[2])] {
+                let x = (i[0] + dx) % ng;
+                let y = (i[1] + dy) % ng;
+                let z = (i[2] + dz) % ng;
+                local[(x * ng + y) * ng + z] += m * wx * wy * wz;
+            }
+        }
+    }
+}
+
+/// Mass per cell → overdensity `δ = ρ/ρ̄ − 1` (left as it is when the total
+/// mass is not positive): the tail of both deposit references.
+fn overdensity_ref(mut rho: Vec<f64>, particles: &[Particle], ng: usize) -> Grid3<f64> {
+    let total: f64 = particles.iter().map(|p| p.mass as f64).sum();
+    let mean = total / rho.len() as f64;
+    if mean > 0.0 {
+        for v in &mut rho {
+            *v = *v / mean - 1.0;
+        }
+    }
+    Grid3::from_vec([ng, ng, ng], rho)
+}
+
 /// Scalar CIC deposit reference: one particle at a time, `rem_euclid` wrap
 /// and `% ng` per corner, returning the overdensity `δ = ρ/ρ̄ − 1`. The whole
 /// function is kept — chunking by `backend.concurrency()`, partials merged
@@ -102,24 +153,7 @@ pub fn cic_deposit_scalar_ref(
         let start = r.start;
         let mut local = vec![0.0f64; ncell];
         for p in &particles[r] {
-            let u = [
-                to_grid_units(p.pos[0], box_size, ng),
-                to_grid_units(p.pos[1], box_size, ng),
-                to_grid_units(p.pos[2], box_size, ng),
-            ];
-            let i = [u[0] as usize % ng, u[1] as usize % ng, u[2] as usize % ng];
-            let d = [u[0] - i[0] as f64, u[1] - i[1] as f64, u[2] - i[2] as f64];
-            let m = p.mass as f64;
-            for (dx, wx) in [(0usize, 1.0 - d[0]), (1, d[0])] {
-                for (dy, wy) in [(0usize, 1.0 - d[1]), (1, d[1])] {
-                    for (dz, wz) in [(0usize, 1.0 - d[2]), (1, d[2])] {
-                        let x = (i[0] + dx) % ng;
-                        let y = (i[1] + dy) % ng;
-                        let z = (i[2] + dz) % ng;
-                        local[(x * ng + y) * ng + z] += m * wx * wy * wz;
-                    }
-                }
-            }
+            deposit_scalar(&mut local, p, ng, box_size);
         }
         partials.lock().push((start, local));
     });
@@ -131,14 +165,342 @@ pub fn cic_deposit_scalar_ref(
             *gv += lv;
         }
     }
-    let total: f64 = particles.iter().map(|p| p.mass as f64).sum();
-    let mean = total / ncell as f64;
-    if mean > 0.0 {
-        for v in &mut rho {
-            *v = *v / mean - 1.0;
+    overdensity_ref(rho, particles, ng)
+}
+
+/// Grid-per-chunk deterministic deposit reference:
+/// [`nbody::pm::cic_deposit_soa_det`] as it was before its partials became
+/// sparse — fixed `grain`-sized chunks (`grain` raised to `n/64`), dispatched
+/// over chunk indices, one zeroed `ng³` grid **per chunk**, all of them held
+/// until a dense merge in chunk order, then the overdensity. The chunk body
+/// is the scalar per-particle loop of [`cic_deposit_scalar_ref`] (the
+/// kernel's own is private to `nbody`, and `cic-soa` holds the two
+/// bit-equal), and the merge leaves a sum that is NaN already alone: the
+/// kernel's rule, and what the optimized build of this loop did anyway.
+pub fn cic_deposit_det_partials_ref(
+    backend: &dyn Backend,
+    particles: &[Particle],
+    ng: usize,
+    box_size: f64,
+    grain: usize,
+) -> Grid3<f64> {
+    let ncell = ng * ng * ng;
+    let n = particles.len();
+    let grain = grain.max(1).max(n / 64);
+    let nchunks = n.div_ceil(grain);
+    let partials: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
+    backend.dispatch(nchunks, 1, &|chunks| {
+        for c in chunks {
+            let lo = c * grain;
+            let hi = ((c + 1) * grain).min(n);
+            let mut local = vec![0.0f64; ncell];
+            for p in &particles[lo..hi] {
+                deposit_scalar(&mut local, p, ng, box_size);
+            }
+            partials.lock().push((lo, local));
+        }
+    });
+    let mut partials = partials.into_inner();
+    partials.sort_by_key(|(s, _)| *s);
+    let mut rho = vec![0.0f64; ncell];
+    for (_, local) in partials {
+        for (gv, lv) in rho.iter_mut().zip(&local) {
+            // `NaN + NaN` keeps whichever operand the compiler put first.
+            if !gv.is_nan() {
+                *gv += lv;
+            }
         }
     }
-    Grid3::from_vec([ng, ng, ng], rho)
+    overdensity_ref(rho, particles, ng)
+}
+
+/// Dense-cell periodic FOF reference: [`halo::fof_grid`] as it was before its
+/// cells became a counting sort — one `Vec<u32>` per cell of a mesh clamped
+/// to 256 a side whatever `n` is (403 MB of empty headers once
+/// `box_size / link ≥ 256`), every cell visited, three `rem_euclid` per
+/// neighbour. Body unmodified.
+pub fn fof_grid_dense_ref(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
+    assert!(link > 0.0 && box_size > 0.0);
+    assert!(
+        link <= box_size / 2.0,
+        "linking length {link} too large for box {box_size}"
+    );
+    let n = positions.len();
+    let mut uf = UnionFind::new(n);
+    if n == 0 {
+        return Vec::new();
+    }
+    // Cells at least one linking length wide.
+    let ncell = ((box_size / link).floor() as usize).clamp(1, 256);
+    let cell_w = box_size / ncell as f64;
+    let cell_of = |p: [f64; 3]| -> [usize; 3] {
+        let mut c = [0usize; 3];
+        for d in 0..3 {
+            let mut v = (p[d].rem_euclid(box_size) / cell_w) as usize;
+            if v >= ncell {
+                v = ncell - 1;
+            }
+            c[d] = v;
+        }
+        c
+    };
+    // Bucket particles.
+    let mut heads: Vec<Vec<u32>> = vec![Vec::new(); ncell * ncell * ncell];
+    for (i, &p) in positions.iter().enumerate() {
+        let c = cell_of(p);
+        heads[(c[0] * ncell + c[1]) * ncell + c[2]].push(i as u32);
+    }
+    let b2 = link * link;
+    let pd2 = |a: [f64; 3], b: [f64; 3]| -> f64 {
+        let mut s = 0.0;
+        for d in 0..3 {
+            let mut v = (a[d] - b[d]).abs();
+            if v > box_size / 2.0 {
+                v = box_size - v;
+            }
+            s += v * v;
+        }
+        s
+    };
+    // For each cell, scan itself + 26 neighbors (half to avoid double work).
+    for cx in 0..ncell {
+        for cy in 0..ncell {
+            for cz in 0..ncell {
+                let me = (cx * ncell + cy) * ncell + cz;
+                let mine = &heads[me];
+                // Within-cell pairs.
+                for (a, &i) in mine.iter().enumerate() {
+                    for &j in &mine[a + 1..] {
+                        if pd2(positions[i as usize], positions[j as usize]) <= b2 {
+                            uf.union(i as usize, j as usize);
+                        }
+                    }
+                }
+                // Cross-cell pairs (each unordered neighbor pair once).
+                for dx in -1i64..=1 {
+                    for dy in -1i64..=1 {
+                        for dz in -1i64..=1 {
+                            if (dx, dy, dz) <= (0, 0, 0) {
+                                continue; // lexicographic half-shell
+                            }
+                            let ox = (cx as i64 + dx).rem_euclid(ncell as i64) as usize;
+                            let oy = (cy as i64 + dy).rem_euclid(ncell as i64) as usize;
+                            let oz = (cz as i64 + dz).rem_euclid(ncell as i64) as usize;
+                            let other = (ox * ncell + oy) * ncell + oz;
+                            if other == me {
+                                continue; // wrapped back (ncell small)
+                            }
+                            for &i in mine {
+                                for &j in &heads[other] {
+                                    if pd2(positions[i as usize], positions[j as usize]) <= b2 {
+                                        uf.union(i as usize, j as usize);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    uf.labels().0
+}
+
+/// Periodic FOF by brute force: [`halo::fof_brute`] over all 27 periodic
+/// images of every particle, two particles sharing a group when any of their
+/// images do. O((27n)²), for small inputs; labels numbered by first
+/// appearance like every other engine's.
+pub fn fof_periodic_images_ref(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
+    let n = positions.len();
+    let shifts = [-box_size, 0.0, box_size];
+    let mut images = Vec::with_capacity(27 * n);
+    for sx in shifts {
+        for sy in shifts {
+            for sz in shifts {
+                images.extend(positions.iter().map(|p| [p[0] + sx, p[1] + sy, p[2] + sz]));
+            }
+        }
+    }
+    let image_labels = fof_brute(&images, link);
+    // The first image seen in each brute group stands for it.
+    let mut first = vec![usize::MAX; images.len()];
+    let mut uf = UnionFind::new(n);
+    for (k, &l) in image_labels.iter().enumerate() {
+        if first[l as usize] == usize::MAX {
+            first[l as usize] = k % n;
+        }
+        uf.union(first[l as usize], k % n);
+    }
+    uf.labels().0
+}
+
+/// One `fof-grid` input: positions, linking length, box side.
+pub struct FofGridCase {
+    /// Stable case name.
+    pub name: String,
+    /// Particle positions.
+    pub positions: Vec<[f64; 3]>,
+    /// Linking length.
+    pub link: f64,
+    /// Periodic box side.
+    pub box_size: f64,
+    /// Small enough for [`fof_periodic_images_ref`] and
+    /// [`fof_grid_dense_ref`] both (the 10⁶-cells-a-side case costs the
+    /// dense reference 403 MB and is held to the image oracle alone).
+    pub dense: bool,
+}
+
+/// The `fof-grid` corpus. The new engine's mesh has `⌊cbrt(8n)⌋` cells a side
+/// at most and the dense one `⌊box/link⌋` up to 256, so the cases pick `n`
+/// and `link` to put each engine on 2 and on 3 cells a side (1 needs
+/// `link > box/2`, which both refuse), on different meshes, and on the same.
+pub fn fof_grid_cases() -> Vec<FofGridCase> {
+    let case = |name: &str, positions: Vec<[f64; 3]>, link: f64, box_size: f64| FofGridCase {
+        name: name.to_string(),
+        positions,
+        link,
+        box_size,
+        dense: true,
+    };
+    let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+    let mut cases = vec![
+        case("empty", vec![], 1.0, 10.0),
+        case("single", vec![[3.0, 4.0, 5.0]], 1.0, 10.0),
+        case("coincident", vec![[2.0, 3.0, 4.0]; 60], 0.25, 8.0),
+    ];
+    // A pair linked only through each face of the box, and a bystander.
+    for axis in 0..3 {
+        let at = |x: f64| {
+            let mut p = [5.0; 3];
+            p[axis] = x;
+            p
+        };
+        cases.push(case(
+            &format!("wrap_axis{axis}"),
+            vec![
+                at(0.2),
+                at(9.9),
+                at(5.0),
+                at(below(10.0)),
+                at(10.0),
+                at(-0.05),
+            ],
+            0.5,
+            10.0,
+        ));
+        // On cell edges of the unit mesh, distances of exactly one link.
+        cases.push(case(
+            &format!("cell_edges_axis{axis}"),
+            [0.0, 1.0, 3.0, 4.5, 9.0, below(10.0), 6.0, 7.0]
+                .into_iter()
+                .map(at)
+                .collect(),
+            1.0,
+            10.0,
+        ));
+    }
+    // Two and three cells a side, by `link` (dense mesh) and by `n` (new).
+    let mut rng = StdRng::seed_from_u64(0x5EED_F0F6);
+    let mut cloud = |n: usize, box_size: f64| -> Vec<[f64; 3]> {
+        (0..n)
+            .map(|_| {
+                [
+                    rng.gen_range(0.0..box_size),
+                    rng.gen_range(0.0..box_size),
+                    rng.gen_range(0.0..box_size),
+                ]
+            })
+            .collect()
+    };
+    for n in [2usize, 3, 4, 40] {
+        cases.push(case(
+            &format!("half_box_link/n={n}"),
+            cloud(n, 6.0),
+            3.0,
+            6.0,
+        ));
+        cases.push(case(
+            &format!("third_box_link/n={n}"),
+            cloud(n, 6.0),
+            1.9,
+            6.0,
+        ));
+        cases.push(case(&format!("fine_link/n={n}"), cloud(n, 6.0), 0.4, 6.0));
+    }
+    // Seven cells a side (rows that wrap, not whole-row runs) and a pair
+    // linked only through each face.
+    let mut faces = Vec::new();
+    for (z, rows) in [(1.7, 4), (3.0, 4), (2.35, 2)] {
+        for a in 0..4 {
+            // Forty loners, to bring `⌊cbrt(8n)⌋` to seven.
+            faces.extend((0..rows).map(|b| [0.3 + 1.5 * a as f64, 0.45 + 1.5 * b as f64, z]));
+        }
+    }
+    for axis in 0..3 {
+        for x in [0.1, 5.9] {
+            let mut p = [1.3, 2.6, 4.1];
+            p[axis] = x;
+            faces.push(p);
+        }
+    }
+    // … and through the z face between neighbouring rows, from either end.
+    faces.extend([[0.8, 2.6, 0.1], [0.9, 2.6, 5.95]]);
+    faces.extend([[0.8, 4.0, 5.95], [0.9, 4.0, 0.1]]);
+    cases.push(case("faces_fine_mesh", faces, 0.4, 6.0));
+    // 10⁶ cells a side for ten particles: two pairs within a link, one of
+    // them across a face.
+    let mut tiny = cloud(6, 1.0);
+    tiny.extend([
+        [0.5, 0.5, 0.5],
+        [0.5 + 4e-7, 0.5, 0.5],
+        [2e-7, 0.25, 0.75],
+        [1.0 - 3e-7, 0.25, 0.75],
+    ]);
+    cases.push(FofGridCase {
+        dense: false,
+        ..case("tiny_link", tiny, 1e-6, 1.0)
+    });
+    cases
+}
+
+/// The `cic-det` corpus: [`inputs::particle_cases`] (what
+/// `conformance::render` deposits) plus zero and negative masses — total
+/// positive, and total negative so the overdensity step is skipped — every
+/// particle inside one mesh cell, and a length several pooled dispatches
+/// long.
+pub fn cic_det_cases() -> Vec<inputs::Case<Particle>> {
+    let mut rng = StdRng::seed_from_u64(0x5EED_C1CD);
+    let mut cloud = |name: &'static str, n: usize, lo: f32, hi: f32, masses: [f32; 4]| {
+        let data = (0..n)
+            .map(|i| {
+                let pos = [
+                    rng.gen_range(lo..hi),
+                    rng.gen_range(lo..hi),
+                    rng.gen_range(lo..hi),
+                ];
+                Particle::at_rest(pos, masses[i % 4], i as u64)
+            })
+            .collect();
+        inputs::Case { name, data }
+    };
+    let mut cases = inputs::particle_cases();
+    cases.push(cloud(
+        "signed_masses",
+        1500,
+        0.0,
+        32.0,
+        [-1.5, 0.0, -0.0, 4.0],
+    ));
+    cases.push(cloud(
+        "negative_total",
+        700,
+        0.0,
+        32.0,
+        [-2.0, 0.0, 0.5, -0.0],
+    ));
+    cases.push(cloud("one_cell", 2000, 4.1, 5.9, [1.0, 2.0, 0.5, 1.5]));
+    cases.push(cloud("pooled", 3 * 4096 + 5, 0.0, 32.0, [1.0; 4]));
+    cases
 }
 
 /// Scalar potential reference: `φ(i) = Σ_{j≠i} −m_j / (d_ij + ε)` summed in
@@ -333,6 +695,36 @@ pub fn run_layout_differential() -> DiffReport {
         }
     }
 
+    // --- cic-det ---------------------------------------------------------
+    // The reference is backend-independent by construction, so it runs once
+    // on `Serial`; the kernel must reproduce its bits wherever it runs.
+    rep.op("cic-det");
+    let det_backends: [(&str, Box<dyn Backend>); 4] = [
+        ("serial", Box::new(Serial)),
+        ("threaded-2", Box::new(Threaded::new(2))),
+        ("threaded-3", Box::new(Threaded::new(3))),
+        ("static-3", Box::new(StaticThreaded::new(3))),
+    ];
+    for case in cic_det_cases() {
+        let soa = ParticleSoA::from_aos(&case.data);
+        // 64 · 16 = 1024: the corpus has n one below, at, one above and
+        // 4× / 12× above the point where the chunk count is capped.
+        for grain in [16usize, 4096] {
+            let reference = cic_deposit_det_partials_ref(&Serial, &case.data, ng, box_size, grain);
+            for (name, b) in &det_backends {
+                let got = cic_deposit_soa_det(b.as_ref(), &soa, ng, box_size, grain);
+                rep.check_f64_slice(
+                    Cmp::BitEq,
+                    "cic-det",
+                    &format!("{}/grain={grain}", case.name),
+                    name,
+                    reference.as_slice(),
+                    got.as_slice(),
+                );
+            }
+        }
+    }
+
     // --- fof-cols --------------------------------------------------------
     rep.op("fof-cols");
     for case in inputs::coord_cases() {
@@ -391,6 +783,41 @@ pub fn run_layout_differential() -> DiffReport {
                     &knn_got,
                 );
             }
+        }
+    }
+
+    // --- fof-grid --------------------------------------------------------
+    rep.op("fof-grid");
+    for case in fof_grid_cases() {
+        let got = fof_grid(&case.positions, case.link, case.box_size);
+        rep.check_eq(
+            "fof-grid",
+            &format!("images/{}", case.name),
+            "csr-engine",
+            &fof_periodic_images_ref(&case.positions, case.link, case.box_size),
+            &got,
+        );
+        if case.dense {
+            rep.check_eq(
+                "fof-grid",
+                &format!("dense/{}", case.name),
+                "csr-engine",
+                &fof_grid_dense_ref(&case.positions, case.link, case.box_size),
+                &got,
+            );
+        }
+    }
+    // The column corpus in a box of 8: positions on and just outside the
+    // faces, blobs, a grain-straddling cloud. Too large for the image oracle.
+    for case in inputs::coord_cases() {
+        for link in [0.25f64, 0.7, 4.0] {
+            rep.check_eq(
+                "fof-grid",
+                &format!("dense/{}/link={link}", case.name),
+                "csr-engine",
+                &fof_grid_dense_ref(&case.data, link, 8.0),
+                &fof_grid(&case.data, link, 8.0),
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::config::{Config, ConfigError};
 use crate::insitu::{AnalysisContext, InSituAlgorithm, Product};
-use halo::{fof_grid, mbp_brute, members_by_group, unwrap_positions, Halo, HaloCatalog};
+use halo::{fof_grid, mbp_brute, unwrap_positions, Halo, HaloCatalog};
 use nbody::particle::Particle;
 
 /// The in-situ halo analysis task.
@@ -50,6 +50,32 @@ impl HaloFinderTask {
     }
 }
 
+/// Member lists of the groups with at least `min_size` members, in label
+/// order: `halo::members_by_group` without a list per field particle (an
+/// evolved box is mostly singletons).
+fn groups_of_at_least(labels: &[u32], min_size: usize) -> Vec<Vec<u32>> {
+    let ngroups = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
+    let mut sizes = vec![0usize; ngroups];
+    for &l in labels {
+        sizes[l as usize] += 1;
+    }
+    // Label → index into `out`, for the groups kept.
+    let mut slot = vec![usize::MAX; ngroups];
+    let mut out = Vec::new();
+    for (l, &size) in sizes.iter().enumerate() {
+        if size >= min_size {
+            slot[l] = out.len();
+            out.push(Vec::with_capacity(size));
+        }
+    }
+    for (i, &l) in labels.iter().enumerate() {
+        if let Some(members) = out.get_mut(slot[l as usize]) {
+            members.push(i as u32);
+        }
+    }
+    out
+}
+
 /// Whole-box FOF + selective centers, reusable outside the in-situ framework
 /// (the stand-alone driver calls this too). `link_frac` is in mean
 /// interparticle spacings.
@@ -71,10 +97,7 @@ pub fn find_halos_with_centers(
     let link = link_frac * box_size / np;
     let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
     let labels = fof_grid(&positions, link, box_size);
-    for members in members_by_group(&labels) {
-        if members.len() < min_size {
-            continue;
-        }
+    for members in groups_of_at_least(&labels, min_size) {
         let parts: Vec<Particle> = members.iter().map(|&i| particles[i as usize]).collect();
         let parts = unwrap_positions(&parts, box_size);
         let mut halo = Halo::from_particles(parts);

@@ -19,6 +19,8 @@ use crate::levels::DataLevel;
 use dpp::Backend;
 use halo::HaloCatalog;
 use nbody::particle::Particle;
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 /// Everything an algorithm may see at a time step. Borrowed views only — no
 /// deep copies of simulation state (the framework's "zero copy" principle).
@@ -158,6 +160,20 @@ pub struct ExecutionRecord {
     pub seconds: f64,
 }
 
+/// An algorithm's name as a telemetry span name. Span names are `'static` and
+/// an algorithm's name is whatever its implementor returns, so each distinct
+/// name is leaked once, the first time it is traced.
+fn span_name(name: &str) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(known) = names.get(name) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(name.into());
+    names.insert(leaked);
+    leaked
+}
+
 /// Owns the algorithm list and drives it from the simulation's main loop.
 #[derive(Default)]
 pub struct InSituAnalysisManager {
@@ -208,8 +224,9 @@ impl InSituAnalysisManager {
         backend: &dyn Backend,
     ) -> usize {
         let mut ran = 0;
-        // The most recent catalog from this step, for dependent tasks.
-        let mut step_catalog: Option<HaloCatalog> = None;
+        // Where in `self.products` this step's most recent catalog sits, for
+        // dependent tasks to borrow.
+        let mut step_catalog: Option<usize> = None;
         for a in &mut self.algorithms {
             if !a.should_execute(step, total_steps, redshift) {
                 continue;
@@ -221,19 +238,25 @@ impl InSituAnalysisManager {
                 particles,
                 box_size,
                 backend,
-                catalog: step_catalog.as_ref(),
+                catalog: step_catalog.and_then(|i| match &self.products[i] {
+                    Product::Halos { catalog, .. } => Some(catalog),
+                    _ => None,
+                }),
             };
+            let span = telemetry::is_armed()
+                .then(|| telemetry::enter_span("insitu", span_name(a.name()), step as u64));
             let t0 = std::time::Instant::now();
             let products = a.execute(&ctx);
             let seconds = t0.elapsed().as_secs_f64();
+            drop(span);
             self.records.push(ExecutionRecord {
                 algorithm: a.name().to_string(),
                 step,
                 seconds,
             });
             for p in products {
-                if let Product::Halos { catalog, .. } = &p {
-                    step_catalog = Some(catalog.clone());
+                if matches!(p, Product::Halos { .. }) {
+                    step_catalog = Some(self.products.len());
                 }
                 self.products.push(p);
             }
@@ -354,6 +377,89 @@ mod tests {
         assert_eq!(mgr.records().len(), 2);
         assert_eq!(mgr.records()[0].algorithm, "halos");
         assert_eq!(mgr.records()[1].algorithm, "dependent");
+    }
+
+    /// Emits a fixed two-halo catalog, or records the container bytes of the
+    /// catalog it was handed.
+    struct CatalogProbe {
+        emit: bool,
+        saw: std::sync::Arc<Mutex<Vec<Option<Vec<u8>>>>>,
+    }
+
+    fn catalog_bytes(catalog: &HaloCatalog) -> Vec<u8> {
+        let meta = crate::genio::SnapshotMeta {
+            step: 0,
+            redshift: 0.0,
+            box_size: 100.0,
+        };
+        crate::write_container(&crate::write_level2_container(catalog, meta)).to_vec()
+    }
+
+    impl InSituAlgorithm for CatalogProbe {
+        fn name(&self) -> &str {
+            "catalog-probe"
+        }
+
+        fn set_parameters(&mut self, _config: &Config) -> Result<(), ConfigError> {
+            Ok(())
+        }
+
+        fn should_execute(&self, _step: usize, _total: usize, _z: f64) -> bool {
+            true
+        }
+
+        fn execute(&mut self, ctx: &AnalysisContext<'_>) -> Vec<Product> {
+            if !self.emit {
+                self.saw
+                    .lock()
+                    .unwrap()
+                    .push(ctx.catalog.map(catalog_bytes));
+                return Vec::new();
+            }
+            let halo = |tag0: u64| {
+                let at = |i: u64| Particle::at_rest([i as f32, 2.0, 3.0], 1.5, tag0 + i);
+                halo::Halo::from_particles((0..5).map(at).collect())
+            };
+            let mut catalog = HaloCatalog::new();
+            catalog.halos = vec![halo(100 * ctx.step as u64), halo(7)];
+            vec![Product::Halos {
+                step: ctx.step,
+                catalog,
+            }]
+        }
+    }
+
+    #[test]
+    fn dependent_task_borrows_the_catalog_just_pushed() {
+        let saw = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let probe = |emit| CatalogProbe {
+            emit,
+            saw: saw.clone(),
+        };
+        let mut mgr = InSituAnalysisManager::new();
+        mgr.register(Box::new(probe(false)));
+        mgr.register(Box::new(probe(true)));
+        mgr.register(Box::new(probe(false)));
+        drive(&mut mgr, 2);
+        let emitted: Vec<Vec<u8>> = mgr
+            .products()
+            .iter()
+            .map(|p| match p {
+                Product::Halos { catalog, .. } => catalog_bytes(catalog),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(emitted.len(), 2);
+        assert_ne!(emitted[0], emitted[1], "each step emits its own catalog");
+        // Before the finder: nothing, not even the previous step's catalog.
+        // After it: the bytes of the product pushed in this step.
+        let want = vec![
+            None,
+            Some(emitted[0].clone()),
+            None,
+            Some(emitted[1].clone()),
+        ];
+        assert_eq!(*saw.lock().unwrap(), want);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   shrinking budgets.
 //! * The deposit goes through [`nbody::cic_deposit_soa_det`], whose fixed
 //!   chunking makes the 3-D grid byte-identical across
-//!   Serial/Threaded/StaticThreaded.
+//!   Serial/Threaded/StaticThreaded: chunks of [`RENDER_DEPOSIT_GRAIN`]
+//!   particles, each deposited on its own and kept as a sparse list of the
+//!   cells it touched, added up in chunk order.
 //! * [`project_density`] and [`tone_map`] are sequential scalar loops with a
 //!   documented accumulation order.
 //!
@@ -260,9 +262,12 @@ pub struct ImageFrame {
 }
 
 impl ImageFrame {
-    /// Serialized PGM payload size in bytes.
+    /// Serialized PGM payload size in bytes: what [`encode_pgm`] would
+    /// return, without encoding.
     pub fn pgm_bytes(&self) -> u64 {
-        encode_pgm(self.width, self.height, &self.pixels).len() as u64
+        let digits = |v: u32| u64::from(v.checked_ilog10().map_or(1, |d| d + 1));
+        // "P5\n" width " " height "\n255\n", then the pixels.
+        9 + digits(self.width) + digits(self.height) + self.pixels.len() as u64
     }
 }
 
@@ -606,6 +611,26 @@ mod tests {
         assert_eq!(back, pixels);
         assert!(decode_pgm(b"P6\n1 1\n255\nx").is_none());
         assert!(decode_pgm(&enc[..enc.len() - 1]).is_none());
+    }
+
+    #[test]
+    fn pgm_bytes_is_the_encoded_length() {
+        // Header widths change at 10, 100 and 1000.
+        for (width, height) in [(1, 1), (9, 10), (10, 9), (99, 100), (100, 99), (1024, 3)] {
+            let frame = ImageFrame {
+                step: 0,
+                axis: Axis::Z,
+                width,
+                height,
+                pixels: vec![7; (width * height) as usize],
+                nonfinite_pixels: 0,
+                selected: 0,
+                total: 0,
+                byte_budget: 0,
+            };
+            let encoded = encode_pgm(width, height, &frame.pixels);
+            assert_eq!(frame.pgm_bytes(), encoded.len() as u64, "{width}×{height}");
+        }
     }
 
     #[test]

@@ -1,0 +1,86 @@
+//! The in-situ path under a recorder: every algorithm execution is a span,
+//! the two kernels behind it are spans with their `n`, and their memory is a
+//! counted O(n) — at most `8n + 1` FOF cells and `8n` deposit partial cells,
+//! on the benchmark's shape (64³ particles, 64³ render mesh, `box/link` =
+//! 320) and on ten particles with `box/link` = 10⁶.
+//!
+//! One test, because the recorder is process-global.
+
+use cosmotools::{Config, DensityRenderTask, HaloFinderTask, InSituAnalysisManager};
+use dpp::Threaded;
+use nbody::{Particle, ParticleSoA};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+use telemetry::{Clock, Recorder, Trace};
+
+/// Seeded uniform particles in a box of side `box_size`.
+fn uniform(n: usize, box_size: f32) -> Vec<Particle> {
+    let mut rng = StdRng::seed_from_u64(18);
+    (0..n as u64)
+        .map(|tag| {
+            let pos = [(); 3].map(|()| rng.gen_range(0.0..box_size));
+            Particle::at_rest(pos, 1.0, tag)
+        })
+        .collect()
+}
+
+/// One step of the benchmark's manager (a frame, then the halo finder).
+fn insitu_step(particles: &[Particle], box_size: f64, backend: &Threaded) -> Trace {
+    let deck = "[density-render]\nenabled = true\nng = 64\n[halofinder]\nenabled = true\n";
+    let mut manager = InSituAnalysisManager::new();
+    manager.register(Box::new(DensityRenderTask::new()));
+    manager.register(Box::new(HaloFinderTask::new()));
+    manager.configure(&Config::parse(deck).unwrap()).unwrap();
+    let recorder = telemetry::install(Arc::new(Recorder::new(Clock::Logical)));
+    assert_eq!(
+        manager.execute_at(8, 8, 0.0, particles, box_size, backend),
+        2
+    );
+    recorder.finish()
+}
+
+fn counter(trace: &Trace, layer: &'static str, name: &'static str) -> u64 {
+    *trace
+        .counters()
+        .get(&(layer, name))
+        .unwrap_or_else(|| panic!("no `{layer}.{name}` count"))
+}
+
+#[test]
+fn insitu_kernels_are_traced_and_their_cells_are_bounded_by_n() {
+    let backend = Threaded::new(2);
+    let (n, box_size) = (64 * 64 * 64, 256.0);
+    let particles = uniform(n, box_size as f32);
+    let trace = insitu_step(&particles, box_size, &backend);
+
+    let spans: Vec<(&str, &str, u64)> = trace
+        .spans()
+        .iter()
+        .map(|s| (s.layer, s.name, s.arg))
+        .collect();
+    for want in [
+        ("insitu", "density-render", 8),
+        ("insitu", "halofinder", 8),
+        ("nbody", "cic_deposit_det", n as u64),
+        ("halo", "fof_grid", n as u64),
+    ] {
+        assert!(spans.contains(&want), "no span {want:?}");
+    }
+    assert!(counter(&trace, "halo", "fof_cells") <= 8 * n as u64 + 1);
+    let partial_cells = counter(&trace, "render", "deposit_partial_cells");
+    assert!(partial_cells > 0 && partial_cells <= 8 * n as u64);
+    // A logical-clock export is a function of the work alone.
+    let again = insitu_step(&particles, box_size, &backend);
+    assert_eq!(trace.chrome_json(), again.chrome_json());
+
+    // Ten particles, a mesh of 10⁶ cells a side by the linking length.
+    let ten = uniform(10, 1.0);
+    let positions: Vec<[f64; 3]> = ten.iter().map(|p| p.pos_f64()).collect();
+    let recorder = telemetry::install(Arc::new(Recorder::new(Clock::Logical)));
+    halo::fof_grid(&positions, 1e-6, 1.0);
+    nbody::pm::cic_deposit_soa_det(&backend, &ParticleSoA::from_aos(&ten), 64, 1.0, 4096);
+    let trace = recorder.finish();
+    assert!(counter(&trace, "halo", "fof_cells") <= 81);
+    assert!(counter(&trace, "render", "deposit_partial_cells") <= 80);
+}

@@ -7,7 +7,9 @@
 //!   subtrees at once (non-periodic; the parallel driver handles periodicity
 //!   through overload regions).
 //! * [`fof_grid`] — a linked-cell engine with full periodic wrap, used for
-//!   single-domain catalogs and as an independent cross-check.
+//!   single-domain catalogs (the in-situ halo finder) and as an independent
+//!   cross-check. Its cells are a counting sort of the particles, at most
+//!   `8n` of them, so time and memory follow `n`, not `box / link`.
 //! * [`fof_brute`] — O(n²) oracle for tests. All three number groups by
 //!   first appearance in input order, so equal partitions are equal label
 //!   vectors.
@@ -151,8 +153,46 @@ fn connect_cols(tree: &KdTree, coords: &Coords, a: usize, b: usize, link: f64, u
     }
 }
 
+/// Cells per side of [`fof_grid`]'s mesh for `n ≥ 1` particles: as many as
+/// keep a cell at least one linking length wide, capped at `⌊cbrt(8n)⌋` so
+/// the cell table never outgrows the particle set (`ncell³ ≤ 8n`). Measured
+/// on a 64³ box eight steps in (`box/link` = 320): a side of `cbrt(n)` costs
+/// 70 ms, `2·cbrt(n)` 45 ms, the uncapped 320 220 ms.
+fn grid_cells_per_side(n: usize, link: f64, box_size: f64) -> usize {
+    let cap = (1usize..).take_while(|c| c.pow(3) <= 8 * n).count();
+    ((box_size / link).floor() as usize).clamp(1, cap)
+}
+
+/// `c + d` on a periodic axis of `ncell` cells, for `d ∈ {-1, 0, 1}`.
+#[inline]
+fn wrap_cell(c: usize, d: i8, ncell: usize) -> usize {
+    match d {
+        -1 if c == 0 => ncell - 1,
+        -1 => c - 1,
+        1 if c + 1 == ncell => 0,
+        1 => c + 1,
+        _ => c,
+    }
+}
+
+/// The `(dx, dy)` of the four neighbouring rows (cells sharing `x` and `y`)
+/// that come after a cell's own row: with the next cell of the own row, the
+/// lexicographically positive half of the 26 neighbour offsets, so every
+/// unordered pair of adjacent cells is visited from one side.
+const FORWARD_ROWS: [[i8; 2]; 4] = [[0, 1], [1, -1], [1, 0], [1, 1]];
+
 /// Linked-cell FOF with periodic boundary conditions in a box of side
 /// `box_size`. Returns group labels.
+///
+/// The cells are a counting sort, not a table of lists: one key per
+/// particle, one prefix sum, then particle indices and their positions laid
+/// out in cell order, so a cell is a contiguous range and memory is O(n)
+/// whatever `box_size / link` is (`grid_cells_per_side`). Any mesh whose
+/// cells are at least `link` wide offers every pair within `link` to the
+/// same periodic distance test, the test alone decides the partition, and
+/// [`UnionFind::labels`] numbers a partition by first appearance whatever
+/// order its unions came in — so the labels do not depend on the mesh
+/// (`conformance::layout`, `fof-grid`).
 pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
     assert!(link > 0.0 && box_size > 0.0);
     assert!(
@@ -160,30 +200,44 @@ pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
         "linking length {link} too large for box {box_size}"
     );
     let n = positions.len();
-    let mut uf = UnionFind::new(n);
+    let _span = telemetry::span!("halo", "fof_grid", n);
     if n == 0 {
         return Vec::new();
     }
-    // Cells at least one linking length wide.
-    let ncell = ((box_size / link).floor() as usize).clamp(1, 256);
+    let mut uf = UnionFind::new(n);
+    let ncell = grid_cells_per_side(n, link, box_size);
+    let ncells = ncell * ncell * ncell;
+    telemetry::count!("halo", "fof_cells", ncells);
     let cell_w = box_size / ncell as f64;
-    let cell_of = |p: [f64; 3]| -> [usize; 3] {
-        let mut c = [0usize; 3];
+    let key_of = |p: [f64; 3]| -> usize {
+        let mut key = 0;
         for d in 0..3 {
-            let mut v = (p[d].rem_euclid(box_size) / cell_w) as usize;
-            if v >= ncell {
-                v = ncell - 1;
-            }
-            c[d] = v;
+            let c = (p[d].rem_euclid(box_size) / cell_w) as usize;
+            key = key * ncell + c.min(ncell - 1);
         }
-        c
+        key
     };
-    // Bucket particles.
-    let mut heads: Vec<Vec<u32>> = vec![Vec::new(); ncell * ncell * ncell];
-    for (i, &p) in positions.iter().enumerate() {
-        let c = cell_of(p);
-        heads[(c[0] * ncell + c[1]) * ncell + c[2]].push(i as u32);
+    // Counting sort by cell. Counts go in two slots up, so that after the
+    // prefix sum `start[k + 1]` is cell `k`'s write cursor and, once every
+    // particle is placed, its end: cell `k` is `start[k]..start[k + 1]`.
+    let keys: Vec<u32> = positions.iter().map(|&p| key_of(p) as u32).collect();
+    let mut start = vec![0u32; ncells + 2];
+    for &k in &keys {
+        start[k as usize + 2] += 1;
     }
+    for k in 2..start.len() {
+        start[k] += start[k - 1];
+    }
+    let mut order = vec![0u32; n];
+    let mut sorted = vec![[0.0f64; 3]; n];
+    for (i, &k) in keys.iter().enumerate() {
+        let slot = &mut start[k as usize + 1];
+        order[*slot as usize] = i as u32;
+        sorted[*slot as usize] = positions[i];
+        *slot += 1;
+    }
+    let cell = |k: usize| start[k] as usize..start[k + 1] as usize;
+
     let b2 = link * link;
     let pd2 = |a: [f64; 3], b: [f64; 3]| -> f64 {
         let mut s = 0.0;
@@ -196,42 +250,60 @@ pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
         }
         s
     };
-    // For each cell, scan itself + 26 neighbors (half to avoid double work).
+    let mut link_pairs = |a: std::ops::Range<usize>, b: std::ops::Range<usize>| {
+        for i in a {
+            for j in b.clone() {
+                if pd2(sorted[i], sorted[j]) <= b2 {
+                    uf.union(order[i] as usize, order[j] as usize);
+                }
+            }
+        }
+    };
+    // The cells `z − 1, z, z + 1` of a row are adjacent in cell order, so
+    // their particles are one run — two where the row wraps, the whole row
+    // when it has no more than three cells.
+    let z_runs = |cz: usize| -> [std::ops::Range<usize>; 2] {
+        if ncell <= 3 {
+            [0..ncell, 0..0]
+        } else if cz == 0 {
+            [0..2, ncell - 1..ncell]
+        } else if cz + 1 == ncell {
+            [cz - 1..ncell, 0..1]
+        } else {
+            [cz - 1..cz + 2, 0..0]
+        }
+    };
+    // Each occupied cell against itself, the next cell of its row and the
+    // three-cell runs of the four rows after it.
     for cx in 0..ncell {
         for cy in 0..ncell {
+            let row = (cx * ncell + cy) * ncell;
+            if start[row] == start[row + ncell] {
+                continue;
+            }
+            let rows = FORWARD_ROWS.map(|[dx, dy]| {
+                (wrap_cell(cx, dx, ncell) * ncell + wrap_cell(cy, dy, ncell)) * ncell
+            });
             for cz in 0..ncell {
-                let me = (cx * ncell + cy) * ncell + cz;
-                let mine = &heads[me];
-                // Within-cell pairs.
-                for (a, &i) in mine.iter().enumerate() {
-                    for &j in &mine[a + 1..] {
-                        if pd2(positions[i as usize], positions[j as usize]) <= b2 {
-                            uf.union(i as usize, j as usize);
-                        }
-                    }
+                let mine = cell(row + cz);
+                if mine.is_empty() {
+                    continue;
                 }
-                // Cross-cell pairs (each unordered neighbor pair once).
-                for dx in -1i64..=1 {
-                    for dy in -1i64..=1 {
-                        for dz in -1i64..=1 {
-                            if (dx, dy, dz) <= (0, 0, 0) {
-                                continue; // lexicographic half-shell
-                            }
-                            let ox = (cx as i64 + dx).rem_euclid(ncell as i64) as usize;
-                            let oy = (cy as i64 + dy).rem_euclid(ncell as i64) as usize;
-                            let oz = (cz as i64 + dz).rem_euclid(ncell as i64) as usize;
-                            let other = (ox * ncell + oy) * ncell + oz;
-                            if other == me {
-                                continue; // wrapped back (ncell small)
-                            }
-                            for &i in mine {
-                                for &j in &heads[other] {
-                                    if pd2(positions[i as usize], positions[j as usize]) <= b2 {
-                                        uf.union(i as usize, j as usize);
-                                    }
-                                }
-                            }
-                        }
+                for i in mine.clone() {
+                    link_pairs(i..i + 1, i + 1..mine.end);
+                }
+                let next = wrap_cell(cz, 1, ncell);
+                if next != cz {
+                    link_pairs(mine.clone(), cell(row + next));
+                }
+                for other in rows {
+                    if other == row {
+                        continue; // wrapped back (ncell small)
+                    }
+                    for run in z_runs(cz) {
+                        let theirs =
+                            start[other + run.start] as usize..start[other + run.end] as usize;
+                        link_pairs(mine.clone(), theirs);
                     }
                 }
             }

@@ -219,8 +219,7 @@ fn deposit_chunk_soa(
 }
 
 /// Merge per-chunk partial grids in ascending chunk-start order, then convert
-/// mass density to overdensity `δ = ρ/ρ̄ − 1` (identity when total mass is
-/// zero). Shared tail of every deposit variant.
+/// to overdensity. Tail of [`cic_deposit_soa`].
 fn merge_and_normalize(
     mut partials: Vec<(usize, Vec<f64>)>,
     masses: &[f32],
@@ -234,14 +233,69 @@ fn merge_and_normalize(
             *gv += lv;
         }
     }
+    overdensity(rho, masses, ng)
+}
+
+/// Convert mass density to overdensity `δ = ρ/ρ̄ − 1` (identity when total
+/// mass is zero). Shared tail of every deposit variant.
+fn overdensity(mut rho: Vec<f64>, masses: &[f32], ng: usize) -> Grid3<f64> {
     let total: f64 = masses.iter().map(|&m| m as f64).sum();
-    let mean = total / ncell as f64;
+    let mean = total / rho.len() as f64;
     if mean > 0.0 {
         for v in &mut rho {
             *v = *v / mean - 1.0;
         }
     }
     Grid3::from_vec([ng, ng, ng], rho)
+}
+
+/// What one chunk of [`cic_deposit_soa_det`] deposited: its non-zero cells
+/// and their values, in first-touch order.
+struct SparsePartial {
+    cells: Vec<u32>,
+    values: Vec<f64>,
+}
+
+/// Move every non-zero cell that particles `[r.start, r.end)` can have
+/// touched out of `scratch` into a [`SparsePartial`], leaving `scratch` all
+/// `+0.0` again. The base cell is [`deposit_chunk_soa`]'s own (its scalar
+/// tail's expression, which its block path equals bit for bit), so the eight
+/// corners listed here are exactly the cells it added to. A corner reached
+/// twice is found zeroed the second time and skipped, as is a touched cell
+/// whose sum is `+0.0` — see [`cic_deposit_soa_det`] for why that is exact.
+fn drain_chunk(
+    px: &[f32],
+    py: &[f32],
+    pz: &[f32],
+    r: std::ops::Range<usize>,
+    ng: usize,
+    box_size: f64,
+    scratch: &mut [f64],
+) -> SparsePartial {
+    let ngf = ng as f64;
+    let cap = (8 * r.len()).min(scratch.len());
+    let mut out = SparsePartial {
+        cells: Vec::with_capacity(cap),
+        values: Vec::with_capacity(cap),
+    };
+    for j in r {
+        let x0 = wrap_grid(px[j] as f64 / box_size * ngf, ngf) as usize;
+        let y0 = wrap_grid(py[j] as f64 / box_size * ngf, ngf) as usize;
+        let z0 = wrap_grid(pz[j] as f64 / box_size * ngf, ngf) as usize;
+        let x1 = if x0 + 1 == ng { 0 } else { x0 + 1 };
+        let y1 = if y0 + 1 == ng { 0 } else { y0 + 1 };
+        let z1 = if z0 + 1 == ng { 0 } else { z0 + 1 };
+        for row in [x0 * ng + y0, x0 * ng + y1, x1 * ng + y0, x1 * ng + y1] {
+            for cell in [row * ng + z0, row * ng + z1] {
+                let v = std::mem::take(&mut scratch[cell]);
+                if v.to_bits() != 0 {
+                    out.cells.push(cell as u32);
+                    out.values.push(v);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Backend-independent deterministic variant of [`cic_deposit_soa`].
@@ -251,17 +305,32 @@ fn merge_and_normalize(
 /// block per worker), so the float-addition association of the chunk merge —
 /// and hence the low bits of the result — can differ between backends once an
 /// input spans multiple chunks. This variant partitions the particle range
-/// itself into fixed `grain`-sized chunks and dispatches over *chunk indices*,
-/// so the chunk set, each chunk's sequential arithmetic, and the sorted merge
-/// order are functions of `(n, grain)` only: every backend produces the same
-/// grid down to the last bit. The render pipeline deposits through this entry
-/// point so projected images byte-agree across Serial/Threaded/StaticThreaded
-/// (the `conformance::render` battery enforces it over the adversarial
-/// corpus).
+/// itself into fixed `grain`-sized chunks — whatever ranges the backend
+/// dispatches, a chunk is deposited whole by the range holding its first
+/// particle — so the chunk set, each chunk's sequential arithmetic, and the
+/// chunk-order merge are functions of `(n, grain)` only: every backend
+/// produces the same grid down to the last bit. The render pipeline deposits
+/// through this entry point so projected images byte-agree across
+/// Serial/Threaded/StaticThreaded (the `conformance::render` battery enforces
+/// it over the adversarial corpus).
 ///
-/// The chunk count is additionally capped at 64 (`grain` is raised to
-/// `n/64` when needed) so partial-grid memory stays bounded on large inputs;
-/// the cap depends only on `n`, never on the backend.
+/// The chunk count is additionally capped (`grain` is raised to `n/64` when
+/// needed); the cap depends only on `n`, never on the backend.
+///
+/// No chunk keeps a grid of its own. A chunk deposits into a scratch grid
+/// (one per chunk running at a time, reused), its non-zero cells are moved
+/// into a sparse `(cell, value)` partial — at most `min(8·chunk, ng³)`
+/// entries — and the scratch is zero again for the next chunk; the partials
+/// are then added in chunk order. That yields the bits a dense grid per chunk
+/// merged in chunk order would (`conformance::layout`, `cic-det`, holds it to
+/// exactly that reference): every grid involved starts at `+0.0`, and a sum
+/// that starts at `+0.0` is never `−0.0` (only `−0.0 + −0.0` gives `−0.0`),
+/// so a cell a chunk left at `+0.0` — never touched, or touched and summing
+/// to `+0.0` — would add `x + 0.0 = x` to a running sum `x ≠ −0.0`: skipping
+/// it changes no bit, NaN `x` included. Every other cell is added by the same
+/// `sum += value`, in the same order — except that a sum which is NaN already
+/// is left alone, so that its payload does not hang on which operand of a
+/// `NaN + NaN` the compiler puts first.
 pub fn cic_deposit_soa_det(
     backend: &dyn Backend,
     particles: &ParticleSoA,
@@ -271,22 +340,54 @@ pub fn cic_deposit_soa_det(
 ) -> Grid3<f64> {
     let ncell = ng * ng * ng;
     assert!(ng <= i32::MAX as usize, "mesh size must fit i32 indices");
+    assert!(
+        ncell <= u32::MAX as usize,
+        "mesh cells must fit u32 indices"
+    );
     let n = particles.len();
+    let _span = telemetry::span!("nbody", "cic_deposit_det", n);
     let (px, py, pz) = (particles.pos_x(), particles.pos_y(), particles.pos_z());
     let masses = particles.mass();
     let grain = grain.max(1).max(n / 64);
-    let nchunks = n.div_ceil(grain);
-    let partials: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
-    backend.dispatch(nchunks, 1, &|chunks| {
-        for c in chunks {
-            let lo = c * grain;
-            let hi = ((c + 1) * grain).min(n);
-            let mut local = vec![0.0f64; ncell];
-            deposit_chunk_soa(px, py, pz, masses, lo..hi, ng, box_size, &mut local);
-            partials.lock().push((lo, local));
+    let partials: Mutex<Vec<(usize, SparsePartial)>> = Mutex::new(Vec::new());
+    // Scratch grids, all `+0.0` whenever they are in here.
+    let idle: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+    backend.dispatch(n, grain, &|range| {
+        // A chunk belongs to the range its first particle falls in.
+        let chunks = range.start.div_ceil(grain)..range.end.div_ceil(grain);
+        if chunks.is_empty() {
+            return;
         }
+        let popped = idle.lock().pop();
+        let mut scratch = popped.unwrap_or_else(|| vec![0.0f64; ncell]);
+        for c in chunks {
+            let r = c * grain..((c + 1) * grain).min(n);
+            deposit_chunk_soa(px, py, pz, masses, r.clone(), ng, box_size, &mut scratch);
+            let partial = drain_chunk(px, py, pz, r, ng, box_size, &mut scratch);
+            partials.lock().push((c, partial));
+        }
+        idle.lock().push(scratch);
     });
-    merge_and_normalize(partials.into_inner(), masses, ng)
+    let mut partials = partials.into_inner();
+    partials.sort_by_key(|(c, _)| *c);
+    let mut rho = idle
+        .into_inner()
+        .pop()
+        .unwrap_or_else(|| vec![0.0f64; ncell]);
+    let mut partial_cells = 0;
+    for (_, partial) in &partials {
+        partial_cells += partial.cells.len();
+        for (&cell, &v) in partial.cells.iter().zip(&partial.values) {
+            // `NaN + x` is that NaN for every non-NaN `x`; for a NaN `x`
+            // the hardware keeps its first operand, whichever that is.
+            let sum = &mut rho[cell as usize];
+            if !sum.is_nan() {
+                *sum += v;
+            }
+        }
+    }
+    telemetry::count!("render", "deposit_partial_cells", partial_cells);
+    overdensity(rho, masses, ng)
 }
 
 /// The k-space Poisson solver for one cubic `ng³` mesh: what survives a solve
