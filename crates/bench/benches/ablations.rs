@@ -1,17 +1,18 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * **backend portability** (`dpp`): one kernel, serial vs threaded — the
-//!   PISTON/VTK-m portability claim;
-//! * **MBP engines**: brute-force data-parallel vs the serial A* baseline
-//!   (the paper's reported ~8× pruning, and the ~50× GPU story entering as
-//!   a platform factor);
+//! * **scheduling policy** (`dpp`): one `map` over skewed items, dynamic
+//!   self-scheduling vs one static block per worker;
+//! * **MBP engines**: the brute-force data-parallel kernel on the serial and
+//!   the threaded backend — the PISTON/VTK-m portability claim — vs the
+//!   serial A* baseline (the paper's reported ~8× pruning, and the ~50× GPU
+//!   story entering as a platform factor);
 //! * **FOF engines**: k-d tree vs linked-cell grid vs O(n²) brute force;
 //! * **split threshold sweep**: how the in-situ/off-line split moves the
 //!   projected cost (the paper chose 300,000 manually; §4.1 automates it).
 
 use bench::blob;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpp::{ops, Backend, Serial, Threaded};
+use criterion::{criterion_group, criterion_main, Criterion};
+use dpp::{ops, Serial, Threaded};
 use hacc_core::{RunSpec, TitanFrame};
 
 fn short() -> Criterion {
@@ -19,50 +20,6 @@ fn short() -> Criterion {
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(300))
-}
-
-fn bench_backends(c: &mut Criterion) {
-    let xs: Vec<f64> = (0..1_000_000).map(|i| (i as f64 * 0.001).sin()).collect();
-    let threaded = Threaded::with_available_parallelism();
-    let mut group = c.benchmark_group("ablation_backend_portability");
-    for (name, backend) in [("serial", &Serial as &dyn Backend), ("threaded", &threaded)] {
-        group.bench_with_input(BenchmarkId::new("sum_1M", name), &backend, |b, be| {
-            b.iter(|| ops::sum_f64(*be, &xs))
-        });
-        group.bench_with_input(BenchmarkId::new("scan_1M", name), &backend, |b, be| {
-            b.iter(|| ops::exclusive_scan(*be, &xs, 0.0, |a, x| a + x))
-        });
-        group.bench_with_input(BenchmarkId::new("sort_1M", name), &backend, |b, be| {
-            b.iter(|| {
-                let mut v = xs.clone();
-                ops::par_sort_by(*be, &mut v, |a, x| a.total_cmp(x));
-                v
-            })
-        });
-    }
-    group.finish();
-
-    // Sorting-engine ablation: comparison merge sort vs LSD radix sort on
-    // u64 keys (the Thrust-style primitive).
-    let keys: Vec<u64> = (0..1_000_000u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .collect();
-    let mut group = c.benchmark_group("ablation_sort_engines");
-    group.bench_function("merge_sort_u64_1M", |b| {
-        b.iter(|| {
-            let mut v = keys.clone();
-            ops::par_sort_by(&threaded, &mut v, |a, x| a.cmp(x));
-            v
-        })
-    });
-    group.bench_function("radix_sort_u64_1M", |b| {
-        b.iter(|| {
-            let mut v = keys.clone();
-            ops::radix_sort_u64(&threaded, &mut v);
-            v
-        })
-    });
-    group.finish();
 }
 
 /// Scheduling-policy ablation: dynamic self-scheduling vs static
@@ -190,7 +147,7 @@ fn bench_threshold_sweep(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench_backends, bench_scheduling_policies, bench_mbp_engines, bench_fof_engines,
+    targets = bench_scheduling_policies, bench_mbp_engines, bench_fof_engines,
               bench_threshold_sweep
 }
 criterion_main!(benches);

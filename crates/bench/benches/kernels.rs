@@ -3,9 +3,9 @@
 //! the batch-queue simulator — plus the **layout trajectory**: self-timed
 //! measurements of every SoA/column kernel (`after`) against a denominator
 //! that lives outside the product crates' hot path (`before`: the scalar,
-//! dense-cell and grid-per-chunk references in `conformance::layout`, the
-//! generic radix engine, an inline scalar histogram; for the PM solve, the
-//! per-line FFT reference and the stepper that re-solves at every kick),
+//! dense-cell and grid-per-chunk references in `conformance::layout`; for
+//! the PM solve, the per-line FFT reference and the stepper that re-solves
+//! at every kick),
 //! written to `BENCH_kernels.json` when `BENCH_KERNELS_JSON=<path>` is set
 //! (`just bench-kernels`).
 //! `BENCH_QUICK=1` trims repetitions and problem sizes for the CI
@@ -358,70 +358,6 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         });
         rows.push(KernelRow {
             kernel: "render_deposit_64",
-            n,
-            before_ms: before,
-            after_ms: after,
-        });
-    }
-
-    // Radix sort at 128³ keys: generic clone-based engine vs the
-    // specialized flat-u64 engine.
-    {
-        let n = if quick { 1 << 18 } else { 128 * 128 * 128 };
-        let keys: Vec<u64> = (0..n as u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let before = time_ms(reps, || {
-            let mut v = keys.clone();
-            ops::radix_sort_by_key(&Serial, &mut v, |&k| k);
-            v
-        });
-        let after = time_ms(reps, || {
-            let mut v = keys.clone();
-            ops::radix_sort_u64(&Serial, &mut v);
-            v
-        });
-        rows.push(KernelRow {
-            kernel: "radix",
-            n,
-            before_ms: before,
-            after_ms: after,
-        });
-    }
-
-    // Histogram at 128³ values: scalar loop vs the two-phase blocked sweep.
-    {
-        let n = if quick { 1 << 18 } else { 128 * 128 * 128 };
-        let values: Vec<f64> = (0..n as u64)
-            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64)
-            .collect();
-        let before = time_ms(reps, || {
-            // The pre-blocking scalar loop, inline as the reference.
-            let (lo, width, nbins) = (0.0f64, 1.0 / 64.0, 64usize);
-            let mut bins = vec![0u64; nbins];
-            let mut skipped = 0u64;
-            for &v in &values {
-                if v.is_nan() {
-                    skipped += 1;
-                    continue;
-                }
-                let b = ((v - lo) / width).floor();
-                let b = if b < 0.0 {
-                    0
-                } else if b as usize >= nbins {
-                    nbins - 1
-                } else {
-                    b as usize
-                };
-                bins[b] += 1;
-            }
-            (bins, skipped)
-        });
-        let after = time_ms(reps, || {
-            ops::histogram_counted(&Serial, &values, 0.0, 1.0, 64)
-        });
-        rows.push(KernelRow {
-            kernel: "histogram",
             n,
             before_ms: before,
             after_ms: after,

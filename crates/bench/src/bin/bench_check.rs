@@ -6,8 +6,8 @@
 //!
 //! Validates that the JSON parses, carries the `bench-kernels-v1` schema,
 //! and covers every rewritten kernel (`cic`, `fof`, `mbp`, `fft3d_64`,
-//! `pm_step_64`, `fof_grid_64`, `render_deposit_64`, `radix`, `histogram`)
-//! with finite positive timings. With
+//! `pm_step_64`, `fof_grid_64`, `render_deposit_64`) with finite positive
+//! timings. With
 //! `--baseline`, also fails if any kernel's speedup regressed by more than
 //! 25% relative to the baseline's speedup — a machine-independent ratio, so
 //! a quick-mode CI run can be gated against the committed full-mode
@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use telemetry::json::{self, Value};
 
 /// Kernels the trajectory must cover.
-const REQUIRED: [&str; 9] = [
+const REQUIRED: [&str; 7] = [
     "cic",
     "fof",
     "mbp",
@@ -26,8 +26,6 @@ const REQUIRED: [&str; 9] = [
     "pm_step_64",
     "fof_grid_64",
     "render_deposit_64",
-    "radix",
-    "histogram",
 ];
 
 /// Maximum tolerated relative speedup regression vs the baseline.

@@ -46,7 +46,7 @@ mod store;
 
 pub use digest::{digest_bytes, CacheKey, Digest, Fingerprint, FingerprintBuilder, Hasher};
 pub use index::{Index, IndexEntry, INDEX_HEADER};
-pub use linelog::LineLog;
+pub use linelog::{compaction_due, LineLog};
 pub use router::ShardRouter;
 pub use shard::{
     DistStats, DistributedConfig, DistributedStore, RemoteFetchModel, SITE_FETCH_REMOTE,

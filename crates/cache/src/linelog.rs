@@ -8,6 +8,15 @@
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+/// Whether a log of `size` bytes is due for a size-triggered rewrite: it is
+/// over `limit`, and at least twice the size it had right after its previous
+/// rewrite (`compacted`; 0 before the first). The second half is what keeps a
+/// live set larger than the limit at O(log n) rewrites over n appends instead
+/// of one per append.
+pub fn compaction_due(size: u64, limit: u64, compacted: u64) -> bool {
+    size > limit && size >= 2 * compacted
+}
+
 /// A header-guarded, append-only line log at a fixed path.
 #[derive(Debug, Clone)]
 pub struct LineLog {

@@ -484,15 +484,12 @@ impl ArtifactCache {
         Ok(before.saturating_sub(state.compacted_bytes))
     }
 
-    /// Threshold-triggered compaction after an insert, due when the log
-    /// exceeds the limit *and* has at least doubled since the previous
-    /// rewrite: a live set larger than the limit then costs O(log n)
-    /// rewrites over n inserts instead of one per insert. Failures are
-    /// swallowed (the append-only log is still valid, just long).
+    /// Threshold-triggered compaction after an insert, when
+    /// [`compaction_due`](crate::compaction_due). Failures are swallowed (the
+    /// append-only log is still valid, just long).
     fn maybe_compact(&self, state: &mut State) {
         if let Some(limit) = self.index_compact_bytes {
-            let size = self.index_bytes();
-            if size > limit && size >= 2 * state.compacted_bytes {
+            if crate::compaction_due(self.index_bytes(), limit, state.compacted_bytes) {
                 let _ = self.compact_locked(state);
             }
         }

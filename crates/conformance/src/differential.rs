@@ -1,8 +1,10 @@
-//! Differential executor: every `dpp` primitive, every backend, byte-level
-//! agreement under the documented total-order semantics.
+//! Differential executor: both `dpp` primitives, every backend, byte-level
+//! agreement under the documented total-order semantics — and the report,
+//! comparison modes and backend roster the kernel batteries ([`crate::layout`],
+//! [`crate::render`]) share.
 //!
 //! The [`Serial`] backend is the reference. Each op family runs over the
-//! adversarial corpus from [`crate::inputs`] on:
+//! adversarial `f64` corpus from [`crate::inputs`] on:
 //!
 //! * `threaded-4` — [`Threaded`] with 4 workers (dynamic self-scheduling),
 //! * `threaded-1` — [`Threaded`] degenerate single-worker pool,
@@ -12,21 +14,17 @@
 //!
 //! ## Agreement classes
 //!
-//! Almost everything must agree **bit-for-bit** ([`Cmp::BitEq`]): `Serial`
-//! and `Threaded` chunk `0..n` into identical grain-sized chunks and every
-//! reduction-like op combines per-chunk partials in chunk order, so even
-//! float sums associate identically. The documented exceptions:
+//! `map` and `argmin_by` must agree **bit-for-bit** ([`Cmp::BitEq`]) on every
+//! backend: `map` writes each element independently, and `argmin_by` orders
+//! NaN last and breaks ties by index, so neither depends on how `0..n` was
+//! chunked. The weaker classes exist for the kernel batteries:
 //!
-//! * float `reduce`/`sum_f64` on `static-*` backends: the per-worker block
-//!   decomposition reassociates the sum, so agreement is tolerance-level
-//!   ([`Cmp::Approx`]), with NaN treated as a single class;
-//! * float values flowing through `segmented_reduce`/`reduce_by_key` on
-//!   `static-*`: same reassociation, same tolerance;
+//! * a float sum merged per chunk reassociates on `static-*` backends (one
+//!   block per worker instead of grain-sized chunks), so cross-backend
+//!   agreement there is tolerance-level ([`Cmp::Approx`]), with NaN treated
+//!   as a single class;
 //! * NaN *payloads* produced by arithmetic (`NaN + x`) are compared as a
 //!   class ([`Cmp::NumEq`]) where association order is allowed to differ.
-//!
-//! Scans are bit-exact on **every** backend (including static) because the
-//! scan block decomposition depends only on `n`, not the backend.
 
 use crate::inputs;
 use dpp::{ops, Backend, Serial, StaticThreaded, ThreadPool, Threaded};
@@ -93,19 +91,7 @@ pub struct DiffReport {
 }
 
 /// The op families the tentpole requires the executor to cover.
-pub const REQUIRED_OPS: [&str; 11] = [
-    "scan",
-    "sort",
-    "radix",
-    "reduce",
-    "histogram",
-    "minmax",
-    "compact",
-    "gather",
-    "rle",
-    "segmented",
-    "map",
-];
+pub const REQUIRED_OPS: [&str; 2] = ["map", "minmax"];
 
 impl DiffReport {
     /// Render all disagreements for a failure message.
@@ -250,217 +236,11 @@ pub fn run_dpp_differential() -> DiffReport {
     rep.backends = backends.iter().map(|(n, _)| n.clone()).collect();
 
     let fcases = inputs::f64_cases();
-    let ucases = inputs::u64_cases();
-    let kcases = inputs::keyed_cases();
 
-    // --- scan ------------------------------------------------------------
-    rep.op("scan");
-    for case in &fcases {
-        let inc_ref = ops::inclusive_scan(&Serial, &case.data, 0.0, |a, b| a + b);
-        let exc_ref = ops::exclusive_scan(&Serial, &case.data, 0.0, |a, b| a + b);
-        for (name, b) in &backends {
-            let inc = ops::inclusive_scan(b.as_ref(), &case.data, 0.0, |a, b| a + b);
-            let exc = ops::exclusive_scan(b.as_ref(), &case.data, 0.0, |a, b| a + b);
-            // Scan block decomposition depends only on n: bit-exact on
-            // every backend, NaN payload propagation included.
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "scan",
-                &format!("inclusive/{}", case.name),
-                name,
-                &inc_ref,
-                &inc,
-            );
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "scan",
-                &format!("exclusive/{}", case.name),
-                name,
-                &exc_ref,
-                &exc,
-            );
-        }
-    }
-    for case in &ucases {
-        let inc_ref = ops::inclusive_scan(&Serial, &case.data, 0u64, |a, b| a.wrapping_add(*b));
-        for (name, b) in &backends {
-            let inc = ops::inclusive_scan(b.as_ref(), &case.data, 0u64, |a, b| a.wrapping_add(*b));
-            rep.check_eq(
-                "scan",
-                &format!("inclusive-u64/{}", case.name),
-                name,
-                &inc_ref,
-                &inc,
-            );
-        }
-    }
-
-    // --- sort ------------------------------------------------------------
-    rep.op("sort");
-    for case in &fcases {
-        let mut sorted_ref = case.data.clone();
-        ops::par_sort_by(&Serial, &mut sorted_ref, |a, b| a.total_cmp(b));
-        for (name, b) in &backends {
-            let mut got = case.data.clone();
-            ops::par_sort_by(b.as_ref(), &mut got, |a, b| a.total_cmp(b));
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "sort",
-                &format!("total_cmp/{}", case.name),
-                name,
-                &sorted_ref,
-                &got,
-            );
-        }
-        // Stability: sort (key, original-index) pairs by a coarse key and
-        // require the exact same pair ordering (ties keep input order).
-        let pairs: Vec<(u64, usize)> = case
-            .data
-            .iter()
-            .enumerate()
-            .map(|(i, x)| ((x.to_bits() >> 56) & 0xF, i))
-            .collect();
-        let mut pairs_ref = pairs.clone();
-        ops::par_sort_by_key(&Serial, &mut pairs_ref, |p| p.0);
-        for (name, b) in &backends {
-            let mut got = pairs.clone();
-            ops::par_sort_by_key(b.as_ref(), &mut got, |p| p.0);
-            rep.check_eq(
-                "sort",
-                &format!("stable_by_key/{}", case.name),
-                name,
-                &pairs_ref,
-                &got,
-            );
-        }
-    }
-
-    // --- radix -----------------------------------------------------------
-    rep.op("radix");
-    for case in &ucases {
-        let mut sorted_ref = case.data.clone();
-        ops::radix_sort_u64(&Serial, &mut sorted_ref);
-        for (name, b) in &backends {
-            let mut got = case.data.clone();
-            ops::radix_sort_u64(b.as_ref(), &mut got);
-            rep.check_eq(
-                "radix",
-                &format!("u64/{}", case.name),
-                name,
-                &sorted_ref,
-                &got,
-            );
-        }
-        // Stable radix by key: duplicate keys must keep input order.
-        let pairs: Vec<(u64, usize)> = case
-            .data
-            .iter()
-            .enumerate()
-            .map(|(i, x)| (x % 17, i))
-            .collect();
-        let mut pairs_ref = pairs.clone();
-        ops::radix_sort_by_key(&Serial, &mut pairs_ref, |p| p.0);
-        for (name, b) in &backends {
-            let mut got = pairs.clone();
-            ops::radix_sort_by_key(b.as_ref(), &mut got, |p| p.0);
-            rep.check_eq(
-                "radix",
-                &format!("stable_by_key/{}", case.name),
-                name,
-                &pairs_ref,
-                &got,
-            );
-        }
-    }
-
-    // --- reduce ----------------------------------------------------------
-    rep.op("reduce");
-    for case in &fcases {
-        let sum_ref = ops::sum_f64(&Serial, &case.data);
-        // Total-order max: associative + commutative, so bit-exact on every
-        // backend even under static reassociation.
-        let total_max = |a: f64, b: &f64| {
-            if b.total_cmp(&a) == std::cmp::Ordering::Greater {
-                *b
-            } else {
-                a
-            }
-        };
-        let max_ref = ops::reduce(&Serial, &case.data, f64::NEG_INFINITY, total_max);
-        for (name, b) in &backends {
-            let sum = ops::sum_f64(b.as_ref(), &case.data);
-            let mode = if reassociates_reductions(name) {
-                Cmp::Approx
-            } else {
-                // Identical grain chunking + in-order partial combine:
-                // float sums are bit-exact on dynamic backends.
-                Cmp::BitEq
-            };
-            rep.check_f64_scalar(
-                mode,
-                "reduce",
-                &format!("sum_f64/{}", case.name),
-                name,
-                sum_ref,
-                sum,
-            );
-            let max = ops::reduce(b.as_ref(), &case.data, f64::NEG_INFINITY, total_max);
-            rep.check_f64_scalar(
-                Cmp::BitEq,
-                "reduce",
-                &format!("total_max/{}", case.name),
-                name,
-                max_ref,
-                max,
-            );
-        }
-    }
-    for case in &ucases {
-        let sum_ref = ops::reduce(&Serial, &case.data, 0u64, |a, b| a.wrapping_add(*b));
-        for (name, b) in &backends {
-            let sum = ops::reduce(b.as_ref(), &case.data, 0u64, |a, b| a.wrapping_add(*b));
-            rep.check_eq(
-                "reduce",
-                &format!("wrapping_sum_u64/{}", case.name),
-                name,
-                &sum_ref,
-                &sum,
-            );
-        }
-    }
-
-    // --- histogram -------------------------------------------------------
-    rep.op("histogram");
-    for case in &fcases {
-        let h_ref = ops::histogram(&Serial, &case.data, -1.0e3, 1.0e3, 16);
-        let hc_ref = ops::histogram_counted(&Serial, &case.data, -1.0e3, 1.0e3, 16);
-        for (name, b) in &backends {
-            let h = ops::histogram(b.as_ref(), &case.data, -1.0e3, 1.0e3, 16);
-            let hc = ops::histogram_counted(b.as_ref(), &case.data, -1.0e3, 1.0e3, 16);
-            rep.check_eq(
-                "histogram",
-                &format!("bins/{}", case.name),
-                name,
-                &h_ref,
-                &h,
-            );
-            rep.check_eq(
-                "histogram",
-                &format!("counted/{}", case.name),
-                name,
-                &hc_ref,
-                &hc,
-            );
-        }
-    }
-
-    // --- minmax ----------------------------------------------------------
+    // --- minmax ---------------------------------------------------------
     rep.op("minmax");
     for case in &fcases {
         let amin_ref = ops::argmin_by(&Serial, &case.data, |x| *x);
-        let amax_ref = ops::argmax_by(&Serial, &case.data, |x| *x);
-        let min_ref = ops::min_by(&Serial, &case.data, |x| *x).map(f64::to_bits);
-        let max_ref = ops::max_by(&Serial, &case.data, |x| *x).map(f64::to_bits);
         for (name, b) in &backends {
             rep.check_eq(
                 "minmax",
@@ -469,207 +249,6 @@ pub fn run_dpp_differential() -> DiffReport {
                 &amin_ref,
                 &ops::argmin_by(b.as_ref(), &case.data, |x| *x),
             );
-            rep.check_eq(
-                "minmax",
-                &format!("argmax/{}", case.name),
-                name,
-                &amax_ref,
-                &ops::argmax_by(b.as_ref(), &case.data, |x| *x),
-            );
-            rep.check_eq(
-                "minmax",
-                &format!("min/{}", case.name),
-                name,
-                &min_ref,
-                &ops::min_by(b.as_ref(), &case.data, |x| *x).map(f64::to_bits),
-            );
-            rep.check_eq(
-                "minmax",
-                &format!("max/{}", case.name),
-                name,
-                &max_ref,
-                &ops::max_by(b.as_ref(), &case.data, |x| *x).map(f64::to_bits),
-            );
-        }
-    }
-
-    // --- compact ---------------------------------------------------------
-    rep.op("compact");
-    for case in &fcases {
-        let finite = |x: &f64| x.is_finite();
-        let neg = |x: &f64| x.is_sign_negative();
-        let count_ref = ops::count_if(&Serial, &case.data, finite);
-        let copy_ref = ops::copy_if(&Serial, &case.data, finite);
-        let part_ref = ops::partition_indices(&Serial, &case.data, neg);
-        for (name, b) in &backends {
-            rep.check_eq(
-                "compact",
-                &format!("count_if/{}", case.name),
-                name,
-                &count_ref,
-                &ops::count_if(b.as_ref(), &case.data, finite),
-            );
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "compact",
-                &format!("copy_if/{}", case.name),
-                name,
-                &copy_ref,
-                &ops::copy_if(b.as_ref(), &case.data, finite),
-            );
-            rep.check_eq(
-                "compact",
-                &format!("partition/{}", case.name),
-                name,
-                &part_ref,
-                &ops::partition_indices(b.as_ref(), &case.data, neg),
-            );
-        }
-    }
-
-    // --- gather ----------------------------------------------------------
-    rep.op("gather");
-    for n in [0usize, 1, 1025] {
-        let iota_ref = ops::iota(&Serial, n, 5);
-        for (name, b) in &backends {
-            rep.check_eq(
-                "gather",
-                &format!("iota/{n}"),
-                name,
-                &iota_ref,
-                &ops::iota(b.as_ref(), n, 5),
-            );
-        }
-    }
-    for case in fcases.iter().filter(|c| !c.data.is_empty()) {
-        for idx in inputs::index_cases(case.data.len()) {
-            let g_ref = ops::gather(&Serial, &case.data, &idx.data);
-            for (name, b) in &backends {
-                let g = ops::gather(b.as_ref(), &case.data, &idx.data);
-                rep.check_f64_slice(
-                    Cmp::BitEq,
-                    "gather",
-                    &format!("gather/{}/{}", case.name, idx.name),
-                    name,
-                    &g_ref,
-                    &g,
-                );
-            }
-            // Scatter only with duplicate-free index sets: duplicate targets
-            // are racy by contract on parallel backends.
-            let unique_targets = matches!(idx.name, "identity" | "reversal" | "permutation");
-            if unique_targets && idx.data.len() == case.data.len() {
-                let mut dst_ref = vec![0.0f64; case.data.len()];
-                ops::scatter(&Serial, &case.data, &idx.data, &mut dst_ref);
-                for (name, b) in &backends {
-                    let mut dst = vec![0.0f64; case.data.len()];
-                    ops::scatter(b.as_ref(), &case.data, &idx.data, &mut dst);
-                    rep.check_f64_slice(
-                        Cmp::BitEq,
-                        "gather",
-                        &format!("scatter/{}/{}", case.name, idx.name),
-                        name,
-                        &dst_ref,
-                        &dst,
-                    );
-                }
-            }
-        }
-    }
-
-    // --- rle -------------------------------------------------------------
-    rep.op("rle");
-    for case in &ucases {
-        let rle_ref = ops::run_length_encode(&Serial, &case.data);
-        let uniq_ref = ops::unique(&Serial, &case.data);
-        for (name, b) in &backends {
-            rep.check_eq(
-                "rle",
-                &format!("rle/{}", case.name),
-                name,
-                &rle_ref,
-                &ops::run_length_encode(b.as_ref(), &case.data),
-            );
-            rep.check_eq(
-                "rle",
-                &format!("unique/{}", case.name),
-                name,
-                &uniq_ref,
-                &ops::unique(b.as_ref(), &case.data),
-            );
-        }
-    }
-    // NaN elements: each NaN is its own run (NaN != NaN) — must hold on
-    // every backend identically.
-    for case in fcases
-        .iter()
-        .filter(|c| c.name == "nan_scatter" || c.name == "signed_zeros")
-    {
-        let rle_ref: Vec<(u64, usize)> = ops::run_length_encode(&Serial, &case.data)
-            .into_iter()
-            .map(|(v, c)| (v.to_bits(), c))
-            .collect();
-        for (name, b) in &backends {
-            let got: Vec<(u64, usize)> = ops::run_length_encode(b.as_ref(), &case.data)
-                .into_iter()
-                .map(|(v, c)| (v.to_bits(), c))
-                .collect();
-            rep.check_eq(
-                "rle",
-                &format!("rle-f64/{}", case.name),
-                name,
-                &rle_ref,
-                &got,
-            );
-        }
-    }
-
-    // --- segmented -------------------------------------------------------
-    rep.op("segmented");
-    for (keys, vals) in &kcases {
-        let seg_ref = ops::segmented_reduce(&Serial, &keys.data, vals, 0.0, |a, b| a + b);
-        let rbk_ref = ops::reduce_by_key(&Serial, &keys.data, vals, 0.0, |a, b| a + b);
-        for (name, b) in &backends {
-            let mode = if reassociates_reductions(name) {
-                Cmp::Approx
-            } else {
-                // NaN payloads may differ in association order even on
-                // matching chunkings once runs straddle chunk boundaries;
-                // NaN-as-a-class is the documented contract.
-                Cmp::NumEq
-            };
-            let (sk, sv) = ops::segmented_reduce(b.as_ref(), &keys.data, vals, 0.0, |a, b| a + b);
-            rep.check_eq(
-                "segmented",
-                &format!("seg-keys/{}", keys.name),
-                name,
-                &seg_ref.0,
-                &sk,
-            );
-            rep.check_f64_slice(
-                mode,
-                "segmented",
-                &format!("seg-vals/{}", keys.name),
-                name,
-                &seg_ref.1,
-                &sv,
-            );
-            let (rk, rv) = ops::reduce_by_key(b.as_ref(), &keys.data, vals, 0.0, |a, b| a + b);
-            rep.check_eq(
-                "segmented",
-                &format!("rbk-keys/{}", keys.name),
-                name,
-                &rbk_ref.0,
-                &rk,
-            );
-            rep.check_f64_slice(
-                mode,
-                "segmented",
-                &format!("rbk-vals/{}", keys.name),
-                name,
-                &rbk_ref.1,
-                &rv,
-            );
         }
     }
 
@@ -677,13 +256,6 @@ pub fn run_dpp_differential() -> DiffReport {
     rep.op("map");
     for case in &fcases {
         let m_ref = ops::map(&Serial, &case.data, |x| x * 2.0 + 1.0);
-        let mi_ref = ops::map_indexed(&Serial, &case.data, |i, x| x + i as f64);
-        let rev: Vec<f64> = case.data.iter().rev().copied().collect();
-        let z_ref = ops::zip_map(&Serial, &case.data, &rev, |a, b| a - b);
-        let mut t_ref = case.data.clone();
-        ops::transform_in_place(&Serial, &mut t_ref, |_, x| x.abs());
-        let mut f_ref = vec![0.0; case.data.len()];
-        ops::fill(&Serial, &mut f_ref, 7.5);
         for (name, b) in &backends {
             rep.check_f64_slice(
                 Cmp::BitEq,
@@ -692,42 +264,6 @@ pub fn run_dpp_differential() -> DiffReport {
                 name,
                 &m_ref,
                 &ops::map(b.as_ref(), &case.data, |x| x * 2.0 + 1.0),
-            );
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "map",
-                &format!("map_indexed/{}", case.name),
-                name,
-                &mi_ref,
-                &ops::map_indexed(b.as_ref(), &case.data, |i, x| x + i as f64),
-            );
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "map",
-                &format!("zip_map/{}", case.name),
-                name,
-                &z_ref,
-                &ops::zip_map(b.as_ref(), &case.data, &rev, |a, b| a - b),
-            );
-            let mut t = case.data.clone();
-            ops::transform_in_place(b.as_ref(), &mut t, |_, x| x.abs());
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "map",
-                &format!("transform/{}", case.name),
-                name,
-                &t_ref,
-                &t,
-            );
-            let mut f = vec![0.0; case.data.len()];
-            ops::fill(b.as_ref(), &mut f, 7.5);
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "map",
-                &format!("fill/{}", case.name),
-                name,
-                &f_ref,
-                &f,
             );
         }
     }

@@ -1,4 +1,4 @@
-//! Deterministic adversarial input corpus for the differential executor.
+//! Deterministic adversarial input corpus for the differential executors.
 //!
 //! Every case is generated from fixed seeds (no wall-clock, no global state)
 //! so a differential failure names a case that can be re-run bit-for-bit.
@@ -6,11 +6,12 @@
 //! chunked data-parallel code:
 //!
 //! * empty and single-element inputs (degenerate chunkings),
-//! * lengths straddling [`dpp::DEFAULT_GRAIN`] (1023/1024/1025) and the scan
-//!   block size, where per-chunk merge logic meets its boundaries,
+//! * lengths straddling [`dpp::DEFAULT_GRAIN`] (1023/1024/1025), where
+//!   per-chunk merge logic meets its boundaries, and one (4097) past
+//!   [`dpp::SMALL_N_THRESHOLD`], where a dispatch reaches the pool,
 //! * heavy duplicate keys (tie-break determinism),
 //! * NaN / ±inf / denormal / signed-zero floats (total-order semantics),
-//! * already-sorted and reverse-sorted data (merge-path edge cases).
+//! * already-sorted and reverse-sorted data.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,10 +32,10 @@ impl<T> Case<T> {
 }
 
 /// Grain-straddling lengths: one below, at, and above [`dpp::DEFAULT_GRAIN`],
-/// plus a multi-chunk length that also exercises the scan block decomposition.
+/// plus a multi-chunk length past [`dpp::SMALL_N_THRESHOLD`].
 pub const BOUNDARY_LENGTHS: [usize; 4] = [1023, 1024, 1025, 4097];
 
-/// The `f64` corpus: every differential float op runs over each of these.
+/// The `f64` corpus: both differential ops run over each of these.
 pub fn f64_cases() -> Vec<Case<f64>> {
     let mut rng = StdRng::seed_from_u64(0x5EED_0F64);
     let mut cases = vec![
@@ -131,79 +132,6 @@ pub fn f64_cases() -> Vec<Case<f64>> {
     ));
 
     cases
-}
-
-/// The `u64` corpus, exercising radix sort, integer scans and reductions.
-pub fn u64_cases() -> Vec<Case<u64>> {
-    let mut rng = StdRng::seed_from_u64(0x5EED_0064);
-    let mut cases = vec![
-        Case::new("empty", vec![]),
-        Case::new("single", vec![42]),
-        Case::new("all_equal", vec![7; 513]),
-        Case::new(
-            "extremes",
-            vec![0, u64::MAX, 1, u64::MAX - 1, u64::MAX / 2, 0, u64::MAX],
-        ),
-    ];
-    cases.push(Case::new("sorted", (0..2000u64).collect()));
-    cases.push(Case::new("reverse_sorted", (0..2000u64).rev().collect()));
-    cases.push(Case::new(
-        "duplicates_mod11",
-        (0..3000).map(|_| rng.gen_range(0u64..11)).collect(),
-    ));
-    // High bits set: every radix digit pass has work to do.
-    cases.push(Case::new(
-        "wide_spread",
-        (0..2500).map(|_| rng.next_u64()).collect(),
-    ));
-    cases.push(Case::new(
-        "grain_straddle",
-        (0..BOUNDARY_LENGTHS[2])
-            .map(|_| rng.gen_range(0u64..1 << 40))
-            .collect(),
-    ));
-    cases
-}
-
-/// Grouped key/value corpus for `run_length_encode`, `reduce_by_key`, and
-/// `segmented_reduce` (whose contract requires keys grouped in runs).
-pub fn keyed_cases() -> Vec<(Case<u32>, Vec<f64>)> {
-    let mut rng = StdRng::seed_from_u64(0x5EED_5E67);
-    let mut out = Vec::new();
-
-    out.push((Case::new("empty", vec![]), vec![]));
-    out.push((Case::new("single", vec![9]), vec![1.5]));
-    out.push((Case::new("one_long_run", vec![3; 4097]), {
-        (0..4097).map(|_| rng.gen_range(-1.0..1.0)).collect()
-    }));
-
-    // Many short runs of varying length. Keys are distinct per run: the
-    // segmented_reduce contract (debug-asserted) forbids a key reappearing
-    // after a different key.
-    let mut keys = Vec::new();
-    for run in 0..600u32 {
-        let len = 1 + (run as usize * 7) % 13;
-        keys.extend(std::iter::repeat_n(run, len));
-    }
-    let vals: Vec<f64> = keys.iter().map(|_| rng.gen_range(-10.0..10.0)).collect();
-    out.push((Case::new("many_short_runs", keys), vals));
-
-    // Runs straddling the grain boundary exactly.
-    let mut keys = vec![1u32; 1024];
-    keys.extend(vec![2u32; 1]);
-    keys.extend(vec![3u32; 1025]);
-    let vals: Vec<f64> = (0..keys.len())
-        .map(|i| {
-            if i % 97 == 0 {
-                f64::NAN
-            } else {
-                i as f64 * 0.25
-            }
-        })
-        .collect();
-    out.push((Case::new("grain_straddling_runs_nan_vals", keys), vals));
-
-    out
 }
 
 /// Adversarial particle corpus for the layout differential: the SoA kernel
@@ -329,27 +257,6 @@ pub fn coord_cases() -> Vec<Case<[f64; 3]>> {
     cases
 }
 
-/// Deterministic gather/scatter index sets for a source of length `n`:
-/// identity, reversal, broadcast-of-one, and a seeded permutation.
-pub fn index_cases(n: usize) -> Vec<Case<usize>> {
-    let mut cases = vec![Case::new("empty_indices", vec![])];
-    if n == 0 {
-        return cases;
-    }
-    cases.push(Case::new("identity", (0..n).collect()));
-    cases.push(Case::new("reversal", (0..n).rev().collect()));
-    cases.push(Case::new("broadcast_first", vec![0; n.min(2048)]));
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(0x5EED_01D3 ^ n as u64);
-    // Fisher–Yates with the seeded RNG.
-    for i in (1..perm.len()).rev() {
-        let j = rng.gen_range(0..i + 1);
-        perm.swap(i, j);
-    }
-    cases.push(Case::new("permutation", perm));
-    cases
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,7 +272,6 @@ mod tests {
             .map(|c| c.data.iter().map(|x| x.to_bits()).collect())
             .collect();
         assert_eq!(a, b);
-        assert_eq!(u64_cases().len(), u64_cases().len());
     }
 
     #[test]
@@ -386,18 +292,5 @@ mod tests {
         assert!(cases.iter().any(|c| c.data.iter().any(|x| x.is_infinite())));
         assert!(cases.iter().any(|c| c.data.is_empty()));
         assert!(cases.iter().any(|c| c.data.len() == 1));
-    }
-
-    #[test]
-    fn keyed_cases_have_matching_lengths_and_grouped_keys() {
-        for (keys, vals) in keyed_cases() {
-            assert_eq!(keys.data.len(), vals.len(), "case {}", keys.name);
-            // Grouped contract: equal keys are adjacent within each run by
-            // construction; verify no run is split (a key never re-appears
-            // immediately after itself with a gap of a different key — i.e.
-            // the sequence is a valid run-length grouping by construction).
-            // We just sanity-check lengths here; semantics are exercised by
-            // the differential executor.
-        }
     }
 }

@@ -16,8 +16,11 @@
 //!   radius and k-nearest queries vs the linear scan [`dist2_scan_ref`],
 //!   over [`inputs::coord_cases`].
 //! * `mbp-cols` — [`halo::potential_at`] / [`halo::mbp_brute_cols`]
-//!   (blocked lane sweep, fixed summation order) vs
-//!   [`potential_scalar_ref`] (scalar per-pair loop), every backend.
+//!   (blocked lane sweep, fixed summation order; `dpp::ops::map` then
+//!   `dpp::ops::argmin_by`) vs [`potential_scalar_ref`] (scalar per-pair
+//!   loop) and a sequential first-minimum scan, every backend, over the
+//!   small [`inputs::particle_cases`] (dispatched inline) and
+//!   [`mbp_halo_cases`] (dispatched through the pool, argmin tied).
 //! * `fft3d-tiled` — [`fft::Fft3d`] (in-place contiguous pass, tiled strided
 //!   passes) vs [`fft3d_line_ref`] (one gathered line at a time), forward
 //!   and inverse, every backend.
@@ -37,12 +40,6 @@
 //!   on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded` ×3, over
 //!   [`cic_det_cases`] at chunk sizes that put `n` below, at and well above
 //!   the 64-chunk cap.
-//! * `radix-u64` — [`dpp::ops::radix_sort_u64`] (specialized flat-key
-//!   engine) vs [`dpp::ops::radix_sort_by_key`] (generic reference),
-//!   every backend, over [`inputs::u64_cases`].
-//! * `histogram-blocked` — [`dpp::ops::histogram_counted`] (two-phase
-//!   blocked binning) vs an inline scalar reference, every backend, over
-//!   [`inputs::f64_cases`] including NaN scatter.
 //!
 //! Everything is [`Cmp::BitEq`]: the kernels fix their summation order to
 //! the reference order by construction (see DESIGN.md §12), so there is no
@@ -50,7 +47,7 @@
 
 use crate::differential::{roster, Cmp, DiffReport};
 use crate::inputs;
-use dpp::{ops, Backend, SendPtr, Serial, StaticThreaded, Threaded};
+use dpp::{Backend, SendPtr, Serial, StaticThreaded, Threaded};
 use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3};
 use halo::unionfind::UnionFind;
 use halo::{fof_brute, fof_grid, fof_kdtree_cols, mbp_brute_cols, potential_at, Coords, KdTree};
@@ -62,7 +59,7 @@ use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 9] = [
+pub const REQUIRED_KERNELS: [&str; 7] = [
     "cic-soa",
     "cic-det",
     "fof-cols",
@@ -70,33 +67,7 @@ pub const REQUIRED_KERNELS: [&str; 9] = [
     "mbp-cols",
     "fft3d-tiled",
     "poisson-kspace",
-    "radix-u64",
-    "histogram-blocked",
 ];
-
-/// Scalar histogram reference: the pre-blocking loop, kept inline here so
-/// the blocked rewrite in `dpp` is checked against code it cannot share.
-fn histogram_scalar_ref(values: &[f64], lo: f64, hi: f64, nbins: usize) -> (Vec<u64>, u64) {
-    let width = (hi - lo) / nbins as f64;
-    let mut bins = vec![0u64; nbins];
-    let mut skipped = 0u64;
-    for &v in values {
-        if v.is_nan() {
-            skipped += 1;
-            continue;
-        }
-        let b = ((v - lo) / width).floor();
-        let b = if b < 0.0 {
-            0
-        } else if b as usize >= nbins {
-            nbins - 1
-        } else {
-            b as usize
-        };
-        bins[b] += 1;
-    }
-    (bins, skipped)
-}
 
 /// One particle's eight CIC corner contributions, added to `local` (`ng³`
 /// cells): `rem_euclid` wrap, `% ng` per corner, `m·wx·wy·wz` left to right.
@@ -503,6 +474,39 @@ pub fn cic_det_cases() -> Vec<inputs::Case<Particle>> {
     cases
 }
 
+/// The pooled `mbp-cols` inputs: seeded halos of 2 049 and 3 073 particles —
+/// just past [`dpp::SMALL_N_THRESHOLD`], three and four
+/// [`dpp::DEFAULT_GRAIN`] chunks, so `map` and `argmin_by` go through the
+/// workers — each a uniform cloud around two coincident heavy particles at
+/// adjacent indices. Adjacent coincident particles of equal mass have
+/// bit-equal potentials (the two sums differ only in where the literal `0.0`
+/// of the self term sits) far below everyone else's, so the argmin is a tie:
+/// across a chunk boundary (1023 | 1024) in the first case, inside the third
+/// chunk (2500 | 2501) in the second.
+pub fn mbp_halo_cases() -> Vec<inputs::Case<Particle>> {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0B19);
+    let mut halo = |name: &'static str, n: usize, pair: usize| {
+        let mut data: Vec<Particle> = (0..n)
+            .map(|i| {
+                let pos = [
+                    rng.gen_range(14.0f32..18.0),
+                    rng.gen_range(14.0f32..18.0),
+                    rng.gen_range(14.0f32..18.0),
+                ];
+                Particle::at_rest(pos, rng.gen_range(0.5f32..2.0), i as u64)
+            })
+            .collect();
+        for i in [pair, pair + 1] {
+            data[i] = Particle::at_rest([16.0; 3], 64.0, i as u64);
+        }
+        inputs::Case { name, data }
+    };
+    vec![
+        halo("halo_3_chunks_tie_across_chunks", 2049, 1023),
+        halo("halo_4_chunks_tie_in_chunk", 3073, 2500),
+    ]
+}
+
 /// Scalar potential reference: `φ(i) = Σ_{j≠i} −m_j / (d_ij + ε)` summed in
 /// ascending `j`, one pair at a time over the AoS slice.
 pub fn potential_scalar_ref(particles: &[Particle], i: usize, softening: f64) -> f64 {
@@ -824,10 +828,13 @@ pub fn run_layout_differential() -> DiffReport {
     // --- mbp-cols --------------------------------------------------------
     rep.op("mbp-cols");
     let softening = 1e-3;
-    for case in inputs::particle_cases() {
-        if case.data.is_empty() || case.data.len() > 1025 {
-            continue; // O(n²); the grain cases are plenty.
-        }
+    // O(n²): of the adversarial corpus the grain cases are plenty; they and
+    // everything smaller are dispatched inline, the halos through the pool.
+    let mbp_cases = inputs::particle_cases()
+        .into_iter()
+        .filter(|c| !c.data.is_empty() && c.data.len() <= 1025)
+        .chain(mbp_halo_cases());
+    for case in mbp_cases {
         let coords = Coords::from_particles(&case.data);
         let masses: Vec<f64> = case.data.iter().map(|p| p.mass as f64).collect();
         // Per-particle potentials: blocked column sweep vs scalar loop.
@@ -844,8 +851,24 @@ pub fn run_layout_differential() -> DiffReport {
                 blocked,
             );
         }
-        // Full argmin on every backend (indices and potential bits).
+        // The argmin against a sequential scan under the documented order
+        // (NaN last, the first of equal minima) …
         let reference = mbp_brute_cols(&Serial, &coords, &masses, softening);
+        let mut first_min = (0, potential_at(&coords, &masses, 0, softening));
+        for i in 1..case.data.len() {
+            let p = potential_at(&coords, &masses, i, softening);
+            if (first_min.1.is_nan() && !p.is_nan()) || p < first_min.1 {
+                first_min = (i, p);
+            }
+        }
+        rep.check_eq(
+            "mbp-cols",
+            &format!("first-min/{}", case.name),
+            "serial",
+            &(first_min.0, first_min.1.to_bits()),
+            &(reference.index, reference.potential.to_bits()),
+        );
+        // … and on every backend (indices and potential bits).
         for (name, b) in &backends {
             let got = mbp_brute_cols(b.as_ref(), &coords, &masses, softening);
             rep.check_eq(
@@ -923,59 +946,6 @@ pub fn run_layout_differential() -> DiffReport {
         }
     }
 
-    // --- radix-u64 -------------------------------------------------------
-    rep.op("radix-u64");
-    for case in inputs::u64_cases() {
-        let mut reference = case.data.clone();
-        ops::radix_sort_by_key(&Serial, &mut reference, |&k| k);
-        let mut serial_fast = case.data.clone();
-        ops::radix_sort_u64(&Serial, &mut serial_fast);
-        rep.check_eq(
-            "radix-u64",
-            &format!("u64/{}", case.name),
-            "serial-specialized",
-            &reference,
-            &serial_fast,
-        );
-        for (name, b) in &backends {
-            let mut fast = case.data.clone();
-            ops::radix_sort_u64(b.as_ref(), &mut fast);
-            rep.check_eq(
-                "radix-u64",
-                &format!("u64/{}", case.name),
-                name,
-                &reference,
-                &fast,
-            );
-        }
-    }
-
-    // --- histogram-blocked -----------------------------------------------
-    rep.op("histogram-blocked");
-    for case in inputs::f64_cases() {
-        for (lo, hi, nbins) in [(-1.0e3, 1.0e3, 16usize), (-0.5, 0.5, 7)] {
-            let reference = histogram_scalar_ref(&case.data, lo, hi, nbins);
-            for (name, b) in &backends {
-                let got = ops::histogram_counted(b.as_ref(), &case.data, lo, hi, nbins);
-                rep.check_eq(
-                    "histogram-blocked",
-                    &format!("counted/{}/bins={nbins}", case.name),
-                    name,
-                    &reference,
-                    &got,
-                );
-            }
-            let got = ops::histogram_counted(&Serial, &case.data, lo, hi, nbins);
-            rep.check_eq(
-                "histogram-blocked",
-                &format!("counted/{}/bins={nbins}", case.name),
-                "serial-blocked",
-                &reference,
-                &got,
-            );
-        }
-    }
-
     rep
 }
 
@@ -994,14 +964,6 @@ pub fn assert_layout_conformance() -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scalar_histogram_reference_matches_documented_semantics() {
-        let v = vec![f64::NAN, 0.1, f64::NAN, 0.9, -1.0, f64::NAN];
-        let (bins, skipped) = histogram_scalar_ref(&v, 0.0, 1.0, 2);
-        assert_eq!(bins, vec![2, 1]);
-        assert_eq!(skipped, 3);
-    }
 
     fn blob(n: usize) -> Vec<Particle> {
         (0..n)
@@ -1042,6 +1004,48 @@ mod tests {
         parts[25].pos[2] = f32::INFINITY;
         parts[31].pos[0] = -0.0;
         assert_potentials_match(&parts, 0..40);
+    }
+
+    #[test]
+    fn groups_of_at_least_is_members_by_group_filtered() {
+        for case in fof_grid_cases() {
+            let labels = fof_grid(&case.positions, case.link, case.box_size);
+            for min_size in [0usize, 1, 2, 20] {
+                let expect: Vec<Vec<u32>> = halo::members_by_group(&labels)
+                    .into_iter()
+                    .filter(|g| g.len() >= min_size)
+                    .collect();
+                assert_eq!(
+                    halo::groups_of_at_least(&labels, min_size),
+                    expect,
+                    "{} min_size={min_size}",
+                    case.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mbp_halo_cases_tie_at_the_minimum() {
+        for case in mbp_halo_cases() {
+            let pair = case.data.iter().position(|p| p.mass == 64.0).unwrap();
+            let coords = Coords::from_particles(&case.data);
+            let masses: Vec<f64> = case.data.iter().map(|p| p.mass as f64).collect();
+            let pots: Vec<f64> = (0..case.data.len())
+                .map(|i| potential_at(&coords, &masses, i, 1e-3))
+                .collect();
+            assert_eq!(
+                pots[pair].to_bits(),
+                pots[pair + 1].to_bits(),
+                "{}",
+                case.name
+            );
+            assert!(
+                pots.iter().all(|p| pots[pair] <= *p),
+                "{}: the tied pair must be the most bound",
+                case.name
+            );
+        }
     }
 
     #[test]

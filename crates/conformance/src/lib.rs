@@ -11,16 +11,18 @@
 //!   ±0, denormals) so property tests stop silently avoiding non-finite
 //!   floats.
 //! * [`inputs`] — a deterministic adversarial corpus for the differential
-//!   executor: empty/single inputs, duplicate keys, grain-boundary lengths,
+//!   executors: empty/single inputs, duplicate keys, grain-boundary lengths,
 //!   NaN/±inf mixtures.
-//! * [`differential`] — runs every `dpp` primitive over the corpus on
-//!   Serial, Threaded (fresh, single-worker, and pool-shared), and
-//!   StaticThreaded backends and checks **byte agreement** under the
-//!   documented total-order semantics, reporting every disagreement.
+//! * [`differential`] — runs both `dpp` primitives (`map`, `argmin_by`) over
+//!   the corpus on Serial, Threaded (fresh, single-worker, and pool-shared),
+//!   and StaticThreaded backends and checks **byte agreement** under the
+//!   documented total-order semantics, reporting every disagreement; the
+//!   report and roster are shared by the kernel batteries below.
 //! * [`layout`] — the SoA/column kernel differential: every packed-layout
-//!   kernel (CIC deposit, FOF, MBP, radix, histogram) against a scalar or
-//!   brute-force reference, bit-for-bit, on every backend; the scalar CIC
-//!   and potential references live there, not in the product crates.
+//!   kernel (CIC deposits, FOF engines, MBP, tiled FFT, fused Poisson pass)
+//!   against a scalar or brute-force reference, bit-for-bit, on every
+//!   backend; the scalar CIC and potential references live there, not in
+//!   the product crates.
 //! * [`integrator`] — the KDK steppers' carried force field: stepping with
 //!   and without it, continuing vs. restarting from the same (possibly
 //!   mutated) state, all bit-for-bit on every backend and rank count, and

@@ -87,18 +87,6 @@ pub fn adversarial_f64(lo: f64, hi: f64) -> AdversarialF64 {
     }
 }
 
-/// Like [`adversarial_f64`] with a caller-chosen special-value rate
-/// (per-mille, i.e. `1000` means every sample is special).
-pub fn adversarial_f64_rate(lo: f64, hi: f64, special_per_mille: u32) -> AdversarialF64 {
-    assert!(lo < hi && lo.is_finite() && hi.is_finite());
-    assert!(special_per_mille <= 1000);
-    AdversarialF64 {
-        lo,
-        hi,
-        special_per_mille,
-    }
-}
-
 /// `Vec<f64>` of length `0..max_len` drawn from [`adversarial_f64`].
 pub fn adversarial_vec(
     lo: f64,

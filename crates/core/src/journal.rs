@@ -40,8 +40,11 @@ pub const JOURNAL_HEADER: &str = "hacc-listener-journal v1";
 #[derive(Debug, Clone)]
 pub struct Journal {
     log: LineLog,
-    /// Held by every mutation, across every clone of this handle.
-    writer: Arc<Mutex<()>>,
+    /// Held by every mutation, across every clone of this handle. Guards
+    /// the journal's size right after its last rewrite through this handle
+    /// (0 before the first, so a restarted process starts due): a
+    /// size-triggered compaction is due again only at twice that.
+    writer: Arc<Mutex<u64>>,
 }
 
 impl Journal {
@@ -112,8 +115,13 @@ impl Journal {
     ///
     /// [`stage`]: Journal::stage
     pub fn commit_staged(&self) -> io::Result<()> {
-        let _writer = self.writer.lock();
-        self.log.commit()
+        self.commit_locked(&mut self.writer.lock())
+    }
+
+    fn commit_locked(&self, compacted_bytes: &mut u64) -> io::Result<()> {
+        self.log.commit()?;
+        *compacted_bytes = self.log.size_bytes()?;
+        Ok(())
     }
 
     /// Atomically replace the journal with exactly `entries` (plus the
@@ -128,34 +136,60 @@ impl Journal {
     /// compaction. A rewrite also heals any torn trailing fragment as a side
     /// effect, because only fully committed entries are written back.
     pub fn rewrite(&self, entries: &BTreeSet<PathBuf>) -> io::Result<()> {
-        let _writer = self.writer.lock();
+        let mut writer = self.writer.lock();
         self.stage_locked(entries)?;
-        self.log.commit()
+        self.commit_locked(&mut writer)
+    }
+
+    /// Whether [`compact_if_larger`](Self::compact_if_larger) would rewrite
+    /// now (an unreadable size is not due).
+    pub fn compaction_due(&self, threshold_bytes: u64) -> bool {
+        let compacted_bytes = self.writer.lock();
+        self.due_locked(threshold_bytes, *compacted_bytes)
+            .unwrap_or(false)
+    }
+
+    /// [`cache::compaction_due`] on this journal; a threshold of 0 forces the
+    /// rewrite, so the size the last one left is not consulted.
+    fn due_locked(&self, threshold_bytes: u64, compacted_bytes: u64) -> io::Result<bool> {
+        let since = if threshold_bytes == 0 {
+            0
+        } else {
+            compacted_bytes
+        };
+        Ok(cache::compaction_due(
+            self.size_bytes()?,
+            threshold_bytes,
+            since,
+        ))
     }
 
     /// Size-triggered compaction: when the journal has grown past
-    /// `threshold_bytes`, rewrite it keeping only the entries `retain`
-    /// accepts. Long-lived services call this each sweep with a predicate
-    /// like "the output file still exists" — handled files that have been
-    /// swept away (or belong to a detached campaign) are dead weight a
-    /// resident process would otherwise accumulate forever.
+    /// `threshold_bytes` and has doubled since its last rewrite
+    /// ([`cache::compaction_due`]), rewrite it keeping only the entries
+    /// `retain` accepts. Long-lived services call this each sweep with a
+    /// predicate like "the output file still exists" — handled files that
+    /// have been swept away (or belong to a detached campaign) are dead
+    /// weight a resident process would otherwise accumulate forever, while
+    /// a journal of live entries alone is not rewritten sweep after sweep to
+    /// drop nothing. A threshold of 0 forces the rewrite.
     ///
     /// Returns `Some(dropped_entry_count)` when a compaction ran, `None`
-    /// when the journal was below the threshold.
+    /// when none was due.
     pub fn compact_if_larger(
         &self,
         threshold_bytes: u64,
         retain: impl Fn(&Path) -> bool,
     ) -> io::Result<Option<usize>> {
-        let _writer = self.writer.lock();
-        if self.size_bytes()? <= threshold_bytes {
+        let mut writer = self.writer.lock();
+        if !self.due_locked(threshold_bytes, *writer)? {
             return Ok(None);
         }
         let before = self.load()?;
         let kept: BTreeSet<PathBuf> = before.iter().filter(|p| retain(p)).cloned().collect();
         let dropped = before.len() - kept.len();
         self.stage_locked(&kept)?;
-        self.log.commit()?;
+        self.commit_locked(&mut writer)?;
         Ok(Some(dropped))
     }
 }

@@ -412,7 +412,7 @@ impl<I> Watch<I> {
         // their entries are not ours to judge. The fault site is polled only
         // when a compaction is due, so its hits count real compactions.
         if let (Some(j), Some(threshold)) = (journal, self.cfg.journal_compact_bytes) {
-            if j.size_bytes().is_ok_and(|s| s > threshold) {
+            if j.compaction_due(threshold) {
                 let live = |k: &Path| k.parent() != Some(&self.dir) || source.is_live(k);
                 match self.cfg.fault("listener.compact", "listener.compact") {
                     Some(Fired::Crash) => {
@@ -1462,6 +1462,48 @@ mod tests {
             "every file analyzed exactly once across the crash"
         );
         assert_eq!(j.load().unwrap().len(), 10);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A streamed campaign's outputs all stay live, so once its journal is
+    /// over the threshold no sweep can shrink it: the rewrites must follow
+    /// the journal's doublings, not the sweeps. (One rewrite per sweep before
+    /// the journal remembered its post-rewrite size: 123 here.)
+    #[test]
+    fn live_journal_over_the_threshold_compacts_logarithmically() {
+        let dir = tmpdir("compactlog");
+        let j = Journal::new(dir.join("j.journal"));
+        let cfg = ListenerConfig {
+            suffix: ".hcio".into(),
+            journal_compact_bytes: Some(128),
+            ..Default::default()
+        };
+        let source = Box::new(DirSource::new(dir.clone(), &cfg, |_| Some(())));
+        let watch = Watch::new(dir.clone(), cfg, Some(j.clone()), source, BTreeSet::new());
+        let mut on_file = |_: &Path, _: &()| Ok(());
+        let n = 64;
+        for i in 0..n {
+            std::fs::write(dir.join(format!("m_{i:03}.hcio")), b"live").unwrap();
+            // Two sweeps per file: the quiescence gate wants two equal polls.
+            for _ in 0..2 {
+                watch.sweep(&|_, _| false, &mut on_file).unwrap();
+            }
+        }
+        let (handled, report) = watch.snapshot();
+        assert_eq!(handled, n, "every file handled");
+        assert_eq!(
+            j.load().unwrap().len(),
+            n,
+            "and every entry still journaled"
+        );
+        // First rewrite when the journal first exceeds 128 bytes, then one
+        // per doubling up to its final size.
+        let doublings = (j.size_bytes().unwrap() / 128).ilog2() as u64;
+        assert!(
+            (1..=doublings + 1).contains(&report.compactions),
+            "{} rewrites for {n} live appends ({doublings} doublings over the threshold)",
+            report.compactions
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::config::{Config, ConfigError};
 use crate::insitu::{AnalysisContext, InSituAlgorithm, Product};
-use halo::{fof_grid, mbp_brute, unwrap_positions, Halo, HaloCatalog};
+use halo::{fof_grid, groups_of_at_least, mbp_brute, unwrap_positions, Halo, HaloCatalog};
 use nbody::particle::Particle;
 
 /// The in-situ halo analysis task.
@@ -48,32 +48,6 @@ impl HaloFinderTask {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Member lists of the groups with at least `min_size` members, in label
-/// order: `halo::members_by_group` without a list per field particle (an
-/// evolved box is mostly singletons).
-fn groups_of_at_least(labels: &[u32], min_size: usize) -> Vec<Vec<u32>> {
-    let ngroups = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
-    let mut sizes = vec![0usize; ngroups];
-    for &l in labels {
-        sizes[l as usize] += 1;
-    }
-    // Label → index into `out`, for the groups kept.
-    let mut slot = vec![usize::MAX; ngroups];
-    let mut out = Vec::new();
-    for (l, &size) in sizes.iter().enumerate() {
-        if size >= min_size {
-            slot[l] = out.len();
-            out.push(Vec::with_capacity(size));
-        }
-    }
-    for (i, &l) in labels.iter().enumerate() {
-        if let Some(members) = out.get_mut(slot[l as usize]) {
-            members.push(i as u32);
-        }
-    }
-    out
 }
 
 /// Whole-box FOF + selective centers, reusable outside the in-situ framework

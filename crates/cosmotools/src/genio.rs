@@ -112,11 +112,6 @@ impl Container {
     pub fn total_particles(&self) -> usize {
         self.blocks.iter().map(|b| b.len()).sum()
     }
-
-    /// Flatten all blocks into one particle vector.
-    pub fn into_particles(self) -> Vec<Particle> {
-        self.blocks.into_iter().flatten().collect()
-    }
 }
 
 fn put_particle(buf: &mut BytesMut, p: &Particle) {

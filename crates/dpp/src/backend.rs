@@ -1,12 +1,15 @@
 //! Execution backends.
 //!
-//! Mirroring PISTON/VTK-m's device adapters, every data-parallel primitive in
-//! this crate is written once against the [`Backend`] trait and runs unchanged
-//! on every backend. Two adapters are provided:
+//! Mirroring PISTON/VTK-m's device adapters, a kernel is written once against
+//! the [`Backend`] trait and runs unchanged on every backend. Three adapters
+//! are provided:
 //!
 //! * [`Serial`] — single-threaded reference execution (always available, used
-//!   as the correctness oracle in tests), and
-//! * [`Threaded`] — multi-core execution through [`ThreadPool`].
+//!   as the correctness oracle in tests),
+//! * [`Threaded`] — multi-core execution through [`ThreadPool`], chunks
+//!   claimed dynamically, and
+//! * [`StaticThreaded`] — the same pool with one contiguous block per worker
+//!   (the load-imbalance ablation).
 //!
 //! The original system also targeted CUDA GPUs through Thrust; on the machines
 //! modeled by the `simhpc` crate, GPU execution is represented by a speed
@@ -98,7 +101,7 @@ impl Threaded {
         Threaded { pool }
     }
 
-    /// The underlying pool (for task-parallel use and [`ThreadPool::stats`]).
+    /// The underlying pool (for [`ThreadPool::stats`]).
     pub fn pool(&self) -> &ThreadPool {
         &self.pool
     }
@@ -192,77 +195,6 @@ impl Backend for StaticThreaded {
 
     fn pool_stats(&self) -> Option<PoolStats> {
         Some(self.pool.stats())
-    }
-}
-
-/// Runtime-selectable backend, e.g. parsed from a configuration file.
-#[derive(Debug, Clone)]
-pub enum AnyBackend {
-    /// Single-threaded execution.
-    Serial(Serial),
-    /// Multi-threaded execution (dynamic scheduling).
-    Threaded(Threaded),
-    /// Multi-threaded execution with static partitioning.
-    StaticThreaded(StaticThreaded),
-}
-
-impl AnyBackend {
-    /// Parse a backend spec: `"serial"`, `"threaded"`/`"threaded:N"`, or
-    /// `"static"`/`"static:N"`. The bare multi-threaded forms size the pool
-    /// to the machine's available parallelism.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let spec = spec.trim();
-        if spec.eq_ignore_ascii_case("serial") {
-            return Ok(AnyBackend::Serial(Serial));
-        }
-        if spec.eq_ignore_ascii_case("threaded") {
-            return Ok(AnyBackend::Threaded(Threaded::with_available_parallelism()));
-        }
-        if spec.eq_ignore_ascii_case("static") {
-            return Ok(AnyBackend::StaticThreaded(
-                StaticThreaded::with_available_parallelism(),
-            ));
-        }
-        if let Some(rest) = spec.strip_prefix("threaded:") {
-            let n: usize = rest
-                .parse()
-                .map_err(|_| format!("invalid worker count in backend spec `{spec}`"))?;
-            return Ok(AnyBackend::Threaded(Threaded::new(n)));
-        }
-        if let Some(rest) = spec.strip_prefix("static:") {
-            let n: usize = rest
-                .parse()
-                .map_err(|_| format!("invalid worker count in backend spec `{spec}`"))?;
-            return Ok(AnyBackend::StaticThreaded(StaticThreaded::new(n)));
-        }
-        Err(format!("unknown backend spec `{spec}`"))
-    }
-
-    /// View as a trait object.
-    pub fn as_dyn(&self) -> &dyn Backend {
-        match self {
-            AnyBackend::Serial(b) => b,
-            AnyBackend::Threaded(b) => b,
-            AnyBackend::StaticThreaded(b) => b,
-        }
-    }
-}
-
-impl Backend for AnyBackend {
-    fn dispatch(&self, n: usize, grain: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
-        self.as_dyn().dispatch(n, grain, f)
-    }
-
-    fn concurrency(&self) -> usize {
-        self.as_dyn().concurrency()
-    }
-
-    fn name(&self) -> &'static str {
-        self.as_dyn().name()
-    }
-
-    fn pool_stats(&self) -> Option<PoolStats> {
-        self.as_dyn().pool_stats()
     }
 }
 
@@ -394,22 +326,6 @@ where
     });
 }
 
-/// Apply `f(chunk_range, chunk_slice)` to disjoint sub-slices of `data`, in
-/// parallel. Each chunk is at least `grain` elements.
-pub fn par_chunks_mut<T, F>(backend: &dyn Backend, data: &mut [T], grain: usize, f: F)
-where
-    T: Send,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
-    let n = data.len();
-    let ptr = SendPtr(data.as_mut_ptr());
-    backend.dispatch(n, grain, &|r: Range<usize>| {
-        // SAFETY: dispatch ranges are disjoint and in bounds.
-        let slice = unsafe { ptr.slice_mut(r.start, r.len()) };
-        f(r, slice);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,55 +362,6 @@ mod tests {
         for (i, x) in v.iter().enumerate() {
             assert_eq!(*x, 1 + i as u64);
         }
-    }
-
-    #[test]
-    fn par_chunks_mut_sees_correct_offsets() {
-        let t = Threaded::new(4);
-        let mut v = vec![0usize; 777];
-        par_chunks_mut(&t, &mut v, 50, |r, chunk| {
-            for (k, x) in chunk.iter_mut().enumerate() {
-                *x = r.start + k;
-            }
-        });
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i);
-        }
-    }
-
-    #[test]
-    fn any_backend_parses() {
-        assert!(matches!(
-            AnyBackend::parse("serial"),
-            Ok(AnyBackend::Serial(_))
-        ));
-        assert!(matches!(
-            AnyBackend::parse("threaded"),
-            Ok(AnyBackend::Threaded(_))
-        ));
-        match AnyBackend::parse("threaded:7") {
-            Ok(AnyBackend::Threaded(t)) => assert_eq!(t.concurrency(), 7),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(AnyBackend::parse("cuda").is_err());
-        assert!(AnyBackend::parse("threaded:x").is_err());
-        assert!(AnyBackend::parse("static:x").is_err());
-    }
-
-    #[test]
-    fn bare_static_spec_uses_available_parallelism() {
-        let expected = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        match AnyBackend::parse("static") {
-            Ok(AnyBackend::StaticThreaded(b)) => assert_eq!(b.concurrency(), expected),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Case- and whitespace-insensitive like the other specs.
-        assert!(matches!(
-            AnyBackend::parse("  Static "),
-            Ok(AnyBackend::StaticThreaded(_))
-        ));
     }
 
     #[test]
@@ -600,13 +467,5 @@ mod static_backend_tests {
         assert_eq!(got.len(), 4, "exactly one contiguous block per worker");
         assert_eq!(got[0], 0..250);
         assert_eq!(got[3], 750..1000);
-    }
-
-    #[test]
-    fn any_backend_parses_static() {
-        match AnyBackend::parse("static:3") {
-            Ok(AnyBackend::StaticThreaded(b)) => assert_eq!(b.concurrency(), 3),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

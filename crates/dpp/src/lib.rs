@@ -1,42 +1,45 @@
-//! # dpp — portable data-parallel primitives
+//! # dpp — the portable dispatch layer
 //!
 //! This crate is the reproduction's equivalent of the PISTON / VTK-m layer
-//! used by the paper: each analysis algorithm is written **once** against a
-//! small set of data-parallel primitives and executes unchanged on every
-//! [`Backend`]. The original targeted CUDA, OpenMP and TBB through Thrust;
-//! here the adapters are [`Serial`] (reference), [`Threaded`] (multi-core,
-//! dynamic self-scheduling), and [`StaticThreaded`] (multi-core, one static
-//! block per worker — the load-imbalance ablation). Both threaded adapters
-//! run on [`ThreadPool`]: persistent workers created once and parked between
-//! dispatches, with per-pool [`pool::PoolStats`] instrumentation; see the
-//! [`pool`] module docs.
+//! used by the paper: a kernel is written **once** against [`Backend`] and
+//! executes unchanged on every adapter. The original targeted CUDA, OpenMP
+//! and TBB through Thrust; here the adapters are [`Serial`] (reference),
+//! [`Threaded`] (multi-core, dynamic self-scheduling), and
+//! [`StaticThreaded`] (multi-core, one static block per worker — the
+//! load-imbalance ablation). Both threaded adapters run on [`ThreadPool`]:
+//! persistent workers created once and parked between dispatches, with
+//! per-pool [`pool::PoolStats`] instrumentation; see the [`pool`] module
+//! docs.
 //!
-//! Primitives: [`ops::map()`](ops::map()), [`ops::reduce()`](ops::reduce()), [`ops::inclusive_scan`] /
-//! [`ops::exclusive_scan`], [`ops::par_sort_by`], [`ops::gather()`](ops::gather()) /
-//! [`ops::scatter`], [`ops::copy_if`], [`ops::histogram()`](ops::histogram()),
-//! [`ops::argmin_by`], and [`ops::segmented_reduce`].
+//! What the kernels call is small. The particle-mesh solver, the 3-D FFT and
+//! the deposits go to [`Backend::dispatch`] (or [`par_for_each_mut`])
+//! directly, with [`SendPtr`] handing disjoint ranges to the chunks;
+//! [`par_init`] builds a `Vec` in parallel; and the brute-force
+//! most-bound-particle finder is written in the two primitives of [`ops`]:
+//! [`ops::map()`](ops::map()) and [`ops::argmin_by`]. Nothing else lives
+//! here: a primitive lands together with the kernel that calls it.
 //!
 //! ```
-//! use dpp::{Serial, Threaded, ops};
+//! use dpp::{ops, Serial, Threaded};
 //!
-//! let xs: Vec<f64> = (0..1000).map(|i| i as f64).collect();
+//! let xs: Vec<f64> = (0..5000).map(|i| ((i as f64) * 0.37).sin()).collect();
 //! let threaded = Threaded::new(4);
 //! // One implementation, two backends, identical results:
-//! let a = ops::sum_f64(&Serial, &xs);
-//! let b = ops::sum_f64(&threaded, &xs);
-//! assert_eq!(a, b);
+//! let squares = ops::map(&threaded, &xs, |x| x * x);
+//! assert_eq!(squares, ops::map(&Serial, &xs, |x| x * x));
+//! assert_eq!(
+//!     ops::argmin_by(&threaded, &xs, |x| *x),
+//!     ops::argmin_by(&Serial, &xs, |x| *x),
+//! );
 //! ```
 
 #![warn(missing_docs)]
-// 3-vector component loops read better indexed; the lint fires on them.
-#![allow(clippy::needless_range_loop)]
 
 pub mod backend;
 pub mod ops;
 pub mod pool;
 
 pub use backend::{
-    par_chunks_mut, par_for_each_mut, par_init, AnyBackend, Backend, SendPtr, Serial,
-    StaticThreaded, Threaded, DEFAULT_GRAIN,
+    par_for_each_mut, par_init, Backend, SendPtr, Serial, StaticThreaded, Threaded, DEFAULT_GRAIN,
 };
 pub use pool::{PoolStats, ThreadPool, SMALL_N_THRESHOLD};

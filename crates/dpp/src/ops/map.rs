@@ -1,6 +1,6 @@
-//! Elementwise transforms.
+//! Elementwise transform.
 
-use crate::backend::{par_for_each_mut, par_init, Backend, DEFAULT_GRAIN};
+use crate::backend::{par_init, Backend, DEFAULT_GRAIN};
 
 /// `out[i] = f(&input[i])`.
 pub fn map<T, U, F>(backend: &dyn Backend, input: &[T], f: F) -> Vec<U>
@@ -10,45 +10,6 @@ where
     F: Fn(&T) -> U + Sync,
 {
     par_init(backend, input.len(), DEFAULT_GRAIN, |i| f(&input[i]))
-}
-
-/// `out[i] = f(i, &input[i])`.
-pub fn map_indexed<T, U, F>(backend: &dyn Backend, input: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_init(backend, input.len(), DEFAULT_GRAIN, |i| f(i, &input[i]))
-}
-
-/// `out[i] = f(&a[i], &b[i])`. Panics if lengths differ.
-pub fn zip_map<A, B, U, F>(backend: &dyn Backend, a: &[A], b: &[B], f: F) -> Vec<U>
-where
-    A: Sync,
-    B: Sync,
-    U: Send,
-    F: Fn(&A, &B) -> U + Sync,
-{
-    assert_eq!(a.len(), b.len(), "zip_map requires equal-length inputs");
-    par_init(backend, a.len(), DEFAULT_GRAIN, |i| f(&a[i], &b[i]))
-}
-
-/// `data[i] = f(i, data[i])`, in place.
-pub fn transform_in_place<T, F>(backend: &dyn Backend, data: &mut [T], f: F)
-where
-    T: Send + Copy,
-    F: Fn(usize, T) -> T + Sync,
-{
-    par_for_each_mut(backend, data, DEFAULT_GRAIN, |i, x| *x = f(i, *x));
-}
-
-/// Set every element to `value`.
-pub fn fill<T>(backend: &dyn Backend, data: &mut [T], value: T)
-where
-    T: Send + Copy + Sync,
-{
-    par_for_each_mut(backend, data, DEFAULT_GRAIN, |_, x| *x = value);
 }
 
 #[cfg(test)]
@@ -64,38 +25,6 @@ mod tests {
         let p = map(&t, &v, |x| x * x);
         assert_eq!(s, p);
         assert_eq!(p[100], 10_000);
-    }
-
-    #[test]
-    fn map_indexed_uses_index() {
-        let v = vec![10u32; 100];
-        let out = map_indexed(&Serial, &v, |i, x| i as u32 + x);
-        assert_eq!(out[7], 17);
-    }
-
-    #[test]
-    fn zip_map_adds() {
-        let t = Threaded::new(3);
-        let a: Vec<i64> = (0..999).collect();
-        let b: Vec<i64> = (0..999).rev().collect();
-        let out = zip_map(&t, &a, &b, |x, y| x + y);
-        assert!(out.iter().all(|&v| v == 998));
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn zip_map_length_mismatch_panics() {
-        zip_map(&Serial, &[1], &[1, 2], |x: &i32, y: &i32| x + y);
-    }
-
-    #[test]
-    fn transform_in_place_and_fill() {
-        let t = Threaded::new(4);
-        let mut v = vec![1i32; 4097];
-        transform_in_place(&t, &mut v, |i, x| x + i as i32);
-        assert_eq!(v[4096], 4097);
-        fill(&t, &mut v, -3);
-        assert!(v.iter().all(|&x| x == -3));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Parallel argmin/argmax and extrema by key.
+//! Parallel argmin by key.
 //!
-//! These are the primitives behind the most-bound-particle center finder: the
-//! particle with the minimum potential is `argmin_by(potentials)`.
+//! The primitive behind the most-bound-particle center finder: the particle
+//! with the minimum potential is `argmin_by(potentials)`.
 
 use crate::backend::{Backend, DEFAULT_GRAIN};
 use parking_lot::Mutex;
@@ -72,53 +72,6 @@ where
     best.into_inner().map(|(i, _)| i)
 }
 
-/// Index of the maximum element under `key`. Ties resolve to the smallest
-/// index; NaN keys order last (a NaN wins only when every key is NaN).
-pub fn argmax_by<T, K, F>(backend: &dyn Backend, input: &[T], key: F) -> Option<usize>
-where
-    T: Sync,
-    K: PartialOrd + Send,
-    F: Fn(&T) -> K + Sync,
-{
-    argmin_by(backend, input, |x| Reverse(key(x)))
-}
-
-/// Minimum key value, or `None` if empty.
-pub fn min_by<T, K, F>(backend: &dyn Backend, input: &[T], key: F) -> Option<K>
-where
-    T: Sync,
-    K: PartialOrd + Send,
-    F: Fn(&T) -> K + Sync,
-{
-    argmin_by(backend, input, &key).map(|i| key(&input[i]))
-}
-
-/// Maximum key value, or `None` if empty.
-pub fn max_by<T, K, F>(backend: &dyn Backend, input: &[T], key: F) -> Option<K>
-where
-    T: Sync,
-    K: PartialOrd + Send,
-    F: Fn(&T) -> K + Sync,
-{
-    argmax_by(backend, input, &key).map(|i| key(&input[i]))
-}
-
-/// Order-reversing wrapper for `PartialOrd` keys (like `std::cmp::Reverse`,
-/// but for partially ordered keys such as floats).
-struct Reverse<K>(K);
-
-impl<K: PartialOrd> PartialEq for Reverse<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-
-impl<K: PartialOrd> PartialOrd for Reverse<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        other.0.partial_cmp(&self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,29 +97,11 @@ mod tests {
         let v = vec![5, 1, 3, 1, 1, 9];
         assert_eq!(argmin_by(&Serial, &v, |x| *x), Some(1));
         assert_eq!(argmin_by(&t, &v, |x| *x), Some(1));
-        assert_eq!(argmax_by(&Serial, &v, |x| *x), Some(5));
     }
 
     #[test]
     fn empty_returns_none() {
         assert_eq!(argmin_by(&Serial, &[] as &[u8], |x| *x), None);
-        assert_eq!(max_by(&Serial, &[] as &[u8], |x| *x), None);
-    }
-
-    #[test]
-    fn min_max_values() {
-        let t = Threaded::new(3);
-        let v: Vec<i64> = (0..10_000).map(|i| (i * 31) % 997 - 500).collect();
-        assert_eq!(min_by(&t, &v, |x| *x), v.iter().copied().min());
-        assert_eq!(max_by(&t, &v, |x| *x), v.iter().copied().max());
-    }
-
-    #[test]
-    fn argmax_ties_resolve_first() {
-        let v = vec![2, 7, 7, 7, 1];
-        assert_eq!(argmax_by(&Serial, &v, |x| *x), Some(1));
-        let t = Threaded::new(4);
-        assert_eq!(argmax_by(&t, &v, |x| *x), Some(1));
     }
 
     #[test]
@@ -191,11 +126,6 @@ mod tests {
         for x in v.iter().filter(|x| !x.is_nan()) {
             assert!(v[s_min] <= *x);
         }
-        let s_max = argmax_by(&Serial, &v, |x| *x).unwrap();
-        assert_eq!(s_max, argmax_by(&t, &v, |x| *x).unwrap());
-        assert!(!v[s_max].is_nan());
-        assert_eq!(min_by(&Serial, &v, |x| *x), min_by(&t, &v, |x| *x));
-        assert_eq!(max_by(&Serial, &v, |x| *x), max_by(&t, &v, |x| *x));
     }
 
     #[test]
@@ -204,6 +134,5 @@ mod tests {
         let v = vec![f64::NAN; 5000];
         assert_eq!(argmin_by(&Serial, &v, |x| *x), Some(0));
         assert_eq!(argmin_by(&t, &v, |x| *x), Some(0));
-        assert_eq!(argmax_by(&t, &v, |x| *x), Some(0));
     }
 }

@@ -1,28 +1,14 @@
-//! Data-parallel primitives.
+//! The two data-parallel primitives a kernel calls.
 //!
-//! Every primitive takes a `&dyn Backend` and produces identical results on
-//! every backend (up to floating-point reduction order where documented).
+//! The brute-force most-bound-particle center finder (`halo::mbp`) is
+//! [`map()`] (one potential per particle) followed by [`argmin_by`] (the
+//! deepest one). Both take a `&dyn Backend` and return the same result on
+//! every backend, bit for bit. A primitive is added here together with the
+//! kernel that calls it (DESIGN.md, "What `dpp` is not"): CI checks that
+//! every name re-exported below is referenced from a product crate.
 
-pub mod compact;
-pub mod gather;
-pub mod histogram;
 pub mod map;
 pub mod minmax;
-pub mod radix;
-pub mod reduce;
-pub mod rle;
-pub mod scan;
-pub mod segmented;
-pub mod sort;
 
-pub use compact::{copy_if, count_if, partition_indices};
-pub use gather::{gather, iota, scatter};
-pub use histogram::{histogram, histogram_counted};
-pub use map::{fill, map, map_indexed, transform_in_place, zip_map};
-pub use minmax::{argmax_by, argmin_by, max_by, min_by};
-pub use radix::{radix_sort_by_key, radix_sort_u64};
-pub use reduce::{reduce, sum_f64, sum_u64};
-pub use rle::{reduce_by_key, run_length_encode, unique};
-pub use scan::{exclusive_scan, inclusive_scan};
-pub use segmented::segmented_reduce;
-pub use sort::{is_sorted_by, par_sort_by, par_sort_by_key};
+pub use map::map;
+pub use minmax::argmin_by;

@@ -110,8 +110,6 @@ pub struct PoolStats {
     pub chunks_by_caller: u64,
     /// Worker park→wake transitions (one per worker per job it noticed).
     pub worker_wakeups: u64,
-    /// Closures executed through `run_tasks`.
-    pub tasks_executed: u64,
     /// Cumulative wall time spent inside `dispatch`, in nanoseconds.
     pub total_dispatch_nanos: u64,
 }
@@ -156,7 +154,6 @@ impl PoolStats {
                 .chunks_by_caller
                 .saturating_sub(earlier.chunks_by_caller),
             worker_wakeups: self.worker_wakeups.saturating_sub(earlier.worker_wakeups),
-            tasks_executed: self.tasks_executed.saturating_sub(earlier.tasks_executed),
             total_dispatch_nanos: self
                 .total_dispatch_nanos
                 .saturating_sub(earlier.total_dispatch_nanos),
@@ -172,7 +169,6 @@ struct StatCells {
     chunks_by_workers: AtomicU64,
     chunks_by_caller: AtomicU64,
     worker_wakeups: AtomicU64,
-    tasks_executed: AtomicU64,
     total_dispatch_nanos: AtomicU64,
 }
 
@@ -185,7 +181,6 @@ impl StatCells {
             chunks_by_workers: self.chunks_by_workers.load(Ordering::Relaxed),
             chunks_by_caller: self.chunks_by_caller.load(Ordering::Relaxed),
             worker_wakeups: self.worker_wakeups.load(Ordering::Relaxed),
-            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
             total_dispatch_nanos: self.total_dispatch_nanos.load(Ordering::Relaxed),
         }
     }
@@ -197,7 +192,6 @@ impl StatCells {
         self.chunks_by_workers.store(0, Ordering::Relaxed);
         self.chunks_by_caller.store(0, Ordering::Relaxed);
         self.worker_wakeups.store(0, Ordering::Relaxed);
-        self.tasks_executed.store(0, Ordering::Relaxed);
         self.total_dispatch_nanos.store(0, Ordering::Relaxed);
     }
 }
@@ -596,45 +590,6 @@ impl ThreadPool {
             resume_chunk_panic(payload);
         }
     }
-
-    /// Run `tasks` closures concurrently (task parallelism) on the
-    /// persistent workers. Each closure is executed exactly once; up to
-    /// `self.workers()` run at any moment.
-    pub fn run_tasks<'a>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        let n = tasks.len();
-        if n == 0 {
-            return;
-        }
-        self.inner
-            .shared
-            .stats
-            .tasks_executed
-            .fetch_add(n as u64, Ordering::Relaxed);
-        if let Some(scope) = &self.scope {
-            scope.tasks_executed.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        if self.inner.workers == 1 || n == 1 {
-            for t in tasks {
-                t();
-            }
-            return;
-        }
-        // Wrap in per-slot mutexes so workers can claim tasks by index
-        // through the ordinary chunked dispatch (grain 1 → one task each).
-        type Slot<'a> = parking_lot::Mutex<Option<Box<dyn FnOnce() + Send + 'a>>>;
-        let slots: Vec<Slot<'a>> = tasks
-            .into_iter()
-            .map(|t| parking_lot::Mutex::new(Some(t)))
-            .collect();
-        self.dispatch(n, 1, &|r: Range<usize>| {
-            for i in r {
-                let task = slots[i].lock().take();
-                if let Some(task) = task {
-                    task();
-                }
-            }
-        });
-    }
 }
 
 /// Re-raise a captured chunk panic on the dispatching thread, prefixing the
@@ -708,26 +663,6 @@ mod tests {
             sum.fetch_add(r.len() as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn run_tasks_executes_each_once() {
-        let pool = ThreadPool::new(3);
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..17)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        pool.run_tasks(tasks);
-        assert_eq!(counter.load(Ordering::Relaxed), 17);
-    }
-
-    #[test]
-    fn run_tasks_empty_ok() {
-        ThreadPool::new(2).run_tasks(Vec::new());
     }
 
     #[test]
@@ -965,19 +900,6 @@ mod tests {
             total_dispatches += rounds;
         }
         assert_eq!(pool.stats().dispatches, total_dispatches);
-    }
-
-    #[test]
-    fn scoped_run_tasks_counts_into_the_scope() {
-        let pool = ThreadPool::new(2);
-        let scoped = pool.scoped();
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..5)
-            .map(|_| Box::new(|| {}) as Box<dyn FnOnce() + Send>)
-            .collect();
-        scoped.run_tasks(tasks);
-        assert_eq!(scoped.scope_stats().unwrap().tasks_executed, 5);
-        assert_eq!(pool.stats().tasks_executed, 5);
-        assert_eq!(pool.scope_stats(), None, "base handle stays unscoped");
     }
 
     #[test]

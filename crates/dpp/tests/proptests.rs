@@ -1,5 +1,5 @@
-//! Property-based tests: every primitive must agree with a sequential oracle
-//! and be backend-invariant.
+//! Property-based tests: both primitives must agree with a sequential oracle
+//! and be backend-invariant, and a dispatch must cover `0..n` exactly once.
 
 use dpp::{ops, Serial, Threaded};
 use proptest::prelude::*;
@@ -17,55 +17,6 @@ proptest! {
     }
 
     #[test]
-    fn reduce_sum_matches(v in proptest::collection::vec(0u64..1_000_000, 0..4000)) {
-        let expect: u64 = v.iter().sum();
-        prop_assert_eq!(ops::sum_u64(&Serial, &v), expect);
-        prop_assert_eq!(ops::sum_u64(&threaded(), &v), expect);
-    }
-
-    #[test]
-    fn exclusive_scan_matches(v in proptest::collection::vec(0u64..1000, 0..3000)) {
-        let mut expect = Vec::with_capacity(v.len());
-        let mut acc = 0u64;
-        for x in &v { expect.push(acc); acc += x; }
-        prop_assert_eq!(&ops::exclusive_scan(&Serial, &v, 0, |a, b| a + b), &expect);
-        prop_assert_eq!(&ops::exclusive_scan(&threaded(), &v, 0, |a, b| a + b), &expect);
-    }
-
-    #[test]
-    fn inclusive_scan_last_equals_sum(v in proptest::collection::vec(0u64..1000, 1..3000)) {
-        let inc = ops::inclusive_scan(&threaded(), &v, 0, |a, b| a + b);
-        prop_assert_eq!(*inc.last().unwrap(), v.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn sort_matches_std(v in proptest::collection::vec(any::<i32>(), 0..5000)) {
-        let mut expect = v.clone();
-        expect.sort();
-        let mut got = v.clone();
-        ops::par_sort_by(&threaded(), &mut got, |a, b| a.cmp(b));
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn sort_is_stable_under_duplicate_keys(v in proptest::collection::vec(0u8..8, 0..3000)) {
-        let tagged: Vec<(u8, usize)> = v.iter().copied().zip(0..).collect();
-        let mut expect = tagged.clone();
-        expect.sort_by_key(|&(k, _)| k);
-        let mut got = tagged;
-        ops::par_sort_by_key(&threaded(), &mut got, |&(k, _)| k);
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn copy_if_matches_filter(v in proptest::collection::vec(any::<u32>(), 0..4000)) {
-        let expect: Vec<u32> = v.iter().copied().filter(|x| x % 5 == 0).collect();
-        prop_assert_eq!(&ops::copy_if(&Serial, &v, |x| x % 5 == 0), &expect);
-        prop_assert_eq!(&ops::copy_if(&threaded(), &v, |x| x % 5 == 0), &expect);
-        prop_assert_eq!(ops::count_if(&threaded(), &v, |x| x % 5 == 0), expect.len());
-    }
-
-    #[test]
     fn argmin_matches_iterator(v in proptest::collection::vec(any::<i64>(), 0..3000)) {
         let expect = v
             .iter()
@@ -74,84 +25,6 @@ proptest! {
             .map(|(i, _)| i);
         prop_assert_eq!(ops::argmin_by(&Serial, &v, |x| *x), expect);
         prop_assert_eq!(ops::argmin_by(&threaded(), &v, |x| *x), expect);
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip(n in 1usize..2000, seed in any::<u64>()) {
-        // Build a permutation from the seed.
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut s = seed | 1;
-        for i in (1..n).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (s >> 33) as usize % (i + 1);
-            perm.swap(i, j);
-        }
-        let src: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(97)).collect();
-        let gathered = ops::gather(&threaded(), &src, &perm);
-        let mut back = vec![0u64; n];
-        ops::scatter(&threaded(), &gathered, &perm, &mut back);
-        prop_assert_eq!(back, src);
-    }
-
-    #[test]
-    fn histogram_total_is_input_len(v in proptest::collection::vec(-100.0f64..100.0, 0..3000)) {
-        let h = ops::histogram(&threaded(), &v, -50.0, 50.0, 11);
-        prop_assert_eq!(h.iter().sum::<u64>(), v.len() as u64);
-    }
-
-    #[test]
-    fn segmented_reduce_matches_group_by(
-        runs in proptest::collection::vec((0u16..50, 1usize..6), 0..200)
-    ) {
-        // Build grouped keys where each run has a distinct ascending key.
-        let mut keys = Vec::new();
-        let mut vals = Vec::new();
-        for (i, (_, len)) in runs.iter().enumerate() {
-            for v in 0..*len {
-                keys.push(i as u32);
-                vals.push(v as u64 + 1);
-            }
-        }
-        let (uk, uv) = ops::segmented_reduce(&threaded(), &keys, &vals, 0u64, |a, b| a + b);
-        let (sk, sv) = ops::segmented_reduce(&Serial, &keys, &vals, 0u64, |a, b| a + b);
-        prop_assert_eq!(&uk, &sk);
-        prop_assert_eq!(&uv, &sv);
-        prop_assert_eq!(uk.len(), runs.len());
-        for (i, (_, len)) in runs.iter().enumerate() {
-            let l = *len as u64;
-            prop_assert_eq!(uv[i], l * (l + 1) / 2);
-        }
-    }
-
-    #[test]
-    fn radix_sort_matches_std(v in proptest::collection::vec(any::<u64>(), 0..4000)) {
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        let mut got = v.clone();
-        ops::radix_sort_u64(&threaded(), &mut got);
-        prop_assert_eq!(&got, &expect);
-        let mut got_serial = v;
-        ops::radix_sort_u64(&Serial, &mut got_serial);
-        prop_assert_eq!(got_serial, expect);
-    }
-
-    #[test]
-    fn radix_sort_is_stable(v in proptest::collection::vec(0u64..16, 0..3000)) {
-        let tagged: Vec<(u64, usize)> = v.iter().copied().zip(0..).collect();
-        let mut expect = tagged.clone();
-        expect.sort_by_key(|&(k, _)| k);
-        let mut got = tagged;
-        ops::radix_sort_by_key(&threaded(), &mut got, |&(k, _)| k);
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn partition_is_a_partition(v in proptest::collection::vec(any::<i32>(), 0..2000)) {
-        let (yes, no) = ops::partition_indices(&threaded(), &v, |x| *x % 2 == 0);
-        prop_assert_eq!(yes.len() + no.len(), v.len());
-        let mut all: Vec<usize> = yes.iter().chain(no.iter()).copied().collect();
-        all.sort();
-        prop_assert_eq!(all, (0..v.len()).collect::<Vec<_>>());
     }
 }
 
@@ -195,98 +68,26 @@ proptest! {
     }
 }
 
-// Adversarial float properties: inputs drawn from the conformance crate's
-// IEEE-754 strategies, so NaN (both signs and odd payloads), ±inf, ±0, and
-// denormals flow through the primitives on every case instead of never.
-// Agreement is asserted at the bit level: the chunked dispatch decomposition
-// is backend-invariant, so even float reductions must match Serial exactly.
+// Adversarial float keys: inputs drawn from the conformance crate's IEEE-754
+// strategy, so NaN (both signs and odd payloads), ±inf, ±0 and denormals reach
+// `argmin_by` on every case instead of never. The oracle is a sequential scan
+// under the documented order: NaN last, ties to the smallest index.
 proptest! {
     #[test]
-    fn sort_total_order_handles_non_finite(
+    fn argmin_orders_nan_last_on_adversarial_floats(
         v in conformance::strategies::adversarial_vec(-1e9, 1e9, 3000),
     ) {
-        let mut expect = v.clone();
-        expect.sort_by(|a, b| a.total_cmp(b));
-        let mut got = v.clone();
-        ops::par_sort_by(&threaded(), &mut got, |a, b| a.total_cmp(b));
-        let expect_bits: Vec<u64> = expect.iter().map(|x| x.to_bits()).collect();
-        let got_bits: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(got_bits, expect_bits);
-    }
-
-    #[test]
-    fn float_sum_is_bit_identical_across_backends(
-        v in conformance::strategies::adversarial_vec(-1e12, 1e12, 4000),
-    ) {
-        let serial = ops::sum_f64(&Serial, &v);
-        let threaded = ops::sum_f64(&threaded(), &v);
-        prop_assert_eq!(serial.to_bits(), threaded.to_bits());
-    }
-
-    #[test]
-    fn float_scan_is_bit_identical_across_backends(
-        v in conformance::strategies::adversarial_vec(-1e6, 1e6, 3000),
-    ) {
-        let serial = ops::inclusive_scan(&Serial, &v, 0.0, |a, b| a + b);
-        let thr = ops::inclusive_scan(&threaded(), &v, 0.0, |a, b| a + b);
-        let serial_bits: Vec<u64> = serial.iter().map(|x| x.to_bits()).collect();
-        let thr_bits: Vec<u64> = thr.iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(thr_bits, serial_bits);
-    }
-
-    #[test]
-    fn total_order_max_reduce_handles_nan(
-        v in conformance::strategies::adversarial_vec(-1e9, 1e9, 3000),
-    ) {
-        // NaN-last total order: the reduce must agree with the sequential
-        // fold bit-for-bit on every backend.
-        let total_max = |a: f64, b: &f64| {
-            if b.total_cmp(&a) == std::cmp::Ordering::Greater { *b } else { a }
-        };
-        let expect = v.iter().fold(f64::NEG_INFINITY, &total_max);
-        let got = ops::reduce(&threaded(), &v, f64::NEG_INFINITY, total_max);
-        prop_assert_eq!(got.to_bits(), expect.to_bits());
-    }
-
-    #[test]
-    fn histogram_skips_every_nan_and_only_nans(
-        v in conformance::strategies::adversarial_vec(-1e3, 1e3, 3000),
-    ) {
-        let (counts, skipped) = ops::histogram_counted(&threaded(), &v, -100.0, 100.0, 16);
-        let nans = v.iter().filter(|x| x.is_nan()).count() as u64;
-        prop_assert_eq!(skipped, nans);
-        prop_assert_eq!(counts.iter().sum::<u64>() + skipped, v.len() as u64);
-        let (serial_counts, serial_skipped) =
-            ops::histogram_counted(&Serial, &v, -100.0, 100.0, 16);
-        prop_assert_eq!(counts, serial_counts);
-        prop_assert_eq!(skipped, serial_skipped);
-    }
-
-    #[test]
-    fn compact_on_finiteness_preserves_order_and_bits(
-        v in conformance::strategies::adversarial_vec(-1e9, 1e9, 2500),
-    ) {
-        let n = ops::count_if(&threaded(), &v, |x| x.is_finite());
-        let kept = ops::copy_if(&threaded(), &v, |x| x.is_finite());
-        prop_assert_eq!(kept.len(), n);
-        let expect_bits: Vec<u64> =
-            v.iter().filter(|x| x.is_finite()).map(|x| x.to_bits()).collect();
-        let kept_bits: Vec<u64> = kept.iter().map(|x| x.to_bits()).collect();
-        prop_assert_eq!(kept_bits, expect_bits);
-    }
-
-    #[test]
-    fn any_bits_roundtrip_through_sort_loses_nothing(
-        v in proptest::collection::vec(conformance::strategies::any_bits_f64(), 0..2000),
-    ) {
-        // Sorting under total_cmp is a permutation even for exotic bit
-        // patterns: multiset of bit patterns is preserved.
-        let mut got = v.clone();
-        ops::par_sort_by(&threaded(), &mut got, |a, b| a.total_cmp(b));
-        let mut expect_bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
-        expect_bits.sort_unstable();
-        let mut got_bits: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
-        got_bits.sort_unstable();
-        prop_assert_eq!(got_bits, expect_bits);
+        let mut expect: Option<usize> = None;
+        for (i, x) in v.iter().enumerate() {
+            let better = match expect {
+                None => true,
+                Some(b) => (v[b].is_nan() && !x.is_nan()) || *x < v[b],
+            };
+            if better {
+                expect = Some(i);
+            }
+        }
+        prop_assert_eq!(ops::argmin_by(&Serial, &v, |x| *x), expect);
+        prop_assert_eq!(ops::argmin_by(&threaded(), &v, |x| *x), expect);
     }
 }

@@ -11,7 +11,6 @@
 //! them bit-identical to such loops over the adversarial corpus.
 
 use nbody::particle::Particle;
-use nbody::soa::ParticleSoA;
 
 /// Three packed `f64` coordinate columns (one per axis).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -43,15 +42,6 @@ impl Coords {
             xs: particles.iter().map(|p| p.pos[0] as f64).collect(),
             ys: particles.iter().map(|p| p.pos[1] as f64).collect(),
             zs: particles.iter().map(|p| p.pos[2] as f64).collect(),
-        }
-    }
-
-    /// Build from SoA particle columns (same widening, column sweeps).
-    pub fn from_soa(soa: &ParticleSoA) -> Self {
-        Coords {
-            xs: soa.pos_x().iter().map(|&v| v as f64).collect(),
-            ys: soa.pos_y().iter().map(|&v| v as f64).collect(),
-            zs: soa.pos_z().iter().map(|&v| v as f64).collect(),
         }
     }
 
@@ -101,11 +91,6 @@ impl Coords {
             _ => panic!("axis {d} out of range"),
         }
     }
-
-    /// Convert back to row-major positions.
-    pub fn to_rows(&self) -> Vec<[f64; 3]> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -117,8 +102,8 @@ mod tests {
         let rows = vec![[1.0, 2.0, 3.0], [-0.0, f64::NAN, 4.5], [7.0, 8.0, 9.0]];
         let c = Coords::from_rows(&rows);
         assert_eq!(c.len(), 3);
-        let back = c.to_rows();
-        for (a, b) in rows.iter().zip(&back) {
+        for (i, a) in rows.iter().enumerate() {
+            let b = c.get(i);
             for d in 0..3 {
                 assert_eq!(a[d].to_bits(), b[d].to_bits());
             }
@@ -135,13 +120,10 @@ mod tests {
             Particle::at_rest([f32::MIN_POSITIVE, 2.25, -7.125], 1.0, 1),
         ];
         let c = Coords::from_particles(&parts);
-        let soa = ParticleSoA::from_aos(&parts);
-        let cs = Coords::from_soa(&soa);
         for (i, p) in parts.iter().enumerate() {
             let r = p.pos_f64();
             for d in 0..3 {
                 assert_eq!(c.get(i)[d].to_bits(), r[d].to_bits());
-                assert_eq!(cs.get(i)[d].to_bits(), r[d].to_bits());
             }
         }
     }

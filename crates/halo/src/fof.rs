@@ -322,6 +322,32 @@ pub fn members_by_group(labels: &[u32]) -> Vec<Vec<u32>> {
     out
 }
 
+/// Member lists of the groups with at least `min_size` members, in label
+/// order: [`members_by_group`] without a list per field particle (an evolved
+/// box is mostly singletons).
+pub fn groups_of_at_least(labels: &[u32], min_size: usize) -> Vec<Vec<u32>> {
+    let ngroups = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
+    let mut sizes = vec![0usize; ngroups];
+    for &l in labels {
+        sizes[l as usize] += 1;
+    }
+    // Label → index into `out`, for the groups kept.
+    let mut slot = vec![usize::MAX; ngroups];
+    let mut out = Vec::new();
+    for (l, &size) in sizes.iter().enumerate() {
+        if size >= min_size {
+            slot[l] = out.len();
+            out.push(Vec::with_capacity(size));
+        }
+    }
+    for (i, &l) in labels.iter().enumerate() {
+        if let Some(members) = out.get_mut(slot[l as usize]) {
+            members.push(i as u32);
+        }
+    }
+    out
+}
+
 /// Normalize a labeling so two labelings can be compared for identical
 /// partitions regardless of label numbering.
 pub fn canonical_partition(labels: &[u32]) -> Vec<Vec<u32>> {

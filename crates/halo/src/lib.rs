@@ -34,7 +34,7 @@ pub mod unionfind;
 
 pub use catalog::{unwrap_positions, Halo, HaloCatalog};
 pub use columns::Coords;
-pub use fof::{fof_brute, fof_grid, fof_kdtree_cols, members_by_group};
+pub use fof::{fof_brute, fof_grid, fof_kdtree_cols, groups_of_at_least, members_by_group};
 pub use kdtree::{Aabb, KdTree};
 pub use massfn::{fit_power_law, FittedMassFunction, MassFunction};
 pub use mbp::{

@@ -10,7 +10,7 @@
 
 use crate::catalog::{Halo, HaloCatalog};
 use crate::columns::Coords;
-use crate::fof::{fof_kdtree_cols, members_by_group};
+use crate::fof::{fof_kdtree_cols, groups_of_at_least};
 use comm::{exchange_overload, CartDecomp, Communicator};
 use nbody::particle::Particle;
 
@@ -119,13 +119,9 @@ fn parallel_fof_counted(
     // Serial FOF on the extended patch (non-periodic: the shell covers the
     // seams).
     let labels = fof_kdtree_cols(&Coords::from_rows(&positions), cfg.link_length);
-    let groups = members_by_group(&labels);
 
     let mut catalog = HaloCatalog::new();
-    for members in groups {
-        if members.len() < cfg.min_size {
-            continue;
-        }
+    for members in groups_of_at_least(&labels, cfg.min_size) {
         // Ownership: the halo's minimum tag must be present as one of this
         // rank's *local* particles (not a ghost or periodic image). Exactly
         // one rank satisfies this, so the union over ranks is duplicate-free.

@@ -10,7 +10,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`dpp`] | portable data-parallel primitives (PISTON/VTK-m equivalent) |
+//! | [`dpp`] | portable dispatch layer: `Backend` adapters over a persistent pool, plus `map` / `argmin_by` (PISTON/VTK-m equivalent) |
 //! | [`comm`] | in-process MPI: ranks, collectives, domain decomposition |
 //! | [`fft`] | power-of-two FFTs and 3-D grids |
 //! | [`nbody`] | particle-mesh cosmology code (HACC equivalent) |
