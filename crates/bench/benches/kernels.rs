@@ -5,7 +5,8 @@
 //! that lives outside the product crates' hot path (`before`: the scalar,
 //! dense-cell and grid-per-chunk references in `conformance::layout`; for
 //! the PM solve, the per-line FFT reference and the stepper that re-solves
-//! at every kick),
+//! at every kick; for the force gather, three `cic_interpolate` calls per
+//! particle),
 //! written to `BENCH_kernels.json` when `BENCH_KERNELS_JSON=<path>` is set
 //! (`just bench-kernels`).
 //! `BENCH_QUICK=1` trims repetitions and problem sizes for the CI
@@ -19,10 +20,10 @@ use conformance::layout::{
     potential_scalar_ref,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dpp::{ops, Serial, Threaded};
+use dpp::{ops, par_for_each_mut, Serial, Threaded, DEFAULT_GRAIN};
 use fft::{Complex, Fft3d, Grid3};
 use halo::Coords;
-use nbody::{ParticleSoA, SimConfig, Simulation};
+use nbody::{DepositColumns, ParticleSoA, SimConfig, Simulation};
 use simhpc::{machine, BatchSimulator, JobRequest, QueuePolicy};
 use std::time::Instant;
 
@@ -231,12 +232,12 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         });
     }
 
-    // The two PM rows run on a two-worker pool, not on `Serial`: half of
-    // what they measure is dispatch shape (one line per chunk vs blocks of
-    // lines; 2N solves vs N + 1), which a serial run cannot see, and two
-    // workers is what the workflow benchmark uses. Quick mode keeps the 64³
-    // mesh — the names carry it, and the rows take well under a second.
-    // Both rows need two free cores: with one stolen, each side runs at its
+    // The three PM rows run on a two-worker pool, not on `Serial`: half of
+    // what the first two measure is dispatch shape (one line per chunk vs
+    // blocks of lines; 2N solves vs N + 1), which a serial run cannot see,
+    // and two workers is what the workflow benchmark uses. Quick mode keeps
+    // the 64³ mesh — the names carry it, and the rows take well under a second.
+    // The first two need two free cores: with one stolen, each side runs at its
     // serial time and the ratios read ≈ 1.2 and ≈ 1.4, which the gate takes
     // for a regression — re-run before believing it.
     let pool2 = Threaded::new(2);
@@ -272,10 +273,11 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         });
     }
 
-    // Two consecutive 64³ leapfrog steps: every kick re-solving (the stepper
-    // before the force was carried) vs the closing kick's field reused by
-    // the next opening kick. Both simulations are one step in, so `after`
-    // starts with a carried field, as every step but a run's first does.
+    // Two consecutive 64³ leapfrog steps: every kick re-solving and
+    // re-gathering (the stepper before anything was carried) vs the closing
+    // kick's per-particle acceleration reused by the next opening kick. Both
+    // simulations are one step in, so `after` starts with a carried array,
+    // as every step but a run's first does.
     {
         let cfg = SimConfig {
             np: 64,
@@ -310,6 +312,33 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         rows.push(KernelRow {
             kernel: "pm_step_64",
             n: carried.particles().len(),
+            before_ms: before,
+            after_ms: after,
+        });
+
+        // One read of the force mesh for every particle of that run, on the
+        // field its own positions source: three `cic_interpolate` calls per
+        // particle (the kick as it was; cell, weights and wraps redone per
+        // component) vs the fused gather. Same field, particles, dispatch
+        // and output array on both sides.
+        let particles = carried.particles();
+        let box_size = carried.config().cosmology.box_size;
+        let cols = DepositColumns::from_aos(&pool2, particles);
+        let delta = nbody::cic_deposit_cols(&pool2, cols.positions(), cols.mass(), 64, box_size);
+        let field = nbody::poisson_accel(&pool2, &delta, 1.5 / carried.scale_factor());
+        let mut out = vec![[0.0f64; 3]; particles.len()];
+        let before = time_ms(pm_reps, || {
+            par_for_each_mut(&pool2, &mut out, DEFAULT_GRAIN, |i, g| {
+                *g = [0, 1, 2]
+                    .map(|d| nbody::cic_interpolate(&field[d], particles[i].pos, box_size));
+            })
+        });
+        let after = time_ms(pm_reps, || {
+            nbody::gather_accel(&pool2, &field, 0, particles, box_size, &mut out)
+        });
+        rows.push(KernelRow {
+            kernel: "pm_kick_64",
+            n: particles.len(),
             before_ms: before,
             after_ms: after,
         });

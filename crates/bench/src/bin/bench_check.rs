@@ -6,8 +6,9 @@
 //!
 //! Validates that the JSON parses, carries the `bench-kernels-v1` schema,
 //! and covers every rewritten kernel (`cic`, `fof`, `mbp`, `fft3d_64`,
-//! `pm_step_64`, `fof_grid_64`, `render_deposit_64`) with finite positive
-//! timings. With
+//! `pm_step_64`, `pm_kick_64`, `fof_grid_64`, `render_deposit_64`) with
+//! finite positive timings, and that every kernel with a floor in [`FLOORS`]
+//! clears it. With
 //! `--baseline`, also fails if any kernel's speedup regressed by more than
 //! 25% relative to the baseline's speedup — a machine-independent ratio, so
 //! a quick-mode CI run can be gated against the committed full-mode
@@ -18,15 +19,21 @@ use std::process::ExitCode;
 use telemetry::json::{self, Value};
 
 /// Kernels the trajectory must cover.
-const REQUIRED: [&str; 7] = [
+const REQUIRED: [&str; 8] = [
     "cic",
     "fof",
     "mbp",
     "fft3d_64",
     "pm_step_64",
+    "pm_kick_64",
     "fof_grid_64",
     "render_deposit_64",
 ];
+
+/// Speedups a trajectory must show whatever its baseline says: the fused
+/// gather reads the mesh once where three interpolations read it three times
+/// and redo the cell arithmetic, which no host makes less than twice as fast.
+const FLOORS: [(&str, f64); 1] = [("pm_kick_64", 2.0)];
 
 /// Maximum tolerated relative speedup regression vs the baseline.
 const MAX_REGRESSION: f64 = 0.25;
@@ -112,6 +119,14 @@ fn run() -> Result<(), String> {
             "{name}: before={:.3}ms after={:.3}ms speedup={:.2}x",
             k.before_ms, k.after_ms, k.speedup
         );
+    }
+    for (name, floor) in FLOORS {
+        let speedup = fresh[name].speedup;
+        if speedup < floor {
+            return Err(format!(
+                "{path}: kernel `{name}` speedup {speedup:.2}x is below its floor {floor:.1}x"
+            ));
+        }
     }
     if let Some(bpath) = baseline {
         let base = load(&bpath)?;

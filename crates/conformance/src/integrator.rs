@@ -1,21 +1,27 @@
-//! Integrator conformance: the force field the KDK steppers carry across the
-//! step boundary must be invisible.
+//! Integrator conformance: the per-particle acceleration the KDK steppers
+//! carry across the step boundary must be invisible.
 //!
-//! [`nbody::Simulation`] and [`nbody::DistSim`] solve the PM force once per
-//! step: the closing kick's field serves the next step's opening kick, valid
-//! while positions and `a` are unchanged. The checks, all bit-for-bit:
+//! [`nbody::Simulation`] and [`nbody::DistSim`] solve the PM force and read
+//! the force mesh once per step: the closing kick's gathered acceleration
+//! serves the next step's opening kick, valid while positions and `a` are
+//! unchanged. The checks, all bit-for-bit:
 //!
-//! * **equivalence** — stepping normally vs. through [`step_resolving`]
-//!   (field discarded before every step, so every kick solves), on `Serial`,
-//!   `Threaded::new(2)` and `StaticThreaded::new(3)`; the same for `DistSim`
-//!   on 1, 2 and 4 ranks.
+//! * **equivalence** — stepping normally (through `run_with_hook`, compared on
+//!   what the hook sees) vs. through [`step_resolving`] (carry discarded
+//!   before every step, so every kick solves and gathers), after every step,
+//!   on `Serial`, `Threaded::new(2)` and `StaticThreaded::new(3)`; the same
+//!   for `DistSim` on 1, 2 and 4 ranks, where the drift re-homes particles
+//!   between ranks (asserted: some rank's particle count changes), so an
+//!   array that outlived a drift would be the wrong particles' — and the
+//!   wrong length.
 //! * **invalidation** — continue a run mid-way vs. `from_state` of the same
 //!   state (what a checkpoint restore builds), with and without one particle
-//!   moved through `particles_mut()` first: a stale field is impossible and
-//!   a restart re-solves to the same bits.
-//! * **counted work** — an `N`-step run performs exactly `N + 1` solves, the
-//!   resolving stepper `2N`, read off the `nbody.pm_solves` counter (a count,
-//!   not seconds).
+//!   moved through `particles_mut()` first: a stale array is impossible and
+//!   a restart re-gathers to the same bits.
+//! * **counted work** — an `N`-step run performs exactly `N + 1` solves and
+//!   `N + 1` gathers, the resolving stepper `2N` of each, read off the
+//!   `nbody.pm_solves` and `nbody.gathers` counters (counts, not seconds), on
+//!   all three backends and on 1, 2 and 4 ranks.
 
 use comm::World;
 use dpp::{Backend, Serial, StaticThreaded, Threaded};
@@ -42,9 +48,10 @@ fn cfg() -> SimConfig {
     }
 }
 
-/// One step with the carried field discarded first, so both of its kicks
-/// solve: the stepper as it was before the field was carried. The reference
-/// the equivalence checks and the `pm_step_64` bench compare against.
+/// One step with the carried acceleration discarded first, so both of its
+/// kicks solve and gather: the stepper as it was before anything was carried.
+/// The reference the equivalence checks and the `pm_step_64` bench compare
+/// against.
 pub fn step_resolving(sim: &mut Simulation, backend: &dyn Backend) {
     let _ = sim.particles_mut();
     sim.step(backend);
@@ -73,37 +80,46 @@ fn backends() -> Vec<(&'static str, Box<dyn Backend>)> {
 fn check_equivalence() {
     for (name, b) in backends() {
         let b = b.as_ref();
-        let mut carried = Simulation::new(b, cfg());
+        let mut seen = Vec::new();
+        Simulation::new(b, cfg()).run_with_hook(b, |_, sim| seen.push(bits(sim.particles())));
         let mut resolving = Simulation::new(b, cfg());
-        for step in 1..=STEPS {
-            carried.step(b);
+        for (step, carried) in seen.iter().enumerate() {
             step_resolving(&mut resolving, b);
             assert_eq!(
-                bits(carried.particles()),
-                bits(resolving.particles()),
-                "{name}: carried field changed step {step}"
+                carried,
+                &bits(resolving.particles()),
+                "{name}: carried acceleration changed step {}",
+                step + 1
             );
         }
-        assert!(carried.finished() && resolving.finished());
+        assert!(seen.len() == STEPS && resolving.finished());
     }
     for nranks in [1usize, 2, 4] {
         let per_rank = World::new(nranks).run(|c| {
-            let mut carried = DistSim::new(c, cfg());
+            let mut seen = Vec::new();
+            DistSim::new(c, cfg()).run_with_hook(|_, sim| seen.push(bits(sim.particles())));
             let mut resolving = DistSim::new(c, cfg());
-            while !carried.finished() {
-                carried.step();
+            let mut reference = Vec::new();
+            while !resolving.finished() {
                 // `step_resolving`, collectively: every rank discards.
                 resolving.discard_carried_force();
                 resolving.step();
+                reference.push(bits(resolving.particles()));
             }
-            (bits(carried.particles()), bits(resolving.particles()))
+            (seen, reference)
         });
-        for (rank, (carried, resolving)) in per_rank.into_iter().enumerate() {
-            assert_eq!(
-                carried, resolving,
-                "{nranks} ranks: carried field changed rank {rank}'s particles"
+        let mut rehomed = false;
+        for (rank, (seen, reference)) in per_rank.into_iter().enumerate() {
+            assert!(
+                seen == reference,
+                "{nranks} ranks: carried acceleration changed rank {rank}'s particles"
             );
+            rehomed |= seen.windows(2).any(|w| w[0].len() != w[1].len());
         }
+        assert!(
+            rehomed || nranks == 1,
+            "{nranks} ranks: no drift moved a particle between ranks"
+        );
     }
 }
 
@@ -140,49 +156,57 @@ fn check_invalidation() {
 /// Serializes recorder installs: `telemetry::install` panics on a second one.
 pub(crate) static RECORDER: Mutex<()> = Mutex::new(());
 
-/// The `nbody.pm_solves` count of `work`, which must tag its stepping threads
-/// with `telemetry::with_dim(dim)` so concurrent tests' solves stay out.
-fn pm_solves(dim: u64, work: impl FnOnce()) -> u64 {
+/// The `nbody.pm_solves` and `nbody.gathers` counts of `work`, which must tag
+/// its stepping threads with `telemetry::with_dim(dim)` so concurrent tests'
+/// solves stay out.
+fn solves_and_gathers(dim: u64, work: impl FnOnce()) -> [u64; 2] {
     let _serial = RECORDER.lock();
     let recorder = Arc::new(telemetry::Recorder::new(telemetry::Clock::Logical));
     let guard = telemetry::install(recorder);
     work();
     let counters = guard.finish().counters_by_dim();
-    counters
-        .get(&("nbody", "pm_solves", dim))
-        .copied()
-        .unwrap_or(0)
+    ["pm_solves", "gathers"].map(|name| counters.get(&("nbody", name, dim)).copied().unwrap_or(0))
 }
 
 fn check_counted_work() {
     let n = STEPS as u64;
     const DIM: u64 = 0x01C0_FFEE;
-    let b = Threaded::new(2);
-    let carried = pm_solves(DIM, || {
-        let _dim = telemetry::with_dim(DIM);
-        Simulation::new(&b, cfg()).run(&b);
-    });
-    assert_eq!(carried, n + 1, "an N-step run solves N + 1 times");
-    let resolving = pm_solves(DIM, || {
-        let _dim = telemetry::with_dim(DIM);
-        let mut sim = Simulation::new(&b, cfg());
-        while !sim.finished() {
-            step_resolving(&mut sim, &b);
-        }
-    });
-    assert_eq!(
-        resolving,
-        2 * n,
-        "the resolving stepper solves at every kick"
-    );
+    for (name, b) in backends() {
+        let b = b.as_ref();
+        let carried = solves_and_gathers(DIM, || {
+            let _dim = telemetry::with_dim(DIM);
+            Simulation::new(b, cfg()).run(b);
+        });
+        assert_eq!(
+            carried,
+            [n + 1; 2],
+            "{name}: an N-step run solves and gathers N + 1 times"
+        );
+        let resolving = solves_and_gathers(DIM, || {
+            let _dim = telemetry::with_dim(DIM);
+            let mut sim = Simulation::new(b, cfg());
+            while !sim.finished() {
+                step_resolving(&mut sim, b);
+            }
+        });
+        assert_eq!(
+            resolving,
+            [2 * n; 2],
+            "{name}: the resolving stepper solves and gathers at every kick"
+        );
+    }
     for nranks in [1u64, 2, 4] {
-        let dist = pm_solves(DIM, || {
+        let dist = solves_and_gathers(DIM, || {
             World::new(nranks as usize).run(|c| {
                 let _dim = telemetry::with_dim(DIM);
                 DistSim::new(c, cfg()).run();
             });
         });
-        assert_eq!(dist, nranks * (n + 1), "{nranks} ranks × (N + 1) solves");
+        assert_eq!(
+            dist,
+            [nranks * (n + 1); 2],
+            "{nranks} ranks × (N + 1) solves and gathers"
+        );
     }
 }
 

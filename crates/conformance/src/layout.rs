@@ -40,10 +40,23 @@
 //!   on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded` ×3, over
 //!   [`cic_det_cases`] at chunk sizes that put `n` below, at and well above
 //!   the 64-chunk cap.
+//! * `cic-gather` — [`nbody::pm::gather_accel`] (cell and weights once per
+//!   particle, three components per corner) vs three
+//!   [`nbody::pm::cic_interpolate`] calls per particle, per component, on
+//!   `Serial` and every roster backend, over [`cic_gather_positions`] (on and
+//!   beyond every face of the box, non-finite, denormal) and
+//!   [`cic_gather_fields`] (finite, and salted with NaN / ±∞ cells) on meshes
+//!   of 1, 2, 4 and 16 cells a side.
 //!
 //! Everything is [`Cmp::BitEq`]: the kernels fix their summation order to
 //! the reference order by construction (see DESIGN.md §12), so there is no
-//! tolerance anywhere in this module.
+//! tolerance anywhere in this module. The one place bits are not all defined
+//! is a NaN made from two NaNs of different payloads (a NaN cell met by a NaN
+//! weight, or by the `∞·0` of an infinite one): which payload survives
+//! depends on the operand order the compiler picked for that `mulsd` /
+//! `addsd`, in the reference as much as in the kernel, so over the salted
+//! `cic-gather` fields a NaN must meet a NaN ([`Cmp::NumEq`]) and every other
+//! value its bits.
 
 use crate::differential::{roster, Cmp, DiffReport};
 use crate::inputs;
@@ -51,7 +64,10 @@ use dpp::{Backend, SendPtr, Serial, StaticThreaded, Threaded};
 use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3};
 use halo::unionfind::UnionFind;
 use halo::{fof_brute, fof_grid, fof_kdtree_cols, mbp_brute_cols, potential_at, Coords, KdTree};
-use nbody::pm::{cic_deposit_soa, cic_deposit_soa_det, poisson_accel, to_grid_units};
+use nbody::pm::{
+    cic_deposit_soa, cic_deposit_soa_det, cic_interpolate, gather_accel, poisson_accel,
+    to_grid_units,
+};
 use nbody::{Particle, ParticleSoA};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -59,9 +75,10 @@ use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 7] = [
+pub const REQUIRED_KERNELS: [&str; 8] = [
     "cic-soa",
     "cic-det",
+    "cic-gather",
     "fof-cols",
     "fof-grid",
     "mbp-cols",
@@ -474,6 +491,94 @@ pub fn cic_det_cases() -> Vec<inputs::Case<Particle>> {
     cases
 }
 
+/// The `cic-gather` positions for a box of side `box_size`: every coordinate
+/// a gather can be handed and a wrap can get wrong — the box side itself
+/// (as `f32`, which for a side `f32` cannot hold lies just outside the `f64`
+/// box), the largest `f32` below it, both zeros, negative values down to the
+/// denormals (whose scaled coordinate `rem_euclid` sends to exactly `ng`),
+/// several box lengths outside on either side, NaN of either sign, ±∞ and
+/// `f32::MAX` — on each axis in turn against ordinary coordinates on the
+/// others, then on all three at once; followed by a seeded cloud from two box
+/// lengths below the box to three above, long enough for a pooled dispatch.
+pub fn cic_gather_positions(box_size: f64) -> Vec<Particle> {
+    let l = box_size as f32;
+    let below = |x: f32| f32::from_bits(x.to_bits() - 1);
+    let specials = [
+        l,
+        below(l),
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE,
+        -1e-12,
+        -1.5,
+        -l,
+        2.0 * l + 0.25,
+        -7.0 * l - 0.75,
+        1e6 * l,
+        f32::MAX,
+        f32::MIN,
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    let mut positions = Vec::new();
+    for (k, &v) in specials.iter().enumerate() {
+        for axis in 0..3 {
+            let mut pos = [0.3 * l, 0.55 * l, 0.8 * l];
+            pos[axis] = v;
+            positions.push(pos);
+        }
+        // Two specials at once — but a non-finite one only with itself: two
+        // different NaNs in one product leave the surviving payload to the
+        // compiler's operand order (see the module docs).
+        let next = specials[(k + 1) % specials.len()];
+        let partner = if v.is_finite() && next.is_finite() {
+            next
+        } else {
+            v
+        };
+        positions.push([v, partner, v]);
+    }
+    let mut rng = StdRng::seed_from_u64(0x5EED_6A78);
+    let mut coord = || rng.gen_range(-2.0 * l..3.0 * l);
+    positions.extend((0..inputs::BOUNDARY_LENGTHS[3]).map(|_| [coord(), coord(), coord()]));
+    let particle = |(i, pos)| Particle::at_rest(pos, 1.0, i as u64);
+    positions.into_iter().enumerate().map(particle).collect()
+}
+
+/// The `cic-gather` fields on an `ng³` mesh: three seeded components, and
+/// the same three salted — a NaN, a `−∞`, a `+∞`, a `−0.0` and a denormal, in
+/// different cells of different components (a one-cell mesh keeps the last
+/// written in each).
+pub fn cic_gather_fields(ng: usize) -> [(&'static str, [Grid3<f64>; 3]); 2] {
+    let ncell = ng * ng * ng;
+    let mut rng = StdRng::seed_from_u64(0x5EED_F1E7 + ng as u64);
+    let finite: [Grid3<f64>; 3] = std::array::from_fn(|_| {
+        Grid3::from_vec(
+            [ng, ng, ng],
+            (0..ncell).map(|_| rng.gen_range(-2.0..2.0)).collect(),
+        )
+    });
+    let mut salted = finite.clone();
+    let salts = [
+        f64::NAN,
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+        -0.0,
+        f64::from_bits(3),
+    ];
+    for (k, salt) in salts.into_iter().enumerate() {
+        for (axis, grid) in salted.iter_mut().enumerate() {
+            grid.as_mut_slice()[(7 * k + 3 * axis + k * axis) % ncell] = salt;
+        }
+    }
+    [("finite", finite), ("salted", salted)]
+}
+
 /// The pooled `mbp-cols` inputs: seeded halos of 2 049 and 3 073 particles —
 /// just past [`dpp::SMALL_N_THRESHOLD`], three and four
 /// [`dpp::DEFAULT_GRAIN`] chunks, so `map` and `argmin_by` go through the
@@ -729,6 +834,82 @@ pub fn run_layout_differential() -> DiffReport {
         }
     }
 
+    // --- cic-gather ------------------------------------------------------
+    // The reference is a plain loop, so `Serial` is one more backend here.
+    rep.op("cic-gather");
+    let with_serial: Vec<(&str, &dyn Backend)> = std::iter::once(("serial", &Serial as _))
+        .chain(backends.iter().map(|(n, b)| (n.as_str(), b.as_ref())))
+        .collect();
+    // 25.6 is a side `f32` cannot hold.
+    for (gather_ng, side) in [(1usize, 32.0f64), (2, 25.6), (4, 32.0), (16, 25.6)] {
+        let particles = cic_gather_positions(side);
+        for (kind, fields) in cic_gather_fields(gather_ng) {
+            // Two NaNs of different payloads only meet over the salted fields.
+            let cmp = if kind == "salted" {
+                Cmp::NumEq
+            } else {
+                Cmp::BitEq
+            };
+            let reference: [Vec<f64>; 3] = std::array::from_fn(|axis| {
+                let at = |p: &Particle| cic_interpolate(&fields[axis], p.pos, side);
+                particles.iter().map(at).collect()
+            });
+            for &(name, b) in &with_serial {
+                let mut got = Vec::new();
+                gather_accel(b, &fields, 0, &particles, side, &mut got);
+                for (axis, expect) in reference.iter().enumerate() {
+                    let component: Vec<f64> = got.iter().map(|g| g[axis]).collect();
+                    rep.check_f64_slice(
+                        cmp,
+                        "cic-gather",
+                        &format!("ng={gather_ng}/{kind}/g{axis}"),
+                        name,
+                        expect,
+                        &component,
+                    );
+                }
+            }
+        }
+    }
+
+    // The same kernel on a rank's ghost-extended x-slab (`DistSim`'s view:
+    // planes `x0..=x0 + s` of the mesh, the last one wrapping) must read what
+    // it reads on the whole mesh, for every position inside the slab.
+    for (gather_ng, ranks) in [(4usize, 2usize), (16, 4), (16, 1)] {
+        let side = 32.0;
+        let (_, whole) = &cic_gather_fields(gather_ng)[0];
+        let s = gather_ng / ranks;
+        for rank in 0..ranks {
+            let x0 = rank * s;
+            let slab = whole.each_ref().map(|g| {
+                let plane = gather_ng * gather_ng;
+                let cells = (x0..=x0 + s).flat_map(|x| {
+                    let x = x % gather_ng;
+                    g.as_slice()[x * plane..(x + 1) * plane].iter().copied()
+                });
+                Grid3::from_vec([s + 1, gather_ng, gather_ng], cells.collect())
+            });
+            let inside: Vec<Particle> = cic_gather_positions(side)
+                .into_iter()
+                .filter(|p| (0.0..side as f32).contains(&p.pos[0]))
+                .filter(|p| {
+                    (x0..x0 + s).contains(&(to_grid_units(p.pos[0], side, gather_ng) as usize))
+                })
+                .collect();
+            let (mut expect, mut got) = (Vec::new(), Vec::new());
+            gather_accel(&Serial, whole, 0, &inside, side, &mut expect);
+            gather_accel(&Serial, &slab, x0, &inside, side, &mut got);
+            rep.check_f64_slice(
+                Cmp::BitEq,
+                "cic-gather",
+                &format!("slab/ng={gather_ng}/rank={rank}of{ranks}"),
+                "serial",
+                expect.as_flattened(),
+                got.as_flattened(),
+            );
+        }
+    }
+
     // --- fof-cols --------------------------------------------------------
     rep.op("fof-cols");
     for case in inputs::coord_cases() {
@@ -886,10 +1067,7 @@ pub fn run_layout_differential() -> DiffReport {
     // strided lines, non-cubic included; 64³ is the production mesh.
     rep.op("fft3d-tiled");
     // The references are the previous passes, not the `Serial` backend, so
-    // `Serial` is one more backend under test here.
-    let with_serial: Vec<(&str, &dyn Backend)> = std::iter::once(("serial", &Serial as _))
-        .chain(backends.iter().map(|(n, b)| (n.as_str(), b.as_ref())))
-        .collect();
+    // `Serial` is one more backend under test here too.
     let mut rng = StdRng::seed_from_u64(0x000F_F73D);
     for dims in [[8usize, 4, 16], [16, 16, 16], [64, 64, 64]] {
         let plan = Fft3d::new(dims).expect("power-of-two dims");

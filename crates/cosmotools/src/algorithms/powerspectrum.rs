@@ -7,8 +7,8 @@ use crate::insitu::{AnalysisContext, InSituAlgorithm, Product};
 use dpp::Backend;
 use fft::{freq_index, Complex, Fft3d, Grid3};
 use nbody::particle::Particle;
-use nbody::pm::cic_deposit_soa;
-use nbody::ParticleSoA;
+use nbody::pm::cic_deposit_cols;
+use nbody::DepositColumns;
 
 /// One spectrum bin.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,9 +31,9 @@ pub fn compute_power_spectrum(
 ) -> Vec<PowerBin> {
     assert!(ng.is_power_of_two(), "mesh must be a power of two");
     assert!(nbins > 0);
-    // Convert once to the column layout the deposit kernel sweeps.
-    let soa = ParticleSoA::from_aos(particles);
-    let delta = cic_deposit_soa(backend, &soa, ng, box_size);
+    // Convert once to the four columns the deposit kernel sweeps.
+    let cols = DepositColumns::from_aos(backend, particles);
+    let delta = cic_deposit_cols(backend, cols.positions(), cols.mass(), ng, box_size);
     power_spectrum_of_field(backend, &delta, box_size, nbins)
 }
 

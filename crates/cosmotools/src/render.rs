@@ -13,7 +13,7 @@
 //!   particle *value*, independent of input order) before truncating to the
 //!   budget, so selections are permutation-invariant and prefix-stable under
 //!   shrinking budgets.
-//! * The deposit goes through [`nbody::cic_deposit_soa_det`], whose fixed
+//! * The deposit goes through [`nbody::cic_deposit_cols_det`], whose fixed
 //!   chunking makes the 3-D grid byte-identical across
 //!   Serial/Threaded/StaticThreaded: chunks of [`RENDER_DEPOSIT_GRAIN`]
 //!   particles, each deposited on its own and kept as a sparse list of the
@@ -29,8 +29,8 @@ use crate::insitu::{AnalysisContext, InSituAlgorithm, Product};
 use dpp::Backend;
 use fft::Grid3;
 use nbody::particle::Particle;
-use nbody::pm::cic_deposit_soa_det;
-use nbody::soa::ParticleSoA;
+use nbody::pm::cic_deposit_cols_det;
+use nbody::soa::DepositColumns;
 
 /// Bytes one particle costs against the render byte budget (the genio
 /// serialized record size, so budgets are phrased in the same units as the
@@ -38,7 +38,7 @@ use nbody::soa::ParticleSoA;
 pub const PARTICLE_RENDER_BYTES: u64 = 36;
 
 /// Fixed deposit chunk size for rendering. Passed to
-/// [`cic_deposit_soa_det`]; constant (never derived from the backend) so the
+/// [`cic_deposit_cols_det`]; constant (never derived from the backend) so the
 /// deposit — and therefore every pixel — is byte-identical on every backend.
 pub const RENDER_DEPOSIT_GRAIN: usize = 4096;
 
@@ -308,8 +308,16 @@ pub fn render_projection(
 ) -> (Vec<f64>, u64) {
     let selected = lod_select(particles, params.lod_seed, params.byte_budget);
     let n_selected = selected.len() as u64;
-    let soa = ParticleSoA::from_aos(&selected);
-    let grid = cic_deposit_soa_det(backend, &soa, params.ng, box_size, RENDER_DEPOSIT_GRAIN);
+    let cols = DepositColumns::from_aos(backend, &selected);
+    let (pos, mass) = (cols.positions(), cols.mass());
+    let grid = cic_deposit_cols_det(
+        backend,
+        pos,
+        mass,
+        params.ng,
+        box_size,
+        RENDER_DEPOSIT_GRAIN,
+    );
     (project_density(&grid, params.axis), n_selected)
 }
 
@@ -652,8 +660,9 @@ mod tests {
         // Σ over the projection of (1+δ) along any axis touches every cell
         // exactly once, so per-axis projections sum to the same total.
         let parts = particles(1000, 32.0);
-        let soa = ParticleSoA::from_aos(&parts);
-        let grid = cic_deposit_soa_det(&Serial, &soa, 8, 32.0, RENDER_DEPOSIT_GRAIN);
+        let cols = DepositColumns::from_aos(&Serial, &parts);
+        let (pos, mass) = (cols.positions(), cols.mass());
+        let grid = cic_deposit_cols_det(&Serial, pos, mass, 8, 32.0, RENDER_DEPOSIT_GRAIN);
         let totals: Vec<f64> = Axis::ALL
             .iter()
             .map(|&a| project_density(&grid, a).iter().sum())

@@ -9,14 +9,20 @@
 //! horizons and statistically over long ones (the N-body system is chaotic,
 //! so different summation orders diverge eventually).
 //!
-//! Like `Simulation`, the stepper solves the force once per step: the closing
-//! kick's acceleration slabs are carried to the next step's opening kick
-//! (same validity rule — see the `sim` module docs), which here also saves
-//! two ghost-plane exchanges and a slab-FFT all-to-all per step.
+//! Like `Simulation`, the stepper solves and gathers the force once per
+//! step: the closing kick reads its acceleration slabs once
+//! ([`crate::pm::gather_accel`], the shared-memory stepper's kernel with this
+//! rank's first plane as the x origin) and drops them, and the per-particle
+//! array is carried to the next step's opening kick (same validity rule — see
+//! the `sim` module docs), which here also saves two ghost-plane exchanges and
+//! a slab-FFT all-to-all per step. The drift re-homes particles, so the array
+//! it discards could not be indexed afterwards anyway: a rank's particle set
+//! after a drift is not the one the array was gathered for.
 
 use crate::cosmology::Cosmology;
 use crate::ic::{zeldovich_particles, IcConfig};
 use crate::particle::Particle;
+use crate::pm::{gather_accel, wrap_periodic};
 use crate::sim::SimConfig;
 use comm::Communicator;
 use fft::{Complex, Grid3, SlabFft};
@@ -34,9 +40,10 @@ pub struct DistSim<'a> {
     a: f64,
     step: usize,
     plane_seq: u64,
-    /// The last kick's acceleration slabs while positions and `a` are
-    /// unchanged since their solve; `None` otherwise.
-    carried: Option<[Grid3<f64>; 3]>,
+    /// Acceleration at every local particle, gathered from the last solve.
+    accel: Vec<[f64; 3]>,
+    /// `accel` was gathered for the current local particles and `a`.
+    carried: bool,
 }
 
 impl<'a> DistSim<'a> {
@@ -77,7 +84,8 @@ impl<'a> DistSim<'a> {
             a,
             step: 0,
             plane_seq: 0,
-            carried: None,
+            accel: Vec::new(),
+            carried: false,
         }
     }
 
@@ -102,12 +110,13 @@ impl<'a> DistSim<'a> {
         &self.particles
     }
 
-    /// Drop the carried force field, so the next kick re-solves (to the same
-    /// bits). **Collective**: a solve exchanges ghost planes and FFT slabs, so
-    /// a rank that discards alone enters those exchanges without its peers
-    /// and the run deadlocks — call it on every rank or on none.
+    /// Drop the carried acceleration, so the next kick re-solves and
+    /// re-gathers (to the same bits). **Collective**: a solve exchanges ghost
+    /// planes and FFT slabs, so a rank that discards alone enters those
+    /// exchanges without its peers and the run deadlocks — call it on every
+    /// rank or on none.
     pub fn discard_carried_force(&mut self) {
-        self.carried = None;
+        self.carried = false;
     }
 
     /// Current scale factor.
@@ -222,47 +231,46 @@ impl<'a> DistSim<'a> {
     }
 
     /// Momentum half/full kick at scale factor `a` over `da`, on the carried
-    /// field if there is one (collective either way: every rank carries or
-    /// none does).
+    /// acceleration if there is one (collective either way: every rank
+    /// carries or none does).
     fn kick(&mut self, a: f64, da: f64) {
-        let accel = match self.carried.take() {
-            Some(accel) => accel,
-            None => {
-                let prefactor = 1.5 / a; // EdS ∇²φ = (3/2a)δ, see cosmology.rs
-                let delta = self.deposit();
-                telemetry::count!("nbody", "pm_solves", 1);
-                self.accelerations(&delta, prefactor)
-            }
-        };
+        if !self.carried {
+            let prefactor = 1.5 / a; // EdS ∇²φ = (3/2a)δ, see cosmology.rs
+            let delta = self.deposit();
+            telemetry::count!("nbody", "pm_solves", 1);
+            let slabs = self.accelerations(&delta, prefactor);
+            let l = self.cfg.cosmology.box_size;
+            let x0 = self.x0();
+            gather_accel(
+                &dpp::Serial,
+                &slabs,
+                x0,
+                &self.particles,
+                l,
+                &mut self.accel,
+            );
+            self.carried = true;
+        }
         let _span = telemetry::span!("nbody", "kick", self.step);
         let f = Cosmology::leapfrog_f(a) * da;
-        // Split borrows: interpolation needs &self fields, not &self.
-        let ng = self.cfg.ng;
-        let l = self.cfg.cosmology.box_size;
-        let x0 = self.x0();
-        for p in &mut self.particles {
-            let mut g = [0.0f64; 3];
-            for (dst, field) in g.iter_mut().zip(accel.iter()) {
-                *dst = interpolate_at(field, p.pos, ng, l, x0);
-            }
+        for (p, g) in self.particles.iter_mut().zip(&self.accel) {
             for d in 0..3 {
                 p.vel[d] += (f * g[d]) as f32;
             }
         }
-        self.carried = Some(accel);
     }
 
     /// Drift positions and re-home particles that crossed slab boundaries.
     fn drift(&mut self, a_half: f64, da: f64) {
         let _span = telemetry::span!("nbody", "drift", self.step);
-        self.carried = None;
+        self.carried = false;
         let l = self.cfg.cosmology.box_size;
         let ng = self.cfg.ng;
         let grid_to_mpc = l / ng as f64;
         let f = Cosmology::leapfrog_f(a_half) / (a_half * a_half) * da * grid_to_mpc;
         for p in &mut self.particles {
             for d in 0..3 {
-                let x = (p.pos[d] as f64 + f * p.vel[d] as f64).rem_euclid(l);
+                let x = wrap_periodic(p.pos[d] as f64 + f * p.vel[d] as f64, l);
                 p.pos[d] = if x >= l { 0.0 } else { x as f32 };
             }
         }
@@ -292,7 +300,8 @@ impl<'a> DistSim<'a> {
         self.a = a_next;
         self.step += 1;
         if self.finished() {
-            self.carried = None;
+            self.accel = Vec::new();
+            self.carried = false;
         }
     }
 
@@ -415,30 +424,6 @@ fn slab_deposit_with_tag(
         *v = *v / mean - 1.0;
     }
     Grid3::from_vec([s, ng, ng], buf)
-}
-
-/// Free-function CIC interpolation on a ghost-extended slab (borrows only
-/// the field, so it can run while `self.particles` is mutably borrowed).
-fn interpolate_at(field: &Grid3<f64>, pos: [f32; 3], ng: usize, box_size: f64, x0: usize) -> f64 {
-    let u = [
-        crate::pm::to_grid_units(pos[0], box_size, ng),
-        crate::pm::to_grid_units(pos[1], box_size, ng),
-        crate::pm::to_grid_units(pos[2], box_size, ng),
-    ];
-    let i = [u[0] as usize % ng, u[1] as usize % ng, u[2] as usize % ng];
-    let d = [u[0] - i[0] as f64, u[1] - i[1] as f64, u[2] - i[2] as f64];
-    let mut acc = 0.0;
-    for (dx, wx) in [(0usize, 1.0 - d[0]), (1, d[0])] {
-        for (dy, wy) in [(0usize, 1.0 - d[1]), (1, d[1])] {
-            for (dz, wz) in [(0usize, 1.0 - d[2]), (1, d[2])] {
-                let xl = i[0] - x0 + dx;
-                let y = (i[1] + dy) % ng;
-                let z = (i[2] + dz) % ng;
-                acc += field.get(xl, y, z) * wx * wy * wz;
-            }
-        }
-    }
-    acc
 }
 
 #[cfg(test)]

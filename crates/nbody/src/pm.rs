@@ -1,14 +1,21 @@
 //! Particle-mesh gravity: CIC deposit, k-space Poisson solve, CIC force
-//! interpolation. All mesh quantities live in *grid units* (cell = 1).
+//! gather. All mesh quantities live in *grid units* (cell = 1).
 //!
-//! The solve lives in [`PoissonSolver`], which a stepper keeps across steps
-//! for its FFT plan, `k` table and acceleration grids (the spectral grids
-//! are transient): one forward transform, one parallel pass over k-space
-//! producing all three `g_k`, three inverse transforms. [`poisson_accel`] is
-//! the one-shot form.
+//! The deposit reads four columns — positions and mass ([`cic_deposit_cols`];
+//! [`cic_deposit_soa`] is the same body behind a [`ParticleSoA`]). The solve
+//! lives in [`PoissonSolver`], which a stepper keeps across steps for its FFT
+//! plan and `k` table; every grid is transient: one forward transform, one
+//! parallel pass over k-space producing all three `g_k`, three inverse
+//! transforms. [`poisson_accel`] is the one-shot form. The force mesh is then
+//! read once: [`cic_gather`] computes a particle's cell and weights once and
+//! accumulates all three components ([`gather_accel`] over a particle set),
+//! after which the grids are dropped — what a stepper keeps is the gathered
+//! per-particle acceleration. [`cic_interpolate`] is the one-component scalar
+//! reference the gather is held bit-equal to.
 
-use crate::soa::ParticleSoA;
-use dpp::{Backend, SendPtr};
+use crate::particle::Particle;
+use crate::soa::{ParticleSoA, PosColumns};
+use dpp::{par_for_each_mut, Backend, SendPtr, DEFAULT_GRAIN};
 use fft::{freq_index, Complex, Fft3d, Grid3};
 use parking_lot::Mutex;
 
@@ -20,18 +27,19 @@ pub fn to_grid_units(pos: f32, box_size: f64, ng: usize) -> f64 {
     u.rem_euclid(ng as f64)
 }
 
-/// Bit-identical form of [`to_grid_units`]' wrap for an already-scaled grid
-/// coordinate: `fmod(u, ngf) == u` exactly whenever `0 ≤ u < ngf` (including
-/// −0.0 and denormals), and NaN fails the range test into the slow path, so
-/// both branches return the same bits as an unconditional `rem_euclid` for
-/// every possible input. The deposit uses this to keep the `fmod` libcall
-/// off its hot path.
+/// Bit-identical form of `u.rem_euclid(period)` ([`to_grid_units`]' wrap for
+/// an already-scaled grid coordinate, the drift's for a position):
+/// `fmod(u, period) == u` exactly whenever `0 ≤ u < period` (including −0.0
+/// and denormals), and NaN fails the range test into the slow path, so both
+/// branches return the same bits as an unconditional `rem_euclid` for every
+/// possible input. The deposit, the gather and the drift use this to keep the
+/// `fmod` libcall off their hot paths.
 #[inline]
-fn wrap_grid(u: f64, ngf: f64) -> f64 {
-    if (0.0..ngf).contains(&u) {
+pub(crate) fn wrap_periodic(u: f64, period: f64) -> f64 {
+    if (0.0..period).contains(&u) {
         u
     } else {
-        u.rem_euclid(ngf)
+        u.rem_euclid(period)
     }
 }
 
@@ -47,7 +55,7 @@ const CIC_BLOCK: usize = 64;
 /// (a) the pure `pos / box · ng` arithmetic over fixed-size column windows,
 /// (b) a block-level range check that only falls back to the scalar
 /// `rem_euclid` wrap when some lane is out of `[0, ng)` (bit-identical
-/// either way — see `wrap_grid`), and (c) truncation to cell indices plus
+/// either way — see `wrap_periodic`), and (c) truncation to cell indices plus
 /// fractional offsets. Indices truncate through `i32` (`u as i32` equals
 /// `u as usize` for every wrapped value including NaN→0, and ng is asserted
 /// to fit), so the cast vectorizes on plain SSE2 where a 64-bit cast would
@@ -58,43 +66,61 @@ const CIC_BLOCK: usize = 64;
 /// order, so the result is identical run-to-run; `conformance::layout` holds
 /// it bit-equal, on every backend, to the scalar per-particle loop
 /// (`cic_deposit_scalar_ref`) over the adversarial corpus.
+pub fn cic_deposit_cols(
+    backend: &dyn Backend,
+    pos: PosColumns<'_>,
+    masses: &[f32],
+    ng: usize,
+    box_size: f64,
+) -> Grid3<f64> {
+    let ncell = ng * ng * ng;
+    assert!(ng <= i32::MAX as usize, "mesh size must fit i32 indices");
+    let n = masses.len();
+    assert!(
+        pos.x.len() == n && pos.y.len() == n && pos.z.len() == n,
+        "deposit columns differ in length"
+    );
+    let partials: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
+    let grain = (n / backend.concurrency().max(1)).max(4096);
+    backend.dispatch(n, grain, &|r| {
+        let start = r.start;
+        let mut local = vec![0.0f64; ncell];
+        deposit_chunk(pos, masses, r, ng, box_size, &mut local);
+        partials.lock().push((start, local));
+    });
+    merge_and_normalize(partials.into_inner(), masses, ng)
+}
+
+/// [`cic_deposit_cols`] over a [`ParticleSoA`]'s position and mass columns.
 pub fn cic_deposit_soa(
     backend: &dyn Backend,
     particles: &ParticleSoA,
     ng: usize,
     box_size: f64,
 ) -> Grid3<f64> {
-    let ncell = ng * ng * ng;
-    assert!(ng <= i32::MAX as usize, "mesh size must fit i32 indices");
-    let (px, py, pz) = (particles.pos_x(), particles.pos_y(), particles.pos_z());
-    let masses = particles.mass();
-    let partials: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
-    let grain = (particles.len() / backend.concurrency().max(1)).max(4096);
-    backend.dispatch(particles.len(), grain, &|r| {
-        let start = r.start;
-        let mut local = vec![0.0f64; ncell];
-        deposit_chunk_soa(px, py, pz, masses, r, ng, box_size, &mut local);
-        partials.lock().push((start, local));
-    });
-    merge_and_normalize(partials.into_inner(), masses, ng)
+    cic_deposit_cols(
+        backend,
+        particles.positions(),
+        particles.mass(),
+        ng,
+        box_size,
+    )
 }
 
-/// Deposit particles `[r.start, r.end)` of the SoA columns into `local`
-/// (length `ng³`, zero-initialized by the caller). This is the exact chunk
-/// body of [`cic_deposit_soa`], factored out so the fixed-chunk deterministic
-/// variant ([`cic_deposit_soa_det`]) runs byte-for-byte the same per-chunk
+/// Deposit particles `[r.start, r.end)` of the columns into `local` (length
+/// `ng³`, zero-initialized by the caller). This is the exact chunk body of
+/// [`cic_deposit_cols`], factored out so the fixed-chunk deterministic
+/// variant ([`cic_deposit_cols_det`]) runs byte-for-byte the same per-chunk
 /// arithmetic.
-#[allow(clippy::too_many_arguments)]
-fn deposit_chunk_soa(
-    px: &[f32],
-    py: &[f32],
-    pz: &[f32],
+fn deposit_chunk(
+    pos: PosColumns<'_>,
     masses: &[f32],
     r: std::ops::Range<usize>,
     ng: usize,
     box_size: f64,
     local: &mut [f64],
 ) {
+    let (px, py, pz) = (pos.x, pos.y, pos.z);
     {
         let ngf = ng as f64;
         // Per-block scratch lanes (stack-resident).
@@ -136,9 +162,9 @@ fn deposit_chunk_soa(
             }
             if !in_range {
                 for k in 0..CIC_BLOCK {
-                    ux[k] = wrap_grid(ux[k], ngf);
-                    uy[k] = wrap_grid(uy[k], ngf);
-                    uz[k] = wrap_grid(uz[k], ngf);
+                    ux[k] = wrap_periodic(ux[k], ngf);
+                    uy[k] = wrap_periodic(uy[k], ngf);
+                    uz[k] = wrap_periodic(uz[k], ngf);
                 }
             }
             // Phase 1c: cell indices and fractional offsets. Every lane is
@@ -186,9 +212,9 @@ fn deposit_chunk_soa(
         }
         // Tail (< CIC_BLOCK particles): same math per particle, scalar.
         for j in base..r.end {
-            let u0 = wrap_grid(px[j] as f64 / box_size * ngf, ngf);
-            let u1 = wrap_grid(py[j] as f64 / box_size * ngf, ngf);
-            let u2 = wrap_grid(pz[j] as f64 / box_size * ngf, ngf);
+            let u0 = wrap_periodic(px[j] as f64 / box_size * ngf, ngf);
+            let u1 = wrap_periodic(py[j] as f64 / box_size * ngf, ngf);
+            let u2 = wrap_periodic(pz[j] as f64 / box_size * ngf, ngf);
             let (x0, y0, z0) = (u0 as usize, u1 as usize, u2 as usize);
             let x1 = if x0 + 1 == ng { 0 } else { x0 + 1 };
             let y1 = if y0 + 1 == ng { 0 } else { y0 + 1 };
@@ -219,7 +245,7 @@ fn deposit_chunk_soa(
 }
 
 /// Merge per-chunk partial grids in ascending chunk-start order, then convert
-/// to overdensity. Tail of [`cic_deposit_soa`].
+/// to overdensity. Tail of [`cic_deposit_cols`].
 fn merge_and_normalize(
     mut partials: Vec<(usize, Vec<f64>)>,
     masses: &[f32],
@@ -249,7 +275,7 @@ fn overdensity(mut rho: Vec<f64>, masses: &[f32], ng: usize) -> Grid3<f64> {
     Grid3::from_vec([ng, ng, ng], rho)
 }
 
-/// What one chunk of [`cic_deposit_soa_det`] deposited: its non-zero cells
+/// What one chunk of [`cic_deposit_cols_det`] deposited: its non-zero cells
 /// and their values, in first-touch order.
 struct SparsePartial {
     cells: Vec<u32>,
@@ -258,20 +284,19 @@ struct SparsePartial {
 
 /// Move every non-zero cell that particles `[r.start, r.end)` can have
 /// touched out of `scratch` into a [`SparsePartial`], leaving `scratch` all
-/// `+0.0` again. The base cell is [`deposit_chunk_soa`]'s own (its scalar
+/// `+0.0` again. The base cell is [`deposit_chunk`]'s own (its scalar
 /// tail's expression, which its block path equals bit for bit), so the eight
 /// corners listed here are exactly the cells it added to. A corner reached
 /// twice is found zeroed the second time and skipped, as is a touched cell
-/// whose sum is `+0.0` — see [`cic_deposit_soa_det`] for why that is exact.
+/// whose sum is `+0.0` — see [`cic_deposit_cols_det`] for why that is exact.
 fn drain_chunk(
-    px: &[f32],
-    py: &[f32],
-    pz: &[f32],
+    pos: PosColumns<'_>,
     r: std::ops::Range<usize>,
     ng: usize,
     box_size: f64,
     scratch: &mut [f64],
 ) -> SparsePartial {
+    let (px, py, pz) = (pos.x, pos.y, pos.z);
     let ngf = ng as f64;
     let cap = (8 * r.len()).min(scratch.len());
     let mut out = SparsePartial {
@@ -279,9 +304,9 @@ fn drain_chunk(
         values: Vec::with_capacity(cap),
     };
     for j in r {
-        let x0 = wrap_grid(px[j] as f64 / box_size * ngf, ngf) as usize;
-        let y0 = wrap_grid(py[j] as f64 / box_size * ngf, ngf) as usize;
-        let z0 = wrap_grid(pz[j] as f64 / box_size * ngf, ngf) as usize;
+        let x0 = wrap_periodic(px[j] as f64 / box_size * ngf, ngf) as usize;
+        let y0 = wrap_periodic(py[j] as f64 / box_size * ngf, ngf) as usize;
+        let z0 = wrap_periodic(pz[j] as f64 / box_size * ngf, ngf) as usize;
         let x1 = if x0 + 1 == ng { 0 } else { x0 + 1 };
         let y1 = if y0 + 1 == ng { 0 } else { y0 + 1 };
         let z1 = if z0 + 1 == ng { 0 } else { z0 + 1 };
@@ -298,9 +323,9 @@ fn drain_chunk(
     out
 }
 
-/// Backend-independent deterministic variant of [`cic_deposit_soa`].
+/// Backend-independent deterministic variant of [`cic_deposit_cols`].
 ///
-/// [`cic_deposit_soa`] sizes its chunks from `backend.concurrency()` (and
+/// [`cic_deposit_cols`] sizes its chunks from `backend.concurrency()` (and
 /// `StaticThreaded::dispatch` ignores the grain entirely, pre-partitioning one
 /// block per worker), so the float-addition association of the chunk merge —
 /// and hence the low bits of the result — can differ between backends once an
@@ -331,9 +356,10 @@ fn drain_chunk(
 /// `sum += value`, in the same order — except that a sum which is NaN already
 /// is left alone, so that its payload does not hang on which operand of a
 /// `NaN + NaN` the compiler puts first.
-pub fn cic_deposit_soa_det(
+pub fn cic_deposit_cols_det(
     backend: &dyn Backend,
-    particles: &ParticleSoA,
+    pos: PosColumns<'_>,
+    masses: &[f32],
     ng: usize,
     box_size: f64,
     grain: usize,
@@ -344,10 +370,12 @@ pub fn cic_deposit_soa_det(
         ncell <= u32::MAX as usize,
         "mesh cells must fit u32 indices"
     );
-    let n = particles.len();
+    let n = masses.len();
+    assert!(
+        pos.x.len() == n && pos.y.len() == n && pos.z.len() == n,
+        "deposit columns differ in length"
+    );
     let _span = telemetry::span!("nbody", "cic_deposit_det", n);
-    let (px, py, pz) = (particles.pos_x(), particles.pos_y(), particles.pos_z());
-    let masses = particles.mass();
     let grain = grain.max(1).max(n / 64);
     let partials: Mutex<Vec<(usize, SparsePartial)>> = Mutex::new(Vec::new());
     // Scratch grids, all `+0.0` whenever they are in here.
@@ -362,8 +390,8 @@ pub fn cic_deposit_soa_det(
         let mut scratch = popped.unwrap_or_else(|| vec![0.0f64; ncell]);
         for c in chunks {
             let r = c * grain..((c + 1) * grain).min(n);
-            deposit_chunk_soa(px, py, pz, masses, r.clone(), ng, box_size, &mut scratch);
-            let partial = drain_chunk(px, py, pz, r, ng, box_size, &mut scratch);
+            deposit_chunk(pos, masses, r.clone(), ng, box_size, &mut scratch);
+            let partial = drain_chunk(pos, r, ng, box_size, &mut scratch);
             partials.lock().push((c, partial));
         }
         idle.lock().push(scratch);
@@ -390,36 +418,46 @@ pub fn cic_deposit_soa_det(
     overdensity(rho, masses, ng)
 }
 
+/// [`cic_deposit_cols_det`] over a [`ParticleSoA`]'s position and mass
+/// columns.
+pub fn cic_deposit_soa_det(
+    backend: &dyn Backend,
+    particles: &ParticleSoA,
+    ng: usize,
+    box_size: f64,
+    grain: usize,
+) -> Grid3<f64> {
+    let (pos, masses) = (particles.positions(), particles.mass());
+    cic_deposit_cols_det(backend, pos, masses, ng, box_size, grain)
+}
+
 /// The k-space Poisson solver for one cubic `ng³` mesh: what survives a solve
-/// is the FFT plan, the angular-frequency table and the three real
-/// acceleration grids, so the result stays readable (the carried force of
-/// [`crate::sim::Simulation`]) until the next solve overwrites it. The three
-/// spectral grids are transient — allocated by a solve and released as each
-/// inverse transform finishes — so a stepper holds 3·ng³·8 B between steps
-/// and no more.
+/// is the FFT plan and the angular-frequency table. Every grid is transient —
+/// the three spectral grids are allocated by a solve and released as each
+/// inverse transform finishes, and the three real acceleration grids are
+/// handed to the caller, who gathers from them once and drops them — so a
+/// stepper holds no mesh between steps.
 pub struct PoissonSolver {
     plan: Fft3d,
     /// `2π·freq_index(i, ng)/ng` for every bin `i` (the mesh is cubic, so
     /// one table serves all three axes).
     k: Vec<f64>,
-    accel: [Grid3<f64>; 3],
 }
 
 impl PoissonSolver {
     /// Solver for an `ng³` mesh (`ng` a power of two).
     pub fn new(ng: usize) -> Self {
-        let dims = [ng, ng, ng];
         let two_pi = 2.0 * std::f64::consts::PI;
         PoissonSolver {
-            plan: Fft3d::new(dims).expect("mesh dims must be powers of two"),
+            plan: Fft3d::new([ng, ng, ng]).expect("mesh dims must be powers of two"),
             k: (0..ng)
                 .map(|i| two_pi * freq_index(i, ng) as f64 / ng as f64)
                 .collect(),
-            accel: std::array::from_fn(|_| Grid3::filled(dims, 0.0)),
         }
     }
 
-    /// Solve `∇²φ = prefactor·δ` and leave `g = −∇φ` in [`Self::accel`].
+    /// Solve `∇²φ = prefactor·δ` and return `g = −∇φ` as three real grids
+    /// (grid units).
     ///
     /// One forward transform of `δ`, one pass over k-space, three inverse
     /// transforms. The k-space pass is dispatched over mesh rows; per cell it
@@ -427,7 +465,12 @@ impl PoissonSolver {
     /// `g_k = i·k_d·(prefactor / k²)·δ_k` — the same expression, operand for
     /// operand, as solving one axis at a time, so the result is bit-equal to
     /// that (`conformance::layout`, `poisson-kspace`).
-    pub fn solve(&mut self, backend: &dyn Backend, delta: &Grid3<f64>, prefactor: f64) {
+    pub fn solve(
+        &self,
+        backend: &dyn Backend,
+        delta: &Grid3<f64>,
+        prefactor: f64,
+    ) -> [Grid3<f64>; 3] {
         let _span = telemetry::span!("nbody", "pm_solve");
         let ng = self.k.len();
         assert_eq!(delta.dims(), [ng, ng, ng], "mesh/solver shape mismatch");
@@ -478,17 +521,10 @@ impl PoissonSolver {
             }
         });
 
-        for (mut gk, g) in spec.into_iter().zip(&mut self.accel) {
+        spec.map(|mut gk| {
             self.plan.inverse(backend, &mut gk).expect("planned dims");
-            for (r, c) in g.as_mut_slice().iter_mut().zip(gk.as_slice()) {
-                *r = c.re;
-            }
-        }
-    }
-
-    /// The acceleration components of the last [`Self::solve`] (grid units).
-    pub fn accel(&self) -> &[Grid3<f64>; 3] {
-        &self.accel
+            Grid3::from_vec(dims, gk.as_slice().iter().map(|c| c.re).collect())
+        })
     }
 }
 
@@ -504,13 +540,12 @@ pub fn poisson_accel(backend: &dyn Backend, delta: &Grid3<f64>, prefactor: f64) 
         dims[1] == dims[0] && dims[2] == dims[0],
         "mesh must be cubic"
     );
-    let mut solver = PoissonSolver::new(dims[0]);
-    solver.solve(backend, delta, prefactor);
-    solver.accel
+    PoissonSolver::new(dims[0]).solve(backend, delta, prefactor)
 }
 
 /// Trilinear (CIC) interpolation of a mesh field at a position given in box
-/// units.
+/// units: one component, one `rem_euclid` per axis, `% ng` per corner. The
+/// scalar reference for [`cic_gather`]; no stepper calls it.
 #[inline]
 pub fn cic_interpolate(field: &Grid3<f64>, pos: [f32; 3], box_size: f64) -> f64 {
     let ng = field.dims()[0];
@@ -533,6 +568,88 @@ pub fn cic_interpolate(field: &Grid3<f64>, pos: [f32; 3], box_size: f64) -> f64 
         }
     }
     acc
+}
+
+/// One axis of a particle's CIC stencil, from a position in box units: the
+/// base cell and the offset into it. The cell is the deposit's own expression
+/// — `wrap_periodic(pos / box · ng)`, truncated — and equals
+/// [`cic_interpolate`]'s `rem_euclid` then `% ng` for every input: the wrapped
+/// coordinate lies in `[0, ng]` or is NaN (→ cell 0), and `ng` itself (a
+/// negative coordinate too small to move `ng`) reduces to cell 0 with offset
+/// `ng`, as `% ng` leaves it.
+#[inline]
+fn cic_cell(pos: f32, box_size: f64, ng: usize) -> (usize, f64) {
+    let ngf = ng as f64;
+    let u = wrap_periodic(pos as f64 / box_size * ngf, ngf);
+    let cell = u as usize;
+    let cell = if cell == ng { 0 } else { cell };
+    (cell, u - cell as f64)
+}
+
+/// All three acceleration components at `pos` (box units) in one pass over
+/// the particle's eight corners: cell indices and CIC weights are computed
+/// once, then every component accumulates `((f·wx)·wy)·wz` per corner in
+/// `(dx, dy, dz)` order — operand for operand what three [`cic_interpolate`]
+/// calls compute, so each component is bit-equal to its call
+/// (`conformance::layout`, `cic-gather`).
+///
+/// `accel` stores x-planes `x_origin..` of the mesh. The whole `ng³` mesh
+/// (`x_origin == 0`) wraps its last plane's `+1` neighbour to plane 0, as
+/// `% ng` does; a rank's x-slab extended by one ghost plane never reaches its
+/// last stored plane from a position inside the slab, so the same
+/// compare-and-reset is inert there and the neighbour is the ghost.
+#[inline]
+pub fn cic_gather(
+    accel: &[Grid3<f64>; 3],
+    x_origin: usize,
+    pos: [f32; 3],
+    box_size: f64,
+) -> [f64; 3] {
+    let [planes, ng, _] = accel[0].dims();
+    let next = |i: usize, n: usize| if i + 1 == n { 0 } else { i + 1 };
+    let (x0, dx) = cic_cell(pos[0], box_size, ng);
+    let (y0, dy) = cic_cell(pos[1], box_size, ng);
+    let (z0, dz) = cic_cell(pos[2], box_size, ng);
+    let x0 = x0 - x_origin;
+    let (xs, ys, zs) = (
+        [x0, next(x0, planes)],
+        [y0, next(y0, ng)],
+        [z0, next(z0, ng)],
+    );
+    let (wx, wy, wz) = ([1.0 - dx, dx], [1.0 - dy, dy], [1.0 - dz, dz]);
+    let [fx, fy, fz] = accel.each_ref().map(|g| g.as_slice());
+    let mut g = [0.0f64; 3];
+    for a in 0..2 {
+        for b in 0..2 {
+            let row = (xs[a] * ng + ys[b]) * ng;
+            for c in 0..2 {
+                let cell = row + zs[c];
+                g[0] += fx[cell] * wx[a] * wy[b] * wz[c];
+                g[1] += fy[cell] * wx[a] * wy[b] * wz[c];
+                g[2] += fz[cell] * wx[a] * wy[b] * wz[c];
+            }
+        }
+    }
+    g
+}
+
+/// [`cic_gather`] for every particle, dispatched over the particle range:
+/// `out[i]` is particle `i`'s acceleration. The one read of the force mesh a
+/// solve gets; counted as `nbody.gathers`.
+pub fn gather_accel(
+    backend: &dyn Backend,
+    accel: &[Grid3<f64>; 3],
+    x_origin: usize,
+    particles: &[Particle],
+    box_size: f64,
+    out: &mut Vec<[f64; 3]>,
+) {
+    let _span = telemetry::span!("nbody", "gather", particles.len());
+    telemetry::count!("nbody", "gathers", 1);
+    out.resize(particles.len(), [0.0; 3]);
+    par_for_each_mut(backend, out, DEFAULT_GRAIN, |i, g| {
+        *g = cic_gather(accel, x_origin, particles[i].pos, box_size);
+    });
 }
 
 #[cfg(test)]
@@ -720,6 +837,37 @@ mod tests {
         for axis in &g {
             for v in axis.as_slice() {
                 assert!(v.abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn gather_is_three_interpolations_bit_for_bit() {
+        let ng = 8;
+        let mut delta = Grid3::filled([ng, ng, ng], 0.0);
+        *delta.get_mut(3, 5, 7) = 40.0;
+        *delta.get_mut(0, 0, 1) = -9.0;
+        let g = poisson_accel(&Serial, &delta, 1.5);
+        let l = 20.0;
+        // Interior, every face, beyond the box on both sides, a negative
+        // denormal (wraps to exactly `ng`), NaN, −∞.
+        let parts: Vec<Particle> = [
+            [3.3f32, 12.9, 19.1],
+            [0.0, 20.0, -0.0],
+            [19.999_998, -0.5, 47.3],
+            [-f32::from_bits(1), 1.0, 2.0],
+            [f32::NAN, 4.0, 5.0],
+            [6.0, f32::NEG_INFINITY, 7.0],
+        ]
+        .into_iter()
+        .map(|pos| Particle::at_rest(pos, 1.0, 0))
+        .collect();
+        let mut got = Vec::new();
+        gather_accel(&Threaded::new(2), &g, 0, &parts, l, &mut got);
+        for (p, got) in parts.iter().zip(&got) {
+            for d in 0..3 {
+                let expect = cic_interpolate(&g[d], p.pos, l);
+                assert_eq!(got[d].to_bits(), expect.to_bits(), "{:?} axis {d}", p.pos);
             }
         }
     }

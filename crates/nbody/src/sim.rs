@@ -1,33 +1,42 @@
 //! The HACC-equivalent simulation driver: kick–drift–kick leapfrog over the
 //! scale factor with PM gravity.
 //!
-//! # One force solve per step
+//! # One solve, one gather
 //!
 //! A step is half-kick at `a0`, drift, half-kick at `a1`. Between the closing
 //! kick of one step and the opening kick of the next neither the positions
-//! nor `a` change, so the two kicks need the same field: the closing kick's
-//! solve is *carried* across the step boundary and the opening kick reads it.
-//! An `N`-step run therefore performs `N + 1` deposits and Poisson solves,
-//! not `2N`. The carried field is valid exactly while positions and `a` are
-//! what it was solved for: the drift and [`Simulation::particles_mut`] discard
-//! it, [`Simulation::from_state`] (and so a checkpoint restore) starts without
+//! nor `a` change, so the two kicks need the same acceleration at every
+//! particle. The closing kick deposits, solves, reads the force mesh **once**
+//! ([`crate::pm::gather_accel`]: one `[f64; 3]` per particle) and drops the
+//! grids; that per-particle array is *carried* across the step boundary, and
+//! the opening kick of the next step is a streaming `vel += (k·g[i]) as f32`
+//! that touches no mesh. An `N`-step run therefore performs `N + 1` deposits,
+//! solves and gathers (`nbody.pm_solves`, `nbody.gathers`), not `2N`, and
+//! holds no grid between steps.
+//!
+//! The carried array is valid exactly while positions and `a` are what it was
+//! gathered for: the drift and [`Simulation::particles_mut`] discard it,
+//! [`Simulation::from_state`] (and so a checkpoint restore) starts without
 //! one, it is never written to a checkpoint, and it is freed with the rest of
-//! the solver workspace once the run is [`Simulation::finished`]. A kick that
-//! finds no field solves for one — the deposit and the FFT are deterministic
-//! per backend, so that yields the bits the carried field would have held, and
-//! a restarted or perturbed run cannot tell the difference.
+//! the PM workspace once the run is [`Simulation::finished`]. A kick that
+//! finds none deposits, solves and gathers again — all three deterministic
+//! per backend, and the gather is a pure function of the grids and one
+//! particle's position — so that yields the bits the carried array would have
+//! held (`g[i]` is computed once and multiplied by each kick's own factor,
+//! exactly as when each kick interpolated for itself), and a restarted or
+//! perturbed run cannot tell the difference.
 //!
 //! Hooks are provided so the in-situ analysis layer (`cosmotools`) can run at
 //! the end of any step, exactly as HACC calls CosmoTools from its main loop.
 //! A hook sees `&Simulation`: particles, `a` and the step index of the step
-//! just closed. It cannot invalidate the carried field and must not assume
+//! just closed. It cannot invalidate the carried array and must not assume
 //! one exists.
 
 use crate::cosmology::Cosmology;
 use crate::ic::{zeldovich_particles, IcConfig};
 use crate::particle::Particle;
-use crate::pm::{cic_deposit_soa, cic_interpolate, PoissonSolver};
-use crate::soa::ParticleSoA;
+use crate::pm::{cic_deposit_cols, gather_accel, wrap_periodic, PoissonSolver};
+use crate::soa::DepositColumns;
 use dpp::{par_for_each_mut, Backend, DEFAULT_GRAIN};
 use fft::Grid3;
 
@@ -70,10 +79,21 @@ pub struct Simulation {
     particles: Vec<Particle>,
     a: f64,
     step: usize,
-    /// PM solver workspace: built by the first kick, freed once finished.
-    solver: Option<PoissonSolver>,
-    /// `solver`'s field was solved for the current positions and `a`.
+    /// PM workspace: built by the first solve, freed once finished.
+    pm: Option<PmWorkspace>,
+    /// `pm`'s per-particle acceleration was gathered for the current
+    /// positions and `a`.
     carried: bool,
+}
+
+/// What the stepper keeps between force solves: no grid.
+struct PmWorkspace {
+    /// FFT plan and `k` table.
+    solver: PoissonSolver,
+    /// The deposit's input, refilled from the particles before every solve.
+    cols: DepositColumns,
+    /// Acceleration at every particle, gathered from the last solve.
+    accel: Vec<[f64; 3]>,
 }
 
 impl Simulation {
@@ -101,7 +121,7 @@ impl Simulation {
             particles,
             a,
             step,
-            solver: None,
+            pm: None,
             carried: false,
         }
     }
@@ -142,7 +162,7 @@ impl Simulation {
     }
 
     /// Mutable particle view (used by tests and failure injection). Discards
-    /// the carried force field: the next kick re-solves.
+    /// the carried acceleration: the next kick re-solves and re-gathers.
     pub fn particles_mut(&mut self) -> &mut [Particle] {
         self.carried = false;
         &mut self.particles
@@ -168,8 +188,8 @@ impl Simulation {
         let l = self.cfg.cosmology.box_size;
         let grid_to_mpc = l / ng as f64;
 
-        // Half kick at a0, on the field the previous step's closing kick
-        // left behind when there is one.
+        // Half kick at a0, on the acceleration the previous step's closing
+        // kick gathered when there is one.
         self.kick(backend, a0, da / 2.0);
 
         // Drift with momenta at a_half: dx/da = f(a) p / a² (grid units).
@@ -179,20 +199,21 @@ impl Simulation {
             self.carried = false;
             par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |_, p| {
                 for d in 0..3 {
-                    let x = (p.pos[d] as f64 + drift * p.vel[d] as f64).rem_euclid(l);
+                    let x = wrap_periodic(p.pos[d] as f64 + drift * p.vel[d] as f64, l);
                     // rem_euclid may return exactly `l` after f32 rounding.
                     p.pos[d] = if x >= l { 0.0 } else { x as f32 };
                 }
             });
         }
 
-        // Half kick at a1 with re-solved forces, kept for the next step.
+        // Half kick at a1 with re-solved forces, gathered once and kept for
+        // the next step.
         self.kick(backend, a1, da / 2.0);
 
         self.a = a1;
         self.step += 1;
         if self.finished() {
-            self.solver = None;
+            self.pm = None;
             self.carried = false;
         }
     }
@@ -214,53 +235,70 @@ impl Simulation {
         self.run_with_hook(backend, |_, _| {});
     }
 
-    /// Momentum update: `p += g·f(a)·da` with `g` from the PM solve at `a` —
-    /// the carried one if it is still current, a fresh one otherwise.
+    /// Momentum update: `p += g·f(a)·da` with `g` the acceleration at each
+    /// particle from the PM solve at `a` — the carried one if it is still
+    /// current, freshly solved and gathered otherwise.
     fn kick(&mut self, backend: &dyn Backend, a: f64, da: f64) {
-        let l = self.cfg.cosmology.box_size;
+        let (ng, l) = (self.cfg.ng, self.cfg.cosmology.box_size);
+        let pm = self.pm.get_or_insert_with(|| PmWorkspace {
+            solver: PoissonSolver::new(ng),
+            cols: DepositColumns::default(),
+            accel: Vec::new(),
+        });
         if !self.carried {
-            let delta = self.overdensity(backend);
+            let delta = deposit(backend, &mut pm.cols, &self.particles, ng, l);
             // EdS: ∇²φ = (3/2a) δ (Ω_m = 1 dynamics; see cosmology.rs).
-            let prefactor = 1.5 / a;
-            self.solver
-                .get_or_insert_with(|| PoissonSolver::new(self.cfg.ng))
-                .solve(backend, &delta, prefactor);
+            let grids = pm.solver.solve(backend, &delta, 1.5 / a);
             telemetry::count!("nbody", "pm_solves", 1);
+            gather_accel(backend, &grids, 0, &self.particles, l, &mut pm.accel);
             self.carried = true;
         }
-        let accel = self.solver.as_ref().expect("solved above").accel();
         let _span = telemetry::span!("nbody", "kick", self.step);
         let kick = Cosmology::leapfrog_f(a) * da;
-        par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |_, p| {
-            let g = [
-                cic_interpolate(&accel[0], p.pos, l),
-                cic_interpolate(&accel[1], p.pos, l),
-                cic_interpolate(&accel[2], p.pos, l),
-            ];
+        let accel = &pm.accel[..];
+        par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |i, p| {
             for d in 0..3 {
-                p.vel[d] += (kick * g[d]) as f32;
+                p.vel[d] += (kick * accel[i][d]) as f32;
             }
         });
     }
 
-    /// CIC overdensity of the current particle state on the PM mesh.
-    fn overdensity(&self, backend: &dyn Backend) -> Grid3<f64> {
-        let _span = telemetry::span!("nbody", "deposit");
-        let soa = ParticleSoA::from_aos(&self.particles);
-        cic_deposit_soa(backend, &soa, self.cfg.ng, self.cfg.cosmology.box_size)
-    }
-
     /// Clustering diagnostic: RMS of the CIC overdensity field.
     pub fn density_rms(&self, backend: &dyn Backend) -> f64 {
-        let delta = self.overdensity(backend);
+        let (ng, l) = (self.cfg.ng, self.cfg.cosmology.box_size);
+        let delta = deposit(
+            backend,
+            &mut DepositColumns::default(),
+            &self.particles,
+            ng,
+            l,
+        );
         let n = delta.len() as f64;
         (delta.as_slice().iter().map(|v| v * v).sum::<f64>() / n).sqrt()
     }
 }
 
+/// CIC overdensity of `particles` on the `ng³` PM mesh, through `cols`.
+fn deposit(
+    backend: &dyn Backend,
+    cols: &mut DepositColumns,
+    particles: &[Particle],
+    ng: usize,
+    box_size: f64,
+) -> Grid3<f64> {
+    {
+        let _span = telemetry::span!("nbody", "deposit_columns");
+        cols.refill(backend, particles);
+    }
+    let _span = telemetry::span!("nbody", "deposit");
+    cic_deposit_cols(backend, cols.positions(), cols.mass(), ng, box_size)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pm::cic_deposit_soa;
+    use crate::soa::ParticleSoA;
     use dpp::{Serial, Threaded};
 
     fn tiny_cfg() -> SimConfig {

@@ -13,6 +13,7 @@
 //! every kernel to produce byte-identical results on either layout.
 
 use crate::particle::Particle;
+use dpp::{Backend, SendPtr, DEFAULT_GRAIN};
 
 /// Structure-of-arrays particle store: one packed column per field.
 ///
@@ -41,6 +42,62 @@ pub struct PosColumns<'a> {
     pub y: &'a [f32],
     /// Packed z positions.
     pub z: &'a [f32],
+}
+
+/// The four columns a CIC deposit reads — positions and mass — as a reusable
+/// buffer: [`DepositColumns::refill`] overwrites them from an AoS slice in one
+/// dispatched pass and allocates only when the particle count grows. A caller
+/// that deposits repeatedly (the steppers) keeps one; a one-shot caller (the
+/// in-situ power spectrum, a render frame) builds one with
+/// [`DepositColumns::from_aos`]. Velocities and tags, which no deposit reads,
+/// are never copied. Bit-preserving, NaN payloads and signed zeros included.
+#[derive(Debug, Clone, Default)]
+pub struct DepositColumns {
+    x: Vec<f32>,
+    y: Vec<f32>,
+    z: Vec<f32>,
+    mass: Vec<f32>,
+}
+
+impl DepositColumns {
+    /// The deposit columns of `particles`.
+    pub fn from_aos(backend: &dyn Backend, particles: &[Particle]) -> Self {
+        let mut cols = Self::default();
+        cols.refill(backend, particles);
+        cols
+    }
+
+    /// Overwrite the columns with `particles`' positions and masses.
+    pub fn refill(&mut self, backend: &dyn Backend, particles: &[Particle]) {
+        let n = particles.len();
+        let cols = [&mut self.x, &mut self.y, &mut self.z, &mut self.mass].map(|c| {
+            c.resize(n, 0.0);
+            SendPtr(c.as_mut_ptr())
+        });
+        backend.dispatch(n, DEFAULT_GRAIN, &|r| {
+            // SAFETY: every column has length `n`, `r` lies within `0..n`
+            // and is handed to this chunk only.
+            let [x, y, z, mass] = [&cols[0], &cols[1], &cols[2], &cols[3]]
+                .map(|c| unsafe { c.slice_mut(r.start, r.len()) });
+            for (k, p) in particles[r].iter().enumerate() {
+                (x[k], y[k], z[k], mass[k]) = (p.pos[0], p.pos[1], p.pos[2], p.mass);
+            }
+        });
+    }
+
+    /// Borrowed view of the three position columns.
+    pub fn positions(&self) -> PosColumns<'_> {
+        PosColumns {
+            x: &self.x,
+            y: &self.y,
+            z: &self.z,
+        }
+    }
+
+    /// Packed masses.
+    pub fn mass(&self) -> &[f32] {
+        &self.mass
+    }
 }
 
 impl ParticleSoA {
@@ -253,6 +310,27 @@ mod tests {
             assert_eq!(soa.tag()[i], p.tag);
             assert_eq!(soa.get(i), *p);
             assert_eq!(soa.pos_f64(i), p.pos_f64());
+        }
+    }
+
+    #[test]
+    fn deposit_columns_are_the_soa_columns_and_refill_in_place() {
+        use dpp::{Serial, Threaded};
+        // Past the pool's inline threshold, specials at both ends.
+        let mut aos = sample(5000);
+        aos[0].pos = [f32::NAN, -f32::NAN, -0.0];
+        aos[4999].pos = [f32::NEG_INFINITY, f32::from_bits(1), 0.0];
+        aos[4999].mass = -0.0;
+        let soa = ParticleSoA::from_aos(&aos);
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Built on a pool, then refilled in place: shorter, empty, full again.
+        let mut cols = DepositColumns::from_aos(&Threaded::new(3), &aos);
+        for (n, next) in [(5000usize, 17usize), (17, 0), (0, 5000), (5000, 5000)] {
+            assert_eq!(bits(cols.positions().x), bits(&soa.pos_x()[..n]));
+            assert_eq!(bits(cols.positions().y), bits(&soa.pos_y()[..n]));
+            assert_eq!(bits(cols.positions().z), bits(&soa.pos_z()[..n]));
+            assert_eq!(bits(cols.mass()), bits(&soa.mass()[..n]));
+            cols.refill(&Serial, &aos[..next]);
         }
     }
 

@@ -41,6 +41,12 @@ bench-kernels:
     BENCH_KERNELS_JSON=$(pwd)/BENCH_kernels.json cargo bench -p bench --bench kernels
     cargo run --release -p bench --bin bench_check -- BENCH_kernels.json
 
+# Where a PM step's time goes: eight 64³ steps under a recorder, per-span
+# medians of the product's own `nbody` spans (deposit_columns / deposit /
+# pm_solve / gather / kick / drift) and the solve and gather counts.
+step-profile:
+    cargo run --release --example step_profile
+
 # First-party non-test Rust lines per crate (the number ROADMAP tracks):
 # every `src/**/*.rs` line above the file's top-level `#[cfg(test)]`, the
 # vendored stand-ins (rand, proptest, criterion, parking_lot, bytes) left out.

@@ -101,9 +101,9 @@ fn layout_rewrites_agree_with_row_references() {
             "layout differential ran zero checks for kernel `{kernel}`"
         );
     }
-    // 813 over the seven families, 452 of them `mbp-cols`.
+    // 964 over the eight families, 452 of them `mbp-cols`, 151 `cic-gather`.
     assert!(
-        report.checks >= 813,
+        report.checks >= 964,
         "layout corpus collapsed to {} checks",
         report.checks
     );
@@ -114,11 +114,13 @@ fn layout_rewrites_agree_with_row_references() {
     );
 }
 
-/// The KDK steppers solve the PM force once per step by carrying the closing
-/// kick's field to the next opening kick. That must be invisible: stepping
-/// with the field discarded before every kick, and restarting from any
-/// (possibly mutated) mid-run state, give the same bits on every backend and
-/// on 1/2/4 `DistSim` ranks; and an N-step run performs exactly N + 1 solves.
+/// The KDK steppers solve the PM force and read the force mesh once per step
+/// by carrying the closing kick's gathered per-particle acceleration to the
+/// next opening kick. That must be invisible: stepping with it discarded
+/// before every step, and restarting from any (possibly mutated) mid-run
+/// state, give the same bits after every step on every backend and on 1/2/4
+/// `DistSim` ranks; and an N-step run performs exactly N + 1 solves and
+/// N + 1 gathers.
 #[test]
 fn carried_force_field_is_invisible_and_counted() {
     // `DistSim` steps over a comm World (fault-instrumented sites): an armed
