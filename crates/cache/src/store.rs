@@ -214,7 +214,7 @@ impl ArtifactCache {
         // Phase 1 — reserve. The pre-incremented refcount is the pin that
         // keeps a concurrent eviction of some other key sharing this digest
         // from unlinking the object file while we stage it.
-        let (seq, need_write) = {
+        let seq = {
             let mut state = self.state.lock();
             state.next_seq += 1;
             let seq = state.next_seq;
@@ -226,30 +226,28 @@ impl ArtifactCache {
                     return Ok(digest);
                 }
             }
-            let refs = state.refs.entry(digest.0).or_insert(0);
-            let need_write = *refs == 0;
-            *refs += 1;
-            (seq, need_write)
+            *state.refs.entry(digest.0).or_insert(0) += 1;
+            seq
         };
-        // Phase 2 — stage the object with no lock held.
-        if need_write {
-            let path = self.object_path(digest);
-            if !path.exists() {
-                #[cfg(test)]
-                {
-                    let ms = self.write_stall_ms.load(Ordering::Relaxed);
-                    if ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
+        // Phase 2 — stage the object with no lock held, whenever it is not on
+        // disk yet: another inserter of this digest may still be writing, and
+        // this one must not commit ahead of the file. Two stagers are safe —
+        // content-addressed object, per-`seq` tmp name, atomic rename.
+        let path = self.object_path(digest);
+        if !path.exists() {
+            #[cfg(test)]
+            {
+                let ms = self.write_stall_ms.load(Ordering::Relaxed);
+                if ms > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(ms));
                 }
-                let tmp = self.dir.join("objects").join(format!("{digest}.tmp{seq}"));
-                let staged =
-                    std::fs::write(&tmp, payload).and_then(|()| std::fs::rename(&tmp, &path));
-                if let Err(e) = staged {
-                    let mut state = self.state.lock();
-                    Self::deref_locked(&mut state, digest);
-                    return Err(e);
-                }
+            }
+            let tmp = self.dir.join("objects").join(format!("{digest}.tmp{seq}"));
+            let staged = std::fs::write(&tmp, payload).and_then(|()| std::fs::rename(&tmp, &path));
+            if let Err(e) = staged {
+                let mut state = self.state.lock();
+                Self::deref_locked(&mut state, digest);
+                return Err(e);
             }
         }
         // Phase 3 — commit: index record then the in-memory entry. The
@@ -666,6 +664,28 @@ mod tests {
             c.lookup(key("big")).as_deref(),
             Some(&b"pretend this is huge"[..])
         );
+    }
+
+    #[test]
+    fn second_inserter_of_a_digest_never_publishes_a_missing_object() {
+        // Regression (the `concurrent_insert_lookup_is_safe` flake): an
+        // inserter that found the digest already reserved skipped staging and
+        // committed while the first inserter was still between its reserve
+        // and its rename — an index record for an object that did not exist
+        // yet, which the next lookup "healed" into a miss.
+        let c = std::sync::Arc::new(ArtifactCache::open(tmpdir("two-stagers"), None).unwrap());
+        c.write_stall_ms.store(400, Ordering::Relaxed);
+        let first = {
+            let c = std::sync::Arc::clone(&c);
+            std::thread::spawn(move || c.insert(key("first"), b"same-bytes").unwrap())
+        };
+        // The first inserter has reserved and sits in its stalled write.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        c.insert(key("second"), b"same-bytes").unwrap();
+        assert_eq!(c.lookup(key("second")).as_deref(), Some(&b"same-bytes"[..]));
+        first.join().unwrap();
+        assert_eq!(c.lookup(key("first")).as_deref(), Some(&b"same-bytes"[..]));
+        assert_eq!(c.lookup(key("second")).as_deref(), Some(&b"same-bytes"[..]));
     }
 
     #[test]

@@ -1,27 +1,24 @@
-//! Integrator conformance: the per-particle acceleration the KDK steppers
-//! carry across the step boundary must be invisible.
+//! Integrator conformance: the per-particle acceleration the KDK stepper
+//! carries across the step boundary must be invisible.
 //!
-//! [`nbody::Simulation`] and [`nbody::DistSim`] solve the PM force and read
-//! the force mesh once per step: the closing kick's gathered acceleration
-//! serves the next step's opening kick, valid while positions and `a` are
-//! unchanged. The checks, all bit-for-bit:
+//! `nbody` has one stepper over two force providers — [`nbody::Simulation`]
+//! (whole mesh) and [`nbody::DistSim`] (x-slabs) — which asks its provider
+//! once per step: the closing kick's gathered acceleration serves the next
+//! step's opening kick, valid while positions and `a` are unchanged. `nbody`
+//! unit-tests that state machine against a counting fake; here each rule is
+//! held end to end, stated once over every driver configuration, bit-for-bit:
 //!
-//! * **equivalence** — stepping normally (through `run_with_hook`, compared on
-//!   what the hook sees) vs. through [`step_resolving`] (carry discarded
-//!   before every step, so every kick solves and gathers), after every step,
-//!   on `Serial`, `Threaded::new(2)` and `StaticThreaded::new(3)`; the same
-//!   for `DistSim` on 1, 2 and 4 ranks, where the drift re-homes particles
-//!   between ranks (asserted: some rank's particle count changes), so an
-//!   array that outlived a drift would be the wrong particles' — and the
-//!   wrong length.
+//! * **equivalence** — stepping normally vs. with the carry discarded before
+//!   every step (so every kick solves and gathers), after every step. On 2
+//!   and 4 ranks the drift re-homes particles (asserted), so an array that
+//!   outlived a drift would be the wrong particles' — and the wrong length.
+//! * **counted work** — an `N`-step run performs exactly `N + 1` solves and
+//!   `N + 1` gathers per rank, the discarding run `2N`, read off the product's
+//!   `nbody.pm_solves` / `nbody.gathers` counters (counts, not seconds).
 //! * **invalidation** — continue a run mid-way vs. `from_state` of the same
 //!   state (what a checkpoint restore builds), with and without one particle
 //!   moved through `particles_mut()` first: a stale array is impossible and
 //!   a restart re-gathers to the same bits.
-//! * **counted work** — an `N`-step run performs exactly `N + 1` solves and
-//!   `N + 1` gathers, the resolving stepper `2N` of each, read off the
-//!   `nbody.pm_solves` and `nbody.gathers` counters (counts, not seconds), on
-//!   all three backends and on 1, 2 and 4 ranks.
 
 use comm::World;
 use dpp::{Backend, Serial, StaticThreaded, Threaded};
@@ -50,8 +47,7 @@ fn cfg() -> SimConfig {
 
 /// One step with the carried acceleration discarded first, so both of its
 /// kicks solve and gather: the stepper as it was before anything was carried.
-/// The reference the equivalence checks and the `pm_step_64` bench compare
-/// against.
+/// The reference the equivalence check and the `pm_step_64` bench compare to.
 pub fn step_resolving(sim: &mut Simulation, backend: &dyn Backend) {
     let _ = sim.particles_mut();
     sim.step(backend);
@@ -77,50 +73,60 @@ fn backends() -> Vec<(&'static str, Box<dyn Backend>)> {
     ]
 }
 
-fn check_equivalence() {
+/// Serializes recorder installs: `telemetry::install` panics on a second one.
+pub(crate) static RECORDER: Mutex<()> = Mutex::new(());
+
+/// A driver configuration's run: name, `[rank][step]` particle bits, and the
+/// `[nbody.pm_solves, nbody.gathers]` it counted.
+type Run = (String, Vec<Vec<Vec<[u32; 6]>>>, [u64; 2]);
+
+/// Run every driver configuration to the end under a recorder — `Simulation`
+/// on three backends, `DistSim` on 1, 2 and 4 ranks — `resolving` discarding
+/// the carried acceleration before every step (collectively on ranks). Each
+/// configuration steps under its own telemetry dim, which also keeps
+/// concurrent tests' solves out of its counts.
+fn run_every_driver(resolving: bool) -> Vec<Run> {
+    const DIM: u64 = 0x01C0_FFEE;
+    let _serial = RECORDER.lock();
+    let recorder = Arc::new(telemetry::Recorder::new(telemetry::Clock::Logical));
+    let guard = telemetry::install(recorder);
+    let mut runs = Vec::new();
     for (name, b) in backends() {
         let b = b.as_ref();
-        let mut seen = Vec::new();
-        Simulation::new(b, cfg()).run_with_hook(b, |_, sim| seen.push(bits(sim.particles())));
-        let mut resolving = Simulation::new(b, cfg());
-        for (step, carried) in seen.iter().enumerate() {
-            step_resolving(&mut resolving, b);
-            assert_eq!(
-                carried,
-                &bits(resolving.particles()),
-                "{name}: carried acceleration changed step {}",
-                step + 1
-            );
+        let _dim = telemetry::with_dim(DIM + runs.len() as u64);
+        let (mut sim, mut seen) = (Simulation::new(b, cfg()), Vec::new());
+        while !sim.finished() {
+            if resolving {
+                step_resolving(&mut sim, b);
+            } else {
+                sim.step(b);
+            }
+            seen.push(bits(sim.particles()));
         }
-        assert!(seen.len() == STEPS && resolving.finished());
+        runs.push((name.to_string(), vec![seen]));
     }
     for nranks in [1usize, 2, 4] {
+        let dim = DIM + runs.len() as u64;
         let per_rank = World::new(nranks).run(|c| {
-            let mut seen = Vec::new();
-            DistSim::new(c, cfg()).run_with_hook(|_, sim| seen.push(bits(sim.particles())));
-            let mut resolving = DistSim::new(c, cfg());
-            let mut reference = Vec::new();
-            while !resolving.finished() {
-                // `step_resolving`, collectively: every rank discards.
-                resolving.discard_carried_force();
-                resolving.step();
-                reference.push(bits(resolving.particles()));
+            let _dim = telemetry::with_dim(dim);
+            let (mut sim, mut seen) = (DistSim::new(c, cfg()), Vec::new());
+            while !sim.finished() {
+                if resolving {
+                    sim.discard_carried_force();
+                }
+                sim.step();
+                seen.push(bits(sim.particles()));
             }
-            (seen, reference)
+            seen
         });
-        let mut rehomed = false;
-        for (rank, (seen, reference)) in per_rank.into_iter().enumerate() {
-            assert!(
-                seen == reference,
-                "{nranks} ranks: carried acceleration changed rank {rank}'s particles"
-            );
-            rehomed |= seen.windows(2).any(|w| w[0].len() != w[1].len());
-        }
-        assert!(
-            rehomed || nranks == 1,
-            "{nranks} ranks: no drift moved a particle between ranks"
-        );
+        runs.push((format!("{nranks} ranks"), per_rank));
     }
+    let counters = guard.finish().counters_by_dim();
+    let count = |name, dim| counters.get(&("nbody", name, dim)).copied().unwrap_or(0);
+    let counted = |dim| ["pm_solves", "gathers"].map(|name| count(name, dim));
+    let runs = runs.into_iter().zip(DIM..);
+    runs.map(|((name, seen), dim)| (name, seen, counted(dim)))
+        .collect()
 }
 
 fn check_invalidation() {
@@ -153,68 +159,22 @@ fn check_invalidation() {
     }
 }
 
-/// Serializes recorder installs: `telemetry::install` panics on a second one.
-pub(crate) static RECORDER: Mutex<()> = Mutex::new(());
-
-/// The `nbody.pm_solves` and `nbody.gathers` counts of `work`, which must tag
-/// its stepping threads with `telemetry::with_dim(dim)` so concurrent tests'
-/// solves stay out.
-fn solves_and_gathers(dim: u64, work: impl FnOnce()) -> [u64; 2] {
-    let _serial = RECORDER.lock();
-    let recorder = Arc::new(telemetry::Recorder::new(telemetry::Clock::Logical));
-    let guard = telemetry::install(recorder);
-    work();
-    let counters = guard.finish().counters_by_dim();
-    ["pm_solves", "gathers"].map(|name| counters.get(&("nbody", name, dim)).copied().unwrap_or(0))
-}
-
-fn check_counted_work() {
-    let n = STEPS as u64;
-    const DIM: u64 = 0x01C0_FFEE;
-    for (name, b) in backends() {
-        let b = b.as_ref();
-        let carried = solves_and_gathers(DIM, || {
-            let _dim = telemetry::with_dim(DIM);
-            Simulation::new(b, cfg()).run(b);
-        });
-        assert_eq!(
-            carried,
-            [n + 1; 2],
-            "{name}: an N-step run solves and gathers N + 1 times"
-        );
-        let resolving = solves_and_gathers(DIM, || {
-            let _dim = telemetry::with_dim(DIM);
-            let mut sim = Simulation::new(b, cfg());
-            while !sim.finished() {
-                step_resolving(&mut sim, b);
-            }
-        });
-        assert_eq!(
-            resolving,
-            [2 * n; 2],
-            "{name}: the resolving stepper solves and gathers at every kick"
-        );
-    }
-    for nranks in [1u64, 2, 4] {
-        let dist = solves_and_gathers(DIM, || {
-            World::new(nranks as usize).run(|c| {
-                let _dim = telemetry::with_dim(DIM);
-                DistSim::new(c, cfg()).run();
-            });
-        });
-        assert_eq!(
-            dist,
-            [nranks * (n + 1); 2],
-            "{nranks} ranks × (N + 1) solves and gathers"
-        );
-    }
-}
-
 /// Run every check of this module; panics on the first violation.
 pub fn assert_integrator_conformance() {
-    check_equivalence();
+    let n = STEPS as u64;
+    let (carried, resolving) = (run_every_driver(false), run_every_driver(true));
+    for ((name, seen, counts), (_, reference, recounts)) in carried.iter().zip(&resolving) {
+        let ranks = seen.len() as u64;
+        assert!(seen == reference, "{name}: the carried array moved a bit");
+        assert_eq!(*counts, [ranks * (n + 1); 2], "{name}: N + 1 per rank");
+        assert_eq!(*recounts, [ranks * 2 * n; 2], "{name}: 2N when discarding");
+        let rehomed = |rank: &Vec<Vec<_>>| rank.windows(2).any(|w| w[0].len() != w[1].len());
+        assert!(
+            ranks == 1 || seen.iter().any(rehomed),
+            "{name}: no drift moved a particle between ranks"
+        );
+    }
     check_invalidation();
-    check_counted_work();
 }
 
 #[cfg(test)]

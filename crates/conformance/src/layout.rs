@@ -451,6 +451,26 @@ pub fn fof_grid_cases() -> Vec<FofGridCase> {
     cases
 }
 
+/// Coordinates whose scaled, wrapped value is exactly `ng` (negative
+/// denormals) or that sit on the box side, on each axis in turn, salted
+/// through two 64-particle deposit blocks and a tail. No stepper produces
+/// them; a Level-1 file can carry them into any deposit.
+pub fn cic_wrap_case(box_size: f32) -> inputs::Case<Particle> {
+    let m = f32::MIN_POSITIVE;
+    let specials = [-f32::from_bits(1), -m / 2.0, -m, box_size];
+    let data = (0..150)
+        .map(|i| {
+            let mut pos = [0.3, 0.55, 0.8].map(|f| f * box_size + i as f32 * 0.01);
+            if i % 5 == 0 {
+                pos[i / 5 % 3] = specials[i / 15 % 4];
+            }
+            Particle::at_rest(pos, 1.0 + (i % 3) as f32 * 0.5, i as u64)
+        })
+        .collect();
+    let name = "wrap_to_ng";
+    inputs::Case { name, data }
+}
+
 /// The `cic-det` corpus: [`inputs::particle_cases`] (what
 /// `conformance::render` deposits) plus zero and negative masses — total
 /// positive, and total negative so the overdensity step is skipped — every
@@ -488,6 +508,7 @@ pub fn cic_det_cases() -> Vec<inputs::Case<Particle>> {
     ));
     cases.push(cloud("one_cell", 2000, 4.1, 5.9, [1.0, 2.0, 0.5, 1.5]));
     cases.push(cloud("pooled", 3 * 4096 + 5, 0.0, 32.0, [1.0; 4]));
+    cases.push(cic_wrap_case(32.0));
     cases
 }
 
@@ -758,7 +779,8 @@ pub fn run_layout_differential() -> DiffReport {
 
     // --- cic-soa ---------------------------------------------------------
     rep.op("cic-soa");
-    for case in inputs::particle_cases() {
+    let wrap_case = cic_wrap_case(box_size as f32);
+    for case in inputs::particle_cases().into_iter().chain([wrap_case]) {
         let reference = cic_deposit_scalar_ref(&Serial, &case.data, ng, box_size);
         let soa = ParticleSoA::from_aos(&case.data);
         // Blocked kernel on Serial against the scalar loop on Serial …
@@ -1160,6 +1182,27 @@ mod tests {
             let a = potential_scalar_ref(parts, i, 1e-3);
             let b = potential_at(&coords, &masses, i, 1e-3);
             assert_eq!(a.to_bits(), b.to_bits(), "n={} i={i}", parts.len());
+        }
+    }
+
+    #[test]
+    fn deposit_of_a_coordinate_wrapping_to_ng_matches_the_scalar_reference() {
+        // Regression: `−f32::from_bits(1)` scales and wraps to exactly `ng`,
+        // which indexed one plane past the mesh ("len is 512 but the index is
+        // 512"). One particle takes the deposit's scalar tail, 64 its block.
+        let wrapping = Particle::at_rest([-f32::from_bits(1), 1.0, 1.0], 1.0, 0);
+        for n in [1usize, 64] {
+            let parts = vec![wrapping; n];
+            let soa = ParticleSoA::from_aos(&parts);
+            let want = cic_deposit_scalar_ref(&Serial, &parts, 8, 8.0);
+            for got in [
+                cic_deposit_soa(&Serial, &soa, 8, 8.0),
+                cic_deposit_soa_det(&Serial, &soa, 8, 8.0, 16),
+            ] {
+                let bits =
+                    |g: &Grid3<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&want), bits(&got), "n={n}");
+            }
         }
     }
 

@@ -23,10 +23,11 @@
 //!   fused Poisson pass) against a scalar or brute-force reference, bit-for-bit, on every
 //!   backend; the scalar CIC and potential references live there, not in
 //!   the product crates.
-//! * [`integrator`] — the KDK steppers' carried per-particle acceleration:
-//!   stepping with and without it, continuing vs. restarting from the same
-//!   (possibly mutated) state, all bit-for-bit on every backend and rank
-//!   count, and exactly `N + 1` PM solves and gathers for `N` steps, counted.
+//! * [`integrator`] — the KDK stepper's carried per-particle acceleration,
+//!   over both force providers: stepping with and without it, continuing vs.
+//!   restarting from the same (possibly mutated) state, all bit-for-bit on
+//!   every backend and rank count, and exactly `N + 1` PM solves and gathers
+//!   per rank for `N` steps, counted.
 //! * [`oracles`] — metamorphic physics oracles: FOF catalog invariance
 //!   under particle permutation, periodic translation, and 1/2/4/8-rank
 //!   domain splits; MBP brute ≡ A*; FFT Parseval and impulse identities;

@@ -118,7 +118,8 @@ pub fn run_render_differential() -> DiffReport {
     let mut rep = DiffReport::default();
     let backends = roster();
     rep.backends = backends.iter().map(|(n, _)| n.clone()).collect();
-    let cases = inputs::particle_cases();
+    let mut cases = inputs::particle_cases();
+    cases.push(crate::layout::cic_wrap_case(BOX_SIZE as f32));
 
     // --- render-backend --------------------------------------------------
     // Byte-identical frames on every backend — including the static

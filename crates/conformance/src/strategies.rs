@@ -3,10 +3,9 @@
 //! The stock property tests in this workspace draw floats from finite ranges
 //! (`-1.0e9..1.0e9` and the like), which means NaN, ±inf, signed zeros, and
 //! denormals are *never* exercised by generation — only by hand-written unit
-//! tests. These strategies close that gap: [`adversarial_f64`] yields mostly
-//! in-range finite values with a deliberate sprinkle of special values, and
-//! [`non_finite_f64`] yields only the special values. Both are deterministic
-//! under the proptest stand-in's seeded RNG.
+//! tests. [`adversarial_f64`] closes that gap: mostly in-range finite values
+//! with a deliberate sprinkle of [`special_values`], deterministic under the
+//! proptest stand-in's seeded RNG.
 
 use proptest::{collection, Strategy, TestRng};
 use rand::Rng;
@@ -34,24 +33,6 @@ pub fn special_values() -> [f64; 12] {
         f64::MAX,
         f64::MIN,
     ]
-}
-
-/// Strategy yielding only [`special_values`] — NaNs, infinities, signed
-/// zeros, denormals, and extreme finite magnitudes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NonFiniteF64;
-
-impl Strategy for NonFiniteF64 {
-    type Value = f64;
-    fn sample(&self, rng: &mut TestRng) -> f64 {
-        let s = special_values();
-        s[rng.gen_range(0..s.len())]
-    }
-}
-
-/// Strategy yielding only special values (see [`special_values`]).
-pub fn non_finite_f64() -> NonFiniteF64 {
-    NonFiniteF64
 }
 
 /// Strategy yielding mostly finite values from `lo..hi` with a fixed
@@ -96,24 +77,6 @@ pub fn adversarial_vec(
     collection::vec(adversarial_f64(lo, hi), 0..max_len.max(1))
 }
 
-/// Any bit pattern reinterpreted as `f64` — the uniform-over-bits strategy.
-/// Roughly half the samples are huge/tiny magnitudes and ~0.05% are NaNs;
-/// use [`adversarial_f64`] when you want a *dense* special-value mix.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnyBitsF64;
-
-impl Strategy for AnyBitsF64 {
-    type Value = f64;
-    fn sample(&self, rng: &mut TestRng) -> f64 {
-        f64::from_bits(rng.next_u64())
-    }
-}
-
-/// Strategy over every possible `f64` bit pattern.
-pub fn any_bits_f64() -> AnyBitsF64 {
-    AnyBitsF64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,21 +96,6 @@ mod tests {
         // The mix is mostly finite by construction.
         let finite = samples.iter().filter(|x| x.is_finite()).count();
         assert!(finite > samples.len() / 2);
-    }
-
-    #[test]
-    fn non_finite_only_yields_specials() {
-        let strat = non_finite_f64();
-        let mut rng = new_rng(7, 0);
-        let specials = special_values();
-        for _ in 0..256 {
-            let v = strat.sample(&mut rng);
-            assert!(
-                specials.iter().any(|s| s.to_bits() == v.to_bits()),
-                "unexpected sample {v:?} ({:#x})",
-                v.to_bits()
-            );
-        }
     }
 
     #[test]

@@ -651,40 +651,45 @@ impl TestBed {
         };
         let step = sim.step_index();
         // Frames live in a subdirectory with their own suffix, invisible to
-        // the `.hcio` listener sweep.
+        // the `.hcio` listener sweep; `run_stepping` made it.
         let render_dir = cfg.workdir.join("coscheduled").join("render");
-        std::fs::create_dir_all(&render_dir).expect("mkdir render");
         let _render_span = telemetry::span!("render", "emit", step);
         let t_r = Instant::now();
         let frame_path = render_dir.join(format!("frame_step{step:04}.hcim"));
+        let write = |bytes: &[u8]| {
+            std::fs::write(&frame_path, bytes)
+                .is_ok()
+                .then_some(bytes.len())
+        };
         let step_digest = cache::digest_bytes(&(step as u64).to_le_bytes());
         let key = cfg.cache_key("render_frame", step_digest);
         let emitted = if let Some(bytes) = cfg.cache.as_deref().and_then(|c| c.lookup(key)) {
-            std::fs::write(&frame_path, &bytes).expect("write cached frame");
             run.render_cache_hits += 1;
             telemetry::count!("render", "cache_hits", 1);
-            Some(bytes.len())
+            write(&bytes)
         } else if cfg.guard(RENDER_FAULT_SITE, &mut run.insitu_retries) {
             let box_size = cfg.sim.cosmology.box_size;
             let frame =
                 cosmotools::render_frame(backend, sim.particles(), box_size, rp, step as u64);
             let bytes = cosmotools::write_image(&frame);
-            std::fs::write(&frame_path, bytes.as_ref()).expect("write frame");
+            let written = write(bytes.as_ref());
             if let Some(c) = &cfg.cache {
                 c.insert(key, bytes.as_ref()).expect("cache insert");
             }
-            Some(bytes.len())
+            written
         } else {
-            // This attempt loses the step's frame; a re-run recovers it
-            // (every earlier frame replays from the cache, and the
-            // injector's crash budget is spent).
-            run.degraded_steps += 1;
-            telemetry::count!("runner", "render_failures", 1);
             None
         };
         if let Some(len) = emitted {
             run.frames_rendered += 1;
             run.render_bytes += len as u64;
+        } else {
+            // An injected render fault or a failed frame write: this attempt
+            // loses the step's frame; a re-run recovers it (every earlier
+            // frame replays from the cache, and the injector's crash budget
+            // is spent).
+            run.degraded_steps += 1;
+            telemetry::count!("runner", "render_failures", 1);
         }
         run.render_seconds += t_r.elapsed().as_secs_f64();
     }
@@ -701,6 +706,11 @@ impl TestBed {
         let dir = cfg.workdir.join("coscheduled");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
+        if cfg.render.is_some() {
+            // Failing here costs frames (each write degrades its step), not
+            // the run.
+            let _ = std::fs::create_dir_all(dir.join("render"));
+        }
 
         // The analysis-job launcher the listener drives: each file becomes a
         // center-finding job (a thread) yielding `(file, centers, start)`.
@@ -1454,6 +1464,29 @@ mod tests {
         assert_eq!(recovered.render_cache_hits, total - 1);
         assert_eq!(recovered.degraded_steps, 0);
         assert_eq!(frame_catalog(&bed.cfg.workdir).len() as u64, total);
+    }
+
+    #[test]
+    fn unwritable_render_directory_degrades_the_step_instead_of_panicking() {
+        let backend = Threaded::new(2);
+        let mut cfg = tiny_cfg("render_unwritable");
+        cfg.render = Some(cosmotools::RenderParams {
+            ng: 12,
+            ..Default::default()
+        });
+        let bed = TestBed::create(cfg, &backend);
+        // A file where the render directory should be: every frame write
+        // fails.
+        let dir = bed.cfg.workdir.join("coscheduled");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("render"), b"not a directory").unwrap();
+        let mut sim = Simulation::new(&backend, bed.cfg.sim.clone());
+        sim.step(&backend);
+        let mut run = WorkflowRun::default();
+        bed.render_step(&sim, &backend, &mut run);
+        assert_eq!((run.degraded_steps, run.frames_rendered), (1, 0));
+        assert!(run.render_seconds > 0.0, "the step was still accounted");
     }
 
     #[test]

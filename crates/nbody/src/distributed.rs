@@ -1,177 +1,121 @@
 //! Rank-distributed particle-mesh stepping — the HACC main loop as it
-//! actually runs across MPI ranks: x-slab domain decomposition, ghost-plane
-//! exchanges around the CIC deposit/interpolation, a slab-decomposed
-//! distributed FFT for the Poisson solve, and particle re-homing after every
-//! drift.
-//!
-//! The shared-memory [`crate::sim::Simulation`] and this driver integrate
-//! the same equations; they agree to floating-point noise over short
-//! horizons and statistically over long ones (the N-body system is chaotic,
-//! so different summation orders diverge eventually).
-//!
-//! Like `Simulation`, the stepper solves and gathers the force once per
-//! step: the closing kick reads its acceleration slabs once
-//! ([`crate::pm::gather_accel`], the shared-memory stepper's kernel with this
-//! rank's first plane as the x origin) and drops them, and the per-particle
-//! array is carried to the next step's opening kick (same validity rule — see
-//! the `sim` module docs), which here also saves two ghost-plane exchanges and
-//! a slab-FFT all-to-all per step. The drift re-homes particles, so the array
-//! it discards could not be indexed afterwards anyway: a rank's particle set
-//! after a drift is not the one the array was gathered for.
+//! actually runs across MPI ranks: the shared kick–drift–kick stepper (see
+//! the `stepper` module docs) over an x-slab force provider — ghost-plane
+//! exchanges around the CIC deposit and the gather, a slab-decomposed
+//! distributed FFT for the Poisson solve, particle re-homing after every
+//! drift. It integrates the same equations as the whole-mesh provider; the
+//! two agree to floating-point noise over short horizons and statistically
+//! over long ones (the system is chaotic: summation orders diverge).
 
-use crate::cosmology::Cosmology;
-use crate::ic::{zeldovich_particles, IcConfig};
 use crate::particle::Particle;
-use crate::pm::{gather_accel, wrap_periodic};
+use crate::pm::gather_accel;
 use crate::sim::SimConfig;
+use crate::stepper::{driver_accessors, ForceProvider, Stepper};
 use comm::Communicator;
+use dpp::{Backend, Serial};
 use fft::{Complex, Grid3, SlabFft};
 
 /// Tag base for the ring plane exchanges (below the collective tag space).
 const PLANE_TAG_BASE: u64 = 1 << 40;
 
 /// A distributed simulation: one instance per rank, inside `World::run`.
-pub struct DistSim<'a> {
+/// Rank-local particles have x within this rank's slab.
+pub struct DistSim<'a>(Stepper<Slabs<'a>>);
+
+/// The x-slab force provider of one rank. Every call is a collective and
+/// runs on `dpp::Serial`, whatever backend the stepper passes.
+struct Slabs<'a> {
     comm: &'a Communicator,
-    cfg: SimConfig,
     slab_fft: SlabFft,
-    /// Rank-local particles (x within this rank's slab).
-    particles: Vec<Particle>,
-    a: f64,
-    step: usize,
     plane_seq: u64,
-    /// Acceleration at every local particle, gathered from the last solve.
-    accel: Vec<[f64; 3]>,
-    /// `accel` was gathered for the current local particles and `a`.
-    carried: bool,
+}
+
+/// The rank owning box coordinate `x`.
+fn owner_of_x(x: f64, box_size: f64, nranks: usize) -> usize {
+    let w = box_size / nranks as f64;
+    ((x.rem_euclid(box_size) / w) as usize).min(nranks - 1)
 }
 
 impl<'a> DistSim<'a> {
-    /// Stand up the distributed run. Every rank realizes the (deterministic)
-    /// initial conditions and keeps its slab's particles — IC generation is
-    /// not what this driver distributes.
-    ///
-    /// Requires `cfg.ng % comm.size() == 0`.
+    /// Stand up the distributed run (requires `cfg.ng % comm.size() == 0`).
+    /// Every rank realizes the (deterministic) initial conditions and keeps
+    /// its slab's particles — IC generation is not what this distributes.
     pub fn new(comm: &'a Communicator, cfg: SimConfig) -> Self {
-        assert!(cfg.ng.is_power_of_two() && cfg.np.is_power_of_two());
-        assert_eq!(
-            cfg.ng % comm.size(),
-            0,
-            "mesh {} not divisible by {} ranks",
-            cfg.ng,
-            comm.size()
-        );
-        let slab_fft = SlabFft::new(cfg.ng, comm.size()).expect("validated above");
-        let ic = IcConfig {
-            np: cfg.np,
-            seed: cfg.seed,
-            z_init: cfg.z_init,
-        };
-        let all = zeldovich_particles(&dpp::Serial, &cfg.cosmology, &ic, cfg.ng);
-        let l = cfg.cosmology.box_size;
-        let r = comm.rank();
-        let nr = comm.size();
-        let particles: Vec<Particle> = all
-            .into_iter()
-            .filter(|p| Self::owner_of_x(p.pos[0] as f64, l, nr) == r)
-            .collect();
-        let a = Cosmology::a_of_z(cfg.z_init);
-        DistSim {
+        let (r, nr, ng, l) = (comm.rank(), comm.size(), cfg.ng, cfg.cosmology.box_size);
+        assert!(ng % nr == 0, "mesh {ng} not divisible by {nr} ranks");
+        let slabs = Slabs {
             comm,
-            cfg,
-            slab_fft,
-            particles,
-            a,
-            step: 0,
+            slab_fft: SlabFft::new(ng, nr).expect("a power-of-two mesh"),
             plane_seq: 0,
-            accel: Vec::new(),
-            carried: false,
-        }
+        };
+        let mut stepper = Stepper::new(&Serial, cfg, slabs);
+        let all = stepper.particles_mut();
+        all.retain(|p| owner_of_x(p.pos[0] as f64, l, nr) == r);
+        DistSim(stepper)
     }
 
-    /// The rank owning box coordinate `x`.
-    fn owner_of_x(x: f64, box_size: f64, nranks: usize) -> usize {
-        let w = box_size / nranks as f64;
-        ((x.rem_euclid(box_size) / w) as usize).min(nranks - 1)
-    }
-
-    /// Local slab thickness in mesh cells.
-    fn slab(&self) -> usize {
-        self.cfg.ng / self.comm.size()
-    }
-
-    /// This rank's first global x-cell.
-    fn x0(&self) -> usize {
-        self.comm.rank() * self.slab()
-    }
-
-    /// Rank-local particles.
-    pub fn particles(&self) -> &[Particle] {
-        &self.particles
-    }
+    driver_accessors!();
 
     /// Drop the carried acceleration, so the next kick re-solves and
     /// re-gathers (to the same bits). **Collective**: a solve exchanges ghost
-    /// planes and FFT slabs, so a rank that discards alone enters those
-    /// exchanges without its peers and the run deadlocks — call it on every
-    /// rank or on none.
+    /// planes and FFT slabs, and a rank that enters those without its peers
+    /// deadlocks the run — call it on every rank or on none.
     pub fn discard_carried_force(&mut self) {
-        self.carried = false;
+        self.0.particles_mut();
     }
 
-    /// Current scale factor.
-    pub fn scale_factor(&self) -> f64 {
-        self.a
+    /// One KDK leapfrog step (collective call: all ranks step together).
+    pub fn step(&mut self) {
+        self.0.step(&Serial);
     }
 
-    /// Current redshift.
-    pub fn redshift(&self) -> f64 {
-        Cosmology::z_of_a(self.a)
+    /// Run all remaining steps.
+    pub fn run(&mut self) {
+        self.run_with_hook(|_, _| {});
     }
 
-    /// Steps taken.
-    pub fn step_index(&self) -> usize {
-        self.step
+    /// Run all remaining steps, invoking `hook(step_index, &sim)` after each
+    /// — the CosmoTools call site of the distributed main loop. The hook runs
+    /// on every rank (collective), seeing its rank-local particles.
+    pub fn run_with_hook<F>(&mut self, mut hook: F)
+    where
+        F: FnMut(usize, &DistSim<'_>),
+    {
+        while !self.finished() {
+            self.step();
+            hook(self.step_index(), self);
+        }
     }
 
-    /// True after the configured number of steps.
-    pub fn finished(&self) -> bool {
-        self.step >= self.cfg.nsteps
+    /// Global particle count (collective).
+    pub fn total_particles(&self) -> u64 {
+        let comm = self.0.force.comm;
+        comm.allreduce_sum_u64(self.particles().len() as u64)
     }
 
-    /// Configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
+    /// Global RMS overdensity (collective; diagnostic).
+    pub fn density_rms(&mut self) -> f64 {
+        let (comm, cfg) = (self.0.force.comm, self.config());
+        let delta = slab_deposit(comm, self.particles(), cfg.ng, cfg.cosmology.box_size);
+        let local: f64 = delta.as_slice().iter().map(|v| v * v).sum();
+        let ncell = (cfg.ng as f64).powi(3);
+        (comm.allreduce_sum_f64(local) / ncell).sqrt()
     }
+}
 
+impl Slabs<'_> {
     fn next_plane_tag(&mut self) -> u64 {
         let t = PLANE_TAG_BASE + self.plane_seq;
         self.plane_seq += 1;
         t
     }
 
-    /// CIC deposit into the local slab plus an upper ghost plane, then a
-    /// ring exchange folds the ghost into the next rank's first plane.
-    /// Returns the local overdensity slab `[slab, ng, ng]`.
-    fn deposit(&mut self) -> Grid3<f64> {
-        let _span = telemetry::span!("nbody", "deposit");
-        let tag = self.next_plane_tag();
-        slab_deposit_with_tag(
-            self.comm,
-            &self.particles,
-            self.cfg.ng,
-            self.cfg.cosmology.box_size,
-            tag,
-        )
-    }
-
     /// Distributed Poisson solve: returns the three acceleration slabs, each
     /// with an extra ghost plane appended (dims `[slab+1, ng, ng]`) so CIC
     /// interpolation can reach across the upper boundary.
-    fn accelerations(&mut self, delta: &Grid3<f64>, prefactor: f64) -> [Grid3<f64>; 3] {
+    fn accel_slabs(&mut self, delta: &Grid3<f64>, prefactor: f64) -> [Grid3<f64>; 3] {
         let _span = telemetry::span!("nbody", "pm_solve");
-        let ng = self.cfg.ng;
-        let s = self.slab();
+        let [s, ng, _] = delta.dims();
         let two_pi = 2.0 * std::f64::consts::PI;
         let a_complex = Grid3::from_vec(
             [s, ng, ng],
@@ -186,8 +130,7 @@ impl<'a> DistSim<'a> {
             .forward(self.comm, a_complex)
             .expect("planned dims");
 
-        let mut out = Vec::with_capacity(3);
-        for axis in 0..3 {
+        [0, 1, 2].map(|axis| {
             let mut gk = spectrum.clone();
             for yl in 0..s {
                 for x in 0..ng {
@@ -214,139 +157,58 @@ impl<'a> DistSim<'a> {
             let mut field: Vec<f64> = real_slab.as_slice().iter().map(|c| c.re).collect();
             let my_plane0: Vec<f64> = field[..ng * ng].to_vec();
             let tag = self.next_plane_tag();
-            let nr = self.comm.size();
-            if nr == 1 {
-                field.extend_from_slice(&my_plane0);
-            } else {
-                let next = (self.comm.rank() + 1) % nr;
-                let prev = (self.comm.rank() + nr - 1) % nr;
-                self.comm.send(prev, tag, my_plane0);
-                let upper: Vec<f64> = self.comm.recv(next, tag);
-                field.extend_from_slice(&upper);
-            }
-            out.push(Grid3::from_vec([s + 1, ng, ng], field));
-        }
-        let mut it = out.into_iter();
-        [it.next().unwrap(), it.next().unwrap(), it.next().unwrap()]
+            field.extend_from_slice(&ring_shift(self.comm, tag, my_plane0, false));
+            Grid3::from_vec([s + 1, ng, ng], field)
+        })
+    }
+}
+
+impl ForceProvider for Slabs<'_> {
+    /// CIC deposit into the local slab plus an upper ghost plane folded into
+    /// the next rank's first plane, the slab solve, then the gather with this
+    /// rank's first global x-cell as the origin.
+    fn accelerations(
+        &mut self,
+        _: &dyn Backend,
+        cfg: &SimConfig,
+        particles: &[Particle],
+        prefactor: f64,
+        out: &mut Vec<[f64; 3]>,
+    ) {
+        let (ng, l) = (cfg.ng, cfg.cosmology.box_size);
+        let delta = {
+            let _span = telemetry::span!("nbody", "deposit");
+            let tag = self.next_plane_tag();
+            slab_deposit_with_tag(self.comm, particles, ng, l, tag)
+        };
+        let slabs = self.accel_slabs(&delta, prefactor);
+        let x0 = self.comm.rank() * (ng / self.comm.size());
+        gather_accel(&Serial, &slabs, x0, particles, l, out);
     }
 
-    /// Momentum half/full kick at scale factor `a` over `da`, on the carried
-    /// acceleration if there is one (collective either way: every rank
-    /// carries or none does).
-    fn kick(&mut self, a: f64, da: f64) {
-        if !self.carried {
-            let prefactor = 1.5 / a; // EdS ∇²φ = (3/2a)δ, see cosmology.rs
-            let delta = self.deposit();
-            telemetry::count!("nbody", "pm_solves", 1);
-            let slabs = self.accelerations(&delta, prefactor);
-            let l = self.cfg.cosmology.box_size;
-            let x0 = self.x0();
-            gather_accel(
-                &dpp::Serial,
-                &slabs,
-                x0,
-                &self.particles,
-                l,
-                &mut self.accel,
-            );
-            self.carried = true;
-        }
-        let _span = telemetry::span!("nbody", "kick", self.step);
-        let f = Cosmology::leapfrog_f(a) * da;
-        for (p, g) in self.particles.iter_mut().zip(&self.accel) {
-            for d in 0..3 {
-                p.vel[d] += (f * g[d]) as f32;
-            }
-        }
-    }
-
-    /// Drift positions and re-home particles that crossed slab boundaries.
-    fn drift(&mut self, a_half: f64, da: f64) {
-        let _span = telemetry::span!("nbody", "drift", self.step);
-        self.carried = false;
-        let l = self.cfg.cosmology.box_size;
-        let ng = self.cfg.ng;
-        let grid_to_mpc = l / ng as f64;
-        let f = Cosmology::leapfrog_f(a_half) / (a_half * a_half) * da * grid_to_mpc;
-        for p in &mut self.particles {
-            for d in 0..3 {
-                let x = wrap_periodic(p.pos[d] as f64 + f * p.vel[d] as f64, l);
-                p.pos[d] = if x >= l { 0.0 } else { x as f32 };
-            }
-        }
-        // Re-home by x-slab ownership.
-        let nr = self.comm.size();
+    /// Re-home by x-slab ownership.
+    fn rehome(&mut self, cfg: &SimConfig, particles: &mut Vec<Particle>) {
+        let (l, nr) = (cfg.cosmology.box_size, self.comm.size());
         let mut sends: Vec<Vec<Particle>> = (0..nr).map(|_| Vec::new()).collect();
-        for p in self.particles.drain(..) {
-            sends[Self::owner_of_x(p.pos[0] as f64, l, nr)].push(p);
+        for p in particles.drain(..) {
+            sends[owner_of_x(p.pos[0] as f64, l, nr)].push(p);
         }
-        self.particles = self.comm.alltoallv(sends).into_iter().flatten().collect();
+        *particles = self.comm.alltoallv(sends).into_iter().flatten().collect();
     }
+}
 
-    /// One KDK leapfrog step (collective call: all ranks step together).
-    pub fn step(&mut self) {
-        if self.finished() {
-            return;
-        }
-        let a0 = Cosmology::a_of_z(self.cfg.z_init);
-        let a1 = Cosmology::a_of_z(self.cfg.z_final);
-        let da = (a1 - a0) / self.cfg.nsteps as f64;
-        let a = self.a;
-        let a_half = a + da / 2.0;
-        let a_next = a + da;
-        self.kick(a, da / 2.0);
-        self.drift(a_half, da);
-        self.kick(a_next, da / 2.0);
-        self.a = a_next;
-        self.step += 1;
-        if self.finished() {
-            self.accel = Vec::new();
-            self.carried = false;
-        }
+/// Pass `plane` one rank along the ring — `up` to the next rank, else to the
+/// previous — and return the one arriving from the other side; a lone rank
+/// gets its own back without touching the wire.
+fn ring_shift(comm: &Communicator, tag: u64, plane: Vec<f64>, up: bool) -> Vec<f64> {
+    let (r, nr) = (comm.rank(), comm.size());
+    if nr == 1 {
+        return plane;
     }
-
-    /// Run all remaining steps.
-    pub fn run(&mut self) {
-        while !self.finished() {
-            self.step();
-        }
-    }
-
-    /// Run all remaining steps, invoking `hook(step_index, &sim)` after each
-    /// — the CosmoTools call site of the distributed main loop. The hook runs
-    /// on every rank (collective), seeing its rank-local particles.
-    pub fn run_with_hook<F>(&mut self, mut hook: F)
-    where
-        F: FnMut(usize, &DistSim<'_>),
-    {
-        while !self.finished() {
-            self.step();
-            hook(self.step, self);
-        }
-    }
-
-    /// Global particle count (collective).
-    pub fn total_particles(&self) -> u64 {
-        self.comm.allreduce_sum_u64(self.particles.len() as u64)
-    }
-
-    /// Global RMS overdensity (collective; diagnostic).
-    pub fn density_rms(&mut self) -> f64 {
-        let delta = self.deposit();
-        let local: f64 = delta.as_slice().iter().map(|v| v * v).sum();
-        let total = self.comm.allreduce_sum_f64(local);
-        let ncell = (self.cfg.ng as f64).powi(3);
-        (total / ncell).sqrt()
-    }
-
-    /// Gather every rank's particles on every rank (test/diagnostic helper).
-    pub fn allgather_particles(&self) -> Vec<Particle> {
-        self.comm
-            .allgather(self.particles.clone())
-            .into_iter()
-            .flatten()
-            .collect()
-    }
+    let (next, prev) = ((r + 1) % nr, (r + nr - 1) % nr);
+    let (to, from) = if up { (next, prev) } else { (prev, next) };
+    comm.send(to, tag, plane);
+    comm.recv(from, tag)
 }
 
 /// Distributed CIC deposit over an x-slab decomposition: every rank deposits
@@ -400,20 +262,10 @@ fn slab_deposit_with_tag(
         }
     }
     // Ring exchange: my ghost plane (global x = x0+s) belongs to the next
-    // rank's plane 0.
-    let next = (comm.rank() + 1) % nr;
-    let prev = (comm.rank() + nr - 1) % nr;
+    // rank's plane 0 (the periodic wrap onto my own, when alone).
     let ghost: Vec<f64> = buf[idx(s, 0, 0)..].to_vec();
-    if nr == 1 {
-        for (k, v) in ghost.iter().enumerate() {
-            buf[k] += v; // periodic wrap onto my own first plane
-        }
-    } else {
-        comm.send(next, tag, ghost);
-        let incoming: Vec<f64> = comm.recv(prev, tag);
-        for (k, v) in incoming.iter().enumerate() {
-            buf[k] += v;
-        }
+    for (k, v) in ring_shift(comm, tag, ghost, true).iter().enumerate() {
+        buf[k] += v;
     }
     buf.truncate(s * ng * ng);
     // Overdensity: global mean mass per cell.
@@ -464,7 +316,7 @@ mod tests {
                 // Every local particle sits in this rank's slab.
                 let l = sim.config().cosmology.box_size;
                 for p in sim.particles() {
-                    assert_eq!(DistSim::owner_of_x(p.pos[0] as f64, l, c.size()), c.rank());
+                    assert_eq!(owner_of_x(p.pos[0] as f64, l, c.size()), c.rank());
                 }
                 sim.total_particles()
             });
@@ -489,9 +341,9 @@ mod tests {
             let gathered = world.run(|c| {
                 let mut sim = DistSim::new(c, cfg.clone());
                 sim.run();
-                sim.allgather_particles()
+                c.allgather(sim.particles().to_vec())
             });
-            let mut got = gathered[0].clone();
+            let mut got: Vec<Particle> = gathered[0].iter().flatten().copied().collect();
             got.sort_by_key(|p| p.tag);
             assert_eq!(got.len(), expect.len());
             let l = cfg.cosmology.box_size;
@@ -553,8 +405,8 @@ mod tests {
     fn deposit_overdensity_sums_to_zero() {
         let world = World::new(2);
         world.run(|c| {
-            let mut sim = DistSim::new(c, tiny::cfg(2));
-            let delta = sim.deposit();
+            let sim = DistSim::new(c, tiny::cfg(2));
+            let delta = slab_deposit(c, sim.particles(), 16, 32.0);
             let local: f64 = delta.as_slice().iter().sum();
             let total = c.allreduce_sum_f64(local);
             assert!(total.abs() < 1e-6, "Σδ = {total}");

@@ -31,6 +31,7 @@ pub mod particle;
 pub mod pm;
 pub mod sim;
 pub mod soa;
+mod stepper;
 
 pub use checkpoint::{restore, save, CheckpointError};
 pub use cosmology::Cosmology;

@@ -3,13 +3,13 @@
 //!
 //! The deposit reads four columns — positions and mass ([`cic_deposit_cols`];
 //! [`cic_deposit_soa`] is the same body behind a [`ParticleSoA`]). The solve
-//! lives in [`PoissonSolver`], which a stepper keeps across steps for its FFT
+//! lives in [`PoissonSolver`], which a caller keeps across solves for its FFT
 //! plan and `k` table; every grid is transient: one forward transform, one
 //! parallel pass over k-space producing all three `g_k`, three inverse
 //! transforms. [`poisson_accel`] is the one-shot form. The force mesh is then
 //! read once: [`cic_gather`] computes a particle's cell and weights once and
 //! accumulates all three components ([`gather_accel`] over a particle set),
-//! after which the grids are dropped — what a stepper keeps is the gathered
+//! after which the grids are dropped — what the stepper keeps is the gathered
 //! per-particle acceleration. [`cic_interpolate`] is the one-component scalar
 //! reference the gather is held bit-equal to.
 
@@ -168,12 +168,15 @@ fn deposit_chunk(
                 }
             }
             // Phase 1c: cell indices and fractional offsets. Every lane is
-            // now in `[0, ng)` or NaN (→ 0 under Rust's saturating cast), so
-            // no `% ng` is needed after the cast.
+            // now in `[0, ng]` or NaN (→ 0 under Rust's saturating cast);
+            // exactly `ng` (a negative coordinate too small to move `ng`)
+            // reduces to cell 0 with its offset kept, as `% ng` leaves it and
+            // as `cic_cell` does for the gather.
+            let wrap = |i: i32| if i == ng as i32 { 0 } else { i };
             for k in 0..CIC_BLOCK {
-                ix[k] = ux[k] as i32;
-                iy[k] = uy[k] as i32;
-                iz[k] = uz[k] as i32;
+                ix[k] = wrap(ux[k] as i32);
+                iy[k] = wrap(uy[k] as i32);
+                iz[k] = wrap(uz[k] as i32);
                 fx[k] = ux[k] - ix[k] as f64;
                 fy[k] = uy[k] - iy[k] as f64;
                 fz[k] = uz[k] - iz[k] as f64;
@@ -212,14 +215,12 @@ fn deposit_chunk(
         }
         // Tail (< CIC_BLOCK particles): same math per particle, scalar.
         for j in base..r.end {
-            let u0 = wrap_periodic(px[j] as f64 / box_size * ngf, ngf);
-            let u1 = wrap_periodic(py[j] as f64 / box_size * ngf, ngf);
-            let u2 = wrap_periodic(pz[j] as f64 / box_size * ngf, ngf);
-            let (x0, y0, z0) = (u0 as usize, u1 as usize, u2 as usize);
+            let (x0, dx) = cic_cell(px[j], box_size, ng);
+            let (y0, dy) = cic_cell(py[j], box_size, ng);
+            let (z0, dz) = cic_cell(pz[j], box_size, ng);
             let x1 = if x0 + 1 == ng { 0 } else { x0 + 1 };
             let y1 = if y0 + 1 == ng { 0 } else { y0 + 1 };
             let z1 = if z0 + 1 == ng { 0 } else { z0 + 1 };
-            let (dx, dy, dz) = (u0 - x0 as f64, u1 - y0 as f64, u2 - z0 as f64);
             let m = masses[j] as f64;
             let mwx0 = m * (1.0 - dx);
             let mwx1 = m * dx;
@@ -297,16 +298,15 @@ fn drain_chunk(
     scratch: &mut [f64],
 ) -> SparsePartial {
     let (px, py, pz) = (pos.x, pos.y, pos.z);
-    let ngf = ng as f64;
     let cap = (8 * r.len()).min(scratch.len());
     let mut out = SparsePartial {
         cells: Vec::with_capacity(cap),
         values: Vec::with_capacity(cap),
     };
     for j in r {
-        let x0 = wrap_periodic(px[j] as f64 / box_size * ngf, ngf) as usize;
-        let y0 = wrap_periodic(py[j] as f64 / box_size * ngf, ngf) as usize;
-        let z0 = wrap_periodic(pz[j] as f64 / box_size * ngf, ngf) as usize;
+        let (x0, _) = cic_cell(px[j], box_size, ng);
+        let (y0, _) = cic_cell(py[j], box_size, ng);
+        let (z0, _) = cic_cell(pz[j], box_size, ng);
         let x1 = if x0 + 1 == ng { 0 } else { x0 + 1 };
         let y1 = if y0 + 1 == ng { 0 } else { y0 + 1 };
         let z1 = if z0 + 1 == ng { 0 } else { z0 + 1 };

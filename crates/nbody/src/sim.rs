@@ -1,44 +1,18 @@
-//! The HACC-equivalent simulation driver: kick–drift–kick leapfrog over the
-//! scale factor with PM gravity.
+//! The HACC-equivalent simulation driver in shared memory: the shared
+//! kick–drift–kick stepper (the `stepper` module docs have the sequence and
+//! the carried-acceleration rule) over the whole PM mesh.
 //!
-//! # One solve, one gather
-//!
-//! A step is half-kick at `a0`, drift, half-kick at `a1`. Between the closing
-//! kick of one step and the opening kick of the next neither the positions
-//! nor `a` change, so the two kicks need the same acceleration at every
-//! particle. The closing kick deposits, solves, reads the force mesh **once**
-//! ([`crate::pm::gather_accel`]: one `[f64; 3]` per particle) and drops the
-//! grids; that per-particle array is *carried* across the step boundary, and
-//! the opening kick of the next step is a streaming `vel += (k·g[i]) as f32`
-//! that touches no mesh. An `N`-step run therefore performs `N + 1` deposits,
-//! solves and gathers (`nbody.pm_solves`, `nbody.gathers`), not `2N`, and
-//! holds no grid between steps.
-//!
-//! The carried array is valid exactly while positions and `a` are what it was
-//! gathered for: the drift and [`Simulation::particles_mut`] discard it,
-//! [`Simulation::from_state`] (and so a checkpoint restore) starts without
-//! one, it is never written to a checkpoint, and it is freed with the rest of
-//! the PM workspace once the run is [`Simulation::finished`]. A kick that
-//! finds none deposits, solves and gathers again — all three deterministic
-//! per backend, and the gather is a pure function of the grids and one
-//! particle's position — so that yields the bits the carried array would have
-//! held (`g[i]` is computed once and multiplied by each kick's own factor,
-//! exactly as when each kick interpolated for itself), and a restarted or
-//! perturbed run cannot tell the difference.
-//!
-//! Hooks are provided so the in-situ analysis layer (`cosmotools`) can run at
-//! the end of any step, exactly as HACC calls CosmoTools from its main loop.
-//! A hook sees `&Simulation`: particles, `a` and the step index of the step
-//! just closed. It cannot invalidate the carried array and must not assume
-//! one exists.
+//! Hooks let the in-situ analysis layer (`cosmotools`) run at the end of any
+//! step, exactly as HACC calls CosmoTools from its main loop. A hook sees
+//! `&Simulation` — particles, `a`, the index of the step just closed — so it
+//! cannot invalidate the carried acceleration; it must not assume one exists.
 
 use crate::cosmology::Cosmology;
-use crate::ic::{zeldovich_particles, IcConfig};
 use crate::particle::Particle;
-use crate::pm::{cic_deposit_cols, gather_accel, wrap_periodic, PoissonSolver};
+use crate::pm::{cic_deposit_cols, gather_accel, PoissonSolver};
 use crate::soa::DepositColumns;
-use dpp::{par_for_each_mut, Backend, DEFAULT_GRAIN};
-use fft::Grid3;
+use crate::stepper::{driver_accessors, ForceProvider, Stepper};
+use dpp::Backend;
 
 /// Full simulation configuration.
 #[derive(Debug, Clone)]
@@ -74,148 +48,79 @@ impl Default for SimConfig {
 }
 
 /// A running N-body simulation.
-pub struct Simulation {
-    cfg: SimConfig,
-    particles: Vec<Particle>,
-    a: f64,
-    step: usize,
-    /// PM workspace: built by the first solve, freed once finished.
-    pm: Option<PmWorkspace>,
-    /// `pm`'s per-particle acceleration was gathered for the current
-    /// positions and `a`.
-    carried: bool,
-}
+pub struct Simulation(Stepper<WholeMesh>);
 
-/// What the stepper keeps between force solves: no grid.
-struct PmWorkspace {
-    /// FFT plan and `k` table.
-    solver: PoissonSolver,
-    /// The deposit's input, refilled from the particles before every solve.
-    cols: DepositColumns,
-    /// Acceleration at every particle, gathered from the last solve.
-    accel: Vec<[f64; 3]>,
+/// The shared-memory force provider: deposit onto the whole `ng³` mesh,
+/// k-space solve, gather at `x_origin = 0`, all on the caller's backend. Keeps
+/// the FFT plan and the deposit's input columns between solves — no grid.
+#[derive(Default)]
+struct WholeMesh(Option<(PoissonSolver, DepositColumns)>);
+
+impl ForceProvider for WholeMesh {
+    fn accelerations(
+        &mut self,
+        backend: &dyn Backend,
+        cfg: &SimConfig,
+        particles: &[Particle],
+        prefactor: f64,
+        out: &mut Vec<[f64; 3]>,
+    ) {
+        let (ng, l) = (cfg.ng, cfg.cosmology.box_size);
+        let (solver, cols) = self
+            .0
+            .get_or_insert_with(|| (PoissonSolver::new(ng), DepositColumns::default()));
+        {
+            let _span = telemetry::span!("nbody", "deposit_columns");
+            cols.refill(backend, particles);
+        }
+        let delta = {
+            let _span = telemetry::span!("nbody", "deposit");
+            cic_deposit_cols(backend, cols.positions(), cols.mass(), ng, l)
+        };
+        let grids = solver.solve(backend, &delta, prefactor);
+        gather_accel(backend, &grids, 0, particles, l, out);
+    }
+
+    fn release(&mut self) {
+        self.0 = None;
+    }
 }
 
 impl Simulation {
     /// Generate initial conditions and stand up the simulation.
     pub fn new(backend: &dyn Backend, cfg: SimConfig) -> Self {
-        assert!(cfg.np.is_power_of_two() && cfg.ng.is_power_of_two());
-        assert!(cfg.z_init > cfg.z_final, "must evolve forward in time");
-        assert!(cfg.nsteps > 0);
-        let ic = IcConfig {
-            np: cfg.np,
-            seed: cfg.seed,
-            z_init: cfg.z_init,
-        };
-        let particles = zeldovich_particles(backend, &cfg.cosmology, &ic, cfg.ng);
-        let a = Cosmology::a_of_z(cfg.z_init);
-        Self::from_state(cfg, particles, a, 0)
+        Simulation(Stepper::new(backend, cfg, WholeMesh::default()))
     }
 
     /// Reconstruct a simulation from checkpointed state (see
     /// [`crate::checkpoint`]).
     pub fn from_state(cfg: SimConfig, particles: Vec<Particle>, a: f64, step: usize) -> Self {
         assert_eq!(particles.len(), cfg.np.pow(3), "state/config mismatch");
-        Simulation {
-            cfg,
-            particles,
-            a,
-            step,
-            pm: None,
-            carried: false,
-        }
+        let mesh = WholeMesh::default();
+        Simulation(Stepper::from_state(cfg, particles, a, step, mesh))
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// Current scale factor.
-    pub fn scale_factor(&self) -> f64 {
-        self.a
-    }
-
-    /// Current redshift.
-    pub fn redshift(&self) -> f64 {
-        Cosmology::z_of_a(self.a)
-    }
-
-    /// Steps taken so far.
-    pub fn step_index(&self) -> usize {
-        self.step
-    }
+    driver_accessors!();
 
     /// Total steps configured.
     pub fn total_steps(&self) -> usize {
-        self.cfg.nsteps
-    }
-
-    /// True once the configured final redshift is reached.
-    pub fn finished(&self) -> bool {
-        self.step >= self.cfg.nsteps
-    }
-
-    /// Particle view (Level 1 data, "already distributed in memory").
-    pub fn particles(&self) -> &[Particle] {
-        &self.particles
+        self.0.cfg.nsteps
     }
 
     /// Mutable particle view (used by tests and failure injection). Discards
     /// the carried acceleration: the next kick re-solves and re-gathers.
     pub fn particles_mut(&mut self) -> &mut [Particle] {
-        self.carried = false;
-        &mut self.particles
+        self.0.particles_mut()
     }
 
     /// The scale-factor increment per step.
     pub fn da(&self) -> f64 {
-        let a0 = Cosmology::a_of_z(self.cfg.z_init);
-        let a1 = Cosmology::a_of_z(self.cfg.z_final);
-        (a1 - a0) / self.cfg.nsteps as f64
+        self.0.da()
     }
 
     /// Advance one KDK leapfrog step. No-op when finished.
     pub fn step(&mut self, backend: &dyn Backend) {
-        if self.finished() {
-            return;
-        }
-        let da = self.da();
-        let a0 = self.a;
-        let a_half = a0 + da / 2.0;
-        let a1 = a0 + da;
-        let ng = self.cfg.ng;
-        let l = self.cfg.cosmology.box_size;
-        let grid_to_mpc = l / ng as f64;
-
-        // Half kick at a0, on the acceleration the previous step's closing
-        // kick gathered when there is one.
-        self.kick(backend, a0, da / 2.0);
-
-        // Drift with momenta at a_half: dx/da = f(a) p / a² (grid units).
-        let drift = Cosmology::leapfrog_f(a_half) / (a_half * a_half) * da * grid_to_mpc;
-        {
-            let _span = telemetry::span!("nbody", "drift", self.step);
-            self.carried = false;
-            par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |_, p| {
-                for d in 0..3 {
-                    let x = wrap_periodic(p.pos[d] as f64 + drift * p.vel[d] as f64, l);
-                    // rem_euclid may return exactly `l` after f32 rounding.
-                    p.pos[d] = if x >= l { 0.0 } else { x as f32 };
-                }
-            });
-        }
-
-        // Half kick at a1 with re-solved forces, gathered once and kept for
-        // the next step.
-        self.kick(backend, a1, da / 2.0);
-
-        self.a = a1;
-        self.step += 1;
-        if self.finished() {
-            self.pm = None;
-            self.carried = false;
-        }
+        self.0.step(backend);
     }
 
     /// Run all remaining steps, invoking `hook(step_index, &sim)` after each
@@ -226,7 +131,7 @@ impl Simulation {
     {
         while !self.finished() {
             self.step(backend);
-            hook(self.step, self);
+            hook(self.step_index(), self);
         }
     }
 
@@ -235,63 +140,14 @@ impl Simulation {
         self.run_with_hook(backend, |_, _| {});
     }
 
-    /// Momentum update: `p += g·f(a)·da` with `g` the acceleration at each
-    /// particle from the PM solve at `a` — the carried one if it is still
-    /// current, freshly solved and gathered otherwise.
-    fn kick(&mut self, backend: &dyn Backend, a: f64, da: f64) {
-        let (ng, l) = (self.cfg.ng, self.cfg.cosmology.box_size);
-        let pm = self.pm.get_or_insert_with(|| PmWorkspace {
-            solver: PoissonSolver::new(ng),
-            cols: DepositColumns::default(),
-            accel: Vec::new(),
-        });
-        if !self.carried {
-            let delta = deposit(backend, &mut pm.cols, &self.particles, ng, l);
-            // EdS: ∇²φ = (3/2a) δ (Ω_m = 1 dynamics; see cosmology.rs).
-            let grids = pm.solver.solve(backend, &delta, 1.5 / a);
-            telemetry::count!("nbody", "pm_solves", 1);
-            gather_accel(backend, &grids, 0, &self.particles, l, &mut pm.accel);
-            self.carried = true;
-        }
-        let _span = telemetry::span!("nbody", "kick", self.step);
-        let kick = Cosmology::leapfrog_f(a) * da;
-        let accel = &pm.accel[..];
-        par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |i, p| {
-            for d in 0..3 {
-                p.vel[d] += (kick * accel[i][d]) as f32;
-            }
-        });
-    }
-
     /// Clustering diagnostic: RMS of the CIC overdensity field.
     pub fn density_rms(&self, backend: &dyn Backend) -> f64 {
-        let (ng, l) = (self.cfg.ng, self.cfg.cosmology.box_size);
-        let delta = deposit(
-            backend,
-            &mut DepositColumns::default(),
-            &self.particles,
-            ng,
-            l,
-        );
+        let (ng, l) = (self.0.cfg.ng, self.0.cfg.cosmology.box_size);
+        let cols = DepositColumns::from_aos(backend, self.particles());
+        let delta = cic_deposit_cols(backend, cols.positions(), cols.mass(), ng, l);
         let n = delta.len() as f64;
         (delta.as_slice().iter().map(|v| v * v).sum::<f64>() / n).sqrt()
     }
-}
-
-/// CIC overdensity of `particles` on the `ng³` PM mesh, through `cols`.
-fn deposit(
-    backend: &dyn Backend,
-    cols: &mut DepositColumns,
-    particles: &[Particle],
-    ng: usize,
-    box_size: f64,
-) -> Grid3<f64> {
-    {
-        let _span = telemetry::span!("nbody", "deposit_columns");
-        cols.refill(backend, particles);
-    }
-    let _span = telemetry::span!("nbody", "deposit");
-    cic_deposit_cols(backend, cols.positions(), cols.mass(), ng, box_size)
 }
 
 #[cfg(test)]

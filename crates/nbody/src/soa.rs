@@ -18,7 +18,7 @@ use dpp::{Backend, SendPtr, DEFAULT_GRAIN};
 /// Structure-of-arrays particle store: one packed column per field.
 ///
 /// All eight columns always have the same length. Columns are exposed as
-/// borrowed slices (see [`ParticleSoA::pos_x`] and friends) so kernels can
+/// borrowed slices (see [`ParticleSoA::positions`], [`ParticleSoA::mass`]) so kernels can
 /// sweep them without holding the whole struct.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParticleSoA {
@@ -47,10 +47,11 @@ pub struct PosColumns<'a> {
 /// The four columns a CIC deposit reads — positions and mass — as a reusable
 /// buffer: [`DepositColumns::refill`] overwrites them from an AoS slice in one
 /// dispatched pass and allocates only when the particle count grows. A caller
-/// that deposits repeatedly (the steppers) keeps one; a one-shot caller (the
-/// in-situ power spectrum, a render frame) builds one with
-/// [`DepositColumns::from_aos`]. Velocities and tags, which no deposit reads,
-/// are never copied. Bit-preserving, NaN payloads and signed zeros included.
+/// that deposits repeatedly (the whole-mesh force provider) keeps one; a
+/// one-shot caller (the in-situ power spectrum, a render frame) builds one
+/// with [`DepositColumns::from_aos`]. Velocities and tags, which no deposit
+/// reads, are never copied. Bit-preserving, NaN payloads and signed zeros
+/// included.
 #[derive(Debug, Clone, Default)]
 pub struct DepositColumns {
     x: Vec<f32>,
@@ -164,36 +165,6 @@ impl ParticleSoA {
     /// True when the store holds no particles.
     pub fn is_empty(&self) -> bool {
         self.pos_x.is_empty()
-    }
-
-    /// Packed x positions.
-    pub fn pos_x(&self) -> &[f32] {
-        &self.pos_x
-    }
-
-    /// Packed y positions.
-    pub fn pos_y(&self) -> &[f32] {
-        &self.pos_y
-    }
-
-    /// Packed z positions.
-    pub fn pos_z(&self) -> &[f32] {
-        &self.pos_z
-    }
-
-    /// Packed x velocities.
-    pub fn vel_x(&self) -> &[f32] {
-        &self.vel_x
-    }
-
-    /// Packed y velocities.
-    pub fn vel_y(&self) -> &[f32] {
-        &self.vel_y
-    }
-
-    /// Packed z velocities.
-    pub fn vel_z(&self) -> &[f32] {
-        &self.vel_z
     }
 
     /// Packed masses.
@@ -326,9 +297,9 @@ mod tests {
         // Built on a pool, then refilled in place: shorter, empty, full again.
         let mut cols = DepositColumns::from_aos(&Threaded::new(3), &aos);
         for (n, next) in [(5000usize, 17usize), (17, 0), (0, 5000), (5000, 5000)] {
-            assert_eq!(bits(cols.positions().x), bits(&soa.pos_x()[..n]));
-            assert_eq!(bits(cols.positions().y), bits(&soa.pos_y()[..n]));
-            assert_eq!(bits(cols.positions().z), bits(&soa.pos_z()[..n]));
+            assert_eq!(bits(cols.positions().x), bits(&soa.positions().x[..n]));
+            assert_eq!(bits(cols.positions().y), bits(&soa.positions().y[..n]));
+            assert_eq!(bits(cols.positions().z), bits(&soa.positions().z[..n]));
             assert_eq!(bits(cols.mass()), bits(&soa.mass()[..n]));
             cols.refill(&Serial, &aos[..next]);
         }

@@ -114,7 +114,7 @@ fn layout_rewrites_agree_with_row_references() {
     );
 }
 
-/// The KDK steppers solve the PM force and read the force mesh once per step
+/// The KDK stepper solves the PM force and reads the force mesh once per step
 /// by carrying the closing kick's gathered per-particle acceleration to the
 /// next opening kick. That must be invisible: stepping with it discarded
 /// before every step, and restarting from any (possibly mutated) mid-run
@@ -365,4 +365,69 @@ fn golden_explorer_reference_catalog() {
         .map(|row| row.iter().map(|b| format!("{b:02x}")).collect::<String>() + "\n")
         .collect();
     check_golden("explorer_catalog_seed1.hex", &hex);
+}
+
+/// The stepper's bits are a golden: one digest of positions, momenta and tags
+/// (storage order) per (driver, backend or rank count, rank, step), 16³ × 6
+/// steps at seed 1. `Simulation` on three backends, `DistSim` on 1 / 2 / 4
+/// ranks. A change that moves an operand in the kick, the drift, the force
+/// solve or the re-homing order shows up as the first differing step.
+#[test]
+fn golden_stepper_bits() {
+    use dpp::{Backend, Serial, StaticThreaded, Threaded};
+    use nbody::{Cosmology, DistSim, Particle, SimConfig, Simulation};
+
+    let _serial = GLOBAL_INJECTOR_LOCK.lock();
+    let cfg = SimConfig {
+        cosmology: Cosmology {
+            box_size: 32.0,
+            sigma_cell: 2.5,
+            ..Cosmology::default()
+        },
+        np: 16,
+        ng: 16,
+        z_init: 30.0,
+        z_final: 0.0,
+        nsteps: 6,
+        seed: 1,
+    };
+    fn digest(particles: &[Particle]) -> cache::Digest {
+        let mut h = cache::Hasher::new();
+        for p in particles {
+            for v in p.pos.iter().chain(&p.vel) {
+                h.update(&v.to_bits().to_le_bytes());
+            }
+            h.update(&p.tag.to_le_bytes());
+        }
+        h.finish()
+    }
+
+    let mut lines = String::new();
+    let backends: [(&str, Box<dyn Backend>); 3] = [
+        ("serial", Box::new(Serial)),
+        ("threaded-2", Box::new(Threaded::new(2))),
+        ("static-3", Box::new(StaticThreaded::new(3))),
+    ];
+    for (name, b) in &backends {
+        let b = b.as_ref();
+        Simulation::new(b, cfg.clone()).run_with_hook(b, |step, sim| {
+            let d = digest(sim.particles());
+            lines += &format!("sim {name} rank 0 step {step} {d}\n");
+        });
+    }
+    for nranks in [1usize, 2, 4] {
+        let per_rank = comm::World::new(nranks).run(|c| {
+            let mut seen = Vec::new();
+            DistSim::new(c, cfg.clone()).run_with_hook(|step, sim| {
+                seen.push((step, sim.particles().len(), digest(sim.particles())));
+            });
+            seen
+        });
+        for (rank, seen) in per_rank.into_iter().enumerate() {
+            for (step, n, d) in seen {
+                lines += &format!("dist ranks-{nranks} rank {rank} step {step} n {n} {d}\n");
+            }
+        }
+    }
+    check_golden("stepper_bits_seed1.txt", &lines);
 }
