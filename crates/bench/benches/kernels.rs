@@ -6,14 +6,14 @@
 //! dense-cell and grid-per-chunk references in `conformance::layout`; for
 //! the PM solve, the per-line FFT reference and the stepper that re-solves
 //! at every kick; for the force gather, three `cic_interpolate` calls per
-//! particle),
+//! particle; for the distributed find, the k-d tree FOF),
 //! written to `BENCH_kernels.json` when `BENCH_KERNELS_JSON=<path>` is set
 //! (`just bench-kernels`).
 //! `BENCH_QUICK=1` trims repetitions and problem sizes for the CI
 //! regression gate (`bench_check`).
 
 use bench::{blob, snapshot_32};
-use comm::World;
+use comm::{CartDecomp, World};
 use conformance::integrator::step_resolving;
 use conformance::layout::{
     cic_deposit_det_partials_ref, cic_deposit_scalar_ref, fft3d_line_ref, fof_grid_dense_ref,
@@ -22,6 +22,7 @@ use conformance::layout::{
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpp::{ops, par_for_each_mut, Serial, Threaded, DEFAULT_GRAIN};
 use fft::{Complex, Fft3d, Grid3};
+use hacc_core::RunnerConfig;
 use halo::Coords;
 use nbody::{DepositColumns, ParticleSoA, SimConfig, Simulation};
 use simhpc::{machine, BatchSimulator, JobRequest, QueuePolicy};
@@ -388,6 +389,51 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         rows.push(KernelRow {
             kernel: "render_deposit_64",
             n,
+            before_ms: before,
+            after_ms: after,
+        });
+    }
+
+    // The distributed find's link step on what the workflow benchmark's
+    // `posthoc` hands it: rank 0's extended patch (locals, ghosts and
+    // periodic self-images, ≈ 218k rows) of its 64³ fixture on two ranks.
+    // The k-d tree (the paper's engine) vs the open-boundary cell engine;
+    // both return the same label vector. Quick mode keeps the size.
+    {
+        let cfg = RunnerConfig {
+            sim: SimConfig {
+                np: 64,
+                ng: 64,
+                nsteps: 16,
+                seed: 20150715,
+                ..SimConfig::default()
+            },
+            nranks: 2,
+            ..RunnerConfig::default()
+        };
+        let fof = cfg.fof();
+        let mut sim = Simulation::new(&pool2, cfg.sim.clone());
+        sim.run(&pool2);
+        let decomp = CartDecomp::new(cfg.nranks, cfg.sim.cosmology.box_size);
+        let mut per_rank = vec![Vec::new(); cfg.nranks];
+        for p in sim.particles() {
+            per_rank[decomp.owner_of(p.pos_f64())].push(*p);
+        }
+        let patch = World::new(cfg.nranks)
+            .run(|c| halo::extended_patch(c, &decomp, &per_rank[c.rank()], fof.overload_width))
+            .swap_remove(0);
+        let cols = Coords::from_rows(&patch);
+        let link = fof.link_length;
+        assert_eq!(
+            halo::fof_kdtree_cols(&cols, link),
+            halo::fof_patch(&patch, link),
+            "find_patch_64: the engines disagree"
+        );
+        let before = time_ms(reps, || halo::fof_kdtree_cols(&cols, link));
+        let after = time_ms(reps, || halo::fof_patch(&patch, link));
+        rows.push(KernelRow {
+            kernel: "find_patch_64",
+            n: patch.len(),
             before_ms: before,
             after_ms: after,
         });

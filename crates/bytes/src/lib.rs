@@ -1,105 +1,23 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! The build environment has no crates.io access, so this crate provides the
-//! subset of the `bytes` API used by the GenericIO-style container code:
-//! [`Bytes`] / [`BytesMut`] with little-endian put/get accessors via the
-//! [`Buf`] / [`BufMut`] traits. Unlike the real crate there is no shared
-//! zero-copy storage — buffers are plain `Vec<u8>` with a read cursor.
+//! one piece of the `bytes` API the GenericIO-style container code uses: an
+//! immutable [`Bytes`] buffer, built from a finished `Vec<u8>` without a copy
+//! and read as a byte slice. Unlike the real crate there is no shared
+//! zero-copy storage — a clone copies.
 
 use std::ops::Deref;
 
-/// Read side: a byte buffer consumed from the front.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-
-    /// Consume and return the next `n` bytes. Panics if `n > remaining()`.
-    fn copy_to_bytes(&mut self, n: usize) -> Bytes;
-
-    /// Consume one byte.
-    fn get_u8(&mut self) -> u8;
-
-    /// Consume a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32;
-
-    /// Consume a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64;
-
-    /// Consume a little-endian `f32`.
-    fn get_f32_le(&mut self) -> f32;
-
-    /// Consume a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64;
-}
-
-/// Write side: append-only byte sink.
-pub trait BufMut {
-    /// Append raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Append one byte.
-    fn put_u8(&mut self, v: u8);
-
-    /// Append a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32);
-
-    /// Append a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64);
-
-    /// Append a little-endian `f32`.
-    fn put_f32_le(&mut self, v: f32);
-
-    /// Append a little-endian `f64`.
-    fn put_f64_le(&mut self, v: f64);
-}
-
-/// An immutable byte buffer with a read cursor.
+/// An immutable byte buffer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bytes {
     data: Vec<u8>,
-    pos: usize,
-}
-
-impl Bytes {
-    /// Copy a slice into a new buffer.
-    pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes {
-            data: data.to_vec(),
-            pos: 0,
-        }
-    }
-
-    /// Unread length.
-    pub fn len(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// Whether all bytes have been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy the unread bytes into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.data[self.pos..].to_vec()
-    }
-
-    fn take(&mut self, n: usize) -> &[u8] {
-        assert!(n <= self.len(), "buffer underflow: {} < {n}", self.len());
-        let start = self.pos;
-        self.pos += n;
-        &self.data[start..self.pos]
-    }
-
-    fn take_array<const N: usize>(&mut self) -> [u8; N] {
-        self.take(N).try_into().unwrap()
-    }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.pos..]
+        &self.data
     }
 }
 
@@ -109,111 +27,10 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn copy_to_bytes(&mut self, n: usize) -> Bytes {
-        let data = self.take(n).to_vec();
-        Bytes { data, pos: 0 }
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        self.take(1)[0]
-    }
-
-    fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take_array())
-    }
-
-    fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.take_array())
-    }
-
-    fn get_f32_le(&mut self) -> f32 {
-        f32::from_le_bytes(self.take_array())
-    }
-
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_le_bytes(self.take_array())
-    }
-}
-
-/// A growable byte buffer for building messages.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        BytesMut::default()
-    }
-
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Convert into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: self.data,
-            pos: 0,
-        }
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-
-    fn put_u8(&mut self, v: u8) {
-        self.data.push(v);
-    }
-
-    fn put_u32_le(&mut self, v: u32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_f32_le(&mut self, v: f32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_f64_le(&mut self, v: f64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
+impl From<Vec<u8>> for Bytes {
+    /// Take ownership of a finished buffer (no copy).
+    fn from(data: Vec<u8>) -> Self {
+        Bytes { data }
     }
 }
 
@@ -222,37 +39,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn write_read_roundtrip() {
-        let mut w = BytesMut::with_capacity(64);
-        w.put_slice(b"HCIO");
-        w.put_u32_le(1);
-        w.put_u64_le(0xDEAD_BEEF_0123_4567);
-        w.put_f32_le(1.5);
-        w.put_f64_le(-2.25);
-        let mut r = w.freeze();
-        assert_eq!(&r.copy_to_bytes(4)[..], b"HCIO");
-        assert_eq!(r.get_u32_le(), 1);
-        assert_eq!(r.get_u64_le(), 0xDEAD_BEEF_0123_4567);
-        assert_eq!(r.get_f32_le(), 1.5);
-        assert_eq!(r.get_f64_le(), -2.25);
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn cursor_semantics() {
-        let mut b = Bytes::copy_from_slice(&[1, 2, 3, 4, 5]);
+    fn a_vec_becomes_its_bytes() {
+        let b = Bytes::from(vec![1, 2, 3, 4, 5]);
         assert_eq!(b.len(), 5);
-        let first = b.copy_to_bytes(2);
-        assert_eq!(&first[..], &[1, 2]);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.to_vec(), vec![3, 4, 5]);
-        assert_eq!(&b[..2], &[3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn underflow_panics() {
-        let mut b = Bytes::copy_from_slice(&[1]);
-        let _ = b.get_u32_le();
+        assert_eq!(&b[..2], &[1, 2]);
+        assert_eq!(b.to_vec(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(b.as_ref(), &[1, 2, 3, 4, 5]);
     }
 }

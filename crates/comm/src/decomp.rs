@@ -125,6 +125,11 @@ impl CartDecomp {
     /// Wrap a position into `[0, box_size)` per axis.
     pub fn wrap(&self, mut pos: [f64; 3]) -> [f64; 3] {
         for p in &mut pos {
+            // Inside the box (`−0.0` included) `rem_euclid` is the identity:
+            // skip its `fmod`, the bulk of a per-particle owner lookup.
+            if (0.0..self.box_size).contains(p) {
+                continue;
+            }
             *p = p.rem_euclid(self.box_size);
             // rem_euclid of a tiny negative can return box_size exactly.
             if *p >= self.box_size {
@@ -136,13 +141,22 @@ impl CartDecomp {
 
     /// The rank whose block contains `pos` (after periodic wrapping).
     pub fn owner_of(&self, pos: [f64; 3]) -> usize {
-        let p = self.wrap(pos);
-        let mut c = [0isize; 3];
-        for d in 0..3 {
+        self.rank_at(self.block_of(self.wrap(pos)))
+    }
+
+    /// Grid coordinates of the block holding a wrapped position (NaN lands
+    /// in block 0).
+    fn block_of(&self, p: [f64; 3]) -> [usize; 3] {
+        std::array::from_fn(|d| {
             let w = self.box_size / self.dims[d] as f64;
-            c[d] = ((p[d] / w) as isize).min(self.dims[d] as isize - 1);
-        }
-        self.rank_of(c)
+            ((p[d] / w) as usize).min(self.dims[d] - 1)
+        })
+    }
+
+    /// [`rank_of`](Self::rank_of) for coordinates already on the grid: no
+    /// wrapping, so no integer division.
+    fn rank_at(&self, c: [usize; 3]) -> usize {
+        (c[0] * self.dims[1] + c[1]) * self.dims[2] + c[2]
     }
 
     /// Minimum block width over all axes (upper bound for overload width).
@@ -153,53 +167,80 @@ impl CartDecomp {
     }
 
     /// The set of ranks (excluding the owner) whose overload region of width
-    /// `width` contains `pos`.
-    pub fn overload_targets(&self, pos: [f64; 3], width: f64) -> Vec<usize> {
+    /// `width` contains `pos`, in ascending neighbour offset `(dx, dy, dz)`
+    /// order, each rank where its first offset puts it.
+    ///
+    /// A neighbour at offset `off` holds the point iff, on every axis where
+    /// `off` is nonzero, the point is within `width` of the shared face — so
+    /// each axis admits the steps `0`, `−1` near its low face and `+1` near
+    /// its high one, and only offsets built from admitted steps are visited:
+    /// an interior point costs one offset, not 26.
+    pub fn overload_targets(&self, pos: [f64; 3], width: f64) -> OverloadTargets {
         assert!(
             width <= self.min_block_width(),
             "overload width {width} exceeds smallest block width {}",
             self.min_block_width()
         );
         let p = self.wrap(pos);
-        let owner = self.owner_of(p);
-        let oc = self.coords_of(owner);
-        let (lo, hi) = self.local_bounds(owner);
+        let oc = self.block_of(p);
+        let owner = self.rank_at(oc);
 
-        let mut out = Vec::new();
-        for dx in -1isize..=1 {
-            for dy in -1isize..=1 {
-                for dz in -1isize..=1 {
+        // The admitted steps on axis `d`, ascending (0 is always one), with
+        // the owner's block bounds as `local_bounds` computes them.
+        let steps = |d: usize| {
+            let w = self.box_size / self.dims[d] as f64;
+            let (lo, hi) = (oc[d] as f64 * w, (oc[d] + 1) as f64 * w);
+            let first = if p[d] < lo + width { -1 } else { 0 };
+            let last = if p[d] >= hi - width { 1 } else { 0 };
+            first..=last
+        };
+        // `c + step` on a periodic axis of `n` blocks.
+        let neighbour = |c: usize, step: i8, n: usize| match step {
+            -1 if c == 0 => n - 1,
+            -1 => c - 1,
+            1 if c + 1 == n => 0,
+            1 => c + 1,
+            _ => c,
+        };
+        let mut out = OverloadTargets {
+            ranks: [0; 26],
+            len: 0,
+        };
+        for dx in steps(0) {
+            for dy in steps(1) {
+                for dz in steps(2) {
                     if (dx, dy, dz) == (0, 0, 0) {
                         continue;
                     }
-                    let off = [dx, dy, dz];
-                    // The particle lies in the neighbor's overload shell iff,
-                    // on every axis where the neighbor differs, the particle
-                    // is within `width` of the shared face.
-                    let mut inside = true;
-                    for d in 0..3 {
-                        match off[d] {
-                            0 => {}
-                            1 => inside &= p[d] >= hi[d] - width,
-                            -1 => inside &= p[d] < lo[d] + width,
-                            _ => unreachable!(),
-                        }
-                    }
-                    if !inside {
-                        continue;
-                    }
-                    let r = self.rank_of([
-                        oc[0] as isize + off[0],
-                        oc[1] as isize + off[1],
-                        oc[2] as isize + off[2],
+                    let r = self.rank_at([
+                        neighbour(oc[0], dx, self.dims[0]),
+                        neighbour(oc[1], dy, self.dims[1]),
+                        neighbour(oc[2], dz, self.dims[2]),
                     ]);
                     if r != owner && !out.contains(&r) {
-                        out.push(r);
+                        out.ranks[out.len] = r;
+                        out.len += 1;
                     }
                 }
             }
         }
         out
+    }
+}
+
+/// The ranks [`CartDecomp::overload_targets`] names, held inline (a point has
+/// at most 26 neighbours), so asking costs no allocation. Derefs to the
+/// slice of ranks.
+#[derive(Debug, Clone, Copy)]
+pub struct OverloadTargets {
+    ranks: [usize; 26],
+    len: usize,
+}
+
+impl std::ops::Deref for OverloadTargets {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        &self.ranks[..self.len]
     }
 }
 
@@ -217,9 +258,10 @@ pub fn exchange_overload<P>(
 where
     P: HasPosition + Clone + Send + 'static,
 {
+    let _span = telemetry::span!("comm", "exchange_overload", comm.rank());
     let mut sends: Vec<Vec<P>> = (0..comm.size()).map(|_| Vec::new()).collect();
     for p in locals {
-        for r in decomp.overload_targets(p.position(), width) {
+        for &r in decomp.overload_targets(p.position(), width).iter() {
             sends[r].push(p.clone());
         }
     }
@@ -239,6 +281,7 @@ pub fn redistribute<P>(comm: &Communicator, decomp: &CartDecomp, parts: Vec<P>) 
 where
     P: HasPosition + Send + 'static,
 {
+    let _span = telemetry::span!("comm", "redistribute", comm.rank());
     let mut sends: Vec<Vec<P>> = (0..comm.size()).map(|_| Vec::new()).collect();
     for p in parts {
         let owner = decomp.owner_of(p.position());
@@ -303,7 +346,7 @@ mod tests {
         // Particle just left of x=5 belongs to rank 0 and must be replicated
         // to rank 1 (via the +x face) — and also via the periodic -x face.
         let t = d.overload_targets([4.9, 2.0, 2.0], 0.5);
-        assert_eq!(t, vec![1]);
+        assert_eq!(*t, [1]);
         // Particle in the middle of a block is replicated nowhere.
         assert!(d.overload_targets([2.5, 2.0, 2.0], 0.5).is_empty());
     }

@@ -26,5 +26,5 @@ mod collectives;
 pub mod decomp;
 pub mod world;
 
-pub use decomp::{exchange_overload, redistribute, CartDecomp, HasPosition};
+pub use decomp::{exchange_overload, redistribute, CartDecomp, HasPosition, OverloadTargets};
 pub use world::{CommError, Communicator, World};

@@ -4,6 +4,58 @@
 use comm::{exchange_overload, redistribute, CartDecomp, World};
 use proptest::prelude::*;
 
+/// The definition `overload_targets` enumerates: all 26 neighbour offsets in
+/// ascending `(dx, dy, dz)` order, a neighbour holding the point iff it is
+/// within `width` of the shared face on every axis the offset steps along,
+/// each rank kept where it is first seen, the owner never.
+fn overload_targets_def(d: &CartDecomp, pos: [f64; 3], width: f64) -> Vec<usize> {
+    let p = d.wrap(pos);
+    let owner = d.owner_of(p);
+    let oc = d.coords_of(owner);
+    let (lo, hi) = d.local_bounds(owner);
+    let mut out = Vec::new();
+    for dx in -1isize..=1 {
+        for dy in -1isize..=1 {
+            for dz in -1isize..=1 {
+                let off = [dx, dy, dz];
+                if off == [0; 3] {
+                    continue;
+                }
+                let inside = (0..3).all(|a| match off[a] {
+                    1 => p[a] >= hi[a] - width,
+                    -1 => p[a] < lo[a] + width,
+                    _ => true,
+                });
+                let r = d.rank_of(std::array::from_fn(|a| oc[a] as isize + off[a]));
+                if inside && r != owner && !out.contains(&r) {
+                    out.push(r);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A coordinate on axis `a` of `d` picked by `kind`: anywhere, on a block
+/// face, exactly `width` inside a face (either face) or just short of it, or
+/// on the box side itself (which wraps to 0).
+fn special_coord(d: &CartDecomp, a: usize, width: f64, kind: u8, frac: f64) -> f64 {
+    let l = d.box_size();
+    let w = l / d.dims()[a] as f64;
+    let block = (frac * d.dims()[a] as f64)
+        .floor()
+        .min(d.dims()[a] as f64 - 1.0);
+    let (lo, hi) = (block * w, (block + 1.0) * w);
+    match kind {
+        0 => frac * l,
+        1 => lo,
+        2 => hi - width,
+        3 => lo + width,
+        4 => l,
+        _ => (hi - width).next_down(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -111,6 +163,36 @@ proptest! {
             .map(|p| decomp.overload_targets(*p, width).len())
             .sum();
         prop_assert_eq!(ghost_counts.iter().sum::<usize>(), expect);
+    }
+
+    #[test]
+    fn overload_targets_equal_the_26_offset_definition(
+        dims in (1usize..5, 1usize..5, 1usize..5),
+        width_pick in (0u8..4, 0.0f64..1.0),
+        coords in proptest::collection::vec(
+            ((0u8..6, 0.0f64..1.0), (0u8..6, 0.0f64..1.0), (0u8..6, 0.0f64..1.0)),
+            1..40
+        )
+    ) {
+        let d = CartDecomp::with_dims([dims.0, dims.1, dims.2], 24.0);
+        // The widest shell allowed, no shell at all, or anything between.
+        let width = d.min_block_width() * match width_pick.0 {
+            0 => 1.0,
+            1 => 0.0,
+            _ => width_pick.1,
+        };
+        for ((kx, fx), (ky, fy), (kz, fz)) in coords {
+            let pos = [
+                special_coord(&d, 0, width, kx, fx),
+                special_coord(&d, 1, width, ky, fy),
+                special_coord(&d, 2, width, kz, fz),
+            ];
+            prop_assert_eq!(
+                d.overload_targets(pos, width).to_vec(),
+                overload_targets_def(&d, pos, width),
+                "pos {:?} width {}", pos, width
+            );
+        }
     }
 
     #[test]

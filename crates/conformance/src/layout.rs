@@ -35,6 +35,13 @@
 //!   over [`fof_grid_cases`]: links across each face of the box, particles on
 //!   cell edges, the fewest cells a mesh can have, a mesh of 10⁶ cells a
 //!   side.
+//! * `fof-patch` — [`halo::fof_patch`] (the same cell engine, open
+//!   boundaries over the bounding box) vs [`halo::fof_brute`] label for label
+//!   at three linking lengths, over [`inputs::coord_cases`] and
+//!   [`fof_patch_cases`]: coordinates unwrapped below zero and past the box,
+//!   flat and zero-extent patches, pairs exactly one link apart, NaN, ±∞ and
+//!   `f64::MAX` coordinates, a real two-rank patch — and on each, a cell
+//!   table of at most `8n + 1` cells (`halo.fof_cells`).
 //! * `cic-det` — [`nbody::pm::cic_deposit_soa_det`] (sparse per-chunk
 //!   partials) vs [`cic_deposit_det_partials_ref`] (a dense grid per chunk),
 //!   on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded` ×3, over
@@ -60,10 +67,13 @@
 
 use crate::differential::{roster, Cmp, DiffReport};
 use crate::inputs;
+use comm::{CartDecomp, World};
 use dpp::{Backend, SendPtr, Serial, StaticThreaded, Threaded};
 use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3};
 use halo::unionfind::UnionFind;
-use halo::{fof_brute, fof_grid, fof_kdtree_cols, mbp_brute_cols, potential_at, Coords, KdTree};
+use halo::{
+    fof_brute, fof_grid, fof_kdtree_cols, fof_patch, mbp_brute_cols, potential_at, Coords, KdTree,
+};
 use nbody::pm::{
     cic_deposit_soa, cic_deposit_soa_det, cic_interpolate, gather_accel, poisson_accel,
     to_grid_units,
@@ -75,12 +85,13 @@ use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 8] = [
+pub const REQUIRED_KERNELS: [&str; 9] = [
     "cic-soa",
     "cic-det",
     "cic-gather",
     "fof-cols",
     "fof-grid",
+    "fof-patch",
     "mbp-cols",
     "fft3d-tiled",
     "poisson-kspace",
@@ -449,6 +460,95 @@ pub fn fof_grid_cases() -> Vec<FofGridCase> {
         ..case("tiny_link", tiny, 1e-6, 1.0)
     });
     cases
+}
+
+/// The `fof-patch` corpus beyond [`inputs::coord_cases`]: what a rank's
+/// extended patch can hand the open-boundary engine. Coordinates unwrapped
+/// below zero and past the box; a flat patch and a line (zero extent on one
+/// and on two axes); a cloud inside one cell; chains of pairs one link apart
+/// along each axis for every link the family runs; NaN, ±∞, `±f64::MAX`
+/// (whose extent overflows) and denormals among finite points; twenty
+/// points spread over 10⁵ links a side, where the `8n` cap shrinks the mesh;
+/// and rank 0's real patch of a two-rank decomposition.
+pub fn fof_patch_cases() -> Vec<inputs::Case<[f64; 3]>> {
+    let mut rng = StdRng::seed_from_u64(0x5EED_FA7C);
+    let mut cloud = |n: usize, lo: f64, hi: f64| -> Vec<[f64; 3]> {
+        (0..n)
+            .map(|_| [(); 3].map(|()| rng.gen_range(lo..hi)))
+            .collect()
+    };
+    let unwrapped = cloud(600, -3.0, 11.0);
+    let flat = cloud(400, 0.0, 8.0)
+        .into_iter()
+        .map(|[x, y, _]| [x, y, 2.5])
+        .collect();
+    let line = cloud(300, -2.0, 9.0)
+        .into_iter()
+        .map(|[x, ..]| [x, -1.0, 7.0])
+        .collect();
+    let one_cell = cloud(300, 3.0, 3.1);
+    let mut exact = Vec::new();
+    for link in [0.25, 0.7, 4.0] {
+        for axis in 0..3 {
+            exact.extend((0..4).map(|k| {
+                let mut p = [-1.5, 0.5, 9.0];
+                p[axis] += k as f64 * link;
+                p
+            }));
+        }
+    }
+    let mut nonfinite = cloud(200, 0.0, 8.0);
+    let specials = [
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        -f64::MAX,
+        f64::from_bits(1),
+        -0.0,
+    ];
+    for (k, v) in specials.into_iter().enumerate() {
+        for axis in 0..3 {
+            nonfinite[7 * k + 2 * axis][axis] = v;
+        }
+        nonfinite.push([v; 3]);
+        nonfinite.push([v; 3]);
+    }
+    let mut sparse = cloud(16, 0.0, 25_000.0);
+    sparse.extend([
+        [5.0, 5.0, 5.0],
+        [5.2, 5.0, 5.0],
+        [1e5, 1e5, 1e5],
+        [1e5, 1e5, 1e5 - 0.1],
+    ]);
+    let decomp = CartDecomp::new(2, 8.0);
+    let particles: Vec<Particle> = cloud(1200, 0.0, 8.0)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| Particle::at_rest(p.map(|x| x as f32), 1.0, i as u64))
+        .collect();
+    let patch = World::new(2)
+        .run(|c| {
+            let mine: Vec<Particle> = particles
+                .iter()
+                .filter(|p| decomp.owner_of(p.pos_f64()) == c.rank())
+                .copied()
+                .collect();
+            halo::extended_patch(c, &decomp, &mine, 2.0)
+        })
+        .swap_remove(0);
+    let case = |name, data| inputs::Case { name, data };
+    vec![
+        case("unwrapped", unwrapped),
+        case("flat", flat),
+        case("line", line),
+        case("one_cell", one_cell),
+        case("exact_links", exact),
+        case("nonfinite", nonfinite),
+        case("sparse_capped", sparse),
+        case("two_rank_patch", patch),
+    ]
 }
 
 /// Coordinates whose scaled, wrapped value is exactly `ng` (negative
@@ -1024,6 +1124,47 @@ pub fn run_layout_differential() -> DiffReport {
                 "csr-engine",
                 &fof_grid_dense_ref(&case.data, link, 8.0),
                 &fof_grid(&case.data, link, 8.0),
+            );
+        }
+    }
+
+    // --- fof-patch -------------------------------------------------------
+    // Each run counts its cells under a dim of its own, so a concurrent
+    // test's FOF stays out of the bound.
+    rep.op("fof-patch");
+    {
+        const DIM: u64 = 0x0F0F_A7C4_0000;
+        let _serial = crate::integrator::RECORDER.lock();
+        let recorder = telemetry::install(std::sync::Arc::new(telemetry::Recorder::new(
+            telemetry::Clock::Logical,
+        )));
+        let mut runs = Vec::new();
+        for case in inputs::coord_cases().into_iter().chain(fof_patch_cases()) {
+            for link in [0.25f64, 0.7, 4.0] {
+                let dim = DIM + runs.len() as u64;
+                let got = {
+                    let _dim = telemetry::with_dim(dim);
+                    fof_patch(&case.data, link)
+                };
+                rep.check_eq(
+                    "fof-patch",
+                    &format!("labels/{}/link={link}", case.name),
+                    "csr-engine",
+                    &fof_brute(&case.data, link),
+                    &got,
+                );
+                runs.push((case.name, link, case.data.len() as u64, dim));
+            }
+        }
+        let cells = recorder.finish().counters_by_dim();
+        for (name, link, n, dim) in runs {
+            let got = cells.get(&("halo", "fof_cells", dim)).copied().unwrap_or(0);
+            rep.check_eq(
+                "fof-patch",
+                &format!("cells/{name}/link={link}"),
+                "csr-engine",
+                &got.min(8 * n + 1),
+                &got,
             );
         }
     }

@@ -1097,6 +1097,24 @@ mod tests {
         assert_eq!(polls(&mut bed), [(RUNNER_FAULT_SITE.to_string(), 2)]);
     }
 
+    /// The Level-1 bytes of a 16³ run, pinned by their digest as the parent
+    /// of the slice-by-8 codec wrote them: the digest is the memo key's
+    /// input identity, so a codec that moved one byte would orphan every
+    /// off-line artifact already in a cache.
+    #[test]
+    fn level1_container_digest_is_pinned() {
+        const PINNED: Digest = Digest(0x3379_dbc5_3d67_d0bc_170d_5c8c_5a1b_5557);
+        let backend = Threaded::new(2);
+        let bed = TestBed::create(tiny_cfg("pinned"), &backend);
+        let level1 = Container {
+            meta: bed.meta.clone(),
+            blocks: bed.distributed(),
+        };
+        assert_eq!(cosmotools::container_digest(&level1), PINNED);
+        let bytes = cosmotools::write_container(&level1);
+        assert_eq!(cosmotools::read_container(&bytes).as_ref(), Ok(&level1));
+    }
+
     /// Cold → warm over the four memoizable post-hoc strategies, each
     /// against its own cache: the warm run answers its one off-line stage
     /// from the memo and reproduces the catalog byte for byte.

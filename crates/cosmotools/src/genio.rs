@@ -6,8 +6,14 @@
 //! each", §4.1). This module reproduces the essentials: a magic/version
 //! header, named metadata, multiple per-rank *blocks* each carrying its own
 //! CRC, and corruption detection on read.
+//!
+//! The codec writes whole 36-byte records into a buffer sized up front and
+//! decodes straight from the input slice. Every count a decoder reads is
+//! untrusted: it is multiplied with checked arithmetic, and no capacity is
+//! ever taken from it beyond what the bytes still unread can hold — a forged
+//! count is `Truncated`, never an allocation.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use nbody::particle::Particle;
 
 /// File magic.
@@ -64,25 +70,58 @@ impl std::fmt::Display for GenioError {
 
 impl std::error::Error for GenioError {}
 
-/// CRC-32 (IEEE, reflected), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
+/// Slice-by-8 tables of the reflected IEEE polynomial: `CRC_TABLES[0]` is
+/// the classic byte table, and `CRC_TABLES[k][b]` is `CRC_TABLES[0][b]`
+/// carried through `k` further zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
     const POLY: u32 = 0xEDB8_8320;
-    // Build the table on first use.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE, reflected), slice-by-8: eight bytes per step, each looked
+/// up in the table that carries it through the bytes after it in the step,
+/// then the tail byte by byte — the same value as the bytewise loop.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let (words, tail) = data.as_chunks::<8>();
     let mut crc = !0u32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    for w in words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in tail {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -114,111 +153,178 @@ impl Container {
     }
 }
 
-fn put_particle(buf: &mut BytesMut, p: &Particle) {
-    for d in 0..3 {
-        buf.put_f32_le(p.pos[d]);
-    }
-    for d in 0..3 {
-        buf.put_f32_le(p.vel[d]);
-    }
-    buf.put_f32_le(p.mass);
-    buf.put_u64_le(p.tag);
-}
-
-fn get_particle(buf: &mut Bytes) -> Particle {
-    let mut pos = [0.0f32; 3];
-    let mut vel = [0.0f32; 3];
-    for v in &mut pos {
-        *v = buf.get_f32_le();
-    }
-    for v in &mut vel {
-        *v = buf.get_f32_le();
-    }
-    let mass = buf.get_f32_le();
-    let tag = buf.get_u64_le();
-    Particle {
-        pos,
-        vel,
-        mass,
-        tag,
-    }
-}
-
-/// Bytes per serialized particle record.
+/// Bytes per serialized particle record: position, velocity, mass (`f32`
+/// little-endian each), then the `u64` tag.
 const RECORD_BYTES: usize = 36;
+
+/// Bytes of a container header: magic, version, step, redshift, box side
+/// and block count.
+const HEADER_BYTES: usize = 36;
+
+/// Bytes in front of each block's records: its record count and CRC.
+const BLOCK_HEADER_BYTES: usize = 12;
+
+/// Bytes of a chunk header: magic, version, step, redshift, box side, index,
+/// total, record count and CRC.
+const CHUNK_HEADER_BYTES: usize = 52;
+
+/// One particle's record.
+fn record(p: &Particle) -> [u8; RECORD_BYTES] {
+    let mut r = [0u8; RECORD_BYTES];
+    let words = p.pos.iter().chain(&p.vel).chain([&p.mass]);
+    for (out, v) in r.chunks_exact_mut(4).zip(words) {
+        out.copy_from_slice(&v.to_le_bytes());
+    }
+    r[28..].copy_from_slice(&p.tag.to_le_bytes());
+    r
+}
+
+/// The particle a record holds.
+fn particle(r: &[u8; RECORD_BYTES]) -> Particle {
+    let (words, tag) = r.split_at(28);
+    let (words, _) = words.as_chunks::<4>();
+    let f = |i: usize| f32::from_le_bytes(words[i]);
+    let mut t = [0u8; 8];
+    t.copy_from_slice(tag);
+    Particle {
+        pos: [f(0), f(1), f(2)],
+        vel: [f(3), f(4), f(5)],
+        mass: f(6),
+        tag: u64::from_le_bytes(t),
+    }
+}
+
+/// Append the snapshot metadata: step, redshift, box side.
+fn put_meta(buf: &mut Vec<u8>, meta: &SnapshotMeta) {
+    buf.extend_from_slice(&meta.step.to_le_bytes());
+    buf.extend_from_slice(&meta.redshift.to_le_bytes());
+    buf.extend_from_slice(&meta.box_size.to_le_bytes());
+}
+
+/// Append one block: its record count and CRC, then the records, whose CRC
+/// is taken where they landed.
+fn put_block(buf: &mut Vec<u8>, block: &[Particle]) {
+    buf.extend_from_slice(&(block.len() as u64).to_le_bytes());
+    let crc_at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    for p in block {
+        buf.extend_from_slice(&record(p));
+    }
+    let crc = crc32(&buf[crc_at + 4..]);
+    buf[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+}
 
 /// Serialize a container.
 pub fn write_container(c: &Container) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(c.meta.step);
-    buf.put_f64_le(c.meta.redshift);
-    buf.put_f64_le(c.meta.box_size);
-    buf.put_u32_le(c.blocks.len() as u32);
+    let len = HEADER_BYTES
+        + c.blocks
+            .iter()
+            .map(|b| BLOCK_HEADER_BYTES + b.len() * RECORD_BYTES)
+            .sum::<usize>();
+    let _span = telemetry::span!("cosmotools.genio", "encode", len);
+    let mut buf = Vec::with_capacity(len);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    put_meta(&mut buf, &c.meta);
+    buf.extend_from_slice(&(c.blocks.len() as u32).to_le_bytes());
     for block in &c.blocks {
-        let mut body = BytesMut::with_capacity(block.len() * RECORD_BYTES);
-        for p in block {
-            put_particle(&mut body, p);
-        }
-        let body = body.freeze();
-        buf.put_u64_le(block.len() as u64);
-        buf.put_u32_le(crc32(&body));
-        buf.put_slice(&body);
+        put_block(&mut buf, block);
     }
-    buf.freeze()
+    debug_assert_eq!(buf.len(), len);
+    Bytes::from(buf)
+}
+
+/// A read cursor over untrusted bytes: a read past the end is
+/// [`GenioError::Truncated`], never a panic.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// Check the magic, then the version.
+    fn open(data: &'a [u8], magic: &[u8; 4]) -> Result<Self, GenioError> {
+        let Some((head, rest)) = data.split_first_chunk::<4>() else {
+            return Err(GenioError::BadMagic);
+        };
+        if head != magic {
+            return Err(GenioError::BadMagic);
+        }
+        let mut r = Reader { rest };
+        let version = r.u32()?;
+        if version != VERSION {
+            return Err(GenioError::UnsupportedVersion(version));
+        }
+        Ok(r)
+    }
+
+    fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], GenioError> {
+        let (head, rest) = self.rest.split_at_checked(n).ok_or(GenioError::Truncated)?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], GenioError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(GenioError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    fn u32(&mut self) -> Result<u32, GenioError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, GenioError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, GenioError> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    fn meta(&mut self) -> Result<SnapshotMeta, GenioError> {
+        Ok(SnapshotMeta {
+            step: self.u64()?,
+            redshift: self.f64()?,
+            box_size: self.f64()?,
+        })
+    }
+
+    /// A block's records — `count` of them, a count the bytes must bear out
+    /// (checked multiply, then a bounds check) — verified against `crc`.
+    fn records(&mut self, count: u64, crc: u32, block: usize) -> Result<Vec<Particle>, GenioError> {
+        let len = usize::try_from(count)
+            .ok()
+            .and_then(|n| n.checked_mul(RECORD_BYTES))
+            .ok_or(GenioError::Truncated)?;
+        let body = self.take(len)?;
+        if crc32(body) != crc {
+            return Err(GenioError::ChecksumMismatch { block });
+        }
+        Ok(body.as_chunks().0.iter().map(particle).collect())
+    }
 }
 
 /// Deserialize and verify a container.
 pub fn read_container(data: &[u8]) -> Result<Container, GenioError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
-        return Err(GenioError::BadMagic);
-    }
-    if buf.remaining() < 4 {
-        return Err(GenioError::Truncated);
-    }
-    let version = buf.get_u32_le();
-    if version != VERSION {
-        return Err(GenioError::UnsupportedVersion(version));
-    }
-    if buf.remaining() < 8 + 8 + 8 + 4 {
-        return Err(GenioError::Truncated);
-    }
-    let step = buf.get_u64_le();
-    let redshift = buf.get_f64_le();
-    let box_size = buf.get_f64_le();
-    let nblocks = buf.get_u32_le() as usize;
-    let mut blocks = Vec::with_capacity(nblocks);
+    let _span = telemetry::span!("cosmotools.genio", "decode", data.len());
+    let mut r = Reader::open(data, MAGIC)?;
+    let meta = r.meta()?;
+    let nblocks = r.u32()? as usize;
+    // Every block takes at least its header: no more can be present.
+    let mut blocks = Vec::with_capacity(nblocks.min(r.remaining() / BLOCK_HEADER_BYTES));
     for bi in 0..nblocks {
-        if buf.remaining() < 8 + 4 {
-            return Err(GenioError::Truncated);
-        }
-        let n = buf.get_u64_le() as usize;
-        let crc_expect = buf.get_u32_le();
-        let nbytes = n * RECORD_BYTES;
-        if buf.remaining() < nbytes {
-            return Err(GenioError::Truncated);
-        }
-        let body = buf.copy_to_bytes(nbytes);
-        if crc32(&body) != crc_expect {
-            return Err(GenioError::ChecksumMismatch { block: bi });
-        }
-        let mut body = body;
-        let mut parts = Vec::with_capacity(n);
-        for _ in 0..n {
-            parts.push(get_particle(&mut body));
-        }
-        blocks.push(parts);
+        let n = r.u64()?;
+        let crc = r.u32()?;
+        blocks.push(r.records(n, crc, bi)?);
     }
-    Ok(Container {
-        meta: SnapshotMeta {
-            step,
-            redshift,
-            box_size,
-        },
-        blocks,
-    })
+    Ok(Container { meta, blocks })
 }
 
 /// Write a container to a file.
@@ -286,64 +392,29 @@ pub struct ChunkHeader {
 
 /// Encode block `index` of `total` as one self-verifying chunk.
 pub fn encode_chunk(meta: &SnapshotMeta, index: u32, total: u32, block: &[Particle]) -> Bytes {
-    let mut body = BytesMut::with_capacity(block.len() * RECORD_BYTES);
-    for p in block {
-        put_particle(&mut body, p);
-    }
-    let body = body.freeze();
-    let mut buf = BytesMut::with_capacity(44 + body.len());
-    buf.put_slice(CHUNK_MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(meta.step);
-    buf.put_f64_le(meta.redshift);
-    buf.put_f64_le(meta.box_size);
-    buf.put_u32_le(index);
-    buf.put_u32_le(total);
-    buf.put_u64_le(block.len() as u64);
-    buf.put_u32_le(crc32(&body));
-    buf.put_slice(&body);
-    buf.freeze()
+    let len = CHUNK_HEADER_BYTES + block.len() * RECORD_BYTES;
+    let _span = telemetry::span!("cosmotools.genio", "encode", len);
+    let mut buf = Vec::with_capacity(len);
+    buf.extend_from_slice(CHUNK_MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    put_meta(&mut buf, meta);
+    buf.extend_from_slice(&index.to_le_bytes());
+    buf.extend_from_slice(&total.to_le_bytes());
+    put_block(&mut buf, block);
+    debug_assert_eq!(buf.len(), len);
+    Bytes::from(buf)
 }
 
 /// Decode and verify one chunk.
 pub fn decode_chunk(data: &[u8]) -> Result<(ChunkHeader, Vec<Particle>), GenioError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != CHUNK_MAGIC {
-        return Err(GenioError::BadMagic);
-    }
-    if buf.remaining() < 4 {
-        return Err(GenioError::Truncated);
-    }
-    let version = buf.get_u32_le();
-    if version != VERSION {
-        return Err(GenioError::UnsupportedVersion(version));
-    }
-    if buf.remaining() < 8 + 8 + 8 + 4 + 4 + 8 + 4 {
-        return Err(GenioError::Truncated);
-    }
-    let meta = SnapshotMeta {
-        step: buf.get_u64_le(),
-        redshift: buf.get_f64_le(),
-        box_size: buf.get_f64_le(),
-    };
-    let index = buf.get_u32_le();
-    let total = buf.get_u32_le();
-    let n = buf.get_u64_le() as usize;
-    let crc_expect = buf.get_u32_le();
-    let nbytes = n * RECORD_BYTES;
-    if buf.remaining() < nbytes {
-        return Err(GenioError::Truncated);
-    }
-    let mut body = buf.copy_to_bytes(nbytes);
-    if crc32(&body) != crc_expect {
-        return Err(GenioError::ChecksumMismatch {
-            block: index as usize,
-        });
-    }
-    let mut parts = Vec::with_capacity(n);
-    for _ in 0..n {
-        parts.push(get_particle(&mut body));
-    }
+    let _span = telemetry::span!("cosmotools.genio", "decode", data.len());
+    let mut r = Reader::open(data, CHUNK_MAGIC)?;
+    let meta = r.meta()?;
+    let index = r.u32()?;
+    let total = r.u32()?;
+    let n = r.u64()?;
+    let crc = r.u32()?;
+    let parts = r.records(n, crc, index as usize)?;
     Ok((ChunkHeader { meta, index, total }, parts))
 }
 
@@ -368,63 +439,46 @@ pub fn chunk_container(c: &Container) -> Vec<Bytes> {
 /// returns a container equal to the one [`chunk_container`] split — so the
 /// serialized bytes (and every digest derived from them) are identical to
 /// the whole-file path.
+///
+/// The declared total is untrusted, so nothing is sized from it: blocks are
+/// kept by index as they arrive, at most one per chunk given.
 pub fn assemble_chunks(chunks: &[impl AsRef<[u8]>]) -> Result<Container, GenioError> {
-    if chunks.is_empty() {
-        return Err(GenioError::ChunkSetIncomplete { have: 0, want: 1 });
-    }
-    let mut meta: Option<SnapshotMeta> = None;
-    let mut total: Option<u32> = None;
-    let mut blocks: Vec<Option<Vec<Particle>>> = Vec::new();
+    let mut set: Option<(SnapshotMeta, u32)> = None;
+    let mut blocks = std::collections::BTreeMap::new();
     for raw in chunks {
         let (header, parts) = decode_chunk(raw.as_ref())?;
-        match (&meta, &total) {
-            (None, None) => {
-                meta = Some(header.meta.clone());
-                total = Some(header.total);
-                blocks.resize(header.total.max(1) as usize, None);
-            }
-            (Some(m), Some(t)) => {
-                if *m != header.meta || *t != header.total {
-                    return Err(GenioError::ChunkMismatch);
-                }
-            }
-            _ => unreachable!("meta and total are set together"),
+        let (meta, total) = set.get_or_insert_with(|| (header.meta.clone(), header.total));
+        if header.meta != *meta || header.total != *total {
+            return Err(GenioError::ChunkMismatch);
         }
-        let want = total.expect("set above");
-        if header.total == 0 {
+        let total = *total;
+        let legal = if total == 0 {
             // Sentinel for a block-less container; only index 0 is legal.
-            if header.index != 0 || !parts.is_empty() {
-                return Err(GenioError::ChunkMismatch);
-            }
-        } else if header.index >= want {
+            header.index == 0 && parts.is_empty()
+        } else {
+            header.index < total
+        };
+        if !legal || blocks.insert(header.index, parts).is_some() {
             return Err(GenioError::ChunkMismatch);
         }
-        let slot = &mut blocks[header.index as usize];
-        if slot.is_some() {
-            return Err(GenioError::ChunkMismatch);
-        }
-        *slot = Some(parts);
     }
-    let want = if total.expect("nonempty set") == 0 {
-        1
-    } else {
-        total.expect("nonempty set") as usize
+    let Some((meta, total)) = set else {
+        return Err(GenioError::ChunkSetIncomplete { have: 0, want: 1 });
     };
-    let have = blocks.iter().filter(|b| b.is_some()).count();
-    if have < want {
-        return Err(GenioError::ChunkSetIncomplete { have, want });
-    }
-    let meta = meta.expect("nonempty set");
-    if total == Some(0) {
-        return Ok(Container {
-            meta,
-            blocks: Vec::new(),
+    let want = total.max(1) as usize;
+    if blocks.len() < want {
+        return Err(GenioError::ChunkSetIncomplete {
+            have: blocks.len(),
+            want,
         });
     }
-    Ok(Container {
-        meta,
-        blocks: blocks.into_iter().map(|b| b.expect("checked")).collect(),
-    })
+    // `want` distinct indices below `total`: exactly `0..total`, in order.
+    let blocks = if total == 0 {
+        Vec::new()
+    } else {
+        blocks.into_values().collect()
+    };
+    Ok(Container { meta, blocks })
 }
 
 // ---------------------------------------------------------------------------
@@ -448,59 +502,47 @@ use crate::render::{decode_pgm, encode_pgm, Axis, ImageFrame};
 /// Serialize a rendered frame as an HCIM container.
 pub fn write_image(frame: &ImageFrame) -> Bytes {
     let payload = encode_pgm(frame.width, frame.height, &frame.pixels);
-    let mut buf = BytesMut::with_capacity(IMAGE_HEADER_BYTES as usize + payload.len());
-    buf.put_slice(IMAGE_MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(frame.step);
-    buf.put_u8(frame.axis.code());
-    buf.put_u32_le(frame.width);
-    buf.put_u32_le(frame.height);
-    buf.put_u64_le(frame.selected);
-    buf.put_u64_le(frame.total);
-    buf.put_u64_le(frame.byte_budget);
-    buf.put_u64_le(frame.nonfinite_pixels);
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_u32_le(crc32(&payload));
+    let mut buf = Vec::with_capacity(IMAGE_HEADER_BYTES as usize + payload.len());
+    buf.extend_from_slice(IMAGE_MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&frame.step.to_le_bytes());
+    buf.push(frame.axis.code());
+    buf.extend_from_slice(&frame.width.to_le_bytes());
+    buf.extend_from_slice(&frame.height.to_le_bytes());
+    for v in [
+        frame.selected,
+        frame.total,
+        frame.byte_budget,
+        frame.nonfinite_pixels,
+        payload.len() as u64,
+    ] {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
     debug_assert_eq!(buf.len() as u64, IMAGE_HEADER_BYTES);
-    buf.put_slice(&payload);
-    buf.freeze()
+    buf.extend_from_slice(&payload);
+    Bytes::from(buf)
 }
 
 /// Deserialize and verify an HCIM container.
 pub fn read_image(data: &[u8]) -> Result<ImageFrame, GenioError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != IMAGE_MAGIC {
-        return Err(GenioError::BadMagic);
-    }
-    if buf.remaining() < 4 {
-        return Err(GenioError::Truncated);
-    }
-    let version = buf.get_u32_le();
-    if version != VERSION {
-        return Err(GenioError::UnsupportedVersion(version));
-    }
-    if buf.remaining() < (IMAGE_HEADER_BYTES as usize - 8) {
-        return Err(GenioError::Truncated);
-    }
-    let step = buf.get_u64_le();
-    let axis_code = buf.get_u8();
-    let width = buf.get_u32_le();
-    let height = buf.get_u32_le();
-    let selected = buf.get_u64_le();
-    let total = buf.get_u64_le();
-    let byte_budget = buf.get_u64_le();
-    let nonfinite_pixels = buf.get_u64_le();
-    let payload_len = buf.get_u64_le() as usize;
-    let crc_expect = buf.get_u32_le();
-    if buf.remaining() < payload_len {
-        return Err(GenioError::Truncated);
-    }
-    let payload = buf.copy_to_bytes(payload_len);
-    if crc32(&payload) != crc_expect {
+    let mut r = Reader::open(data, IMAGE_MAGIC)?;
+    let step = r.u64()?;
+    let [axis_code] = r.array()?;
+    let width = r.u32()?;
+    let height = r.u32()?;
+    let selected = r.u64()?;
+    let total = r.u64()?;
+    let byte_budget = r.u64()?;
+    let nonfinite_pixels = r.u64()?;
+    let payload_len = usize::try_from(r.u64()?).map_err(|_| GenioError::Truncated)?;
+    let crc_expect = r.u32()?;
+    let payload = r.take(payload_len)?;
+    if crc32(payload) != crc_expect {
         return Err(GenioError::ChecksumMismatch { block: 0 });
     }
     let axis = Axis::from_code(axis_code).ok_or(GenioError::BadImage)?;
-    let (w, h, pixels) = decode_pgm(&payload).ok_or(GenioError::BadImage)?;
+    let (w, h, pixels) = decode_pgm(payload).ok_or(GenioError::BadImage)?;
     if w != width || h != height {
         return Err(GenioError::BadImage);
     }
@@ -649,6 +691,108 @@ mod tests {
         // CRC-32/IEEE of "123456789" is 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The definition slice-by-8 must equal: one byte per step through a
+    /// table built here from the polynomial.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let table: Vec<u32> = (0..256u32)
+            .map(|i| {
+                (0..8).fold(i, |c, _| {
+                    if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    }
+                })
+            })
+            .collect();
+        !data.iter().fold(!0u32, |crc, &b| {
+            table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+        })
+    }
+
+    #[test]
+    fn slice_by_8_equals_the_bytewise_loop() {
+        let mut x = 0x9E37_79B9u32;
+        let buf: Vec<u8> = (0..(1 << 20) + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        // Every alignment of every tail length, and whole words around them.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        let mib = &buf[..1 << 20];
+        assert_eq!(crc32(mib), crc32_bytewise(mib));
+    }
+
+    /// A container header declaring `nblocks` blocks.
+    fn container_header(nblocks: u32) -> Vec<u8> {
+        let mut h = write_container(&sample(0, 0)).to_vec();
+        h[32..36].copy_from_slice(&nblocks.to_le_bytes());
+        h
+    }
+
+    /// `⌊u64::MAX / 36⌋ + 1` records: `n · 36` wraps to 20, so a CRC over
+    /// the 20 bytes that follow matched and the decoders went on to size a
+    /// `Vec` from `n` ("capacity overflow").
+    fn wrapping_count_and_body() -> (u64, [u8; 20]) {
+        let n = u64::MAX / RECORD_BYTES as u64 + 1;
+        assert_eq!(n.wrapping_mul(RECORD_BYTES as u64), 20);
+        (n, [0xA5; 20])
+    }
+
+    #[test]
+    fn forged_record_count_is_truncated_not_an_allocation() {
+        let (n, body) = wrapping_count_and_body();
+        let mut data = container_header(1);
+        data.extend(n.to_le_bytes());
+        data.extend(crc32(&body).to_le_bytes());
+        data.extend(body);
+        assert_eq!(read_container(&data), Err(GenioError::Truncated));
+    }
+
+    #[test]
+    fn forged_block_count_is_truncated_not_an_allocation() {
+        // A bare header declaring 2³² − 1 blocks used to reserve 100 GB.
+        assert_eq!(
+            read_container(&container_header(u32::MAX)),
+            Err(GenioError::Truncated)
+        );
+    }
+
+    #[test]
+    fn forged_chunk_record_count_is_truncated_not_an_allocation() {
+        let (n, body) = wrapping_count_and_body();
+        let mut chunk = encode_chunk(&sample(0, 0).meta, 0, 1, &[]).to_vec();
+        chunk[40..48].copy_from_slice(&n.to_le_bytes());
+        chunk[48..52].copy_from_slice(&crc32(&body).to_le_bytes());
+        chunk.extend(body);
+        assert_eq!(decode_chunk(&chunk), Err(GenioError::Truncated));
+        assert_eq!(assemble_chunks(&[chunk]), Err(GenioError::Truncated));
+    }
+
+    #[test]
+    fn forged_chunk_total_is_an_incomplete_set_not_an_allocation() {
+        // Valid CRC, one chunk, a declared set of 2³² − 1: the assembler
+        // used to size its slot table from the total before checking it.
+        let c = sample(1, 3);
+        let chunk = encode_chunk(&c.meta, 0, u32::MAX, &c.blocks[0]);
+        assert_eq!(
+            assemble_chunks(&[chunk]),
+            Err(GenioError::ChunkSetIncomplete {
+                have: 1,
+                want: u32::MAX as usize
+            })
+        );
     }
 
     #[test]

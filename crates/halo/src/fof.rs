@@ -4,12 +4,13 @@
 //!
 //! * [`fof_kdtree_cols`] — the paper's approach: a balanced k-d tree
 //!   traversed recursively, using bounding boxes to merge or exclude whole
-//!   subtrees at once (non-periodic; the parallel driver handles periodicity
-//!   through overload regions).
-//! * [`fof_grid`] — a linked-cell engine with full periodic wrap, used for
-//!   single-domain catalogs (the in-situ halo finder) and as an independent
-//!   cross-check. Its cells are a counting sort of the particles, at most
-//!   `8n` of them, so time and memory follow `n`, not `box / link`.
+//!   subtrees at once (non-periodic; the ablation baseline).
+//! * A linked-cell engine with two boundary modes: [`fof_grid`] wraps a
+//!   periodic box (single-domain catalogs, the in-situ halo finder) and
+//!   [`fof_patch`] meshes the points' bounding box with no wrap (a rank's
+//!   overload-extended patch in [`crate::parallel_fof`]). Its cells are a
+//!   counting sort of the particles, at most `8n` of them, so time and
+//!   memory follow `n`, not `box / link`.
 //! * [`fof_brute`] — O(n²) oracle for tests. All three number groups by
 //!   first appearance in input order, so equal partitions are equal label
 //!   vectors.
@@ -181,6 +182,83 @@ fn wrap_cell(c: usize, d: i8, ncell: usize) -> usize {
 /// unordered pair of adjacent cells is visited from one side.
 const FORWARD_ROWS: [[i8; 2]; 4] = [[0, 1], [1, -1], [1, 0], [1, 1]];
 
+/// How the linked-cell engine treats the edges of its mesh.
+#[derive(Debug, Clone, Copy)]
+enum Boundary {
+    /// A periodic cube of this side: cells wrap, and the pair test measures
+    /// the nearest image.
+    Periodic(f64),
+    /// The points' own bounding box: rows and cells past an edge do not
+    /// exist, and the pair test is the k-d tree's `dx² + dy² + dz²`.
+    Open,
+}
+
+/// The cell mesh: origin, cell width and cell count per axis.
+struct Mesh {
+    lo: [f64; 3],
+    width: [f64; 3],
+    dims: [usize; 3],
+}
+
+impl Mesh {
+    /// [`fof_grid`]'s mesh: `grid_cells_per_side` cells a side from 0.
+    fn periodic(n: usize, link: f64, box_size: f64) -> Mesh {
+        let ncell = grid_cells_per_side(n, link, box_size);
+        Mesh {
+            lo: [0.0; 3],
+            width: [box_size / ncell as f64; 3],
+            dims: [ncell; 3],
+        }
+    }
+
+    /// [`fof_patch`]'s mesh over the bounding box of the finite coordinates:
+    /// per axis, cells a relative 10⁻⁶ wider than `link` — the margin keeps
+    /// rounding in the key from putting a linked pair two cells apart — and
+    /// wider still, evenly over the axes that have more than one, until the
+    /// table holds at most `8n` cells. An axis with no extent (or only
+    /// non-finite coordinates) has one cell, as does every axis once the
+    /// extent overflows.
+    fn open(positions: &[[f64; 3]], link: f64) -> Mesh {
+        let mut lo = [f64::INFINITY; 3];
+        let mut hi = [f64::NEG_INFINITY; 3];
+        for p in positions {
+            for d in 0..3 {
+                if p[d].is_finite() {
+                    lo[d] = lo[d].min(p[d]);
+                    hi[d] = hi[d].max(p[d]);
+                }
+            }
+        }
+        let lo = lo.map(|v| if v.is_finite() { v } else { 0.0 });
+        let extent: [f64; 3] = std::array::from_fn(|d| (hi[d] - lo[d]).max(0.0));
+        let cap = 8 * positions.len();
+        // `as usize` saturates: ∞ → `usize::MAX`, NaN → 0.
+        let dims_for = |h: f64| extent.map(|e| ((e / h) as usize).clamp(1, cap));
+        let total = |dims: [usize; 3]| dims.iter().fold(1usize, |a, &c| a.saturating_mul(c));
+        let mut h = link * (1.0 + 1e-6);
+        if total(dims_for(h)) > cap {
+            // The width whose cells over the multi-cell axes number `cap`.
+            let multi: Vec<f64> = dims_for(h)
+                .iter()
+                .zip(extent)
+                .filter(|(&c, _)| c > 1)
+                .map(|(_, e)| e)
+                .collect();
+            let log_volume: f64 = multi.iter().map(|e| e.ln()).sum();
+            h = h.max(((log_volume - (cap as f64).ln()) / multi.len() as f64).exp());
+            while total(dims_for(h)) > cap {
+                h *= 1.0 + 1e-6; // a floor rounded up
+            }
+        }
+        let dims = dims_for(h);
+        Mesh {
+            lo,
+            width: std::array::from_fn(|d| extent[d] / dims[d] as f64),
+            dims,
+        }
+    }
+}
+
 /// Linked-cell FOF with periodic boundary conditions in a box of side
 /// `box_size`. Returns group labels.
 ///
@@ -199,42 +277,67 @@ pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
         link <= box_size / 2.0,
         "linking length {link} too large for box {box_size}"
     );
+    let _span = telemetry::span!("halo", "fof_grid", positions.len());
+    link_cells(positions, link, Boundary::Periodic(box_size))
+}
+
+/// Linked-cell FOF with open boundaries: [`fof_grid`]'s engine on a mesh
+/// over the points' bounding box, nothing wrapped, at most `8n` cells
+/// whatever the coordinates (non-finite ones included — they link to
+/// nothing). The pair test is [`fof_kdtree_cols`]' own
+/// `dx² + dy² + dz² ≤ link²`, so the two engines see the same partition and,
+/// both numbering it by first appearance, return the same label vector
+/// (`conformance::layout`, `fof-patch`).
+pub fn fof_patch(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
+    assert!(link > 0.0, "linking length {link} must be positive");
+    let _span = telemetry::span!("halo", "fof_patch", positions.len());
+    link_cells(positions, link, Boundary::Open)
+}
+
+/// The linked-cell body behind [`fof_grid`] and [`fof_patch`].
+fn link_cells(positions: &[[f64; 3]], link: f64, boundary: Boundary) -> Vec<u32> {
     let n = positions.len();
-    let _span = telemetry::span!("halo", "fof_grid", n);
     if n == 0 {
         return Vec::new();
     }
     let mut uf = UnionFind::new(n);
-    let ncell = grid_cells_per_side(n, link, box_size);
-    let ncells = ncell * ncell * ncell;
+    let Mesh { lo, width, dims } = match boundary {
+        Boundary::Periodic(box_size) => Mesh::periodic(n, link, box_size),
+        Boundary::Open => Mesh::open(positions, link),
+    };
+    let [nx, ny, nz] = dims;
+    let ncells = nx * ny * nz;
     telemetry::count!("halo", "fof_cells", ncells);
-    let cell_w = box_size / ncell as f64;
     let key_of = |p: [f64; 3]| -> usize {
         let mut key = 0;
         for d in 0..3 {
-            let c = (p[d].rem_euclid(box_size) / cell_w) as usize;
-            key = key * ncell + c.min(ncell - 1);
+            let x = match boundary {
+                Boundary::Periodic(box_size) => p[d].rem_euclid(box_size),
+                Boundary::Open => p[d] - lo[d],
+            };
+            key = key * dims[d] + ((x / width[d]) as usize).min(dims[d] - 1);
         }
         key
     };
     // Counting sort by cell. Counts go in two slots up, so that after the
     // prefix sum `start[k + 1]` is cell `k`'s write cursor and, once every
     // particle is placed, its end: cell `k` is `start[k]..start[k + 1]`.
-    let keys: Vec<u32> = positions.iter().map(|&p| key_of(p) as u32).collect();
+    // Particles are linked under their sorted slots (neighbours in space are
+    // neighbours in the forest), and `slot[i]` maps them back for labeling.
+    let mut slot: Vec<u32> = positions.iter().map(|&p| key_of(p) as u32).collect();
     let mut start = vec![0u32; ncells + 2];
-    for &k in &keys {
+    for &k in &slot {
         start[k as usize + 2] += 1;
     }
     for k in 2..start.len() {
         start[k] += start[k - 1];
     }
-    let mut order = vec![0u32; n];
     let mut sorted = vec![[0.0f64; 3]; n];
-    for (i, &k) in keys.iter().enumerate() {
-        let slot = &mut start[k as usize + 1];
-        order[*slot as usize] = i as u32;
-        sorted[*slot as usize] = positions[i];
-        *slot += 1;
+    for (i, key) in slot.iter_mut().enumerate() {
+        let cursor = &mut start[*key as usize + 1];
+        sorted[*cursor as usize] = positions[i];
+        *key = *cursor;
+        *cursor += 1;
     }
     let cell = |k: usize| start[k] as usize..start[k + 1] as usize;
 
@@ -242,9 +345,12 @@ pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
     let pd2 = |a: [f64; 3], b: [f64; 3]| -> f64 {
         let mut s = 0.0;
         for d in 0..3 {
-            let mut v = (a[d] - b[d]).abs();
-            if v > box_size / 2.0 {
-                v = box_size - v;
+            let mut v = a[d] - b[d];
+            if let Boundary::Periodic(box_size) = boundary {
+                v = v.abs();
+                if v > box_size / 2.0 {
+                    v = box_size - v;
+                }
             }
             s += v * v;
         }
@@ -254,37 +360,51 @@ pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
         for i in a {
             for j in b.clone() {
                 if pd2(sorted[i], sorted[j]) <= b2 {
-                    uf.union(order[i] as usize, order[j] as usize);
+                    uf.union(i, j);
                 }
             }
         }
     };
+    let periodic = matches!(boundary, Boundary::Periodic(_));
+    // `c + d` on an axis of `nc` cells: wrapped, or `None` past an edge.
+    let step = |c: usize, d: i8, nc: usize| -> Option<usize> {
+        if periodic {
+            Some(wrap_cell(c, d, nc))
+        } else {
+            (c as isize + d as isize)
+                .try_into()
+                .ok()
+                .filter(|&c| c < nc)
+        }
+    };
     // The cells `z − 1, z, z + 1` of a row are adjacent in cell order, so
-    // their particles are one run — two where the row wraps, the whole row
-    // when it has no more than three cells.
+    // their particles are one run — clipped at the ends of an open row; two
+    // where a periodic row wraps, the whole row when it has no more than
+    // three cells.
     let z_runs = |cz: usize| -> [std::ops::Range<usize>; 2] {
-        if ncell <= 3 {
-            [0..ncell, 0..0]
+        if !periodic {
+            [cz.saturating_sub(1)..(cz + 2).min(nz), 0..0]
+        } else if nz <= 3 {
+            [0..nz, 0..0]
         } else if cz == 0 {
-            [0..2, ncell - 1..ncell]
-        } else if cz + 1 == ncell {
-            [cz - 1..ncell, 0..1]
+            [0..2, nz - 1..nz]
+        } else if cz + 1 == nz {
+            [cz - 1..nz, 0..1]
         } else {
             [cz - 1..cz + 2, 0..0]
         }
     };
     // Each occupied cell against itself, the next cell of its row and the
-    // three-cell runs of the four rows after it.
-    for cx in 0..ncell {
-        for cy in 0..ncell {
-            let row = (cx * ncell + cy) * ncell;
-            if start[row] == start[row + ncell] {
+    // three-cell runs of the four rows after it (those that exist).
+    for cx in 0..nx {
+        for cy in 0..ny {
+            let row = (cx * ny + cy) * nz;
+            if start[row] == start[row + nz] {
                 continue;
             }
-            let rows = FORWARD_ROWS.map(|[dx, dy]| {
-                (wrap_cell(cx, dx, ncell) * ncell + wrap_cell(cy, dy, ncell)) * ncell
-            });
-            for cz in 0..ncell {
+            let rows = FORWARD_ROWS
+                .map(|[dx, dy]| Some((step(cx, dx, nx)? * ny + step(cy, dy, ny)?) * nz));
+            for cz in 0..nz {
                 let mine = cell(row + cz);
                 if mine.is_empty() {
                     continue;
@@ -292,13 +412,12 @@ pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
                 for i in mine.clone() {
                     link_pairs(i..i + 1, i + 1..mine.end);
                 }
-                let next = wrap_cell(cz, 1, ncell);
-                if next != cz {
+                if let Some(next) = step(cz, 1, nz).filter(|&next| next != cz) {
                     link_pairs(mine.clone(), cell(row + next));
                 }
-                for other in rows {
+                for other in rows.into_iter().flatten() {
                     if other == row {
-                        continue; // wrapped back (ncell small)
+                        continue; // wrapped back (few cells)
                     }
                     for run in z_runs(cz) {
                         let theirs =
@@ -309,7 +428,7 @@ pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
             }
         }
     }
-    uf.labels().0
+    uf.labels_of(slot.iter().map(|&s| s as usize)).0
 }
 
 /// Group labels → per-group member lists (groups in label order).

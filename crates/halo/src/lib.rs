@@ -4,9 +4,10 @@
 //! the `dpp` data-parallel layer:
 //!
 //! * **FOF halo identification** (§3.3.1) — balanced k-d tree with
-//!   bounding-box pruning ([`fof::fof_kdtree_cols`]), a periodic linked-cell
-//!   engine ([`fof::fof_grid`]), and the rank-parallel driver with overload
-//!   regions ([`parallel::parallel_fof`]).
+//!   bounding-box pruning ([`fof::fof_kdtree_cols`]), a linked-cell engine
+//!   with a periodic ([`fof::fof_grid`]) and an open ([`fof::fof_patch`])
+//!   boundary, and the rank-parallel driver with overload regions
+//!   ([`parallel::parallel_fof`]).
 //! * **MBP center finding** (§3.3.2) — the data-parallel O(n²) kernel
 //!   ([`mbp::mbp_brute`]) and the serial A* baseline ([`mbp::mbp_astar`]).
 //! * **Spherical overdensity masses** ([`so::so_mass`]).
@@ -34,13 +35,15 @@ pub mod unionfind;
 
 pub use catalog::{unwrap_positions, Halo, HaloCatalog};
 pub use columns::Coords;
-pub use fof::{fof_brute, fof_grid, fof_kdtree_cols, groups_of_at_least, members_by_group};
+pub use fof::{
+    fof_brute, fof_grid, fof_kdtree_cols, fof_patch, groups_of_at_least, members_by_group,
+};
 pub use kdtree::{Aabb, KdTree};
 pub use massfn::{fit_power_law, FittedMassFunction, MassFunction};
 pub use mbp::{
     center_time_titan_gpu, mbp_astar, mbp_brute, mbp_brute_cols, potential_at, MbpResult,
 };
-pub use parallel::{fof_and_centers_timed, parallel_fof, FofConfig, RankTiming};
+pub use parallel::{extended_patch, fof_and_centers_timed, parallel_fof, FofConfig, RankTiming};
 pub use properties::{halo_properties, HaloProperties};
 pub use so::{so_mass, SoResult};
 pub use subhalo::{find_subhalos, local_densities, Subhalo, SubhaloParams};

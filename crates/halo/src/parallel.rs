@@ -1,16 +1,21 @@
 //! Rank-parallel FOF halo finding over a Cartesian decomposition with
 //! overload regions (paper §3.3.1).
 //!
-//! Each rank runs the serial k-d tree finder on its local particles plus the
-//! replicated overload shell. With the overload width at least the largest
-//! halo extent, every halo is found *in its entirety* by each rank that owns
-//! at least one of its particles; the halo is then *assigned* to exactly one
-//! rank by a deterministic rule (the rank owning the halo's minimum-tag
-//! particle), so the union over ranks is an exact, duplicate-free catalog.
+//! Each rank runs the serial finder on its local particles plus the
+//! replicated overload shell (its *extended patch*). With the overload width
+//! at least the largest halo extent, every halo is found *in its entirety*
+//! by each rank that owns at least one of its particles; the halo is then
+//! *assigned* to exactly one rank by a deterministic rule (the rank owning
+//! the halo's minimum-tag particle), so the union over ranks is an exact,
+//! duplicate-free catalog.
+//!
+//! The patch is linked by the open-boundary cell engine ([`fof_patch`]),
+//! whose pair test is the k-d tree's: the label vector is the one
+//! [`crate::fof_kdtree_cols`] returns on the same rows (the
+//! `parallel_fof_labels_equal_the_kdtree_on_every_rank` test).
 
 use crate::catalog::{Halo, HaloCatalog};
-use crate::columns::Coords;
-use crate::fof::{fof_kdtree_cols, groups_of_at_least};
+use crate::fof::{fof_patch, groups_of_at_least};
 use comm::{exchange_overload, CartDecomp, Communicator};
 use nbody::particle::Particle;
 
@@ -38,6 +43,138 @@ pub fn parallel_fof(
     parallel_fof_counted(comm, decomp, locals, cfg).0
 }
 
+/// The linking coordinates of this rank's extended patch, row for row as
+/// [`parallel_fof`] links them: the locals, the ghosts [`exchange_overload`]
+/// brings (unwrapped next to the block), then the periodic self-images on
+/// single-block axes. Collective: every rank of `comm` must call it.
+pub fn extended_patch(
+    comm: &Communicator,
+    decomp: &CartDecomp,
+    locals: &[Particle],
+    width: f64,
+) -> Vec<[f64; 3]> {
+    let ghosts = exchange_overload(comm, decomp, width, locals);
+    Patch::build(decomp, comm.rank(), locals, ghosts, width).positions
+}
+
+/// A rank's extended patch: one row per copy of a particle, in the order
+/// locals, ghosts, then self-images axis by axis.
+struct Patch<'a> {
+    locals: &'a [Particle],
+    ghosts: Vec<Particle>,
+    /// Linking coordinates in `f64`, the unwrapping and image shifts applied
+    /// exactly (±L in `f64` is lossless), so the distributed partition is the
+    /// single-domain periodic one.
+    positions: Vec<[f64; 3]>,
+    /// Row → the record it copies, an index into `locals ++ ghosts`.
+    source: Vec<u32>,
+}
+
+impl<'a> Patch<'a> {
+    /// Lay the patch out in one pass into rows reserved up front: a row with
+    /// `k` single-block axes on which it sits within `width` of the seam
+    /// yields `2^k` rows, itself and its images.
+    fn build(
+        decomp: &CartDecomp,
+        rank: usize,
+        locals: &'a [Particle],
+        ghosts: Vec<Particle>,
+        width: f64,
+    ) -> Self {
+        let l = decomp.box_size();
+        let (lo, hi) = decomp.local_bounds(rank);
+        let block_center: [f64; 3] = std::array::from_fn(|d| (lo[d] + hi[d]) / 2.0);
+        // Ghost positions unwrapped to be contiguous with this rank's block
+        // (a ghost from a periodic neighbor may sit across the box seam).
+        let unwrap = |mut q: [f64; 3]| {
+            for d in 0..3 {
+                if q[d] - block_center[d] > l / 2.0 {
+                    q[d] -= l;
+                } else if q[d] - block_center[d] < -l / 2.0 {
+                    q[d] += l;
+                }
+            }
+            q
+        };
+        // Axes with a single block have no neighbor to exchange with, but
+        // the box is still periodic there: a row within one overload width
+        // of the seam gets a self-image shifted by ±L. Images sit at rows
+        // ≥ `locals.len()`, so ownership treats them as ghosts.
+        let single: Vec<usize> = (0..3).filter(|&d| decomp.dims()[d] == 1).collect();
+        let image_shift = |x: f64, d: usize| {
+            if x - lo[d] < width {
+                Some(l)
+            } else if hi[d] - x <= width {
+                Some(-l)
+            } else {
+                None
+            }
+        };
+        let base = locals
+            .iter()
+            .map(|p| p.pos_f64())
+            .chain(ghosts.iter().map(|g| unwrap(g.pos_f64())));
+        let rows: usize = base
+            .clone()
+            .map(|q| {
+                1 << single
+                    .iter()
+                    .filter(|&&d| image_shift(q[d], d).is_some())
+                    .count()
+            })
+            .sum();
+        let mut positions = Vec::with_capacity(rows);
+        let mut source = Vec::with_capacity(rows);
+        positions.extend(base);
+        source.extend(0..positions.len() as u32);
+        for &d in &single {
+            for i in 0..positions.len() {
+                if let Some(shift) = image_shift(positions[i][d], d) {
+                    let mut q = positions[i];
+                    q[d] += shift;
+                    positions.push(q);
+                    source.push(source[i]);
+                }
+            }
+        }
+        debug_assert_eq!(positions.len(), rows);
+        Patch {
+            locals,
+            ghosts,
+            positions,
+            source,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.positions.len()
+    }
+
+    fn is_local(&self, row: usize) -> bool {
+        row < self.locals.len()
+    }
+
+    /// The particle row `row` copies.
+    fn source(&self, row: usize) -> &Particle {
+        let s = self.source[row] as usize;
+        self.locals
+            .get(s)
+            .unwrap_or_else(|| &self.ghosts[s - self.locals.len()])
+    }
+
+    /// Row `row` as a catalog record: a local as it is, any other copy with
+    /// its unwrapped or shifted position rounded to `f32` (center finding
+    /// tolerates the rounding; on the axes no shift touched, `f32 → f64 →
+    /// f32` is the identity).
+    fn record(&self, row: usize) -> Particle {
+        let mut p = *self.source(row);
+        if !self.is_local(row) {
+            p.pos = self.positions[row].map(|x| x as f32);
+        }
+        p
+    }
+}
+
 /// [`parallel_fof`] plus the size of the extended patch it linked (locals,
 /// ghosts and periodic self-images): the rank's identification work.
 fn parallel_fof_counted(
@@ -51,92 +188,41 @@ fn parallel_fof_counted(
         cfg.overload_width >= cfg.link_length,
         "overload width must cover at least one linking length"
     );
-    let nlocal = locals.len();
-    let ghosts = exchange_overload(comm, decomp, cfg.overload_width, locals);
+    let rank = comm.rank();
+    let _span = telemetry::span!("halo", "parallel_fof", rank);
+    let ghosts = {
+        let _span = telemetry::span!("halo", "exchange", rank);
+        exchange_overload(comm, decomp, cfg.overload_width, locals)
+    };
+    let patch = {
+        let _span = telemetry::span!("halo", "patch", rank);
+        Patch::build(decomp, rank, locals, ghosts, cfg.overload_width)
+    };
+    telemetry::count!("halo", "patch_particles", patch.len());
 
-    // Combined particle set; ghost positions unwrapped to be contiguous with
-    // this rank's block (a ghost from a periodic neighbor may sit across the
-    // box seam).
-    let (lo, hi) = decomp.local_bounds(comm.rank());
-    let block_center = [
-        (lo[0] + hi[0]) / 2.0,
-        (lo[1] + hi[1]) / 2.0,
-        (lo[2] + hi[2]) / 2.0,
-    ];
-    // Two parallel views of the extended particle set:
-    //  * `positions` — f64, with unwrapping/image shifts applied exactly
-    //    (±L in f64 is lossless), used for the linking decisions so the
-    //    distributed result is bit-identical to a single-domain periodic run;
-    //  * `all` — the Particle records with f32-rounded unwrapped positions,
-    //    kept for the catalog (center finding tolerates the f32 rounding).
-    let l = decomp.box_size();
-    let mut all: Vec<Particle> = Vec::with_capacity(nlocal + ghosts.len());
-    let mut positions: Vec<[f64; 3]> = Vec::with_capacity(nlocal + ghosts.len());
-    all.extend_from_slice(locals);
-    positions.extend(locals.iter().map(|p| p.pos_f64()));
-    for g in ghosts {
-        let mut q = g.pos_f64();
-        for d in 0..3 {
-            if q[d] - block_center[d] > l / 2.0 {
-                q[d] -= l;
-            } else if q[d] - block_center[d] < -l / 2.0 {
-                q[d] += l;
-            }
-        }
-        let mut p = g;
-        p.pos = [q[0] as f32, q[1] as f32, q[2] as f32];
-        all.push(p);
-        positions.push(q);
-    }
+    // Serial FOF on the extended patch (open boundaries: the shell covers
+    // the seams).
+    let labels = {
+        let _span = telemetry::span!("halo", "link", rank);
+        fof_patch(&patch.positions, cfg.link_length)
+    };
 
-    // Axes with a single block have no neighbor to exchange with, but the
-    // box is still periodic there: add self-image copies of particles within
-    // one overload width of the seam, shifted by ±L. Images count as ghosts
-    // (index ≥ nlocal), so ownership logic is unaffected.
-    for d in 0..3 {
-        if decomp.dims()[d] != 1 {
-            continue;
-        }
-        let n_now = all.len();
-        for i in 0..n_now {
-            let x = positions[i][d];
-            let shift = if x - lo[d] < cfg.overload_width {
-                l
-            } else if hi[d] - x <= cfg.overload_width {
-                -l
-            } else {
-                continue;
-            };
-            let mut q = positions[i];
-            q[d] = x + shift;
-            let mut img = all[i];
-            img.pos[d] = q[d] as f32;
-            all.push(img);
-            positions.push(q);
-        }
-    }
-
-    // Serial FOF on the extended patch (non-periodic: the shell covers the
-    // seams).
-    let labels = fof_kdtree_cols(&Coords::from_rows(&positions), cfg.link_length);
-
+    let _span = telemetry::span!("halo", "catalog", rank);
     let mut catalog = HaloCatalog::new();
     for members in groups_of_at_least(&labels, cfg.min_size) {
         // Ownership: the halo's minimum tag must be present as one of this
         // rank's *local* particles (not a ghost or periodic image). Exactly
         // one rank satisfies this, so the union over ranks is duplicate-free.
-        let min_tag = members
-            .iter()
-            .map(|&i| all[i as usize].tag)
-            .min()
-            .expect("non-empty group");
+        let tag = |&i: &u32| patch.source(i as usize).tag;
+        let min_tag = members.iter().map(tag).min().expect("non-empty group");
         let owned = members
             .iter()
-            .any(|&i| (i as usize) < nlocal && all[i as usize].tag == min_tag);
+            .any(|i| patch.is_local(*i as usize) && tag(i) == min_tag);
         if owned {
             // Deduplicate by tag: a halo may contain both a particle and its
             // periodic image when images were added above.
-            let mut parts: Vec<Particle> = members.iter().map(|&i| all[i as usize]).collect();
+            let mut parts: Vec<Particle> =
+                members.iter().map(|&i| patch.record(i as usize)).collect();
             parts.sort_by_key(|p| p.tag);
             parts.dedup_by_key(|p| p.tag);
             if parts.len() >= cfg.min_size {
@@ -144,7 +230,7 @@ fn parallel_fof_counted(
             }
         }
     }
-    (catalog, positions.len())
+    (catalog, patch.len())
 }
 
 /// Per-rank timing of distributed halo analysis, the quantity behind the
@@ -182,6 +268,7 @@ pub fn fof_and_centers_timed(
     let find_seconds = t0.elapsed().as_secs_f64();
 
     let t1 = std::time::Instant::now();
+    let _span = telemetry::span!("halo", "centers", comm.rank());
     let mut center_work = 0u64;
     for halo in &mut catalog.halos {
         if halo.count() <= center_threshold {
@@ -291,6 +378,72 @@ mod tests {
                 ids.len(),
                 total,
                 "duplicate halo assignment, nranks={nranks}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_fof_labels_equal_the_kdtree_on_every_rank() {
+        let box_size = 32.0;
+        let all = test_universe(box_size);
+        let link = 0.45;
+        for nranks in [1usize, 2, 4, 8] {
+            let decomp = CartDecomp::new(nranks, box_size);
+            let patches = World::new(nranks)
+                .run(|c| extended_patch(c, &decomp, &distribute(&all, &decomp, c.rank()), 4.0));
+            for (rank, patch) in patches.iter().enumerate() {
+                assert_eq!(
+                    fof_patch(patch, link),
+                    crate::fof_kdtree_cols(&crate::Coords::from_rows(patch), link),
+                    "nranks={nranks} rank={rank}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn catalog_does_not_depend_on_the_order_of_locals() {
+        let box_size = 32.0;
+        let all = test_universe(box_size);
+        let cfg = FofConfig {
+            link_length: 0.45,
+            min_size: 20,
+            overload_width: 4.0,
+        };
+        // Per halo, its id and every member's tag and position bits.
+        type Members = Vec<(u64, [u32; 3])>;
+        let halos = |catalogs: Vec<HaloCatalog>| {
+            let mut halos: Vec<(u64, Members)> = catalogs
+                .iter()
+                .flat_map(|c| &c.halos)
+                .map(|h| {
+                    let parts = h.particles.iter().map(|p| (p.tag, p.pos.map(f32::to_bits)));
+                    (h.id, parts.collect())
+                })
+                .collect();
+            halos.sort();
+            halos
+        };
+        for nranks in [1usize, 2, 4] {
+            let decomp = CartDecomp::new(nranks, box_size);
+            let world = World::new(nranks);
+            let run = |permute: fn(&mut Vec<Particle>)| {
+                halos(world.run(|c| {
+                    let mut locals = distribute(&all, &decomp, c.rank());
+                    permute(&mut locals);
+                    parallel_fof(c, &decomp, &locals, &cfg)
+                }))
+            };
+            let base = run(|_| {});
+            assert!(!base.is_empty());
+            assert_eq!(run(|l| l.reverse()), base, "nranks={nranks} reversed");
+            assert_eq!(
+                run(|l| {
+                    let third = l.len() / 3;
+                    l.rotate_left(third)
+                }),
+                base,
+                "nranks={nranks} rotated"
             );
         }
     }

@@ -68,17 +68,26 @@ impl UnionFind {
     /// Compact group labels: element → group id in `0..ngroups`, groups
     /// numbered by first appearance.
     pub fn labels(&mut self) -> (Vec<u32>, usize) {
-        let n = self.len();
-        let mut label_of_root = vec![u32::MAX; n];
-        let mut out = vec![0u32; n];
+        self.labels_of(0..self.len())
+    }
+
+    /// [`labels`](Self::labels) of elements kept under other indices: element
+    /// `i` is the `i`-th item of `members`, groups numbered by first
+    /// appearance in that order.
+    pub fn labels_of(
+        &mut self,
+        members: impl ExactSizeIterator<Item = usize>,
+    ) -> (Vec<u32>, usize) {
+        let mut label_of_root = vec![u32::MAX; self.len()];
+        let mut out = Vec::with_capacity(members.len());
         let mut next = 0u32;
-        for i in 0..n {
-            let r = self.find(i);
+        for m in members {
+            let r = self.find(m);
             if label_of_root[r] == u32::MAX {
                 label_of_root[r] = next;
                 next += 1;
             }
-            out[i] = label_of_root[r];
+            out.push(label_of_root[r]);
         }
         (out, next as usize)
     }
