@@ -6,7 +6,8 @@
 //! dense-cell and grid-per-chunk references in `conformance::layout`; for
 //! the PM solve, the per-line FFT reference and the stepper that re-solves
 //! at every kick; for the force gather, three `cic_interpolate` calls per
-//! particle; for the distributed find, the k-d tree FOF),
+//! particle; for the distributed find, the k-d tree FOF; for a render
+//! frame, one that sorts its level-of-detail order afresh),
 //! written to `BENCH_kernels.json` when `BENCH_KERNELS_JSON=<path>` is set
 //! (`just bench-kernels`).
 //! `BENCH_QUICK=1` trims repetitions and problem sizes for the CI
@@ -388,6 +389,42 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         });
         rows.push(KernelRow {
             kernel: "render_deposit_64",
+            n,
+            before_ms: before,
+            after_ms: after,
+        });
+
+        // A whole frame of those particles on the render mesh: a fresh
+        // `render_frame` sorts its LOD order vs a density task that has
+        // drawn this particle set before and reuses it. Same frame.
+        use cosmotools::InSituAlgorithm;
+        let params = cosmotools::RenderParams::default();
+        let mut task = cosmotools::DensityRenderTask::new();
+        task.params = params;
+        let ctx = cosmotools::AnalysisContext {
+            step: 8,
+            total_steps: 8,
+            redshift: sim.redshift(),
+            particles: sim.particles(),
+            box_size,
+            backend: &pool2,
+            catalog: None,
+        };
+        let fresh = || cosmotools::render_frame(&pool2, sim.particles(), box_size, &params, 8);
+        let warm_frame = |task: &mut cosmotools::DensityRenderTask| match task.execute(&ctx).pop() {
+            Some(cosmotools::Product::Image { frame, .. }) => frame,
+            other => panic!("render_frame_64: a density task returned {other:?}"),
+        };
+        warm_frame(&mut task);
+        assert_eq!(
+            warm_frame(&mut task),
+            fresh(),
+            "render_frame_64: the frames differ"
+        );
+        let before = time_ms(pm_reps, fresh);
+        let after = time_ms(pm_reps, || warm_frame(&mut task));
+        rows.push(KernelRow {
+            kernel: "render_frame_64",
             n,
             before_ms: before,
             after_ms: after,

@@ -7,7 +7,7 @@
 //! Validates that the JSON parses, carries the `bench-kernels-v1` schema,
 //! and covers every rewritten kernel (`cic`, `fof`, `mbp`, `fft3d_64`,
 //! `pm_step_64`, `pm_kick_64`, `fof_grid_64`, `render_deposit_64`,
-//! `find_patch_64`) with
+//! `find_patch_64`, `render_frame_64`) with
 //! finite positive timings, and that every kernel with a floor in [`FLOORS`]
 //! clears it. With
 //! `--baseline`, also fails if any kernel's speedup regressed by more than
@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use telemetry::json::{self, Value};
 
 /// Kernels the trajectory must cover.
-const REQUIRED: [&str; 9] = [
+const REQUIRED: [&str; 10] = [
     "cic",
     "fof",
     "mbp",
@@ -30,14 +30,21 @@ const REQUIRED: [&str; 9] = [
     "fof_grid_64",
     "render_deposit_64",
     "find_patch_64",
+    "render_frame_64",
 ];
 
 /// Speedups a trajectory must show whatever its baseline says: the fused
 /// gather reads the mesh once where three interpolations read it three times
 /// and redo the cell arithmetic, which no host makes less than twice as fast;
 /// the cell engine links a 218k-row patch from a counting sort where the k-d
-/// tree partitions it recursively first (1.5–1.6× when recorded).
-const FLOORS: [(&str, f64); 2] = [("pm_kick_64", 2.0), ("find_patch_64", 1.3)];
+/// tree partitions it recursively first (1.5–1.6× when recorded); a render
+/// frame that reuses its level-of-detail order skips a 262k-key sort that
+/// costs about as much as its gather and deposit together.
+const FLOORS: [(&str, f64); 3] = [
+    ("pm_kick_64", 2.0),
+    ("find_patch_64", 1.3),
+    ("render_frame_64", 1.4),
+];
 
 /// Maximum tolerated relative speedup regression vs the baseline.
 const MAX_REGRESSION: f64 = 0.25;

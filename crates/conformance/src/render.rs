@@ -4,7 +4,7 @@
 //!
 //! The render pipeline makes a determinism claim stronger than the halo
 //! pipeline's: every backend must produce **byte-identical images** (the
-//! deposit runs through the fixed-grain [`cic_deposit_soa_det`] kernel, so
+//! deposit runs through the fixed-grain [`cic_deposit_cols_det`] kernel, so
 //! there is no reassociation escape hatch, not even for the static
 //! scheduler). The battery checks that claim and the geometry around it:
 //!
@@ -28,6 +28,12 @@
 //!   set's image along Z, and the Y/Z images equal transposed rotated
 //!   images (approximate: the CIC weight product reassociates under
 //!   rotation).
+//! * `render-lod-reuse` — differential: a [`cosmotools::LodCache`] that has
+//!   already drawn the case renders the changed set exactly as a fresh
+//!   `render_frame` does — one tag changed, two particles swapped, one
+//!   appended, the seed changed, a duplicate tag (reuse off), positions
+//!   moved (reuse on) — over every axis, at budgets 0, half and one
+//!   particle.
 //!
 //! [`explore_render`] is the fault-tolerance half: a fault-free co-scheduled
 //! reference run pins the expected frame catalog, a record-only pass
@@ -37,14 +43,14 @@
 //! survivors from the artifact cache), and converge to a byte-identical
 //! catalog — after which a third run recomputes nothing at all.
 //!
-//! [`cic_deposit_soa_det`]: nbody::pm::cic_deposit_soa_det
+//! [`cic_deposit_cols_det`]: nbody::pm::cic_deposit_cols_det
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cache::ArtifactCache;
 use cosmotools::{
-    lod_select, project_density, render_frame, render_projection, Axis, RenderParams,
+    lod_select, project_density, render_frame, render_projection, Axis, LodCache, RenderParams,
     PARTICLE_RENDER_BYTES, RENDER_DEPOSIT_GRAIN,
 };
 use dpp::Serial;
@@ -59,12 +65,13 @@ use crate::inputs;
 
 /// Every oracle family the render battery must exercise;
 /// [`assert_render_conformance`] fails if any ran zero checks.
-pub const REQUIRED_RENDER_ORACLES: [&str; 5] = [
+pub const REQUIRED_RENDER_ORACLES: [&str; 6] = [
     "render-backend",
     "render-permutation",
     "render-mass",
     "render-lod",
     "render-axis",
+    "render-lod-reuse",
 ];
 
 /// Image edge used throughout the battery (small: the oracles are about
@@ -337,6 +344,77 @@ pub fn run_render_differential() -> DiffReport {
                 &want,
                 &rot,
             );
+        }
+    }
+
+    // --- render-lod-reuse -------------------------------------------------
+    // A renderer's cached LOD order is invisible: after one frame on the
+    // case, a frame on the changed set equals a fresh `render_frame` (and
+    // its projection a fresh `render_projection`, NaN bins as a class) for
+    // every change that must force a re-sort and for the one that must not.
+    // A cache that checks only the length and the seed was caught by the
+    // `tag-changed`, `swapped` and `duplicate-tag` cases.
+    rep.op("render-lod-reuse");
+    type Change = fn(&mut Vec<Particle>, &mut u64);
+    let changes: [(&str, Change); 7] = [
+        ("unchanged", |_, _| {}),
+        ("tag-changed", |d, _| {
+            let mid = d.len() / 2;
+            if let Some(p) = d.get_mut(mid) {
+                p.tag = !p.tag;
+            }
+        }),
+        ("swapped", |d, _| {
+            let n = d.len();
+            if n >= 2 {
+                d.swap(0, n / 3 + 1);
+            }
+        }),
+        ("appended", |d, _| {
+            d.push(Particle::at_rest([1.5, 2.5, 3.5], 1.0, 0xABCD_0000_0000))
+        }),
+        ("seed-changed", |_, seed| *seed += 1),
+        ("duplicate-tag", |d, _| {
+            if d.len() >= 2 {
+                d[1].tag = d[0].tag;
+            }
+        }),
+        ("moved", |d, _| {
+            for p in d.iter_mut() {
+                p.pos = p.pos.map(|x| (x + 1.25) % BOX_SIZE as f32);
+            }
+        }),
+    ];
+    for case in &cases {
+        let n = case.data.len() as u64;
+        for axis in Axis::ALL {
+            for budget in [0, (n / 2).max(1), 1].map(|k| k * PARTICLE_RENDER_BYTES) {
+                for (name, change) in changes {
+                    let label = format!("{}/{}/{name}/budget={budget}", case.name, axis.label());
+                    let mut cache = LodCache::default();
+                    cache.render_frame(&Serial, &case.data, BOX_SIZE, &params(axis, budget), 5);
+                    let (mut data, mut seed) = (case.data.clone(), LOD_SEED);
+                    change(&mut data, &mut seed);
+                    let p = RenderParams {
+                        lod_seed: seed,
+                        ..params(axis, budget)
+                    };
+                    let (got, _) = cache.render_projection(&Serial, &data, BOX_SIZE, &p);
+                    let (want, _) = render_projection(&Serial, &data, BOX_SIZE, &p);
+                    let map = format!("{label}/map");
+                    rep.check_f64_slice(
+                        Cmp::NumEq,
+                        "render-lod-reuse",
+                        &map,
+                        "serial",
+                        &want,
+                        &got,
+                    );
+                    let got = cache.render_frame(&Serial, &data, BOX_SIZE, &p, 6);
+                    let want = render_frame(&Serial, &data, BOX_SIZE, &p, 6);
+                    rep.check_eq("render-lod-reuse", &label, "serial", &want, &got);
+                }
+            }
         }
     }
 

@@ -69,7 +69,9 @@ pub struct RunnerConfig {
     /// density projection frame at *every* simulation step (the render
     /// workload is bandwidth-bound, not compute-bound) into
     /// `workdir/coscheduled/render/`. `None` disables rendering entirely —
-    /// zero behavior change for halo-only runs.
+    /// zero behavior change for halo-only runs. `ng` must not exceed
+    /// [`cosmotools::MAX_RENDER_NG`] (a deck's render sections are checked
+    /// against it; this field is not).
     pub render: Option<RenderParams>,
 }
 
@@ -644,7 +646,14 @@ impl TestBed {
     /// In-situ visualization of one step, independent of the Level-2 emit
     /// cadence. A memoized frame's encoded bytes replay without touching the
     /// renderer (or its fault site), so warm re-runs recompute nothing.
-    fn render_step(&self, sim: &Simulation, backend: &dyn Backend, run: &mut WorkflowRun) {
+    /// `lod` carries the level-of-detail order from one step to the next.
+    fn render_step(
+        &self,
+        sim: &Simulation,
+        backend: &dyn Backend,
+        lod: &mut cosmotools::LodCache,
+        run: &mut WorkflowRun,
+    ) {
         let cfg = &self.cfg;
         let Some(rp) = &cfg.render else {
             return;
@@ -669,8 +678,7 @@ impl TestBed {
             write(&bytes)
         } else if cfg.guard(RENDER_FAULT_SITE, &mut run.insitu_retries) {
             let box_size = cfg.sim.cosmology.box_size;
-            let frame =
-                cosmotools::render_frame(backend, sim.particles(), box_size, rp, step as u64);
+            let frame = lod.render_frame(backend, sim.particles(), box_size, rp, step as u64);
             let bytes = cosmotools::write_image(&frame);
             let written = write(bytes.as_ref());
             if let Some(c) = &cfg.cache {
@@ -765,10 +773,11 @@ impl TestBed {
         let mut last_good: Option<PathBuf> = None;
         let mut small_centers: Vec<CenterRecord> = Vec::new();
         let mut emitted = 0usize;
+        let mut lod = cosmotools::LodCache::default();
         sim.run_with_hook(backend, |step, sim| {
             // Rendering precedes the halo stage so an analysis fault can
             // never drop a frame.
-            self.render_step(sim, backend, run);
+            self.render_step(sim, backend, &mut lod, run);
             let last = step == sim.total_steps();
             if !(step % emit_every == 0 || last) {
                 return;
@@ -1502,7 +1511,7 @@ mod tests {
         let mut sim = Simulation::new(&backend, bed.cfg.sim.clone());
         sim.step(&backend);
         let mut run = WorkflowRun::default();
-        bed.render_step(&sim, &backend, &mut run);
+        bed.render_step(&sim, &backend, &mut Default::default(), &mut run);
         assert_eq!((run.degraded_steps, run.frames_rendered), (1, 0));
         assert!(run.render_seconds > 0.0, "the step was still accounted");
     }

@@ -12,8 +12,12 @@
 //! * [`lod_select`] canonicalizes particle order (a total order over the
 //!   particle *value*, independent of input order) before truncating to the
 //!   budget, so selections are permutation-invariant and prefix-stable under
-//!   shrinking budgets.
-//! * The deposit goes through [`nbody::cic_deposit_cols_det`], whose fixed
+//!   shrinking budgets. A renderer that draws every step keeps a
+//!   [`LodCache`], which sorts once and reuses the order while the seed and
+//!   the tag column stay the same.
+//! * The selection is gathered straight into the deposit's columns
+//!   ([`DepositColumns::refill_gather`]) and goes through
+//!   [`nbody::cic_deposit_cols_det`], whose fixed
 //!   chunking makes the 3-D grid byte-identical across
 //!   Serial/Threaded/StaticThreaded: chunks of [`RENDER_DEPOSIT_GRAIN`]
 //!   particles, each deposited on its own and kept as a sparse list of the
@@ -159,6 +163,49 @@ fn lod_key(seed: u64, p: &Particle) -> (u64, u64, u32, u32, u32, u32, u32, u32, 
     )
 }
 
+/// The indices of `particles` in ascending [`lod_key`] order, and whether
+/// every priority was distinct.
+///
+/// The sort runs over packed `(priority, index)` keys. [`lod_priority`] is a
+/// bijection of the tag: an add, two odd multiplies and a rotate. So equal
+/// priorities mean equal tags. Only those runs fall back to the full key,
+/// and the order is the one a sort of the particles by [`lod_key`] gives.
+/// (Keys that tie on every field belong to bit-identical particles, so
+/// their relative order changes no gathered bit.)
+fn lod_order(particles: &[Particle], seed: u64) -> (Vec<u32>, bool) {
+    assert!(
+        u32::try_from(particles.len()).is_ok(),
+        "LOD order indexes particles with u32"
+    );
+    let mut keys: Vec<u128> = particles
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (u128::from(lod_priority(seed, p.tag)) << 32) | i as u128)
+        .collect();
+    keys.sort_unstable();
+    let mut order: Vec<u32> = keys.iter().map(|&k| k as u32).collect();
+    let mut distinct = true;
+    let mut start = 0;
+    for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+        if run.len() > 1 {
+            distinct = false;
+            order[start..start + run.len()]
+                .sort_unstable_by_key(|&i| lod_key(seed, &particles[i as usize]));
+        }
+        start += run.len();
+    }
+    (order, distinct)
+}
+
+/// How many of `n` particles a frame under `byte_budget` keeps: `0` is
+/// unlimited, otherwise one per [`PARTICLE_RENDER_BYTES`].
+fn budget_len(n: usize, byte_budget: u64) -> usize {
+    if byte_budget == 0 {
+        return n;
+    }
+    usize::try_from(byte_budget / PARTICLE_RENDER_BYTES).map_or(n, |k| k.min(n))
+}
+
 /// Select the particles a frame may afford: canonical priority order,
 /// truncated to `byte_budget / PARTICLE_RENDER_BYTES` particles
 /// (`byte_budget == 0` keeps everything, still in canonical order).
@@ -167,13 +214,115 @@ fn lod_key(seed: u64, p: &Particle) -> (u64, u64, u32, u32, u32, u32, u32, u32, 
 /// prefix-stable: the selection at a smaller budget is exactly a prefix of
 /// the selection at any larger one.
 pub fn lod_select(particles: &[Particle], seed: u64, byte_budget: u64) -> Vec<Particle> {
-    let mut out = particles.to_vec();
-    out.sort_unstable_by_key(|p| lod_key(seed, p));
-    if byte_budget > 0 {
-        let k = (byte_budget / PARTICLE_RENDER_BYTES) as usize;
-        out.truncate(k);
+    let (order, _) = lod_order(particles, seed);
+    order[..budget_len(particles.len(), byte_budget)]
+        .iter()
+        .map(|&i| particles[i as usize])
+        .collect()
+}
+
+/// The LOD order of the last particle set a renderer drew, reused for the
+/// next frame while it is provably the same.
+///
+/// When all tags are distinct, the order depends only on the seed and on
+/// the tag at each position. So the cached order is reused when:
+/// - the seed is the same;
+/// - the tag column is the same, position for position;
+/// - the cached order had no two equal priorities.
+///
+/// Otherwise the order is sorted again. Positions, masses and velocities
+/// may change freely between frames. `Simulation` never reorders its
+/// particles, so a run sorts once and then compares one tag column per
+/// frame. Budgets take a prefix of the order, as [`lod_select`] does. Only
+/// the order and the tags are kept between frames, not the deposit columns.
+#[derive(Debug, Clone, Default)]
+pub struct LodCache {
+    seed: u64,
+    tags: Vec<u64>,
+    order: Vec<u32>,
+    distinct: bool,
+}
+
+impl LodCache {
+    /// The LOD order of `particles` under `seed`: the cached one when the
+    /// reuse rule holds, a fresh sort otherwise. Counts `render.lod_reused`
+    /// or `render.lod_sorted`.
+    fn order(&mut self, particles: &[Particle], seed: u64) -> &[u32] {
+        let _span = telemetry::span!("render", "lod_order", particles.len());
+        let reusable = self.distinct
+            && self.seed == seed
+            && self.tags.len() == particles.len()
+            && self.tags.iter().zip(particles).all(|(&t, p)| t == p.tag);
+        if reusable {
+            telemetry::count!("render", "lod_reused", 1);
+        } else {
+            telemetry::count!("render", "lod_sorted", 1);
+            (self.order, self.distinct) = lod_order(particles, seed);
+            self.seed = seed;
+            self.tags.clear();
+            self.tags.extend(particles.iter().map(|p| p.tag));
+        }
+        &self.order
     }
-    out
+
+    /// [`render_projection`], with the LOD order from this cache.
+    pub fn render_projection(
+        &mut self,
+        backend: &dyn Backend,
+        particles: &[Particle],
+        box_size: f64,
+        params: &RenderParams,
+    ) -> (Vec<f64>, u64) {
+        let order = self.order(particles, params.lod_seed);
+        let selected = &order[..budget_len(order.len(), params.byte_budget)];
+        let mut cols = DepositColumns::default();
+        {
+            let _span = telemetry::span!("render", "gather", selected.len());
+            cols.refill_gather(backend, particles, selected);
+        }
+        let grid = cic_deposit_cols_det(
+            backend,
+            cols.positions(),
+            cols.mass(),
+            params.ng,
+            box_size,
+            RENDER_DEPOSIT_GRAIN,
+        );
+        let _span = telemetry::span!("render", "project", params.ng);
+        (project_density(&grid, params.axis), selected.len() as u64)
+    }
+
+    /// [`render_frame`], with the LOD order from this cache.
+    pub fn render_frame(
+        &mut self,
+        backend: &dyn Backend,
+        particles: &[Particle],
+        box_size: f64,
+        params: &RenderParams,
+        step: u64,
+    ) -> ImageFrame {
+        let _span = telemetry::span!("render", "frame", step);
+        let (projected, selected) = self.render_projection(backend, particles, box_size, params);
+        let (pixels, nonfinite) = {
+            let _span = telemetry::span!("render", "tone_map", projected.len());
+            tone_map(&projected)
+        };
+        let frame = ImageFrame {
+            step,
+            axis: params.axis,
+            width: params.ng as u32,
+            height: params.ng as u32,
+            pixels,
+            nonfinite_pixels: nonfinite,
+            selected,
+            total: particles.len() as u64,
+            byte_budget: params.byte_budget,
+        };
+        telemetry::count!("render", "frames", 1);
+        telemetry::count!("render", "bytes", frame.pixels.len() as u64);
+        telemetry::count!("render", "nonfinite_pixels", nonfinite);
+        frame
+    }
 }
 
 /// Project the overdensity grid to a 2-D density map by summing the cell
@@ -306,24 +455,15 @@ pub fn render_projection(
     box_size: f64,
     params: &RenderParams,
 ) -> (Vec<f64>, u64) {
-    let selected = lod_select(particles, params.lod_seed, params.byte_budget);
-    let n_selected = selected.len() as u64;
-    let cols = DepositColumns::from_aos(backend, &selected);
-    let (pos, mass) = (cols.positions(), cols.mass());
-    let grid = cic_deposit_cols_det(
-        backend,
-        pos,
-        mass,
-        params.ng,
-        box_size,
-        RENDER_DEPOSIT_GRAIN,
-    );
-    (project_density(&grid, params.axis), n_selected)
+    LodCache::default().render_projection(backend, particles, box_size, params)
 }
 
 /// Render one complete frame: LOD-select, deposit, project, tone-map.
-/// Stamps `render` telemetry (a per-frame span plus `frames` / `bytes` /
-/// `nonfinite_pixels` counters).
+/// Stamps `render` telemetry (a per-frame span with `lod_order`, `gather`,
+/// `project` and `tone_map` inside it, plus `frames` / `bytes` /
+/// `nonfinite_pixels` counters). A renderer that draws every step of a run
+/// keeps a [`LodCache`] and calls [`LodCache::render_frame`] instead; the
+/// frame is the same.
 pub fn render_frame(
     backend: &dyn Backend,
     particles: &[Particle],
@@ -331,25 +471,12 @@ pub fn render_frame(
     params: &RenderParams,
     step: u64,
 ) -> ImageFrame {
-    let _span = telemetry::span!("render", "frame", step);
-    let (projected, selected) = render_projection(backend, particles, box_size, params);
-    let (pixels, nonfinite) = tone_map(&projected);
-    let frame = ImageFrame {
-        step,
-        axis: params.axis,
-        width: params.ng as u32,
-        height: params.ng as u32,
-        pixels,
-        nonfinite_pixels: nonfinite,
-        selected,
-        total: particles.len() as u64,
-        byte_budget: params.byte_budget,
-    };
-    telemetry::count!("render", "frames", 1);
-    telemetry::count!("render", "bytes", frame.pixels.len() as u64);
-    telemetry::count!("render", "nonfinite_pixels", nonfinite);
-    frame
+    LodCache::default().render_frame(backend, particles, box_size, params, step)
 }
+
+/// Largest render mesh side: the deposit indexes the `ng³` cells with `u32`,
+/// and `1625³ ≤ u32::MAX < 1626³`. A deck asking for more is a config error.
+pub const MAX_RENDER_NG: usize = 1625;
 
 /// Parse the shared render keys of a config section into `params`/`every`.
 fn configure_render(
@@ -363,6 +490,14 @@ fn configure_render(
     }
     let enabled = config.get_bool(section, "enabled").unwrap_or(false);
     if let Ok(ng) = config.get_usize(section, "ng") {
+        if ng > MAX_RENDER_NG {
+            return Err(ConfigError::BadValue {
+                section: section.to_string(),
+                key: "ng".to_string(),
+                value: ng.to_string(),
+                wanted: "mesh side whose ng³ cells fit a u32 index (at most 1625)",
+            });
+        }
         params.ng = ng.max(1);
     }
     let axis_str = config.get_or(section, "axis", params.axis.label());
@@ -393,6 +528,7 @@ pub struct DensityRenderTask {
     /// Run every this many steps (rendering is an every-step workload by
     /// default — the cost profile the paper's Tables 3/4 never price).
     pub every: usize,
+    lod: LodCache,
 }
 
 impl Default for DensityRenderTask {
@@ -401,6 +537,7 @@ impl Default for DensityRenderTask {
             enabled: false,
             params: RenderParams::default(),
             every: 1,
+            lod: LodCache::default(),
         }
     }
 }
@@ -428,7 +565,7 @@ impl InSituAlgorithm for DensityRenderTask {
     }
 
     fn execute(&mut self, ctx: &AnalysisContext<'_>) -> Vec<Product> {
-        let frame = render_frame(
+        let frame = self.lod.render_frame(
             ctx.backend,
             ctx.particles,
             ctx.box_size,
@@ -453,6 +590,9 @@ pub struct HaloOverlayRenderTask {
     pub params: RenderParams,
     /// Run every this many steps.
     pub every: usize,
+    /// The base pass's order; the member set changes every step, so the
+    /// overlay pass sorts afresh.
+    lod: LodCache,
 }
 
 impl Default for HaloOverlayRenderTask {
@@ -461,6 +601,7 @@ impl Default for HaloOverlayRenderTask {
             enabled: false,
             params: RenderParams::default(),
             every: 1,
+            lod: LodCache::default(),
         }
     }
 }
@@ -487,7 +628,7 @@ impl InSituAlgorithm for HaloOverlayRenderTask {
     }
 
     fn execute(&mut self, ctx: &AnalysisContext<'_>) -> Vec<Product> {
-        let mut frame = render_frame(
+        let mut frame = self.lod.render_frame(
             ctx.backend,
             ctx.particles,
             ctx.box_size,
@@ -714,6 +855,64 @@ mod tests {
     }
 
     #[test]
+    fn render_mesh_must_fit_u32_cell_indices() {
+        assert!(MAX_RENDER_NG.pow(3) <= u32::MAX as usize);
+        assert!((MAX_RENDER_NG + 1).pow(3) > u32::MAX as usize);
+        for section in ["density-render", "halo-render"] {
+            let deck = |ng: usize| {
+                Config::parse(&format!("[{section}]\nenabled = true\nng = {ng}\n")).unwrap()
+            };
+            let mut density = DensityRenderTask::new();
+            let mut overlay = HaloOverlayRenderTask::new();
+            let task: &mut dyn InSituAlgorithm = if section == "density-render" {
+                &mut density
+            } else {
+                &mut overlay
+            };
+            match task.set_parameters(&deck(1700)) {
+                Err(ConfigError::BadValue { key, value, .. }) => {
+                    assert_eq!((key.as_str(), value.as_str()), ("ng", "1700"), "{section}");
+                }
+                other => panic!("[{section}] ng = 1700 configured: {other:?}"),
+            }
+            task.set_parameters(&deck(MAX_RENDER_NG))
+                .unwrap_or_else(|e| panic!("[{section}] ng = 1625 refused: {e}"));
+        }
+    }
+
+    #[test]
+    fn lod_cache_sorts_once_per_tag_column_and_seed() {
+        let mut parts = particles(600, 16.0);
+        let params = RenderParams {
+            ng: 8,
+            byte_budget: 200 * PARTICLE_RENDER_BYTES,
+            ..Default::default()
+        };
+        let mut cache = LodCache::default();
+        let frame = |cache: &mut LodCache, parts: &[Particle]| {
+            let got = cache.render_frame(&Serial, parts, 16.0, &params, 3);
+            assert_eq!(got, render_frame(&Serial, parts, 16.0, &params, 3));
+            cache.order.clone()
+        };
+        let first = frame(&mut cache, &parts);
+        assert!(cache.distinct);
+        // Moved positions, same tags: the same order, not re-sorted.
+        parts
+            .iter_mut()
+            .for_each(|p| p.pos[0] = (p.pos[0] + 1.5) % 16.0);
+        let ptr = cache.order.as_ptr();
+        assert_eq!(frame(&mut cache, &parts), first);
+        assert_eq!(cache.order.as_ptr(), ptr, "reused in place");
+        // Two particles swapped: a different order.
+        parts.swap(0, 599);
+        assert_ne!(frame(&mut cache, &parts), first);
+        // A duplicate tag: sorted, and never reused while it stays.
+        parts[5].tag = parts[6].tag;
+        frame(&mut cache, &parts);
+        assert!(!cache.distinct);
+    }
+
+    #[test]
     fn bad_axis_in_config_is_an_error() {
         let mut task = DensityRenderTask::new();
         let cfg = Config::parse("[density-render]\nenabled = true\naxis = q\n").unwrap();
@@ -739,7 +938,7 @@ mod tests {
         let mut task = HaloOverlayRenderTask {
             enabled: true,
             params,
-            every: 1,
+            ..Default::default()
         };
         let ctx = AnalysisContext {
             step: 1,
@@ -774,7 +973,7 @@ mod tests {
         let mut task = HaloOverlayRenderTask {
             enabled: true,
             params,
-            every: 1,
+            ..Default::default()
         };
         let ctx = AnalysisContext {
             step: 1,

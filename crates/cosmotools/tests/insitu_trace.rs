@@ -4,11 +4,15 @@
 //! on the benchmark's shape (64³ particles, 64³ render mesh, `box/link` =
 //! 320) and on ten particles with `box/link` = 10⁶.
 //!
+//! A render task sorts its level-of-detail order once per run: an 8-step
+//! run counts one sorted frame and seven reused ones, and each frame shows
+//! its `lod_order`, `gather`, `project` and `tone_map` stages.
+//!
 //! One test, because the recorder is process-global.
 
 use cosmotools::{Config, DensityRenderTask, HaloFinderTask, InSituAnalysisManager};
 use dpp::Threaded;
-use nbody::{Particle, ParticleSoA};
+use nbody::{Particle, ParticleSoA, SimConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -37,6 +41,28 @@ fn insitu_step(particles: &[Particle], box_size: f64, backend: &Threaded) -> Tra
         manager.execute_at(8, 8, 0.0, particles, box_size, backend),
         2
     );
+    recorder.finish()
+}
+
+/// An 8-step run with a density frame every step.
+fn render_run(backend: &Threaded) -> Trace {
+    let cfg = SimConfig {
+        np: 16,
+        ng: 16,
+        nsteps: 8,
+        seed: 27,
+        ..SimConfig::default()
+    };
+    let box_size = cfg.cosmology.box_size;
+    let mut sim = Simulation::new(backend, cfg);
+    let mut manager = InSituAnalysisManager::new();
+    manager.register(Box::new(DensityRenderTask::new()));
+    let deck = "[density-render]\nenabled = true\nng = 16\n";
+    manager.configure(&Config::parse(deck).unwrap()).unwrap();
+    let recorder = telemetry::install(Arc::new(Recorder::new(Clock::Logical)));
+    sim.run_with_hook(backend, |step, s| {
+        manager.execute_at(step, 8, s.redshift(), s.particles(), box_size, backend);
+    });
     recorder.finish()
 }
 
@@ -73,6 +99,28 @@ fn insitu_kernels_are_traced_and_their_cells_are_bounded_by_n() {
     // A logical-clock export is a function of the work alone.
     let again = insitu_step(&particles, box_size, &backend);
     assert_eq!(trace.chrome_json(), again.chrome_json());
+
+    // The order is sorted on the first frame and reused on the other seven.
+    let trace = render_run(&backend);
+    assert_eq!(counter(&trace, "render", "frames"), 8);
+    assert_eq!(counter(&trace, "render", "lod_sorted"), 1);
+    assert_eq!(counter(&trace, "render", "lod_reused"), 7);
+    let (n, ng) = (16 * 16 * 16, 16);
+    for (name, arg) in [
+        ("lod_order", n),
+        ("gather", n),
+        ("project", ng),
+        ("tone_map", ng * ng),
+    ] {
+        let args: Vec<u64> = trace
+            .spans()
+            .iter()
+            .filter(|s| s.layer == "render" && s.name == name)
+            .map(|s| s.arg)
+            .collect();
+        assert_eq!(args, [arg; 8], "`render.{name}` spans");
+    }
+    assert_eq!(trace.chrome_json(), render_run(&backend).chrome_json());
 
     // Ten particles, a mesh of 10⁶ cells a side by the linking length.
     let ten = uniform(10, 1.0);

@@ -4,8 +4,8 @@
 //! bit-exactly.
 
 use cosmotools::{
-    decode_pgm, encode_pgm, lod_select, read_image, tone_map, write_image, Axis, ImageFrame,
-    PARTICLE_RENDER_BYTES,
+    decode_pgm, encode_pgm, lod_priority, lod_select, read_image, tone_map, write_image, Axis,
+    ImageFrame, PARTICLE_RENDER_BYTES,
 };
 use nbody::Particle;
 use proptest::prelude::*;
@@ -49,6 +49,41 @@ fn bits(p: &Particle) -> (u64, [u32; 3], [u32; 3], u32) {
     )
 }
 
+/// The test oracle for [`lod_select`]: copy the particles, sort them by the
+/// whole record (LOD priority, tag, then every field's raw bits) and
+/// truncate to the budget.
+fn lod_select_full_key_sort(parts: &[Particle], seed: u64, budget: u64) -> Vec<Particle> {
+    let mut out = parts.to_vec();
+    out.sort_unstable_by_key(|p| {
+        (
+            lod_priority(seed, p.tag),
+            p.tag,
+            p.pos.map(f32::to_bits),
+            p.mass.to_bits(),
+            p.vel.map(f32::to_bits),
+        )
+    });
+    if budget > 0 {
+        out.truncate((budget / PARTICLE_RENDER_BYTES) as usize);
+    }
+    out
+}
+
+/// Particles with tags and positions drawn from small ranges, so that equal
+/// tags (and so equal priorities) are common, and ties reach the mass and
+/// velocity bits.
+fn arb_particles_few_tags() -> impl Strategy<Value = Vec<Particle>> {
+    proptest::collection::vec((arb_particle_bits(), 0u64..6, 0u8..2), 0..80).prop_map(|v| {
+        v.into_iter()
+            .map(|(p, tag, x)| Particle {
+                pos: [f32::from(x); 3],
+                tag,
+                ..p
+            })
+            .collect()
+    })
+}
+
 proptest! {
     // Default 64 cases; nightly deepens via `PROPTEST_CASES=512`.
     #![proptest_config(ProptestConfig::default())]
@@ -75,6 +110,26 @@ proptest! {
             (k as usize).min(parts.len())
         };
         prop_assert_eq!(a.len(), want);
+    }
+
+    /// `lod_select` sorts packed `(priority, index)` keys and falls back to
+    /// the whole record only inside runs of equal priority. Its selection
+    /// is the full-key sort's, bit for bit, with distinct tags and with
+    /// many duplicates.
+    #[test]
+    fn lod_select_equals_the_full_key_sort(
+        distinct in proptest::collection::vec(arb_particle_bits(), 0..80),
+        duplicated in arb_particles_few_tags(),
+        seed in any::<u64>(),
+        k in 0u64..100,
+    ) {
+        let budget = k * PARTICLE_RENDER_BYTES;
+        for parts in [&distinct, &duplicated] {
+            prop_assert_eq!(
+                lod_select(parts, seed, budget).iter().map(bits).collect::<Vec<_>>(),
+                lod_select_full_key_sort(parts, seed, budget).iter().map(bits).collect::<Vec<_>>()
+            );
+        }
     }
 
     /// Prefix stability: for any two budgets, the smaller selection is

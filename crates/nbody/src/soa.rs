@@ -14,6 +14,7 @@
 
 use crate::particle::Particle;
 use dpp::{Backend, SendPtr, DEFAULT_GRAIN};
+use std::ops::Range;
 
 /// Structure-of-arrays particle store: one packed column per field.
 ///
@@ -48,10 +49,11 @@ pub struct PosColumns<'a> {
 /// buffer: [`DepositColumns::refill`] overwrites them from an AoS slice in one
 /// dispatched pass and allocates only when the particle count grows. A caller
 /// that deposits repeatedly (the whole-mesh force provider) keeps one; a
-/// one-shot caller (the in-situ power spectrum, a render frame) builds one
-/// with [`DepositColumns::from_aos`]. Velocities and tags, which no deposit
-/// reads, are never copied. Bit-preserving, NaN payloads and signed zeros
-/// included.
+/// one-shot caller (the in-situ power spectrum) builds one with
+/// [`DepositColumns::from_aos`]; a render frame gathers its selection in
+/// level-of-detail order with [`DepositColumns::refill_gather`]. Velocities
+/// and tags, which no deposit reads, are never copied. Bit-preserving, NaN
+/// payloads and signed zeros included.
 #[derive(Debug, Clone, Default)]
 pub struct DepositColumns {
     x: Vec<f32>,
@@ -70,7 +72,30 @@ impl DepositColumns {
 
     /// Overwrite the columns with `particles`' positions and masses.
     pub fn refill(&mut self, backend: &dyn Backend, particles: &[Particle]) {
-        let n = particles.len();
+        self.fill(backend, particles.len(), |r| particles[r].iter());
+    }
+
+    /// Overwrite the columns with the positions and masses of
+    /// `particles[order[0]]`, `particles[order[1]]`, … — a gather straight
+    /// into the deposit's layout, for a caller that deposits in an order of
+    /// its own (a render frame's level-of-detail order) and so never builds
+    /// the reordered particle array. Panics when an index is out of bounds.
+    pub fn refill_gather(&mut self, backend: &dyn Backend, particles: &[Particle], order: &[u32]) {
+        self.fill(backend, order.len(), |r| {
+            order[r].iter().map(|&i| &particles[i as usize])
+        });
+    }
+
+    /// Resize every column to `n` and write row `k` from the `k`-th particle
+    /// `rows(0..n)` yields, over `backend` in chunks.
+    fn fill<'p, I>(
+        &mut self,
+        backend: &dyn Backend,
+        n: usize,
+        rows: impl Fn(Range<usize>) -> I + Sync,
+    ) where
+        I: Iterator<Item = &'p Particle>,
+    {
         let cols = [&mut self.x, &mut self.y, &mut self.z, &mut self.mass].map(|c| {
             c.resize(n, 0.0);
             SendPtr(c.as_mut_ptr())
@@ -80,7 +105,7 @@ impl DepositColumns {
             // and is handed to this chunk only.
             let [x, y, z, mass] = [&cols[0], &cols[1], &cols[2], &cols[3]]
                 .map(|c| unsafe { c.slice_mut(r.start, r.len()) });
-            for (k, p) in particles[r].iter().enumerate() {
+            for (k, p) in rows(r).enumerate() {
                 (x[k], y[k], z[k], mass[k]) = (p.pos[0], p.pos[1], p.pos[2], p.mass);
             }
         });
@@ -302,6 +327,40 @@ mod tests {
             assert_eq!(bits(cols.positions().z), bits(&soa.positions().z[..n]));
             assert_eq!(bits(cols.mass()), bits(&soa.mass()[..n]));
             cols.refill(&Serial, &aos[..next]);
+        }
+    }
+
+    #[test]
+    fn refill_gather_is_refill_of_the_reordered_rows() {
+        use dpp::{Serial, Threaded};
+        let mut aos = sample(5000);
+        aos[4321].pos = [f32::NAN, -f32::NAN, -0.0];
+        aos[4321].mass = -0.0;
+        let bits = |cols: &DepositColumns| {
+            let pos = cols.positions();
+            [pos.x, pos.y, pos.z, cols.mass()]
+                .map(|c| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        // A permutation, a repeating subset and nothing; on a pool and inline.
+        let orders: [Vec<u32>; 3] = [
+            (0..5000).map(|i| (i * 7919) % 5000).collect(),
+            (0..3000).map(|i| 4321 - (i % 17)).collect(),
+            Vec::new(),
+        ];
+        let mut cols = DepositColumns::default();
+        for order in &orders {
+            let gathered: Vec<Particle> = order.iter().map(|&i| aos[i as usize]).collect();
+            let want = bits(&DepositColumns::from_aos(&Serial, &gathered));
+            for backend in [&Threaded::new(3) as &dyn Backend, &Serial] {
+                cols.refill_gather(backend, &aos, order);
+                assert_eq!(
+                    bits(&cols),
+                    want,
+                    "{} rows on {}",
+                    order.len(),
+                    backend.name()
+                );
+            }
         }
     }
 
