@@ -188,7 +188,7 @@ impl FingerprintBuilder {
     }
 
     /// Add a nested fingerprint field (namespacing / composition).
-    pub fn push_fingerprint(&mut self, fp: Fingerprint) -> &mut Self {
+    fn push_fingerprint(&mut self, fp: Fingerprint) -> &mut Self {
         self.h.update(&[4]);
         self.h.update(&fp.0 .0.to_le_bytes());
         self

@@ -74,7 +74,7 @@ impl RemoteFetchModel {
     }
 
     /// Simulated seconds to move `bytes` across one link.
-    pub fn fetch_seconds(&self, bytes: u64) -> f64 {
+    fn fetch_seconds(&self, bytes: u64) -> f64 {
         self.latency_s + bytes as f64 / self.bandwidth_bps
     }
 }
@@ -256,14 +256,6 @@ impl DistributedStore {
             std::fs::remove_dir_all(&dir)?;
         }
         Ok(())
-    }
-
-    /// Live nodes count.
-    pub fn alive_nodes(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| s.alive.load(Ordering::Relaxed))
-            .count()
     }
 
     /// Per-shard cache counters for node `k`.

@@ -462,24 +462,19 @@ impl ArtifactCache {
     }
 
     /// Current size of the index log in bytes.
-    pub fn index_bytes(&self) -> u64 {
+    fn index_bytes(&self) -> u64 {
         self.index.size_bytes().unwrap_or(0)
     }
 
     /// Rewrite the index log down to the live entries (recency order
     /// preserved), reclaiming space taken by `del`s and superseded `put`s.
-    /// Returns bytes reclaimed. Crash-safe: staged and renamed atomically.
-    pub fn compact_index(&self) -> io::Result<u64> {
-        self.compact_locked(&mut self.state.lock())
-    }
-
-    fn compact_locked(&self, state: &mut State) -> io::Result<u64> {
-        let before = self.index.size_bytes()?;
+    /// Crash-safe: staged and renamed atomically.
+    fn compact_locked(&self, state: &mut State) -> io::Result<()> {
         self.index.rewrite(&Self::live_locked(state))?;
         self.compactions.fetch_add(1, Ordering::Relaxed);
         telemetry::count!("cache", "compactions", 1);
         state.compacted_bytes = self.index.size_bytes()?;
-        Ok(before.saturating_sub(state.compacted_bytes))
+        Ok(())
     }
 
     /// Threshold-triggered compaction after an insert, when
@@ -792,21 +787,6 @@ mod tests {
         for e in live {
             assert!(c.lookup(e.key).is_some());
         }
-    }
-
-    #[test]
-    fn explicit_compaction_reclaims_del_records() {
-        let dir = tmpdir("compact_explicit");
-        let c = ArtifactCache::open(&dir, None).unwrap();
-        for i in 0..50u32 {
-            c.insert(key("churn"), format!("payload {i}").as_bytes())
-                .unwrap();
-        }
-        let before = c.index_bytes();
-        let reclaimed = c.compact_index().unwrap();
-        assert!(reclaimed > 0);
-        assert_eq!(c.index_bytes(), before - reclaimed);
-        assert_eq!(c.lookup(key("churn")).as_deref(), Some(&b"payload 49"[..]));
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl Communicator {
         self.allreduce(value, |a, b| a + b)
     }
 
-    /// Maximum of a `PartialOrd` value across ranks, on every rank.
-    pub fn allreduce_max_f64(&self, value: f64) -> f64 {
-        self.allreduce(value, f64::max)
-    }
-
     /// Elementwise sum of equal-length `f64` vectors across ranks.
     pub fn allreduce_sum_vec_f64(&self, value: Vec<f64>) -> Vec<f64> {
         self.allreduce(value, |mut a, b| {
@@ -206,7 +201,7 @@ mod tests {
         let world = World::new(7);
         let out = world.run(|c| {
             let s = c.allreduce_sum_u64(c.rank() as u64 + 1);
-            let m = c.allreduce_max_f64(c.rank() as f64);
+            let m = c.allreduce(c.rank() as f64, f64::max);
             (s, m)
         });
         for (s, m) in out {

@@ -230,7 +230,7 @@ pub(crate) fn roster() -> Vec<(String, Box<dyn Backend>)> {
 
 /// Run the full differential suite and collect every mismatch (rather than
 /// failing fast — one run reports all drift at once).
-pub fn run_dpp_differential() -> DiffReport {
+fn run_dpp_differential() -> DiffReport {
     let mut rep = DiffReport::default();
     let backends = roster();
     rep.backends = backends.iter().map(|(n, _)| n.clone()).collect();

@@ -43,6 +43,7 @@ use cosmotools::{
 use dpp::Serial;
 use faults::{FaultInjector, FaultKind, FaultPlan, SiteSpec};
 use hacc_core::listener::CacheGate;
+use hacc_core::runner::centers_over_ranks;
 use hacc_core::{Listener, ListenerConfig, ListenerReport, SubmitError, RUNNER_FAULT_SITE};
 use halo::mbp_brute;
 use nbody::Particle;
@@ -320,20 +321,6 @@ fn block_center(block: &[Particle]) -> CenterRecord {
     }
 }
 
-/// The fault-free serial analysis of a container: per-block MBP centers
-/// sorted by halo id. This is both the recompute path at assembly time and
-/// the definition the two-rank job must agree with byte-for-byte.
-fn serial_centers(c: &Container) -> Vec<CenterRecord> {
-    let mut centers: Vec<CenterRecord> = c
-        .blocks
-        .iter()
-        .filter(|b| !b.is_empty())
-        .map(|b| block_center(b))
-        .collect();
-    centers.sort_by_key(|r| r.halo_id);
-    centers
-}
-
 /// Two-rank analysis: blocks split by index parity, rank 1 ships its centers
 /// to rank 0, rank 0 merges and sorts. Crash faults at `comm.send` /
 /// `comm.recv` surface as panics (caught by the caller) or recv timeouts.
@@ -464,12 +451,13 @@ fn assemble(cfg: &ExplorerConfig, dirs: &WorkDirs, cache: &ArtifactCache) -> (Ve
             Some(p) => p,
             None => {
                 // A cache fault degraded the entry to a miss: recompute
-                // deterministically and re-insert.
+                // deterministically (the serial analysis the two-rank job
+                // must agree with byte-for-byte) and re-insert.
                 misses += 1;
                 let container = read_file(&path)
                     .expect("published drop readable")
                     .expect("published drop parses");
-                let p = encode_centers(&serial_centers(&container));
+                let p = encode_centers(&centers_over_ranks(&container, SOFTENING, &Serial));
                 let _ = cache.insert(key, &p);
                 p
             }
@@ -548,6 +536,15 @@ fn exactly_once(cfg: &ExplorerConfig, executions: &Executions) -> bool {
     (0..cfg.steps).all(|s| exec.get(&format!("l2_{s}")).copied() == Some(1))
 }
 
+/// Whether the crash armed at `site` fired in this schedule (it was not
+/// dead configuration).
+pub(crate) fn crash_fired(injector: &FaultInjector, site: &str) -> bool {
+    injector
+        .site_stats()
+        .get(site)
+        .is_some_and(|&(_, faults)| faults > 0)
+}
+
 /// Run one crash schedule to completion (or the incarnation budget).
 fn run_schedule(cfg: &ExplorerConfig, site: &str, hit: u64, reference: &[u8]) -> ScheduleOutcome {
     let base = cfg
@@ -578,14 +575,10 @@ fn run_schedule(cfg: &ExplorerConfig, site: &str, hit: u64, reference: &[u8]) ->
             }
         }
     }
-    let fired = injector
-        .site_stats()
-        .get(site)
-        .is_some_and(|&(_, faults)| faults > 0);
     ScheduleOutcome {
         site: site.to_string(),
         hit,
-        fired,
+        fired: crash_fired(&injector, site),
         incarnations,
         completed: catalog.is_some(),
         catalog_matches: catalog.as_deref() == Some(reference),
@@ -693,7 +686,7 @@ pub fn explore(cfg: &ExplorerConfig) -> ExplorationReport {
 /// other panic goes to the previous hook unchanged. Crash schedules panic
 /// worker threads by design; without this the test log is a wall of
 /// intentional backtraces hiding any real failure.
-pub fn quiet_fault_panics() -> PanicQuiet {
+fn quiet_fault_panics() -> PanicQuiet {
     let prev: Arc<dyn Fn(&panic::PanicHookInfo<'_>) + Send + Sync> = Arc::from(panic::take_hook());
     let filter_prev = Arc::clone(&prev);
     panic::set_hook(Box::new(move |info| {
@@ -714,7 +707,7 @@ pub fn quiet_fault_panics() -> PanicQuiet {
 
 /// Guard returned by [`quiet_fault_panics`]; restores the previous panic
 /// hook on drop.
-pub struct PanicQuiet {
+struct PanicQuiet {
     prev: Arc<dyn Fn(&panic::PanicHookInfo<'_>) + Send + Sync>,
 }
 
@@ -751,7 +744,7 @@ mod tests {
     #[test]
     fn two_rank_job_matches_serial_analysis() {
         let c = step_container(0x5C15, 0);
-        let serial = serial_centers(&c);
+        let serial = centers_over_ranks(&c, SOFTENING, &Serial);
         let parallel = two_rank_centers(&c).expect("no faults armed");
         assert_eq!(encode_centers(&serial), encode_centers(&parallel));
         assert!(!serial.is_empty());

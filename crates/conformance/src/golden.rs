@@ -21,7 +21,7 @@ pub enum GoldenOutcome {
 }
 
 /// Is a bless run requested via the environment (`BLESS=1`)?
-pub fn bless_requested() -> bool {
+fn bless_requested() -> bool {
     std::env::var("BLESS").map(|v| v == "1").unwrap_or(false)
 }
 
@@ -29,7 +29,7 @@ pub fn bless_requested() -> bool {
 const MAX_DIFF_LINES: usize = 20;
 
 /// Render a line-level drift diff between fixture and actual text.
-pub fn drift_diff(name: &str, expected: &str, actual: &str) -> String {
+fn drift_diff(name: &str, expected: &str, actual: &str) -> String {
     let exp: Vec<&str> = expected.lines().collect();
     let act: Vec<&str> = actual.lines().collect();
     let mut out = format!(

@@ -13,46 +13,46 @@
 //! * `fof-cols` — [`halo::fof_kdtree_cols`] (packed leaf lanes) vs
 //!   [`halo::fof_brute`] labels (both number groups by first appearance, so
 //!   the O(n²) engine is a label-for-label oracle), plus the column tree's
-//!   radius and k-nearest queries vs the linear scan [`dist2_scan_ref`],
+//!   radius and k-nearest queries vs the linear scan `dist2_scan_ref`,
 //!   over [`inputs::coord_cases`].
 //! * `mbp-cols` — [`halo::potential_at`] / [`halo::mbp_brute_cols`]
 //!   (blocked lane sweep, fixed summation order; `dpp::ops::map` then
 //!   `dpp::ops::argmin_by`) vs [`potential_scalar_ref`] (scalar per-pair
 //!   loop) and a sequential first-minimum scan, every backend, over the
 //!   small [`inputs::particle_cases`] (dispatched inline) and
-//!   [`mbp_halo_cases`] (dispatched through the pool, argmin tied).
+//!   `mbp_halo_cases` (dispatched through the pool, argmin tied).
 //! * `fft3d-tiled` — [`fft::Fft3d`] (in-place contiguous pass, tiled strided
 //!   passes) vs [`fft3d_line_ref`] (one gathered line at a time), forward
 //!   and inverse, every backend.
 //! * `poisson-kspace` — [`nbody::pm::poisson_accel`] (one parallel k-space
 //!   pass writing all three `g_k`, solver workspace) vs
-//!   [`poisson_three_sweep_ref`] (one serial sweep and one fresh grid per
+//!   `poisson_three_sweep_ref` (one serial sweep and one fresh grid per
 //!   axis) on a seeded `δ`, every backend.
 //! * `fof-grid` — [`halo::fof_grid`] (counting-sort cells, at most `8n` of
 //!   them) vs [`fof_grid_dense_ref`] (one list per cell of a mesh up to 256
-//!   a side) label for label, and vs [`fof_periodic_images_ref`]
+//!   a side) label for label, and vs `fof_periodic_images_ref`
 //!   ([`halo::fof_brute`] over the 27 periodic images) on the small inputs,
-//!   over [`fof_grid_cases`]: links across each face of the box, particles on
+//!   over `fof_grid_cases`: links across each face of the box, particles on
 //!   cell edges, the fewest cells a mesh can have, a mesh of 10⁶ cells a
 //!   side.
 //! * `fof-patch` — [`halo::fof_patch`] (the same cell engine, open
 //!   boundaries over the bounding box) vs [`halo::fof_brute`] label for label
 //!   at three linking lengths, over [`inputs::coord_cases`] and
-//!   [`fof_patch_cases`]: coordinates unwrapped below zero and past the box,
+//!   `fof_patch_cases`: coordinates unwrapped below zero and past the box,
 //!   flat and zero-extent patches, pairs exactly one link apart, NaN, ±∞ and
 //!   `f64::MAX` coordinates, a real two-rank patch — and on each, a cell
 //!   table of at most `8n + 1` cells (`halo.fof_cells`).
 //! * `cic-det` — [`nbody::pm::cic_deposit_soa_det`] (sparse per-chunk
 //!   partials) vs [`cic_deposit_det_partials_ref`] (a dense grid per chunk),
 //!   on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded` ×3, over
-//!   [`cic_det_cases`] at chunk sizes that put `n` below, at and well above
+//!   `cic_det_cases` at chunk sizes that put `n` below, at and well above
 //!   the 64-chunk cap.
 //! * `cic-gather` — [`nbody::pm::gather_accel`] (cell and weights once per
 //!   particle, three components per corner) vs three
 //!   [`nbody::pm::cic_interpolate`] calls per particle, per component, on
-//!   `Serial` and every roster backend, over [`cic_gather_positions`] (on and
+//!   `Serial` and every roster backend, over `cic_gather_positions` (on and
 //!   beyond every face of the box, non-finite, denormal) and
-//!   [`cic_gather_fields`] (finite, and salted with NaN / ±∞ cells) on meshes
+//!   `cic_gather_fields` (finite, and salted with NaN / ±∞ cells) on meshes
 //!   of 1, 2, 4 and 16 cells a side.
 //!
 //! Everything is [`Cmp::BitEq`]: the kernels fix their summation order to
@@ -309,7 +309,7 @@ pub fn fof_grid_dense_ref(positions: &[[f64; 3]], link: f64, box_size: f64) -> V
 /// images of every particle, two particles sharing a group when any of their
 /// images do. O((27n)²), for small inputs; labels numbered by first
 /// appearance like every other engine's.
-pub fn fof_periodic_images_ref(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
+fn fof_periodic_images_ref(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
     let n = positions.len();
     let shifts = [-box_size, 0.0, box_size];
     let mut images = Vec::with_capacity(27 * n);
@@ -343,7 +343,7 @@ pub struct FofGridCase {
     pub link: f64,
     /// Periodic box side.
     pub box_size: f64,
-    /// Small enough for [`fof_periodic_images_ref`] and
+    /// Small enough for `fof_periodic_images_ref` and
     /// [`fof_grid_dense_ref`] both (the 10⁶-cells-a-side case costs the
     /// dense reference 403 MB and is held to the image oracle alone).
     pub dense: bool,
@@ -353,7 +353,7 @@ pub struct FofGridCase {
 /// at most and the dense one `⌊box/link⌋` up to 256, so the cases pick `n`
 /// and `link` to put each engine on 2 and on 3 cells a side (1 needs
 /// `link > box/2`, which both refuse), on different meshes, and on the same.
-pub fn fof_grid_cases() -> Vec<FofGridCase> {
+fn fof_grid_cases() -> Vec<FofGridCase> {
     let case = |name: &str, positions: Vec<[f64; 3]>, link: f64, box_size: f64| FofGridCase {
         name: name.to_string(),
         positions,
@@ -470,7 +470,7 @@ pub fn fof_grid_cases() -> Vec<FofGridCase> {
 /// (whose extent overflows) and denormals among finite points; twenty
 /// points spread over 10⁵ links a side, where the `8n` cap shrinks the mesh;
 /// and rank 0's real patch of a two-rank decomposition.
-pub fn fof_patch_cases() -> Vec<inputs::Case<[f64; 3]>> {
+fn fof_patch_cases() -> Vec<inputs::Case<[f64; 3]>> {
     let mut rng = StdRng::seed_from_u64(0x5EED_FA7C);
     let mut cloud = |n: usize, lo: f64, hi: f64| -> Vec<[f64; 3]> {
         (0..n)
@@ -576,7 +576,7 @@ pub fn cic_wrap_case(box_size: f32) -> inputs::Case<Particle> {
 /// positive, and total negative so the overdensity step is skipped — every
 /// particle inside one mesh cell, and a length several pooled dispatches
 /// long.
-pub fn cic_det_cases() -> Vec<inputs::Case<Particle>> {
+fn cic_det_cases() -> Vec<inputs::Case<Particle>> {
     let mut rng = StdRng::seed_from_u64(0x5EED_C1CD);
     let mut cloud = |name: &'static str, n: usize, lo: f32, hi: f32, masses: [f32; 4]| {
         let data = (0..n)
@@ -621,7 +621,7 @@ pub fn cic_det_cases() -> Vec<inputs::Case<Particle>> {
 /// `f32::MAX` — on each axis in turn against ordinary coordinates on the
 /// others, then on all three at once; followed by a seeded cloud from two box
 /// lengths below the box to three above, long enough for a pooled dispatch.
-pub fn cic_gather_positions(box_size: f64) -> Vec<Particle> {
+fn cic_gather_positions(box_size: f64) -> Vec<Particle> {
     let l = box_size as f32;
     let below = |x: f32| f32::from_bits(x.to_bits() - 1);
     let specials = [
@@ -675,7 +675,7 @@ pub fn cic_gather_positions(box_size: f64) -> Vec<Particle> {
 /// the same three salted — a NaN, a `−∞`, a `+∞`, a `−0.0` and a denormal, in
 /// different cells of different components (a one-cell mesh keeps the last
 /// written in each).
-pub fn cic_gather_fields(ng: usize) -> [(&'static str, [Grid3<f64>; 3]); 2] {
+fn cic_gather_fields(ng: usize) -> [(&'static str, [Grid3<f64>; 3]); 2] {
     let ncell = ng * ng * ng;
     let mut rng = StdRng::seed_from_u64(0x5EED_F1E7 + ng as u64);
     let finite: [Grid3<f64>; 3] = std::array::from_fn(|_| {
@@ -709,7 +709,7 @@ pub fn cic_gather_fields(ng: usize) -> [(&'static str, [Grid3<f64>; 3]); 2] {
 /// of the self term sits) far below everyone else's, so the argmin is a tie:
 /// across a chunk boundary (1023 | 1024) in the first case, inside the third
 /// chunk (2500 | 2501) in the second.
-pub fn mbp_halo_cases() -> Vec<inputs::Case<Particle>> {
+fn mbp_halo_cases() -> Vec<inputs::Case<Particle>> {
     let mut rng = StdRng::seed_from_u64(0x5EED_0B19);
     let mut halo = |name: &'static str, n: usize, pair: usize| {
         let mut data: Vec<Particle> = (0..n)
@@ -751,7 +751,7 @@ pub fn potential_scalar_ref(particles: &[Particle], i: usize, softening: f64) ->
 
 /// Linear-scan neighbour reference: the squared distance from `q` to every
 /// row, by index, in the tree queries' own distance expression.
-pub fn dist2_scan_ref(rows: &[[f64; 3]], q: [f64; 3]) -> Vec<f64> {
+fn dist2_scan_ref(rows: &[[f64; 3]], q: [f64; 3]) -> Vec<f64> {
     rows.iter()
         .map(|p| (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2))
         .collect()
@@ -817,7 +817,7 @@ pub fn fft3d_line_ref(backend: &dyn Backend, grid: &mut Grid3<Complex>, inverse:
 /// per axis a serial sweep over all of k-space into a fresh spectral grid
 /// (`freq_index` and the division recomputed per cell and per axis) and an
 /// inverse transform, all through [`fft3d_line_ref`].
-pub fn poisson_three_sweep_ref(
+fn poisson_three_sweep_ref(
     backend: &dyn Backend,
     delta: &Grid3<f64>,
     prefactor: f64,
@@ -870,7 +870,7 @@ fn re_im(grid: &Grid3<Complex>) -> Vec<f64> {
 }
 
 /// Run the layout differential and collect every mismatch.
-pub fn run_layout_differential() -> DiffReport {
+fn run_layout_differential() -> DiffReport {
     let mut rep = DiffReport::default();
     let backends = roster();
     rep.backends = backends.iter().map(|(n, _)| n.clone()).collect();

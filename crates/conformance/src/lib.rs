@@ -70,17 +70,15 @@ pub mod render;
 pub mod store;
 pub mod strategies;
 
-pub use differential::{assert_dpp_conformance, run_dpp_differential, DiffReport, Disagreement};
+pub use differential::{assert_dpp_conformance, DiffReport, Disagreement};
 pub use explorer::{explore, ExplorationReport, ExplorerConfig, ScheduleOutcome};
 pub use golden::{compare_or_bless, GoldenOutcome};
 pub use integrator::assert_integrator_conformance;
-pub use layout::{assert_layout_conformance, run_layout_differential, REQUIRED_KERNELS};
-pub use multi::{explore_multi, multi_reference, MultiConfig, MultiReport, MultiScheduleOutcome};
+pub use layout::{assert_layout_conformance, REQUIRED_KERNELS};
+pub use multi::{explore_multi, MultiConfig, MultiReport, MultiScheduleOutcome};
 pub use render::{
     assert_render_conformance, catalog_digest_lines, explore_render, frame_catalog,
-    render_reference_catalog, run_render_differential, RenderExplorationReport,
-    RenderExplorerConfig, RenderScheduleOutcome, REQUIRED_RENDER_ORACLES,
+    render_reference_catalog, RenderExplorationReport, RenderExplorerConfig, RenderScheduleOutcome,
+    REQUIRED_RENDER_ORACLES,
 };
-pub use store::{
-    explore_store, store_baseline, KillNodeOutcome, StoreConfig, StoreReport, StoreScheduleOutcome,
-};
+pub use store::{explore_store, KillNodeOutcome, StoreConfig, StoreReport, StoreScheduleOutcome};

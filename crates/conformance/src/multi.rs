@@ -39,6 +39,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::explorer::crash_fired;
 use faults::{FaultPlan, SiteSpec};
 use hacc_core::service::{
     reference_catalog, CampaignReport, CampaignSpec, CampaignStatus, ServiceConfig, WorkflowService,
@@ -195,11 +196,16 @@ fn service_config(root: &std::path::Path) -> ServiceConfig {
     }
 }
 
-/// One service incarnation over `root`: submit every spec, wait until all
-/// campaigns settle or the incarnation dies, shut down, and return
-/// `(crashed, campaign reports)`.
-fn run_incarnation(root: &std::path::Path, specs: &[CampaignSpec]) -> (bool, Vec<CampaignReport>) {
-    let svc = match WorkflowService::start(service_config(root)) {
+/// One service incarnation under `config`: submit every spec, wait (at most
+/// 10 s) until all campaigns settle or the incarnation dies, shut down, and
+/// return `(crashed, campaign reports)`. A service that dies while starting
+/// or mid-submission reports what it holds; the caller restarts it. The
+/// multi-campaign and store explorers differ only in the `config`.
+pub(crate) fn run_service(
+    config: ServiceConfig,
+    specs: &[CampaignSpec],
+) -> (bool, Vec<CampaignReport>) {
+    let svc = match WorkflowService::start(config) {
         Ok(s) => s,
         Err(_) => return (true, Vec::new()),
     };
@@ -259,7 +265,7 @@ fn run_schedule(
     let mut incarnations = 0;
     while incarnations < cfg.max_incarnations && catalogs.len() < specs.len() {
         incarnations += 1;
-        let (_crashed, reports) = run_incarnation(&root, &specs);
+        let (_crashed, reports) = run_service(service_config(&root), &specs);
         for rep in reports {
             for (file, n) in &rep.executions {
                 *executions
@@ -273,10 +279,6 @@ fn run_schedule(
             }
         }
     }
-    let fired = injector
-        .site_stats()
-        .get(site)
-        .is_some_and(|&(_, faults)| faults > 0);
     let completed = catalogs.len() == specs.len();
     let catalogs_match = specs
         .iter()
@@ -284,7 +286,7 @@ fn run_schedule(
     MultiScheduleOutcome {
         site: site.to_string(),
         hit,
-        fired,
+        fired: crash_fired(&injector, site),
         incarnations,
         completed,
         catalogs_match,
@@ -296,11 +298,11 @@ fn run_schedule(
 /// per-campaign catalogs, asserting each equals its solo reference and that
 /// every drop was analyzed exactly once. Installs the global injector
 /// (unarmed) for the duration.
-pub fn multi_reference(cfg: &MultiConfig) -> BTreeMap<String, Vec<u8>> {
+fn multi_reference(cfg: &MultiConfig) -> BTreeMap<String, Vec<u8>> {
     let injector = FaultPlan::new(cfg.seed).build();
     let _guard = faults::install(injector);
     let specs = cfg.specs();
-    let (crashed, reports) = run_incarnation(&cfg.root.join("reference"), &specs);
+    let (crashed, reports) = run_service(service_config(&cfg.root.join("reference")), &specs);
     assert!(!crashed, "fault-free multi-campaign reference run crashed");
     let mut catalogs = BTreeMap::new();
     for rep in reports {
@@ -389,7 +391,7 @@ pub fn explore_multi(cfg: &MultiConfig) -> MultiReport {
             telemetry::Clock::Logical,
         )));
         let specs = cfg.specs();
-        let (crashed, reports) = run_incarnation(&cfg.root.join("record"), &specs);
+        let (crashed, reports) = run_service(service_config(&cfg.root.join("record")), &specs);
         let counters = recorder.finish().counters_by_dim();
         assert!(!crashed, "record-only pass crashed without any armed fault");
         for rep in &reports {

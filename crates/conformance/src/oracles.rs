@@ -95,7 +95,7 @@ fn single_domain_partition(parts: &[Particle], min_size: usize) -> BTreeSet<Vec<
 }
 
 /// FOF oracle 1: permuting the particle array must not change the catalog.
-pub fn fof_permutation_invariance(seed: u64) -> Result<(), String> {
+fn fof_permutation_invariance(seed: u64) -> Result<(), String> {
     let parts = test_universe(seed);
     let reference = single_domain_partition(&parts, MIN_SIZE);
 
@@ -121,7 +121,7 @@ pub fn fof_permutation_invariance(seed: u64) -> Result<(), String> {
 /// The offsets are chosen exactly representable (quarter-box multiples) and
 /// the box side is a power of two, so translation + wrap is exact in f64 and
 /// every pairwise minimum-image distance is bit-identical.
-pub fn fof_translation_invariance(seed: u64) -> Result<(), String> {
+fn fof_translation_invariance(seed: u64) -> Result<(), String> {
     let parts = test_universe(seed);
     let reference = single_domain_partition(&parts, MIN_SIZE);
 
@@ -157,7 +157,7 @@ pub fn fof_translation_invariance(seed: u64) -> Result<(), String> {
 /// FOF oracle 3: splitting the same universe over 1/2/4/8 ranks with
 /// overload regions must reproduce the single-domain catalog *exactly*
 /// (member tag-sets, not just sizes).
-pub fn fof_rank_split_invariance(seed: u64) -> Result<(), String> {
+fn fof_rank_split_invariance(seed: u64) -> Result<(), String> {
     let parts = test_universe(seed);
     let reference = single_domain_partition(&parts, MIN_SIZE);
     let cfg = FofConfig {
@@ -205,7 +205,7 @@ pub fn fof_rank_split_invariance(seed: u64) -> Result<(), String> {
 
 /// MBP oracle: brute-force (data-parallel) and A* (pruned serial) center
 /// finders must pick the same most-bound particle.
-pub fn mbp_agreement(seed: u64) -> Result<(), String> {
+fn mbp_agreement(seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x004D_4250);
     for trial in 0..4 {
         let n = 80 + trial * 37;
@@ -245,7 +245,7 @@ const FFT_DIMS: [usize; 3] = [8, 8, 8];
 
 /// FFT oracle 1: Parseval — `Σ|x|² = (1/N)·Σ|X|²` for an unnormalized
 /// forward transform.
-pub fn fft_parseval(seed: u64) -> Result<(), String> {
+fn fft_parseval(seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFF7);
     let n: usize = FFT_DIMS.iter().product();
     let data: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -270,7 +270,7 @@ pub fn fft_parseval(seed: u64) -> Result<(), String> {
 
 /// FFT oracle 2: a unit impulse has a perfectly flat spectrum (`|X_k| = 1`
 /// for every k), and a constant field transforms to a pure DC bin.
-pub fn fft_impulse_and_dc() -> Result<(), String> {
+fn fft_impulse_and_dc() -> Result<(), String> {
     let n: usize = FFT_DIMS.iter().product();
 
     let mut impulse = Grid3::filled(FFT_DIMS, 0.0f64);
@@ -307,7 +307,7 @@ pub fn fft_impulse_and_dc() -> Result<(), String> {
 
 /// FFT oracle 3: `inverse(forward(x)) = x` to round-off, with negligible
 /// imaginary residue.
-pub fn fft_roundtrip(seed: u64) -> Result<(), String> {
+fn fft_roundtrip(seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0F0F);
     let n: usize = FFT_DIMS.iter().product();
     let data: Vec<f64> = (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect();
@@ -330,7 +330,7 @@ pub fn fft_roundtrip(seed: u64) -> Result<(), String> {
 
 /// SO oracle: lowering the overdensity threshold Δ can only grow the SO
 /// radius, mass, and member count.
-pub fn so_monotonicity(seed: u64) -> Result<(), String> {
+fn so_monotonicity(seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x50);
     let center = [32.0, 32.0, 32.0];
     // A centrally concentrated cluster: radius grows superlinearly with the

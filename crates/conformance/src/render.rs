@@ -121,7 +121,7 @@ fn transpose(map: &[f64], ng: usize) -> Vec<f64> {
 /// Run every render oracle over the adversarial corpus and the full backend
 /// roster. Returns the report; [`assert_render_conformance`] is the asserting
 /// wrapper tests use.
-pub fn run_render_differential() -> DiffReport {
+fn run_render_differential() -> DiffReport {
     let mut rep = DiffReport::default();
     let backends = roster();
     rep.backends = backends.iter().map(|(n, _)| n.clone()).collect();

@@ -36,13 +36,15 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use crate::explorer::crash_fired;
+use crate::multi::run_service;
 use cache::{SITE_FETCH_REMOTE, SITE_REPLICATE};
 use faults::{FaultPlan, SiteSpec};
 use hacc_core::service::{
     product_primary_node, reference_catalog, CampaignReport, CampaignSpec, CampaignStatus,
-    ServiceConfig, WorkflowService,
+    ServiceConfig,
 };
 
 /// Configuration for [`explore_store`].
@@ -81,12 +83,12 @@ impl StoreConfig {
 
     /// The whole-file twin of [`StoreConfig::spec`]: same seed and steps,
     /// so its catalog must be byte-identical to the streamed one.
-    pub fn wholefile_spec(&self) -> CampaignSpec {
+    fn wholefile_spec(&self) -> CampaignSpec {
         CampaignSpec::new("store-wf", self.seed.wrapping_mul(1000) + 7, self.steps)
     }
 
     /// The two store-owned fault sites this explorer is responsible for.
-    pub fn store_sites() -> [&'static str; 2] {
+    fn store_sites() -> [&'static str; 2] {
         [SITE_REPLICATE, SITE_FETCH_REMOTE]
     }
 }
@@ -228,31 +230,17 @@ fn service_config(root: &Path, nodes: usize, replicas: usize) -> ServiceConfig {
     }
 }
 
-/// One service run over `root`: submit the spec, wait until it settles or
-/// the incarnation dies, shut down, and return the campaign's report.
+/// One service run over `root`: the campaign's report from
+/// [`run_service`].
 fn run_once(root: &Path, nodes: usize, replicas: usize, spec: &CampaignSpec) -> CampaignReport {
-    let svc = WorkflowService::start(service_config(root, nodes, replicas))
-        .expect("store explorer service start");
-    let id = svc
-        .submit_campaign(spec.clone())
-        .expect("store explorer campaign submission");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let settled = svc
-            .status(id)
-            .map(|s| s != CampaignStatus::Running)
-            .unwrap_or(true);
-        if settled || svc.crashed() || Instant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let report = svc.shutdown();
-    report
-        .campaigns
-        .into_values()
+    let (_, reports) = run_service(
+        service_config(root, nodes, replicas),
+        std::slice::from_ref(spec),
+    );
+    reports
+        .into_iter()
         .next()
-        .expect("submitted campaign has a report")
+        .expect("store explorer service started and took the campaign")
 }
 
 /// Remove the listener shard journals so the next run cannot lean on
@@ -309,10 +297,6 @@ fn run_schedule(cfg: &StoreConfig, site: &str, hit: u64, reference: &[u8]) -> St
         wipe_node(&root, product_primary_node(&spec, 0, cfg.nodes));
     }
     let warm = run_once(&root, cfg.nodes, cfg.replicas, &spec);
-    let fired = injector
-        .site_stats()
-        .get(site)
-        .is_some_and(|&(_, faults)| faults > 0);
     let completed =
         cold.status == CampaignStatus::Completed && warm.status == CampaignStatus::Completed;
     let catalogs_match =
@@ -321,7 +305,7 @@ fn run_schedule(cfg: &StoreConfig, site: &str, hit: u64, reference: &[u8]) -> St
     StoreScheduleOutcome {
         site: site.to_string(),
         hit,
-        fired,
+        fired: crash_fired(&injector, site),
         completed,
         catalogs_match,
         cold_exactly_once: exactly_once(&cold, cfg.steps),
@@ -355,7 +339,7 @@ fn run_kill_node(cfg: &StoreConfig, node: usize, reference: &[u8]) -> KillNodeOu
 /// streamed sharded catalog must both equal the solo reference, exactly
 /// once, with zero assembly misses. Returns the reference catalog.
 /// Installs the global injector (unarmed) for the duration.
-pub fn store_baseline(cfg: &StoreConfig) -> Vec<u8> {
+fn store_baseline(cfg: &StoreConfig) -> Vec<u8> {
     let injector = FaultPlan::new(cfg.seed).build();
     let _guard = faults::install(injector);
     let reference = reference_catalog(&cfg.spec());

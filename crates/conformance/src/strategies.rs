@@ -3,7 +3,7 @@
 //! The stock property tests in this workspace draw floats from finite ranges
 //! (`-1.0e9..1.0e9` and the like), which means NaN, ±inf, signed zeros, and
 //! denormals are *never* exercised by generation — only by hand-written unit
-//! tests. [`adversarial_f64`] closes that gap: mostly in-range finite values
+//! tests. `adversarial_f64` closes that gap: mostly in-range finite values
 //! with a deliberate sprinkle of [`special_values`], deterministic under the
 //! proptest stand-in's seeded RNG.
 
@@ -59,7 +59,7 @@ impl Strategy for AdversarialF64 {
 
 /// Mostly-finite floats in `lo..hi`, with ~12.5% special values
 /// (NaN/±inf/±0/denormal/extreme) mixed in.
-pub fn adversarial_f64(lo: f64, hi: f64) -> AdversarialF64 {
+fn adversarial_f64(lo: f64, hi: f64) -> AdversarialF64 {
     assert!(lo < hi && lo.is_finite() && hi.is_finite());
     AdversarialF64 {
         lo,
@@ -68,7 +68,7 @@ pub fn adversarial_f64(lo: f64, hi: f64) -> AdversarialF64 {
     }
 }
 
-/// `Vec<f64>` of length `0..max_len` drawn from [`adversarial_f64`].
+/// `Vec<f64>` of length `0..max_len` drawn from `adversarial_f64`.
 pub fn adversarial_vec(
     lo: f64,
     hi: f64,

@@ -59,13 +59,13 @@ impl JobCost {
     }
 
     /// Core-hours for one phase duration.
-    pub fn phase_core_hours(&self, seconds: f64) -> f64 {
+    fn phase_core_hours(&self, seconds: f64) -> f64 {
         self.nodes as f64 * (seconds / 3600.0) * self.charge_factor
     }
 
     /// Core-hours for the whole job (excluding queue wait, which holds no
     /// nodes).
-    pub fn total_core_hours(&self) -> f64 {
+    fn total_core_hours(&self) -> f64 {
         self.phase_core_hours(self.phases.total())
     }
 }
@@ -110,24 +110,6 @@ impl WorkflowCost {
     /// at the simulation job's charge factor).
     pub fn saved_core_hours(&self) -> f64 {
         self.saved_node_seconds / 3600.0 * self.simulation.charge_factor
-    }
-
-    /// Total core-hours including the simulation itself.
-    pub fn total_core_hours(&self) -> f64 {
-        self.simulation.total_core_hours()
-            + self.post.iter().map(|j| j.total_core_hours()).sum::<f64>()
-    }
-
-    /// End-to-end wall time assuming post jobs run after the simulation
-    /// (sequential bound; co-scheduling shortens this).
-    pub fn sequential_wall_seconds(&self) -> f64 {
-        self.simulation.phases.queuing
-            + self.simulation.phases.total()
-            + self
-                .post
-                .iter()
-                .map(|j| j.phases.queuing + j.phases.total())
-                .sum::<f64>()
     }
 }
 
@@ -240,8 +222,9 @@ mod tests {
             (extra - expected).abs() < 1e-9,
             "fallback must be charged: extra={extra} expected={expected}"
         );
-        // And it shows up in the total column identically.
-        assert!(degraded.total_core_hours() > clean.total_core_hours());
+        // And it shows up in the job's total column identically.
+        let total = degraded.simulation.total_core_hours() - clean.simulation.total_core_hours();
+        assert!((total - expected).abs() < 1e-9, "total={total}");
     }
 
     #[test]
@@ -287,7 +270,6 @@ mod tests {
             post: vec![post],
             saved_node_seconds: 0.0,
         };
-        assert!(with_queue.sequential_wall_seconds() > 1e5);
         // Analysis convention: sim-side write (5 s) + post job.
         let ch = with_queue.analysis_core_hours();
         assert!((354.0..358.0).contains(&ch), "{ch}");

@@ -47,7 +47,7 @@ pub fn table1() -> Vec<Table1Row> {
 }
 
 /// Expected total member particles in halos above `threshold`.
-pub fn expected_particles_above(mf: &MassFunction, n_halos: u64, threshold: f64) -> u64 {
+fn expected_particles_above(mf: &MassFunction, n_halos: u64, threshold: f64) -> u64 {
     let steps = 2048;
     let lmin = threshold.max(1.0).ln();
     let lmax = (qcontinuum::LARGEST_HALO as f64 * 4.0).ln();
@@ -167,7 +167,7 @@ pub fn table2(frame: &TitanFrame) -> Vec<Table2Row> {
 
 /// Mass function at scale factor `a`: the exponential cutoff tracks the
 /// largest-halo growth (m_cut ∝ D², matching the Table 2 anchor points).
-pub fn evolved_mass_function(a: f64) -> MassFunction {
+fn evolved_mass_function(a: f64) -> MassFunction {
     let base = MassFunction::q_continuum();
     MassFunction::new(
         base.alpha,

@@ -675,9 +675,9 @@ impl Listener {
     /// Entries currently resident in the in-memory seen set. With a journal
     /// configured this is bounded by the *unhandled tail* of the directory —
     /// the cover evicts handled-and-journaled entries — not by the total
-    /// number of files ever handled. Exposed for diagnostics and the
-    /// backlog regression tests.
-    pub fn seen_len(&self) -> usize {
+    /// number of files ever handled. The backlog regression tests read it.
+    #[cfg(test)]
+    fn seen_len(&self) -> usize {
         self.watch.progress.lock().seen.len()
     }
 

@@ -114,7 +114,7 @@ impl RenderProfile {
 
     /// Encoded size of one frame: the HCIM container header plus the PGM
     /// payload (text header + `ng²` 8-bit pixels).
-    pub fn bytes_per_frame(&self) -> u64 {
+    fn bytes_per_frame(&self) -> u64 {
         let pgm_header = format!("P5\n{0} {0}\n255\n", self.ng).len() as u64;
         cosmotools::IMAGE_HEADER_BYTES + pgm_header + (self.ng * self.ng) as u64
     }
@@ -170,7 +170,7 @@ impl TitanFrame {
     }
 
     /// Level 2 particle count (members of halos above the threshold).
-    pub fn level2_particles(&self, spec: &RunSpec) -> u64 {
+    fn level2_particles(&self, spec: &RunSpec) -> u64 {
         spec.halo_sizes
             .iter()
             .filter(|&&n| n > spec.threshold)
@@ -356,33 +356,6 @@ impl TitanFrame {
         }
 
         vec![in_situ, off_line, combined, co_scheduled, in_transit]
-    }
-
-    /// The combined workflow with its post-processing job on a different
-    /// machine (paper §4.2: Rhea has queue capacity but no GPUs, so "the
-    /// lack of GPUs slowed down the center finding considerably"; Moonlight
-    /// has GPUs at 0.55× Titan speed).
-    ///
-    /// Kernel time scales by the ratio of the machines' analysis speeds
-    /// (GPU path where available); I/O and queueing use the target machine's
-    /// own models.
-    pub fn combined_on_machine(&self, spec: &RunSpec, machine: &MachineSpec) -> WorkflowCost {
-        let [_, _, mut combined] = self.workflow_costs(spec);
-        combined.strategy = format!("combined in-situ/off-line (post on {})", machine.name);
-        let speed_ratio = self.titan.analysis_speed() / machine.analysis_speed();
-        let l2_bytes = cosmotools::level2_bytes(self.level2_particles(spec)) as f64;
-        let l3_bytes = cosmotools::level3_center_bytes(spec.halo_sizes.len() as u64) as f64;
-        for post in &mut combined.post {
-            post.machine = machine.name.clone();
-            post.charge_factor = machine.charge_factor;
-            post.phases.analysis *= speed_ratio;
-            post.phases.read = machine.fs.io_time(l2_bytes, spec.post_nodes);
-            post.phases.redistribute = machine.net.redistribute_time(l2_bytes, spec.post_nodes);
-            post.phases.write = machine.fs.io_time(l3_bytes, spec.post_nodes);
-            post.phases.queuing = simhpc::QueuePolicy::analysis_cluster()
-                .synthetic_wait(spec.post_nodes, machine.total_nodes);
-        }
-        combined
     }
 
     /// Mean time-to-result for a multi-snapshot campaign: the average time
@@ -645,26 +618,6 @@ mod tests {
         assert_eq!(intransit.post[0].phases.queuing, 0.0);
         assert!(intransit.simulation.phases.write < simple.simulation.phases.write);
         assert!(intransit.analysis_core_hours() <= simple.analysis_core_hours());
-    }
-
-    #[test]
-    fn rhea_without_gpus_is_much_slower_moonlight_is_close() {
-        let frame = TitanFrame::default();
-        let spec = RunSpec::small_run(7);
-        let on_titan = frame.combined_on_machine(&spec, &frame.titan);
-        let on_rhea = frame.combined_on_machine(&spec, &machine::rhea());
-        let on_moonlight = frame.combined_on_machine(&spec, &machine::moonlight());
-        // Rhea's CPU-only center finding is ~dozens of times slower (the
-        // paper declined to report timings from it for this reason).
-        assert!(
-            on_rhea.post[0].phases.analysis > 20.0 * on_titan.post[0].phases.analysis,
-            "rhea {} vs titan {}",
-            on_rhea.post[0].phases.analysis,
-            on_titan.post[0].phases.analysis
-        );
-        // Moonlight runs the same kernel at 0.55× Titan speed.
-        let ratio = on_moonlight.post[0].phases.analysis / on_titan.post[0].phases.analysis;
-        assert!((ratio - 1.0 / 0.55).abs() < 0.01, "ratio {ratio}");
     }
 
     #[test]

@@ -296,7 +296,16 @@ impl Strategy {
 fn memo_insert(cache: &ArtifactCache, key: CacheKey, seconds: f64, centers: &[CenterRecord]) {
     let mut memo = seconds.to_bits().to_le_bytes().to_vec();
     memo.extend_from_slice(&cosmotools::encode_centers(centers));
-    cache.insert(key, &memo).expect("cache insert");
+    memo_put(cache, key, &memo);
+}
+
+/// Memoization is an optimization: a failed insert (a full disk, a removed
+/// cache directory) loses only the memo — the run goes on, and the next one
+/// recomputes.
+fn memo_put(cache: &ArtifactCache, key: CacheKey, bytes: &[u8]) {
+    if cache.insert(key, bytes).is_err() {
+        telemetry::count!("runner", "memo_insert_failures", 1);
+    }
 }
 
 /// Look up and decode a memo written by [`memo_insert`]. A verified hit
@@ -682,7 +691,7 @@ impl TestBed {
             let bytes = cosmotools::write_image(&frame);
             let written = write(bytes.as_ref());
             if let Some(c) = &cfg.cache {
-                c.insert(key, bytes.as_ref()).expect("cache insert");
+                memo_put(c, key, bytes.as_ref());
             }
             written
         } else {
@@ -970,9 +979,11 @@ fn large_halos(catalogs: Vec<HaloCatalog>, threshold: usize) -> HaloCatalog {
     large
 }
 
-/// Center every block of a Level 2 container (the small off-line /
-/// co-scheduled job); parallelism comes from `backend` inside the
-/// per-block most-bound-particle search.
+/// Center every block of a Level 2 container, sorted by halo id: the small
+/// off-line / co-scheduled job, and the service's per-drop analysis.
+/// Parallelism comes from `backend` inside the per-block most-bound-particle
+/// search, whose argmin breaks ties by lowest index under a total order, so
+/// the records are byte-identical on every backend.
 pub fn centers_over_ranks(
     container: &Container,
     softening: f64,
@@ -1514,6 +1525,35 @@ mod tests {
         bed.render_step(&sim, &backend, &mut Default::default(), &mut run);
         assert_eq!((run.degraded_steps, run.frames_rendered), (1, 0));
         assert!(run.render_seconds > 0.0, "the step was still accounted");
+    }
+
+    /// Memoization is an optimization: a cache whose directory turns into a
+    /// plain file after opening fails every insert, and the post-hoc and the
+    /// co-scheduled runs still complete with their catalogs (and frames),
+    /// each analysis counted as a miss.
+    #[test]
+    fn failed_memo_insert_loses_only_the_memo() {
+        let backend = Threaded::new(2);
+        let mut cfg = tiny_cfg("memo_insert_fails");
+        let cache_dir = cfg.workdir.join("artifact_cache");
+        let _ = std::fs::remove_file(&cache_dir);
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        cfg.cache = Some(Arc::new(ArtifactCache::open(&cache_dir, None).unwrap()));
+        std::fs::remove_dir_all(&cache_dir).unwrap();
+        std::fs::write(&cache_dir, b"not a directory").unwrap();
+        cfg.render = Some(cosmotools::RenderParams {
+            ng: 12,
+            ..Default::default()
+        });
+        let bed = TestBed::create(cfg, &backend);
+        let simple = bed.run(Strategy::Combined(Transport::File), &backend);
+        assert_eq!((simple.cache_hits, simple.cache_misses), (0, 1));
+        let cosched = bed.run(Strategy::CombinedCoScheduled { emit_every: 4 }, &backend);
+        assert_eq!(cosched.cache_hits, 0);
+        assert!(cosched.cache_misses > 0);
+        assert_eq!(cosched.frames_rendered, bed.cfg.sim.nsteps as u64);
+        assert_eq!(cosched.degraded_steps, 0);
+        assert_same_centers(&simple.centers, &cosched.centers);
     }
 
     #[test]

@@ -54,17 +54,15 @@ use crate::journal::Journal;
 use crate::listener::{
     self, DirSource, ListenerConfig, ListenerReport, Source, SubmitError, Watch,
 };
+use crate::runner::centers_over_ranks;
 use crate::stream::{drop_name, ChunkRef, Payload, StreamHub, StreamSource};
 use cache::{
     CacheKey, Digest, DistributedConfig, DistributedStore, Fingerprint, FingerprintBuilder,
     RemoteFetchModel,
 };
-use cosmotools::{
-    chunk_container, encode_centers, write_container, CenterRecord, Container, SnapshotMeta,
-};
+use cosmotools::{chunk_container, encode_centers, write_container, Container, SnapshotMeta};
 use dpp::{Backend, PoolStats, Threaded};
 use faults::{FaultInjector, Fired};
-use halo::mbp_brute;
 use nbody::Particle;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -156,7 +154,7 @@ impl CampaignSpec {
     /// Fingerprint of the analysis parameters, scoped into this campaign's
     /// namespace. The unscoped half matches what a solo run of the same
     /// analysis would use; the scoping partitions the key space per spec.
-    pub fn product_fingerprint(&self) -> Fingerprint {
+    fn product_fingerprint(&self) -> Fingerprint {
         let mut fp = FingerprintBuilder::new();
         fp.push_str("mbp-centers").push_f64(SOFTENING);
         fp.finish().scoped(self.namespace())
@@ -171,7 +169,7 @@ impl CampaignSpec {
     /// chunk bytes and scoped by `(step, index)` within the campaign
     /// namespace, so a restarted emitter re-inserting the same chunk dedups
     /// instead of duplicating.
-    pub fn chunk_key(&self, step: u64, index: u32, chunk: &[u8]) -> CacheKey {
+    fn chunk_key(&self, step: u64, index: u32, chunk: &[u8]) -> CacheKey {
         let mut fp = FingerprintBuilder::new();
         fp.push_str("l2-chunk")
             .push_u64(step)
@@ -848,7 +846,7 @@ fn analyze(
     }
     let container = cosmotools::read_container(&drop.bytes)
         .map_err(|e| SubmitError(format!("parse {exec_name}: {e:?}")))?;
-    let payload = encode_centers(&container_centers(&container, &c.backend));
+    let payload = encode_centers(&centers_over_ranks(&container, SOFTENING, &c.backend));
     inner
         .store
         .insert(c.spec.product_key(drop.digest), &payload)
@@ -900,7 +898,7 @@ fn assemble(inner: &Inner, c: &CampaignState) -> (Vec<u8>, u64) {
             Some(p) => p,
             None => {
                 misses += 1;
-                let p = encode_centers(&container_centers(&container, &c.backend));
+                let p = encode_centers(&centers_over_ranks(&container, SOFTENING, &c.backend));
                 let _ = inner.store.insert(key, &p);
                 p
             }
@@ -1060,29 +1058,6 @@ fn step_container(seed: u64, step: usize) -> Container {
     }
 }
 
-/// Per-block MBP centers of a container, sorted by halo id. `dpp`'s argmin
-/// breaks ties by lowest index under a total order, so the result is
-/// byte-identical on every backend — a campaign analyzing through its
-/// scoped threaded handle produces exactly the solo serial catalog.
-fn container_centers(c: &Container, backend: &dyn Backend) -> Vec<CenterRecord> {
-    let mut centers: Vec<CenterRecord> = c
-        .blocks
-        .iter()
-        .filter(|b| !b.is_empty())
-        .map(|b| {
-            let r = mbp_brute(backend, b, SOFTENING);
-            CenterRecord {
-                halo_id: b.iter().map(|p| p.tag).min().unwrap_or(0),
-                center: b[r.index].pos_f64(),
-                count: b.len() as u64,
-                potential: r.potential,
-            }
-        })
-        .collect();
-    centers.sort_by_key(|r| r.halo_id);
-    centers
-}
-
 /// The catalog a fault-free *solo* run of this spec produces: per step, the
 /// serial analysis of the deterministic drop, length-framed exactly like
 /// the service's assembly. Byte equality against this is the service's
@@ -1090,8 +1065,9 @@ fn container_centers(c: &Container, backend: &dyn Backend) -> Vec<CenterRecord> 
 pub fn reference_catalog(spec: &CampaignSpec) -> Vec<u8> {
     let mut catalog = Vec::new();
     for step in 0..spec.steps {
-        let payload = encode_centers(&container_centers(
+        let payload = encode_centers(&centers_over_ranks(
             &step_container(spec.seed, step),
+            SOFTENING,
             &dpp::Serial,
         ));
         catalog.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -1147,8 +1123,9 @@ mod tests {
         let threaded = Threaded::new(4);
         let mut catalog = Vec::new();
         for step in 0..spec.steps {
-            let payload = encode_centers(&container_centers(
+            let payload = encode_centers(&centers_over_ranks(
                 &step_container(spec.seed, step),
+                SOFTENING,
                 &threaded,
             ));
             catalog.extend_from_slice(&(payload.len() as u64).to_le_bytes());

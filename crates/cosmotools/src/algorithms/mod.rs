@@ -9,8 +9,7 @@ pub mod subsample;
 pub use halofinder::{find_halos_with_centers, HaloFinderTask};
 pub use haloprops::HaloPropertiesTask;
 pub use powerspectrum::{
-    compute_power_spectrum, distributed_power_spectrum, power_spectrum_of_field, PowerBin,
-    PowerSpectrumTask,
+    compute_power_spectrum, distributed_power_spectrum, PowerBin, PowerSpectrumTask,
 };
 pub use subhalos::{SoMassTask, SubhaloTask};
 pub use subsample::SubsampleTask;

@@ -38,7 +38,7 @@ pub fn compute_power_spectrum(
 }
 
 /// Measure the power spectrum of an existing overdensity field.
-pub fn power_spectrum_of_field(
+fn power_spectrum_of_field(
     backend: &dyn Backend,
     delta: &Grid3<f64>,
     box_size: f64,

@@ -105,7 +105,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 /// CRC-32 (IEEE, reflected), slice-by-8: eight bytes per step, each looked
 /// up in the table that carries it through the bytes after it in the step,
 /// then the tail byte by byte — the same value as the bytewise loop.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let (words, tail) = data.as_chunks::<8>();
     let mut crc = !0u32;
@@ -380,18 +380,18 @@ pub const CHUNK_MAGIC: &[u8; 4] = b"HCCK";
 
 /// Decoded header of one streamed chunk.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChunkHeader {
+struct ChunkHeader {
     /// Snapshot metadata (identical across a step's chunk set).
-    pub meta: SnapshotMeta,
+    meta: SnapshotMeta,
     /// This chunk's block index, `0..total`.
-    pub index: u32,
+    index: u32,
     /// Number of chunks (= blocks) in the step's set. `0` is the sentinel
     /// for a block-less container: the set is one empty chunk.
-    pub total: u32,
+    total: u32,
 }
 
 /// Encode block `index` of `total` as one self-verifying chunk.
-pub fn encode_chunk(meta: &SnapshotMeta, index: u32, total: u32, block: &[Particle]) -> Bytes {
+fn encode_chunk(meta: &SnapshotMeta, index: u32, total: u32, block: &[Particle]) -> Bytes {
     let len = CHUNK_HEADER_BYTES + block.len() * RECORD_BYTES;
     let _span = telemetry::span!("cosmotools.genio", "encode", len);
     let mut buf = Vec::with_capacity(len);
@@ -406,7 +406,7 @@ pub fn encode_chunk(meta: &SnapshotMeta, index: u32, total: u32, block: &[Partic
 }
 
 /// Decode and verify one chunk.
-pub fn decode_chunk(data: &[u8]) -> Result<(ChunkHeader, Vec<Particle>), GenioError> {
+fn decode_chunk(data: &[u8]) -> Result<(ChunkHeader, Vec<Particle>), GenioError> {
     let _span = telemetry::span!("cosmotools.genio", "decode", data.len());
     let mut r = Reader::open(data, CHUNK_MAGIC)?;
     let meta = r.meta()?;
@@ -575,11 +575,6 @@ pub fn write_image_file(
     let digest = cache::digest_bytes(&bytes);
     std::fs::write(path, bytes)?;
     Ok(digest)
-}
-
-/// Read a frame from a file.
-pub fn read_image_file(path: &std::path::Path) -> std::io::Result<Result<ImageFrame, GenioError>> {
-    Ok(read_image(&std::fs::read(path)?))
 }
 
 #[cfg(test)]
@@ -964,7 +959,7 @@ mod tests {
         let stamped = write_image_file(&path, &frame).unwrap();
         assert_eq!(stamped, image_digest(&frame));
         assert_eq!(stamped, file_digest(&path).unwrap());
-        assert_eq!(read_image_file(&path).unwrap().unwrap(), frame);
+        assert_eq!(read_image(&std::fs::read(&path).unwrap()).unwrap(), frame);
         let mut other = frame.clone();
         other.pixels[3] ^= 0xFF;
         assert_ne!(stamped, image_digest(&other));

@@ -116,21 +116,6 @@ impl Product {
             }
         }
     }
-
-    /// Approximate serialized size in bytes.
-    pub fn approx_bytes(&self) -> u64 {
-        match self {
-            Product::PowerSpectrum { bins, .. } => bins.len() as u64 * 16,
-            Product::Halos { catalog, .. } => {
-                crate::levels::level2_bytes(catalog.total_particles() as u64)
-                    + crate::levels::level3_center_bytes(catalog.len() as u64)
-            }
-            Product::Subhalos { counts, .. } => counts.len() as u64 * 16,
-            Product::SoMasses { masses, .. } => masses.len() as u64 * 16,
-            // The HCIM container: PGM payload plus the fixed header.
-            Product::Image { frame, .. } => frame.pgm_bytes() + crate::genio::IMAGE_HEADER_BYTES,
-        }
-    }
 }
 
 /// The paper's abstract analysis-task interface.
@@ -481,6 +466,5 @@ mod tests {
         assert_eq!(p.name(), "power-spectrum");
         assert_eq!(p.step(), 7);
         assert_eq!(p.level(), DataLevel::Level3);
-        assert_eq!(p.approx_bytes(), 32);
     }
 }

@@ -13,7 +13,6 @@
 // 3-vector component loops read better indexed; the lint fires on them.
 #![allow(clippy::needless_range_loop)]
 
-pub mod aggregate;
 pub mod algorithms;
 pub mod config;
 pub mod driver;
@@ -22,7 +21,6 @@ pub mod insitu;
 pub mod levels;
 pub mod render;
 
-pub use aggregate::{read_aggregated, read_manifest, write_aggregated, AggregateError, Manifest};
 pub use algorithms::{
     compute_power_spectrum, distributed_power_spectrum, find_halos_with_centers, HaloFinderTask,
     HaloPropertiesTask, PowerBin, PowerSpectrumTask, SoMassTask, SubhaloTask, SubsampleTask,
@@ -33,10 +31,10 @@ pub use driver::{
     merge_center_sets, write_level2_container, CenterRecord, CENTER_RECORD_BYTES,
 };
 pub use genio::{
-    assemble_chunks, chunk_container, container_digest, decode_chunk, encode_chunk, file_digest,
-    image_digest, read_container, read_file, read_image, read_image_file, write_container,
-    write_file, write_file_digest, write_image, write_image_file, ChunkHeader, Container,
-    GenioError, SnapshotMeta, CHUNK_MAGIC, IMAGE_HEADER_BYTES, IMAGE_MAGIC,
+    assemble_chunks, chunk_container, container_digest, file_digest, image_digest, read_container,
+    read_file, read_image, write_container, write_file, write_file_digest, write_image,
+    write_image_file, Container, GenioError, SnapshotMeta, CHUNK_MAGIC, IMAGE_HEADER_BYTES,
+    IMAGE_MAGIC,
 };
 pub use insitu::{
     AnalysisContext, ExecutionRecord, InSituAlgorithm, InSituAnalysisManager, Product,

@@ -126,18 +126,9 @@ impl PoolStats {
         SMALL_N_THRESHOLD
     }
 
-    /// Mean wall time per dispatch in nanoseconds (0 if none ran).
-    pub fn mean_dispatch_nanos(&self) -> f64 {
-        if self.dispatches == 0 {
-            0.0
-        } else {
-            self.total_dispatch_nanos as f64 / self.dispatches as f64
-        }
-    }
-
     /// Counter deltas accumulated since an `earlier` snapshot of the same
-    /// pool (saturating, so a reset between snapshots yields zeros rather
-    /// than wrapping).
+    /// pool (saturating, so snapshots passed in the wrong order yield zeros
+    /// rather than wrapping).
     pub fn delta_since(&self, earlier: &PoolStats) -> PoolStats {
         PoolStats {
             dispatches: self.dispatches.saturating_sub(earlier.dispatches),
@@ -183,16 +174,6 @@ impl StatCells {
             worker_wakeups: self.worker_wakeups.load(Ordering::Relaxed),
             total_dispatch_nanos: self.total_dispatch_nanos.load(Ordering::Relaxed),
         }
-    }
-
-    fn reset(&self) {
-        self.dispatches.store(0, Ordering::Relaxed);
-        self.serial_dispatches.store(0, Ordering::Relaxed);
-        self.small_n_dispatches.store(0, Ordering::Relaxed);
-        self.chunks_by_workers.store(0, Ordering::Relaxed);
-        self.chunks_by_caller.store(0, Ordering::Relaxed);
-        self.worker_wakeups.store(0, Ordering::Relaxed);
-        self.total_dispatch_nanos.store(0, Ordering::Relaxed);
     }
 }
 
@@ -419,11 +400,6 @@ impl ThreadPool {
         self.inner.shared.stats.snapshot()
     }
 
-    /// Zero all activity counters.
-    pub fn reset_stats(&self) {
-        self.inner.shared.stats.reset();
-    }
-
     /// A handle sharing this pool's worker threads but carrying its own
     /// private activity counters: work dispatched *through the returned
     /// handle* (and only that work) is additionally attributed to
@@ -443,11 +419,6 @@ impl ThreadPool {
     /// unscoped handle.
     pub fn scope_stats(&self) -> Option<PoolStats> {
         self.scope.as_ref().map(|s| s.snapshot())
-    }
-
-    /// Whether this handle was created with [`scoped`](Self::scoped).
-    pub fn is_scoped(&self) -> bool {
-        self.scope.is_some()
     }
 
     /// Run `f` over every chunk of `0..n`, where each chunk holds at least
@@ -806,7 +777,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_reflect_activity_and_reset() {
+    fn stats_reflect_activity() {
         let pool = ThreadPool::new(4);
         assert_eq!(pool.stats(), PoolStats::default());
         pool.dispatch(4096, 32, &|_| {}); // above threshold → parallel path
@@ -818,9 +789,6 @@ mod tests {
         assert_eq!(s.small_n_dispatches, 1);
         assert_eq!(s.chunks_executed(), 128 + 128 + 1);
         assert!(s.total_dispatch_nanos > 0);
-        assert!(s.mean_dispatch_nanos() > 0.0);
-        pool.reset_stats();
-        assert_eq!(pool.stats(), PoolStats::default());
     }
 
     #[test]
@@ -846,12 +814,11 @@ mod tests {
     #[test]
     fn scoped_handles_attribute_only_their_own_dispatches() {
         let pool = ThreadPool::new(4);
-        assert!(!pool.is_scoped());
-        assert_eq!(pool.scope_stats(), None);
+        assert_eq!(pool.scope_stats(), None, "the base handle is unscoped");
 
         let a = pool.scoped();
         let b = pool.scoped();
-        assert!(a.is_scoped());
+        assert_eq!(a.scope_stats(), Some(PoolStats::default()));
 
         a.dispatch(4096, 32, &|_| {}); // 128 chunks, parallel path
         a.dispatch(1, 8, &|_| {}); // serial fast path

@@ -52,7 +52,7 @@ impl SlabFft {
     }
 
     /// Expected local grid dims (same for both layouts).
-    pub fn local_dims(&self) -> [usize; 3] {
+    fn local_dims(&self) -> [usize; 3] {
         [self.slab(), self.ng, self.ng]
     }
 

@@ -54,16 +54,6 @@ impl Aabb {
         d2
     }
 
-    /// Maximum squared distance from `p` to any point of this box.
-    pub fn max_dist2_point(&self, p: [f64; 3]) -> f64 {
-        let mut d2 = 0.0;
-        for d in 0..3 {
-            let v = (p[d] - self.lo[d]).abs().max((p[d] - self.hi[d]).abs());
-            d2 += v * v;
-        }
-        d2
-    }
-
     /// Minimum squared distance between two boxes (0 if overlapping).
     pub fn min_dist2_box(&self, other: &Aabb) -> f64 {
         let mut d2 = 0.0;
@@ -326,7 +316,6 @@ mod tests {
         b.include([2.0, 2.0, 2.0]);
         assert_eq!(b.min_dist2_point([1.0, 1.0, 1.0]), 0.0);
         assert_eq!(b.min_dist2_point([4.0, 1.0, 1.0]), 4.0);
-        assert_eq!(b.max_dist2_point([0.0, 0.0, 0.0]), 12.0);
         assert_eq!(b.longest_side(), 2.0);
         let mut c = Aabb::empty();
         c.include([5.0, 0.0, 0.0]);

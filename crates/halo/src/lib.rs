@@ -46,5 +46,5 @@ pub use mbp::{
 pub use parallel::{extended_patch, fof_and_centers_timed, parallel_fof, FofConfig, RankTiming};
 pub use properties::{halo_properties, HaloProperties};
 pub use so::{so_mass, SoResult};
-pub use subhalo::{find_subhalos, local_densities, Subhalo, SubhaloParams};
+pub use subhalo::{find_subhalos, Subhalo, SubhaloParams};
 pub use tracking::{track_halos, HaloLink, TrackingResult};

@@ -88,7 +88,7 @@ impl MassFunction {
     }
 
     /// Expected number of halos above `m` in a population of `n_total`.
-    pub fn expected_above(&self, m: f64, n_total: u64) -> f64 {
+    fn expected_above(&self, m: f64, n_total: u64) -> f64 {
         self.fraction_above(m) * n_total as f64
     }
 
@@ -115,7 +115,7 @@ impl MassFunction {
     /// Draw one halo mass *conditioned on* `m > m_lo` (direct tail sampling —
     /// used to realize the off-loaded population without drawing the full
     /// 1.7×10⁸ halo catalog).
-    pub fn sample_above<R: Rng>(&self, rng: &mut R, m_lo: f64) -> u64 {
+    fn sample_above<R: Rng>(&self, rng: &mut R, m_lo: f64) -> u64 {
         let cdf_lo = 1.0 - self.fraction_above(m_lo);
         let u: f64 = rng.gen_range(cdf_lo..1.0);
         let i = match self.cdf.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
@@ -137,13 +137,7 @@ impl MassFunction {
     /// Solve (α, m_cut) so that `fraction_above(m_ref) = frac_ref` and the
     /// expected count above `m_max` in `n_total` halos is one (i.e. `m_max`
     /// is the expected largest halo). Nested bisection.
-    pub fn calibrate(
-        m_min: f64,
-        m_ref: f64,
-        frac_ref: f64,
-        m_max: f64,
-        n_total: u64,
-    ) -> MassFunction {
+    fn calibrate(m_min: f64, m_ref: f64, frac_ref: f64, m_max: f64, n_total: u64) -> MassFunction {
         assert!(m_min < m_ref && m_ref < m_max);
         let m_table = m_max * 40.0;
         // Inner solve: given α, find m_cut with fraction_above(m_ref)=frac_ref.

@@ -48,17 +48,12 @@ pub struct Subhalo {
     pub peak_density: f64,
 }
 
-/// SPH-kernel local densities from k-nearest neighbours.
+/// SPH-kernel local densities from k-nearest neighbours, over an
+/// already-built tree so [`find_subhalos`] can share one `coords` + `tree`
+/// between the density estimate and its walk.
 ///
 /// Uses the standard cubic-spline–like estimate: mass of the k neighbours
 /// over the kernel volume set by the distance to the k-th.
-pub fn local_densities(particles: &[Particle], k: usize) -> Vec<f64> {
-    let coords = Coords::from_particles(particles);
-    densities_over(particles, &coords, &KdTree::build_cols(&coords, None), k)
-}
-
-/// [`local_densities`] over an already-built tree, so [`find_subhalos`] can
-/// share one `coords` + `tree` between the density estimate and its walk.
 fn densities_over(particles: &[Particle], coords: &Coords, tree: &KdTree, k: usize) -> Vec<f64> {
     let n = particles.len();
     let k = k.min(n);
@@ -266,6 +261,11 @@ fn unbind(particles: &[Particle], mut members: Vec<u32>, params: &SubhaloParams)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn local_densities(particles: &[Particle], k: usize) -> Vec<f64> {
+        let coords = Coords::from_particles(particles);
+        densities_over(particles, &coords, &KdTree::build_cols(&coords, None), k)
+    }
 
     /// A gravitationally plausible clump: tight positions, small velocities.
     fn clump(center: [f64; 3], n: usize, spread: f64, vel_scale: f32, seed: u64) -> Vec<Particle> {

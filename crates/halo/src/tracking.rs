@@ -21,15 +21,9 @@ pub struct HaloLink {
     pub descendant: u64,
     /// Number of shared particles.
     pub shared: usize,
-    /// Progenitor member count (for match-fraction computations).
+    /// Progenitor member count (`shared / progenitor_size` is the match
+    /// fraction `min_fraction` gates).
     pub progenitor_size: usize,
-}
-
-impl HaloLink {
-    /// Fraction of the progenitor's particles found in the descendant.
-    pub fn match_fraction(&self) -> f64 {
-        self.shared as f64 / self.progenitor_size as f64
-    }
 }
 
 /// The links between two snapshots' catalogs.
@@ -41,31 +35,6 @@ pub struct TrackingResult {
     pub disrupted: Vec<u64>,
     /// Descendant ids with no progenitor (newly formed).
     pub newborn: Vec<u64>,
-}
-
-impl TrackingResult {
-    /// Descendants receiving more than one progenitor (mergers), with their
-    /// progenitor lists (largest contribution first).
-    pub fn mergers(&self) -> Vec<(u64, Vec<u64>)> {
-        let mut by_desc: HashMap<u64, Vec<&HaloLink>> = HashMap::new();
-        for l in &self.links {
-            by_desc.entry(l.descendant).or_default().push(l);
-        }
-        let mut out: Vec<(u64, Vec<u64>)> = by_desc
-            .into_iter()
-            .filter(|(_, ls)| ls.len() > 1)
-            .map(|(d, mut ls)| {
-                ls.sort_by(|a, b| {
-                    b.shared
-                        .cmp(&a.shared)
-                        .then(a.progenitor.cmp(&b.progenitor))
-                });
-                (d, ls.iter().map(|l| l.progenitor).collect())
-            })
-            .collect();
-        out.sort_by_key(|(d, _)| *d);
-        out
-    }
 }
 
 /// Link halos of `earlier` to halos of `later` by shared particle tags.
@@ -157,7 +126,7 @@ mod tests {
         assert_eq!(t.links[0].progenitor, 1);
         assert_eq!(t.links[0].descendant, 1);
         assert_eq!(t.links[0].shared, 4);
-        assert_eq!(t.links[0].match_fraction(), 1.0);
+        assert_eq!(t.links[0].progenitor_size, 4, "every particle stayed");
         assert!(t.disrupted.is_empty());
         assert!(t.newborn.is_empty());
     }
@@ -171,13 +140,14 @@ mod tests {
         // One descendant holds both progenitors' particles.
         let b = catalog(vec![halo_with_tags(&[1, 2, 3, 10, 11, 12, 13])]);
         let t = track_halos(&a, &b, 0.5);
-        assert_eq!(t.links.len(), 2);
-        let mergers = t.mergers();
-        assert_eq!(mergers.len(), 1);
-        let (desc, progs) = &mergers[0];
-        assert_eq!(*desc, 1);
-        // Largest contributor first (the 4-particle progenitor, id 10).
-        assert_eq!(progs, &vec![10, 1]);
+        // Both progenitors link to the one descendant, whole.
+        let links: Vec<_> = t
+            .links
+            .iter()
+            .map(|l| (l.progenitor, l.descendant, l.shared))
+            .collect();
+        assert_eq!(links, vec![(1, 1, 3), (10, 1, 4)]);
+        assert!(t.disrupted.is_empty() && t.newborn.is_empty());
     }
 
     #[test]
@@ -218,7 +188,8 @@ mod tests {
         assert_eq!(strict.disrupted, vec![1]);
         let loose = track_halos(&a, &b, 0.2);
         assert_eq!(loose.links.len(), 1);
-        assert!((loose.links[0].match_fraction() - 0.3).abs() < 1e-12);
+        let link = loose.links[0];
+        assert_eq!((link.shared, link.progenitor_size), (3, 10));
     }
 
     #[test]

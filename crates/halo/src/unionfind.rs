@@ -54,17 +54,6 @@ impl UnionFind {
         ra
     }
 
-    /// True if `a` and `b` share a set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
-
     /// Compact group labels: element → group id in `0..ngroups`, groups
     /// numbered by first appearance.
     pub fn labels(&mut self) -> (Vec<u32>, usize) {
@@ -97,11 +86,18 @@ impl UnionFind {
 mod tests {
     use super::*;
 
+    /// Members of `x`'s group, counted from the public labelling.
+    fn group_size(uf: &mut UnionFind, x: usize) -> usize {
+        let (labels, _) = uf.labels();
+        labels.iter().filter(|&&l| l == labels[x]).count()
+    }
+
     #[test]
     fn singletons_start_disconnected() {
         let mut uf = UnionFind::new(5);
-        assert!(!uf.connected(0, 1));
-        assert_eq!(uf.set_size(3), 1);
+        assert_ne!(uf.find(0), uf.find(1));
+        assert_eq!(uf.labels().1, 5);
+        assert_eq!(group_size(&mut uf, 3), 1);
         assert_eq!(uf.len(), 5);
     }
 
@@ -111,12 +107,12 @@ mod tests {
         uf.union(0, 1);
         uf.union(1, 2);
         uf.union(4, 5);
-        assert!(uf.connected(0, 2));
-        assert!(uf.connected(5, 4));
-        assert!(!uf.connected(2, 4));
-        assert_eq!(uf.set_size(0), 3);
-        assert_eq!(uf.set_size(4), 2);
-        assert_eq!(uf.set_size(3), 1);
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_eq!(uf.find(5), uf.find(4));
+        assert_ne!(uf.find(2), uf.find(4));
+        assert_eq!(group_size(&mut uf, 0), 3);
+        assert_eq!(group_size(&mut uf, 4), 2);
+        assert_eq!(group_size(&mut uf, 3), 1);
     }
 
     #[test]
@@ -125,7 +121,8 @@ mod tests {
         let r1 = uf.union(0, 1);
         let r2 = uf.union(1, 0);
         assert_eq!(r1, r2);
-        assert_eq!(uf.set_size(0), 2);
+        assert_eq!(group_size(&mut uf, 0), 2);
+        assert_eq!(uf.labels().1, 2);
     }
 
     #[test]
@@ -155,7 +152,8 @@ mod tests {
         for i in 1..n {
             uf.union(i - 1, i);
         }
-        assert_eq!(uf.set_size(0), n);
+        let root = uf.find(0);
+        assert!((0..n).all(|i| uf.find(i) == root));
         let (_, g) = uf.labels();
         assert_eq!(g, 1);
     }

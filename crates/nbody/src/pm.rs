@@ -7,7 +7,7 @@
 //! plan and `k` table; every grid is transient: one forward transform, one
 //! parallel pass over k-space producing all three `g_k`, three inverse
 //! transforms. [`poisson_accel`] is the one-shot form. The force mesh is then
-//! read once: [`cic_gather`] computes a particle's cell and weights once and
+//! read once: `cic_gather` computes a particle's cell and weights once and
 //! accumulates all three components ([`gather_accel`] over a particle set),
 //! after which the grids are dropped — what the stepper keeps is the gathered
 //! per-particle acceleration. [`cic_interpolate`] is the one-component scalar
@@ -545,7 +545,7 @@ pub fn poisson_accel(backend: &dyn Backend, delta: &Grid3<f64>, prefactor: f64) 
 
 /// Trilinear (CIC) interpolation of a mesh field at a position given in box
 /// units: one component, one `rem_euclid` per axis, `% ng` per corner. The
-/// scalar reference for [`cic_gather`]; no stepper calls it.
+/// scalar reference for `cic_gather`; no stepper calls it.
 #[inline]
 pub fn cic_interpolate(field: &Grid3<f64>, pos: [f32; 3], box_size: f64) -> f64 {
     let ng = field.dims()[0];
@@ -599,12 +599,7 @@ fn cic_cell(pos: f32, box_size: f64, ng: usize) -> (usize, f64) {
 /// last stored plane from a position inside the slab, so the same
 /// compare-and-reset is inert there and the neighbour is the ghost.
 #[inline]
-pub fn cic_gather(
-    accel: &[Grid3<f64>; 3],
-    x_origin: usize,
-    pos: [f32; 3],
-    box_size: f64,
-) -> [f64; 3] {
+fn cic_gather(accel: &[Grid3<f64>; 3], x_origin: usize, pos: [f32; 3], box_size: f64) -> [f64; 3] {
     let [planes, ng, _] = accel[0].dims();
     let next = |i: usize, n: usize| if i + 1 == n { 0 } else { i + 1 };
     let (x0, dx) = cic_cell(pos[0], box_size, ng);
@@ -633,7 +628,7 @@ pub fn cic_gather(
     g
 }
 
-/// [`cic_gather`] for every particle, dispatched over the particle range:
+/// `cic_gather` for every particle, dispatched over the particle range:
 /// `out[i]` is particle `i`'s acceleration. The one read of the force mesh a
 /// solve gets; counted as `nbody.gathers`.
 pub fn gather_accel(

@@ -29,14 +29,14 @@ macro_rules! axis_enum {
             pub const ALL: &'static [$name] = &[ $( $name::$variant, )+ ];
 
             /// The canonical scenario-ID token.
-            pub fn token(self) -> &'static str {
+            fn token(self) -> &'static str {
                 match self {
                     $( $name::$variant => $token, )+
                 }
             }
 
             /// Parse a canonical token back to the value.
-            pub fn parse_token(s: &str) -> Option<$name> {
+            fn parse_token(s: &str) -> Option<$name> {
                 match s {
                     $( $token => Some($name::$variant), )+
                     _ => None,

@@ -31,6 +31,4 @@ pub use machine::{
     InterconnectSpec, MachineSpec,
 };
 pub use metrics::QueueMetrics;
-pub use scheduler::{
-    AdmissionError, BatchSimulator, QueueDiscipline, QueuePolicy, SCHEDULER_FAULT_SITE,
-};
+pub use scheduler::{BatchSimulator, QueueDiscipline, QueuePolicy, SCHEDULER_FAULT_SITE};

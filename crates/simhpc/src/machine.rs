@@ -128,12 +128,6 @@ impl MachineSpec {
         nodes as f64 * (seconds / 3600.0) * self.charge_factor
     }
 
-    /// Wall-clock scale factor for compute relative to Titan: a kernel that
-    /// takes `t` seconds on Titan takes `t / node_speed` here.
-    pub fn compute_time_from_titan(&self, titan_seconds: f64) -> f64 {
-        titan_seconds / self.node_speed
-    }
-
     /// Effective speed multiplier for the portable data-parallel analysis
     /// kernels on this machine (GPU path when available, else CPU path).
     pub fn analysis_speed(&self) -> f64 {
@@ -293,7 +287,7 @@ mod tests {
         let m = moonlight();
         let t = titan();
         // The paper adjusts Moonlight timings by ×0.55 to compare with Titan.
-        assert!((m.compute_time_from_titan(55.0) - 100.0).abs() < 1e-9);
+        assert!((55.0 / m.node_speed - 100.0).abs() < 1e-9);
         assert!(m.analysis_speed() < t.analysis_speed());
     }
 

@@ -150,33 +150,6 @@ impl QueuePolicy {
     }
 }
 
-/// Rejection returned by [`BatchSimulator::try_submit`] when the bounded
-/// submission queue is full: the facility already holds `pending`
-/// queued-or-running jobs against a limit of `limit`.
-///
-/// This is the scheduler half of the workflow service's backpressure story:
-/// rather than growing the queue without bound (or panicking), a saturated
-/// facility tells the submitter to slow down and resubmit later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionError {
-    /// Jobs queued or running at the time of the rejected submission.
-    pub pending: usize,
-    /// The bound the submission was checked against.
-    pub limit: usize,
-}
-
-impl std::fmt::Display for AdmissionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "batch queue saturated: {} job(s) pending against a limit of {}",
-            self.pending, self.limit
-        )
-    }
-}
-
-impl std::error::Error for AdmissionError {}
-
 #[derive(Debug, Clone)]
 struct QueuedJob {
     id: JobId,
@@ -332,28 +305,6 @@ impl BatchSimulator {
     /// Jobs currently holding or awaiting resources (queued + running).
     pub fn pending(&self) -> usize {
         self.queue.len() + self.running.len()
-    }
-
-    /// Bounded-queue submission: enqueue like [`submit`](Self::submit)
-    /// unless the simulator already holds `max_pending` queued-or-running
-    /// jobs, in which case nothing is enqueued and an [`AdmissionError`]
-    /// describes the saturation. Request *validation* failures (zero nodes,
-    /// submission in the past) still panic exactly as `submit` does — only
-    /// capacity is reported through the `Result`.
-    pub fn try_submit(
-        &mut self,
-        req: JobRequest,
-        max_pending: usize,
-    ) -> Result<JobId, AdmissionError> {
-        let pending = self.pending();
-        if pending >= max_pending {
-            telemetry::count!("simhpc", "admission_rejections", 1);
-            return Err(AdmissionError {
-                pending,
-                limit: max_pending,
-            });
-        }
-        Ok(self.submit(req))
     }
 
     /// Withdraw a job that has not yet finished: a queued job is removed
@@ -815,54 +766,17 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_rejects_when_the_bounded_queue_fills() {
-        let mut sim = BatchSimulator::new(tiny_machine(8), QueuePolicy::ideal());
-        assert_eq!(sim.pending(), 0);
-        let a = sim
-            .try_submit(JobRequest::new("a", 8, 50.0, 0.0), 2)
-            .unwrap();
-        let b = sim
-            .try_submit(JobRequest::new("b", 8, 10.0, 0.0), 2)
-            .unwrap();
-        assert_ne!(a, b);
-        assert_eq!(sim.pending(), 2);
-
-        let err = sim
-            .try_submit(JobRequest::new("c", 8, 10.0, 0.0), 2)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            AdmissionError {
-                pending: 2,
-                limit: 2
-            }
-        );
-        assert!(err.to_string().contains("saturated"));
-        assert_eq!(sim.pending(), 2, "rejected submission must not enqueue");
-
-        // Draining the queue frees admission again.
-        let recs = sim.run_to_completion();
-        assert_eq!(recs.len(), 2, "the rejected job was dropped, not queued");
-        assert_eq!(sim.pending(), 0);
-        sim.try_submit(JobRequest::new("c", 8, 10.0, sim.now()), 2)
-            .unwrap();
-    }
-
-    #[test]
     fn cancelled_queued_job_frees_its_admission_slot() {
         let mut sim = BatchSimulator::new(tiny_machine(8), QueuePolicy::ideal());
-        let a = sim
-            .try_submit(JobRequest::new("a", 8, 50.0, 0.0), 2)
-            .unwrap();
-        let _b = sim
-            .try_submit(JobRequest::new("b", 8, 10.0, 0.0), 2)
-            .unwrap();
+        let a = sim.submit(JobRequest::new("a", 8, 50.0, 0.0));
+        sim.submit(JobRequest::new("b", 8, 10.0, 0.0));
         assert_eq!(sim.pending(), 2);
         assert!(sim.cancel(a), "queued job must be cancellable");
         assert_eq!(sim.pending(), 1, "cancellation releases the slot");
-        sim.try_submit(JobRequest::new("c", 8, 10.0, 0.0), 2)
-            .expect("slot freed by cancellation");
+        sim.submit(JobRequest::new("c", 8, 10.0, 0.0));
+        assert_eq!(sim.pending(), 2);
         assert!(!sim.cancel(a), "a cancelled id cancels only once");
+        assert_eq!(sim.pending(), 2, "a second cancel releases nothing");
 
         let recs = sim.run_to_completion();
         assert!(

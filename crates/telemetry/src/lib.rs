@@ -1,9 +1,9 @@
 //! Unified telemetry for the workflow crates: structured **spans** (nested,
 //! with parent ids), **counters**, and **histograms** (fixed log-bucket,
 //! mergeable), recorded into per-thread lock-free ring buffers and drained
-//! into a trace that exports three ways — Chrome trace-event JSON (loadable
-//! in Perfetto / `chrome://tracing`), Prometheus-style text metrics, and a
-//! human-readable per-phase summary table.
+//! into a trace that exports two ways — Chrome trace-event JSON (loadable
+//! in Perfetto / `chrome://tracing`) and a human-readable per-phase summary
+//! table.
 //!
 //! # Arming (the `faults` rule)
 //!
@@ -242,7 +242,7 @@ impl Recorder {
     /// Drain every lane and return everything recorded so far. Threads still
     /// actively recording may add events afterwards; call this only once the
     /// instrumented workload has joined.
-    pub fn drain_trace(&self) -> Trace {
+    fn drain_trace(&self) -> Trace {
         for lane in self.lanes.lock().iter() {
             lane.drain_into(&self.sink);
         }
@@ -320,7 +320,7 @@ thread_local! {
 }
 
 /// The dimension currently stamped onto this thread's events (0 = none).
-pub fn current_dim() -> u64 {
+fn current_dim() -> u64 {
     CURRENT_DIM.with(|d| d.get())
 }
 
@@ -610,7 +610,7 @@ impl Histogram {
 
     /// Bucket index for `value`. The top bucket (63) absorbs everything
     /// from `2^62` up.
-    pub fn bucket_of(value: u64) -> usize {
+    fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -619,7 +619,7 @@ impl Histogram {
     }
 
     /// Inclusive upper bound of bucket `b`.
-    pub fn bucket_bound(b: usize) -> u64 {
+    fn bucket_bound(b: usize) -> u64 {
         if b == 0 {
             0
         } else if b >= 63 {
@@ -654,11 +654,6 @@ impl Histogram {
     /// Sum of observed values (saturating).
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
-        &self.buckets
     }
 
     /// Mean observed value (0 when empty).
@@ -710,7 +705,7 @@ pub struct SpanRecord {
     pub dur: u64,
 }
 
-/// Everything a recorder collected, with the three exporters.
+/// Everything a recorder collected, with its two exporters.
 #[derive(Debug, Clone)]
 pub struct Trace {
     /// Clock mode the recorder ran with.
@@ -781,7 +776,7 @@ impl Trace {
     }
 
     /// Histograms keyed by `(layer, name)`.
-    pub fn histograms(&self) -> BTreeMap<(&'static str, &'static str), Histogram> {
+    fn histograms(&self) -> BTreeMap<(&'static str, &'static str), Histogram> {
         let mut out: BTreeMap<_, Histogram> = BTreeMap::new();
         for ev in &self.events {
             if let EventKind::Observe { value } = ev.kind {
@@ -844,40 +839,6 @@ impl Trace {
             }
         }
         out.push_str("]}\n");
-        out
-    }
-
-    /// Prometheus text-exposition metrics: counters as `_total`, histograms
-    /// as `_bucket{le=…}`/`_sum`/`_count`, all prefixed `hacc_`.
-    pub fn prometheus_text(&self) -> String {
-        fn sanitize(s: &str) -> String {
-            s.chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect()
-        }
-        let mut out = String::new();
-        for ((layer, name), total) in self.counters() {
-            let metric = format!("hacc_{}_{}", sanitize(layer), sanitize(name));
-            let _ = writeln!(out, "# TYPE {metric}_total counter");
-            let _ = writeln!(out, "{metric}_total {total}");
-        }
-        for ((layer, name), hist) in self.histograms() {
-            let metric = format!("hacc_{}_{}", sanitize(layer), sanitize(name));
-            let _ = writeln!(out, "# TYPE {metric} histogram");
-            let top = hist.buckets().iter().rposition(|&c| c > 0).unwrap_or(0);
-            let mut cumulative = 0u64;
-            for b in 0..=top {
-                cumulative += hist.buckets()[b];
-                let _ = writeln!(
-                    out,
-                    "{metric}_bucket{{le=\"{}\"}} {cumulative}",
-                    Histogram::bucket_bound(b)
-                );
-            }
-            let _ = writeln!(out, "{metric}_bucket{{le=\"+Inf\"}} {}", hist.count());
-            let _ = writeln!(out, "{metric}_sum {}", hist.sum());
-            let _ = writeln!(out, "{metric}_count {}", hist.count());
-        }
         out
     }
 
@@ -1170,41 +1131,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_export_shape() {
-        let mut h = Histogram::new();
-        for v in [1, 2, 3, 100] {
-            h.record(v);
-        }
-        let trace = Trace {
-            clock: Clock::Wall,
-            events: vec![
-                Event {
-                    layer: "dpp",
-                    name: "dispatches",
-                    ts: 0,
-                    lane: 0,
-                    dim: 0,
-                    kind: EventKind::Count { delta: 7 },
-                },
-                Event {
-                    layer: "simhpc",
-                    name: "queue_wait",
-                    ts: 0,
-                    lane: 0,
-                    dim: 0,
-                    kind: EventKind::Observe { value: 100 },
-                },
-            ],
-        };
-        let text = trace.prometheus_text();
-        assert!(text.contains("hacc_dpp_dispatches_total 7"));
-        assert!(text.contains("# TYPE hacc_simhpc_queue_wait histogram"));
-        assert!(text.contains("hacc_simhpc_queue_wait_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("hacc_simhpc_queue_wait_sum 100"));
-        assert!(text.contains("hacc_simhpc_queue_wait_count 1"));
-    }
-
-    #[test]
     fn summary_table_renders_all_sections() {
         let _serial = INSTALL_LOCK.lock();
         let guard = install(Arc::new(Recorder::new(Clock::Wall)));
@@ -1268,7 +1194,7 @@ mod tests {
             let mut merged = a;
             merged.merge(&b);
             prop_assert_eq!(merged.count(), a.count() + b.count());
-            let total: u64 = merged.buckets().iter().sum();
+            let total: u64 = merged.buckets.iter().sum();
             prop_assert_eq!(total, merged.count());
         }
     }
