@@ -5,8 +5,9 @@
 //! that lives outside the product crates' hot path (`before`: the scalar,
 //! dense-cell and grid-per-chunk references in `conformance::layout`; for
 //! the PM solve, the per-line FFT reference and the stepper that re-solves
-//! at every kick; for the force gather, three `cic_interpolate` calls per
-//! particle; for the distributed find, the k-d tree FOF; for a render
+//! at every kick; for a real field's transform, the complex transform of the
+//! field promoted to complex; for the force gather, three `cic_interpolate`
+//! calls per particle; for the distributed find, the k-d tree FOF; for a render
 //! frame, one that sorts its level-of-detail order afresh),
 //! written to `BENCH_kernels.json` when `BENCH_KERNELS_JSON=<path>` is set
 //! (`just bench-kernels`).
@@ -22,7 +23,7 @@ use conformance::layout::{
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpp::{ops, par_for_each_mut, Serial, Threaded, DEFAULT_GRAIN};
-use fft::{Complex, Fft3d, Grid3};
+use fft::{Complex, Fft3d, Grid3, RealFft3d};
 use hacc_core::RunnerConfig;
 use halo::Coords;
 use nbody::{DepositColumns, ParticleSoA, SimConfig, Simulation};
@@ -270,6 +271,39 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         rows.push(KernelRow {
             kernel: "fft3d_64",
             n: grid.len(),
+            before_ms: before,
+            after_ms: after,
+        });
+    }
+
+    // A real 64³ field there and back, as the PM solve, the initial
+    // conditions and the power spectrum take one: promoted to complex, the
+    // complex forward + inverse and the real part (what they did) vs the
+    // real-to-complex forward + complex-to-real inverse of the half spectrum.
+    {
+        let dims = [64, 64, 64];
+        let real = Grid3::from_vec(
+            dims,
+            (0..dims.iter().product::<usize>())
+                .map(|i| (i as f64 * 0.1).sin() + (i as f64 * 0.013).cos())
+                .collect(),
+        );
+        let plan = Fft3d::new(dims).unwrap();
+        let rplan = RealFft3d::new(dims).unwrap();
+        let before = time_ms(pm_reps, || {
+            let promoted = real.as_slice().iter().map(|&v| Complex::from_real(v));
+            let mut g = Grid3::from_vec(dims, promoted.collect());
+            plan.forward(&pool2, &mut g).unwrap();
+            plan.inverse(&pool2, &mut g).unwrap();
+            Grid3::from_vec(dims, g.as_slice().iter().map(|z| z.re).collect())
+        });
+        let after = time_ms(pm_reps, || {
+            let spec = rplan.forward(&pool2, &real).unwrap();
+            rplan.inverse(&pool2, spec).unwrap()
+        });
+        rows.push(KernelRow {
+            kernel: "rfft3d_64",
+            n: real.len(),
             before_ms: before,
             after_ms: after,
         });

@@ -24,10 +24,20 @@
 //! * `fft3d-tiled` — [`fft::Fft3d`] (in-place contiguous pass, tiled strided
 //!   passes) vs [`fft3d_line_ref`] (one gathered line at a time), forward
 //!   and inverse, every backend.
-//! * `poisson-kspace` — [`nbody::pm::poisson_accel`] (one parallel k-space
-//!   pass writing all three `g_k`, solver workspace) vs
-//!   `poisson_three_sweep_ref` (one serial sweep and one fresh grid per
-//!   axis) on a seeded `δ`, every backend.
+//! * `rfft3d` — [`fft::RealFft3d`]: the real-to-complex forward vs
+//!   [`fft::Fft3d::forward`] of the grid promoted to complex, on the stored
+//!   half, and the complex-to-real inverse vs `Re` of [`fft::Fft3d::inverse`]
+//!   of the full spectrum a random Hermitian half extends to, both
+//!   [`Cmp::Approx`] on shapes from `[2,2,2]` to the production `[64,64,64]`;
+//!   on the smallest shapes both also vs a direct O(N²) 3-D DFT sum
+//!   (`dft3_direct`); and each bit-equal across every backend.
+//! * `poisson-kspace` — [`nbody::pm::poisson_accel`] (a real-to-complex
+//!   transform, one parallel pass over the half spectrum writing all three
+//!   `g_k` with each Nyquist plane zeroed, three complex-to-real transforms)
+//!   bit-equal across every backend to itself on `Serial`, and
+//!   [`Cmp::Approx`] to `poisson_three_sweep_ref` (full complex spectra, one
+//!   serial sweep and one fresh grid per axis, `Re` of each inverse) on a
+//!   seeded `δ`.
 //! * `fof-grid` — [`halo::fof_grid`] (counting-sort cells, at most `8n` of
 //!   them) vs [`fof_grid_dense_ref`] (one list per cell of a mesh up to 256
 //!   a side) label for label, and vs `fof_periodic_images_ref`
@@ -55,9 +65,12 @@
 //!   `cic_gather_fields` (finite, and salted with NaN / ±∞ cells) on meshes
 //!   of 1, 2, 4 and 16 cells a side.
 //!
-//! Everything is [`Cmp::BitEq`]: the kernels fix their summation order to
-//! the reference order by construction (see DESIGN.md §12), so there is no
-//! tolerance anywhere in this module. The one place bits are not all defined
+//! Everything else is [`Cmp::BitEq`]: the kernels fix their summation order
+//! to the reference order by construction (see DESIGN.md §12). The real
+//! transforms are the exception by design — half the work is a different
+//! rounding — so `rfft3d` and `poisson-kspace` hold them to their complex
+//! references within [`Cmp::Approx`], and to their own bits across
+//! backends. The one place bits are not all defined
 //! is a NaN made from two NaNs of different payloads (a NaN cell met by a NaN
 //! weight, or by the `∞·0` of an infinite one): which payload survives
 //! depends on the operand order the compiler picked for that `mulsd` /
@@ -69,7 +82,7 @@ use crate::differential::{roster, Cmp, DiffReport};
 use crate::inputs;
 use comm::{CartDecomp, World};
 use dpp::{Backend, SendPtr, Serial, StaticThreaded, Threaded};
-use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3};
+use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3, RealFft3d};
 use halo::unionfind::UnionFind;
 use halo::{
     fof_brute, fof_grid, fof_kdtree_cols, fof_patch, mbp_brute_cols, potential_at, Coords, KdTree,
@@ -85,7 +98,7 @@ use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 9] = [
+pub const REQUIRED_KERNELS: [&str; 10] = [
     "cic-soa",
     "cic-det",
     "cic-gather",
@@ -94,6 +107,7 @@ pub const REQUIRED_KERNELS: [&str; 9] = [
     "fof-patch",
     "mbp-cols",
     "fft3d-tiled",
+    "rfft3d",
     "poisson-kspace",
 ];
 
@@ -813,10 +827,13 @@ pub fn fft3d_line_ref(backend: &dyn Backend, grid: &mut Grid3<Complex>, inverse:
 }
 
 /// Three-sweep Poisson reference: `nbody::pm::poisson_accel` as it was
-/// before the k-space pass was fused — one forward transform of `δ`, then
-/// per axis a serial sweep over all of k-space into a fresh spectral grid
-/// (`freq_index` and the division recomputed per cell and per axis) and an
-/// inverse transform, all through [`fft3d_line_ref`].
+/// before the k-space pass was fused and before its spectra were halved —
+/// one complex forward transform of `δ` promoted to complex, then per axis a
+/// serial sweep over all of k-space into a fresh full spectral grid
+/// (`freq_index` and the division recomputed per cell and per axis), an
+/// inverse transform and its real part, all through [`fft3d_line_ref`].
+/// Taking `Re` is what drops each component's Nyquist plane (see
+/// `nbody::pm`'s `gradient_spectra`).
 fn poisson_three_sweep_ref(
     backend: &dyn Backend,
     delta: &Grid3<f64>,
@@ -867,6 +884,88 @@ fn poisson_three_sweep_ref(
 /// Flatten a complex grid to `re, im, re, im, …` for the bit-equality checks.
 fn re_im(grid: &Grid3<Complex>) -> Vec<f64> {
     grid.as_slice().iter().flat_map(|z| [z.re, z.im]).collect()
+}
+
+/// `(−x mod nx, −y mod ny)`: the in-plane mirror of a half-spectrum bin.
+fn mirror(x: usize, y: usize, nx: usize, ny: usize) -> (usize, usize) {
+    ((nx - x) % nx, (ny - y) % ny)
+}
+
+/// A random half spectrum of a real `dims` grid (`dims[2]` even): seeded
+/// values everywhere, then the `kz = 0` and `kz = nz/2` planes — their own
+/// mirrors under `k → −k` — made Hermitian within the plane.
+fn hermitian_half(dims: [usize; 3], rng: &mut StdRng) -> Grid3<Complex> {
+    let [nx, ny, nz] = dims;
+    let mut half = Grid3::from_vec(
+        [nx, ny, nz / 2 + 1],
+        (0..nx * ny * (nz / 2 + 1))
+            .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect(),
+    );
+    for z in [0, nz / 2] {
+        for x in 0..nx {
+            for y in 0..ny {
+                let (mx, my) = mirror(x, y, nx, ny);
+                let v = (*half.get(x, y, z) + half.get(mx, my, z).conj()).scale(0.5);
+                *half.get_mut(x, y, z) = v;
+                *half.get_mut(mx, my, z) = v.conj();
+            }
+        }
+    }
+    half
+}
+
+/// The full `dims` spectrum a half extends to by `X(−k) = conj X(k)`.
+fn hermitian_extend(half: &Grid3<Complex>, dims: [usize; 3]) -> Grid3<Complex> {
+    let [nx, ny, nz] = dims;
+    let mut full = Grid3::filled(dims, Complex::ZERO);
+    for x in 0..nx {
+        for y in 0..ny {
+            for z in 0..nz {
+                *full.get_mut(x, y, z) = if z <= nz / 2 {
+                    *half.get(x, y, z)
+                } else {
+                    let (mx, my) = mirror(x, y, nx, ny);
+                    half.get(mx, my, nz - z).conj()
+                };
+            }
+        }
+    }
+    full
+}
+
+/// The 3-D DFT by its definition, one O(N) sum per output bin: forward
+/// `Σ_j g_j e^{−2πi k·j/n}`, or inverse `(1/N) Σ_j g_j e^{+2πi k·j/n}`. Output
+/// bins `kz < out_nz` only, so a forward can stop at the stored half.
+fn dft3_direct(grid: &Grid3<Complex>, inverse: bool, out_nz: usize) -> Grid3<Complex> {
+    let [nx, ny, nz] = grid.dims();
+    let sign = if inverse { 1.0 } else { -1.0 };
+    let tau = 2.0 * std::f64::consts::PI;
+    let mut out = Grid3::filled([nx, ny, out_nz], Complex::ZERO);
+    for kx in 0..nx {
+        for ky in 0..ny {
+            for kz in 0..out_nz {
+                let mut acc = Complex::ZERO;
+                for x in 0..nx {
+                    for y in 0..ny {
+                        for z in 0..nz {
+                            let phase = ((kx * x) % nx) as f64 / nx as f64
+                                + ((ky * y) % ny) as f64 / ny as f64
+                                + ((kz * z) % nz) as f64 / nz as f64;
+                            acc += *grid.get(x, y, z) * Complex::cis(sign * tau * phase);
+                        }
+                    }
+                }
+                let norm = if inverse {
+                    1.0 / grid.len() as f64
+                } else {
+                    1.0
+                };
+                *out.get_mut(kx, ky, kz) = acc.scale(norm);
+            }
+        }
+    }
+    out
 }
 
 /// Run the layout differential and collect every mismatch.
@@ -1261,6 +1360,89 @@ fn run_layout_differential() -> DiffReport {
         }
     }
 
+    // --- rfft3d ----------------------------------------------------------
+    // Shapes: the smallest plan (one complex point per packed row), a z
+    // axis of two points, non-cubic, every strided axis shorter and longer
+    // than a tile, and the production mesh. The direct sums are O(N²), so
+    // only the two smallest shapes get them.
+    rep.op("rfft3d");
+    for dims in [
+        [2usize, 2, 2],
+        [4, 2, 8],
+        [8, 4, 16],
+        [16, 16, 16],
+        [64, 64, 64],
+    ] {
+        let n = dims.iter().product::<usize>();
+        let plan = RealFft3d::new(dims).expect("power-of-two dims");
+        let complex = Fft3d::new(dims).expect("power-of-two dims");
+        let real = Grid3::from_vec(dims, (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect());
+        let half = hermitian_half(dims, &mut rng);
+        let forward = plan.forward(&Serial, &real).expect("planned dims");
+        let inverse = plan.inverse(&Serial, half.clone()).expect("planned dims");
+
+        // The complex transform of the promoted grid, cut to the stored half,
+        // and `Re` of the complex inverse of the extended spectrum.
+        let promoted = real.as_slice().iter().map(|&v| Complex::from_real(v));
+        let promoted = Grid3::from_vec(dims, promoted.collect());
+        let extended = hermitian_extend(&half, dims);
+        let (mut full, mut back) = (promoted.clone(), extended.clone());
+        complex.forward(&Serial, &mut full).expect("planned dims");
+        complex.inverse(&Serial, &mut back).expect("planned dims");
+        let cut = |g: &Grid3<Complex>| {
+            let rows = g.as_slice().chunks_exact(g.dims()[2]);
+            re_im(&Grid3::from_vec(
+                plan.spectrum_dims(),
+                rows.flat_map(|row| &row[..=dims[2] / 2]).copied().collect(),
+            ))
+        };
+        let re = |g: &Grid3<Complex>| g.as_slice().iter().map(|z| z.re).collect::<Vec<_>>();
+        let mut references = vec![("complex", cut(&full), re(&back))];
+        if n <= 64 {
+            let direct_forward = dft3_direct(&promoted, false, dims[2] / 2 + 1);
+            let direct_inverse = dft3_direct(&extended, true, dims[2]);
+            references.push(("direct", re_im(&direct_forward), re(&direct_inverse)));
+        }
+        for (oracle, r2c, c2r) in references {
+            rep.check_f64_slice(
+                Cmp::Approx,
+                "rfft3d",
+                &format!("r2c-vs-{oracle}/{dims:?}"),
+                "serial",
+                &r2c,
+                &re_im(&forward),
+            );
+            rep.check_f64_slice(
+                Cmp::Approx,
+                "rfft3d",
+                &format!("c2r-vs-{oracle}/{dims:?}"),
+                "serial",
+                &c2r,
+                inverse.as_slice(),
+            );
+        }
+        for &(name, b) in &with_serial {
+            let got = plan.forward(b, &real).expect("planned dims");
+            rep.check_f64_slice(
+                Cmp::BitEq,
+                "rfft3d",
+                &format!("r2c-backends/{dims:?}"),
+                name,
+                &re_im(&forward),
+                &re_im(&got),
+            );
+            let got = plan.inverse(b, half.clone()).expect("planned dims");
+            rep.check_f64_slice(
+                Cmp::BitEq,
+                "rfft3d",
+                &format!("c2r-backends/{dims:?}"),
+                name,
+                inverse.as_slice(),
+                got.as_slice(),
+            );
+        }
+    }
+
     // --- poisson-kspace --------------------------------------------------
     rep.op("poisson-kspace");
     for ng in [8usize, 32] {
@@ -1271,7 +1453,18 @@ fn run_layout_differential() -> DiffReport {
                 .collect(),
         );
         let prefactor = 1.5 / 0.37;
+        let serial = poisson_accel(&Serial, &delta, prefactor);
         let reference = poisson_three_sweep_ref(&Serial, &delta, prefactor);
+        for axis in 0..3 {
+            rep.check_f64_slice(
+                Cmp::Approx,
+                "poisson-kspace",
+                &format!("ng={ng}/g{axis}/vs-complex"),
+                "serial",
+                reference[axis].as_slice(),
+                serial[axis].as_slice(),
+            );
+        }
         for &(name, b) in &with_serial {
             let got = poisson_accel(b, &delta, prefactor);
             for axis in 0..3 {
@@ -1280,7 +1473,7 @@ fn run_layout_differential() -> DiffReport {
                     "poisson-kspace",
                     &format!("ng={ng}/g{axis}"),
                     name,
-                    reference[axis].as_slice(),
+                    serial[axis].as_slice(),
                     got[axis].as_slice(),
                 );
             }

@@ -408,7 +408,7 @@ impl TestBed {
             box_size: cfg.sim.cosmology.box_size,
         };
         TestBed {
-            particles: sim.particles().to_vec(),
+            particles: sim.into_particles(),
             cfg,
             sim_seconds,
             meta,
@@ -1192,7 +1192,11 @@ mod tests {
     #[test]
     fn coscheduled_jobs_overlap_the_simulation() {
         let backend = Threaded::new(4);
-        let cfg = tiny_cfg("cosched");
+        let mut cfg = tiny_cfg("cosched");
+        // Long enough that a file can sit quiescent for the listener's polls
+        // before the last step, even with the rest of the suite on the cores:
+        // 30 steps of 16³ take tens of milliseconds.
+        cfg.sim.nsteps = 120;
         let bed = TestBed::create(cfg, &backend);
         let run = bed.run_combined_coscheduled(&backend, 3);
         // Files were emitted during the run and analyzed by listener jobs;

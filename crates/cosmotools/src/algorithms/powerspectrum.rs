@@ -5,7 +5,7 @@
 use crate::config::{Config, ConfigError};
 use crate::insitu::{AnalysisContext, InSituAlgorithm, Product};
 use dpp::Backend;
-use fft::{freq_index, Complex, Fft3d, Grid3};
+use fft::{freq_index, Complex, Grid3, RealFft3d};
 use nbody::particle::Particle;
 use nbody::pm::cic_deposit_cols;
 use nbody::DepositColumns;
@@ -38,6 +38,12 @@ pub fn compute_power_spectrum(
 }
 
 /// Measure the power spectrum of an existing overdensity field.
+///
+/// One real-to-complex transform: the half spectrum holds `kz = 0..=ng/2`,
+/// and every bin with `0 < kz < ng/2` stands for itself and its mirror
+/// `−k`, which has the same `|k|` and `|δ_k|²`. So interior-`kz` bins carry
+/// weight 2 and the `kz = 0` and `kz = ng/2` planes (their own mirrors)
+/// weight 1, and each bin's `modes` is the count over the full grid.
 fn power_spectrum_of_field(
     backend: &dyn Backend,
     delta: &Grid3<f64>,
@@ -46,16 +52,8 @@ fn power_spectrum_of_field(
 ) -> Vec<PowerBin> {
     let dims = delta.dims();
     let ng = dims[0];
-    let plan = Fft3d::new(dims).expect("power-of-two mesh");
-    let mut dk = Grid3::from_vec(
-        dims,
-        delta
-            .as_slice()
-            .iter()
-            .map(|&v| Complex::from_real(v))
-            .collect(),
-    );
-    plan.forward(backend, &mut dk).expect("fft");
+    let plan = RealFft3d::new(dims).expect("power-of-two mesh");
+    let dk = plan.forward(backend, delta).expect("fft");
 
     let kfund = 2.0 * std::f64::consts::PI / box_size;
     let knyq = kfund * (ng as f64) / 2.0;
@@ -69,7 +67,7 @@ fn power_spectrum_of_field(
     let mut count = vec![0u64; nbins];
     for x in 0..ng {
         for y in 0..ng {
-            for z in 0..ng {
+            for z in 0..=ng / 2 {
                 if (x, y, z) == (0, 0, 0) {
                     continue;
                 }
@@ -82,9 +80,10 @@ fn power_spectrum_of_field(
                 }
                 let b = (((k.ln() - lmin) / (lmax - lmin) * nbins as f64) as usize).min(nbins - 1);
                 let amp2 = dk.get(x, y, z).norm_sqr() / (ncells * ncells);
-                k_sum[b] += k;
-                p_sum[b] += amp2 * volume;
-                count[b] += 1;
+                let weight = if z == 0 || 2 * z == ng { 1 } else { 2 };
+                k_sum[b] += weight as f64 * k;
+                p_sum[b] += weight as f64 * amp2 * volume;
+                count[b] += weight;
             }
         }
     }
@@ -292,6 +291,37 @@ mod tests {
             "peak at k={}, expected ~{k_expect}",
             peak.k
         );
+    }
+
+    #[test]
+    fn modes_are_the_full_grid_count() {
+        // Oracle: every bin of the full `ng³` grid counted once, no transform.
+        for (ng, nbins) in [(16usize, 10), (64, 24)] {
+            let box_size = 1.5 * ng as f64;
+            let delta = (0..ng * ng * ng).map(|i| ((i * 7919) % 101) as f64 / 50.0 - 1.0);
+            let delta = Grid3::from_vec([ng, ng, ng], delta.collect());
+            let kfund = 2.0 * std::f64::consts::PI / box_size;
+            let knyq = kfund * (ng as f64) / 2.0;
+            let (lmin, lmax) = (kfund.ln(), knyq.ln());
+            let mut count = vec![0u64; nbins];
+            for x in 0..ng {
+                for y in 0..ng {
+                    for z in 0..ng {
+                        let f = [x, y, z].map(|i| kfund * freq_index(i, ng) as f64);
+                        let k = (f[0] * f[0] + f[1] * f[1] + f[2] * f[2]).sqrt();
+                        if (x, y, z) == (0, 0, 0) || k > knyq {
+                            continue;
+                        }
+                        let b = ((k.ln() - lmin) / (lmax - lmin) * nbins as f64) as usize;
+                        count[b.min(nbins - 1)] += 1;
+                    }
+                }
+            }
+            let expect: Vec<u64> = count.into_iter().filter(|&c| c > 0).collect();
+            let spec = power_spectrum_of_field(&Serial, &delta, box_size, nbins);
+            let got: Vec<u64> = spec.iter().map(|b| b.modes).collect();
+            assert_eq!(got, expect, "ng={ng}");
+        }
     }
 
     #[test]

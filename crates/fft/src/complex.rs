@@ -3,8 +3,10 @@
 
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A double-precision complex number.
+/// A double-precision complex number: `re` then `im`, two `f64`s with no
+/// padding (`#[repr(C)]`), so a complex buffer is a buffer of reals.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -9,11 +9,34 @@ use crate::complex::Complex;
 pub enum FftError {
     /// The transform length is not a power of two (or is zero).
     NonPowerOfTwo(usize),
+    /// A real-to-complex plan's contiguous axis is shorter than two points.
+    RealAxisTooShort(usize),
     /// Input length does not match the plan length.
     LengthMismatch {
         /// Plan length.
         expected: usize,
         /// Supplied buffer length.
+        got: usize,
+    },
+    /// A grid's shape does not match the plan's.
+    ShapeMismatch {
+        /// Planned shape.
+        expected: [usize; 3],
+        /// Supplied grid shape.
+        got: [usize; 3],
+    },
+    /// A slab plan's rank count is zero or does not divide the mesh side.
+    SlabsDoNotDivide {
+        /// Mesh cells per side.
+        ng: usize,
+        /// Requested rank count.
+        nranks: usize,
+    },
+    /// A slab plan was run on a communicator of another size.
+    RankCountMismatch {
+        /// Ranks the plan was made for.
+        expected: usize,
+        /// Ranks in the communicator.
         got: usize,
     },
 }
@@ -24,10 +47,31 @@ impl std::fmt::Display for FftError {
             FftError::NonPowerOfTwo(n) => {
                 write!(f, "FFT length {n} is not a positive power of two")
             }
+            FftError::RealAxisTooShort(n) => {
+                write!(f, "a real FFT needs at least 2 points along z, got {n}")
+            }
             FftError::LengthMismatch { expected, got } => {
                 write!(
                     f,
                     "FFT buffer length {got} does not match plan length {expected}"
+                )
+            }
+            FftError::ShapeMismatch { expected, got } => {
+                write!(
+                    f,
+                    "grid shape {got:?} does not match plan shape {expected:?}"
+                )
+            }
+            FftError::SlabsDoNotDivide { ng, nranks } => {
+                write!(
+                    f,
+                    "a {ng}-cell mesh side cannot be split into {nranks} equal slabs"
+                )
+            }
+            FftError::RankCountMismatch { expected, got } => {
+                write!(
+                    f,
+                    "slab plan for {expected} ranks run on a communicator of {got}"
                 )
             }
         }
@@ -81,7 +125,7 @@ impl Fft1d {
         self.n
     }
 
-    /// True for the degenerate length-1 plan.
+    /// Always false: a plan has at least one point (`new` rejects length 0).
     pub fn is_empty(&self) -> bool {
         false
     }

@@ -18,7 +18,9 @@
 //!
 //! Every pass is dispatched over *lines* (4 096 of them at 64³) in chunks of
 //! many lines, so it clears `dpp`'s small-`n` inline threshold and runs on
-//! the pool; a chunk walks its lines tile by tile.
+//! the pool; a chunk walks its lines tile by tile. The pass is one function,
+//! `transform_axis`, which [`crate::RealFft3d`] also runs for the x and y
+//! axes of its half spectra.
 //!
 //! Every line is still handed, alone and in natural order, to the same 1-D
 //! routine (bit reversal, then butterflies stage by stage, then the `1/n`
@@ -86,78 +88,80 @@ impl Fft3d {
         inverse: bool,
     ) -> Result<(), FftError> {
         if grid.dims() != self.dims {
-            return Err(FftError::LengthMismatch {
-                expected: self.dims.iter().product(),
-                got: grid.len(),
+            return Err(FftError::ShapeMismatch {
+                expected: self.dims,
+                got: grid.dims(),
             });
         }
         let _span = telemetry::span!("fft", if inverse { "inverse" } else { "forward" });
-        for axis in 0..3 {
-            self.transform_axis(backend, grid, axis, inverse);
+        for (axis, plan) in self.plans.iter().enumerate() {
+            transform_axis(backend, plan, grid, axis, inverse);
         }
         Ok(())
     }
+}
 
-    /// Transform all lines along `axis`; lines are independent, so blocks of
-    /// them are dispatched in parallel. See the module docs for the layout
-    /// of each pass.
-    fn transform_axis(
-        &self,
-        backend: &dyn Backend,
-        grid: &mut Grid3<Complex>,
-        axis: usize,
-        inverse: bool,
-    ) {
-        let [nx, ny, nz] = self.dims;
-        let n = self.dims[axis];
-        let plan = &self.plans[axis];
-        let ptr = SendPtr(grid.as_mut_slice().as_mut_ptr());
-        // Dispatch over lines, a few chunks per worker: enough to balance,
-        // few enough that a chunk's tile is allocated a handful of times per
-        // pass. Line `l` starts at flat index `(l / stride)·n·stride +
-        // l % stride` and its cells are `stride` apart, so lines `l..l + r`
-        // within one block of `stride` lines are `r` adjacent cells, `n` times.
-        let stride = [ny * nz, nz, 1][axis];
-        let nlines = nx * ny * nz / n;
-        let grain = (nlines / (4 * backend.concurrency().max(1))).max(1);
-        backend.dispatch(nlines, grain, &|lines| {
-            if stride == 1 {
-                // SAFETY: contiguous lines `[lines.start, lines.end)` are the
-                // flat range `[lines.start·n, lines.end·n)`, in bounds and
-                // disjoint from every other chunk's.
-                let block = unsafe { ptr.slice_mut(lines.start * n, lines.len() * n) };
-                for line in block.chunks_exact_mut(n) {
-                    plan.run(line, inverse);
-                }
-                return;
+/// Transform all lines along `axis` of `grid` with `plan` (whose length is
+/// `grid.dims()[axis]`); lines are independent, so blocks of them are
+/// dispatched in parallel. See the module docs for the layout of each pass.
+/// [`Fft3d`] runs it on all three axes; [`crate::RealFft3d`] runs it on the
+/// x and y axes of a half spectrum, whose rows are `nz/2 + 1` cells long.
+pub(crate) fn transform_axis(
+    backend: &dyn Backend,
+    plan: &Fft1d,
+    grid: &mut Grid3<Complex>,
+    axis: usize,
+    inverse: bool,
+) {
+    let [nx, ny, nz] = grid.dims();
+    let n = plan.len();
+    assert_eq!(n, grid.dims()[axis], "plan length must match the axis");
+    let ptr = SendPtr(grid.as_mut_slice().as_mut_ptr());
+    // Dispatch over lines, a few chunks per worker: enough to balance, few
+    // enough that a chunk's tile is allocated a handful of times per pass.
+    // Line `l` starts at flat index `(l / stride)·n·stride + l % stride` and
+    // its cells are `stride` apart, so lines `l..l + r` within one block of
+    // `stride` lines are `r` adjacent cells, `n` times.
+    let stride = [ny * nz, nz, 1][axis];
+    let nlines = nx * ny * nz / n;
+    let grain = (nlines / (4 * backend.concurrency().max(1))).max(1);
+    backend.dispatch(nlines, grain, &|lines| {
+        if stride == 1 {
+            // SAFETY: contiguous lines `[lines.start, lines.end)` are the
+            // flat range `[lines.start·n, lines.end·n)`, in bounds and
+            // disjoint from every other chunk's.
+            let block = unsafe { ptr.slice_mut(lines.start * n, lines.len() * n) };
+            for line in block.chunks_exact_mut(n) {
+                plan.run(line, inverse);
             }
-            let mut tile = vec![Complex::ZERO; TILE_LINES * n];
-            let mut l = lines.start;
-            while l < lines.end {
-                let run = TILE_LINES.min(lines.end - l).min(stride - l % stride);
-                let base = (l / stride) * n * stride + l % stride;
-                // SAFETY (both blocks): lines `l..l + run` own the index set
-                // `{base + k·stride + j : k < n, j < run}`, in bounds and
-                // disjoint from every other line's.
-                for k in 0..n {
-                    let src = unsafe { ptr.slice_mut(base + k * stride, run) };
-                    for (j, v) in src.iter().enumerate() {
-                        tile[j * n + k] = *v;
-                    }
+            return;
+        }
+        let mut tile = vec![Complex::ZERO; TILE_LINES * n];
+        let mut l = lines.start;
+        while l < lines.end {
+            let run = TILE_LINES.min(lines.end - l).min(stride - l % stride);
+            let base = (l / stride) * n * stride + l % stride;
+            // SAFETY (both blocks): lines `l..l + run` own the index set
+            // `{base + k·stride + j : k < n, j < run}`, in bounds and
+            // disjoint from every other line's.
+            for k in 0..n {
+                let src = unsafe { ptr.slice_mut(base + k * stride, run) };
+                for (j, v) in src.iter().enumerate() {
+                    tile[j * n + k] = *v;
                 }
-                for line in tile[..run * n].chunks_exact_mut(n) {
-                    plan.run(line, inverse);
-                }
-                for k in 0..n {
-                    let dst = unsafe { ptr.slice_mut(base + k * stride, run) };
-                    for (j, v) in dst.iter_mut().enumerate() {
-                        *v = tile[j * n + k];
-                    }
-                }
-                l += run;
             }
-        });
-    }
+            for line in tile[..run * n].chunks_exact_mut(n) {
+                plan.run(line, inverse);
+            }
+            for k in 0..n {
+                let dst = unsafe { ptr.slice_mut(base + k * stride, run) };
+                for (j, v) in dst.iter_mut().enumerate() {
+                    *v = tile[j * n + k];
+                }
+            }
+            l += run;
+        }
+    });
 }
 
 /// Forward-transform a real-valued grid (promoted to complex).
@@ -312,6 +316,25 @@ mod tests {
         let plan = Fft3d::new([8, 8, 8]).unwrap();
         let mut g = Grid3::filled([4, 4, 4], Complex::ZERO);
         assert!(plan.forward(&Serial, &mut g).is_err());
+    }
+
+    #[test]
+    fn transposed_grid_of_equal_length_is_a_shape_fault() {
+        // Same cell count, other shape: the error names both shapes.
+        let plan = Fft3d::new([8, 4, 16]).unwrap();
+        let mut g = Grid3::filled([16, 4, 8], Complex::ZERO);
+        let err = plan.inverse(&Serial, &mut g).unwrap_err();
+        assert_eq!(
+            err,
+            FftError::ShapeMismatch {
+                expected: [8, 4, 16],
+                got: [16, 4, 8]
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "grid shape [16, 4, 8] does not match plan shape [8, 4, 16]"
+        );
     }
 
     #[test]

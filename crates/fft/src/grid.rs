@@ -81,6 +81,11 @@ impl<T> Grid3<T> {
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
+
+    /// The storage, flat.
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
+    }
 }
 
 /// Signed frequency index for FFT output bin `i` of an `n`-point transform:

@@ -1,10 +1,16 @@
 //! # fft — Fourier transforms for the particle-mesh solver and power spectra
 //!
-//! Power-of-two complex FFTs: cached-plan 1-D radix-2 transforms ([`Fft1d`])
-//! and separable 3-D transforms ([`Fft3d`]) parallelized over blocks of lines
-//! on a [`dpp::Backend`] (contiguous axis in place, strided axes tiled). A dense [`Grid3`] container and real-grid helpers round
-//! out what the HACC-equivalent solver (`nbody`) and the in-situ power
-//! spectrum (`cosmotools`) need.
+//! Power-of-two FFTs: cached-plan 1-D radix-2 transforms ([`Fft1d`]),
+//! separable complex 3-D transforms ([`Fft3d`]) parallelized over blocks of
+//! lines on a [`dpp::Backend`] (contiguous axis in place, strided axes
+//! tiled), and the real-to-complex 3-D transform ([`RealFft3d`]) that takes a
+//! real grid to the `nz/2 + 1`-column half of its Hermitian spectrum and back
+//! — half the data and half the work of promoting it to complex. The
+//! whole-mesh callers are all real: the particle-mesh Poisson solve and the
+//! initial conditions (`nbody`) and the in-situ power spectrum
+//! (`cosmotools`) run on [`RealFft3d`]; [`Fft3d`] is for complex data, and
+//! [`SlabFft`] is the rank-distributed complex transform. A dense [`Grid3`]
+//! container and the complex-output real-grid helpers round it out.
 //!
 //! ```
 //! use fft::{Complex, Fft1d};
@@ -24,10 +30,12 @@ pub mod complex;
 pub mod fft1d;
 pub mod fft3d;
 pub mod grid;
+pub mod rfft3d;
 pub mod slab;
 
 pub use complex::Complex;
 pub use fft1d::{naive_dft, Fft1d, FftError};
 pub use fft3d::{forward_real, inverse_to_real, Fft3d};
 pub use grid::{freq_index, Grid3};
+pub use rfft3d::RealFft3d;
 pub use slab::SlabFft;

@@ -32,7 +32,7 @@ impl SlabFft {
     /// a power of two divisible by `nranks`.
     pub fn new(ng: usize, nranks: usize) -> Result<Self, FftError> {
         if nranks == 0 || !ng.is_multiple_of(nranks) {
-            return Err(FftError::NonPowerOfTwo(ng));
+            return Err(FftError::SlabsDoNotDivide { ng, nranks });
         }
         Ok(SlabFft {
             ng,
@@ -58,15 +58,15 @@ impl SlabFft {
 
     fn check(&self, comm: &Communicator, g: &Grid3<Complex>) -> Result<(), FftError> {
         if comm.size() != self.nranks {
-            return Err(FftError::LengthMismatch {
+            return Err(FftError::RankCountMismatch {
                 expected: self.nranks,
                 got: comm.size(),
             });
         }
         if g.dims() != self.local_dims() {
-            return Err(FftError::LengthMismatch {
-                expected: self.local_dims().iter().product(),
-                got: g.len(),
+            return Err(FftError::ShapeMismatch {
+                expected: self.local_dims(),
+                got: g.dims(),
             });
         }
         Ok(())
@@ -367,5 +367,41 @@ mod tests {
             plan.forward(c, wrong).is_err()
         });
         assert!(errs.iter().all(|&e| e));
+    }
+
+    #[test]
+    fn errors_name_the_fault() {
+        // A power-of-two side that does not split into the slabs asked for
+        // is a rank-count fault, not a length fault.
+        for nranks in [3, 0] {
+            let err = SlabFft::new(8, nranks).unwrap_err();
+            assert_eq!(err, FftError::SlabsDoNotDivide { ng: 8, nranks });
+            assert!(!err.to_string().contains("power of two"), "{err}");
+        }
+        assert_eq!(
+            SlabFft::new(12, 3).unwrap_err(),
+            FftError::NonPowerOfTwo(12)
+        );
+        let plan = SlabFft::new(8, 2).unwrap();
+        let errs = World::new(4).run(|c| plan.forward(c, Grid3::filled([4, 8, 8], Complex::ZERO)));
+        for err in errs {
+            assert_eq!(
+                err.unwrap_err(),
+                FftError::RankCountMismatch {
+                    expected: 2,
+                    got: 4
+                }
+            );
+        }
+        let errs = World::new(2).run(|c| plan.inverse(c, Grid3::filled([2, 8, 8], Complex::ZERO)));
+        for err in errs {
+            assert_eq!(
+                err.unwrap_err(),
+                FftError::ShapeMismatch {
+                    expected: [4, 8, 8],
+                    got: [2, 8, 8]
+                }
+            );
+        }
     }
 }

@@ -4,11 +4,17 @@
 //! the real-space RMS to `sigma_cell` (linear, z = 0) → displacement field
 //! `ψ_k = i k/k² δ_k` → displace a uniform lattice by `D(a_i) ψ` and assign
 //! Zel'dovich momenta.
+//!
+//! Every field is real, so the spectra are halves ([`fft::RealFft3d`]): one
+//! real-to-complex transform of the noise and four complex-to-real ones
+//! (`δ`, `ψ_x`, `ψ_y`, `ψ_z`). `ψ` is the PM solver's k-space pass
+//! (`pm::gradient_spectra`), Nyquist rule included.
 
 use crate::cosmology::Cosmology;
 use crate::particle::Particle;
-use dpp::Backend;
-use fft::{freq_index, Complex, Fft3d, Grid3};
+use crate::pm::gradient_spectra;
+use dpp::{par_for_each_mut, Backend};
+use fft::{freq_index, Complex, Grid3, RealFft3d};
 use rand::{Rng, SeedableRng};
 
 /// Initial conditions generator configuration.
@@ -72,86 +78,48 @@ pub fn realize_linear_field(
         np.is_power_of_two(),
         "particle lattice must be a power of two"
     );
-    let dims = [np, np, np];
-    let plan = Fft3d::new(dims).expect("power-of-two mesh");
+    let _span = telemetry::span!("nbody", "ic", np * np * np);
+    let plan = RealFft3d::new([np, np, np]).expect("power-of-two mesh");
 
-    // Noise → spectral space.
-    let noise = white_noise(np, cfg.seed);
-    let mut nk = Grid3::from_vec(
-        dims,
-        noise
-            .as_slice()
-            .iter()
-            .map(|&v| Complex::from_real(v))
-            .collect(),
-    );
-    plan.forward(backend, &mut nk).expect("fft");
+    // Noise → the half spectrum.
+    let mut nk = plan
+        .forward(backend, &white_noise(np, cfg.seed))
+        .expect("fft");
 
-    // Shape by √P(k); k in physical h/Mpc.
-    let two_pi = 2.0 * std::f64::consts::PI;
-    let kfund = two_pi / cosmo.box_size;
-    for x in 0..np {
-        for y in 0..np {
-            for z in 0..np {
-                let kx = kfund * freq_index(x, np) as f64;
-                let ky = kfund * freq_index(y, np) as f64;
-                let kz = kfund * freq_index(z, np) as f64;
-                let k = (kx * kx + ky * ky + kz * kz).sqrt();
-                let amp = cosmo.power_unnormalized(k).sqrt();
-                let v = *nk.get(x, y, z);
-                *nk.get_mut(x, y, z) = v.scale(amp);
-            }
-        }
-    }
-    *nk.get_mut(0, 0, 0) = Complex::ZERO; // zero mean
+    // Shape by √P(k); k in physical h/Mpc. Dispatched over whole rows of the
+    // half spectrum, `np/2 + 1` cells each.
+    let kfund = 2.0 * std::f64::consts::PI / cosmo.box_size;
+    let k: Vec<f64> = (0..np).map(|i| kfund * freq_index(i, np) as f64).collect();
+    let h = np / 2 + 1;
+    let grain = h * (np * np / (4 * backend.concurrency().max(1))).max(1);
+    par_for_each_mut(backend, nk.as_mut_slice(), grain, |i, v| {
+        let (row, z) = (i / h, i % h);
+        let (kx, ky, kz) = (k[row / np], k[row % np], k[z]);
+        let amp = cosmo
+            .power_unnormalized((kx * kx + ky * ky + kz * kz).sqrt())
+            .sqrt();
+        *v = v.scale(amp);
+    });
+    nk.as_mut_slice()[0] = Complex::ZERO; // zero mean
 
     // Normalize real-space RMS to sigma_cell.
-    let mut real = nk.clone();
-    plan.inverse(backend, &mut real).expect("ifft");
-    let n = real.len() as f64;
-    let rms = (real.as_slice().iter().map(|z| z.re * z.re).sum::<f64>() / n).sqrt();
+    let mut delta = plan.inverse(backend, nk.clone()).expect("ifft");
+    let n = delta.len() as f64;
+    let rms = (delta.as_slice().iter().map(|v| v * v).sum::<f64>() / n).sqrt();
     let scale = if rms > 0.0 {
         cosmo.sigma_cell / rms
     } else {
         1.0
     };
-    for v in nk.as_mut_slice() {
-        *v = v.scale(scale);
+    for v in delta.as_mut_slice() {
+        *v *= scale;
     }
-    let delta = Grid3::from_vec(dims, real.as_slice().iter().map(|z| z.re * scale).collect());
 
-    // Displacement ψ_k = i k δ_k / k².
-    let mut psi = Vec::with_capacity(3);
-    for axis in 0..3 {
-        let mut pk = Grid3::filled(dims, Complex::ZERO);
-        for x in 0..np {
-            for y in 0..np {
-                for z in 0..np {
-                    let kx = kfund * freq_index(x, np) as f64;
-                    let ky = kfund * freq_index(y, np) as f64;
-                    let kz = kfund * freq_index(z, np) as f64;
-                    let k2 = kx * kx + ky * ky + kz * kz;
-                    if k2 == 0.0 {
-                        continue;
-                    }
-                    let kd = [kx, ky, kz][axis];
-                    let d = *nk.get(x, y, z);
-                    // i·kd/k² · δ_k
-                    *pk.get_mut(x, y, z) = Complex::new(-d.im, d.re).scale(kd / k2);
-                }
-            }
-        }
-        plan.inverse(backend, &mut pk).expect("ifft");
-        psi.push(Grid3::from_vec(
-            dims,
-            pk.as_slice().iter().map(|z| z.re).collect(),
-        ));
-    }
-    let mut it = psi.into_iter();
-    LinearField {
-        delta,
-        psi: [it.next().unwrap(), it.next().unwrap(), it.next().unwrap()],
-    }
+    // Displacement ψ_k = i k (scale·δ_k) / k²: the Poisson pass with the
+    // normalization as its prefactor, Nyquist rule included.
+    let psi =
+        gradient_spectra(backend, &k, scale, nk).map(|pk| plan.inverse(backend, pk).expect("ifft"));
+    LinearField { delta, psi }
 }
 
 /// Generate Zel'dovich-displaced particles on a uniform lattice.

@@ -4,19 +4,21 @@
 //! The deposit reads four columns — positions and mass ([`cic_deposit_cols`];
 //! [`cic_deposit_soa`] is the same body behind a [`ParticleSoA`]). The solve
 //! lives in [`PoissonSolver`], which a caller keeps across solves for its FFT
-//! plan and `k` table; every grid is transient: one forward transform, one
-//! parallel pass over k-space producing all three `g_k`, three inverse
-//! transforms. [`poisson_accel`] is the one-shot form. The force mesh is then
-//! read once: `cic_gather` computes a particle's cell and weights once and
-//! accumulates all three components ([`gather_accel`] over a particle set),
-//! after which the grids are dropped — what the stepper keeps is the gathered
-//! per-particle acceleration. [`cic_interpolate`] is the one-component scalar
-//! reference the gather is held bit-equal to.
+//! plan and `k` table; every grid is transient: `δ` is real, so one
+//! real-to-complex transform to the `ng·ng·(ng/2 + 1)` half spectrum, one
+//! parallel pass over it producing all three `g_k` (each zeroed on its
+//! Nyquist plane — see `gradient_spectra`), three complex-to-real
+//! transforms ([`fft::RealFft3d`]). [`poisson_accel`] is the one-shot form.
+//! The force mesh is then read once: `cic_gather` computes a particle's cell
+//! and weights once and accumulates all three components ([`gather_accel`]
+//! over a particle set), after which the grids are dropped — what the stepper
+//! keeps is the gathered per-particle acceleration. [`cic_interpolate`] is
+//! the one-component scalar reference the gather is held bit-equal to.
 
 use crate::particle::Particle;
 use crate::soa::{ParticleSoA, PosColumns};
 use dpp::{par_for_each_mut, Backend, SendPtr, DEFAULT_GRAIN};
-use fft::{freq_index, Complex, Fft3d, Grid3};
+use fft::{freq_index, Complex, Grid3, RealFft3d};
 use parking_lot::Mutex;
 
 /// Convert a position in box units (Mpc/h) to grid units for mesh size `ng`.
@@ -432,24 +434,24 @@ pub fn cic_deposit_soa_det(
 }
 
 /// The k-space Poisson solver for one cubic `ng³` mesh: what survives a solve
-/// is the FFT plan and the angular-frequency table. Every grid is transient —
-/// the three spectral grids are allocated by a solve and released as each
-/// inverse transform finishes, and the three real acceleration grids are
-/// handed to the caller, who gathers from them once and drops them — so a
-/// stepper holds no mesh between steps.
+/// is the real-to-complex FFT plan and the angular-frequency table. Every
+/// grid is transient — the three half-spectrum grids are allocated by a
+/// solve, each inverse transform turns one in place into a real acceleration
+/// grid, and those are handed to the caller, who gathers from them once and
+/// drops them — so a stepper holds no mesh between steps.
 pub struct PoissonSolver {
-    plan: Fft3d,
+    plan: RealFft3d,
     /// `2π·freq_index(i, ng)/ng` for every bin `i` (the mesh is cubic, so
     /// one table serves all three axes).
     k: Vec<f64>,
 }
 
 impl PoissonSolver {
-    /// Solver for an `ng³` mesh (`ng` a power of two).
+    /// Solver for an `ng³` mesh (`ng` a power of two, at least 2).
     pub fn new(ng: usize) -> Self {
         let two_pi = 2.0 * std::f64::consts::PI;
         PoissonSolver {
-            plan: Fft3d::new([ng, ng, ng]).expect("mesh dims must be powers of two"),
+            plan: RealFft3d::new([ng, ng, ng]).expect("mesh dims must be powers of two ≥ 2"),
             k: (0..ng)
                 .map(|i| two_pi * freq_index(i, ng) as f64 / ng as f64)
                 .collect(),
@@ -459,12 +461,9 @@ impl PoissonSolver {
     /// Solve `∇²φ = prefactor·δ` and return `g = −∇φ` as three real grids
     /// (grid units).
     ///
-    /// One forward transform of `δ`, one pass over k-space, three inverse
-    /// transforms. The k-space pass is dispatched over mesh rows; per cell it
-    /// reads `δ_k` once, forms `prefactor / k²` once and writes all three
-    /// `g_k = i·k_d·(prefactor / k²)·δ_k` — the same expression, operand for
-    /// operand, as solving one axis at a time, so the result is bit-equal to
-    /// that (`conformance::layout`, `poisson-kspace`).
+    /// One real-to-complex transform of `δ`, one pass over the half spectrum
+    /// (`gradient_spectra`, Nyquist rule included), three complex-to-real
+    /// transforms.
     pub fn solve(
         &self,
         backend: &dyn Backend,
@@ -474,58 +473,85 @@ impl PoissonSolver {
         let _span = telemetry::span!("nbody", "pm_solve");
         let ng = self.k.len();
         assert_eq!(delta.dims(), [ng, ng, ng], "mesh/solver shape mismatch");
-        let dims = [ng, ng, ng];
-
-        // `δ_k`, overwritten in place by `g_x`'s spectrum; then `g_y`'s, `g_z`'s.
-        let from_real = delta.as_slice().iter().map(|&r| Complex::from_real(r));
-        let mut spec = [
-            Grid3::from_vec(dims, from_real.collect()),
-            Grid3::filled(dims, Complex::ZERO),
-            Grid3::filled(dims, Complex::ZERO),
-        ];
-        self.plan
-            .forward(backend, &mut spec[0])
-            .expect("planned dims");
-
-        // Dispatched over the ng² rows (x, y): 4 096 at 64³, which clears
-        // dpp's small-n inline threshold where ng planes would not.
-        let k = &self.k[..];
-        let grids = spec
-            .each_mut()
-            .map(|g| SendPtr(g.as_mut_slice().as_mut_ptr()));
-        let rows = ng * ng;
-        let grain = (rows / (4 * backend.concurrency().max(1))).max(1);
-        backend.dispatch(rows, grain, &|chunk| {
-            for row in chunk {
-                // SAFETY: row `(x, y)` is the flat range `[row·ng, (row+1)·ng)`
-                // of each grid, in bounds and touched by this chunk only.
-                let [gx, gy, gz] =
-                    [&grids[0], &grids[1], &grids[2]].map(|g| unsafe { g.slice_mut(row * ng, ng) });
-                let (kx, ky) = (k[row / ng], k[row % ng]);
-                for z in 0..ng {
-                    let kz = k[z];
-                    let k2 = kx * kx + ky * ky + kz * kz;
-                    if k2 == 0.0 {
-                        (gx[z], gy[z], gz[z]) = (Complex::ZERO, Complex::ZERO, Complex::ZERO);
-                        continue;
-                    }
-                    // φ_k = −prefactor δ_k / k²; g_k = −i k_d φ_k
-                    //     = i k_d prefactor δ_k / k².
-                    let phi_factor = prefactor / k2;
-                    let d = gx[z];
-                    let i_d = Complex::new(-d.im, d.re);
-                    gx[z] = i_d.scale(kx * phi_factor);
-                    gy[z] = i_d.scale(ky * phi_factor);
-                    gz[z] = i_d.scale(kz * phi_factor);
-                }
-            }
-        });
-
-        spec.map(|mut gk| {
-            self.plan.inverse(backend, &mut gk).expect("planned dims");
-            Grid3::from_vec(dims, gk.as_slice().iter().map(|c| c.re).collect())
-        })
+        let delta_k = self.plan.forward(backend, delta).expect("planned dims");
+        gradient_spectra(backend, &self.k, prefactor, delta_k)
+            .map(|gk| self.plan.inverse(backend, gk).expect("planned dims"))
     }
+}
+
+/// The half spectra of the three components of `g = −∇φ`, `∇²φ =
+/// prefactor·δ`, from the half spectrum `δ_k` of a real field on a cubic mesh
+/// whose angular frequencies per bin are `k`: `g_d = i·k_d·(prefactor /
+/// k²)·δ_k`, zero at `k = 0`. `δ_k`'s grid is overwritten by `g_x`.
+///
+/// Dispatched over the `ng²` rows `(x, y)` — 4 096 at 64³, which clears
+/// dpp's small-n inline threshold where `ng` planes would not; per cell it
+/// reads `δ_k` once, forms `prefactor / k²` once and writes all three
+/// components — the expression, operand for operand, of solving one axis at a
+/// time.
+///
+/// **The Nyquist rule.** `g_d` is zeroed on the plane where `k_d` is the
+/// Nyquist frequency (bin `ng/2`). That bin is its own mirror, so the odd
+/// factor `i·k_d` leaves `g_d` anti-Hermitian there: its inverse is purely
+/// imaginary, and `Re` of the complex inverse — what the full-spectrum solve
+/// kept — drops it. A complex-to-real inverse reads only the stored half and
+/// would take the plane for half of a Hermitian pair instead (DESIGN.md
+/// §"Real fields, half spectra"). The initial conditions' displacement `ψ` is
+/// the same pass with `k` in h/Mpc.
+pub(crate) fn gradient_spectra(
+    backend: &dyn Backend,
+    k: &[f64],
+    prefactor: f64,
+    delta_k: Grid3<Complex>,
+) -> [Grid3<Complex>; 3] {
+    let ng = k.len();
+    let (nyquist, h) = (ng / 2, ng / 2 + 1);
+    let dims = [ng, ng, h];
+    assert_eq!(delta_k.dims(), dims, "half spectrum/k table shape mismatch");
+    let mut spec = [
+        delta_k,
+        Grid3::filled(dims, Complex::ZERO),
+        Grid3::filled(dims, Complex::ZERO),
+    ];
+    let grids = spec
+        .each_mut()
+        .map(|g| SendPtr(g.as_mut_slice().as_mut_ptr()));
+    let rows = ng * ng;
+    let grain = (rows / (4 * backend.concurrency().max(1))).max(1);
+    backend.dispatch(rows, grain, &|chunk| {
+        for row in chunk {
+            // SAFETY: row `(x, y)` is the flat range `[row·h, (row+1)·h)` of
+            // each grid, in bounds and touched by this chunk only.
+            let [gx, gy, gz] =
+                [&grids[0], &grids[1], &grids[2]].map(|g| unsafe { g.slice_mut(row * h, h) });
+            let (x, y) = (row / ng, row % ng);
+            let (kx, ky) = (k[x], k[y]);
+            for z in 0..h {
+                let kz = k[z];
+                let k2 = kx * kx + ky * ky + kz * kz;
+                if k2 == 0.0 {
+                    (gx[z], gy[z], gz[z]) = (Complex::ZERO, Complex::ZERO, Complex::ZERO);
+                    continue;
+                }
+                // φ_k = −prefactor δ_k / k²; g_k = −i k_d φ_k
+                //     = i k_d prefactor δ_k / k².
+                let phi_factor = prefactor / k2;
+                let d = gx[z];
+                let i_d = Complex::new(-d.im, d.re);
+                gx[z] = i_d.scale(kx * phi_factor);
+                gy[z] = i_d.scale(ky * phi_factor);
+                gz[z] = i_d.scale(kz * phi_factor);
+            }
+            if x == nyquist {
+                gx.fill(Complex::ZERO);
+            }
+            if y == nyquist {
+                gy.fill(Complex::ZERO);
+            }
+            gz[nyquist] = Complex::ZERO;
+        }
+    });
+    spec
 }
 
 /// Solve `∇²φ = (3 Ω/2a) δ` on the periodic mesh and return the acceleration

@@ -113,6 +113,11 @@ impl Simulation {
         self.0.particles_mut()
     }
 
+    /// The particles, moved out of a simulation that is done with them.
+    pub fn into_particles(mut self) -> Vec<Particle> {
+        std::mem::take(self.0.particles_mut())
+    }
+
     /// The scale-factor increment per step.
     pub fn da(&self) -> f64 {
         self.0.da()

@@ -17,7 +17,10 @@
 //! The plan keeps faults to discrete-event sites (comm, runner, scheduler)
 //! whose hit counts replay exactly — the poll-driven `listener.*` sites stay
 //! fault-free. Two more tests pin that recording never changes a catalog
-//! byte and that store faults leave their `faults` instants in the trace.
+//! byte and that store faults leave their `faults` instants in the trace,
+//! and one that every force solve is one real-to-complex and three
+//! complex-to-real transforms (`fft.r2c` / `fft.c2r` under `nbody.pm_solve`),
+//! the initial conditions one and four (under `nbody.ic`).
 
 use cache::{
     digest_bytes, ArtifactCache, CacheKey, DistributedConfig, DistributedStore, FingerprintBuilder,
@@ -26,10 +29,10 @@ use cache::{
 use dpp::Threaded;
 use faults::{FaultPlan, SiteSpec};
 use hacc_core::runner::{RunnerConfig, TestBed, RUNNER_FAULT_SITE};
-use nbody::SimConfig;
+use nbody::{SimConfig, Simulation};
 use parking_lot::Mutex;
 use simhpc::{machine, BatchSimulator, JobRequest, QueuePolicy, SCHEDULER_FAULT_SITE};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Seed for every plan in this file; override with `CHAOS_SEED=<n>`.
@@ -183,6 +186,49 @@ fn recording_changes_no_catalog_byte_and_covers_every_layer() {
             "the default build must record `{layer}` events, got {layers:?}"
         );
     }
+}
+
+#[test]
+fn every_force_solve_is_one_r2c_and_three_c2r() {
+    let _serial = GLOBAL_LOCK.lock();
+    let backend = Threaded::new(2);
+    let cfg = tiny_cfg("fftspans").sim;
+    let cells = (cfg.ng * cfg.ng * cfg.ng) as u64;
+    let recorder = telemetry::install(Arc::new(telemetry::Recorder::new(
+        telemetry::Clock::Logical,
+    )));
+    let mut sim = Simulation::new(&backend, cfg);
+    for _ in 0..4 {
+        sim.step(&backend);
+    }
+    let trace = recorder.finish();
+
+    let spans = trace.spans();
+    let by_id: BTreeMap<u64, _> = spans.iter().map(|s| (s.id, s)).collect();
+    // (fft span, its parent) → how many.
+    let mut under: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    for s in spans.iter().filter(|s| s.layer == "fft") {
+        assert_eq!(s.arg, cells, "`fft.{}` must carry the cell count", s.name);
+        let parent = by_id.get(&s.parent).map(|p| (p.layer, p.name));
+        let parent = match parent {
+            Some(("nbody", name)) => name,
+            other => panic!("`fft.{}` outside an nbody phase: {other:?}", s.name),
+        };
+        *under.entry((s.name, parent)).or_default() += 1;
+    }
+    let solves = trace.counters()[&("nbody", "pm_solves")];
+    assert_eq!(solves, 5, "four steps are five solves");
+    let ics = spans
+        .iter()
+        .filter(|s| (s.layer, s.name) == ("nbody", "ic"));
+    assert_eq!(ics.count(), 1);
+    let expect = BTreeMap::from([
+        (("c2r", "ic"), 4),
+        (("c2r", "pm_solve"), 3 * solves),
+        (("r2c", "ic"), 1),
+        (("r2c", "pm_solve"), solves),
+    ]);
+    assert_eq!(under, expect);
 }
 
 #[test]
