@@ -8,7 +8,8 @@
 //! at every kick; for a real field's transform, the complex transform of the
 //! field promoted to complex; for the force gather, three `cic_interpolate`
 //! calls per particle; for the distributed find, the k-d tree FOF; for a render
-//! frame, one that sorts its level-of-detail order afresh),
+//! frame, one that sorts its level-of-detail order afresh; for a halo
+//! population, a binary search over the mass function's CDF per draw),
 //! written to `BENCH_kernels.json` when `BENCH_KERNELS_JSON=<path>` is set
 //! (`just bench-kernels`).
 //! `BENCH_QUICK=1` trims repetitions and problem sizes for the CI
@@ -19,7 +20,7 @@ use comm::{CartDecomp, World};
 use conformance::integrator::step_resolving;
 use conformance::layout::{
     cic_deposit_det_partials_ref, cic_deposit_scalar_ref, fft3d_line_ref, fof_grid_dense_ref,
-    potential_scalar_ref,
+    massfn_sample_ref, potential_scalar_ref,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpp::{ops, par_for_each_mut, Serial, Threaded, DEFAULT_GRAIN};
@@ -27,6 +28,8 @@ use fft::{Complex, Fft3d, Grid3, RealFft3d};
 use hacc_core::RunnerConfig;
 use halo::Coords;
 use nbody::{DepositColumns, ParticleSoA, SimConfig, Simulation};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use simhpc::{machine, BatchSimulator, JobRequest, QueuePolicy};
 use std::time::Instant;
 
@@ -505,6 +508,30 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         rows.push(KernelRow {
             kernel: "find_patch_64",
             n: patch.len(),
+            before_ms: before,
+            after_ms: after,
+        });
+    }
+
+    // One Light-regime halo population from the Q Continuum calibration, as
+    // the scenario sweep draws one per run: a binary search over the
+    // 4 096-entry CDF per draw vs the guide-table sampler. Same seed, same
+    // masses; a population costs tens of µs, hence the repetitions.
+    {
+        let mf = halo::MassFunction::q_continuum();
+        let n = 2_000;
+        let rng = || StdRng::seed_from_u64(7);
+        assert_eq!(
+            massfn_sample_ref(&mf, &mut rng(), n),
+            mf.sample_many(&mut rng(), n),
+            "massfn_sample_2k: the samplers disagree"
+        );
+        let sreps = 100 * reps;
+        let before = time_ms(sreps, || massfn_sample_ref(&mf, &mut rng(), n));
+        let after = time_ms(sreps, || mf.sample_many(&mut rng(), n));
+        rows.push(KernelRow {
+            kernel: "massfn_sample_2k",
+            n,
             before_ms: before,
             after_ms: after,
         });

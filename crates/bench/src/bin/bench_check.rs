@@ -7,7 +7,8 @@
 //! Validates that the JSON parses, carries the `bench-kernels-v1` schema,
 //! and covers every rewritten kernel (`cic`, `fof`, `mbp`, `fft3d_64`,
 //! `rfft3d_64`, `pm_step_64`, `pm_kick_64`, `fof_grid_64`,
-//! `render_deposit_64`, `find_patch_64`, `render_frame_64`) with
+//! `render_deposit_64`, `find_patch_64`, `render_frame_64`,
+//! `massfn_sample_2k`) with
 //! finite positive timings, and that every kernel with a floor in [`FLOORS`]
 //! clears it. With
 //! `--baseline`, also fails if any kernel's speedup regressed by more than
@@ -20,7 +21,7 @@ use std::process::ExitCode;
 use telemetry::json::{self, Value};
 
 /// Kernels the trajectory must cover.
-const REQUIRED: [&str; 11] = [
+const REQUIRED: [&str; 12] = [
     "cic",
     "fof",
     "mbp",
@@ -32,6 +33,7 @@ const REQUIRED: [&str; 11] = [
     "render_deposit_64",
     "find_patch_64",
     "render_frame_64",
+    "massfn_sample_2k",
 ];
 
 /// Speedups a trajectory must show whatever its baseline says: the fused
@@ -42,12 +44,15 @@ const REQUIRED: [&str; 11] = [
 /// frame that reuses its level-of-detail order skips a 262k-key sort that
 /// costs about as much as its gather and deposit together; a real field's
 /// half spectrum is half the data and half the lines of its complex
-/// promotion (≈ 2× when recorded).
-const FLOORS: [(&str, f64); 4] = [
+/// promotion (≈ 2× when recorded); a halo draw that finds its bin from a
+/// guide bucket skips most of a 12-level binary search and both of its
+/// logarithms (≈ 2.9× when prototyped).
+const FLOORS: [(&str, f64); 5] = [
     ("pm_kick_64", 2.0),
     ("rfft3d_64", 1.5),
     ("find_patch_64", 1.3),
     ("render_frame_64", 1.4),
+    ("massfn_sample_2k", 2.0),
 ];
 
 /// Maximum tolerated relative speedup regression vs the baseline.

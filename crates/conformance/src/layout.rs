@@ -64,6 +64,14 @@
 //!   beyond every face of the box, non-finite, denormal) and
 //!   `cic_gather_fields` (finite, and salted with NaN / ±∞ cells) on meshes
 //!   of 1, 2, 4 and 16 cells a side.
+//! * `massfn-sample` — [`halo::MassFunction::bin_of`] (a guide-table bucket,
+//!   then a binary search inside it) vs `massfn_bin_ref` (the
+//!   `binary_search_by` over the whole CDF it replaced), at every CDF entry
+//!   and one ulp either side, every guide-bucket edge, `0`, the largest
+//!   `f64` below 1 and 10⁵ uniform draws; and `sample_many` /
+//!   `sample_many_above` draw for draw vs [`massfn_sample_ref`] and
+//!   `massfn_sample_above_ref`, on the Q Continuum calibration, a steep-head
+//!   function and a flat-top one whose last CDF entries are all exactly 1.
 //!
 //! Everything else is [`Cmp::BitEq`]: the kernels fix their summation order
 //! to the reference order by construction (see DESIGN.md §12). The real
@@ -83,9 +91,11 @@ use crate::inputs;
 use comm::{CartDecomp, World};
 use dpp::{Backend, SendPtr, Serial, StaticThreaded, Threaded};
 use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3, RealFft3d};
+use halo::massfn::GUIDE_BUCKETS;
 use halo::unionfind::UnionFind;
 use halo::{
     fof_brute, fof_grid, fof_kdtree_cols, fof_patch, mbp_brute_cols, potential_at, Coords, KdTree,
+    MassFunction,
 };
 use nbody::pm::{
     cic_deposit_soa, cic_deposit_soa_det, cic_interpolate, gather_accel, poisson_accel,
@@ -98,7 +108,7 @@ use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 10] = [
+pub const REQUIRED_KERNELS: [&str; 11] = [
     "cic-soa",
     "cic-det",
     "cic-gather",
@@ -109,6 +119,7 @@ pub const REQUIRED_KERNELS: [&str; 10] = [
     "fft3d-tiled",
     "rfft3d",
     "poisson-kspace",
+    "massfn-sample",
 ];
 
 /// One particle's eight CIC corner contributions, added to `local` (`ng³`
@@ -968,6 +979,52 @@ fn dft3_direct(grid: &Grid3<Complex>, inverse: bool, out_nz: usize) -> Grid3<Com
     out
 }
 
+/// The CDF bin of a uniform `u`: `binary_search_by` over the whole CDF,
+/// an exact hit as found, otherwise the insertion point clamped to the last
+/// bin.
+fn massfn_bin_ref(cdf: &[f64], u: f64) -> usize {
+    match cdf.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
+        Ok(i) => i,
+        Err(i) => i.min(cdf.len() - 1),
+    }
+}
+
+/// `n` halo masses drawn as [`MassFunction::sample_many`] drew them with a
+/// binary search per draw: a uniform, its bin, a second uniform placing the
+/// mass log-uniformly within the bin.
+pub fn massfn_sample_ref(mf: &MassFunction, rng: &mut StdRng, n: usize) -> Vec<u64> {
+    let (grid, cdf) = (mf.grid(), mf.cdf());
+    (0..n)
+        .map(|_| {
+            let u: f64 = rng.gen_range(0.0..1.0);
+            let i = massfn_bin_ref(cdf, u);
+            let (m0, m1) = (grid[i], grid[i + 1]);
+            let f: f64 = rng.gen_range(0.0..1.0);
+            let m = (m0.ln() + f * (m1.ln() - m0.ln())).exp();
+            m.round().max(mf.m_min) as u64
+        })
+        .collect()
+}
+
+/// `n` tail masses above `m_lo` drawn as [`MassFunction::sample_many_above`]
+/// drew them: per draw, the tail fraction, a uniform above its complement,
+/// a binary search, and the bin clipped from below to `[m_lo, m_lo·1.0001]`.
+fn massfn_sample_above_ref(mf: &MassFunction, rng: &mut StdRng, n: usize, m_lo: f64) -> Vec<u64> {
+    let (grid, cdf) = (mf.grid(), mf.cdf());
+    (0..n)
+        .map(|_| {
+            let cdf_lo = 1.0 - mf.fraction_above(m_lo);
+            let u: f64 = rng.gen_range(cdf_lo..1.0);
+            let i = massfn_bin_ref(cdf, u);
+            let m0 = grid[i].max(m_lo);
+            let m1 = grid[i + 1].max(m_lo * 1.0001);
+            let f: f64 = rng.gen_range(0.0..1.0);
+            let m = (m0.ln() + f * (m1.ln() - m0.ln())).exp();
+            m.round().max(m_lo.ceil()) as u64
+        })
+        .collect()
+}
+
 /// Run the layout differential and collect every mismatch.
 fn run_layout_differential() -> DiffReport {
     let mut rep = DiffReport::default();
@@ -1478,6 +1535,85 @@ fn run_layout_differential() -> DiffReport {
                 );
             }
         }
+    }
+
+    // --- massfn-sample ---------------------------------------------------
+    // One family on one thread: the sampler has no backend.
+    rep.op("massfn-sample");
+    let flat_top = MassFunction::new(1.9, 1e6, 40.0, 1e9);
+    assert!(
+        flat_top.cdf().iter().filter(|&&c| c == 1.0).count() > 1,
+        "massfn-sample: the flat-top case lost its run of exact 1.0 entries"
+    );
+    let mass_functions = [
+        ("q-continuum", MassFunction::q_continuum()),
+        ("steep-head", MassFunction::new(3.0, 1e5, 40.0, 1e8)),
+        ("flat-top", flat_top),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x3A55_F00D);
+    for (name, mf) in &mass_functions {
+        let cdf = mf.cdf();
+        let probe_sets = [
+            (
+                "cdf-entries",
+                cdf.iter()
+                    .flat_map(|&c| [c.next_down(), c, c.next_up()])
+                    .filter(|&u| u <= 1.0)
+                    .collect::<Vec<f64>>(),
+            ),
+            (
+                "bucket-edges",
+                (0..=GUIDE_BUCKETS)
+                    .map(|b| b as f64 / GUIDE_BUCKETS as f64)
+                    .collect(),
+            ),
+            ("ends", vec![0.0, 1.0f64.next_down()]),
+            (
+                "uniform",
+                (0..100_000).map(|_| rng.gen_range(0.0..1.0)).collect(),
+            ),
+        ];
+        for (set, probes) in probe_sets {
+            let first_miss = probes
+                .iter()
+                .map(|&u| (u, massfn_bin_ref(cdf, u), mf.bin_of(u)))
+                .find(|(_, want, got)| want != got);
+            rep.check_eq(
+                "massfn-sample",
+                &format!("{name}/bin_of/{set}"),
+                "serial",
+                &None,
+                &first_miss,
+            );
+        }
+        // Draw for draw, and the generators left in the same state.
+        let seed = rng.next_u64();
+        let (mut want_rng, mut got_rng) =
+            (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let want = massfn_sample_ref(mf, &mut want_rng, 100_000);
+        let got = mf.sample_many(&mut got_rng, 100_000);
+        rep.check_eq(
+            "massfn-sample",
+            &format!("{name}/sample_many"),
+            "serial",
+            &want,
+            &got,
+        );
+        // The split, inside the first bin, and just below the first exact 1.
+        let top = cdf.iter().position(|&c| c == 1.0).unwrap_or(cdf.len() - 1);
+        for m_lo in [300_000.0, 40.5, mf.grid()[top] * 0.999] {
+            let want = massfn_sample_above_ref(mf, &mut want_rng, 100_000, m_lo);
+            let got = mf.sample_many_above(&mut got_rng, 100_000, m_lo);
+            let case = format!("{name}/sample_many_above/{m_lo}");
+            rep.check_eq("massfn-sample", &case, "serial", &want, &got);
+        }
+        rep.check_eq(
+            "massfn-sample",
+            &format!("{name}/stream"),
+            "serial",
+            &want_rng.next_u64(),
+            &got_rng.next_u64(),
+        );
     }
 
     rep

@@ -156,17 +156,29 @@ impl TitanFrame {
     ) -> Vec<f64> {
         let mut per_node = vec![0.0f64; nodes];
         for (i, &n) in halo_sizes.iter().enumerate() {
-            if !keep(n) {
-                continue;
+            if keep(n) {
+                per_node[node_of(i, nodes)] += self.center_seconds(n);
             }
-            // Spatial placement is effectively random: hash the halo index.
-            let h = (i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .rotate_left(27)
-                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            per_node[(h % nodes as u64) as usize] += self.center_seconds(n);
         }
         per_node
+    }
+
+    /// The slowest node's center seconds over all halos and over the halos
+    /// at or below `spec.threshold`: both per-node sums in one pass, each
+    /// node's in halo order as [`TitanFrame::per_node_center_seconds`] sums.
+    fn center_max_all_and_small(&self, spec: &RunSpec) -> (f64, f64) {
+        let mut all = vec![0.0f64; spec.sim_nodes];
+        let mut small = vec![0.0f64; spec.sim_nodes];
+        for (i, &n) in spec.halo_sizes.iter().enumerate() {
+            let node = node_of(i, spec.sim_nodes);
+            let seconds = self.center_seconds(n);
+            all[node] += seconds;
+            if n <= spec.threshold {
+                small[node] += seconds;
+            }
+        }
+        let max = |v: Vec<f64>| v.into_iter().fold(0.0, f64::max);
+        (max(all), max(small))
     }
 
     /// Level 2 particle count (members of halos above the threshold).
@@ -185,14 +197,7 @@ impl TitanFrame {
         let l2_bytes = cosmotools::level2_bytes(self.level2_particles(spec)) as f64;
         let l3_bytes = cosmotools::level3_center_bytes(spec.halo_sizes.len() as u64) as f64;
         let find = self.find_seconds(spec.n_particles, spec.sim_nodes);
-        let center_all_max = self
-            .per_node_center_seconds(&spec.halo_sizes, spec.sim_nodes, |_| true)
-            .into_iter()
-            .fold(0.0, f64::max);
-        let center_small_max = self
-            .per_node_center_seconds(&spec.halo_sizes, spec.sim_nodes, |n| n <= spec.threshold)
-            .into_iter()
-            .fold(0.0, f64::max);
+        let (center_all_max, center_small_max) = self.center_max_all_and_small(spec);
 
         // --- In-situ only ---
         let in_situ = WorkflowCost {
@@ -408,6 +413,16 @@ impl TitanFrame {
             .collect();
         analysis.iter().sum::<f64>() / analysis.len().max(1) as f64
     }
+}
+
+/// The node of `nodes` halo `i` is placed on. Spatial placement is
+/// effectively random: hash the halo index.
+fn node_of(i: usize, nodes: usize) -> usize {
+    let h = (i as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(27)
+        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    (h % nodes as u64) as usize
 }
 
 /// §4.1 Q Continuum projection summary.

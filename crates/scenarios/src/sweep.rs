@@ -90,16 +90,20 @@ pub fn scenario_seed(base: u64, id: &str, k: u64) -> u64 {
 /// Run the sweep: every expanded scenario × every seed rung, aggregated.
 /// Scenario order (and therefore output order) is the grammar's canonical
 /// expansion order. Each scenario's runs execute under a telemetry dim equal
-/// to its expansion index, so recorded counters can be sliced per scenario.
+/// to its expansion index, so recorded counters can be sliced per scenario,
+/// inside one `scenarios.scenario` span (its argument is that index); the
+/// `scenarios.runs` counter adds each scenario's run count.
 pub fn run_sweep(config: &SweepConfig) -> SweepResult {
     let scenarios = config.grammar.expand();
     let mut results = Vec::with_capacity(scenarios.len());
     for (idx, scenario) in scenarios.into_iter().enumerate() {
         let id = scenario.id();
         let _dim = telemetry::with_dim(idx as u64);
+        let _span = telemetry::span!("scenarios", "scenario", idx);
         let runs: Vec<RunMetrics> = (0..config.n_seeds as u64)
             .map(|k| run::execute(&scenario, scenario_seed(config.base_seed, &id, k)))
             .collect();
+        telemetry::count!("scenarios", "runs", runs.len());
         let summaries = (0..METRIC_NAMES.len())
             .map(|m| {
                 let column: Vec<f64> = runs.iter().map(|r| r.values()[m]).collect();

@@ -114,13 +114,13 @@ conformance:
 conformance-exhaustive:
     CONFORMANCE_EXHAUSTIVE=1 cargo test -q --release --test conformance
 
-# The smoke scenario sweep: 60 scenarios × 25 seeds on the virtual clock,
+# The smoke scenario sweep: 120 scenarios × 25 seeds on the virtual clock,
 # artifacts (JSON/CSV/summary) under target/sweep.
 sweep:
     cargo run --release -p scenarios --bin sweep -- --smoke
 
-# The full grammar (648 scenarios: every machine × load × strategy × fault
-# plan × scheduler, minus the excluded combinations).
+# The full grammar (1296 scenarios: every machine × load × workload ×
+# strategy × fault plan × scheduler, minus the excluded combinations).
 sweep-full:
     cargo run --release -p scenarios --bin sweep -- --full --out target/sweep-full
 

@@ -1,16 +1,46 @@
-//! Sweep-harness conformance: the smoke sweep's seed-1 summary table is a
-//! golden fixture (drift-diffed, `BLESS=1` to regenerate), two sweeps from
-//! the same base seed serialize byte-identically, and the swept space spans
+//! Sweep-harness conformance: the smoke sweep's seed-1 summary table and a
+//! per-scenario digest of its full-precision runs and summaries are golden
+//! fixtures (drift-diffed, `BLESS=1` to regenerate), two sweeps from the
+//! same base seed serialize byte-identically, and the swept space spans
 //! every workflow strategy and the whole scheduler comparison.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use conformance::golden;
-use scenarios::{export, run_sweep, Grammar, SchedulerKind, Strategy, SweepConfig};
+use scenarios::{export, run_sweep, Grammar, SchedulerKind, Strategy, SweepConfig, SweepResult};
 
 fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
+}
+
+fn check_golden(name: &str, actual: &str) {
+    if let Err(msg) = golden::compare_or_bless(&goldens_dir().join(name), actual) {
+        panic!("{msg}");
+    }
+}
+
+/// One `id digest` line per scenario: the digest covers the bits of every
+/// run's metric vector and every summary, so a 1-ulp drift anywhere in the
+/// sweep changes a line (the summary table prints one decimal).
+fn scenario_digest_lines(result: &SweepResult) -> String {
+    let mut out = String::new();
+    for s in &result.scenarios {
+        let mut h = cache::Hasher::new();
+        for r in &s.runs {
+            for v in r.values() {
+                h.update(&v.to_bits().to_le_bytes());
+            }
+        }
+        for sum in &s.summaries {
+            h.update(&(sum.n as u64).to_le_bytes());
+            for v in [sum.mean, sum.sd, sum.ci95] {
+                h.update(&v.to_bits().to_le_bytes());
+            }
+        }
+        out += &format!("{} {}\n", s.id, h.finish());
+    }
+    out
 }
 
 fn smoke_config() -> SweepConfig {
@@ -21,7 +51,7 @@ fn smoke_config() -> SweepConfig {
     }
 }
 
-/// The CI contract: ≥ 900 runs spanning all five strategies and the Titan
+/// The CI contract: ≥ 900 runs spanning all six strategies and the Titan
 /// policy plus at least four zoo disciplines.
 #[test]
 fn smoke_sweep_covers_the_required_space() {
@@ -41,7 +71,8 @@ fn smoke_sweep_covers_the_required_space() {
 }
 
 /// Full smoke sweep: byte-identical artifacts across two same-base-seed
-/// runs, and the seed-1 summary table matches the committed golden.
+/// runs, and the seed-1 summary table and scenario digests match the
+/// committed goldens.
 #[test]
 fn smoke_sweep_reproduces_and_matches_golden() {
     let config = smoke_config();
@@ -57,11 +88,8 @@ fn smoke_sweep_reproduces_and_matches_golden() {
 
     let table = export::summary_table(&a);
     assert_eq!(table, export::summary_table(&b), "summary drifted");
-    if let Err(msg) =
-        golden::compare_or_bless(&goldens_dir().join("sweep_summary_seed1.txt"), &table)
-    {
-        panic!("{msg}");
-    }
+    check_golden("sweep_summary_seed1.txt", &table);
+    check_golden("sweep_json_seed1.txt", &scenario_digest_lines(&a));
 }
 
 /// The headline comparison the sweep exists to make: under the light smoke

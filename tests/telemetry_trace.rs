@@ -20,7 +20,9 @@
 //! byte and that store faults leave their `faults` instants in the trace,
 //! and one that every force solve is one real-to-complex and three
 //! complex-to-real transforms (`fft.r2c` / `fft.c2r` under `nbody.pm_solve`),
-//! the initial conditions one and four (under `nbody.ic`).
+//! the initial conditions one and four (under `nbody.ic`). A traced sweep
+//! carries one `scenarios.scenario` span per scenario and counts every halo
+//! it draws (`halo.massfn_draws`).
 
 use cache::{
     digest_bytes, ArtifactCache, CacheKey, DistributedConfig, DistributedStore, FingerprintBuilder,
@@ -31,6 +33,10 @@ use faults::{FaultPlan, SiteSpec};
 use hacc_core::runner::{RunnerConfig, TestBed, RUNNER_FAULT_SITE};
 use nbody::{SimConfig, Simulation};
 use parking_lot::Mutex;
+use scenarios::{
+    run_sweep, scenario_seed, synthesize, AxisSet, FaultPlanKind, Grammar, LoadRegime, MachineKind,
+    SchedulerKind, Strategy, SweepConfig,
+};
 use simhpc::{machine, BatchSimulator, JobRequest, QueuePolicy, SCHEDULER_FAULT_SITE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -275,4 +281,48 @@ fn fired_store_faults_appear_as_instants() {
         .collect();
     assert!(fired.contains(&("cache.read", 0)), "got {fired:?}");
     assert!(fired.contains(&(SITE_FETCH_REMOTE, 2)), "got {fired:?}");
+}
+
+#[test]
+fn traced_sweep_spans_every_scenario_and_counts_every_draw() {
+    let _serial = GLOBAL_LOCK.lock();
+    let config = SweepConfig {
+        base_seed: 3,
+        n_seeds: 2,
+        grammar: Grammar::new().with_block(
+            AxisSet::full()
+                .machines([MachineKind::Titan])
+                .loads([LoadRegime::Light, LoadRegime::Medium])
+                .strategies([Strategy::InSitu, Strategy::CoScheduled])
+                .faults([FaultPlanKind::None])
+                .schedulers([SchedulerKind::Easy]),
+        ),
+    };
+    let recorder = telemetry::install(Arc::new(telemetry::Recorder::new(
+        telemetry::Clock::Logical,
+    )));
+    let result = run_sweep(&config);
+    let trace = recorder.finish();
+
+    let mut scenario_spans: Vec<u64> = trace
+        .spans()
+        .iter()
+        .filter(|s| (s.layer, s.name) == ("scenarios", "scenario"))
+        .map(|s| s.arg)
+        .collect();
+    scenario_spans.sort_unstable();
+    let indices: Vec<u64> = (0..result.scenarios.len() as u64).collect();
+    assert_eq!(scenario_spans, indices, "one span per scenario");
+    let counters = trace.counters();
+    assert_eq!(counters[&("scenarios", "runs")], result.total_runs() as u64);
+    let drawn: usize = result
+        .scenarios
+        .iter()
+        .flat_map(|s| {
+            (0..config.n_seeds as u64)
+                .map(|k| synthesize(s.scenario.load, scenario_seed(config.base_seed, &s.id, k)))
+        })
+        .map(|w| w.spec.halo_sizes.len())
+        .sum();
+    assert_eq!(counters[&("halo", "massfn_draws")], drawn as u64);
 }
