@@ -21,7 +21,12 @@ pub struct PowerBin {
     pub modes: u64,
 }
 
-/// Measure the matter power spectrum of a particle set.
+/// Telemetry layer of the spectrum's three phase spans: `deposit`,
+/// `transform` and `binning`.
+const LAYER: &str = "cosmotools.powerspectrum";
+
+/// Measure the matter power spectrum of a particle set. Each phase is a
+/// `cosmotools.powerspectrum` span whose argument is the mesh size `ng`.
 pub fn compute_power_spectrum(
     backend: &dyn Backend,
     particles: &[Particle],
@@ -31,9 +36,12 @@ pub fn compute_power_spectrum(
 ) -> Vec<PowerBin> {
     assert!(ng.is_power_of_two(), "mesh must be a power of two");
     assert!(nbins > 0);
-    // Convert once to the four columns the deposit kernel sweeps.
-    let cols = DepositColumns::from_aos(backend, particles);
-    let delta = cic_deposit_cols(backend, cols.positions(), cols.mass(), ng, box_size);
+    let delta = {
+        let _span = telemetry::span!(LAYER, "deposit", ng);
+        // Convert once to the four columns the deposit kernel sweeps.
+        let cols = DepositColumns::from_aos(backend, particles);
+        cic_deposit_cols(backend, cols.positions(), cols.mass(), ng, box_size)
+    };
     power_spectrum_of_field(backend, &delta, box_size, nbins)
 }
 
@@ -52,8 +60,12 @@ fn power_spectrum_of_field(
 ) -> Vec<PowerBin> {
     let dims = delta.dims();
     let ng = dims[0];
-    let plan = RealFft3d::new(dims).expect("power-of-two mesh");
-    let dk = plan.forward(backend, delta).expect("fft");
+    let dk = {
+        let _span = telemetry::span!(LAYER, "transform", ng);
+        let plan = RealFft3d::new(dims).expect("power-of-two mesh");
+        plan.forward(backend, delta).expect("fft")
+    };
+    let _span = telemetry::span!(LAYER, "binning", ng);
 
     let kfund = 2.0 * std::f64::consts::PI / box_size;
     let knyq = kfund * (ng as f64) / 2.0;
@@ -101,7 +113,9 @@ fn power_spectrum_of_field(
 /// local binning of each rank's y-slab of the spectrum, and an allreduce of
 /// the bin sums — the form the in-situ task takes inside the distributed
 /// main loop ("density estimation on a regular grid via CIC and very large
-/// FFTs", §1). Every rank returns the same full spectrum.
+/// FFTs", §1). Every rank returns the same full spectrum. Each phase is a
+/// `cosmotools.powerspectrum` span whose argument is the rank; `binning`
+/// covers the bin allreduce.
 pub fn distributed_power_spectrum(
     comm: &comm::Communicator,
     locals: &[Particle],
@@ -110,22 +124,24 @@ pub fn distributed_power_spectrum(
     nbins: usize,
 ) -> Vec<PowerBin> {
     assert!(ng.is_power_of_two() && nbins > 0);
-    let delta = nbody::distributed::slab_deposit(comm, locals, ng, box_size);
+    let rank = comm.rank();
+    let delta = {
+        let _span = telemetry::span!(LAYER, "deposit", rank);
+        nbody::distributed::slab_deposit(comm, locals, ng, box_size)
+    };
     let plan = fft::SlabFft::new(ng, comm.size()).expect("validated");
     let s = ng / comm.size();
-    let dk = plan
-        .forward(
-            comm,
-            Grid3::from_vec(
-                [s, ng, ng],
-                delta
-                    .as_slice()
-                    .iter()
-                    .map(|&v| Complex::from_real(v))
-                    .collect(),
-            ),
-        )
-        .expect("planned dims");
+    let dk = {
+        let _span = telemetry::span!(LAYER, "transform", rank);
+        let field = delta
+            .as_slice()
+            .iter()
+            .map(|&v| Complex::from_real(v))
+            .collect();
+        plan.forward(comm, Grid3::from_vec([s, ng, ng], field))
+            .expect("planned dims")
+    };
+    let _span = telemetry::span!(LAYER, "binning", rank);
 
     let kfund = 2.0 * std::f64::consts::PI / box_size;
     let knyq = kfund * (ng as f64) / 2.0;

@@ -20,7 +20,8 @@ pub struct SoResult {
 ///
 /// `delta` is the overdensity threshold (e.g. 200) and `mean_density` the
 /// box's mean mass density (mass units per volume units). Returns `None` when
-/// even the innermost particle fails the threshold.
+/// even the innermost particle fails the threshold. Traced as one
+/// `halo.so_mass` span whose argument is the particle count.
 pub fn so_mass(
     particles: &[Particle],
     center: [f64; 3],
@@ -31,6 +32,7 @@ pub fn so_mass(
     if particles.is_empty() {
         return None;
     }
+    let _span = telemetry::span!("halo", "so_mass", particles.len());
     // Radial distances (non-periodic: callers pass unwrapped halo particles).
     let mut order: Vec<(f64, f64)> = particles
         .iter()

@@ -82,14 +82,25 @@ fn densities_over(particles: &[Particle], coords: &Coords, tree: &KdTree, k: usi
 
 /// Find subhalos within one parent halo. Returns subhalos sorted by size
 /// (largest first).
+///
+/// Traced as one `halo.find_subhalos` span (argument: the particle count)
+/// over four phase spans: `subhalo_tree`, `subhalo_densities`,
+/// `subhalo_walk` and `subhalo_unbind`.
 pub fn find_subhalos(particles: &[Particle], params: &SubhaloParams) -> Vec<Subhalo> {
     let n = particles.len();
     if n < params.min_size {
         return Vec::new();
     }
+    let _span = telemetry::span!("halo", "find_subhalos", n);
+    let phase = telemetry::span!("halo", "subhalo_tree", n);
     let coords = Coords::from_particles(particles);
     let tree = KdTree::build_cols(&coords, None);
+    drop(phase);
+    let phase = telemetry::span!("halo", "subhalo_densities", n);
     let rho = densities_over(particles, &coords, &tree, params.n_neighbors);
+    drop(phase);
+
+    let phase = telemetry::span!("halo", "subhalo_walk", n);
 
     // Process in descending density.
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -166,7 +177,10 @@ pub fn find_subhalos(particles: &[Particle], params: &SubhaloParams) -> Vec<Subh
         }
     }
 
+    drop(phase);
+
     // Unbind and filter.
+    let _phase = telemetry::span!("halo", "subhalo_unbind", cands.len());
     let mut out = Vec::new();
     for (ci, members) in cands.into_iter().enumerate() {
         if merged_into[ci] != ci as u32 || members.len() < params.min_size {

@@ -5,11 +5,14 @@
 //! ```
 //!
 //! Writes `sweep.json`, `sweep.csv`, and `summary.txt` under `--out`
-//! (default `target/sweep`) and prints the summary table. Everything is
-//! deterministic per base seed: running twice produces byte-identical
-//! artifacts, which is exactly what the CI sweep job asserts.
+//! (default `target/sweep`) and prints the summary table. The runs go to a
+//! pool of one worker per available CPU. Everything is deterministic per
+//! base seed: running twice, or on any number of CPUs, produces
+//! byte-identical artifacts, which is exactly what the CI sweep job
+//! asserts. `--seeds` must be at least 1.
 
-use scenarios::{export, run_sweep, Grammar, SweepConfig};
+use dpp::Backend;
+use scenarios::{export, run_sweep_on, Grammar, SweepConfig};
 use std::path::PathBuf;
 
 struct Args {
@@ -35,7 +38,10 @@ fn parse_args() -> Result<Args, String> {
             "--seeds" => {
                 args.seeds = value("--seeds")?
                     .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
+                    .map_err(|e| format!("--seeds: {e}"))?;
+                if args.seeds == 0 {
+                    return Err("--seeds: a sweep needs at least one seed".into());
+                }
             }
             "--base-seed" => {
                 args.base_seed = value("--base-seed")?
@@ -79,11 +85,14 @@ fn main() {
         config.base_seed
     );
     let started = std::time::Instant::now();
-    let result = run_sweep(&config);
+    let backend = dpp::Threaded::with_available_parallelism();
+    let result = run_sweep_on(&backend, &config);
+    let workers = backend.concurrency();
     eprintln!(
-        "swept {} runs in {:.2}s",
+        "swept {} runs in {:.2}s on {workers} worker{}",
         result.total_runs(),
-        started.elapsed().as_secs_f64()
+        started.elapsed().as_secs_f64(),
+        if workers == 1 { "" } else { "s" }
     );
 
     if let Err(e) = std::fs::create_dir_all(&args.out) {

@@ -10,7 +10,8 @@
 //! * a **run executor** that drives each scenario through the Titan-frame
 //!   cost model and the `simhpc` batch simulator ([`run`]);
 //! * a **multi-seed sweep runner** with a deterministic seed ladder and
-//!   mean ± 95% CI aggregation ([`sweep`], [`stats`]);
+//!   mean ± 95% CI aggregation, its runs fanned over the `dpp` pool with
+//!   output independent of the worker count ([`sweep`], [`stats`]);
 //! * byte-reproducible **JSON / CSV / summary-table exports** ([`export`]).
 //!
 //! ```
@@ -43,5 +44,5 @@ pub use grammar::{
 };
 pub use run::{execute, RunMetrics, METRIC_NAMES};
 pub use stats::{summarize, Summary};
-pub use sweep::{run_sweep, scenario_seed, ScenarioResult, SweepConfig, SweepResult};
+pub use sweep::{run_sweep, run_sweep_on, scenario_seed, ScenarioResult, SweepConfig, SweepResult};
 pub use workload::{synthesize, Workload};

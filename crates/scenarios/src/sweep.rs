@@ -87,36 +87,65 @@ pub fn scenario_seed(base: u64, id: &str, k: u64) -> u64 {
     splitmix64(rung.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// Run the sweep: every expanded scenario × every seed rung, aggregated.
-/// Scenario order (and therefore output order) is the grammar's canonical
-/// expansion order. Each scenario's runs execute under a telemetry dim equal
-/// to its expansion index, so recorded counters can be sliced per scenario,
-/// inside one `scenarios.scenario` span (its argument is that index); the
-/// `scenarios.runs` counter adds each scenario's run count.
+/// Run the sweep on every core of the machine: [`run_sweep_on`] over a
+/// [`dpp::Threaded`] pool sized to the available parallelism.
 pub fn run_sweep(config: &SweepConfig) -> SweepResult {
+    run_sweep_on(&dpp::Threaded::with_available_parallelism(), config)
+}
+
+/// Run the sweep on `backend`: every expanded scenario × every seed rung,
+/// aggregated. The result does not depend on the backend or its worker
+/// count.
+///
+/// The `S · n` runs are independent units: unit `u` is rung `u % n` of
+/// scenario `u / n`, and each writes its metrics into its own slot
+/// ([`dpp::par_init`]), so completion order never reaches the output.
+/// A unit runs under a telemetry dim equal to its scenario's expansion
+/// index, set on the thread that runs it (dims are thread-local), so
+/// recorded counters can be sliced per scenario. A chunk is at most one
+/// scenario's rungs, which lets the slower conservative-backfill scenarios
+/// spread over the workers. A sweep of at most [`dpp::SMALL_N_THRESHOLD`]
+/// runs executes inline on the caller, by the pool's small-`n` rule.
+///
+/// Then, on the calling thread and in the grammar's canonical expansion
+/// order, each scenario opens one `scenarios.scenario` span (its argument is
+/// the expansion index, under the same dim), adds its run count to
+/// `scenarios.runs` and summarizes its runs in seed-ladder order.
+pub fn run_sweep_on(backend: &dyn dpp::Backend, config: &SweepConfig) -> SweepResult {
     let scenarios = config.grammar.expand();
-    let mut results = Vec::with_capacity(scenarios.len());
-    for (idx, scenario) in scenarios.into_iter().enumerate() {
-        let id = scenario.id();
+    let ids: Vec<String> = scenarios.iter().map(Scenario::id).collect();
+    let n = config.n_seeds;
+    let runs = dpp::par_init(backend, scenarios.len() * n, n.max(1), |u| {
+        let idx = u / n;
         let _dim = telemetry::with_dim(idx as u64);
-        let _span = telemetry::span!("scenarios", "scenario", idx);
-        let runs: Vec<RunMetrics> = (0..config.n_seeds as u64)
-            .map(|k| run::execute(&scenario, scenario_seed(config.base_seed, &id, k)))
-            .collect();
-        telemetry::count!("scenarios", "runs", runs.len());
-        let summaries = (0..METRIC_NAMES.len())
-            .map(|m| {
-                let column: Vec<f64> = runs.iter().map(|r| r.values()[m]).collect();
-                stats::summarize(&column)
-            })
-            .collect();
-        results.push(ScenarioResult {
-            id,
-            scenario,
-            runs,
-            summaries,
-        });
-    }
+        let seed = scenario_seed(config.base_seed, &ids[idx], (u % n) as u64);
+        run::execute(&scenarios[idx], seed)
+    });
+
+    let mut runs = runs.into_iter();
+    let results = scenarios
+        .into_iter()
+        .zip(ids)
+        .enumerate()
+        .map(|(idx, (scenario, id))| {
+            let _dim = telemetry::with_dim(idx as u64);
+            let _span = telemetry::span!("scenarios", "scenario", idx);
+            let runs: Vec<RunMetrics> = runs.by_ref().take(n).collect();
+            telemetry::count!("scenarios", "runs", runs.len());
+            let summaries = (0..METRIC_NAMES.len())
+                .map(|m| {
+                    let column: Vec<f64> = runs.iter().map(|r| r.values()[m]).collect();
+                    stats::summarize(&column)
+                })
+                .collect();
+            ScenarioResult {
+                id,
+                scenario,
+                runs,
+                summaries,
+            }
+        })
+        .collect();
     SweepResult {
         base_seed: config.base_seed,
         n_seeds: config.n_seeds,
@@ -190,6 +219,18 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort();
         assert_eq!(ids, sorted);
+    }
+
+    #[test]
+    fn zero_seeds_runs_nothing_and_divides_by_nothing() {
+        let cfg = SweepConfig {
+            base_seed: 1,
+            n_seeds: 0,
+            grammar: tiny_grammar(),
+        };
+        let result = run_sweep_on(&dpp::Threaded::new(2), &cfg);
+        assert_eq!(result.scenarios.len(), 4);
+        assert_eq!(result.total_runs(), 0);
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Sweep-harness conformance: the smoke sweep's seed-1 summary table and a
 //! per-scenario digest of its full-precision runs and summaries are golden
-//! fixtures (drift-diffed, `BLESS=1` to regenerate), two sweeps from the
-//! same base seed serialize byte-identically, and the swept space spans
-//! every workflow strategy and the whole scheduler comparison.
+//! fixtures (drift-diffed, `BLESS=1` to regenerate), sweeps from the same
+//! base seed serialize byte-identically at 1, 2 and 3 workers and under
+//! static or dynamic chunking, an armed process-global fault injector
+//! never reaches a sweep, and the swept space spans every workflow strategy
+//! and the whole scheduler comparison.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use conformance::golden;
-use scenarios::{export, run_sweep, Grammar, SchedulerKind, Strategy, SweepConfig, SweepResult};
+use dpp::{Backend, StaticThreaded, Threaded};
+use faults::{FaultPlan, SiteSpec};
+use scenarios::{
+    export, run_sweep, run_sweep_on, Grammar, SchedulerKind, Strategy, SweepConfig, SweepResult,
+};
 
 fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
@@ -70,26 +76,70 @@ fn smoke_sweep_covers_the_required_space() {
     assert!(schedulers.len() >= 5, "titan policy + ≥4 zoo disciplines");
 }
 
-/// Full smoke sweep: byte-identical artifacts across two same-base-seed
-/// runs, and the seed-1 summary table and scenario digests match the
-/// committed goldens.
+/// The three exports, in the order the `sweep` binary writes them.
+fn exports(result: &SweepResult) -> [String; 3] {
+    [
+        export::to_json(result),
+        export::to_csv(result),
+        export::summary_table(result),
+    ]
+}
+
+/// Full smoke sweep: byte-identical artifacts on one, two and three dynamic
+/// workers and three static blocks, and the seed-1 summary table and
+/// scenario digests match the committed goldens. The two-worker sweep must
+/// really go to the pool, so the inline path cannot pass for it.
 #[test]
 fn smoke_sweep_reproduces_and_matches_golden() {
     let config = smoke_config();
-    let a = run_sweep(&config);
-    let b = run_sweep(&config);
-
+    let reference = run_sweep_on(&Threaded::new(1), &config);
     assert_eq!(
-        a.total_runs(),
+        reference.total_runs(),
         config.grammar.expand().len() * config.n_seeds
     );
-    assert_eq!(export::to_json(&a), export::to_json(&b), "JSON drifted");
-    assert_eq!(export::to_csv(&a), export::to_csv(&b), "CSV drifted");
+    let expected = exports(&reference);
 
-    let table = export::summary_table(&a);
-    assert_eq!(table, export::summary_table(&b), "summary drifted");
-    check_golden("sweep_summary_seed1.txt", &table);
-    check_golden("sweep_json_seed1.txt", &scenario_digest_lines(&a));
+    let two = Threaded::new(2);
+    let before = two.pool_stats().expect("a pool");
+    let pooled = run_sweep_on(&two, &config);
+    let d = two.pool_stats().expect("a pool").delta_since(&before);
+    assert_eq!((d.dispatches, d.serial_dispatches), (1, 0), "{d:?}");
+
+    for (name, result) in [
+        ("threaded(2)", pooled),
+        ("threaded(3)", run_sweep_on(&Threaded::new(3), &config)),
+        (
+            "static-threaded(3)",
+            run_sweep_on(&StaticThreaded::new(3), &config),
+        ),
+    ] {
+        let [json, csv, table] = exports(&result);
+        assert_eq!(json, expected[0], "JSON drifted on {name}");
+        assert_eq!(csv, expected[1], "CSV drifted on {name}");
+        assert_eq!(table, expected[2], "summary drifted on {name}");
+    }
+
+    check_golden("sweep_summary_seed1.txt", &expected[2]);
+    check_golden("sweep_json_seed1.txt", &scenario_digest_lines(&reference));
+}
+
+/// Each run carries its own scheduler injector, never the process-global
+/// one: with a global injector armed to fail every site it polls, a pooled
+/// sweep polls no site and serializes exactly as the unarmed sweep does.
+#[test]
+fn global_fault_injector_cannot_reach_a_sweep() {
+    let config = smoke_config();
+    let backend = Threaded::new(2);
+    let unarmed = export::to_json(&run_sweep_on(&backend, &config));
+    let injector = FaultPlan::record_only(1)
+        .with_site(SiteSpec::transient("*", 1.0))
+        .build();
+    let armed = {
+        let _armed = faults::install(injector.clone());
+        export::to_json(&run_sweep_on(&backend, &config))
+    };
+    assert_eq!(injector.sites_reached(), Vec::<(String, u64)>::new());
+    assert_eq!(armed, unarmed, "the global injector changed a run");
 }
 
 /// The headline comparison the sweep exists to make: under the light smoke

@@ -22,20 +22,23 @@
 //! complex-to-real transforms (`fft.r2c` / `fft.c2r` under `nbody.pm_solve`),
 //! the initial conditions one and four (under `nbody.ic`). A traced sweep
 //! carries one `scenarios.scenario` span per scenario and counts every halo
-//! it draws (`halo.massfn_draws`).
+//! it draws (`halo.massfn_draws`), and its logical export and per-scenario
+//! counters are the same at every worker count. The subhalo finder, the SO
+//! mass and both power spectra record their phase spans.
 
 use cache::{
     digest_bytes, ArtifactCache, CacheKey, DistributedConfig, DistributedStore, FingerprintBuilder,
     SITE_FETCH_REMOTE,
 };
-use dpp::Threaded;
+use comm::World;
+use dpp::{Backend, StaticThreaded, Threaded};
 use faults::{FaultPlan, SiteSpec};
 use hacc_core::runner::{RunnerConfig, TestBed, RUNNER_FAULT_SITE};
-use nbody::{SimConfig, Simulation};
+use nbody::{Particle, SimConfig, Simulation};
 use parking_lot::Mutex;
 use scenarios::{
-    run_sweep, scenario_seed, synthesize, AxisSet, FaultPlanKind, Grammar, LoadRegime, MachineKind,
-    SchedulerKind, Strategy, SweepConfig,
+    run_sweep, run_sweep_on, scenario_seed, synthesize, AxisSet, FaultPlanKind, Grammar,
+    LoadRegime, MachineKind, SchedulerKind, Strategy, SweepConfig,
 };
 use simhpc::{machine, BatchSimulator, JobRequest, QueuePolicy, SCHEDULER_FAULT_SITE};
 use std::collections::{BTreeMap, BTreeSet};
@@ -325,4 +328,127 @@ fn traced_sweep_spans_every_scenario_and_counts_every_draw() {
         .map(|w| w.spec.halo_sizes.len())
         .sum();
     assert_eq!(counters[&("halo", "massfn_draws")], drawn as u64);
+}
+
+/// The smoke sweep (base seed 1, 25 seeds) traced on a logical clock: the
+/// Chrome export and the per-scenario `scenarios.*` / `halo.massfn_draws`
+/// counters are the same on one, two and three workers and on three static
+/// blocks. Every side dispatches once through a pool, so every side records
+/// the same `dpp.dispatch` span.
+#[test]
+fn traced_sweep_is_identical_at_every_worker_count() {
+    let _serial = GLOBAL_LOCK.lock();
+    let config = SweepConfig {
+        base_seed: 1,
+        n_seeds: 25,
+        grammar: Grammar::smoke(),
+    };
+    let traced = |backend: &dyn Backend| {
+        let recorder = telemetry::install(Arc::new(telemetry::Recorder::new(
+            telemetry::Clock::Logical,
+        )));
+        run_sweep_on(backend, &config);
+        let trace = recorder.finish();
+        let counters: BTreeMap<_, u64> = trace
+            .counters_by_dim()
+            .into_iter()
+            .filter(|&((layer, name, _), _)| {
+                layer == "scenarios" || (layer, name) == ("halo", "massfn_draws")
+            })
+            .collect();
+        (trace.chrome_json(), counters)
+    };
+    let (json, counters) = traced(&Threaded::new(1));
+    let scenarios = config.grammar.expand().len() as u64;
+    for dim in 0..scenarios {
+        assert_eq!(counters[&("scenarios", "runs", dim)], 25, "dim {dim}");
+        assert!(counters[&("halo", "massfn_draws", dim)] > 0, "dim {dim}");
+    }
+    assert_eq!(counters.len() as u64, 2 * scenarios, "{counters:?}");
+    for (name, backend) in [
+        ("threaded(2)", &Threaded::new(2) as &dyn Backend),
+        ("threaded(3)", &Threaded::new(3)),
+        ("static-threaded(3)", &StaticThreaded::new(3)),
+    ] {
+        let (j, c) = traced(backend);
+        assert!(j == json, "logical export drifted on {name}");
+        assert_eq!(c, counters, "per-scenario counters drifted on {name}");
+    }
+}
+
+/// Two clumps of `n` unit-mass particles, the second `gap` along x.
+fn two_clumps(n: usize, gap: f32) -> Vec<Particle> {
+    (0..2 * n)
+        .map(|i| {
+            let t = i as f32;
+            let offset = if i < n { 0.0 } else { gap };
+            let jitter = |f: f32| ((t * f).fract() - 0.5) * 0.6;
+            Particle::at_rest(
+                [
+                    8.0 + offset + jitter(0.618),
+                    8.0 + jitter(0.414),
+                    8.0 + jitter(0.732),
+                ],
+                1.0,
+                i as u64,
+            )
+        })
+        .collect()
+}
+
+/// The analysis kernels without a span of their own until now: the subhalo
+/// finder (tree, densities, walk, unbinding), the SO mass, and the shared-
+/// memory and distributed power spectra (deposit, transform, binning) each
+/// record their phases, and a second identical run exports the same
+/// logical trace.
+#[test]
+fn analysis_kernels_record_their_phase_spans() {
+    let _serial = GLOBAL_LOCK.lock();
+    let particles = two_clumps(150, 4.0);
+    let (ng, box_size) = (16usize, 32.0);
+    let run = || {
+        let recorder = telemetry::install(Arc::new(telemetry::Recorder::new(
+            telemetry::Clock::Logical,
+        )));
+        let subs = halo::find_subhalos(&particles, &halo::SubhaloParams::default());
+        assert!(!subs.is_empty(), "the clumps must be found");
+        assert!(halo::so_mass(&particles, [8.0; 3], 200.0, 1e-3).is_some());
+        cosmotools::compute_power_spectrum(&Threaded::new(2), &particles, ng, box_size, 8);
+        World::new(2).run(|c| {
+            let mine: Vec<Particle> = particles
+                .iter()
+                .filter(|p| (p.pos[0] >= 16.0) as usize == c.rank())
+                .copied()
+                .collect();
+            cosmotools::distributed_power_spectrum(c, &mine, ng, box_size, 8)
+        });
+        recorder.finish()
+    };
+    let trace = run();
+    let spans = trace.spans();
+    let by_id: BTreeMap<u64, _> = spans.iter().map(|s| (s.id, s)).collect();
+    let n = particles.len() as u64;
+    for phase in [
+        "subhalo_tree",
+        "subhalo_densities",
+        "subhalo_walk",
+        "subhalo_unbind",
+    ] {
+        let s = spans
+            .iter()
+            .find(|s| (s.layer, s.name) == ("halo", phase))
+            .unwrap_or_else(|| panic!("no `halo.{phase}` span"));
+        let parent = by_id[&s.parent];
+        assert_eq!((parent.name, parent.arg), ("find_subhalos", n), "{phase}");
+    }
+    let have: BTreeSet<(&str, &str, u64)> =
+        spans.iter().map(|s| (s.layer, s.name, s.arg)).collect();
+    assert!(have.contains(&("halo", "so_mass", n)), "{have:?}");
+    let layer = "cosmotools.powerspectrum";
+    for phase in ["deposit", "transform", "binning"] {
+        for arg in [ng as u64, 0, 1] {
+            assert!(have.contains(&(layer, phase, arg)), "{phase} {arg}");
+        }
+    }
+    assert_eq!(trace.chrome_json(), run().chrome_json());
 }
