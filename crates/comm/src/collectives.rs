@@ -26,14 +26,28 @@ impl Communicator {
 
     /// Broadcast `value` from `root` to every rank. Only the root's `value`
     /// is used; other ranks may pass `None`.
+    ///
+    /// Each message counts `size_of::<T>()` in `comm.bytes_*`, the handle
+    /// and not what it owns (see [`Communicator::allreduce_sum_vec_f64`]
+    /// for a vector collective that counts its payload).
     pub fn broadcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
+        self.broadcast_counted(root, value, |_| std::mem::size_of::<T>())
+    }
+
+    /// [`Communicator::broadcast`], each message counted as `bytes(&value)`.
+    fn broadcast_counted<T: Clone + Send + 'static>(
+        &self,
+        root: usize,
+        value: Option<T>,
+        bytes: impl Fn(&T) -> usize,
+    ) -> T {
         assert!(root < self.size());
         let tag = self.next_collective_tag();
         if self.rank() == root {
             let v = value.expect("broadcast root must supply a value");
             for dst in 0..self.size() {
                 if dst != root {
-                    self.send_raw(dst, tag, v.clone());
+                    self.send_bytes(dst, tag, v.clone(), bytes(&v));
                 }
             }
             v
@@ -44,7 +58,21 @@ impl Communicator {
 
     /// Gather one value per rank at `root`. The root receives `Some(values)`
     /// indexed by rank; other ranks receive `None`.
+    ///
+    /// Each message counts `size_of::<T>()` in `comm.bytes_*`, as
+    /// [`Communicator::broadcast`]'s do; so do `allgather`, `reduce` and
+    /// `allreduce`, which are built on the two.
     pub fn gather<T: Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
+        self.gather_counted(root, value, |_| std::mem::size_of::<T>())
+    }
+
+    /// [`Communicator::gather`], each message counted as `bytes(&value)`.
+    fn gather_counted<T: Send + 'static>(
+        &self,
+        root: usize,
+        value: T,
+        bytes: impl Fn(&T) -> usize,
+    ) -> Option<Vec<T>> {
         assert!(root < self.size());
         let tag = self.next_collective_tag();
         if self.rank() == root {
@@ -57,7 +85,8 @@ impl Communicator {
             }
             Some(out.into_iter().map(Option::unwrap).collect())
         } else {
-            self.send_raw(root, tag, value);
+            let n = bytes(&value);
+            self.send_bytes(root, tag, value, n);
             None
         }
     }
@@ -92,6 +121,10 @@ impl Communicator {
     /// Personalized all-to-all: `sends[d]` goes to rank `d`; returns the
     /// vector received from each rank, indexed by source rank.
     ///
+    /// `comm.bytes_sent` / `comm.bytes_received` count each buffer that
+    /// crosses the wire as its `len · size_of::<T>()` payload bytes; a rank's
+    /// own buffer stays put and is not counted.
+    ///
     /// Panics if `sends.len() != size`.
     pub fn alltoallv<T: Send + 'static>(&self, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(
@@ -104,7 +137,8 @@ impl Communicator {
         let mine = std::mem::take(&mut sends[me]);
         for (dst, buf) in sends.into_iter().enumerate() {
             if dst != me {
-                self.send_raw(dst, tag, buf);
+                let bytes = std::mem::size_of_val(buf.as_slice());
+                self.send_bytes(dst, tag, buf, bytes);
             }
         }
         let mut out: Vec<Vec<T>> = Vec::with_capacity(self.size());
@@ -129,15 +163,25 @@ impl Communicator {
         self.allreduce(value, |a, b| a + b)
     }
 
-    /// Elementwise sum of equal-length `f64` vectors across ranks.
+    /// Elementwise sum of equal-length `f64` vectors across ranks (rank
+    /// order, deterministic), on every rank.
+    ///
+    /// Each vector that crosses the wire counts its `8 · len` payload bytes
+    /// in `comm.bytes_*`.
     pub fn allreduce_sum_vec_f64(&self, value: Vec<f64>) -> Vec<f64> {
-        self.allreduce(value, |mut a, b| {
-            assert_eq!(a.len(), b.len(), "allreduce_sum_vec_f64 length mismatch");
-            for (x, y) in a.iter_mut().zip(&b) {
-                *x += y;
-            }
-            a
-        })
+        let payload = |v: &Vec<f64>| std::mem::size_of_val(v.as_slice());
+        let reduced = self.gather_counted(0, value, payload).map(|vs| {
+            vs.into_iter()
+                .reduce(|mut a, b| {
+                    assert_eq!(a.len(), b.len(), "allreduce_sum_vec_f64 length mismatch");
+                    for (x, y) in a.iter_mut().zip(&b) {
+                        *x += y;
+                    }
+                    a
+                })
+                .expect("world is non-empty")
+        });
+        self.broadcast_counted(0, reduced, payload)
     }
 }
 

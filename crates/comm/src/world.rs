@@ -54,6 +54,8 @@ impl std::error::Error for CommError {}
 struct Envelope {
     src: usize,
     tag: u64,
+    /// Payload bytes, as `comm.bytes_sent` counted them on the way out.
+    bytes: usize,
     payload: Box<dyn Any + Send>,
 }
 
@@ -87,7 +89,10 @@ impl Communicator {
         self.size
     }
 
-    /// Send `value` to rank `dst` with a user `tag`.
+    /// Send `value` to rank `dst` with a user `tag`, counted in
+    /// `comm.bytes_*` as `size_of::<T>()`: the handle, not what it owns.
+    /// Send a vector with [`Communicator::send_vec`], which counts its
+    /// payload.
     ///
     /// Panics if `dst` is out of range or `tag` collides with the reserved
     /// collective tag space.
@@ -99,7 +104,34 @@ impl Communicator {
         self.send_raw(dst, tag, value);
     }
 
+    /// Send the vector `values` to rank `dst` with a user `tag`: counted in
+    /// `comm.bytes_sent` (and, on arrival, `comm.bytes_received`) as its
+    /// `len · size_of::<T>()` payload bytes, where [`Communicator::send`]
+    /// counts `size_of::<T>()`. Receive it with [`Communicator::recv`].
+    ///
+    /// Panics as [`Communicator::send`] does.
+    pub fn send_vec<T: Send + 'static>(&self, dst: usize, tag: u64, values: Vec<T>) {
+        assert!(
+            tag < COLLECTIVE_TAG_BASE,
+            "tag {tag} is reserved for collectives"
+        );
+        let bytes = std::mem::size_of_val(values.as_slice());
+        self.send_bytes(dst, tag, values, bytes);
+    }
+
+    /// Send a value, counted as `size_of::<T>()` bytes.
     pub(crate) fn send_raw<T: Send + 'static>(&self, dst: usize, tag: u64, value: T) {
+        self.send_bytes(dst, tag, value, std::mem::size_of::<T>());
+    }
+
+    /// Send `value`, counted in `comm.bytes_sent` as `bytes`.
+    pub(crate) fn send_bytes<T: Send + 'static>(
+        &self,
+        dst: usize,
+        tag: u64,
+        value: T,
+        bytes: usize,
+    ) {
         assert!(
             dst < self.size,
             "send to rank {dst} out of range {}",
@@ -111,11 +143,12 @@ impl Communicator {
         if faults::poll_site(None, "comm.send", "comm.send") == Some(Fired::Crash) {
             panic!("rank {} crashed by fault injection", self.rank)
         }
-        telemetry::count!("comm", "bytes_sent", std::mem::size_of::<T>());
+        telemetry::count!("comm", "bytes_sent", bytes);
         self.senders[dst]
             .send(Envelope {
                 src: self.rank,
                 tag,
+                bytes,
                 payload: Box::new(value),
             })
             .expect("peer rank hung up while message in flight");
@@ -135,9 +168,8 @@ impl Communicator {
 
     pub(crate) fn recv_raw<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
         self.apply_recv_fault();
-        telemetry::count!("comm", "bytes_received", std::mem::size_of::<T>());
         if let Some(env) = self.take_pending(src, tag) {
-            return Self::downcast(env, src, tag);
+            return Self::accept(env, src, tag);
         }
         loop {
             let env = self
@@ -145,7 +177,7 @@ impl Communicator {
                 .recv()
                 .expect("world shut down while rank was waiting for a message");
             if env.src == src && env.tag == tag {
-                return Self::downcast(env, src, tag);
+                return Self::accept(env, src, tag);
             }
             self.pending.borrow_mut().push(env);
         }
@@ -167,8 +199,7 @@ impl Communicator {
         let deadline = Instant::now() + timeout;
         self.apply_recv_fault();
         if let Some(env) = self.take_pending(src, tag) {
-            telemetry::count!("comm", "bytes_received", std::mem::size_of::<T>());
-            return Ok(Self::downcast(env, src, tag));
+            return Ok(Self::accept(env, src, tag));
         }
         loop {
             let Some(remaining) = deadline
@@ -183,8 +214,7 @@ impl Communicator {
             };
             match self.inbox.recv_timeout(remaining) {
                 Ok(env) if env.src == src && env.tag == tag => {
-                    telemetry::count!("comm", "bytes_received", std::mem::size_of::<T>());
-                    return Ok(Self::downcast(env, src, tag));
+                    return Ok(Self::accept(env, src, tag));
                 }
                 Ok(env) => self.pending.borrow_mut().push(env),
                 Err(RecvTimeoutError::Timeout) => {
@@ -215,7 +245,10 @@ impl Communicator {
         }
     }
 
-    fn downcast<T: 'static>(env: Envelope, src: usize, tag: u64) -> T {
+    /// Count a matched envelope's payload in `comm.bytes_received` and
+    /// unwrap it.
+    fn accept<T: 'static>(env: Envelope, src: usize, tag: u64) -> T {
+        telemetry::count!("comm", "bytes_received", env.bytes);
         *env.payload.downcast::<T>().unwrap_or_else(|_| {
             panic!(
                 "type mismatch receiving from rank {src} tag {tag}: expected {}",

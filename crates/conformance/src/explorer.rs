@@ -335,7 +335,7 @@ fn two_rank_centers(c: &Container) -> Result<Vec<CenterRecord>, SubmitError> {
             .map(|(_, b)| block_center(b))
             .collect();
         if comm.rank() == 1 {
-            comm.send(0, ANALYSIS_TAG, mine);
+            comm.send_vec(0, ANALYSIS_TAG, mine);
             Ok(Vec::new())
         } else {
             let theirs: Vec<CenterRecord> = comm

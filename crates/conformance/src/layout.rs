@@ -31,6 +31,12 @@
 //!   [`Cmp::Approx`] on shapes from `[2,2,2]` to the production `[64,64,64]`;
 //!   on the smallest shapes both also vs a direct O(N²) 3-D DFT sum
 //!   (`dft3_direct`); and each bit-equal across every backend.
+//! * `slab-fft` — [`fft::SlabFft`] forward and inverse on 1, 2, 4 and 8
+//!   ranks (every count that divides the mesh), gathered, vs
+//!   [`fft::RealFft3d`] on the whole grid, bit for bit, at `ng` 2, 4, 16 and
+//!   32; and its typed errors (a layout-A shape handed to the inverse,
+//!   `ng = 1`, a world of the wrong size). It freezes no reference: the
+//!   oracle is the product's own whole-mesh transform.
 //! * `poisson-kspace` — [`nbody::pm::poisson_accel`] (a real-to-complex
 //!   transform, one parallel pass over the half spectrum writing all three
 //!   `g_k` with each Nyquist plane zeroed, three complex-to-real transforms)
@@ -90,7 +96,7 @@ use crate::differential::{roster, Cmp, DiffReport};
 use crate::inputs;
 use comm::{CartDecomp, World};
 use dpp::{Backend, SendPtr, Serial, StaticThreaded, Threaded};
-use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3, RealFft3d};
+use fft::{freq_index, Complex, Fft1d, Fft3d, FftError, Grid3, RealFft3d, SlabFft};
 use halo::massfn::GUIDE_BUCKETS;
 use halo::unionfind::UnionFind;
 use halo::{
@@ -108,7 +114,7 @@ use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 11] = [
+pub const REQUIRED_KERNELS: [&str; 12] = [
     "cic-soa",
     "cic-det",
     "cic-gather",
@@ -118,6 +124,7 @@ pub const REQUIRED_KERNELS: [&str; 11] = [
     "mbp-cols",
     "fft3d-tiled",
     "rfft3d",
+    "slab-fft",
     "poisson-kspace",
     "massfn-sample",
 ];
@@ -905,7 +912,7 @@ fn mirror(x: usize, y: usize, nx: usize, ny: usize) -> (usize, usize) {
 /// A random half spectrum of a real `dims` grid (`dims[2]` even): seeded
 /// values everywhere, then the `kz = 0` and `kz = nz/2` planes — their own
 /// mirrors under `k → −k` — made Hermitian within the plane.
-fn hermitian_half(dims: [usize; 3], rng: &mut StdRng) -> Grid3<Complex> {
+pub(crate) fn hermitian_half(dims: [usize; 3], rng: &mut StdRng) -> Grid3<Complex> {
     let [nx, ny, nz] = dims;
     let mut half = Grid3::from_vec(
         [nx, ny, nz / 2 + 1],
@@ -927,7 +934,7 @@ fn hermitian_half(dims: [usize; 3], rng: &mut StdRng) -> Grid3<Complex> {
 }
 
 /// The full `dims` spectrum a half extends to by `X(−k) = conj X(k)`.
-fn hermitian_extend(half: &Grid3<Complex>, dims: [usize; 3]) -> Grid3<Complex> {
+pub(crate) fn hermitian_extend(half: &Grid3<Complex>, dims: [usize; 3]) -> Grid3<Complex> {
     let [nx, ny, nz] = dims;
     let mut full = Grid3::filled(dims, Complex::ZERO);
     for x in 0..nx {
@@ -948,7 +955,7 @@ fn hermitian_extend(half: &Grid3<Complex>, dims: [usize; 3]) -> Grid3<Complex> {
 /// The 3-D DFT by its definition, one O(N) sum per output bin: forward
 /// `Σ_j g_j e^{−2πi k·j/n}`, or inverse `(1/N) Σ_j g_j e^{+2πi k·j/n}`. Output
 /// bins `kz < out_nz` only, so a forward can stop at the stored half.
-fn dft3_direct(grid: &Grid3<Complex>, inverse: bool, out_nz: usize) -> Grid3<Complex> {
+pub(crate) fn dft3_direct(grid: &Grid3<Complex>, inverse: bool, out_nz: usize) -> Grid3<Complex> {
     let [nx, ny, nz] = grid.dims();
     let sign = if inverse { 1.0 } else { -1.0 };
     let tau = 2.0 * std::f64::consts::PI;
@@ -977,6 +984,55 @@ fn dft3_direct(grid: &Grid3<Complex>, inverse: bool, out_nz: usize) -> Grid3<Com
         }
     }
     out
+}
+
+/// [`fft::SlabFft::forward`] on `nranks` ranks, each fed its x-slab of
+/// `real`, with the ranks' y-slabs laid back into the whole
+/// `[ng, ng, ng/2 + 1]` half spectrum (a rank's error, if any, instead).
+pub(crate) fn slab_forward_gathered(
+    real: &Grid3<f64>,
+    nranks: usize,
+) -> Result<Grid3<Complex>, FftError> {
+    let ng = real.dims()[0];
+    let plan = SlabFft::new(ng, nranks)?;
+    let (s, h) = (plan.slab(), ng / 2 + 1);
+    let slabs = World::new(nranks).run(|c| {
+        let cells = s * ng * ng;
+        let mine = &real.as_slice()[c.rank() * cells..(c.rank() + 1) * cells];
+        plan.forward(c, &Grid3::from_vec([s, ng, ng], mine.to_vec()))
+    });
+    let mut half = Grid3::filled([ng, ng, h], Complex::ZERO);
+    for (r, slab) in slabs.into_iter().enumerate() {
+        let slab = slab?;
+        for (x, run) in slab.as_slice().chunks_exact(s * h).enumerate() {
+            let at = half.index(x, r * s, 0);
+            half.as_mut_slice()[at..at + s * h].copy_from_slice(run);
+        }
+    }
+    Ok(half)
+}
+
+/// [`fft::SlabFft::inverse`] on `nranks` ranks, each fed its y-slab of the
+/// whole half spectrum `half`, with the ranks' real x-slabs laid end to end.
+pub(crate) fn slab_inverse_gathered(
+    half: &Grid3<Complex>,
+    nranks: usize,
+) -> Result<Grid3<f64>, FftError> {
+    let [ng, _, h] = half.dims();
+    let plan = SlabFft::new(ng, nranks)?;
+    let s = plan.slab();
+    let slabs = World::new(nranks).run(|c| {
+        let mine = (0..ng).flat_map(|x| {
+            let at = half.index(x, c.rank() * s, 0);
+            half.as_slice()[at..at + s * h].iter().copied()
+        });
+        plan.inverse(c, Grid3::from_vec([ng, s, h], mine.collect()))
+    });
+    let mut real = Vec::with_capacity(ng * ng * ng);
+    for slab in slabs {
+        real.extend_from_slice(slab?.as_slice());
+    }
+    Ok(Grid3::from_vec([ng, ng, ng], real))
 }
 
 /// The CDF bin of a uniform `u`: `binary_search_by` over the whole CDF,
@@ -1499,6 +1555,86 @@ fn run_layout_differential() -> DiffReport {
             );
         }
     }
+
+    // --- slab-fft --------------------------------------------------------
+    // The distributed transform the `DistSim` solve and the distributed
+    // spectrum run, on every rank count that divides the mesh, against
+    // `RealFft3d` on the gathered grid: the same passes in the same order, so
+    // the same bits. `ng = 2` is one packed point per row; 32 keeps the
+    // 8-rank slabs four planes thick.
+    rep.op("slab-fft");
+    // Its own stream, so the families after it draw what they drew before.
+    let mut slab_rng = StdRng::seed_from_u64(0x05AB_FF73);
+    for ng in [2usize, 4, 16, 32] {
+        let dims = [ng; 3];
+        let plan = RealFft3d::new(dims).expect("power-of-two dims");
+        let real = (0..ng * ng * ng).map(|_| slab_rng.gen_range(-1.0..1.0));
+        let real = Grid3::from_vec(dims, real.collect());
+        let half = hermitian_half(dims, &mut slab_rng);
+        let forward = plan.forward(&Serial, &real).expect("planned dims");
+        let inverse = plan.inverse(&Serial, half.clone()).expect("planned dims");
+        for nranks in [1usize, 2, 4, 8].into_iter().filter(|r| ng % r == 0) {
+            let ranks = format!("ranks-{nranks}");
+            let got = slab_forward_gathered(&real, nranks).expect("a dividing rank count");
+            let case = format!("forward/ng={ng}");
+            rep.check_f64_slice(
+                Cmp::BitEq,
+                "slab-fft",
+                &case,
+                &ranks,
+                &re_im(&forward),
+                &re_im(&got),
+            );
+            let got = slab_inverse_gathered(&half, nranks).expect("a dividing rank count");
+            let case = format!("inverse/ng={ng}");
+            rep.check_f64_slice(
+                Cmp::BitEq,
+                "slab-fft",
+                &case,
+                &ranks,
+                inverse.as_slice(),
+                got.as_slice(),
+            );
+        }
+    }
+    // Typed errors: a layout-A shape handed to the inverse, a mesh too short
+    // for a real transform, and a plan run on a world of another size.
+    let plan = SlabFft::new(8, 2).expect("8 splits in 2");
+    let got = World::new(2).run(|c| {
+        plan.inverse(c, Grid3::filled([4, 8, 8], Complex::ZERO))
+            .err()
+    });
+    let want = FftError::ShapeMismatch {
+        expected: [8, 4, 5],
+        got: [4, 8, 8],
+    };
+    rep.check_eq(
+        "slab-fft",
+        "errors/layout-a-inverse",
+        "ranks-2",
+        &vec![Some(want); 2],
+        &got,
+    );
+    let got = SlabFft::new(1, 1).err();
+    rep.check_eq(
+        "slab-fft",
+        "errors/ng=1",
+        "serial",
+        &Some(FftError::RealAxisTooShort(1)),
+        &got,
+    );
+    let got = World::new(4).run(|c| plan.forward(c, &Grid3::filled([4, 8, 8], 0.0)).err());
+    let want = FftError::RankCountMismatch {
+        expected: 2,
+        got: 4,
+    };
+    rep.check_eq(
+        "slab-fft",
+        "errors/world-size",
+        "ranks-4",
+        &vec![Some(want); 4],
+        &got,
+    );
 
     // --- poisson-kspace --------------------------------------------------
     rep.op("poisson-kspace");

@@ -9,17 +9,23 @@
 //!   [`CartDecomp`] splits of the same universe.
 //! * **MBP** — the O(n²) data-parallel brute-force center finder and the A*
 //!   pruned search agree on the most-bound particle.
-//! * **FFT** — Parseval's theorem, the flat-spectrum impulse identity, the
-//!   DC identity for constant fields, and forward/inverse round-trip.
+//! * **FFT** — Parseval's theorem (over the half spectrum, weighted), the
+//!   flat-spectrum impulse identity, the DC identity for constant fields, and
+//!   forward/inverse round-trip, through the transforms the product runs:
+//!   [`fft::RealFft3d`] and [`fft::SlabFft`] on 1, 2 and 4 ranks. A direct
+//!   triple-sum DFT (`dft3_direct`, no `fft` code) checks them bin by bin.
 //! * **SO mass** — lowering the overdensity threshold Δ can only grow the
 //!   SO radius, mass, and member count (monotonicity).
 //!
 //! Every oracle is deterministic for a given seed and returns `Err(message)`
 //! instead of panicking so [`run_all`] can aggregate failures.
 
+use crate::layout::{
+    dft3_direct, hermitian_extend, hermitian_half, slab_forward_gathered, slab_inverse_gathered,
+};
 use comm::{CartDecomp, World};
 use dpp::Serial;
-use fft::{forward_real, inverse_to_real, Grid3};
+use fft::{Complex, Grid3, RealFft3d};
 use halo::fof::canonical_partition;
 use halo::{fof_grid, mbp_astar, mbp_brute, parallel_fof, so_mass, FofConfig};
 use nbody::particle::Particle;
@@ -241,29 +247,74 @@ fn mbp_agreement(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-const FFT_DIMS: [usize; 3] = [8, 8, 8];
+/// Side of the FFT oracles' grid.
+const FFT_NG: usize = 8;
+const FFT_DIMS: [usize; 3] = [FFT_NG; 3];
+
+/// The product's real transforms: [`RealFft3d`] on the whole mesh (`None`)
+/// and [`fft::SlabFft`] on 1, 2 and 4 ranks, gathered (`Some(ranks)`). Every
+/// FFT oracle below holds each one.
+const TRANSFORMS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(4)];
+
+fn transform_name(t: Option<usize>) -> String {
+    t.map_or("real-fft3d".to_string(), |r| format!("slab-fft/ranks-{r}"))
+}
+
+/// The whole half spectrum of `real` by transform `t`.
+fn forward_by(t: Option<usize>, real: &Grid3<f64>) -> Result<Grid3<Complex>, String> {
+    match t {
+        None => RealFft3d::new(real.dims()).and_then(|plan| plan.forward(&Serial, real)),
+        Some(nranks) => slab_forward_gathered(real, nranks),
+    }
+    .map_err(|e| format!("{}: {e}", transform_name(t)))
+}
+
+/// The real grid whose half spectrum is `half`, by transform `t`.
+fn inverse_by(t: Option<usize>, half: Grid3<Complex>) -> Result<Grid3<f64>, String> {
+    match t {
+        None => RealFft3d::new(FFT_DIMS).and_then(|plan| plan.inverse(&Serial, half)),
+        Some(nranks) => slab_inverse_gathered(&half, nranks),
+    }
+    .map_err(|e| format!("{}: {e}", transform_name(t)))
+}
+
+/// How many full-spectrum bins a half-spectrum bin at `kz` stands for: the
+/// `kz = 0` and `kz = ng/2` planes are their own mirrors, every other plane
+/// is a bin and its conjugate.
+fn half_weight(kz: usize) -> f64 {
+    if kz == 0 || 2 * kz == FFT_NG {
+        1.0
+    } else {
+        2.0
+    }
+}
 
 /// FFT oracle 1: Parseval — `Σ|x|² = (1/N)·Σ|X|²` for an unnormalized
-/// forward transform.
+/// forward transform, the full spectrum's sum taken over the stored half
+/// with [`half_weight`].
 fn fft_parseval(seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFF7);
     let n: usize = FFT_DIMS.iter().product();
     let data: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let grid = Grid3::from_vec(FFT_DIMS, data.clone());
-    let spectrum = forward_real(&Serial, &grid).map_err(|e| format!("fft: {e:?}"))?;
     let time_energy: f64 = data.iter().map(|x| x * x).sum();
-    let freq_energy: f64 = spectrum
-        .as_slice()
-        .iter()
-        .map(|z| z.norm_sqr())
-        .sum::<f64>()
-        / n as f64;
-    let rel = (time_energy - freq_energy).abs() / time_energy.max(1e-300);
-    if rel > 1e-9 {
-        return Err(format!(
-            "Parseval violated: time-domain energy {time_energy}, \
-             frequency-domain energy {freq_energy} (rel {rel:e})"
-        ));
+    let grid = Grid3::from_vec(FFT_DIMS, data);
+    for t in TRANSFORMS {
+        let (name, spectrum) = (transform_name(t), forward_by(t, &grid)?);
+        let h = spectrum.dims()[2];
+        let freq_energy: f64 = spectrum
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(i, z)| half_weight(i % h) * z.norm_sqr())
+            .sum::<f64>()
+            / n as f64;
+        let rel = (time_energy - freq_energy).abs() / time_energy.max(1e-300);
+        if rel > 1e-9 {
+            return Err(format!(
+                "{name}: Parseval violated: time-domain energy {time_energy}, \
+                 frequency-domain energy {freq_energy} (rel {rel:e})"
+            ));
+        }
     }
     Ok(())
 }
@@ -275,54 +326,99 @@ fn fft_impulse_and_dc() -> Result<(), String> {
 
     let mut impulse = Grid3::filled(FFT_DIMS, 0.0f64);
     *impulse.get_mut(1, 2, 3) = 1.0;
-    let spectrum = forward_real(&Serial, &impulse).map_err(|e| format!("fft: {e:?}"))?;
-    for (i, z) in spectrum.as_slice().iter().enumerate() {
-        if (z.abs() - 1.0).abs() > 1e-9 {
-            return Err(format!(
-                "impulse spectrum not flat: |X[{i}]| = {} (expected 1)",
-                z.abs()
-            ));
+    for t in TRANSFORMS {
+        let (name, spectrum) = (transform_name(t), forward_by(t, &impulse)?);
+        for (i, z) in spectrum.as_slice().iter().enumerate() {
+            if (z.abs() - 1.0).abs() > 1e-9 {
+                return Err(format!(
+                    "{name}: impulse spectrum not flat: |X[{i}]| = {} (expected 1)",
+                    z.abs()
+                ));
+            }
         }
     }
 
     let constant = Grid3::filled(FFT_DIMS, 2.5f64);
-    let spectrum = forward_real(&Serial, &constant).map_err(|e| format!("fft: {e:?}"))?;
-    let dc = spectrum.as_slice()[0];
-    if (dc.re - 2.5 * n as f64).abs() > 1e-9 * n as f64 || dc.im.abs() > 1e-9 {
-        return Err(format!(
-            "DC bin wrong: {dc:?} (expected {})",
-            2.5 * n as f64
-        ));
-    }
-    for (i, z) in spectrum.as_slice().iter().enumerate().skip(1) {
-        if z.abs() > 1e-9 * n as f64 {
+    for t in TRANSFORMS {
+        let (name, spectrum) = (transform_name(t), forward_by(t, &constant)?);
+        let dc = spectrum.as_slice()[0];
+        if (dc.re - 2.5 * n as f64).abs() > 1e-9 * n as f64 || dc.im.abs() > 1e-9 {
             return Err(format!(
-                "constant field leaked into bin {i}: |X| = {}",
-                z.abs()
+                "{name}: DC bin wrong: {dc:?} (expected {})",
+                2.5 * n as f64
             ));
+        }
+        for (i, z) in spectrum.as_slice().iter().enumerate().skip(1) {
+            if z.abs() > 1e-9 * n as f64 {
+                return Err(format!(
+                    "{name}: constant field leaked into bin {i}: |X| = {}",
+                    z.abs()
+                ));
+            }
         }
     }
     Ok(())
 }
 
-/// FFT oracle 3: `inverse(forward(x)) = x` to round-off, with negligible
-/// imaginary residue.
+/// FFT oracle 3: `inverse(forward(x)) = x` to round-off, through each
+/// transform's own inverse.
 fn fft_roundtrip(seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0F0F);
     let n: usize = FFT_DIMS.iter().product();
     let data: Vec<f64> = (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect();
     let grid = Grid3::from_vec(FFT_DIMS, data.clone());
-    let mut spectrum = forward_real(&Serial, &grid).map_err(|e| format!("fft: {e:?}"))?;
-    let (back, max_im) =
-        inverse_to_real(&Serial, &mut spectrum).map_err(|e| format!("fft: {e:?}"))?;
-    if max_im > 1e-9 {
-        return Err(format!(
-            "round-trip imaginary residue too large: {max_im:e}"
-        ));
+    for t in TRANSFORMS {
+        let (name, back) = (transform_name(t), inverse_by(t, forward_by(t, &grid)?)?);
+        for (i, (a, b)) in data.iter().zip(back.as_slice()).enumerate() {
+            if (a - b).abs() > 1e-9 * a.abs().max(1.0) {
+                return Err(format!("{name}: round-trip drift at {i}: {a} vs {b}"));
+            }
+        }
     }
-    for (i, (a, b)) in data.iter().zip(back.as_slice()).enumerate() {
-        if (a - b).abs() > 1e-9 * a.abs().max(1.0) {
-            return Err(format!("round-trip drift at {i}: {a} vs {b}"));
+    Ok(())
+}
+
+/// FFT oracle 4, the independent check of the three above: each transform
+/// agrees bin by bin with `dft3_direct` — the DFT as its triple sum, no
+/// `fft` code — forward on a seeded real grid, and inverse on a seeded
+/// Hermitian half against `Re` of the direct inverse of its extension.
+fn fft_matches_direct_dft(seed: u64) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xD1F7);
+    let n: usize = FFT_DIMS.iter().product();
+    let h = FFT_NG / 2 + 1;
+    let real = Grid3::from_vec(FFT_DIMS, (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect());
+    let promoted = real.as_slice().iter().map(|&v| Complex::new(v, 0.0));
+    let direct = dft3_direct(&Grid3::from_vec(FFT_DIMS, promoted.collect()), false, h);
+    let half = hermitian_half(FFT_DIMS, &mut rng);
+    let direct_inverse = dft3_direct(&hermitian_extend(&half, FFT_DIMS), true, FFT_NG);
+    let tol = 1e-12 * n as f64;
+    for t in TRANSFORMS {
+        let (name, spectrum) = (transform_name(t), forward_by(t, &real)?);
+        for (i, (want, got)) in direct
+            .as_slice()
+            .iter()
+            .zip(spectrum.as_slice())
+            .enumerate()
+        {
+            if (*want - *got).abs() > tol {
+                return Err(format!(
+                    "{name}: bin {i} is {got:?}, the direct sum {want:?}"
+                ));
+            }
+        }
+        let back = inverse_by(t, half.clone())?;
+        for (i, (want, got)) in direct_inverse
+            .as_slice()
+            .iter()
+            .zip(back.as_slice())
+            .enumerate()
+        {
+            if (want.re - got).abs() > tol / n as f64 {
+                return Err(format!(
+                    "{name}: inverse cell {i} is {got}, the direct sum {}",
+                    want.re
+                ));
+            }
         }
     }
     Ok(())
@@ -386,6 +482,7 @@ pub fn run_all(seed: u64) -> Vec<String> {
         ("fft_parseval", fft_parseval(seed)),
         ("fft_impulse_and_dc", fft_impulse_and_dc()),
         ("fft_roundtrip", fft_roundtrip(seed)),
+        ("fft_matches_direct_dft", fft_matches_direct_dft(seed)),
         ("so_monotonicity", so_monotonicity(seed)),
     ];
     checks
@@ -420,6 +517,7 @@ mod tests {
         fft_impulse_and_dc().unwrap();
         fft_parseval(3).unwrap();
         fft_roundtrip(3).unwrap();
+        fft_matches_direct_dft(3).unwrap();
     }
 
     #[test]

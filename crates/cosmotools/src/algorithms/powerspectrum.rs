@@ -45,13 +45,9 @@ pub fn compute_power_spectrum(
     power_spectrum_of_field(backend, &delta, box_size, nbins)
 }
 
-/// Measure the power spectrum of an existing overdensity field.
-///
-/// One real-to-complex transform: the half spectrum holds `kz = 0..=ng/2`,
-/// and every bin with `0 < kz < ng/2` stands for itself and its mirror
-/// `−k`, which has the same `|k|` and `|δ_k|²`. So interior-`kz` bins carry
-/// weight 2 and the `kz = 0` and `kz = ng/2` planes (their own mirrors)
-/// weight 1, and each bin's `modes` is the count over the full grid.
+/// Measure the power spectrum of an existing overdensity field: one
+/// real-to-complex transform, then [`bin_half_spectrum`] over the whole half
+/// spectrum.
 fn power_spectrum_of_field(
     backend: &dyn Backend,
     delta: &Grid3<f64>,
@@ -66,7 +62,21 @@ fn power_spectrum_of_field(
         plan.forward(backend, delta).expect("fft")
     };
     let _span = telemetry::span!(LAYER, "binning", ng);
+    power_bins(bin_half_spectrum(&dk, 0, box_size, nbins))
+}
 
+/// Bin sums of a half spectrum `δ_k`: `[Σ w·k, Σ w·P, Σ w]` per log-spaced
+/// bin from `k_fund` to `k_nyquist`, `P = V·|δ_k|²/N_cells²`.
+///
+/// `δ_k` is `[ng, sy, ng/2 + 1]`, x-major, holding the global `y` bins
+/// `y0..y0 + sy` — the whole mesh's half spectrum (`y0 = 0`) or a rank's
+/// `fft::SlabFft` y-slab of it. Every bin with `0 < kz < ng/2` stands for
+/// itself and its mirror `−k`, which has the same `|k|` and `|δ_k|²`, so it
+/// carries weight `w = 2`, and the `kz = 0` and `kz = ng/2` planes (their own
+/// mirrors) weight 1: the counts are the full grid's. They are whole numbers
+/// held as `f64`, so slabs' sums reduce exactly.
+fn bin_half_spectrum(dk: &Grid3<Complex>, y0: usize, box_size: f64, nbins: usize) -> [Vec<f64>; 3] {
+    let [ng, sy, h] = dk.dims();
     let kfund = 2.0 * std::f64::consts::PI / box_size;
     let knyq = kfund * (ng as f64) / 2.0;
     let ncells = (ng * ng * ng) as f64;
@@ -76,10 +86,11 @@ fn power_spectrum_of_field(
     let lmax = knyq.ln();
     let mut k_sum = vec![0.0f64; nbins];
     let mut p_sum = vec![0.0f64; nbins];
-    let mut count = vec![0u64; nbins];
+    let mut count = vec![0.0f64; nbins];
     for x in 0..ng {
-        for y in 0..ng {
-            for z in 0..=ng / 2 {
+        for yl in 0..sy {
+            let y = y0 + yl;
+            for z in 0..h {
                 if (x, y, z) == (0, 0, 0) {
                     continue;
                 }
@@ -91,31 +102,36 @@ fn power_spectrum_of_field(
                     continue;
                 }
                 let b = (((k.ln() - lmin) / (lmax - lmin) * nbins as f64) as usize).min(nbins - 1);
-                let amp2 = dk.get(x, y, z).norm_sqr() / (ncells * ncells);
-                let weight = if z == 0 || 2 * z == ng { 1 } else { 2 };
-                k_sum[b] += weight as f64 * k;
-                p_sum[b] += weight as f64 * amp2 * volume;
+                let amp2 = dk.get(x, yl, z).norm_sqr() / (ncells * ncells);
+                let weight = if z == 0 || 2 * z == ng { 1.0 } else { 2.0 };
+                k_sum[b] += weight * k;
+                p_sum[b] += weight * amp2 * volume;
                 count[b] += weight;
             }
         }
     }
-    (0..nbins)
-        .filter(|&b| count[b] > 0)
+    [k_sum, p_sum, count]
+}
+
+/// The non-empty bins of [`bin_half_spectrum`]'s sums.
+fn power_bins([k_sum, p_sum, count]: [Vec<f64>; 3]) -> Vec<PowerBin> {
+    (0..count.len())
+        .filter(|&b| count[b] > 0.0)
         .map(|b| PowerBin {
-            k: k_sum[b] / count[b] as f64,
-            power: p_sum[b] / count[b] as f64,
-            modes: count[b],
+            k: k_sum[b] / count[b],
+            power: p_sum[b] / count[b],
+            modes: count[b] as u64,
         })
         .collect()
 }
 
-/// Distributed (rank-parallel) power spectrum: slab CIC deposit, slab FFT,
-/// local binning of each rank's y-slab of the spectrum, and an allreduce of
-/// the bin sums — the form the in-situ task takes inside the distributed
-/// main loop ("density estimation on a regular grid via CIC and very large
-/// FFTs", §1). Every rank returns the same full spectrum. Each phase is a
-/// `cosmotools.powerspectrum` span whose argument is the rank; `binning`
-/// covers the bin allreduce.
+/// Distributed (rank-parallel) power spectrum: slab CIC deposit, slab
+/// real-to-complex FFT, `bin_half_spectrum` over each rank's y-slab of the
+/// half spectrum, and an allreduce of the bin sums — the form the in-situ
+/// task takes inside the distributed main loop ("density estimation on a
+/// regular grid via CIC and very large FFTs", §1). Every rank returns the
+/// same full spectrum. Each phase is a `cosmotools.powerspectrum` span whose
+/// argument is the rank; `binning` covers the bin allreduce.
 pub fn distributed_power_spectrum(
     comm: &comm::Communicator,
     locals: &[Particle],
@@ -130,60 +146,13 @@ pub fn distributed_power_spectrum(
         nbody::distributed::slab_deposit(comm, locals, ng, box_size)
     };
     let plan = fft::SlabFft::new(ng, comm.size()).expect("validated");
-    let s = ng / comm.size();
     let dk = {
         let _span = telemetry::span!(LAYER, "transform", rank);
-        let field = delta
-            .as_slice()
-            .iter()
-            .map(|&v| Complex::from_real(v))
-            .collect();
-        plan.forward(comm, Grid3::from_vec([s, ng, ng], field))
-            .expect("planned dims")
+        plan.forward(comm, &delta).expect("planned dims")
     };
     let _span = telemetry::span!(LAYER, "binning", rank);
-
-    let kfund = 2.0 * std::f64::consts::PI / box_size;
-    let knyq = kfund * (ng as f64) / 2.0;
-    let ncells = (ng * ng * ng) as f64;
-    let volume = box_size.powi(3);
-    let (lmin, lmax) = (kfund.ln(), knyq.ln());
-    let mut k_sum = vec![0.0f64; nbins];
-    let mut p_sum = vec![0.0f64; nbins];
-    let mut count = vec![0.0f64; nbins];
-    for yl in 0..s {
-        for x in 0..ng {
-            for z in 0..ng {
-                let (fx, fy, fz) = plan.freqs_b(comm.rank(), yl, x, z);
-                if (fx, fy, fz) == (0, 0, 0) {
-                    continue;
-                }
-                let kx = kfund * fx as f64;
-                let ky = kfund * fy as f64;
-                let kz = kfund * fz as f64;
-                let k = (kx * kx + ky * ky + kz * kz).sqrt();
-                if k > knyq {
-                    continue;
-                }
-                let b = (((k.ln() - lmin) / (lmax - lmin) * nbins as f64) as usize).min(nbins - 1);
-                k_sum[b] += k;
-                p_sum[b] += dk.get(yl, x, z).norm_sqr() / (ncells * ncells) * volume;
-                count[b] += 1.0;
-            }
-        }
-    }
-    // Global bin reduction.
-    let k_sum = comm.allreduce_sum_vec_f64(k_sum);
-    let p_sum = comm.allreduce_sum_vec_f64(p_sum);
-    let count = comm.allreduce_sum_vec_f64(count);
-    (0..nbins)
-        .filter(|&b| count[b] > 0.0)
-        .map(|b| PowerBin {
-            k: k_sum[b] / count[b],
-            power: p_sum[b] / count[b],
-            modes: count[b] as u64,
-        })
-        .collect()
+    let sums = bin_half_spectrum(&dk, rank * plan.slab(), box_size, nbins);
+    power_bins(sums.map(|v| comm.allreduce_sum_vec_f64(v)))
 }
 
 /// The in-situ power-spectrum task: cheap, well balanced, runs every few

@@ -5,12 +5,22 @@
 //! lines on a [`dpp::Backend`] (contiguous axis in place, strided axes
 //! tiled), and the real-to-complex 3-D transform ([`RealFft3d`]) that takes a
 //! real grid to the `nz/2 + 1`-column half of its Hermitian spectrum and back
-//! — half the data and half the work of promoting it to complex. The
-//! whole-mesh callers are all real: the particle-mesh Poisson solve and the
-//! initial conditions (`nbody`) and the in-situ power spectrum
-//! (`cosmotools`) run on [`RealFft3d`]; [`Fft3d`] is for complex data, and
-//! [`SlabFft`] is the rank-distributed complex transform. A dense [`Grid3`]
-//! container and the complex-output real-grid helpers round it out.
+//! — half the data and half the work of promoting it to complex.
+//!
+//! Every product caller is real and runs one of two real transforms built
+//! from the same passes — a packed z-row kernel, then the strided complex
+//! line pass — in the same order:
+//!
+//! * [`RealFft3d`] on the whole mesh: the particle-mesh Poisson solve and the
+//!   initial conditions (`nbody`) and the in-situ power spectrum
+//!   (`cosmotools`);
+//! * [`SlabFft`], rank-distributed over x-slabs with one transpose
+//!   carrying `ng/2 + 1` columns: `DistSim`'s slab solve and the distributed
+//!   power spectrum. Gathered, its slabs are [`RealFft3d`]'s bits.
+//!
+//! [`Fft3d`] is for complex data; it and the complex-output real-grid helpers
+//! ([`forward_real`], [`inverse_to_real`]) have no product caller. A dense
+//! [`Grid3`] container rounds it out.
 //!
 //! ```
 //! use fft::{Complex, Fft1d};

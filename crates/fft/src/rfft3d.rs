@@ -31,9 +31,13 @@
 //!   `nz/2 + 1` columns: exactly [`crate::Fft3d`]'s tiled strided pass
 //!   (`fft3d::transform_axis`), on a grid with shorter rows.
 //!
-//! The forward runs z, then x and y; the inverse x and y, then z. Every row
-//! and line is transformed alone, so the result is the same bits on every
-//! backend (`conformance::layout`, `rfft3d`).
+//! The forward runs z, then y, then x; the inverse x, then y, then z — the
+//! order of [`crate::SlabFft`], whose x pass has to wait for its transpose,
+//! so the two transforms are the same passes in the same order and agree bit
+//! for bit (`conformance::layout`, `slab-fft`). The z passes are one private
+//! row kernel both own. Every row and line is transformed alone, so the
+//! result is the same bits on every backend (`conformance::layout`,
+//! `rfft3d`).
 //!
 //! # What the inverse reads
 //!
@@ -59,29 +63,19 @@ pub struct RealFft3d {
     dims: [usize; 3],
     /// The x and y plans, for the strided passes over the half spectrum.
     plans: [Fft1d; 2],
-    /// The `nz/2`-point plan the packed z rows run through.
-    half: Fft1d,
-    /// `W^k = e^{−2πik/nz}` for `k < nz/4`: the pairwise untangle's twiddles.
-    twiddles: Vec<Complex>,
+    /// The packed z-row kernel.
+    rows: RealRows,
 }
 
 impl RealFft3d {
     /// Plan transforms of real grids of shape `dims`: each axis a power of
     /// two, and `nz ≥ 2`.
     pub fn new(dims: [usize; 3]) -> Result<Self, FftError> {
-        let nz = dims[2];
-        Fft1d::new(nz)?;
-        if nz < 2 {
-            return Err(FftError::RealAxisTooShort(nz));
-        }
-        let twiddles = (0..nz / 4)
-            .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / nz as f64))
-            .collect();
+        let rows = RealRows::new(dims[2])?;
         Ok(RealFft3d {
             dims,
             plans: [Fft1d::new(dims[0])?, Fft1d::new(dims[1])?],
-            half: Fft1d::new(nz / 2)?,
-            twiddles,
+            rows,
         })
     }
 
@@ -105,21 +99,8 @@ impl RealFft3d {
             });
         }
         let _span = telemetry::span!("fft", "r2c", real.len());
-        let (nz, h) = (self.dims[2], self.spectrum_dims()[2]);
-        let mut spec = Grid3::filled(self.spectrum_dims(), Complex::ZERO);
-        let src = real.as_slice();
-        let dst = SendPtr(spec.as_mut_slice().as_mut_ptr());
-        self.dispatch_rows(backend, &|rows| {
-            // SAFETY: rows `[rows.start, rows.end)` of the half spectrum are
-            // the flat range `[rows.start·h, rows.end·h)`, in bounds and
-            // disjoint from every other chunk's.
-            let out = unsafe { dst.slice_mut(rows.start * h, rows.len() * h) };
-            let input = &src[rows.start * nz..rows.end * nz];
-            for (x, row) in input.chunks_exact(nz).zip(out.chunks_exact_mut(h)) {
-                self.r2c_row(x, row);
-            }
-        });
-        for axis in [0, 1] {
+        let mut spec = self.rows.forward(backend, real);
+        for axis in [1, 0] {
             transform_axis(backend, &self.plans[axis], &mut spec, axis, false);
         }
         Ok(spec)
@@ -143,34 +124,91 @@ impl RealFft3d {
         for axis in [0, 1] {
             transform_axis(backend, &self.plans[axis], &mut spec, axis, true);
         }
-        let (nz, h) = (self.dims[2], self.spectrum_dims()[2]);
+        Ok(self.rows.inverse(backend, spec))
+    }
+}
+
+/// The z-row passes of a real transform: every contiguous row of `n` reals
+/// to its `n/2 + 1` spectral bins (the packed half-length transform and the
+/// untangle of the module docs) and back. [`RealFft3d`] runs them over the
+/// whole mesh and [`crate::SlabFft`] over its x-slab; both own one.
+#[derive(Debug, Clone)]
+pub(crate) struct RealRows {
+    /// The `n/2`-point plan the packed rows run through.
+    half: Fft1d,
+    /// `W^k = e^{−2πik/n}` for `k < n/4`: the pairwise untangle's twiddles.
+    twiddles: Vec<Complex>,
+}
+
+impl RealRows {
+    /// Rows of `n` reals: a power of two, at least 2.
+    pub(crate) fn new(n: usize) -> Result<Self, FftError> {
+        Fft1d::new(n)?;
+        if n < 2 {
+            return Err(FftError::RealAxisTooShort(n));
+        }
+        let twiddles = (0..n / 4)
+            .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
+            .collect();
+        Ok(RealRows {
+            half: Fft1d::new(n / 2)?,
+            twiddles,
+        })
+    }
+
+    /// Row length of the real side.
+    fn n(&self) -> usize {
+        2 * self.half.len()
+    }
+
+    /// Every row of a real `[a, b, n]` grid to the `[a, b, n/2 + 1]` grid of
+    /// their spectra.
+    pub(crate) fn forward(&self, backend: &dyn Backend, real: &Grid3<f64>) -> Grid3<Complex> {
+        let [a, b, n] = real.dims();
+        debug_assert_eq!(n, self.n(), "row length must match the plan");
+        let h = n / 2 + 1;
+        let mut spec = Grid3::filled([a, b, h], Complex::ZERO);
+        let src = real.as_slice();
+        let dst = SendPtr(spec.as_mut_slice().as_mut_ptr());
+        dispatch_rows(backend, a * b, &|rows| {
+            // SAFETY: rows `[rows.start, rows.end)` of the half spectrum are
+            // the flat range `[rows.start·h, rows.end·h)`, in bounds and
+            // disjoint from every other chunk's.
+            let out = unsafe { dst.slice_mut(rows.start * h, rows.len() * h) };
+            let input = &src[rows.start * n..rows.end * n];
+            for (x, row) in input.chunks_exact(n).zip(out.chunks_exact_mut(h)) {
+                self.r2c_row(x, row);
+            }
+        });
+        spec
+    }
+
+    /// Every row of an `[a, b, n/2 + 1]` spectrum back to its `n` reals,
+    /// in place: the `[a, b, n]` real grid in the spectrum's own storage.
+    pub(crate) fn inverse(&self, backend: &dyn Backend, mut spec: Grid3<Complex>) -> Grid3<f64> {
+        let [a, b, h] = spec.dims();
+        let n = self.n();
+        debug_assert_eq!(h, n / 2 + 1, "row length must match the plan");
         let ptr = SendPtr(spec.as_mut_slice().as_mut_ptr());
-        self.dispatch_rows(backend, &|rows| {
+        dispatch_rows(backend, a * b, &|rows| {
             // SAFETY: as in `forward`.
             let block = unsafe { ptr.slice_mut(rows.start * h, rows.len() * h) };
             for row in block.chunks_exact_mut(h) {
                 self.c2r_row(row);
             }
         });
-        // Row `r`'s values are now the `2h = nz + 2` reals from `r·2h`, its
-        // first `nz` the output: close the rows up, in order (a row's new
+        // Row `r`'s values are now the `2h = n + 2` reals from `r·2h`, its
+        // first `n` the output: close the rows up, in order (a row's new
         // place overlaps only rows already moved), and keep the storage.
         let mut real = reals(spec.into_vec());
-        for r in 1..self.dims[0] * self.dims[1] {
-            real.copy_within(r * 2 * h..r * 2 * h + nz, r * nz);
+        for r in 1..a * b {
+            real.copy_within(r * 2 * h..r * 2 * h + n, r * n);
         }
-        real.truncate(self.dims.iter().product());
-        Ok(Grid3::from_vec(self.dims, real))
+        real.truncate(a * b * n);
+        Grid3::from_vec([a, b, n], real)
     }
 
-    /// Run `body` over the `nx·ny` z rows, a few chunks per worker.
-    fn dispatch_rows(&self, backend: &dyn Backend, body: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
-        let rows = self.dims[0] * self.dims[1];
-        let grain = (rows / (4 * backend.concurrency().max(1))).max(1);
-        backend.dispatch(rows, grain, body);
-    }
-
-    /// One real row of `nz` values to its `nz/2 + 1` spectral bins.
+    /// One real row of `n` values to its `n/2 + 1` spectral bins.
     fn r2c_row(&self, x: &[f64], row: &mut [Complex]) {
         let m = x.len() / 2;
         for (z, pair) in row.iter_mut().zip(x.chunks_exact(2)) {
@@ -194,8 +232,8 @@ impl RealFft3d {
         }
     }
 
-    /// One row of `nz/2 + 1` spectral bins to its `nz` real values, in place:
-    /// they are left in the first `nz/2` cells, `x[2j] + i·x[2j+1]` in cell
+    /// One row of `n/2 + 1` spectral bins to its `n` real values, in place:
+    /// they are left in the first `n/2` cells, `x[2j] + i·x[2j+1]` in cell
     /// `j`. The inverse of [`Self::r2c_row`].
     fn c2r_row(&self, row: &mut [Complex]) {
         let m = row.len() - 1;
@@ -214,6 +252,16 @@ impl RealFft3d {
         }
         self.half.run(&mut row[..m], true);
     }
+}
+
+/// Run `body` over `rows` rows, a few chunks per worker.
+fn dispatch_rows(
+    backend: &dyn Backend,
+    rows: usize,
+    body: &(dyn Fn(std::ops::Range<usize>) + Sync),
+) {
+    let grain = (rows / (4 * backend.concurrency().max(1))).max(1);
+    backend.dispatch(rows, grain, body);
 }
 
 /// A complex vector's storage as the reals it holds, `re` then `im` per

@@ -8,12 +8,12 @@
 //! over long ones (the system is chaotic: summation orders diverge).
 
 use crate::particle::Particle;
-use crate::pm::gather_accel;
+use crate::pm::{gather_accel, gradient_spectra, grid_wavenumbers};
 use crate::sim::SimConfig;
 use crate::stepper::{driver_accessors, ForceProvider, Stepper};
 use comm::Communicator;
 use dpp::{Backend, Serial};
-use fft::{Complex, Grid3, SlabFft};
+use fft::{Grid3, SlabFft};
 
 /// Tag base for the ring plane exchanges (below the collective tag space).
 const PLANE_TAG_BASE: u64 = 1 << 40;
@@ -27,6 +27,8 @@ pub struct DistSim<'a>(Stepper<Slabs<'a>>);
 struct Slabs<'a> {
     comm: &'a Communicator,
     slab_fft: SlabFft,
+    /// The grid angular frequency of every bin, as `PoissonSolver` keeps.
+    k: Vec<f64>,
     plane_seq: u64,
 }
 
@@ -46,6 +48,7 @@ impl<'a> DistSim<'a> {
         let slabs = Slabs {
             comm,
             slab_fft: SlabFft::new(ng, nr).expect("a power-of-two mesh"),
+            k: grid_wavenumbers(ng),
             plane_seq: 0,
         };
         let mut stepper = Stepper::new(&Serial, cfg, slabs);
@@ -113,49 +116,24 @@ impl Slabs<'_> {
     /// Distributed Poisson solve: returns the three acceleration slabs, each
     /// with an extra ghost plane appended (dims `[slab+1, ng, ng]`) so CIC
     /// interpolation can reach across the upper boundary.
+    ///
+    /// The whole-mesh solve on slabs: one slab real-to-complex transform,
+    /// `gradient_spectra` over this rank's y-slab of the half spectrum (its
+    /// first global `y` as the offset, the Nyquist rule included), three
+    /// slab complex-to-real transforms.
     fn accel_slabs(&mut self, delta: &Grid3<f64>, prefactor: f64) -> [Grid3<f64>; 3] {
         let _span = telemetry::span!("nbody", "pm_solve");
         let [s, ng, _] = delta.dims();
-        let two_pi = 2.0 * std::f64::consts::PI;
-        let a_complex = Grid3::from_vec(
-            [s, ng, ng],
-            delta
-                .as_slice()
-                .iter()
-                .map(|&v| Complex::from_real(v))
-                .collect(),
-        );
         let spectrum = self
             .slab_fft
-            .forward(self.comm, a_complex)
+            .forward(self.comm, delta)
             .expect("planned dims");
-
-        [0, 1, 2].map(|axis| {
-            let mut gk = spectrum.clone();
-            for yl in 0..s {
-                for x in 0..ng {
-                    for z in 0..ng {
-                        let (fx, fy, fz) = self.slab_fft.freqs_b(self.comm.rank(), yl, x, z);
-                        let kx = two_pi * fx as f64 / ng as f64;
-                        let ky = two_pi * fy as f64 / ng as f64;
-                        let kz = two_pi * fz as f64 / ng as f64;
-                        let k2 = kx * kx + ky * ky + kz * kz;
-                        let v = gk.get_mut(yl, x, z);
-                        if k2 == 0.0 {
-                            *v = Complex::ZERO;
-                            continue;
-                        }
-                        let kd = [kx, ky, kz][axis];
-                        let d = *v;
-                        // g_k = i·k_d·prefactor·δ_k / k².
-                        *v = Complex::new(-d.im, d.re).scale(kd * prefactor / k2);
-                    }
-                }
-            }
+        let y0 = self.comm.rank() * s;
+        gradient_spectra(&Serial, &self.k, y0, prefactor, spectrum).map(|gk| {
             let real_slab = self.slab_fft.inverse(self.comm, gk).expect("planned dims");
             // Append the ghost plane from the next rank (its plane 0).
-            let mut field: Vec<f64> = real_slab.as_slice().iter().map(|c| c.re).collect();
-            let my_plane0: Vec<f64> = field[..ng * ng].to_vec();
+            let mut field = real_slab.into_vec();
+            let my_plane0 = field[..ng * ng].to_vec();
             let tag = self.next_plane_tag();
             field.extend_from_slice(&ring_shift(self.comm, tag, my_plane0, false));
             Grid3::from_vec([s + 1, ng, ng], field)
@@ -207,7 +185,7 @@ fn ring_shift(comm: &Communicator, tag: u64, plane: Vec<f64>, up: bool) -> Vec<f
     }
     let (next, prev) = ((r + 1) % nr, (r + nr - 1) % nr);
     let (to, from) = if up { (next, prev) } else { (prev, next) };
-    comm.send(to, tag, plane);
+    comm.send_vec(to, tag, plane);
     comm.recv(from, tag)
 }
 

@@ -449,12 +449,9 @@ pub struct PoissonSolver {
 impl PoissonSolver {
     /// Solver for an `ng³` mesh (`ng` a power of two, at least 2).
     pub fn new(ng: usize) -> Self {
-        let two_pi = 2.0 * std::f64::consts::PI;
         PoissonSolver {
             plan: RealFft3d::new([ng, ng, ng]).expect("mesh dims must be powers of two ≥ 2"),
-            k: (0..ng)
-                .map(|i| two_pi * freq_index(i, ng) as f64 / ng as f64)
-                .collect(),
+            k: grid_wavenumbers(ng),
         }
     }
 
@@ -474,9 +471,18 @@ impl PoissonSolver {
         let ng = self.k.len();
         assert_eq!(delta.dims(), [ng, ng, ng], "mesh/solver shape mismatch");
         let delta_k = self.plan.forward(backend, delta).expect("planned dims");
-        gradient_spectra(backend, &self.k, prefactor, delta_k)
+        gradient_spectra(backend, &self.k, 0, prefactor, delta_k)
             .map(|gk| self.plan.inverse(backend, gk).expect("planned dims"))
     }
+}
+
+/// `2π·freq_index(i, ng)/ng` for every bin `i` of an `ng`-point axis: the
+/// grid angular frequencies `gradient_spectra` reads.
+pub(crate) fn grid_wavenumbers(ng: usize) -> Vec<f64> {
+    let two_pi = 2.0 * std::f64::consts::PI;
+    (0..ng)
+        .map(|i| two_pi * freq_index(i, ng) as f64 / ng as f64)
+        .collect()
 }
 
 /// The half spectra of the three components of `g = −∇φ`, `∇²φ =
@@ -484,7 +490,13 @@ impl PoissonSolver {
 /// whose angular frequencies per bin are `k`: `g_d = i·k_d·(prefactor /
 /// k²)·δ_k`, zero at `k = 0`. `δ_k`'s grid is overwritten by `g_x`.
 ///
-/// Dispatched over the `ng²` rows `(x, y)` — 4 096 at 64³, which clears
+/// `δ_k` is `[ng, sy, ng/2 + 1]`, x-major, and holds the global `y` bins
+/// `y0..y0 + sy`: the whole mesh is `y0 = 0, sy = ng`, and a slab solve
+/// passes its layout-B y-slab (`fft::SlabFft`) with the slab's first global
+/// `y`. Each cell reads the same `k` entries either way, so a slab's cells
+/// are the whole mesh's, bit for bit.
+///
+/// Dispatched over the `ng·sy` rows `(x, y)` — 4 096 at 64³, which clears
 /// dpp's small-n inline threshold where `ng` planes would not; per cell it
 /// reads `δ_k` once, forms `prefactor / k²` once and writes all three
 /// components — the expression, operand for operand, of solving one axis at a
@@ -501,13 +513,18 @@ impl PoissonSolver {
 pub(crate) fn gradient_spectra(
     backend: &dyn Backend,
     k: &[f64],
+    y0: usize,
     prefactor: f64,
     delta_k: Grid3<Complex>,
 ) -> [Grid3<Complex>; 3] {
     let ng = k.len();
     let (nyquist, h) = (ng / 2, ng / 2 + 1);
-    let dims = [ng, ng, h];
-    assert_eq!(delta_k.dims(), dims, "half spectrum/k table shape mismatch");
+    let dims = delta_k.dims();
+    let sy = dims[1];
+    assert!(
+        dims[0] == ng && dims[2] == h && y0 + sy <= ng,
+        "half spectrum {dims:?} from y = {y0} does not fit the {ng}-bin k table"
+    );
     let mut spec = [
         delta_k,
         Grid3::filled(dims, Complex::ZERO),
@@ -516,7 +533,7 @@ pub(crate) fn gradient_spectra(
     let grids = spec
         .each_mut()
         .map(|g| SendPtr(g.as_mut_slice().as_mut_ptr()));
-    let rows = ng * ng;
+    let rows = ng * sy;
     let grain = (rows / (4 * backend.concurrency().max(1))).max(1);
     backend.dispatch(rows, grain, &|chunk| {
         for row in chunk {
@@ -524,7 +541,7 @@ pub(crate) fn gradient_spectra(
             // each grid, in bounds and touched by this chunk only.
             let [gx, gy, gz] =
                 [&grids[0], &grids[1], &grids[2]].map(|g| unsafe { g.slice_mut(row * h, h) });
-            let (x, y) = (row / ng, row % ng);
+            let (x, y) = (row / sy, y0 + row % sy);
             let (kx, ky) = (k[x], k[y]);
             for z in 0..h {
                 let kz = k[z];
