@@ -119,7 +119,8 @@ fn bench_threshold_sweep(c: &mut Criterion) {
             halo_sizes: base.halo_sizes.clone(),
             ..base.clone()
         };
-        let [in_situ, _, combined] = frame.workflow_costs(&spec);
+        let costs = frame.workflow_costs_all(&spec);
+        let (in_situ, combined) = (&costs[0], &costs[2]);
         let ci = in_situ.analysis_core_hours();
         let cc = combined.analysis_core_hours();
         let label = if threshold == u64::MAX {
@@ -139,7 +140,7 @@ fn bench_threshold_sweep(c: &mut Criterion) {
                 halo_sizes: base.halo_sizes.clone(),
                 ..base.clone()
             };
-            frame.workflow_costs(&spec)
+            frame.workflow_costs_all(&spec)
         })
     });
 }

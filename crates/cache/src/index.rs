@@ -10,11 +10,11 @@
 use crate::digest::{CacheKey, Digest};
 use crate::linelog::LineLog;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// First line of every index file; guards against feeding the cache an
 /// unrelated file.
-pub const INDEX_HEADER: &str = "hacc-artifact-cache v1";
+const INDEX_HEADER: &str = "hacc-artifact-cache v1";
 
 /// One live index entry after replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +43,8 @@ impl Index {
     }
 
     /// The backing file path.
-    pub fn path(&self) -> &Path {
+    #[cfg(test)]
+    fn path(&self) -> &std::path::Path {
         self.log.path()
     }
 

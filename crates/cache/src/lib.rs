@@ -2,7 +2,7 @@
 //!
 //! The paper's economics (Tables 3/4) assume the workflow never pays for the
 //! same analysis twice: a listener crash-restart, a re-queued co-scheduled
-//! job, or a `compare_all` sweep over identical inputs should reuse existing
+//! job, or a sweep of every strategy over identical inputs should reuse existing
 //! L3 products, not recompute them. This crate is that memory:
 //!
 //! * [`Digest`]/[`digest_bytes`] — a hand-rolled 128-bit FNV-style content
@@ -45,7 +45,7 @@ mod shard;
 mod store;
 
 pub use digest::{digest_bytes, CacheKey, Digest, Fingerprint, FingerprintBuilder, Hasher};
-pub use index::{Index, IndexEntry, INDEX_HEADER};
+pub use index::{Index, IndexEntry};
 pub use linelog::{compaction_due, LineLog};
 pub use router::ShardRouter;
 pub use shard::{

@@ -51,11 +51,6 @@ impl LineLog {
         &self.path
     }
 
-    /// Where [`stage`](Self::stage) writes a pending rewrite.
-    pub fn staging_path(&self) -> &Path {
-        &self.staging
-    }
-
     /// The committed records after the header, in file order, without their
     /// newlines. A missing or empty file has none; a wrong header is
     /// `InvalidData`; a torn (newline-less) final chunk never committed.

@@ -36,7 +36,7 @@ use crate::router::ShardRouter;
 use crate::store::{ArtifactCache, CacheStats};
 use faults::Fired;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Fault site polled once per secondary replica write.
@@ -46,8 +46,8 @@ pub const SITE_FETCH_REMOTE: &str = "cache.fetch.remote";
 
 /// Cost model for a remote artifact fetch across the simulated
 /// interconnect: `latency_s + bytes / bandwidth_bps` seconds. Construct it
-/// from `simhpc`'s `InterconnectSpec` numbers (the workflow glue does) or
-/// use [`RemoteFetchModel::free`] when cost is irrelevant.
+/// from `simhpc`'s `InterconnectSpec` numbers (the workflow glue does); the
+/// default is free (zero-cost fetches).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemoteFetchModel {
     /// Per-fetch link latency in seconds.
@@ -66,7 +66,7 @@ impl RemoteFetchModel {
     }
 
     /// Zero-cost fetches (unit tests, single-node stores).
-    pub fn free() -> RemoteFetchModel {
+    fn free() -> RemoteFetchModel {
         RemoteFetchModel {
             latency_s: 0.0,
             bandwidth_bps: f64::INFINITY,
@@ -210,11 +210,6 @@ impl DistributedStore {
         })
     }
 
-    /// The store root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Number of simulated nodes.
     pub fn nodes(&self) -> usize {
         self.shards.len()
@@ -226,14 +221,13 @@ impl DistributedStore {
     }
 
     /// True when node `k` is alive.
-    pub fn alive(&self, k: usize) -> bool {
+    fn alive(&self, k: usize) -> bool {
         self.shards[k].alive.load(Ordering::Relaxed)
     }
 
     /// Simulate the death of node `k`: its shard stops serving reads and
     /// receiving writes until [`revive_node`](Self::revive_node). The
-    /// node's disk is untouched (a rebooted node comes back with its data);
-    /// pair with [`wipe_node`](Self::wipe_node) for permanent loss.
+    /// node's disk is untouched (a rebooted node comes back with its data).
     pub fn kill_node(&self, k: usize) {
         self.shards[k].alive.store(false, Ordering::Relaxed);
         telemetry::instant!("store", "node_killed", k as u64);
@@ -244,28 +238,9 @@ impl DistributedStore {
         self.shards[k].alive.store(true, Ordering::Relaxed);
     }
 
-    /// Destroy node `k`'s on-disk shard — permanent data loss, as when a
-    /// node's local scratch is gone for good. The node should be (and is
-    /// marked) dead; reopen the store to serve from surviving replicas, or
-    /// [`revive_node`](Self::revive_node) + [`heal`](Self::heal) after
-    /// re-opening to restore replication.
-    pub fn wipe_node(&self, k: usize) -> io::Result<()> {
-        self.kill_node(k);
-        let dir = self.root.join(format!("node{k}"));
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir)?;
-        }
-        Ok(())
-    }
-
     /// Per-shard cache counters for node `k`.
     pub fn shard_stats(&self, k: usize) -> CacheStats {
         self.shards[k].cache.stats()
-    }
-
-    /// The shard cache of node `k` (inspection and tooling).
-    pub fn shard(&self, k: usize) -> &ArtifactCache {
-        &self.shards[k].cache
     }
 
     /// Store-level counters.
@@ -511,7 +486,11 @@ mod tests {
         s.insert(k, b"bytes of the artifact").unwrap();
         let placement = s.router().placement(k);
         for node in 0..5 {
-            let holds = s.shard(node).live_entries().iter().any(|e| e.key == k);
+            let holds = s.shards[node]
+                .cache
+                .live_entries()
+                .iter()
+                .any(|e| e.key == k);
             assert_eq!(holds, placement.contains(&node), "node {node}");
         }
         assert_eq!(s.stats().replica_writes, 2);
@@ -569,7 +548,9 @@ mod tests {
         for &k in &keys {
             s.insert(k, b"replicated payload").unwrap();
         }
-        s.wipe_node(1).unwrap();
+        // Node 1's local scratch is gone for good.
+        s.kill_node(1);
+        std::fs::remove_dir_all(dir.join("node1")).unwrap();
         drop(s);
         // Reopen: node1's shard is empty. Everything is still reachable.
         let s = DistributedStore::open(&dir, cfg(3, 2)).unwrap();
@@ -587,7 +568,7 @@ mod tests {
         for &k in &keys {
             let live = s.router().placement(k);
             for &n in &live {
-                assert!(s.shard(n).live_entries().iter().any(|e| e.key == k));
+                assert!(s.shards[n].cache.live_entries().iter().any(|e| e.key == k));
             }
         }
         // A second heal is a no-op.
@@ -617,7 +598,7 @@ mod tests {
         let d = s.insert(k, b"precious bytes").unwrap();
         let primary = s.router().primary(k);
         std::fs::remove_file(
-            s.root()
+            s.root
                 .join(format!("node{primary}"))
                 .join("objects")
                 .join(d.to_string()),

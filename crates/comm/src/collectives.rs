@@ -8,7 +8,8 @@ use crate::world::Communicator;
 
 impl Communicator {
     /// Block until every rank has entered the barrier.
-    pub fn barrier(&self) {
+    #[cfg(test)]
+    fn barrier(&self) {
         let tag = self.next_collective_tag();
         // Fan-in to rank 0, then fan-out.
         if self.rank() == 0 {
@@ -30,7 +31,7 @@ impl Communicator {
     /// Each message counts `size_of::<T>()` in `comm.bytes_*`, the handle
     /// and not what it owns (see [`Communicator::allreduce_sum_vec_f64`]
     /// for a vector collective that counts its payload).
-    pub fn broadcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
+    fn broadcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
         self.broadcast_counted(root, value, |_| std::mem::size_of::<T>())
     }
 
@@ -62,7 +63,7 @@ impl Communicator {
     /// Each message counts `size_of::<T>()` in `comm.bytes_*`, as
     /// [`Communicator::broadcast`]'s do; so do `allgather`, `reduce` and
     /// `allreduce`, which are built on the two.
-    pub fn gather<T: Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
+    fn gather<T: Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
         self.gather_counted(root, value, |_| std::mem::size_of::<T>())
     }
 
@@ -99,7 +100,7 @@ impl Communicator {
 
     /// Reduce values with associative `op` at `root` (rank order, so results
     /// are deterministic). Non-roots get `None`.
-    pub fn reduce<T, F>(&self, root: usize, value: T, op: F) -> Option<T>
+    fn reduce<T, F>(&self, root: usize, value: T, op: F) -> Option<T>
     where
         T: Send + 'static,
         F: Fn(T, T) -> T,

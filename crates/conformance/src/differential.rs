@@ -64,7 +64,7 @@ fn f64_agrees(mode: Cmp, a: f64, b: f64) -> bool {
 /// One backend-vs-reference mismatch.
 #[derive(Debug, Clone)]
 pub struct Disagreement {
-    /// Op family (one of [`REQUIRED_OPS`]).
+    /// Op family (`map` or `minmax`).
     pub op: &'static str,
     /// Which op variant and corpus case.
     pub case: String,
@@ -91,7 +91,7 @@ pub struct DiffReport {
 }
 
 /// The op families the tentpole requires the executor to cover.
-pub const REQUIRED_OPS: [&str; 2] = ["map", "minmax"];
+const REQUIRED_OPS: [&str; 2] = ["map", "minmax"];
 
 impl DiffReport {
     /// Render all disagreements for a failure message.

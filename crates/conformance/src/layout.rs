@@ -366,7 +366,7 @@ fn fof_periodic_images_ref(positions: &[[f64; 3]], link: f64, box_size: f64) -> 
 }
 
 /// One `fof-grid` input: positions, linking length, box side.
-pub struct FofGridCase {
+struct FofGridCase {
     /// Stable case name.
     pub name: String,
     /// Particle positions.

@@ -35,14 +35,14 @@ use std::collections::BTreeSet;
 
 /// Side of the periodic test box. A power of two, so exact-representable
 /// translations below stay exact through the periodic wrap.
-pub const BOX_SIZE: f64 = 64.0;
+const BOX_SIZE: f64 = 64.0;
 
 const LINK_LENGTH: f64 = 0.8;
 const MIN_SIZE: usize = 5;
 
 /// Deterministic test universe: a handful of dense blobs (two straddling
 /// periodic faces, one on a corner) plus a sparse uniform field.
-pub fn test_universe(seed: u64) -> Vec<Particle> {
+fn test_universe(seed: u64) -> Vec<Particle> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut parts = Vec::new();
     let mut tag = 0u64;

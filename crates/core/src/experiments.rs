@@ -116,7 +116,7 @@ pub struct Table2Row {
 
 /// Paper's Table 2 values for comparison: (slice, z, find_max, find_min,
 /// center_max, center_min).
-pub const TABLE2_PAPER: [(usize, f64, f64, f64, f64, f64); 4] = [
+const TABLE2_PAPER: [(usize, f64, f64, f64, f64, f64); 4] = [
     (60, 1.680, 433.0, 352.0, 449.0, 19.0),
     (64, 1.433, 483.0, 385.0, 668.0, 19.0),
     (73, 0.959, 663.0, 532.0, 1819.0, 19.0),

@@ -47,13 +47,20 @@ pub struct Journal {
     writer: Arc<Mutex<u64>>,
 }
 
+/// The staging path of the journal at `path`, which [`Journal::rewrite`]
+/// publishes from: `<path>.tmp`.
+pub(crate) fn staging_of(path: &Path) -> PathBuf {
+    let mut staging = path.as_os_str().to_owned();
+    staging.push(".tmp");
+    PathBuf::from(staging)
+}
+
 impl Journal {
     /// A journal stored at `path` (created on first append).
     pub fn new(path: PathBuf) -> Self {
-        let mut staging = path.clone().into_os_string();
-        staging.push(".tmp");
+        let staging = staging_of(&path);
         Journal {
-            log: LineLog::new(path, JOURNAL_HEADER, PathBuf::from(staging)),
+            log: LineLog::new(path, JOURNAL_HEADER, staging),
             writer: Arc::default(),
         }
     }
@@ -86,21 +93,14 @@ impl Journal {
 
     /// Current size of the backing file in bytes (0 when it does not exist).
     /// Compaction triggers compare against this.
-    pub fn size_bytes(&self) -> io::Result<u64> {
+    pub(crate) fn size_bytes(&self) -> io::Result<u64> {
         self.log.size_bytes()
     }
 
-    /// The staging path used by [`Journal::rewrite`]: `<path>.tmp`.
-    pub fn staging_path(&self) -> PathBuf {
-        self.log.staging_path().to_path_buf()
-    }
-
-    /// Stage a full journal (header + `entries`) into [`staging_path`]
-    /// without committing it. Exposed separately from [`Journal::rewrite`]
-    /// so crash-schedule tests can die in the window between staging and
+    /// Stage a full journal (header + `entries`) into `<path>.tmp` without
+    /// committing it. Exposed separately from [`Journal::rewrite`] so
+    /// crash-schedule tests can die in the window between staging and
     /// publish; production callers use `rewrite`.
-    ///
-    /// [`staging_path`]: Journal::staging_path
     pub fn stage(&self, entries: &BTreeSet<PathBuf>) -> io::Result<()> {
         let _writer = self.writer.lock();
         self.stage_locked(entries)
@@ -126,8 +126,8 @@ impl Journal {
 
     /// Atomically replace the journal with exactly `entries` (plus the
     /// header), using the same tmp+rename discipline the emitters use for
-    /// drops: the new contents are staged at [`Journal::staging_path`] and
-    /// renamed over the live file only once fully written and synced.
+    /// drops: the new contents are staged at `<path>.tmp` and renamed over
+    /// the live file only once fully written and synced.
     ///
     /// Crash safety: a crash before the rename leaves the original journal
     /// untouched (the stale `.tmp` is simply overwritten by the next
@@ -313,7 +313,7 @@ mod tests {
     fn crash_during_compaction_leaves_the_journal_intact() {
         let j = Journal::new(tmpfile("compact_crash.journal"));
         let _ = std::fs::remove_file(j.path());
-        let _ = std::fs::remove_file(j.staging_path());
+        let _ = std::fs::remove_file(staging_of(j.path()));
         for i in 0..8 {
             j.append(Path::new(&format!("/out/l2_{i}.hcio"))).unwrap();
         }
@@ -325,7 +325,10 @@ mod tests {
         // *atomically* with the publish.
         let survivors: BTreeSet<PathBuf> = full.iter().take(2).cloned().collect();
         j.stage(&survivors).unwrap();
-        assert!(j.staging_path().exists(), "stage must leave a .tmp behind");
+        assert!(
+            staging_of(j.path()).exists(),
+            "stage must leave a .tmp behind"
+        );
         assert_eq!(
             j.load().unwrap(),
             full,
@@ -334,12 +337,12 @@ mod tests {
 
         // The restarted process simply compacts again; the stale .tmp is
         // overwritten, never read.
-        std::fs::write(j.staging_path(), b"garbage from a dead incarnation").unwrap();
+        std::fs::write(staging_of(j.path()), b"garbage from a dead incarnation").unwrap();
         let dropped = j.compact_if_larger(0, |p| survivors.contains(p)).unwrap();
         assert_eq!(dropped, Some(6));
         assert_eq!(j.load().unwrap(), survivors);
         assert!(
-            !j.staging_path().exists(),
+            !staging_of(j.path()).exists(),
             "publish must consume the staging file"
         );
     }
@@ -410,12 +413,12 @@ mod tests {
             format!("{fixture}\n/out/d.hcio\n"),
             "append seals the torn tail, then one line"
         );
-        assert!(j.staging_path().ends_with("fixture.journal.tmp"));
+        assert!(staging_of(j.path()).ends_with("fixture.journal.tmp"));
         j.rewrite(&set).unwrap();
         assert_eq!(
             std::fs::read_to_string(j.path()).unwrap(),
             "hacc-listener-journal v1\n/out/a.hcio\n/out/b.hcio\n"
         );
-        assert!(!j.staging_path().exists());
+        assert!(!staging_of(j.path()).exists());
     }
 }

@@ -48,8 +48,7 @@ pub use listener::{Listener, ListenerConfig, ListenerReport, SubmitError};
 pub use model::{qcontinuum_projection, QContinuumSummary, RenderProfile, RunSpec, TitanFrame};
 pub use report::full_report;
 pub use runner::{
-    compare_all, measured_table2, MeasuredEpoch, RunnerConfig, Strategy, TestBed, Transport,
-    WorkflowRun, RENDER_FAULT_SITE, RUNNER_FAULT_SITE,
+    RunnerConfig, Strategy, TestBed, Transport, WorkflowRun, RENDER_FAULT_SITE, RUNNER_FAULT_SITE,
 };
 pub use service::{
     CampaignId, CampaignReport, CampaignSpec, CampaignStatus, ServiceConfig, ServiceError,

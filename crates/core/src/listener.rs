@@ -1428,7 +1428,7 @@ mod tests {
         assert!(handled_before > 0);
         let j = Journal::new(journal_path.clone());
         assert!(
-            j.staging_path().exists(),
+            crate::journal::staging_of(j.path()).exists(),
             "crash must strand the staged tmp, not a half-rewritten journal"
         );
         assert_eq!(

@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use simhpc::{machine, MachineSpec};
 
 /// FOF identification cost per local particle on Titan (seconds).
-pub const FIND_SECONDS_PER_PARTICLE: f64 = 1.02e-5;
+const FIND_SECONDS_PER_PARTICLE: f64 = 1.02e-5;
 
 /// The projection model.
 #[derive(Debug, Clone)]
@@ -191,7 +191,7 @@ impl TitanFrame {
 
     /// Project the three Table 3/4 workflows. Returns
     /// `[in-situ, off-line, combined-simple]`.
-    pub fn workflow_costs(&self, spec: &RunSpec) -> [WorkflowCost; 3] {
+    fn workflow_costs(&self, spec: &RunSpec) -> [WorkflowCost; 3] {
         let t = &self.titan;
         let l1_bytes = cosmotools::level1_bytes(spec.n_particles) as f64;
         let l2_bytes = cosmotools::level2_bytes(self.level2_particles(spec)) as f64;

@@ -69,9 +69,9 @@ pub struct RunnerConfig {
     /// density projection frame at *every* simulation step (the render
     /// workload is bandwidth-bound, not compute-bound) into
     /// `workdir/coscheduled/render/`. `None` disables rendering entirely —
-    /// zero behavior change for halo-only runs. `ng` must not exceed
-    /// [`cosmotools::MAX_RENDER_NG`] (a deck's render sections are checked
-    /// against it; this field is not).
+    /// zero behavior change for halo-only runs. `ng³` must fit in a `u32`
+    /// (`ng` ≤ 1625; a deck's render sections are checked against it, this
+    /// field is not).
     pub render: Option<RenderParams>,
 }
 
@@ -128,7 +128,7 @@ impl RunnerConfig {
     /// configs with the same *input bytes* but, say, a different linking
     /// length or threshold produce disjoint cache keys — changed parameters
     /// can never alias a stale artifact.
-    pub fn fingerprint(&self) -> Fingerprint {
+    fn fingerprint(&self) -> Fingerprint {
         let mut fp = FingerprintBuilder::new();
         fp.push_str("runner-analysis-v1")
             .push_u64(self.sim.np as u64)
@@ -879,85 +879,6 @@ impl TestBed {
     }
 }
 
-/// One measured Table 2 row: per-rank analysis extremes at a given epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeasuredEpoch {
-    /// Step index.
-    pub step: usize,
-    /// Redshift.
-    pub redshift: f64,
-    /// Slowest rank's FOF seconds.
-    pub find_max: f64,
-    /// Fastest rank's FOF seconds.
-    pub find_min: f64,
-    /// Slowest rank's center seconds.
-    pub center_max: f64,
-    /// Fastest rank's center seconds.
-    pub center_min: f64,
-    /// Most and fewest particles (local + ghost) any rank linked.
-    pub find_work: (u64, u64),
-    /// Most and fewest center pair evaluations (Σ nᵢ²) on any rank.
-    pub center_work: (u64, u64),
-    /// Halos found at this epoch.
-    pub n_halos: usize,
-    /// Largest halo (particles).
-    pub largest: usize,
-}
-
-/// The measured analog of the paper's Table 2: run the simulation once and
-/// execute the full distributed halo analysis at each step in `at_steps`,
-/// recording per-rank find/center extremes. Shows identification staying
-/// balanced while center finding grows imbalanced as structure forms.
-pub fn measured_table2(
-    cfg: &RunnerConfig,
-    backend: &dyn Backend,
-    at_steps: &[usize],
-) -> Vec<MeasuredEpoch> {
-    let mut rows = Vec::new();
-    let mut sim = Simulation::new(backend, cfg.sim.clone());
-    sim.run_with_hook(backend, |step, sim| {
-        if !at_steps.contains(&step) {
-            return;
-        }
-        // Ranks are the parallelism; per-rank serial.
-        let per_rank = cfg.distribute(sim.particles());
-        let (catalogs, timings) = cfg.analyze(&per_rank, usize::MAX, &dpp::Serial);
-        let extremes = |seconds: fn(&RankTiming) -> f64| {
-            let per_rank = timings.iter().map(seconds);
-            let max = per_rank.clone().fold(0.0f64, f64::max);
-            (max, per_rank.fold(f64::INFINITY, f64::min))
-        };
-        let (find_max, find_min) = extremes(|t| t.find_seconds);
-        let (center_max, center_min) = extremes(|t| t.center_seconds);
-        let work_extremes = |work: fn(&RankTiming) -> u64| {
-            let per_rank = timings.iter().map(work);
-            (
-                per_rank.clone().max().unwrap_or(0),
-                per_rank.min().unwrap_or(0),
-            )
-        };
-        let n_halos: usize = catalogs.iter().map(|c| c.len()).sum();
-        let largest = catalogs
-            .iter()
-            .flat_map(|c| c.halos.iter().map(|h| h.count()))
-            .max()
-            .unwrap_or(0);
-        rows.push(MeasuredEpoch {
-            step,
-            redshift: sim.redshift(),
-            find_max,
-            find_min,
-            center_max,
-            center_min,
-            find_work: work_extremes(|t| t.find_work),
-            center_work: work_extremes(|t| t.center_work),
-            n_halos,
-            largest,
-        });
-    });
-    rows
-}
-
 /// Merge per-rank catalogs into one center list.
 fn collect_centers(catalogs: &[HaloCatalog]) -> Vec<CenterRecord> {
     let mut out = Vec::new();
@@ -994,17 +915,6 @@ pub fn centers_over_ranks(
     centers
 }
 
-/// Run every strategy ([`Strategy::ALL`]) and verify they all produce the
-/// same Level 3 output.
-pub fn compare_all(cfg: RunnerConfig, backend: &dyn Backend) -> Vec<WorkflowRun> {
-    let bed = TestBed::create(cfg, backend);
-    let runs: Vec<WorkflowRun> = Strategy::ALL.iter().map(|&s| bed.run(s, backend)).collect();
-    for run in &runs[1..] {
-        assert_same_centers(&runs[0].centers, &run.centers);
-    }
-    runs
-}
-
 /// Every workflow must find the same halos with the same centers.
 pub fn assert_same_centers(x: &[CenterRecord], y: &[CenterRecord]) {
     assert_eq!(x.len(), y.len(), "workflows disagree on halo count");
@@ -1027,6 +937,96 @@ pub fn assert_same_centers(x: &[CenterRecord], y: &[CenterRecord]) {
 mod tests {
     use super::*;
     use dpp::Threaded;
+
+    /// Run every strategy ([`Strategy::ALL`]) and verify they all produce the
+    /// same Level 3 output.
+    fn compare_all(cfg: RunnerConfig, backend: &dyn Backend) -> Vec<WorkflowRun> {
+        let bed = TestBed::create(cfg, backend);
+        let runs: Vec<WorkflowRun> = Strategy::ALL.iter().map(|&s| bed.run(s, backend)).collect();
+        for run in &runs[1..] {
+            assert_same_centers(&runs[0].centers, &run.centers);
+        }
+        runs
+    }
+
+    /// One measured Table 2 row: per-rank analysis extremes at a given epoch.
+    #[derive(Debug, Clone, PartialEq)]
+    struct MeasuredEpoch {
+        /// Step index.
+        pub step: usize,
+        /// Redshift.
+        pub redshift: f64,
+        /// Slowest rank's FOF seconds.
+        pub find_max: f64,
+        /// Fastest rank's FOF seconds.
+        pub find_min: f64,
+        /// Slowest rank's center seconds.
+        pub center_max: f64,
+        /// Fastest rank's center seconds.
+        pub center_min: f64,
+        /// Most and fewest particles (local + ghost) any rank linked.
+        pub find_work: (u64, u64),
+        /// Most and fewest center pair evaluations (Σ nᵢ²) on any rank.
+        pub center_work: (u64, u64),
+        /// Halos found at this epoch.
+        pub n_halos: usize,
+        /// Largest halo (particles).
+        pub largest: usize,
+    }
+
+    /// The measured analog of the paper's Table 2: run the simulation once and
+    /// execute the full distributed halo analysis at each step in `at_steps`,
+    /// recording per-rank find/center extremes. Shows identification staying
+    /// balanced while center finding grows imbalanced as structure forms.
+    fn measured_table2(
+        cfg: &RunnerConfig,
+        backend: &dyn Backend,
+        at_steps: &[usize],
+    ) -> Vec<MeasuredEpoch> {
+        let mut rows = Vec::new();
+        let mut sim = Simulation::new(backend, cfg.sim.clone());
+        sim.run_with_hook(backend, |step, sim| {
+            if !at_steps.contains(&step) {
+                return;
+            }
+            // Ranks are the parallelism; per-rank serial.
+            let per_rank = cfg.distribute(sim.particles());
+            let (catalogs, timings) = cfg.analyze(&per_rank, usize::MAX, &dpp::Serial);
+            let extremes = |seconds: fn(&RankTiming) -> f64| {
+                let per_rank = timings.iter().map(seconds);
+                let max = per_rank.clone().fold(0.0f64, f64::max);
+                (max, per_rank.fold(f64::INFINITY, f64::min))
+            };
+            let (find_max, find_min) = extremes(|t| t.find_seconds);
+            let (center_max, center_min) = extremes(|t| t.center_seconds);
+            let work_extremes = |work: fn(&RankTiming) -> u64| {
+                let per_rank = timings.iter().map(work);
+                (
+                    per_rank.clone().max().unwrap_or(0),
+                    per_rank.min().unwrap_or(0),
+                )
+            };
+            let n_halos: usize = catalogs.iter().map(|c| c.len()).sum();
+            let largest = catalogs
+                .iter()
+                .flat_map(|c| c.halos.iter().map(|h| h.count()))
+                .max()
+                .unwrap_or(0);
+            rows.push(MeasuredEpoch {
+                step,
+                redshift: sim.redshift(),
+                find_max,
+                find_min,
+                center_max,
+                center_min,
+                find_work: work_extremes(|t| t.find_work),
+                center_work: work_extremes(|t| t.center_work),
+                n_halos,
+                largest,
+            });
+        });
+        rows
+    }
 
     fn tiny_cfg(name: &str) -> RunnerConfig {
         RunnerConfig {

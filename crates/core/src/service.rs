@@ -11,8 +11,7 @@
 //! * **Campaign registry** — [`WorkflowService::submit_campaign`] admits a
 //!   [`CampaignSpec`] and returns a [`CampaignId`]; per-campaign state
 //!   (its watch, executions, catalog, scoped pool counters) lives in a
-//!   `CampaignId`-keyed registry. [`WorkflowService::detach`] tears one
-//!   campaign down without disturbing its neighbors.
+//!   `CampaignId`-keyed registry.
 //! * **Sharded listener** — the watch namespace is partitioned into N
 //!   shards, each with its own crash-recovery [`Journal`] and its own
 //!   scanning thread. Scan work is queued as due-tasks; a shard worker
@@ -25,17 +24,15 @@
 //!   by the announcement source ([`crate::stream`]) for a streamed one. The
 //!   sharding changes who sweeps, never how a key gets handled.
 //! * **Admission control** — every admitted campaign enqueues one batch
-//!   job and holds one admission slot until it completes or is detached;
+//!   job and holds one admission slot until it completes;
 //!   when the slots (or the active-campaign bound) fill,
 //!   [`ServiceError::Saturated`] is returned as explicit backpressure
 //!   instead of panicking or silently dropping the campaign. Slot
 //!   occupancy is tracked by the service itself — not derived from the
 //!   simulator's job list, whose clock only advances when the cost model
-//!   is drained at shutdown — so completing or detaching one campaign
-//!   frees exactly its own slot and the bound keeps biting for the rest
-//!   of the service's life. A detached campaign's job is withdrawn from
-//!   the simulator ([`simhpc::BatchSimulator::cancel`]); a completed
-//!   campaign's job stays queued and is drained into
+//!   is drained at shutdown — so completing one campaign frees exactly its
+//!   own slot and the bound keeps biting for the rest of the service's
+//!   life. A completed campaign's job stays queued and is drained into
 //!   [`ServiceReport::job_records`] at shutdown.
 //! * **Namespace isolation** — every campaign's cache keys are scoped by a
 //!   fingerprint of its spec ([`Fingerprint::scoped`]), so two campaigns
@@ -67,7 +64,7 @@ use nbody::Particle;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simhpc::{titan, BatchSimulator, JobId, JobRecord, JobRequest, MachineSpec, QueuePolicy};
+use simhpc::{titan, BatchSimulator, JobRecord, JobRequest, MachineSpec, QueuePolicy};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -112,8 +109,8 @@ pub struct CampaignSpec {
     /// chunks into the distributed store as they are produced (announced on
     /// the service's [`StreamHub`]) instead of staging whole `l2_*.hcio`
     /// files, and the analysis side ingests chunk sets instead of scanning
-    /// the drop directory. Deliberately **not** part of
-    /// [`CampaignSpec::namespace`]: the chunk protocol is byte-lossless, so
+    /// the drop directory. Deliberately **not** part of the campaign's cache
+    /// namespace: the chunk protocol is byte-lossless, so
     /// a streamed and a whole-file run of the same spec produce identical
     /// drop bytes, share their analysis artifacts, and assemble
     /// byte-identical catalogs.
@@ -142,7 +139,7 @@ impl CampaignSpec {
     }
 
     /// The campaign's cache namespace: a fingerprint of the identity fields.
-    pub fn namespace(&self) -> Fingerprint {
+    fn namespace(&self) -> Fingerprint {
         let mut fp = FingerprintBuilder::new();
         fp.push_str("campaign")
             .push_str(&self.name)
@@ -161,7 +158,7 @@ impl CampaignSpec {
     }
 
     /// Cache key of the analysis product for an input with this digest.
-    pub fn product_key(&self, input: Digest) -> CacheKey {
+    fn product_key(&self, input: Digest) -> CacheKey {
         CacheKey::compose("centers", input, self.product_fingerprint())
     }
 
@@ -197,7 +194,7 @@ pub enum ServiceError {
     /// A campaign with this name is already registered; names double as
     /// drop-directory names and must be unique per service root.
     DuplicateName(String),
-    /// No campaign with this id is registered (never admitted, or detached).
+    /// No campaign with this id is registered.
     UnknownCampaign(CampaignId),
     /// The service is stopping or its incarnation died to an injected
     /// crash; no new campaigns are admitted.
@@ -230,8 +227,6 @@ pub enum CampaignStatus {
     Running,
     /// Every drop analyzed; catalog assembled.
     Completed,
-    /// Removed via [`WorkflowService::detach`] before completion.
-    Detached,
     /// The service incarnation died before this campaign completed.
     Failed,
 }
@@ -251,7 +246,7 @@ pub struct ServiceConfig {
     /// returns [`ServiceError::Saturated`].
     pub max_active: usize,
     /// Bound on admission slots: each campaign holds one from submission
-    /// until it completes or is detached (its batch job occupies the queue
+    /// until it completes (its batch job occupies the queue
     /// for exactly that window). Submissions beyond it return
     /// [`ServiceError::Saturated`].
     pub max_pending_jobs: usize,
@@ -298,7 +293,7 @@ impl ServiceConfig {
     }
 }
 
-/// What one campaign did, snapshotted at detach or shutdown.
+/// What one campaign did, snapshotted by `report` or at shutdown.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// The campaign's id.
@@ -354,11 +349,6 @@ struct ScanTask {
 struct CampaignState {
     id: u64,
     spec: CampaignSpec,
-    /// Owning shard: its journal records this campaign's handled files.
-    shard: usize,
-    /// The campaign's batch job in the simulator; cancelled if the campaign
-    /// is detached while still running.
-    job: JobId,
     /// The campaign's ingest over its drop directory (`<root>/<name>/drop`):
     /// the source (directory or announcements), the consumer configuration
     /// (`watch.cfg` also carries the injector the per-campaign sites poll),
@@ -371,7 +361,7 @@ struct CampaignState {
     /// Scoped handle onto the shared pool: counters attribute to this
     /// campaign alone while work still runs on the shared workers.
     backend: Threaded,
-    /// Set by detach/shutdown; the emitter thread checks it.
+    /// Set by shutdown; the emitter thread checks it.
     cancel: AtomicBool,
     emitter: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -380,7 +370,7 @@ impl CampaignState {
     /// Snapshot the campaign. Each lock is taken in its own statement so
     /// the guard drops before the next acquisition; the watch is read
     /// through its snapshot lock, which no sweep holds for longer than a
-    /// few instructions, so a `report`/`detach` never waits for one.
+    /// few instructions, so a `report` never waits for one.
     fn report(&self, died: bool) -> CampaignReport {
         let status = match *self.status.lock() {
             CampaignStatus::Running if died => CampaignStatus::Failed,
@@ -419,12 +409,12 @@ struct Inner {
     stop: AtomicBool,
     died: AtomicBool,
     /// Admission slots currently held: one per campaign from submission
-    /// until completion or detach. The authoritative occupancy behind
+    /// until completion. The authoritative occupancy behind
     /// [`ServiceConfig::max_pending_jobs`] — the simulator's own pending
     /// count cannot serve here because its clock stands still until the
     /// cost model is drained at shutdown. Incremented under the registry
     /// lock at submission; decremented under the owning campaign's status
-    /// lock at release, so a reader that observes `Completed`/`Detached`
+    /// lock at release, so a reader that observes `Completed`
     /// through that lock also observes the freed slot.
     jobs_pending: AtomicU64,
     next_id: AtomicU64,
@@ -528,7 +518,7 @@ impl WorkflowService {
         // consume a batch-queue slot.
         let dir = inner.cfg.root.join(&spec.name).join("drop");
         std::fs::create_dir_all(&dir).map_err(|e| ServiceError::Io(e.to_string()))?;
-        let job = {
+        {
             let mut sim = inner.sim.lock();
             let now = sim.now();
             sim.submit(JobRequest::new(
@@ -536,8 +526,8 @@ impl WorkflowService {
                 spec.nodes,
                 spec.job_runtime,
                 now,
-            ))
-        };
+            ));
+        }
         inner.jobs_pending.fetch_add(1, Ordering::SeqCst);
         let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
 
@@ -573,8 +563,6 @@ impl WorkflowService {
         let state = Arc::new(CampaignState {
             id,
             spec,
-            shard,
-            job,
             watch,
             executions: Mutex::new(BTreeMap::new()),
             status: Mutex::new(CampaignStatus::Running),
@@ -641,7 +629,7 @@ impl WorkflowService {
         }
     }
 
-    /// Snapshot one campaign's report without detaching it. The registry
+    /// Snapshot one campaign's report. The registry
     /// lock is released before the snapshot so a slow snapshot (it waits on
     /// the campaign's sweep-side locks) never stalls submissions or the
     /// shard workers.
@@ -659,55 +647,6 @@ impl WorkflowService {
     /// Did this incarnation die to an injected crash?
     pub fn crashed(&self) -> bool {
         self.inner.died.load(Ordering::SeqCst)
-    }
-
-    /// Detach a campaign: remove it from the registry, stop its emitter,
-    /// drop its queued scan work, release its admission slot, withdraw its
-    /// batch job from the simulator, and compact its entries out of the
-    /// owning shard journal — all without touching any other campaign.
-    /// Returns the campaign's final report.
-    ///
-    /// A worker may be mid-sweep on the campaign when it is detached; that
-    /// sweep finishes (its journal appends are compacted away here or by the
-    /// next size-triggered compaction) and the campaign is never swept
-    /// again.
-    pub fn detach(&self, id: CampaignId) -> Result<CampaignReport, ServiceError> {
-        let c = self
-            .inner
-            .registry
-            .lock()
-            .remove(&id.0)
-            .ok_or(ServiceError::UnknownCampaign(id))?;
-        c.cancel.store(true, Ordering::SeqCst);
-        if let Some(h) = c.emitter.lock().take() {
-            let _ = h.join();
-        }
-        self.inner.queue.lock().retain(|t| t.campaign != id.0);
-        self.inner.hub.drop_topic(id.0);
-        // The Running→Detached transition decides slot ownership exactly
-        // once: a finalize racing with this detach releases the slot on
-        // whichever side wins the status lock, never both. A campaign that
-        // already completed released its slot then; its finished job stays
-        // in the simulator so shutdown still drains its record.
-        let was_running = {
-            let mut st = c.status.lock();
-            if *st == CampaignStatus::Running {
-                self.inner.jobs_pending.fetch_sub(1, Ordering::SeqCst);
-                *st = CampaignStatus::Detached;
-                true
-            } else {
-                false
-            }
-        };
-        if was_running {
-            self.inner.sim.lock().cancel(c.job);
-        }
-        // One guarded read-filter-publish: a neighbor's append on the same
-        // shard journal cannot fall between the read and the rename.
-        let _ = self.inner.journals[c.shard]
-            .compact_if_larger(0, |p| p.parent() != Some(&*c.watch.dir));
-        telemetry::count!("service", "campaigns_detached", 1);
-        Ok(c.report(self.inner.died.load(Ordering::SeqCst)))
     }
 
     /// Stop the service: halt the shard workers and emitters, drain the
@@ -785,7 +724,7 @@ fn shard_worker(inner: Arc<Inner>, me: usize) {
             telemetry::count!("service", "steals", 1);
         }
         let Some(c) = inner.registry.lock().get(&task.campaign).cloned() else {
-            continue; // detached while queued
+            continue;
         };
         if *c.status.lock() != CampaignStatus::Running {
             continue;
@@ -871,7 +810,7 @@ fn finalize(inner: &Inner, c: &CampaignState) {
     *c.catalog.lock() = Some(catalog);
     // Slot release and the Running→Completed transition happen under the
     // status lock: a waiter that observes `Completed` (same lock) can rely
-    // on the freed slot, and a concurrent detach cannot double-release.
+    // on the freed slot.
     {
         let mut st = c.status.lock();
         if *st == CampaignStatus::Running {
@@ -1239,8 +1178,8 @@ mod tests {
         assert!(!report.crashed);
     }
 
-    /// Review regression: `report()` (a documented while-running API) and
-    /// `detach()` must never deadlock against a shard worker mid-sweep.
+    /// Review regression: `report()` (a documented while-running API) must
+    /// never deadlock against a shard worker mid-sweep.
     /// The old code held the `scan` guard while taking `lreport` inside a
     /// struct-literal snapshot — the inverse of the sweep's order — so
     /// hammering snapshots while campaigns run would wedge the service.
@@ -1261,40 +1200,10 @@ mod tests {
                 "campaign never completed — snapshot/sweep deadlock?"
             );
         }
-        let rep = svc.detach(id).unwrap();
+        let rep = svc.report(id).unwrap();
         assert_eq!(rep.status, CampaignStatus::Completed);
         assert_eq!(rep.catalog.as_deref(), Some(&reference_catalog(&spec)[..]));
         svc.shutdown();
-    }
-
-    /// Review regression: detaching a campaign must free its admission
-    /// slot (and withdraw its batch job), or a saturated service could
-    /// never shed load by detaching.
-    #[test]
-    fn detach_releases_the_admission_slot_and_cancels_the_job() {
-        let mut cfg = quick_cfg(scratch("detach-slot"));
-        cfg.max_pending_jobs = 1;
-        let svc = WorkflowService::start(cfg).unwrap();
-        let hog = svc
-            .submit_campaign(CampaignSpec::new("hog", 1, 200))
-            .unwrap();
-        match svc.submit_campaign(CampaignSpec::new("next", 2, 2)) {
-            Err(ServiceError::Saturated {
-                pending: 1,
-                limit: 1,
-            }) => {}
-            other => panic!("expected Saturated{{1,1}}, got {other:?}"),
-        }
-        svc.detach(hog).unwrap();
-        let next = svc
-            .submit_campaign(CampaignSpec::new("next", 2, 2))
-            .expect("detach must free the admission slot");
-        assert_eq!(svc.wait(next).unwrap(), CampaignStatus::Completed);
-        let report = svc.shutdown();
-        assert!(!report.crashed);
-        // The hog's cancelled job never produces a record; `next`'s does.
-        assert_eq!(report.job_records.len(), 1);
-        assert_eq!(report.job_records[0].name, "next");
     }
 
     /// Review regression: one campaign completing must release only its
@@ -1305,8 +1214,7 @@ mod tests {
         let mut cfg = quick_cfg(scratch("post-completion-bound"));
         cfg.max_pending_jobs = 2;
         let svc = WorkflowService::start(cfg).unwrap();
-        let long = svc
-            .submit_campaign(CampaignSpec::new("long", 1, 200))
+        svc.submit_campaign(CampaignSpec::new("long", 1, 200))
             .unwrap();
         let short = svc
             .submit_campaign(CampaignSpec::new("short", 2, 2))
@@ -1324,7 +1232,6 @@ mod tests {
             other => panic!("backpressure must persist after a completion, got {other:?}"),
         }
         let _ = svc.wait(filler);
-        svc.detach(long).unwrap();
         let report = svc.shutdown();
         assert!(!report.crashed);
     }
@@ -1354,30 +1261,6 @@ mod tests {
         );
         svc.wait_all();
         svc.shutdown();
-    }
-
-    #[test]
-    fn detach_leaves_the_neighbor_untouched() {
-        let svc = WorkflowService::start(quick_cfg(scratch("detach"))).unwrap();
-        let keep_spec = CampaignSpec::new("keep", 5, 3);
-        let keep = svc.submit_campaign(keep_spec.clone()).unwrap();
-        let gone = svc
-            .submit_campaign(CampaignSpec::new("gone", 6, 60))
-            .unwrap();
-        let rep = svc.detach(gone).unwrap();
-        assert_eq!(rep.status, CampaignStatus::Detached);
-        assert_eq!(
-            svc.status(gone),
-            Err(ServiceError::UnknownCampaign(gone)),
-            "detached campaigns leave the registry"
-        );
-        assert_eq!(svc.wait(keep).unwrap(), CampaignStatus::Completed);
-        let report = svc.shutdown();
-        assert_eq!(
-            report.campaigns[&keep.0].catalog.as_deref(),
-            Some(&reference_catalog(&keep_spec)[..])
-        );
-        assert!(!report.campaigns.contains_key(&gone.0));
     }
 
     #[test]

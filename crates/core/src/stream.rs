@@ -84,7 +84,8 @@ impl StreamHub {
     }
 
     /// Number of announcements ever published on `topic`.
-    pub fn published(&self, topic: u64) -> usize {
+    #[cfg(test)]
+    fn published(&self, topic: u64) -> usize {
         self.topics.lock().get(&topic).map_or(0, Vec::len)
     }
 

@@ -37,7 +37,7 @@ impl SubsampleTask {
     /// in the 1/fraction_inverse slice. Stable across steps, so the *same*
     /// particles are tracked through time (a requirement for trajectory
     /// analyses).
-    pub fn keeps(&self, tag: u64) -> bool {
+    fn keeps(&self, tag: u64) -> bool {
         let h = tag
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .rotate_left(23)

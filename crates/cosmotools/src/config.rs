@@ -101,11 +101,6 @@ impl Config {
         Ok(cfg)
     }
 
-    /// Section names (analysis tools), sorted.
-    pub fn sections(&self) -> impl Iterator<Item = &str> {
-        self.sections.keys().map(|s| s.as_str())
-    }
-
     /// True if the section exists.
     pub fn has_section(&self, section: &str) -> bool {
         self.sections.contains_key(section)
@@ -193,30 +188,29 @@ impl Config {
     }
 }
 
-/// The default CosmoTools configuration used by examples and tests,
-/// mirroring the analyses of §4.2.
-pub fn default_deck() -> &'static str {
-    "# CosmoTools analysis configuration\n\
-     [powerspectrum]\n\
-     enabled = true\n\
-     every = 10\n\
-     bins = 32\n\
-     \n\
-     [halofinder]\n\
-     enabled = true\n\
-     linking_length = 0.2   # in mean interparticle spacings\n\
-     min_size = 40\n\
-     center_threshold = 300000\n\
-     at_final_step = true\n\
-     \n\
-     [subhalos]\n\
-     enabled = false\n\
-     min_parent_size = 5000\n"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A full CosmoTools deck mirroring the analyses of §4.2.
+    fn default_deck() -> &'static str {
+        "# CosmoTools analysis configuration\n\
+         [powerspectrum]\n\
+         enabled = true\n\
+         every = 10\n\
+         bins = 32\n\
+         \n\
+         [halofinder]\n\
+         enabled = true\n\
+         linking_length = 0.2   # in mean interparticle spacings\n\
+         min_size = 40\n\
+         center_threshold = 300000\n\
+         at_final_step = true\n\
+         \n\
+         [subhalos]\n\
+         enabled = false\n\
+         min_parent_size = 5000\n"
+    }
 
     #[test]
     fn parses_default_deck() {

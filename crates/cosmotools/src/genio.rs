@@ -17,9 +17,9 @@ use bytes::Bytes;
 use nbody::particle::Particle;
 
 /// File magic.
-pub const MAGIC: &[u8; 4] = b"HCIO";
+const MAGIC: &[u8; 4] = b"HCIO";
 /// Format version.
-pub const VERSION: u32 = 1;
+const VERSION: u32 = 1;
 
 /// Errors reading a container.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -376,7 +376,7 @@ pub fn read_file(path: &std::path::Path) -> std::io::Result<Result<Container, Ge
 
 /// Chunk magic (distinct from the container's, so a chunk fed to
 /// [`read_container`] is rejected instead of misparsed).
-pub const CHUNK_MAGIC: &[u8; 4] = b"HCCK";
+const CHUNK_MAGIC: &[u8; 4] = b"HCCK";
 
 /// Decoded header of one streamed chunk.
 #[derive(Debug, Clone, PartialEq)]
@@ -492,7 +492,7 @@ pub fn assemble_chunks(chunks: &[impl AsRef<[u8]>]) -> Result<Container, GenioEr
 // ---------------------------------------------------------------------------
 
 /// Image container magic.
-pub const IMAGE_MAGIC: &[u8; 4] = b"HCIM";
+const IMAGE_MAGIC: &[u8; 4] = b"HCIM";
 
 /// Fixed size of the HCIM header preceding the PGM payload.
 pub const IMAGE_HEADER_BYTES: u64 = 69;
@@ -948,6 +948,21 @@ mod tests {
         let mut axis = bytes.to_vec();
         axis[16] = 9;
         assert_eq!(read_image(&axis), Err(GenioError::BadImage));
+    }
+
+    #[test]
+    fn image_payload_with_a_non_canonical_pgm_header_is_rejected() {
+        // A payload the encoder never writes (`+W H`), stamped with its own
+        // length and CRC so that only the PGM header is wrong.
+        let frame = sample_frame();
+        let bytes = write_image(&frame);
+        let mut payload = format!("P5\n+{} {}\n255\n", frame.width, frame.height).into_bytes();
+        payload.extend_from_slice(&frame.pixels);
+        let mut forged = bytes[..IMAGE_HEADER_BYTES as usize - 12].to_vec();
+        forged.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        forged.extend_from_slice(&crc32(&payload).to_le_bytes());
+        forged.extend_from_slice(&payload);
+        assert_eq!(read_image(&forged), Err(GenioError::BadImage));
     }
 
     #[test]

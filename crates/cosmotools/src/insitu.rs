@@ -15,7 +15,6 @@
 //! directly on the already-distributed particle slice ("zero copy").
 
 use crate::config::{Config, ConfigError};
-use crate::levels::DataLevel;
 use dpp::Backend;
 use halo::HaloCatalog;
 use nbody::particle::Particle;
@@ -60,13 +59,6 @@ pub enum Product {
         /// The catalog (particle membership = Level 2; centers = Level 3).
         catalog: HaloCatalog,
     },
-    /// Subhalo counts per parent halo.
-    Subhalos {
-        /// Step that produced it.
-        step: usize,
-        /// `(parent halo id, subhalo count)` rows.
-        counts: Vec<(u64, usize)>,
-    },
     /// Spherical-overdensity masses per halo.
     SoMasses {
         /// Step that produced it.
@@ -89,7 +81,6 @@ impl Product {
         match self {
             Product::PowerSpectrum { .. } => "power-spectrum",
             Product::Halos { .. } => "halos",
-            Product::Subhalos { .. } => "subhalos",
             Product::SoMasses { .. } => "so-masses",
             Product::Image { .. } => "image",
         }
@@ -100,20 +91,8 @@ impl Product {
         match self {
             Product::PowerSpectrum { step, .. }
             | Product::Halos { step, .. }
-            | Product::Subhalos { step, .. }
             | Product::SoMasses { step, .. }
             | Product::Image { step, .. } => *step,
-        }
-    }
-
-    /// The data-hierarchy level of the product.
-    pub fn level(&self) -> DataLevel {
-        match self {
-            Product::PowerSpectrum { .. } => DataLevel::Level3,
-            Product::Halos { .. } => DataLevel::Level2,
-            Product::Subhalos { .. } | Product::SoMasses { .. } | Product::Image { .. } => {
-                DataLevel::Level3
-            }
         }
     }
 }
@@ -465,6 +444,5 @@ mod tests {
         };
         assert_eq!(p.name(), "power-spectrum");
         assert_eq!(p.step(), 7);
-        assert_eq!(p.level(), DataLevel::Level3);
     }
 }

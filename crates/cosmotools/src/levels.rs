@@ -4,29 +4,6 @@
 
 use nbody::particle::PARTICLE_BYTES;
 
-/// Data hierarchy level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum DataLevel {
-    /// Raw simulation output: particles or full grids.
-    Level1,
-    /// Products of analyzing all Level 1 data: halo particles, density
-    /// fields, subsamples.
-    Level2,
-    /// Further-derived properties: halo centers, shapes, subhalos, summary
-    /// statistics.
-    Level3,
-}
-
-impl std::fmt::Display for DataLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DataLevel::Level1 => write!(f, "Level 1"),
-            DataLevel::Level2 => write!(f, "Level 2"),
-            DataLevel::Level3 => write!(f, "Level 3"),
-        }
-    }
-}
-
 /// Bytes of Level 1 data for `n` particles (36 B each).
 pub fn level1_bytes(n_particles: u64) -> u64 {
     n_particles * PARTICLE_BYTES as u64
@@ -38,39 +15,11 @@ pub fn level2_bytes(n_halo_particles: u64) -> u64 {
 }
 
 /// Bytes per halo-center record (id + position + count + potential).
-pub const CENTER_RECORD_BYTES: u64 = 8 + 3 * 8 + 8 + 8;
+const CENTER_RECORD_BYTES: u64 = 8 + 3 * 8 + 8 + 8;
 
 /// Bytes of Level 3 halo-center data for `n` halos.
 pub fn level3_center_bytes(n_halos: u64) -> u64 {
     n_halos * CENTER_RECORD_BYTES
-}
-
-/// Data-size bookkeeping for one snapshot (Table 1 generator).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SnapshotSizes {
-    /// Total particle count.
-    pub n_particles: u64,
-    /// Particles living in halos above the off-load threshold.
-    pub n_large_halo_particles: u64,
-    /// Number of halos (center records).
-    pub n_halos: u64,
-}
-
-impl SnapshotSizes {
-    /// Level 1 bytes.
-    pub fn level1(&self) -> u64 {
-        level1_bytes(self.n_particles)
-    }
-
-    /// Level 2 bytes (particles in off-loaded halos).
-    pub fn level2(&self) -> u64 {
-        level2_bytes(self.n_large_halo_particles)
-    }
-
-    /// Level 3 bytes (halo centers).
-    pub fn level3(&self) -> u64 {
-        level3_center_bytes(self.n_halos)
-    }
 }
 
 #[cfg(test)]
@@ -94,14 +43,11 @@ mod tests {
     #[test]
     fn level2_is_fraction_of_level1() {
         // Paper: Level 2 contains ~20% of Level 1 for the Q Continuum.
-        let s = SnapshotSizes {
-            n_particles: 8192u64.pow(3),
-            n_large_halo_particles: 8192u64.pow(3) / 5,
-            n_halos: 167_686_789,
-        };
-        assert!((s.level2() as f64 / s.level1() as f64 - 0.2).abs() < 1e-9);
+        let (n, large) = (8192u64.pow(3), 8192u64.pow(3) / 5);
+        let ratio = level2_bytes(large) as f64 / level1_bytes(n) as f64;
+        assert!((ratio - 0.2).abs() < 1e-9);
         // ~4 TB (Table 1).
-        let tb = s.level2() as f64 / 1e12;
+        let tb = level2_bytes(large) as f64 / 1e12;
         assert!((3.5..4.5).contains(&tb), "{tb} TB");
     }
 
@@ -109,19 +55,7 @@ mod tests {
     fn level3_matches_table1_order_of_magnitude() {
         // Table 1: 8192³ run → ~10 GB of halo centers for ~168 M halos
         // (our fixed-width record is the right order of magnitude).
-        let s = SnapshotSizes {
-            n_particles: 8192u64.pow(3),
-            n_large_halo_particles: 0,
-            n_halos: 167_686_789,
-        };
-        let gb = s.level3() as f64 / 1e9;
+        let gb = level3_center_bytes(167_686_789) as f64 / 1e9;
         assert!((5.0..15.0).contains(&gb), "{gb} GB");
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(DataLevel::Level1.to_string(), "Level 1");
-        assert_eq!(DataLevel::Level3.to_string(), "Level 3");
-        assert!(DataLevel::Level1 < DataLevel::Level2);
     }
 }

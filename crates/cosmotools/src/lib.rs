@@ -6,7 +6,7 @@
 //! INI-style input deck ([`config::Config`]), the Level 1/2/3 data hierarchy
 //! ([`levels`]), a GenericIO-like checksummed binary container ([`genio`]),
 //! concrete analysis tasks (power spectrum, halo finder with the in-situ /
-//! off-line center split, subhalos, SO masses), and the stand-alone off-line
+//! off-line center split, SO masses, subsampling, rendering), and the stand-alone off-line
 //! driver ([`driver`]) used by the co-scheduled jobs.
 
 #![warn(missing_docs)]
@@ -23,9 +23,9 @@ pub mod render;
 
 pub use algorithms::{
     compute_power_spectrum, distributed_power_spectrum, find_halos_with_centers, HaloFinderTask,
-    HaloPropertiesTask, PowerBin, PowerSpectrumTask, SoMassTask, SubhaloTask, SubsampleTask,
+    PowerBin, PowerSpectrumTask, SoMassTask, SubsampleTask,
 };
-pub use config::{default_deck, Config, ConfigError};
+pub use config::{Config, ConfigError};
 pub use driver::{
     analyze_level1, centers_from_catalog, centers_from_level2, decode_centers, encode_centers,
     merge_center_sets, write_level2_container, CenterRecord, CENTER_RECORD_BYTES,
@@ -33,15 +33,14 @@ pub use driver::{
 pub use genio::{
     assemble_chunks, chunk_container, container_digest, file_digest, image_digest, read_container,
     read_file, read_image, write_container, write_file, write_file_digest, write_image,
-    write_image_file, Container, GenioError, SnapshotMeta, CHUNK_MAGIC, IMAGE_HEADER_BYTES,
-    IMAGE_MAGIC,
+    write_image_file, Container, GenioError, SnapshotMeta, IMAGE_HEADER_BYTES,
 };
 pub use insitu::{
     AnalysisContext, ExecutionRecord, InSituAlgorithm, InSituAnalysisManager, Product,
 };
-pub use levels::{level1_bytes, level2_bytes, level3_center_bytes, DataLevel, SnapshotSizes};
+pub use levels::{level1_bytes, level2_bytes, level3_center_bytes};
 pub use render::{
     decode_pgm, encode_pgm, lod_priority, lod_select, project_density, render_frame,
-    render_projection, tone_map, Axis, DensityRenderTask, HaloOverlayRenderTask, ImageFrame,
-    LodCache, RenderParams, MAX_RENDER_NG, PARTICLE_RENDER_BYTES, RENDER_DEPOSIT_GRAIN,
+    render_projection, tone_map, Axis, DensityRenderTask, ImageFrame, LodCache, RenderParams,
+    PARTICLE_RENDER_BYTES, RENDER_DEPOSIT_GRAIN,
 };

@@ -413,7 +413,8 @@ pub struct ImageFrame {
 impl ImageFrame {
     /// Serialized PGM payload size in bytes: what [`encode_pgm`] would
     /// return, without encoding.
-    pub fn pgm_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn pgm_bytes(&self) -> u64 {
         let digits = |v: u32| u64::from(v.checked_ilog10().map_or(1, |d| d + 1));
         // "P5\n" width " " height "\n255\n", then the pixels.
         9 + digits(self.width) + digits(self.height) + self.pixels.len() as u64
@@ -440,6 +441,10 @@ pub fn decode_pgm(data: &[u8]) -> Option<(u32, u32, Vec<u8>)> {
     let (w, h) = dims.split_once(' ')?;
     let width: u32 = w.parse().ok()?;
     let height: u32 = h.parse().ok()?;
+    // `u32::from_str` also takes `+2` and `02`, which the encoder never writes.
+    if dims != format!("{width} {height}") {
+        return None;
+    }
     let rest = rest[nl + 1..].strip_prefix(b"255\n")?;
     if rest.len() != width as usize * height as usize {
         return None;
@@ -476,7 +481,7 @@ pub fn render_frame(
 
 /// Largest render mesh side: the deposit indexes the `ng³` cells with `u32`,
 /// and `1625³ ≤ u32::MAX < 1626³`. A deck asking for more is a config error.
-pub const MAX_RENDER_NG: usize = 1625;
+const MAX_RENDER_NG: usize = 1625;
 
 /// Parse the shared render keys of a config section into `params`/`every`.
 fn configure_render(
@@ -579,96 +584,10 @@ impl InSituAlgorithm for DensityRenderTask {
     }
 }
 
-/// The halo-overlay rendering variant: the base density frame combined with
-/// a projection of only the halo member particles, per-pixel `max` — halos
-/// "light up" over the smooth density background. Runs after the halo finder
-/// in the manager's pipeline (it consumes `ctx.catalog`); with no catalog in
-/// context it degrades to the plain density frame.
-pub struct HaloOverlayRenderTask {
-    enabled: bool,
-    /// Rendering parameters (shared by base and overlay passes).
-    pub params: RenderParams,
-    /// Run every this many steps.
-    pub every: usize,
-    /// The base pass's order; the member set changes every step, so the
-    /// overlay pass sorts afresh.
-    lod: LodCache,
-}
-
-impl Default for HaloOverlayRenderTask {
-    fn default() -> Self {
-        HaloOverlayRenderTask {
-            enabled: false,
-            params: RenderParams::default(),
-            every: 1,
-            lod: LodCache::default(),
-        }
-    }
-}
-
-impl HaloOverlayRenderTask {
-    /// New task (disabled unless configured).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl InSituAlgorithm for HaloOverlayRenderTask {
-    fn name(&self) -> &str {
-        "halo-render"
-    }
-
-    fn set_parameters(&mut self, config: &Config) -> Result<(), ConfigError> {
-        self.enabled = configure_render(config, "halo-render", &mut self.params, &mut self.every)?;
-        Ok(())
-    }
-
-    fn should_execute(&self, step: usize, total_steps: usize, _z: f64) -> bool {
-        self.enabled && (step.is_multiple_of(self.every) || step == total_steps)
-    }
-
-    fn execute(&mut self, ctx: &AnalysisContext<'_>) -> Vec<Product> {
-        let mut frame = self.lod.render_frame(
-            ctx.backend,
-            ctx.particles,
-            ctx.box_size,
-            &self.params,
-            ctx.step as u64,
-        );
-        if let Some(catalog) = ctx.catalog {
-            let members: Vec<Particle> = catalog
-                .halos
-                .iter()
-                .flat_map(|h| h.particles.iter().copied())
-                .collect();
-            if !members.is_empty() {
-                let overlay = render_frame(
-                    ctx.backend,
-                    &members,
-                    ctx.box_size,
-                    &self.params,
-                    ctx.step as u64,
-                );
-                for (p, o) in frame.pixels.iter_mut().zip(&overlay.pixels) {
-                    *p = (*p).max(*o);
-                }
-                frame.nonfinite_pixels += overlay.nonfinite_pixels;
-                frame.selected += overlay.selected;
-                frame.total += overlay.total;
-            }
-        }
-        vec![Product::Image {
-            step: ctx.step,
-            frame,
-        }]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpp::{Serial, StaticThreaded, Threaded};
-    use halo::{Halo, HaloCatalog};
 
     fn particles(n: u64, box_size: f32) -> Vec<Particle> {
         (0..n)
@@ -760,6 +679,15 @@ mod tests {
         assert_eq!(back, pixels);
         assert!(decode_pgm(b"P6\n1 1\n255\nx").is_none());
         assert!(decode_pgm(&enc[..enc.len() - 1]).is_none());
+    }
+
+    #[test]
+    fn pgm_decoder_rejects_headers_the_encoder_never_writes() {
+        for dims in ["+2 2", "02 2", "2 02"] {
+            let mut data = format!("P5\n{dims}\n255\n").into_bytes();
+            data.extend_from_slice(&[0, 1, 2, 3]);
+            assert!(decode_pgm(&data).is_none(), "accepted {dims:?}");
+        }
     }
 
     #[test]
@@ -858,26 +786,18 @@ mod tests {
     fn render_mesh_must_fit_u32_cell_indices() {
         assert!(MAX_RENDER_NG.pow(3) <= u32::MAX as usize);
         assert!((MAX_RENDER_NG + 1).pow(3) > u32::MAX as usize);
-        for section in ["density-render", "halo-render"] {
-            let deck = |ng: usize| {
-                Config::parse(&format!("[{section}]\nenabled = true\nng = {ng}\n")).unwrap()
-            };
-            let mut density = DensityRenderTask::new();
-            let mut overlay = HaloOverlayRenderTask::new();
-            let task: &mut dyn InSituAlgorithm = if section == "density-render" {
-                &mut density
-            } else {
-                &mut overlay
-            };
-            match task.set_parameters(&deck(1700)) {
-                Err(ConfigError::BadValue { key, value, .. }) => {
-                    assert_eq!((key.as_str(), value.as_str()), ("ng", "1700"), "{section}");
-                }
-                other => panic!("[{section}] ng = 1700 configured: {other:?}"),
+        let deck = |ng: usize| {
+            Config::parse(&format!("[density-render]\nenabled = true\nng = {ng}\n")).unwrap()
+        };
+        let mut task = DensityRenderTask::new();
+        match task.set_parameters(&deck(1700)) {
+            Err(ConfigError::BadValue { key, value, .. }) => {
+                assert_eq!((key.as_str(), value.as_str()), ("ng", "1700"));
             }
-            task.set_parameters(&deck(MAX_RENDER_NG))
-                .unwrap_or_else(|e| panic!("[{section}] ng = 1625 refused: {e}"));
+            other => panic!("ng = 1700 configured: {other:?}"),
         }
+        task.set_parameters(&deck(MAX_RENDER_NG))
+            .unwrap_or_else(|e| panic!("ng = 1625 refused: {e}"));
     }
 
     #[test]
@@ -917,77 +837,5 @@ mod tests {
         let mut task = DensityRenderTask::new();
         let cfg = Config::parse("[density-render]\nenabled = true\naxis = q\n").unwrap();
         assert!(task.set_parameters(&cfg).is_err());
-    }
-
-    #[test]
-    fn halo_overlay_brightens_pixels_only() {
-        let parts = particles(800, 16.0);
-        let params = RenderParams {
-            ng: 8,
-            ..Default::default()
-        };
-        let base = render_frame(&Serial, &parts, 16.0, &params, 1);
-
-        // A dense clump as the sole halo.
-        let members: Vec<Particle> = (0..200)
-            .map(|t| Particle::at_rest([4.0 + (t % 5) as f32 * 0.1, 4.0, 4.0], 1.0, 10_000 + t))
-            .collect();
-        let mut catalog = HaloCatalog::new();
-        catalog.halos.push(Halo::from_particles(members));
-
-        let mut task = HaloOverlayRenderTask {
-            enabled: true,
-            params,
-            ..Default::default()
-        };
-        let ctx = AnalysisContext {
-            step: 1,
-            total_steps: 4,
-            redshift: 0.0,
-            particles: &parts,
-            box_size: 16.0,
-            backend: &Serial,
-            catalog: Some(&catalog),
-        };
-        let prods = task.execute(&ctx);
-        match &prods[0] {
-            Product::Image { frame, .. } => {
-                assert_eq!(frame.pixels.len(), base.pixels.len());
-                for (c, b) in frame.pixels.iter().zip(&base.pixels) {
-                    assert!(c >= b, "overlay must never darken a pixel");
-                }
-                assert!(frame.pixels != base.pixels, "overlay must change something");
-                assert_eq!(frame.total, 800 + 200);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn halo_overlay_without_catalog_is_plain_density() {
-        let parts = particles(300, 16.0);
-        let params = RenderParams {
-            ng: 8,
-            ..Default::default()
-        };
-        let mut task = HaloOverlayRenderTask {
-            enabled: true,
-            params,
-            ..Default::default()
-        };
-        let ctx = AnalysisContext {
-            step: 1,
-            total_steps: 4,
-            redshift: 0.0,
-            particles: &parts,
-            box_size: 16.0,
-            backend: &Serial,
-            catalog: None,
-        };
-        let base = render_frame(&Serial, &parts, 16.0, &params, 1);
-        match &task.execute(&ctx)[0] {
-            Product::Image { frame, .. } => assert_eq!(*frame, base),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

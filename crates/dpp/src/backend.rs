@@ -101,11 +101,6 @@ impl Threaded {
         Threaded { pool }
     }
 
-    /// The underlying pool (for [`ThreadPool::stats`]).
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
-
     /// A backend sharing this one's worker threads whose
     /// [`pool_stats`](Backend::pool_stats) report only work dispatched
     /// through the returned handle (see [`ThreadPool::scoped`]). Give each
@@ -160,15 +155,9 @@ impl StaticThreaded {
         }
     }
 
-    /// Backend sized to available hardware parallelism.
-    pub fn with_available_parallelism() -> Self {
-        StaticThreaded {
-            pool: ThreadPool::with_available_parallelism(),
-        }
-    }
-
     /// Backend sharing an existing pool's worker threads.
-    pub fn from_pool(pool: ThreadPool) -> Self {
+    #[cfg(test)]
+    fn from_pool(pool: ThreadPool) -> Self {
         StaticThreaded { pool }
     }
 }

@@ -116,14 +116,9 @@ pub struct PoolStats {
 
 impl PoolStats {
     /// Total chunks executed across all dispatches.
-    pub fn chunks_executed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn chunks_executed(&self) -> u64 {
         self.chunks_by_workers + self.chunks_by_caller
-    }
-
-    /// The `n` at or below which dispatches skip the pool
-    /// ([`SMALL_N_THRESHOLD`], exposed here for instrumentation readers).
-    pub const fn small_n_threshold() -> usize {
-        SMALL_N_THRESHOLD
     }
 
     /// Counter deltas accumulated since an `earlier` snapshot of the same
@@ -750,7 +745,6 @@ mod tests {
 
     #[test]
     fn small_n_threshold_is_exposed() {
-        assert_eq!(PoolStats::small_n_threshold(), SMALL_N_THRESHOLD);
         const { assert!(SMALL_N_THRESHOLD >= 1024, "threshold covers tiny kernels") };
     }
 

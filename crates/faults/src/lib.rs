@@ -244,7 +244,7 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Compile a plan.
-    pub fn new(plan: FaultPlan) -> Self {
+    fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             plan,
             state: Mutex::new(BTreeMap::new()),

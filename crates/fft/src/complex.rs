@@ -18,9 +18,11 @@ impl Complex {
     /// Zero.
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     /// One.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
+    #[cfg(test)]
+    pub(crate) const ONE: Complex = Complex { re: 1.0, im: 0.0 };
     /// The imaginary unit.
-    pub const I: Complex = Complex { re: 0.0, im: 1.0 };
+    #[cfg(test)]
+    const I: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// Construct from parts.
     #[inline]

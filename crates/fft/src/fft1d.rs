@@ -205,28 +205,29 @@ impl Fft1d {
     }
 }
 
-/// Reference naive DFT (O(n²)) used as a correctness oracle in tests.
-pub fn naive_dft(data: &[Complex], inverse: bool) -> Vec<Complex> {
-    let n = data.len();
-    let sign = if inverse { 2.0 } else { -2.0 };
-    let mut out = vec![Complex::ZERO; n];
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = Complex::ZERO;
-        for (j, x) in data.iter().enumerate() {
-            acc += *x * Complex::cis(sign * std::f64::consts::PI * (j * k) as f64 / n as f64);
-        }
-        *o = if inverse {
-            acc.scale(1.0 / n as f64)
-        } else {
-            acc
-        };
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference naive DFT (O(n²)): the oracle the transforms are held to.
+    fn naive_dft(data: &[Complex], inverse: bool) -> Vec<Complex> {
+        let n = data.len();
+        let sign = if inverse { 2.0 } else { -2.0 };
+        let mut out = vec![Complex::ZERO; n];
+        for (k, o) in out.iter_mut().enumerate() {
+            let mut acc = Complex::ZERO;
+            for (j, x) in data.iter().enumerate() {
+                acc += *x * Complex::cis(sign * std::f64::consts::PI * (j * k) as f64 / n as f64);
+            }
+            *o = if inverse {
+                acc.scale(1.0 / n as f64)
+            } else {
+                acc
+            };
+        }
+        out
+    }
 
     fn close(a: Complex, b: Complex, tol: f64) -> bool {
         (a.re - b.re).abs() < tol && (a.im - b.im).abs() < tol
@@ -287,6 +288,25 @@ mod tests {
             let expect = naive_dft(&input, false);
             for (a, b) in x.iter().zip(&expect) {
                 assert!(close(*a, *b, 1e-9), "n={n}: {a:?} vs {b:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn matches_naive_dft_random(
+            v in proptest::collection::vec(
+                (-100.0f64..100.0, -100.0f64..100.0).prop_map(|(re, im)| Complex::new(re, im)),
+                32,
+            )
+        ) {
+            let plan = Fft1d::new(32).unwrap();
+            let expect = naive_dft(&v, false);
+            let mut x = v;
+            plan.forward(&mut x).unwrap();
+            for (a, b) in x.iter().zip(&expect) {
+                prop_assert!((a.re - b.re).abs() < 1e-7);
+                prop_assert!((a.im - b.im).abs() < 1e-7);
             }
         }
     }

@@ -52,8 +52,8 @@ impl<T> Grid3<T> {
     }
 
     /// Inverse of [`Grid3::index`].
-    #[inline]
-    pub fn coords(&self, flat: usize) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn coords(&self, flat: usize) -> (usize, usize, usize) {
         let nz = self.dims[2];
         let ny = self.dims[1];
         (flat / (ny * nz), (flat / nz) % ny, flat % nz)

@@ -27,7 +27,7 @@
 //!
 //! let plan = Fft1d::new(8).unwrap();
 //! let mut x = vec![Complex::ZERO; 8];
-//! x[0] = Complex::ONE;
+//! x[0] = Complex::new(1.0, 0.0);
 //! plan.forward(&mut x).unwrap();
 //! assert!((x[5].re - 1.0).abs() < 1e-12); // impulse → flat spectrum
 //! ```
@@ -44,7 +44,7 @@ pub mod rfft3d;
 pub mod slab;
 
 pub use complex::Complex;
-pub use fft1d::{naive_dft, Fft1d, FftError};
+pub use fft1d::{Fft1d, FftError};
 pub use fft3d::{forward_real, inverse_to_real, Fft3d};
 pub use grid::{freq_index, Grid3};
 pub use rfft3d::RealFft3d;

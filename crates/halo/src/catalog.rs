@@ -53,11 +53,6 @@ impl Halo {
     pub fn count(&self) -> usize {
         self.particles.len()
     }
-
-    /// Total mass in particle-mass units.
-    pub fn mass(&self) -> f64 {
-        self.particles.iter().map(|p| p.mass as f64).sum()
-    }
 }
 
 /// Unwrap positions to the minimum image around an anchor so a halo that
@@ -163,7 +158,6 @@ mod tests {
         assert_eq!(h.id, 3);
         assert_eq!(h.count(), 3);
         assert!((h.center_of_mass[0] - 2.0).abs() < 1e-9);
-        assert_eq!(h.mass(), 3.0);
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub struct Coords {
 
 impl Coords {
     /// An empty column set.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -23,7 +23,7 @@ pub struct Aabb {
 
 impl Aabb {
     /// The empty box (inverted bounds).
-    pub fn empty() -> Self {
+    fn empty() -> Self {
         Aabb {
             lo: [f64::INFINITY; 3],
             hi: [f64::NEG_INFINITY; 3],
@@ -31,7 +31,7 @@ impl Aabb {
     }
 
     /// Grow to include `p`.
-    pub fn include(&mut self, p: [f64; 3]) {
+    fn include(&mut self, p: [f64; 3]) {
         for d in 0..3 {
             self.lo[d] = self.lo[d].min(p[d]);
             self.hi[d] = self.hi[d].max(p[d]);

@@ -27,7 +27,6 @@ pub mod kdtree;
 pub mod massfn;
 pub mod mbp;
 pub mod parallel;
-pub mod properties;
 pub mod so;
 pub mod subhalo;
 pub mod tracking;
@@ -44,7 +43,6 @@ pub use mbp::{
     center_time_titan_gpu, mbp_astar, mbp_brute, mbp_brute_cols, potential_at, MbpResult,
 };
 pub use parallel::{extended_patch, fof_and_centers_timed, parallel_fof, FofConfig, RankTiming};
-pub use properties::{halo_properties, HaloProperties};
 pub use so::{so_mass, SoResult};
 pub use subhalo::{find_subhalos, Subhalo, SubhaloParams};
 pub use tracking::{track_halos, HaloLink, TrackingResult};

@@ -23,7 +23,6 @@
 // 3-vector component loops read better indexed; the lint fires on them.
 #![allow(clippy::needless_range_loop)]
 
-pub mod checkpoint;
 pub mod cosmology;
 pub mod distributed;
 pub mod ic;
@@ -33,7 +32,6 @@ pub mod sim;
 pub mod soa;
 mod stepper;
 
-pub use checkpoint::{restore, save, CheckpointError};
 pub use cosmology::Cosmology;
 pub use distributed::DistSim;
 pub use ic::{realize_linear_field, zeldovich_particles, IcConfig, LinearField};

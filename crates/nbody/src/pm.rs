@@ -832,7 +832,7 @@ mod tests {
 
     #[test]
     fn det_deposit_empty_input_is_zero_grid() {
-        let soa = ParticleSoA::new();
+        let soa = ParticleSoA::default();
         let g = cic_deposit_soa_det(&Serial, &soa, 4, 8.0, 4096);
         assert!(g.as_slice().iter().all(|v| *v == 0.0));
     }

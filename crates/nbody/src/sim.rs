@@ -92,8 +92,9 @@ impl Simulation {
         Simulation(Stepper::new(backend, cfg, WholeMesh::default()))
     }
 
-    /// Reconstruct a simulation from checkpointed state (see
-    /// [`crate::checkpoint`]).
+    /// Reconstruct a simulation mid-run from its state (particles, scale
+    /// factor, step index), without a carried force: the invalidation family
+    /// of `conformance::integrator` continues from it.
     pub fn from_state(cfg: SimConfig, particles: Vec<Particle>, a: f64, step: usize) -> Self {
         assert_eq!(particles.len(), cfg.np.pow(3), "state/config mismatch");
         let mesh = WholeMesh::default();

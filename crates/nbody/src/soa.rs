@@ -127,13 +127,8 @@ impl DepositColumns {
 }
 
 impl ParticleSoA {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty store with room for `n` particles per column.
-    pub fn with_capacity(n: usize) -> Self {
+    fn with_capacity(n: usize) -> Self {
         ParticleSoA {
             pos_x: Vec::with_capacity(n),
             pos_y: Vec::with_capacity(n),
@@ -198,7 +193,8 @@ impl ParticleSoA {
     }
 
     /// Packed tags.
-    pub fn tag(&self) -> &[u64] {
+    #[cfg(test)]
+    fn tag(&self) -> &[u64] {
         &self.tag
     }
 
@@ -231,7 +227,7 @@ impl From<&[Particle]> for ParticleSoA {
 
 impl FromIterator<Particle> for ParticleSoA {
     fn from_iter<I: IntoIterator<Item = Particle>>(iter: I) -> Self {
-        let mut soa = ParticleSoA::new();
+        let mut soa = ParticleSoA::default();
         for p in iter {
             soa.push(p);
         }
@@ -366,7 +362,7 @@ mod tests {
 
     #[test]
     fn empty_and_builders() {
-        let soa = ParticleSoA::new();
+        let soa = ParticleSoA::default();
         assert!(soa.is_empty());
         assert!(soa.to_aos().is_empty());
         let from_iter: ParticleSoA = sample(5).into_iter().collect();

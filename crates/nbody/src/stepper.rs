@@ -10,11 +10,11 @@
 //! `a` ⇒ same numbers), so an `N`-step run asks `N + 1` times
 //! (`nbody.pm_solves`, `nbody.gathers`), not `2N`. The array is valid exactly
 //! while positions and `a` are what it was gathered for: the drift and every
-//! mutable view of the particles discard it, [`Stepper::from_state`] (and so
-//! a checkpoint restore) starts without one, and it is freed with the
-//! provider's workspace once the run is finished. A kick that finds none asks
-//! again, which yields the same bits: a provider is deterministic per backend
-//! and `g[i]` a pure function of the grids and particle `i`'s position.
+//! mutable view of the particles discard it, [`Stepper::from_state`] starts
+//! without one, and it is freed with the provider's workspace once the run is
+//! finished. A kick that finds none asks again, which yields the same bits: a
+//! provider is deterministic per backend and `g[i]` a pure function of the
+//! grids and particle `i`'s position.
 
 use crate::cosmology::Cosmology;
 use crate::ic::{zeldovich_particles, IcConfig};

@@ -413,16 +413,6 @@ impl Grammar {
         self
     }
 
-    /// The declared blocks.
-    pub fn blocks(&self) -> &[AxisSet] {
-        &self.blocks
-    }
-
-    /// The declared excludes.
-    pub fn excludes(&self) -> &[Pattern] {
-        &self.excludes
-    }
-
     /// Expand to the scenario list: union of all blocks, deduplicated,
     /// excludes applied, sorted by canonical ID. The result is a pure
     /// function of the declared sets — block order, overlap, and exclude

@@ -32,7 +32,7 @@ const RENDER_STEPS_PER_SNAPSHOT: u64 = 50;
 
 impl MachineKind {
     /// The `simhpc` machine preset, capped at `NODE_CAP` nodes.
-    pub fn spec(self) -> MachineSpec {
+    fn spec(self) -> MachineSpec {
         let mut m = match self {
             MachineKind::Titan => machine::titan(),
             MachineKind::TitanBb => machine::titan_with_burst_buffer(),
@@ -49,7 +49,7 @@ impl SchedulerKind {
     /// everywhere so queueing emerges from simulated contention, not from
     /// the calibration constant — the Titan policy keeps its largest-first
     /// ordering and two-small-jobs cap, which is what the paper fought.
-    pub fn policy(self) -> QueuePolicy {
+    fn policy(self) -> QueuePolicy {
         match self {
             SchedulerKind::TitanPolicy => {
                 let mut p = QueuePolicy::titan();

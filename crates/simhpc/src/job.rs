@@ -119,10 +119,6 @@ pub enum JobState {
     Completed,
     /// Every allowed attempt failed; the job was dropped from the queue.
     Exhausted,
-    /// The submitter withdrew the job via
-    /// [`crate::BatchSimulator::cancel`] before it finished; it holds no
-    /// nodes and produces no [`JobRecord`].
-    Cancelled,
 }
 
 /// Per-job fault-and-retry accounting, one entry per submitted job.

@@ -15,7 +15,7 @@ use telemetry::Histogram;
 /// Snapshot semantics: counters accumulate monotonically over the simulator's
 /// lifetime (across multiple `run_to_completion` calls). All node-hold time is
 /// counted in `busy_node_seconds`, whether or not the hold produced output;
-/// the subset burnt by failed or cancelled attempts is also mirrored in
+/// the subset burnt by failed attempts is also mirrored in
 /// `wasted_node_seconds`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueMetrics {
@@ -23,8 +23,6 @@ pub struct QueueMetrics {
     pub completed: u64,
     /// Jobs dropped after exhausting their fault-retry budget.
     pub exhausted: u64,
-    /// Jobs withdrawn via [`cancel`](crate::BatchSimulator::cancel).
-    pub cancelled: u64,
     /// Fault-killed attempts that were requeued or exhausted.
     pub failed_attempts: u64,
     /// Queue-wait seconds of completed jobs, log₂-bucketed (each observation
@@ -34,11 +32,11 @@ pub struct QueueMetrics {
     pub total_wait_seconds: f64,
     /// Largest single queue wait observed, in seconds.
     pub max_wait_seconds: f64,
-    /// Node-seconds held by any attempt (successful, failed, or cancelled).
+    /// Node-seconds held by any attempt (successful or failed).
     pub busy_node_seconds: f64,
     /// Node-seconds held by attempts that produced no output.
     pub wasted_node_seconds: f64,
-    /// Latest event time seen (completion, failure, or cancellation).
+    /// Latest event time seen (completion or failure).
     pub makespan_seconds: f64,
     /// Machine size, for utilization.
     pub total_nodes: usize,
@@ -50,7 +48,6 @@ impl QueueMetrics {
         QueueMetrics {
             completed: 0,
             exhausted: 0,
-            cancelled: 0,
             failed_attempts: 0,
             wait_histogram: Histogram::new(),
             total_wait_seconds: 0.0,

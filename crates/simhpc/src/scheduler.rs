@@ -49,7 +49,7 @@ pub enum QueueDiscipline {
     /// Fair-share: jobs are ordered by their group's accumulated node-seconds
     /// (lightest user first; FCFS within a group's position), with an
     /// EASY-style head reservation. Usage is charged for every node-hold —
-    /// completed, failed, or cancelled attempts alike.
+    /// completed and failed attempts alike.
     FairShare,
 }
 
@@ -190,7 +190,7 @@ pub struct BatchSimulator {
     faults: Option<Arc<FaultInjector>>,
     backoff: BackoffPolicy,
     /// Accumulated node-seconds per fair-share group (charged for every
-    /// node-hold: completed, failed, and cancelled attempts).
+    /// node-hold: completed and failed attempts).
     usage: BTreeMap<u64, f64>,
     metrics: QueueMetrics,
 }
@@ -234,11 +234,6 @@ impl BatchSimulator {
     /// every job that completed or exhausted its attempts so far.
     pub fn job_outcomes(&self) -> &[JobOutcome] {
         &self.outcomes
-    }
-
-    /// The machine being simulated.
-    pub fn machine(&self) -> &MachineSpec {
-        &self.machine
     }
 
     /// Aggregated queue metrics so far (waits, utilization inputs, terminal
@@ -303,47 +298,9 @@ impl BatchSimulator {
     }
 
     /// Jobs currently holding or awaiting resources (queued + running).
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.queue.len() + self.running.len()
-    }
-
-    /// Withdraw a job that has not yet finished: a queued job is removed
-    /// from the queue, a running job is killed and its nodes freed. Either
-    /// way the job is recorded as [`JobState::Cancelled`] in
-    /// [`job_outcomes`](Self::job_outcomes) and produces no [`JobRecord`].
-    /// Returns `false` when no queued or running job has this id (already
-    /// finished, exhausted, or never submitted).
-    pub fn cancel(&mut self, id: JobId) -> bool {
-        if let Some(i) = self.queue.iter().position(|q| q.id == id) {
-            let q = self.queue.remove(i);
-            telemetry::count!("simhpc", "jobs_cancelled", 1);
-            self.metrics.cancelled += 1;
-            self.outcomes.push(JobOutcome {
-                id: q.id,
-                name: q.req.name,
-                attempts: q.failures,
-                state: JobState::Cancelled,
-                wasted_seconds: q.wasted,
-            });
-            return true;
-        }
-        if let Some(i) = self.running.iter().position(|r| r.id == id) {
-            let r = self.running.swap_remove(i);
-            self.free_nodes += r.req.nodes;
-            telemetry::count!("simhpc", "jobs_cancelled", 1);
-            self.metrics.cancelled += 1;
-            self.charge_hold(r.req.group, r.req.nodes, self.clock - r.start, false);
-            self.outcomes.push(JobOutcome {
-                id: r.id,
-                name: r.req.name,
-                attempts: r.attempt,
-                state: JobState::Cancelled,
-                // The aborted attempt's node-hold time produced no output.
-                wasted_seconds: r.wasted + (self.clock - r.start).max(0.0),
-            });
-            return true;
-        }
-        false
     }
 
     fn running_small_jobs(&self) -> usize {
@@ -763,34 +720,6 @@ mod tests {
         assert_eq!(big.start_time, 0.0);
         assert_eq!(next.start_time, 50.0);
         assert_eq!(next.queue_wait(), 50.0);
-    }
-
-    #[test]
-    fn cancelled_queued_job_frees_its_admission_slot() {
-        let mut sim = BatchSimulator::new(tiny_machine(8), QueuePolicy::ideal());
-        let a = sim.submit(JobRequest::new("a", 8, 50.0, 0.0));
-        sim.submit(JobRequest::new("b", 8, 10.0, 0.0));
-        assert_eq!(sim.pending(), 2);
-        assert!(sim.cancel(a), "queued job must be cancellable");
-        assert_eq!(sim.pending(), 1, "cancellation releases the slot");
-        sim.submit(JobRequest::new("c", 8, 10.0, 0.0));
-        assert_eq!(sim.pending(), 2);
-        assert!(!sim.cancel(a), "a cancelled id cancels only once");
-        assert_eq!(sim.pending(), 2, "a second cancel releases nothing");
-
-        let recs = sim.run_to_completion();
-        assert!(
-            recs.iter().all(|r| r.name != "a"),
-            "a cancelled job must not produce a completion record"
-        );
-        assert_eq!(recs.len(), 2);
-        let out = sim
-            .job_outcomes()
-            .iter()
-            .find(|o| o.name == "a")
-            .expect("cancellation is recorded in outcomes");
-        assert_eq!(out.state, JobState::Cancelled);
-        assert_eq!(out.wasted_seconds, 0.0, "never started, nothing burnt");
     }
 
     #[test]
@@ -1298,7 +1227,7 @@ mod zoo_tests {
     }
 
     #[test]
-    fn fair_share_charges_failed_and_cancelled_attempts() {
+    fn fair_share_charges_failed_attempts() {
         let inj = FaultPlan::new(9)
             .with_site(SiteSpec::transient(SCHEDULER_FAULT_SITE, 1.0).with_max_faults(1))
             .build();
@@ -1320,7 +1249,6 @@ mod zoo_tests {
         sim.run_to_completion();
         let m = sim.queue_metrics();
         assert_eq!(m.completed, 2);
-        assert_eq!(m.cancelled, 0);
         assert_eq!(m.failed_attempts, 0);
         assert_eq!(m.total_wait_seconds, 50.0, "b waited for a");
         assert_eq!(m.max_wait_seconds, 50.0);
@@ -1334,7 +1262,7 @@ mod zoo_tests {
     }
 
     #[test]
-    fn queue_metrics_count_failures_and_cancellations() {
+    fn queue_metrics_count_failures() {
         let inj = FaultPlan::new(2)
             .with_site(SiteSpec::transient(SCHEDULER_FAULT_SITE, 1.0))
             .build();
@@ -1356,12 +1284,6 @@ mod zoo_tests {
         assert_eq!(m.failed_attempts, 3);
         assert!((m.wasted_node_seconds - 3.0 * 4.0 * 50.0).abs() < 1e-9);
         assert_eq!(m.busy_node_seconds, m.wasted_node_seconds);
-
-        // A cancelled queued job counts without burning node time.
-        let id = sim.submit(JobRequest::new("late", 4, 50.0, sim.now() + 100.0));
-        assert!(sim.cancel(id));
-        assert_eq!(sim.queue_metrics().cancelled, 1);
-        assert!((sim.queue_metrics().wasted_node_seconds - 600.0).abs() < 1e-9);
     }
 
     #[test]

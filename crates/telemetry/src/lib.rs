@@ -210,11 +210,6 @@ impl Recorder {
         }
     }
 
-    /// The clock mode this recorder was created with.
-    pub fn clock(&self) -> Clock {
-        self.clock
-    }
-
     fn now(&self) -> u64 {
         match self.clock {
             Clock::Wall => self.epoch.elapsed().as_micros() as u64,
@@ -275,11 +270,6 @@ impl RecorderGuard {
         let recorder = Arc::clone(&self.recorder);
         drop(self);
         recorder.drain_trace()
-    }
-
-    /// The installed recorder (e.g. to snapshot an intermediate trace).
-    pub fn recorder(&self) -> &Arc<Recorder> {
-        &self.recorder
     }
 }
 
@@ -579,7 +569,7 @@ macro_rules! instant {
 // -------------------------------------------------------------- histogram
 
 /// Number of log₂ buckets; covers the full `u64` range.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+const HISTOGRAM_BUCKETS: usize = 64;
 
 /// A fixed log₂-bucketed histogram. Bucket 0 holds the value 0; bucket `b`
 /// (b ≥ 1) holds values in `[2^(b-1), 2^b - 1]`. Merging is element-wise
@@ -657,7 +647,7 @@ impl Histogram {
     }
 
     /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

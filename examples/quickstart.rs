@@ -109,9 +109,6 @@ fn main() {
             Product::SoMasses { step, masses } => {
                 println!("SO masses @ step {step}: {} halos measured", masses.len());
             }
-            Product::Subhalos { step, counts } => {
-                println!("subhalos @ step {step}: {} parents searched", counts.len());
-            }
             Product::Image { step, frame } => {
                 println!(
                     "frame @ step {step}: {}x{} {}-axis projection ({} of {} particles)",

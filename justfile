@@ -48,19 +48,24 @@ step-profile:
     cargo run --release --example step_profile
 
 # First-party non-test Rust lines per crate (the number ROADMAP tracks):
-# every `src/**/*.rs` line above the file's top-level `#[cfg(test)]`, the
-# vendored stand-ins (rand, proptest, criterion, parking_lot, bytes) left out.
+# every `src/**/*.rs` line outside column-0 `#[cfg(test)]` items (each item is
+# skipped to its closing brace, or to its `;`, and the blank lines between it
+# and the next test item go with it), the vendored stand-ins (rand, proptest,
+# criterion, parking_lot, bytes) left out.
 loc:
     @for c in src crates/*/src; do \
         case $c in crates/rand/*|crates/proptest/*|crates/criterion/*|crates/parking_lot/*|crates/bytes/*) continue;; esac; \
-        find $c -name '*.rs' -print0 | xargs -0 awk -v c=$c 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{printf "%7d %s\n", n, c}'; \
+        find $c -name '*.rs' -print0 | xargs -0 awk -v c=$c 'FNR==1{t=0; p=0} !t && /^#\[cfg\(test\)\]/{t=1; d=0; o=0} t{l=$0; d+=gsub(/\{/,"{",l); d-=gsub(/\}/,"}",l); if(index($0,"{"))o=1; if((o&&d<=0)||(!o&&/;[ \t]*$/)){t=0; p=1; b=0}; next} p&&/^[ \t]*$/{b++; next} {if(p){n+=b; p=0}; n++} END{printf "%7d %s\n", n, c}'; \
     done | awk '{s+=$1; print} END{printf "%7d total\n", s}'
 
-# Every first-party `pub fn` has a caller: fails on any whose name no other
-# `.rs` file names outside a `use` / `pub use` statement (the vendored
-# stand-ins skipped). Part of tier-1 (`cargo test`), so CI runs it too; a hit
-# is deleted or made private, and the test's commented allow-list holds only
-# `$crate::` macro targets and crash-window hooks.
+# Every first-party public item has a product caller or a written reason: a
+# token-level resolver matches callers per definition (module paths, `use`s,
+# `Type::name` / `.name(`, `$crate::` macro targets; comments, doc prose and
+# strings are not callers) and classes each one (product, conformance, test,
+# harness). An item with no product caller fails unless
+# tests/goldens/api_no_product_caller.txt lists it with a reason from the
+# closed set in tests/api_audit.rs; a listed item that gained its caller
+# fails too. Part of tier-1 (`cargo test`), so CI runs it.
 api-audit:
     cargo test -q --test api_audit
 

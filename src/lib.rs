@@ -36,7 +36,10 @@
 //! let mut manager = InSituAnalysisManager::new();
 //! manager.register(Box::new(PowerSpectrumTask::new()));
 //! manager.register(Box::new(HaloFinderTask::new()));
-//! let deck = Config::parse(cosmotools::default_deck()).unwrap();
+//! let deck = Config::parse(
+//!     "[powerspectrum]\nevery = 10\n[halofinder]\nmin_size = 40\nat_final_step = true\n",
+//! )
+//! .unwrap();
 //! manager.configure(&deck).unwrap();
 //!
 //! let mut sim = Simulation::new(&backend, cfg.clone());
