@@ -2,13 +2,14 @@
 //! spectrum, k-d tree construction/queries, the message-passing layer, and
 //! the batch-queue simulator — plus the **layout trajectory**: self-timed
 //! measurements of every SoA/column kernel (`after`) against a denominator
-//! that lives outside the product crates' hot path (`before`: the scalar,
-//! dense-cell and grid-per-chunk references in `conformance::layout`; for
+//! that lives outside the product crates' hot path (`before`: the scalar
+//! and dense-cell references in `conformance::layout`; for
 //! the PM solve, the per-line FFT reference and the stepper that re-solves
 //! at every kick; for a real field's transform, the complex transform of the
 //! field promoted to complex; for the force gather, three `cic_interpolate`
-//! calls per particle; for the distributed find, the k-d tree FOF; for a render
-//! frame, one that sorts its level-of-detail order afresh; for a halo
+//! calls per particle; for the distributed find, the k-d tree FOF; for a
+//! half-budget render frame, one that sorts its level-of-detail order afresh;
+//! for a halo
 //! population, a binary search over the mass function's CDF per draw),
 //! written to `BENCH_kernels.json` when `BENCH_KERNELS_JSON=<path>` is set
 //! (`just bench-kernels`).
@@ -19,8 +20,8 @@ use bench::{blob, snapshot_32};
 use comm::{CartDecomp, World};
 use conformance::integrator::step_resolving;
 use conformance::layout::{
-    cic_deposit_det_partials_ref, cic_deposit_scalar_ref, fft3d_line_ref, fof_grid_dense_ref,
-    massfn_sample_ref, potential_scalar_ref,
+    cic_deposit_scalar_ref, fft3d_line_ref, fof_grid_dense_ref, massfn_sample_ref,
+    potential_scalar_ref,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dpp::{ops, par_for_each_mut, Serial, Threaded, DEFAULT_GRAIN};
@@ -412,17 +413,18 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
             after_ms: after,
         });
 
-        // A frame's deterministic deposit, in LOD order on the render mesh:
-        // a dense grid per chunk vs sparse partials. Two-worker pool, as the
-        // PM rows and for their reason: `after` runs its chunks on both.
+        // A frame's deposit on the render mesh: the scalar per-particle
+        // loop over the particles in LOD order (the order a frame deposited
+        // in while its sum depended on it) vs the exact deposit in storage
+        // order. Two-worker pool, as the PM rows and for their reason: both
+        // run a chunk per worker.
         let selected = cosmotools::lod_select(sim.particles(), 1, 0);
-        let soa = ParticleSoA::from_aos(&selected);
-        let grain = cosmotools::RENDER_DEPOSIT_GRAIN;
+        let cols = DepositColumns::from_aos(&pool2, sim.particles());
         let before = time_ms(pm_reps, || {
-            cic_deposit_det_partials_ref(&pool2, &selected, 64, box_size, grain)
+            cic_deposit_scalar_ref(&pool2, &selected, 64, box_size)
         });
         let after = time_ms(pm_reps, || {
-            nbody::pm::cic_deposit_soa_det(&pool2, &soa, 64, box_size, grain)
+            nbody::cic_deposit_exact(&pool2, cols.positions(), cols.mass(), 64, box_size)
         });
         rows.push(KernelRow {
             kernel: "render_deposit_64",
@@ -431,11 +433,15 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
             after_ms: after,
         });
 
-        // A whole frame of those particles on the render mesh: a fresh
+        // A whole frame of half of those particles on the render mesh (an
+        // unlimited frame computes no LOD order at all): a fresh
         // `render_frame` sorts its LOD order vs a density task that has
         // drawn this particle set before and reuses it. Same frame.
         use cosmotools::InSituAlgorithm;
-        let params = cosmotools::RenderParams::default();
+        let params = cosmotools::RenderParams {
+            byte_budget: (n / 2) as u64 * cosmotools::PARTICLE_RENDER_BYTES,
+            ..cosmotools::RenderParams::default()
+        };
         let mut task = cosmotools::DensityRenderTask::new();
         task.params = params;
         let ctx = cosmotools::AnalysisContext {

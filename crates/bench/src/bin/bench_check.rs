@@ -40,9 +40,10 @@ const REQUIRED: [&str; 12] = [
 /// gather reads the mesh once where three interpolations read it three times
 /// and redo the cell arithmetic, which no host makes less than twice as fast;
 /// the cell engine links a 218k-row patch from a counting sort where the k-d
-/// tree partitions it recursively first (1.5–1.6× when recorded); a render
-/// frame that reuses its level-of-detail order skips a 262k-key sort that
-/// costs about as much as its gather and deposit together; a real field's
+/// tree partitions it recursively first (1.5–1.6× when recorded); a
+/// half-budget render frame that reuses its level-of-detail order skips a
+/// 262k-key sort that costs more than its gather and exact deposit together
+/// (2.3× when recorded); a real field's
 /// half spectrum is half the data and half the lines of its complex
 /// promotion (≈ 2× when recorded); a halo draw that finds its bin from a
 /// guide bucket skips most of a 12-level binary search and both of its

@@ -31,6 +31,15 @@ impl<T> Case<T> {
     }
 }
 
+/// `data` in a seeded Fisher–Yates order: the same permutation on every run.
+pub fn shuffled<T: Clone>(data: &[T], seed: u64) -> Vec<T> {
+    let (mut out, mut rng) = (data.to_vec(), StdRng::seed_from_u64(seed));
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.gen_range(0..i + 1));
+    }
+    out
+}
+
 /// Grain-straddling lengths: one below, at, and above [`dpp::DEFAULT_GRAIN`],
 /// plus a multi-chunk length past [`dpp::SMALL_N_THRESHOLD`].
 pub const BOUNDARY_LENGTHS: [usize; 4] = [1023, 1024, 1025, 4097];

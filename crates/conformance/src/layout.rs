@@ -58,11 +58,10 @@
 //!   flat and zero-extent patches, pairs exactly one link apart, NaN, ±∞ and
 //!   `f64::MAX` coordinates, a real two-rank patch — and on each, a cell
 //!   table of at most `8n + 1` cells (`halo.fof_cells`).
-//! * `cic-det` — [`nbody::pm::cic_deposit_soa_det`] (sparse per-chunk
-//!   partials) vs [`cic_deposit_det_partials_ref`] (a dense grid per chunk),
-//!   on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded` ×3, over
-//!   `cic_det_cases` at chunk sizes that put `n` below, at and well above
-//!   the 64-chunk cap.
+//! * `cic-exact` — [`nbody::pm::cic_deposit_exact`] (an integer grid per
+//!   worker) vs `cic_deposit_exact_ref` (its definition, summed in `i128` in
+//!   reversed order), on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded`
+//!   ×3, on the stored and a shuffled input, over `cic_exact_cases`.
 //! * `cic-gather` — [`nbody::pm::gather_accel`] (cell and weights once per
 //!   particle, three components per corner) vs three
 //!   [`nbody::pm::cic_interpolate`] calls per particle, per component, on
@@ -104,8 +103,7 @@ use halo::{
     MassFunction,
 };
 use nbody::pm::{
-    cic_deposit_soa, cic_deposit_soa_det, cic_interpolate, gather_accel, poisson_accel,
-    to_grid_units,
+    cic_deposit_exact, cic_deposit_soa, cic_interpolate, gather_accel, poisson_accel, to_grid_units,
 };
 use nbody::{Particle, ParticleSoA};
 use parking_lot::Mutex;
@@ -116,7 +114,7 @@ use rand::{Rng, SeedableRng};
 /// must contribute more than zero checks to a passing run.
 pub const REQUIRED_KERNELS: [&str; 12] = [
     "cic-soa",
-    "cic-det",
+    "cic-exact",
     "cic-gather",
     "fof-cols",
     "fof-grid",
@@ -154,8 +152,7 @@ fn deposit_scalar(local: &mut [f64], p: &Particle, ng: usize, box_size: f64) {
 
 /// Mass per cell → overdensity `δ = ρ/ρ̄ − 1` (left as it is when the total
 /// mass is not positive): the tail of both deposit references.
-fn overdensity_ref(mut rho: Vec<f64>, particles: &[Particle], ng: usize) -> Grid3<f64> {
-    let total: f64 = particles.iter().map(|p| p.mass as f64).sum();
+fn overdensity_ref(mut rho: Vec<f64>, total: f64, ng: usize) -> Grid3<f64> {
     let mean = total / rho.len() as f64;
     if mean > 0.0 {
         for v in &mut rho {
@@ -196,53 +193,55 @@ pub fn cic_deposit_scalar_ref(
             *gv += lv;
         }
     }
-    overdensity_ref(rho, particles, ng)
+    let total: f64 = particles.iter().map(|p| p.mass as f64).sum();
+    overdensity_ref(rho, total, ng)
 }
 
-/// Grid-per-chunk deterministic deposit reference:
-/// [`nbody::pm::cic_deposit_soa_det`] as it was before its partials became
-/// sparse — fixed `grain`-sized chunks (`grain` raised to `n/64`), dispatched
-/// over chunk indices, one zeroed `ng³` grid **per chunk**, all of them held
-/// until a dense merge in chunk order, then the overdensity. The chunk body
-/// is the scalar per-particle loop of [`cic_deposit_scalar_ref`] (the
-/// kernel's own is private to `nbody`, and `cic-soa` holds the two
-/// bit-equal), and the merge leaves a sum that is NaN already alone: the
-/// kernel's rule, and what the optimized build of this loop did anyway.
-pub fn cic_deposit_det_partials_ref(
-    backend: &dyn Backend,
-    particles: &[Particle],
-    ng: usize,
-    box_size: f64,
-    grain: usize,
-) -> Grid3<f64> {
+/// The definition [`nbody::pm::cic_deposit_exact`] is held to: every corner
+/// term of the scalar loop (`deposit_scalar`'s wrap, visit order and
+/// `m·wx·wy·wz`, except that a coordinate wrapping to exactly `ng` is the
+/// origin), scaled by `2^e` — `2^p ≤ 8·n·max|m| < 2^(p+1)` over the finite
+/// masses, `e = 60 − p`, or `0` when there is none — and truncated; the
+/// finite ones summed per cell in `i128`, particles in reversed order; a
+/// cell with a NaN term, or with both infinities, NaN, one with one infinity
+/// that infinity; then `ρ = q·2^−e` and the overdensity of the integer total.
+fn cic_deposit_exact_ref(particles: &[Particle], ng: usize, box_size: f64) -> Grid3<f64> {
+    let masses = particles.iter().map(|p| p.mass.abs() as f64);
+    let max = masses.filter(|m| m.is_finite()).fold(0.0, f64::max);
+    let p = ((8.0 * particles.len() as f64 * max).to_bits() >> 52) as i32 - 1023;
+    let e = if max > 0.0 { 60 - p } else { 0 };
     let ncell = ng * ng * ng;
-    let n = particles.len();
-    let grain = grain.max(1).max(n / 64);
-    let nchunks = n.div_ceil(grain);
-    let partials: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
-    backend.dispatch(nchunks, 1, &|chunks| {
-        for c in chunks {
-            let lo = c * grain;
-            let hi = ((c + 1) * grain).min(n);
-            let mut local = vec![0.0f64; ncell];
-            for p in &particles[lo..hi] {
-                deposit_scalar(&mut local, p, ng, box_size);
-            }
-            partials.lock().push((lo, local));
-        }
-    });
-    let mut partials = partials.into_inner();
-    partials.sort_by_key(|(s, _)| *s);
-    let mut rho = vec![0.0f64; ncell];
-    for (_, local) in partials {
-        for (gv, lv) in rho.iter_mut().zip(&local) {
-            // `NaN + NaN` keeps whichever operand the compiler put first.
-            if !gv.is_nan() {
-                *gv += lv;
+    // Class bits: 1 a NaN term, 2 a +∞ one, 4 a −∞ one.
+    let (mut sums, mut class) = (vec![0i128; ncell], vec![0u8; ncell]);
+    for p in particles.iter().rev() {
+        let u = p.pos.map(|x| match to_grid_units(x, box_size, ng) {
+            u if u == ng as f64 => 0.0,
+            u => u,
+        });
+        let i = u.map(|u| u as usize % ng);
+        let d = [0, 1, 2].map(|a| u[a] - i[a] as f64);
+        for (dx, wx) in [(0usize, 1.0 - d[0]), (1, d[0])] {
+            for (dy, wy) in [(0usize, 1.0 - d[1]), (1, d[1])] {
+                for (dz, wz) in [(0usize, 1.0 - d[2]), (1, d[2])] {
+                    let cell = (((i[0] + dx) % ng) * ng + (i[1] + dy) % ng) * ng + (i[2] + dz) % ng;
+                    match p.mass as f64 * wx * wy * wz {
+                        t if t.is_nan() => class[cell] |= 1,
+                        t if t.is_infinite() => class[cell] |= if t > 0.0 { 2 } else { 4 },
+                        t => sums[cell] += (t * 2f64.powi(e)) as i128,
+                    }
+                }
             }
         }
     }
-    overdensity_ref(rho, particles, ng)
+    let quantum = 2f64.powi(-e);
+    let total = sums.iter().sum::<i128>() as f64 * quantum;
+    let rho = (0..ncell).map(|c| match class[c] {
+        0 => sums[c] as f64 * quantum,
+        2 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        _ => f64::NAN,
+    });
+    overdensity_ref(rho.collect(), total, ng)
 }
 
 /// Dense-cell periodic FOF reference: [`halo::fof_grid`] as it was before its
@@ -603,26 +602,22 @@ pub fn cic_wrap_case(box_size: f32) -> inputs::Case<Particle> {
     inputs::Case { name, data }
 }
 
-/// The `cic-det` corpus: [`inputs::particle_cases`] (what
-/// `conformance::render` deposits) plus zero and negative masses — total
-/// positive, and total negative so the overdensity step is skipped — every
-/// particle inside one mesh cell, and a length several pooled dispatches
-/// long.
-fn cic_det_cases() -> Vec<inputs::Case<Particle>> {
+/// The `cic-exact` corpus: [`inputs::particle_cases`] plus zero and negative
+/// masses (total positive, and negative), infinite and `f32::MAX` masses,
+/// one-cell pile-ups (sums past the 2⁵³ quanta an `f64` holds exactly), a
+/// length several pooled dispatches long, and the wrap to `ng`.
+fn cic_exact_cases() -> Vec<inputs::Case<Particle>> {
     let mut rng = StdRng::seed_from_u64(0x5EED_C1CD);
     let mut cloud = |name: &'static str, n: usize, lo: f32, hi: f32, masses: [f32; 4]| {
         let data = (0..n)
             .map(|i| {
-                let pos = [
-                    rng.gen_range(lo..hi),
-                    rng.gen_range(lo..hi),
-                    rng.gen_range(lo..hi),
-                ];
+                let pos = [(); 3].map(|()| rng.gen_range(lo..hi));
                 Particle::at_rest(pos, masses[i % 4], i as u64)
             })
             .collect();
         inputs::Case { name, data }
     };
+    let (inf, max) = (f32::INFINITY, f32::MAX);
     let mut cases = inputs::particle_cases();
     cases.push(cloud(
         "signed_masses",
@@ -638,7 +633,16 @@ fn cic_det_cases() -> Vec<inputs::Case<Particle>> {
         32.0,
         [-2.0, 0.0, 0.5, -0.0],
     ));
+    cases.push(cloud(
+        "infinite_masses",
+        600,
+        0.0,
+        32.0,
+        [1.0, inf, 2.5, -inf],
+    ));
+    cases.push(cloud("max_masses", 3000, 0.0, 32.0, [max, 1.0, -max, max]));
     cases.push(cloud("one_cell", 2000, 4.1, 5.9, [1.0, 2.0, 0.5, 1.5]));
+    cases.push(cloud("one_cell_max", 2000, 4.1, 5.9, [max; 4]));
     cases.push(cloud("pooled", 3 * 4096 + 5, 0.0, 32.0, [1.0; 4]));
     cases.push(cic_wrap_case(32.0));
     cases
@@ -1138,32 +1142,36 @@ fn run_layout_differential() -> DiffReport {
         }
     }
 
-    // --- cic-det ---------------------------------------------------------
-    // The reference is backend-independent by construction, so it runs once
-    // on `Serial`; the kernel must reproduce its bits wherever it runs.
-    rep.op("cic-det");
-    let det_backends: [(&str, Box<dyn Backend>); 4] = [
+    // --- cic-exact -------------------------------------------------------
+    // The definition is a plain loop, so it runs once; the kernel must
+    // reproduce its bits on every backend, in the stored order and after a
+    // seeded shuffle.
+    rep.op("cic-exact");
+    let exact_backends: [(&str, Box<dyn Backend>); 4] = [
         ("serial", Box::new(Serial)),
         ("threaded-2", Box::new(Threaded::new(2))),
         ("threaded-3", Box::new(Threaded::new(3))),
         ("static-3", Box::new(StaticThreaded::new(3))),
     ];
-    for case in cic_det_cases() {
-        let soa = ParticleSoA::from_aos(&case.data);
-        // 64 · 16 = 1024: the corpus has n one below, at, one above and
-        // 4× / 12× above the point where the chunk count is capped.
-        for grain in [16usize, 4096] {
-            let reference = cic_deposit_det_partials_ref(&Serial, &case.data, ng, box_size, grain);
-            for (name, b) in &det_backends {
-                let got = cic_deposit_soa_det(b.as_ref(), &soa, ng, box_size, grain);
-                rep.check_f64_slice(
-                    Cmp::BitEq,
-                    "cic-det",
-                    &format!("{}/grain={grain}", case.name),
-                    name,
-                    reference.as_slice(),
-                    got.as_slice(),
-                );
+    for case in cic_exact_cases() {
+        let shuffled = inputs::shuffled(&case.data, 0x5EED_E8AC);
+        let orders = [("stored", &case.data), ("shuffled", &shuffled)]
+            .map(|(name, data)| (name, ParticleSoA::from_aos(data)));
+        for ng in [1, 16] {
+            let reference = cic_deposit_exact_ref(&case.data, ng, box_size);
+            for (name, b) in &exact_backends {
+                for (order, soa) in &orders {
+                    let got =
+                        cic_deposit_exact(b.as_ref(), soa.positions(), soa.mass(), ng, box_size);
+                    rep.check_f64_slice(
+                        Cmp::BitEq,
+                        "cic-exact",
+                        &format!("{}/ng={ng}/{order}", case.name),
+                        name,
+                        reference.as_slice(),
+                        got.as_slice(),
+                    );
+                }
             }
         }
     }
@@ -1801,14 +1809,10 @@ mod tests {
             let parts = vec![wrapping; n];
             let soa = ParticleSoA::from_aos(&parts);
             let want = cic_deposit_scalar_ref(&Serial, &parts, 8, 8.0);
-            for got in [
-                cic_deposit_soa(&Serial, &soa, 8, 8.0),
-                cic_deposit_soa_det(&Serial, &soa, 8, 8.0, 16),
-            ] {
-                let bits =
-                    |g: &Grid3<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&want), bits(&got), "n={n}");
-            }
+            let got = cic_deposit_soa(&Serial, &soa, 8, 8.0);
+            let bits =
+                |g: &Grid3<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&want), bits(&got), "n={n}");
         }
     }
 

@@ -4,16 +4,18 @@
 //!
 //! The render pipeline makes a determinism claim stronger than the halo
 //! pipeline's: every backend must produce **byte-identical images** (the
-//! deposit runs through the fixed-grain [`cic_deposit_cols_det`] kernel, so
-//! there is no reassociation escape hatch, not even for the static
-//! scheduler). The battery checks that claim and the geometry around it:
+//! deposit runs through [`cic_deposit_exact`], whose fixed-point sum no
+//! order, chunking or worker count can move, so there is no reassociation
+//! escape hatch, not even for the static scheduler). The battery checks that
+//! claim and the geometry around it:
 //!
 //! * `render-backend` — differential: [`cosmotools::render_frame`] over the
 //!   adversarial particle corpus on every roster backend, every axis, with
 //!   and without a LOD budget, byte-compared against Serial.
 //! * `render-permutation` — metamorphic: reordering the input particle set
-//!   never changes a single pixel (the LOD total order canonicalizes the
-//!   deposit order).
+//!   (reversed, rotated, a seeded shuffle) never changes a single pixel (the
+//!   LOD total order selects the same particles, and the exact deposit does
+//!   not see their order).
 //! * `render-mass` — metamorphic: the projected map reproduces an inline
 //!   re-projection of the 3-D deposit grid and the summed image mass equals
 //!   the grid total — 0 ULP for every non-NaN value under the documented
@@ -43,7 +45,7 @@
 //! survivors from the artifact cache), and converge to a byte-identical
 //! catalog — after which a third run recomputes nothing at all.
 //!
-//! [`cic_deposit_cols_det`]: nbody::pm::cic_deposit_cols_det
+//! [`cic_deposit_exact`]: nbody::pm::cic_deposit_exact
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -51,12 +53,12 @@ use std::sync::Arc;
 use cache::ArtifactCache;
 use cosmotools::{
     lod_select, project_density, render_frame, render_projection, Axis, LodCache, RenderParams,
-    PARTICLE_RENDER_BYTES, RENDER_DEPOSIT_GRAIN,
+    PARTICLE_RENDER_BYTES,
 };
 use dpp::Serial;
 use faults::{FaultPlan, SiteSpec};
 use hacc_core::{RunnerConfig, TestBed, RENDER_FAULT_SITE};
-use nbody::pm::cic_deposit_soa_det;
+use nbody::pm::cic_deposit_exact;
 use nbody::soa::ParticleSoA;
 use nbody::Particle;
 
@@ -153,16 +155,18 @@ fn run_render_differential() -> DiffReport {
     }
 
     // --- render-permutation ----------------------------------------------
-    // The LOD total order sorts the particle set before depositing, so any
-    // input permutation yields the same frame — budgeted or not.
+    // The LOD total order selects the same particles from any permutation,
+    // and the exact deposit does not see their order, so any input
+    // permutation yields the same frame — budgeted or not.
     rep.op("render-permutation");
     for case in cases.iter().filter(|c| c.data.len() >= 2) {
         let n = case.data.len() as u64;
-        let mut reversed = case.data.clone();
-        reversed.reverse();
-        let mut rotated = case.data.clone();
-        rotated.rotate_left(case.data.len() / 2);
-        for (pname, permuted) in [("reversed", &reversed), ("rotated", &rotated)] {
+        let mut rev = case.data.clone();
+        rev.reverse();
+        let mut rot = case.data.clone();
+        rot.rotate_left(case.data.len() / 2);
+        let shuf = inputs::shuffled(&case.data, 0x5EED_5A0F);
+        for (pname, permuted) in [("reversed", &rev), ("rotated", &rot), ("shuffled", &shuf)] {
             for axis in Axis::ALL {
                 for budget in [0, (n / 2).max(1) * PARTICLE_RENDER_BYTES] {
                     let p = params(axis, budget);
@@ -192,9 +196,8 @@ fn run_render_differential() -> DiffReport {
     // values stay bit-exact.
     rep.op("render-mass");
     for case in &cases {
-        let selected = lod_select(&case.data, LOD_SEED, 0);
-        let soa = ParticleSoA::from_aos(&selected);
-        let grid = cic_deposit_soa_det(&Serial, &soa, RENDER_NG, BOX_SIZE, RENDER_DEPOSIT_GRAIN);
+        let soa = ParticleSoA::from_aos(&case.data);
+        let grid = cic_deposit_exact(&Serial, soa.positions(), soa.mass(), RENDER_NG, BOX_SIZE);
         let ng = RENDER_NG;
         let mut axis_totals = [0.0f64; 3];
         for (ai, axis) in Axis::ALL.into_iter().enumerate() {

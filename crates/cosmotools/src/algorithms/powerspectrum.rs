@@ -7,7 +7,7 @@ use crate::insitu::{AnalysisContext, InSituAlgorithm, Product};
 use dpp::Backend;
 use fft::{freq_index, Complex, Grid3, RealFft3d};
 use nbody::particle::Particle;
-use nbody::pm::cic_deposit_cols;
+use nbody::pm::cic_deposit_exact;
 use nbody::DepositColumns;
 
 /// One spectrum bin.
@@ -40,7 +40,7 @@ pub fn compute_power_spectrum(
         let _span = telemetry::span!(LAYER, "deposit", ng);
         // Convert once to the four columns the deposit kernel sweeps.
         let cols = DepositColumns::from_aos(backend, particles);
-        cic_deposit_cols(backend, cols.positions(), cols.mass(), ng, box_size)
+        cic_deposit_exact(backend, cols.positions(), cols.mass(), ng, box_size)
     };
     power_spectrum_of_field(backend, &delta, box_size, nbins)
 }

@@ -45,9 +45,12 @@ pub enum GenioError {
         /// Chunks the set declares.
         want: usize,
     },
-    /// An image container's payload or axis code contradicts its header
-    /// (CRC passed, so the writer — not the wire — was wrong).
+    /// An image container's payload or axis code contradicts its header,
+    /// or its counts contradict each other (CRC passed, so the writer — not
+    /// the wire — was wrong).
     BadImage,
+    /// Bytes follow the last one the header declares.
+    TrailingBytes,
 }
 
 impl std::fmt::Display for GenioError {
@@ -64,6 +67,7 @@ impl std::fmt::Display for GenioError {
                 write!(f, "chunk set incomplete: {have} of {want}")
             }
             GenioError::BadImage => write!(f, "image payload contradicts its header"),
+            GenioError::TrailingBytes => write!(f, "bytes after the declared payload"),
         }
     }
 }
@@ -261,6 +265,14 @@ impl<'a> Reader<'a> {
         self.rest.len()
     }
 
+    /// The end of the data: the encoders write nothing after the payload.
+    fn finish(self) -> Result<(), GenioError> {
+        self.rest
+            .is_empty()
+            .then_some(())
+            .ok_or(GenioError::TrailingBytes)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], GenioError> {
         let (head, rest) = self.rest.split_at_checked(n).ok_or(GenioError::Truncated)?;
         self.rest = rest;
@@ -324,6 +336,7 @@ pub fn read_container(data: &[u8]) -> Result<Container, GenioError> {
         let crc = r.u32()?;
         blocks.push(r.records(n, crc, bi)?);
     }
+    r.finish()?;
     Ok(Container { meta, blocks })
 }
 
@@ -415,6 +428,7 @@ fn decode_chunk(data: &[u8]) -> Result<(ChunkHeader, Vec<Particle>), GenioError>
     let n = r.u64()?;
     let crc = r.u32()?;
     let parts = r.records(n, crc, index as usize)?;
+    r.finish()?;
     Ok((ChunkHeader { meta, index, total }, parts))
 }
 
@@ -538,12 +552,16 @@ pub fn read_image(data: &[u8]) -> Result<ImageFrame, GenioError> {
     let payload_len = usize::try_from(r.u64()?).map_err(|_| GenioError::Truncated)?;
     let crc_expect = r.u32()?;
     let payload = r.take(payload_len)?;
+    r.finish()?;
     if crc32(payload) != crc_expect {
         return Err(GenioError::ChecksumMismatch { block: 0 });
     }
     let axis = Axis::from_code(axis_code).ok_or(GenioError::BadImage)?;
     let (w, h, pixels) = decode_pgm(payload).ok_or(GenioError::BadImage)?;
-    if w != width || h != height {
+    // A frame keeps at most what it was offered, and counts at most one
+    // non-finite bin per pixel.
+    let counts_agree = selected <= total && nonfinite_pixels <= pixels.len() as u64;
+    if (w, h) != (width, height) || !counts_agree {
         return Err(GenioError::BadImage);
     }
     Ok(ImageFrame {
@@ -963,6 +981,40 @@ mod tests {
         forged.extend_from_slice(&crc32(&payload).to_le_bytes());
         forged.extend_from_slice(&payload);
         assert_eq!(read_image(&forged), Err(GenioError::BadImage));
+    }
+
+    #[test]
+    fn image_with_trailing_bytes_is_rejected() {
+        let mut bytes = write_image(&sample_frame()).to_vec();
+        bytes.extend_from_slice(&[0; 4]);
+        assert_eq!(read_image(&bytes), Err(GenioError::TrailingBytes));
+    }
+
+    #[test]
+    fn container_with_trailing_bytes_is_rejected() {
+        let mut bytes = write_container(&sample(2, 5)).to_vec();
+        bytes.extend_from_slice(&[0; 4]);
+        assert_eq!(read_container(&bytes), Err(GenioError::TrailingBytes));
+        let mut chunk = chunk_container(&sample(2, 5))[1].to_vec();
+        chunk.push(0);
+        assert_eq!(decode_chunk(&chunk), Err(GenioError::TrailingBytes));
+    }
+
+    #[test]
+    fn image_whose_counts_contradict_each_other_is_rejected() {
+        // The header is outside the CRC: `selected` at byte 25, `total` at
+        // 33, `nonfinite_pixels` at 49, each a little-endian `u64`.
+        let frame = sample_frame();
+        let bytes = write_image(&frame);
+        let forge = |at: usize, v: u64| {
+            let mut forged = bytes.to_vec();
+            forged[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            read_image(&forged)
+        };
+        assert_eq!(forge(25, frame.total + 1), Err(GenioError::BadImage));
+        assert_eq!(forge(49, 17), Err(GenioError::BadImage));
+        assert_eq!(forge(49, 16).map(|f| f.nonfinite_pixels), Ok(16));
+        assert_eq!(forge(25, frame.total).map(|f| f.selected), Ok(120));
     }
 
     #[test]

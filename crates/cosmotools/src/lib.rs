@@ -42,5 +42,5 @@ pub use levels::{level1_bytes, level2_bytes, level3_center_bytes};
 pub use render::{
     decode_pgm, encode_pgm, lod_priority, lod_select, project_density, render_frame,
     render_projection, tone_map, Axis, DensityRenderTask, ImageFrame, LodCache, RenderParams,
-    PARTICLE_RENDER_BYTES, RENDER_DEPOSIT_GRAIN,
+    PARTICLE_RENDER_BYTES,
 };

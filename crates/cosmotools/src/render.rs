@@ -15,13 +15,10 @@
 //!   shrinking budgets. A renderer that draws every step keeps a
 //!   [`LodCache`], which sorts once and reuses the order while the seed and
 //!   the tag column stay the same.
-//! * The selection is gathered straight into the deposit's columns
-//!   ([`DepositColumns::refill_gather`]) and goes through
-//!   [`nbody::cic_deposit_cols_det`], whose fixed
-//!   chunking makes the 3-D grid byte-identical across
-//!   Serial/Threaded/StaticThreaded: chunks of [`RENDER_DEPOSIT_GRAIN`]
-//!   particles, each deposited on its own and kept as a sparse list of the
-//!   cells it touched, added up in chunk order.
+//! * The selection — all particles, in storage order, when the budget is
+//!   unlimited; else the order's prefix, in index order — is gathered into
+//!   the deposit's columns for [`nbody::cic_deposit_exact`], whose grid is a
+//!   function of the particle multiset alone (any order, any backend).
 //! * [`project_density`] and [`tone_map`] are sequential scalar loops with a
 //!   documented accumulation order.
 //!
@@ -33,18 +30,13 @@ use crate::insitu::{AnalysisContext, InSituAlgorithm, Product};
 use dpp::Backend;
 use fft::Grid3;
 use nbody::particle::Particle;
-use nbody::pm::cic_deposit_cols_det;
+use nbody::pm::cic_deposit_exact;
 use nbody::soa::DepositColumns;
 
 /// Bytes one particle costs against the render byte budget (the genio
 /// serialized record size, so budgets are phrased in the same units as the
 /// Level 1/2 containers).
 pub const PARTICLE_RENDER_BYTES: u64 = 36;
-
-/// Fixed deposit chunk size for rendering. Passed to
-/// [`cic_deposit_cols_det`]; constant (never derived from the backend) so the
-/// deposit — and therefore every pixel — is byte-identical on every backend.
-pub const RENDER_DEPOSIT_GRAIN: usize = 4096;
 
 /// Projection axis for a rendered frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -221,8 +213,8 @@ pub fn lod_select(particles: &[Particle], seed: u64, byte_budget: u64) -> Vec<Pa
         .collect()
 }
 
-/// The LOD order of the last particle set a renderer drew, reused for the
-/// next frame while it is provably the same.
+/// The LOD order of the last particle set a renderer drew under a byte
+/// budget, reused for the next budgeted frame while it is provably the same.
 ///
 /// When all tags are distinct, the order depends only on the seed and on
 /// the tag at each position. So the cached order is reused when:
@@ -273,23 +265,22 @@ impl LodCache {
         box_size: f64,
         params: &RenderParams,
     ) -> (Vec<f64>, u64) {
-        let order = self.order(particles, params.lod_seed);
-        let selected = &order[..budget_len(order.len(), params.byte_budget)];
         let mut cols = DepositColumns::default();
-        {
-            let _span = telemetry::span!("render", "gather", selected.len());
-            cols.refill_gather(backend, particles, selected);
-        }
-        let grid = cic_deposit_cols_det(
-            backend,
-            cols.positions(),
-            cols.mass(),
-            params.ng,
-            box_size,
-            RENDER_DEPOSIT_GRAIN,
-        );
+        let selected = if params.byte_budget == 0 {
+            let _span = telemetry::span!("render", "gather", particles.len());
+            cols.refill(backend, particles);
+            particles.len()
+        } else {
+            let order = self.order(particles, params.lod_seed);
+            let mut kept = order[..budget_len(order.len(), params.byte_budget)].to_vec();
+            let _span = telemetry::span!("render", "gather", kept.len());
+            kept.sort_unstable(); // the grid depends on which, not their order
+            cols.refill_gather(backend, particles, &kept);
+            kept.len()
+        };
+        let grid = cic_deposit_exact(backend, cols.positions(), cols.mass(), params.ng, box_size);
         let _span = telemetry::span!("render", "project", params.ng);
-        (project_density(&grid, params.axis), selected.len() as u64)
+        (project_density(&grid, params.axis), selected as u64)
     }
 
     /// [`render_frame`], with the LOD order from this cache.
@@ -731,7 +722,7 @@ mod tests {
         let parts = particles(1000, 32.0);
         let cols = DepositColumns::from_aos(&Serial, &parts);
         let (pos, mass) = (cols.positions(), cols.mass());
-        let grid = cic_deposit_cols_det(&Serial, pos, mass, 8, 32.0, RENDER_DEPOSIT_GRAIN);
+        let grid = cic_deposit_exact(&Serial, pos, mass, 8, 32.0);
         let totals: Vec<f64> = Axis::ALL
             .iter()
             .map(|&a| project_density(&grid, a).iter().sum())

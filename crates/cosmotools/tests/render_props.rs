@@ -212,7 +212,9 @@ proptest! {
     }
 
     /// The HCIM container round-trips the whole frame — pixels and
-    /// provenance — bit-exactly.
+    /// provenance — bit-exactly. (A frame keeps at most the particles it was
+    /// offered and counts at most one non-finite bin per pixel; the decoder
+    /// rejects any other.)
     #[test]
     fn hcim_round_trips_bit_exactly(
         width in 1u32..32,
@@ -220,8 +222,8 @@ proptest! {
         step in any::<u64>(),
         axis_i in 0usize..3,
         nonfinite in any::<u64>(),
-        selected in any::<u64>(),
-        total in any::<u64>(),
+        count_a in any::<u64>(),
+        count_b in any::<u64>(),
         byte_budget in any::<u64>(),
     ) {
         let pixels = raw[..(width * width) as usize].to_vec();
@@ -230,10 +232,10 @@ proptest! {
             axis: Axis::ALL[axis_i],
             width,
             height: width,
+            nonfinite_pixels: nonfinite % (pixels.len() as u64 + 1),
             pixels,
-            nonfinite_pixels: nonfinite,
-            selected,
-            total,
+            selected: count_a.min(count_b),
+            total: count_a.max(count_b),
             byte_budget,
         };
         let bytes = write_image(&frame);

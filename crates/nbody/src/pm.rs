@@ -2,7 +2,9 @@
 //! gather. All mesh quantities live in *grid units* (cell = 1).
 //!
 //! The deposit reads four columns — positions and mass ([`cic_deposit_cols`];
-//! [`cic_deposit_soa`] is the same body behind a [`ParticleSoA`]). The solve
+//! [`cic_deposit_soa`] is the same body behind a [`ParticleSoA`]).
+//! [`cic_deposit_exact`] runs the same chunk body into integer grids, so its
+//! result does not depend on the particle order or the worker count. The solve
 //! lives in [`PoissonSolver`], which a caller keeps across solves for its FFT
 //! plan and `k` table; every grid is transient: `δ` is real, so one
 //! real-to-complex transform to the `ng·ng·(ng/2 + 1)` half spectrum, one
@@ -52,10 +54,10 @@ const CIC_BLOCK: usize = 64;
 /// Cloud-in-cell deposit of particle mass onto an `ng³` mesh. Returns the
 /// *overdensity* field `δ = ρ/ρ̄ − 1`, where the mean is taken over the mesh.
 ///
-/// Each chunk walks its particles in blocks of `CIC_BLOCK`. Phase one
-/// sweeps the packed position/mass columns in three vectorizable passes:
-/// (a) the pure `pos / box · ng` arithmetic over fixed-size column windows,
-/// (b) a block-level range check that only falls back to the scalar
+/// Each chunk walks its particles in blocks of `CIC_BLOCK` (`deposit_chunk`).
+/// Phase one sweeps the packed position/mass columns in three vectorizable
+/// passes: (a) the pure `pos / box · ng` arithmetic over fixed-size column
+/// windows, (b) a block-level range check that only falls back to the scalar
 /// `rem_euclid` wrap when some lane is out of `[0, ng)` (bit-identical
 /// either way — see `wrap_periodic`), and (c) truncation to cell indices plus
 /// fractional offsets. Indices truncate through `i32` (`u as i32` equals
@@ -67,7 +69,8 @@ const CIC_BLOCK: usize = 64;
 /// increments. Partial grids are collected per chunk and merged in chunk
 /// order, so the result is identical run-to-run; `conformance::layout` holds
 /// it bit-equal, on every backend, to the scalar per-particle loop
-/// (`cic_deposit_scalar_ref`) over the adversarial corpus.
+/// (`cic_deposit_scalar_ref`) over the adversarial corpus. Its low bits
+/// depend on the worker count; [`cic_deposit_exact`]'s do not.
 pub fn cic_deposit_cols(
     backend: &dyn Backend,
     pos: PosColumns<'_>,
@@ -76,21 +79,25 @@ pub fn cic_deposit_cols(
     box_size: f64,
 ) -> Grid3<f64> {
     let ncell = ng * ng * ng;
-    assert!(ng <= i32::MAX as usize, "mesh size must fit i32 indices");
-    let n = masses.len();
-    assert!(
-        pos.x.len() == n && pos.y.len() == n && pos.z.len() == n,
-        "deposit columns differ in length"
-    );
+    check_columns(pos, masses, ng);
     let partials: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
-    let grain = (n / backend.concurrency().max(1)).max(4096);
-    backend.dispatch(n, grain, &|r| {
+    let grain = (masses.len() / backend.concurrency().max(1)).max(4096);
+    backend.dispatch(masses.len(), grain, &|r| {
         let start = r.start;
         let mut local = vec![0.0f64; ncell];
-        deposit_chunk(pos, masses, r, ng, box_size, &mut local);
+        deposit_chunk(pos, masses, r, ng, box_size, false, local.as_mut_slice());
         partials.lock().push((start, local));
     });
-    merge_and_normalize(partials.into_inner(), masses, ng)
+    let mut partials = partials.into_inner();
+    partials.sort_by_key(|(s, _)| *s);
+    let mut rho = vec![0.0f64; ncell];
+    for (_, local) in partials {
+        for (gv, lv) in rho.iter_mut().zip(&local) {
+            *gv += lv;
+        }
+    }
+    let total: f64 = masses.iter().map(|&m| m as f64).sum();
+    overdensity(rho, total, ng)
 }
 
 /// [`cic_deposit_cols`] over a [`ParticleSoA`]'s position and mass columns.
@@ -109,166 +116,143 @@ pub fn cic_deposit_soa(
     )
 }
 
-/// Deposit particles `[r.start, r.end)` of the columns into `local` (length
-/// `ng³`, zero-initialized by the caller). This is the exact chunk body of
-/// [`cic_deposit_cols`], factored out so the fixed-chunk deterministic
-/// variant ([`cic_deposit_cols_det`]) runs byte-for-byte the same per-chunk
-/// arithmetic.
+/// The deposits' shared argument checks.
+fn check_columns(pos: PosColumns<'_>, masses: &[f32], ng: usize) {
+    let n = masses.len();
+    assert!(ng <= i32::MAX as usize, "mesh size must fit i32 indices");
+    assert!(
+        [pos.x.len(), pos.y.len(), pos.z.len()] == [n; 3],
+        "deposit columns differ in length"
+    );
+}
+
+/// The one chunk body of both deposits: hand each of particles
+/// `[r.start, r.end)` to `sink` as its eight corner cells and terms (see
+/// `corners`). With `ng_is_origin`, a coordinate that wraps to exactly `ng`
+/// (a negative one too small to move `ng`) is the box origin, offset 0, so
+/// every weight lies in `[0, 1]`; without, it is cell 0 with offset `ng`, as
+/// `% ng` leaves it and `cic_gather` keeps it.
 fn deposit_chunk(
     pos: PosColumns<'_>,
     masses: &[f32],
     r: std::ops::Range<usize>,
     ng: usize,
     box_size: f64,
-    local: &mut [f64],
+    ng_is_origin: bool,
+    sink: &mut (impl Sink + ?Sized),
 ) {
     let (px, py, pz) = (pos.x, pos.y, pos.z);
-    {
-        let ngf = ng as f64;
-        // Per-block scratch lanes (stack-resident).
-        let mut ux = [0.0f64; CIC_BLOCK];
-        let mut uy = [0.0f64; CIC_BLOCK];
-        let mut uz = [0.0f64; CIC_BLOCK];
-        let mut ix = [0i32; CIC_BLOCK];
-        let mut iy = [0i32; CIC_BLOCK];
-        let mut iz = [0i32; CIC_BLOCK];
-        let mut fx = [0.0f64; CIC_BLOCK];
-        let mut fy = [0.0f64; CIC_BLOCK];
-        let mut fz = [0.0f64; CIC_BLOCK];
-        let mut mm = [0.0f64; CIC_BLOCK];
-        let mut base = r.start;
-        while base + CIC_BLOCK <= r.end {
-            let pxw: &[f32; CIC_BLOCK] = px[base..base + CIC_BLOCK].try_into().unwrap();
-            let pyw: &[f32; CIC_BLOCK] = py[base..base + CIC_BLOCK].try_into().unwrap();
-            let pzw: &[f32; CIC_BLOCK] = pz[base..base + CIC_BLOCK].try_into().unwrap();
-            let mw: &[f32; CIC_BLOCK] = masses[base..base + CIC_BLOCK].try_into().unwrap();
-            // Phase 1a: scale to grid units (convert/divide/multiply lanes).
-            for k in 0..CIC_BLOCK {
-                ux[k] = pxw[k] as f64 / box_size * ngf;
-                uy[k] = pyw[k] as f64 / box_size * ngf;
-                uz[k] = pzw[k] as f64 / box_size * ngf;
-                mm[k] = mw[k] as f64;
-            }
-            // Phase 1b: the periodic wrap. In-range lanes pass through
-            // unchanged (exactly what `rem_euclid` would return), so the
-            // whole block is checked with vector compares and the `fmod`
-            // fix-up only runs for out-of-box or non-finite positions.
-            let mut in_range = true;
-            for k in 0..CIC_BLOCK {
-                in_range &= (ux[k] >= 0.0)
-                    & (ux[k] < ngf)
-                    & (uy[k] >= 0.0)
-                    & (uy[k] < ngf)
-                    & (uz[k] >= 0.0)
-                    & (uz[k] < ngf);
-            }
-            if !in_range {
-                for k in 0..CIC_BLOCK {
-                    ux[k] = wrap_periodic(ux[k], ngf);
-                    uy[k] = wrap_periodic(uy[k], ngf);
-                    uz[k] = wrap_periodic(uz[k], ngf);
-                }
-            }
-            // Phase 1c: cell indices and fractional offsets. Every lane is
-            // now in `[0, ng]` or NaN (→ 0 under Rust's saturating cast);
-            // exactly `ng` (a negative coordinate too small to move `ng`)
-            // reduces to cell 0 with its offset kept, as `% ng` leaves it and
-            // as `cic_cell` does for the gather.
-            let wrap = |i: i32| if i == ng as i32 { 0 } else { i };
-            for k in 0..CIC_BLOCK {
-                ix[k] = wrap(ux[k] as i32);
-                iy[k] = wrap(uy[k] as i32);
-                iz[k] = wrap(uz[k] as i32);
-                fx[k] = ux[k] - ix[k] as f64;
-                fy[k] = uy[k] - iy[k] as f64;
-                fz[k] = uz[k] - iz[k] as f64;
-            }
-            // Phase 2: scatter eight corners per particle in the scalar
-            // reference's visit order and product association; the `% ng`
-            // wraps are compare-and-reset since the base cell is already < ng.
-            for k in 0..CIC_BLOCK {
-                let (x0, y0, z0) = (ix[k] as usize, iy[k] as usize, iz[k] as usize);
-                let x1 = if x0 + 1 == ng { 0 } else { x0 + 1 };
-                let y1 = if y0 + 1 == ng { 0 } else { y0 + 1 };
-                let z1 = if z0 + 1 == ng { 0 } else { z0 + 1 };
-                let (dx, dy, dz) = (fx[k], fy[k], fz[k]);
-                let m = mm[k];
-                let mwx0 = m * (1.0 - dx);
-                let mwx1 = m * dx;
-                let a00 = mwx0 * (1.0 - dy);
-                let a01 = mwx0 * dy;
-                let a10 = mwx1 * (1.0 - dy);
-                let a11 = mwx1 * dy;
-                let (wz0, wz1) = (1.0 - dz, dz);
-                let b00 = (x0 * ng + y0) * ng;
-                let b01 = (x0 * ng + y1) * ng;
-                let b10 = (x1 * ng + y0) * ng;
-                let b11 = (x1 * ng + y1) * ng;
-                local[b00 + z0] += a00 * wz0;
-                local[b00 + z1] += a00 * wz1;
-                local[b01 + z0] += a01 * wz0;
-                local[b01 + z1] += a01 * wz1;
-                local[b10 + z0] += a10 * wz0;
-                local[b10 + z1] += a10 * wz1;
-                local[b11 + z0] += a11 * wz0;
-                local[b11 + z1] += a11 * wz1;
-            }
-            base += CIC_BLOCK;
+    let ngf = ng as f64;
+    // Per-block scratch lanes (stack-resident).
+    let mut ux = [0.0f64; CIC_BLOCK];
+    let mut uy = [0.0f64; CIC_BLOCK];
+    let mut uz = [0.0f64; CIC_BLOCK];
+    let mut ix = [0i32; CIC_BLOCK];
+    let mut iy = [0i32; CIC_BLOCK];
+    let mut iz = [0i32; CIC_BLOCK];
+    let mut fx = [0.0f64; CIC_BLOCK];
+    let mut fy = [0.0f64; CIC_BLOCK];
+    let mut fz = [0.0f64; CIC_BLOCK];
+    let mut mm = [0.0f64; CIC_BLOCK];
+    let mut base = r.start;
+    while base + CIC_BLOCK <= r.end {
+        let pxw: &[f32; CIC_BLOCK] = px[base..base + CIC_BLOCK].try_into().unwrap();
+        let pyw: &[f32; CIC_BLOCK] = py[base..base + CIC_BLOCK].try_into().unwrap();
+        let pzw: &[f32; CIC_BLOCK] = pz[base..base + CIC_BLOCK].try_into().unwrap();
+        let mw: &[f32; CIC_BLOCK] = masses[base..base + CIC_BLOCK].try_into().unwrap();
+        // Phase 1a: scale to grid units (convert/divide/multiply lanes).
+        for k in 0..CIC_BLOCK {
+            ux[k] = pxw[k] as f64 / box_size * ngf;
+            uy[k] = pyw[k] as f64 / box_size * ngf;
+            uz[k] = pzw[k] as f64 / box_size * ngf;
+            mm[k] = mw[k] as f64;
         }
-        // Tail (< CIC_BLOCK particles): same math per particle, scalar.
-        for j in base..r.end {
-            let (x0, dx) = cic_cell(px[j], box_size, ng);
-            let (y0, dy) = cic_cell(py[j], box_size, ng);
-            let (z0, dz) = cic_cell(pz[j], box_size, ng);
-            let x1 = if x0 + 1 == ng { 0 } else { x0 + 1 };
-            let y1 = if y0 + 1 == ng { 0 } else { y0 + 1 };
-            let z1 = if z0 + 1 == ng { 0 } else { z0 + 1 };
-            let m = masses[j] as f64;
-            let mwx0 = m * (1.0 - dx);
-            let mwx1 = m * dx;
-            let a00 = mwx0 * (1.0 - dy);
-            let a01 = mwx0 * dy;
-            let a10 = mwx1 * (1.0 - dy);
-            let a11 = mwx1 * dy;
-            let (wz0, wz1) = (1.0 - dz, dz);
-            let b00 = (x0 * ng + y0) * ng;
-            let b01 = (x0 * ng + y1) * ng;
-            let b10 = (x1 * ng + y0) * ng;
-            let b11 = (x1 * ng + y1) * ng;
-            local[b00 + z0] += a00 * wz0;
-            local[b00 + z1] += a00 * wz1;
-            local[b01 + z0] += a01 * wz0;
-            local[b01 + z1] += a01 * wz1;
-            local[b10 + z0] += a10 * wz0;
-            local[b10 + z1] += a10 * wz1;
-            local[b11 + z0] += a11 * wz0;
-            local[b11 + z1] += a11 * wz1;
+        // Phase 1b: the periodic wrap. In-range lanes pass through
+        // unchanged (exactly what `rem_euclid` would return), so the
+        // whole block is checked with vector compares and the `fmod`
+        // fix-up only runs for out-of-box or non-finite positions.
+        let mut in_range = true;
+        for k in 0..CIC_BLOCK {
+            in_range &= (ux[k] >= 0.0)
+                & (ux[k] < ngf)
+                & (uy[k] >= 0.0)
+                & (uy[k] < ngf)
+                & (uz[k] >= 0.0)
+                & (uz[k] < ngf);
         }
+        if !in_range {
+            for k in 0..CIC_BLOCK {
+                ux[k] = wrap_grid(ux[k], ngf, ng_is_origin);
+                uy[k] = wrap_grid(uy[k], ngf, ng_is_origin);
+                uz[k] = wrap_grid(uz[k], ngf, ng_is_origin);
+            }
+        }
+        // Phase 1c: cell indices and fractional offsets. Every lane is
+        // now in `[0, ng]` or NaN (→ 0 under Rust's saturating cast);
+        // exactly `ng` (left only without `ng_is_origin`) reduces to cell 0
+        // with its offset kept, as `% ng` leaves it and as `cic_gather`
+        // does.
+        let wrap = |i: i32| if i == ng as i32 { 0 } else { i };
+        for k in 0..CIC_BLOCK {
+            ix[k] = wrap(ux[k] as i32);
+            iy[k] = wrap(uy[k] as i32);
+            iz[k] = wrap(uz[k] as i32);
+            fx[k] = ux[k] - ix[k] as f64;
+            fy[k] = uy[k] - iy[k] as f64;
+            fz[k] = uz[k] - iz[k] as f64;
+        }
+        // Phase 2: scatter eight corners per particle in the scalar
+        // reference's visit order and product association.
+        for k in 0..CIC_BLOCK {
+            let cell = |i: i32, f: f64| (i as usize, f);
+            let axes = [cell(ix[k], fx[k]), cell(iy[k], fy[k]), cell(iz[k], fz[k])];
+            let (cells, terms, finite) = corners(axes, mm[k], ng);
+            sink.add(cells, terms, finite);
+        }
+        base += CIC_BLOCK;
+    }
+    // Tail (< CIC_BLOCK particles): same math per particle, scalar.
+    for j in base..r.end {
+        let axes = [px[j], py[j], pz[j]].map(|p| grid_cell(p, box_size, ng, ng_is_origin));
+        let (cells, terms, finite) = corners(axes, masses[j] as f64, ng);
+        sink.add(cells, terms, finite);
     }
 }
 
-/// Merge per-chunk partial grids in ascending chunk-start order, then convert
-/// to overdensity. Tail of [`cic_deposit_cols`].
-fn merge_and_normalize(
-    mut partials: Vec<(usize, Vec<f64>)>,
-    masses: &[f32],
-    ng: usize,
-) -> Grid3<f64> {
-    let ncell = ng * ng * ng;
-    partials.sort_by_key(|(s, _)| *s);
-    let mut rho = vec![0.0f64; ncell];
-    for (_, local) in partials {
-        for (gv, lv) in rho.iter_mut().zip(&local) {
-            *gv += lv;
-        }
+/// A particle's eight corner cells and terms, in `(dx, dy, dz)` order with
+/// `((m·wx)·wy)·wz` association, from its base cell and offset per axis (the
+/// base cell is `< ng`, so the `+1` neighbour wraps by compare-and-reset);
+/// and whether its mass and offsets, so every term, are finite.
+#[inline(always)]
+fn corners(axes: [(usize, f64); 3], m: f64, ng: usize) -> ([usize; 8], [f64; 8], bool) {
+    let [(x, wx), (y, wy), (z, wz)] =
+        axes.map(|(i, d)| ([i, if i + 1 == ng { 0 } else { i + 1 }], [1.0 - d, d]));
+    let (mut cells, mut terms) = ([0; 8], [0.0; 8]);
+    for k in 0..8 {
+        let (a, b, c) = (k >> 2, k >> 1 & 1, k & 1);
+        cells[k] = (x[a] * ng + y[b]) * ng + z[c];
+        terms[k] = m * wx[a] * wy[b] * wz[c];
     }
-    overdensity(rho, masses, ng)
+    // A finite `m` (an `f32`) plus offsets in `[0, 1]` cannot overflow, and
+    // any NaN or infinity among them leaves the sum non-finite.
+    let finite = (m + wx[1] + wy[1] + wz[1]).is_finite();
+    (cells, terms, finite)
 }
 
-/// Convert mass density to overdensity `δ = ρ/ρ̄ − 1` (identity when total
-/// mass is zero). Shared tail of every deposit variant.
-fn overdensity(mut rho: Vec<f64>, masses: &[f32], ng: usize) -> Grid3<f64> {
-    let total: f64 = masses.iter().map(|&m| m as f64).sum();
+/// `wrap_periodic(u, ngf)`, and `ngf` itself to `0` when `ng_is_origin`.
+#[inline(always)]
+fn wrap_grid(u: f64, ngf: f64, ng_is_origin: bool) -> f64 {
+    let u = wrap_periodic(u, ngf);
+    if ng_is_origin && u == ngf {
+        0.0
+    } else {
+        u
+    }
+}
+
+/// Convert mass density to overdensity `δ = ρ/ρ̄ − 1` given the total mass
+/// (identity when it is not positive). Shared tail of both deposits.
+fn overdensity(mut rho: Vec<f64>, total: f64, ng: usize) -> Grid3<f64> {
     let mean = total / rho.len() as f64;
     if mean > 0.0 {
         for v in &mut rho {
@@ -278,159 +262,136 @@ fn overdensity(mut rho: Vec<f64>, masses: &[f32], ng: usize) -> Grid3<f64> {
     Grid3::from_vec([ng, ng, ng], rho)
 }
 
-/// What one chunk of [`cic_deposit_cols_det`] deposited: its non-zero cells
-/// and their values, in first-touch order.
-struct SparsePartial {
-    cells: Vec<u32>,
-    values: Vec<f64>,
+/// The quantum exponent [`cic_deposit_exact`] deposits at: `e` with
+/// `8·n·M·2^e < 2^62`, `M` the largest finite `|m|` (`e = 0` when there is
+/// none, or no particle). A function of the mass multiset only.
+fn exact_scale_exponent(masses: &[f32]) -> i32 {
+    // `|m|`'s bits order as its value; a non-finite one counts as zero.
+    let abs_bits = masses.iter().map(|m| m.to_bits() & 0x7fff_ffff);
+    let max_bits = abs_bits.map(|b| if b < 0x7f80_0000 { b } else { 0 }).max();
+    let Some(max_bits @ 1..) = max_bits else {
+        return 0;
+    };
+    // `8·n·M` is normal and at most one rounding below its true value, so
+    // with `2^p ≤ bound < 2^(p+1)` the true value is `< 2^(p+1)·(1 + 2⁻⁵³)`
+    // and `e = 60 − p` leaves it under `2^62`.
+    let bound = 8.0 * masses.len() as f64 * f64::from(f32::from_bits(max_bits));
+    let p = ((bound.to_bits() >> 52) & 0x7ff) as i32 - 1023;
+    60 - p
 }
 
-/// Move every non-zero cell that particles `[r.start, r.end)` can have
-/// touched out of `scratch` into a [`SparsePartial`], leaving `scratch` all
-/// `+0.0` again. The base cell is [`deposit_chunk`]'s own (its scalar
-/// tail's expression, which its block path equals bit for bit), so the eight
-/// corners listed here are exactly the cells it added to. A corner reached
-/// twice is found zeroed the second time and skipped, as is a touched cell
-/// whose sum is `+0.0` — see [`cic_deposit_cols_det`] for why that is exact.
-fn drain_chunk(
-    pos: PosColumns<'_>,
-    r: std::ops::Range<usize>,
-    ng: usize,
-    box_size: f64,
-    scratch: &mut [f64],
-) -> SparsePartial {
-    let (px, py, pz) = (pos.x, pos.y, pos.z);
-    let cap = (8 * r.len()).min(scratch.len());
-    let mut out = SparsePartial {
-        cells: Vec::with_capacity(cap),
-        values: Vec::with_capacity(cap),
-    };
-    for j in r {
-        let (x0, _) = cic_cell(px[j], box_size, ng);
-        let (y0, _) = cic_cell(py[j], box_size, ng);
-        let (z0, _) = cic_cell(pz[j], box_size, ng);
-        let x1 = if x0 + 1 == ng { 0 } else { x0 + 1 };
-        let y1 = if y0 + 1 == ng { 0 } else { y0 + 1 };
-        let z1 = if z0 + 1 == ng { 0 } else { z0 + 1 };
-        for row in [x0 * ng + y0, x0 * ng + y1, x1 * ng + y0, x1 * ng + y1] {
-            for cell in [row * ng + z0, row * ng + z1] {
-                let v = std::mem::take(&mut scratch[cell]);
-                if v.to_bits() != 0 {
-                    out.cells.push(cell as u32);
-                    out.values.push(v);
-                }
+/// A non-finite corner term's class bits: the classes of a cell combine by
+/// `|`, which no order can change.
+const NAN_CLASS: u8 = 1;
+const POS_INF: u8 = 2;
+const NEG_INF: u8 = 4;
+
+/// Where `deposit_chunk` puts each particle's corners.
+trait Sink {
+    /// Add `terms[k]` to cell `cells[k]`, `k` in order; `finite` says every
+    /// term is.
+    fn add(&mut self, cells: [usize; 8], terms: [f64; 8], finite: bool);
+}
+
+/// [`cic_deposit_cols`]' chunk grid: an `f64` sum in visit order.
+impl Sink for [f64] {
+    #[inline(always)]
+    fn add(&mut self, cells: [usize; 8], terms: [f64; 8], _: bool) {
+        for (c, t) in cells.into_iter().zip(terms) {
+            self[c] += t;
+        }
+    }
+}
+
+/// One worker's [`cic_deposit_exact`] grid: a finite term as a multiple of
+/// the quantum `1/scale`, truncated toward zero and summed per cell; a
+/// non-finite one as its cell's class.
+struct ExactGrid {
+    sums: Vec<i64>,
+    nonfinite: Vec<(usize, u8)>,
+    scale: f64,
+}
+
+impl Sink for ExactGrid {
+    #[inline(always)]
+    fn add(&mut self, cells: [usize; 8], terms: [f64; 8], finite: bool) {
+        // SAFETY (both casts): a finite term has `|t| ≤ M`, so
+        // `|t·2^e| < 2^62` is in range.
+        if finite {
+            for (c, t) in cells.into_iter().zip(terms) {
+                self.sums[c] += unsafe { (t * self.scale).to_int_unchecked::<i64>() };
+            }
+            return;
+        }
+        for (c, t) in cells.into_iter().zip(terms) {
+            if t.is_finite() {
+                self.sums[c] += unsafe { (t * self.scale).to_int_unchecked::<i64>() };
+            } else if t.is_nan() {
+                self.nonfinite.push((c, NAN_CLASS));
+            } else {
+                let class = if t > 0.0 { POS_INF } else { NEG_INF };
+                self.nonfinite.push((c, class));
             }
         }
     }
-    out
 }
 
-/// Backend-independent deterministic variant of [`cic_deposit_cols`].
-///
-/// [`cic_deposit_cols`] sizes its chunks from `backend.concurrency()` (and
-/// `StaticThreaded::dispatch` ignores the grain entirely, pre-partitioning one
-/// block per worker), so the float-addition association of the chunk merge —
-/// and hence the low bits of the result — can differ between backends once an
-/// input spans multiple chunks. This variant partitions the particle range
-/// itself into fixed `grain`-sized chunks — whatever ranges the backend
-/// dispatches, a chunk is deposited whole by the range holding its first
-/// particle — so the chunk set, each chunk's sequential arithmetic, and the
-/// chunk-order merge are functions of `(n, grain)` only: every backend
-/// produces the same grid down to the last bit. The render pipeline deposits
-/// through this entry point so projected images byte-agree across
-/// Serial/Threaded/StaticThreaded (the `conformance::render` battery enforces
-/// it over the adversarial corpus).
-///
-/// The chunk count is additionally capped (`grain` is raised to `n/64` when
-/// needed); the cap depends only on `n`, never on the backend.
-///
-/// No chunk keeps a grid of its own. A chunk deposits into a scratch grid
-/// (one per chunk running at a time, reused), its non-zero cells are moved
-/// into a sparse `(cell, value)` partial — at most `min(8·chunk, ng³)`
-/// entries — and the scratch is zero again for the next chunk; the partials
-/// are then added in chunk order. That yields the bits a dense grid per chunk
-/// merged in chunk order would (`conformance::layout`, `cic-det`, holds it to
-/// exactly that reference): every grid involved starts at `+0.0`, and a sum
-/// that starts at `+0.0` is never `−0.0` (only `−0.0 + −0.0` gives `−0.0`),
-/// so a cell a chunk left at `+0.0` — never touched, or touched and summing
-/// to `+0.0` — would add `x + 0.0 = x` to a running sum `x ≠ −0.0`: skipping
-/// it changes no bit, NaN `x` included. Every other cell is added by the same
-/// `sum += value`, in the same order — except that a sum which is NaN already
-/// is left alone, so that its payload does not hang on which operand of a
-/// `NaN + NaN` the compiler puts first.
-pub fn cic_deposit_cols_det(
+/// Cloud-in-cell deposit whose grid is a function of the particle multiset
+/// alone — the same bits in any particle order, chunking, backend or worker
+/// count. Returns the overdensity, like [`cic_deposit_cols`], whose terms it
+/// sums (with a coordinate wrapping to `ng` at the origin): each finite one
+/// scaled by `2^e`, `8·n·max|m|·2^e < 2^62`, and truncated to an `i64`, in a
+/// dense integer grid per worker; the grids and the mean come from integer
+/// sums, which cannot overflow and do not depend on order. A NaN or infinite
+/// term marks its cell instead: NaN if any term is NaN or both infinities
+/// meet, else the infinity. The quantum costs at most `n·2⁻⁵⁴` relative on a
+/// cell at the mean density of equal masses (DESIGN.md §15).
+pub fn cic_deposit_exact(
     backend: &dyn Backend,
     pos: PosColumns<'_>,
     masses: &[f32],
     ng: usize,
     box_size: f64,
-    grain: usize,
 ) -> Grid3<f64> {
     let ncell = ng * ng * ng;
-    assert!(ng <= i32::MAX as usize, "mesh size must fit i32 indices");
-    assert!(
-        ncell <= u32::MAX as usize,
-        "mesh cells must fit u32 indices"
-    );
+    check_columns(pos, masses, ng);
     let n = masses.len();
-    assert!(
-        pos.x.len() == n && pos.y.len() == n && pos.z.len() == n,
-        "deposit columns differ in length"
-    );
-    let _span = telemetry::span!("nbody", "cic_deposit_det", n);
-    let grain = grain.max(1).max(n / 64);
-    let partials: Mutex<Vec<(usize, SparsePartial)>> = Mutex::new(Vec::new());
-    // Scratch grids, all `+0.0` whenever they are in here.
-    let idle: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
-    backend.dispatch(n, grain, &|range| {
-        // A chunk belongs to the range its first particle falls in.
-        let chunks = range.start.div_ceil(grain)..range.end.div_ceil(grain);
-        if chunks.is_empty() {
-            return;
-        }
-        let popped = idle.lock().pop();
-        let mut scratch = popped.unwrap_or_else(|| vec![0.0f64; ncell]);
-        for c in chunks {
-            let r = c * grain..((c + 1) * grain).min(n);
-            deposit_chunk(pos, masses, r.clone(), ng, box_size, &mut scratch);
-            let partial = drain_chunk(pos, r, ng, box_size, &mut scratch);
-            partials.lock().push((c, partial));
-        }
-        idle.lock().push(scratch);
+    let _span = telemetry::span!("nbody", "cic_deposit_exact", n);
+    let e = exact_scale_exponent(masses);
+    let scale = 2f64.powi(e);
+    let grids: Mutex<Vec<ExactGrid>> = Mutex::new(Vec::new());
+    let grain = (n / backend.concurrency().max(1)).max(4096);
+    backend.dispatch(n, grain, &|r| {
+        let mut grid = ExactGrid {
+            sums: vec![0; ncell],
+            nonfinite: Vec::new(),
+            scale,
+        };
+        deposit_chunk(pos, masses, r, ng, box_size, true, &mut grid);
+        grids.lock().push(grid);
     });
-    let mut partials = partials.into_inner();
-    partials.sort_by_key(|(c, _)| *c);
-    let mut rho = idle
-        .into_inner()
-        .pop()
-        .unwrap_or_else(|| vec![0.0f64; ncell]);
-    let mut partial_cells = 0;
-    for (_, partial) in &partials {
-        partial_cells += partial.cells.len();
-        for (&cell, &v) in partial.cells.iter().zip(&partial.values) {
-            // `NaN + x` is that NaN for every non-NaN `x`; for a NaN `x`
-            // the hardware keeps its first operand, whichever that is.
-            let sum = &mut rho[cell as usize];
-            if !sum.is_nan() {
-                *sum += v;
-            }
+    let mut grids = grids.into_inner();
+    let Some(mut sum) = grids.pop() else {
+        return overdensity(vec![0.0; ncell], 0.0, ng);
+    };
+    for grid in grids {
+        for (s, q) in sum.sums.iter_mut().zip(&grid.sums) {
+            *s += q;
         }
+        sum.nonfinite.extend(grid.nonfinite);
     }
-    telemetry::count!("render", "deposit_partial_cells", partial_cells);
-    overdensity(rho, masses, ng)
-}
-
-/// [`cic_deposit_cols_det`] over a [`ParticleSoA`]'s position and mass
-/// columns.
-pub fn cic_deposit_soa_det(
-    backend: &dyn Backend,
-    particles: &ParticleSoA,
-    ng: usize,
-    box_size: f64,
-    grain: usize,
-) -> Grid3<f64> {
-    let (pos, masses) = (particles.positions(), particles.mass());
-    cic_deposit_cols_det(backend, pos, masses, ng, box_size, grain)
+    let quantum = 2f64.powi(-e);
+    let total = sum.sums.iter().sum::<i64>() as f64 * quantum;
+    let mut rho: Vec<f64> = sum.sums.into_iter().map(|q| q as f64 * quantum).collect();
+    sum.nonfinite.sort_unstable();
+    for run in sum.nonfinite.chunk_by(|a, b| a.0 == b.0) {
+        rho[run[0].0] = match run.iter().fold(0, |acc, &(_, class)| acc | class) {
+            POS_INF => f64::INFINITY,
+            NEG_INF => f64::NEG_INFINITY,
+            _ => f64::NAN,
+        };
+    }
+    overdensity(rho, total, ng)
 }
 
 /// The k-space Poisson solver for one cubic `ng³` mesh: what survives a solve
@@ -615,15 +576,16 @@ pub fn cic_interpolate(field: &Grid3<f64>, pos: [f32; 3], box_size: f64) -> f64 
 
 /// One axis of a particle's CIC stencil, from a position in box units: the
 /// base cell and the offset into it. The cell is the deposit's own expression
-/// — `wrap_periodic(pos / box · ng)`, truncated — and equals
-/// [`cic_interpolate`]'s `rem_euclid` then `% ng` for every input: the wrapped
-/// coordinate lies in `[0, ng]` or is NaN (→ cell 0), and `ng` itself (a
-/// negative coordinate too small to move `ng`) reduces to cell 0 with offset
-/// `ng`, as `% ng` leaves it.
-#[inline]
-fn cic_cell(pos: f32, box_size: f64, ng: usize) -> (usize, f64) {
+/// — `wrap_periodic(pos / box · ng)`, truncated — and, without
+/// `ng_is_origin`, equals [`cic_interpolate`]'s `rem_euclid` then `% ng` for
+/// every input: the wrapped coordinate lies in `[0, ng]` or is NaN (→ cell 0),
+/// and `ng` itself (a negative coordinate too small to move `ng`) reduces to
+/// cell 0 with offset `ng`, as `% ng` leaves it; with `ng_is_origin`, to
+/// offset 0.
+#[inline(always)]
+fn grid_cell(pos: f32, box_size: f64, ng: usize, ng_is_origin: bool) -> (usize, f64) {
     let ngf = ng as f64;
-    let u = wrap_periodic(pos as f64 / box_size * ngf, ngf);
+    let u = wrap_grid(pos as f64 / box_size * ngf, ngf, ng_is_origin);
     let cell = u as usize;
     let cell = if cell == ng { 0 } else { cell };
     (cell, u - cell as f64)
@@ -645,9 +607,7 @@ fn cic_cell(pos: f32, box_size: f64, ng: usize) -> (usize, f64) {
 fn cic_gather(accel: &[Grid3<f64>; 3], x_origin: usize, pos: [f32; 3], box_size: f64) -> [f64; 3] {
     let [planes, ng, _] = accel[0].dims();
     let next = |i: usize, n: usize| if i + 1 == n { 0 } else { i + 1 };
-    let (x0, dx) = cic_cell(pos[0], box_size, ng);
-    let (y0, dy) = cic_cell(pos[1], box_size, ng);
-    let (z0, dz) = cic_cell(pos[2], box_size, ng);
+    let [(x0, dx), (y0, dy), (z0, dz)] = pos.map(|p| grid_cell(p, box_size, ng, false));
     let x0 = x0 - x_origin;
     let (xs, ys, zs) = (
         [x0, next(x0, planes)],
@@ -774,34 +734,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn det_deposit_matches_serial_soa_single_chunk() {
-        // With one chunk the det variant is literally the same computation as
-        // the dynamic-grain deposit on Serial.
-        let parts: Vec<Particle> = (0..1000)
-            .map(|i| {
-                let f = i as f32;
-                Particle::at_rest(
-                    [(f * 0.37) % 32.0, (f * 0.71) % 32.0, (f * 0.13) % 32.0],
-                    1.0 + (i % 5) as f32 * 0.5,
-                    i,
-                )
-            })
-            .collect();
-        let soa = ParticleSoA::from_aos(&parts);
-        let a = cic_deposit_soa(&Serial, &soa, 16, 32.0);
-        let b = cic_deposit_soa_det(&Serial, &soa, 16, 32.0, 4096);
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+    fn exact(b: &dyn Backend, parts: &[Particle], ng: usize, box_size: f64) -> Grid3<f64> {
+        let soa = ParticleSoA::from_aos(parts);
+        cic_deposit_exact(b, soa.positions(), soa.mass(), ng, box_size)
     }
 
-    #[test]
-    fn det_deposit_is_byte_identical_across_backends_multi_chunk() {
-        use dpp::StaticThreaded;
-        // 4097 particles with grain 512 → 9 chunks: the case where dynamic
-        // chunking diverges between backends. The det variant must not.
-        let parts: Vec<Particle> = (0..4097)
+    fn bits(g: &Grid3<f64>) -> Vec<u64> {
+        g.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn mixed_masses(n: u64) -> Vec<Particle> {
+        (0..n)
             .map(|i| {
                 let f = i as f32;
                 Particle::at_rest(
@@ -810,31 +753,77 @@ mod tests {
                     i,
                 )
             })
-            .collect();
-        let soa = ParticleSoA::from_aos(&parts);
-        let reference = cic_deposit_soa_det(&Serial, &soa, 16, 32.0, 512);
+            .collect()
+    }
+
+    #[test]
+    fn exact_deposit_is_the_f64_deposit_to_its_quantum() {
+        let parts = mixed_masses(1000);
+        let a = cic_deposit(&Serial, &parts, 16, 32.0);
+        let b = exact(&Serial, &parts, 16, 32.0);
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn exact_deposit_is_byte_identical_across_backends_and_orders() {
+        use dpp::StaticThreaded;
+        // 3 · 4096 + 5 particles: one chunk per worker on every pool.
+        let parts = mixed_masses(3 * 4096 + 5);
+        let reference = bits(&exact(&Serial, &parts, 16, 32.0));
+        let mut reversed = parts.clone();
+        reversed.reverse();
         for backend in [
             &Threaded::new(4) as &dyn Backend,
-            &Threaded::new(1),
+            &Threaded::new(3),
             &StaticThreaded::new(3),
         ] {
-            let got = cic_deposit_soa_det(backend, &soa, 16, 32.0, 512);
-            for (x, y) in reference.as_slice().iter().zip(got.as_slice()) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "det deposit differs on {}",
-                    backend.name()
-                );
+            for (order, data) in [("stored", &parts), ("reversed", &reversed)] {
+                let got = bits(&exact(backend, data, 16, 32.0));
+                assert!(reference == got, "{order} differs on {}", backend.name());
             }
         }
     }
 
     #[test]
-    fn det_deposit_empty_input_is_zero_grid() {
-        let soa = ParticleSoA::default();
-        let g = cic_deposit_soa_det(&Serial, &soa, 4, 8.0, 4096);
-        assert!(g.as_slice().iter().all(|v| *v == 0.0));
+    fn exact_deposit_empty_input_is_zero_grid() {
+        let g = exact(&Serial, &[], 4, 8.0);
+        assert!(g.as_slice().iter().all(|v| v.to_bits() == 0));
+    }
+
+    #[test]
+    fn exact_deposit_puts_a_coordinate_wrapping_to_ng_at_the_origin() {
+        // `−denormal / 8 · 4` wraps to exactly 4 = ng: offset 0, one cell.
+        let g = exact(
+            &Serial,
+            &one_particle_at([-f32::from_bits(1), 0.0, 0.0]),
+            4,
+            8.0,
+        );
+        let full = g.as_slice().iter().filter(|&&v| v != -1.0).count();
+        assert_eq!((full, *g.get(0, 0, 0)), (1, 63.0));
+    }
+
+    #[test]
+    fn exact_deposit_classes_nonfinite_terms_in_any_order() {
+        // Grid units are box units: x = 0 takes +∞ alone, x = 4 both
+        // infinities; their zero-weight `+1` corners take `∞·0`, NaN.
+        let at = |x: f32, m: f32| Particle::at_rest([x, 0.0, 0.0], m, 0);
+        let parts = vec![
+            at(0.0, f32::INFINITY),
+            at(4.0, f32::INFINITY),
+            at(4.0, f32::NEG_INFINITY),
+            at(6.0, 1.0),
+        ];
+        let mut reversed = parts.clone();
+        reversed.reverse();
+        let g = exact(&Serial, &parts, 8, 8.0);
+        assert_eq!(bits(&g), bits(&exact(&Serial, &reversed, 8, 8.0)));
+        assert_eq!(*g.get(0, 0, 0), f64::INFINITY);
+        assert!(g.get(1, 0, 0).is_nan() && g.get(4, 0, 0).is_nan());
+        // Only the finite mass counts toward the mean: 1 over 512 cells.
+        assert_eq!(*g.get(6, 0, 0), 511.0);
     }
 
     #[test]
