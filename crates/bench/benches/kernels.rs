@@ -401,9 +401,15 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         let n = sim.particles().len();
 
         // Periodic FOF at b = 0.2 (`box/link` = 320): one list per cell of
-        // a 256³ mesh vs counting-sort cells bounded by `n`.
+        // a 256³ mesh vs link-wide cells indexed by an occupancy bitmap.
+        // Both return the same label vector.
         let positions: Vec<[f64; 3]> = sim.particles().iter().map(|p| p.pos_f64()).collect();
         let link = 0.2 * box_size / 64.0;
+        assert_eq!(
+            fof_grid_dense_ref(&positions, link, box_size),
+            halo::fof_grid(&positions, link, box_size),
+            "fof_grid_64: the engines disagree"
+        );
         let before = time_ms(reps, || fof_grid_dense_ref(&positions, link, box_size));
         let after = time_ms(reps, || halo::fof_grid(&positions, link, box_size));
         rows.push(KernelRow {

@@ -39,8 +39,12 @@ const REQUIRED: [&str; 12] = [
 /// Speedups a trajectory must show whatever its baseline says: the fused
 /// gather reads the mesh once where three interpolations read it three times
 /// and redo the cell arithmetic, which no host makes less than twice as fast;
-/// the cell engine links a 218k-row patch from a counting sort where the k-d
-/// tree partitions it recursively first (1.5–1.6× when recorded); a
+/// the cell engine links a 218k-row patch in link-wide cells from a counting
+/// sort and an occupancy bitmap where the k-d tree partitions it recursively
+/// first (2.7× when recorded; 1.5× with the old `8n`-cell table, which this
+/// floor fails); on the 64³ box it visits only occupied cells where the
+/// dense reference walks every cell of a 256³ mesh (13.8× when recorded,
+/// 7.9× with the old table); a
 /// half-budget render frame that reuses its level-of-detail order skips a
 /// 262k-key sort that costs more than its gather and exact deposit together
 /// (2.3× when recorded); a real field's
@@ -48,10 +52,11 @@ const REQUIRED: [&str; 12] = [
 /// promotion (≈ 2× when recorded); a halo draw that finds its bin from a
 /// guide bucket skips most of a 12-level binary search and both of its
 /// logarithms (≈ 2.9× when prototyped).
-const FLOORS: [(&str, f64); 5] = [
+const FLOORS: [(&str, f64); 6] = [
     ("pm_kick_64", 2.0),
     ("rfft3d_64", 1.5),
-    ("find_patch_64", 1.3),
+    ("fof_grid_64", 10.0),
+    ("find_patch_64", 2.0),
     ("render_frame_64", 1.4),
     ("massfn_sample_2k", 2.0),
 ];

@@ -44,20 +44,24 @@
 //!   [`Cmp::Approx`] to `poisson_three_sweep_ref` (full complex spectra, one
 //!   serial sweep and one fresh grid per axis, `Re` of each inverse) on a
 //!   seeded `δ`.
-//! * `fof-grid` — [`halo::fof_grid`] (counting-sort cells, at most `8n` of
-//!   them) vs [`fof_grid_dense_ref`] (one list per cell of a mesh up to 256
-//!   a side) label for label, and vs `fof_periodic_images_ref`
-//!   ([`halo::fof_brute`] over the 27 periodic images) on the small inputs,
-//!   over `fof_grid_cases`: links across each face of the box, particles on
-//!   cell edges, the fewest cells a mesh can have, a mesh of 10⁶ cells a
-//!   side.
+//! * `fof-grid` — [`halo::fof_grid`] (link-wide cells, an occupancy bitmap
+//!   per z-row, points counting-sorted by cell) vs [`fof_grid_dense_ref`]
+//!   (one list per cell of a mesh up to 256 a side) label for label, and vs
+//!   `fof_periodic_images_ref` ([`halo::fof_brute`] over the 27 periodic
+//!   images) on the small inputs, over `fof_grid_cases`: links across each
+//!   face of the box, particles on cell edges, chains exactly one link
+//!   apart, meshes of 1, 2 and 3 cells a side, meshes the z and row caps
+//!   widen, occupied cells at the bitmap's word boundaries, the z-row wrap,
+//!   duplicates and a pile-up, a mesh of 10⁶ cells a side by the link.
 //! * `fof-patch` — [`halo::fof_patch`] (the same cell engine, open
 //!   boundaries over the bounding box) vs [`halo::fof_brute`] label for label
 //!   at three linking lengths, over [`inputs::coord_cases`] and
 //!   `fof_patch_cases`: coordinates unwrapped below zero and past the box,
-//!   flat and zero-extent patches, pairs exactly one link apart, NaN, ±∞ and
-//!   `f64::MAX` coordinates, a real two-rank patch — and on each, a cell
-//!   table of at most `8n + 1` cells (`halo.fof_cells`).
+//!   flat and zero-extent patches, pairs exactly one link apart across cell
+//!   faces, the bitmap's word boundaries, meshes of 1, 2 and 3 cells a side,
+//!   a pile-up, NaN, ±∞ and `f64::MAX` coordinates, a real two-rank patch —
+//!   and on each, an index within the `4·(8n + 1)` bytes of a table of `8n`
+//!   cells (`halo.fof_index_bytes`).
 //! * `cic-exact` — [`nbody::pm::cic_deposit_exact`] (an integer grid per
 //!   worker) vs `cic_deposit_exact_ref` (its definition, summed in `i128` in
 //!   reversed order), on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded`
@@ -380,10 +384,12 @@ struct FofGridCase {
     pub dense: bool,
 }
 
-/// The `fof-grid` corpus. The new engine's mesh has `⌊cbrt(8n)⌋` cells a side
-/// at most and the dense one `⌊box/link⌋` up to 256, so the cases pick `n`
-/// and `link` to put each engine on 2 and on 3 cells a side (1 needs
-/// `link > box/2`, which both refuse), on different meshes, and on the same.
+/// The `fof-grid` corpus. The engine's mesh has `⌊box/link⌋` cells a side
+/// (less a 10⁻⁶ margin) up to 128 along z and `⌊n/2⌋` rows, and the dense
+/// one `⌊box/link⌋` up to 256, so the cases pick `n` and `link` to put the
+/// engine on 1, 2 and 3 cells a side, on meshes either cap widens, on rows
+/// whose occupied cells straddle the `u128`'s words, and on the wraps of
+/// every axis, the z-row's between its last and first cell included.
 fn fof_grid_cases() -> Vec<FofGridCase> {
     let case = |name: &str, positions: Vec<[f64; 3]>, link: f64, box_size: f64| FofGridCase {
         name: name.to_string(),
@@ -456,7 +462,58 @@ fn fof_grid_cases() -> Vec<FofGridCase> {
             6.0,
         ));
         cases.push(case(&format!("fine_link/n={n}"), cloud(n, 6.0), 0.4, 6.0));
+        cases.push(case(
+            &format!("two_cell_link/n={n}"),
+            cloud(n, 6.0),
+            2.4,
+            6.0,
+        ));
     }
+    // Chains exactly one (dyadic) link apart along each axis, across the
+    // faces of z's 31 cells and of the widened rows at every phase, and
+    // across the wrap (7.75 ↔ 0); and the same chains half a link over.
+    let mut chains = Vec::new();
+    for axis in 0..3 {
+        for shift in [0.0, 0.125] {
+            chains.extend((0..32).map(|k| {
+                let mut p = [1.0 + 4.0 * shift, 3.0, 5.5];
+                p[axis] = shift + 0.25 * k as f64;
+                p
+            }));
+        }
+    }
+    cases.push(case("link_chains", chains, 0.25, 8.0));
+    // z capped from 159 cells to 128 of 0.3125: pairs 0.2 apart across the
+    // faces below cells 1, 63, 64 (the `u128`'s word boundary), 65 and 127,
+    // in one row and across the x wrap into the previous row, and across
+    // the z wrap between cells 127 and 0.
+    let mut words = Vec::new();
+    for c in [1.0f64, 63.0, 64.0, 65.0, 127.0, 128.0] {
+        let face = c * 0.3125;
+        for (x, dz) in [(0.05, -0.1), (0.05, 0.1), (39.95, -0.05), (39.95, 0.12)] {
+            words.push([x, 20.0, (face + dz).rem_euclid(40.0)]);
+        }
+    }
+    cases.push(case("word_bounds", words, 0.25, 40.0));
+    // Eleven link-wide cells a side (`⌊n/2⌋` rows do not bind): points
+    // within a quarter link of each face of the box, on each axis.
+    let mut slabs = Vec::new();
+    for axis in 0..3 {
+        slabs.extend(cloud(84, 6.0).into_iter().map(|mut p| {
+            p[axis] = if p[axis] < 3.0 {
+                p[axis] / 12.0
+            } else {
+                6.0 - (6.0 - p[axis]) / 12.0
+            };
+            p
+        }));
+    }
+    cases.push(case("wrap_slabs", slabs, 0.5, 6.0));
+    // Duplicates and a dense pile-up in one cell, with loners around them.
+    let mut pile = vec![[4.0, 4.0, 4.0]; 20];
+    pile.extend(cloud(200, 0.02).into_iter().map(|p| p.map(|x| 2.0 + x)));
+    pile.extend(cloud(20, 8.0));
+    cases.push(case("pile_up", pile, 0.25, 8.0));
     // Seven cells a side (rows that wrap, not whole-row runs) and a pair
     // linked only through each face.
     let mut faces = Vec::new();
@@ -499,8 +556,12 @@ fn fof_grid_cases() -> Vec<FofGridCase> {
 /// and on two axes); a cloud inside one cell; chains of pairs one link apart
 /// along each axis for every link the family runs; NaN, ±∞, `±f64::MAX`
 /// (whose extent overflows) and denormals among finite points; twenty
-/// points spread over 10⁵ links a side, where the `8n` cap shrinks the mesh;
-/// and rank 0's real patch of a two-rank decomposition.
+/// points spread over 10⁵ links a side, where the row cap widens the mesh;
+/// chains exactly one link apart across cell faces at every phase; pairs
+/// across the faces of a z-row capped at 128 cells, at the `u128`'s word
+/// boundary among them; clouds on meshes of 1, 2 and 3 cells a side (at
+/// link 0.7); duplicates and a dense pile-up in one cell; and rank 0's real
+/// patch of a two-rank decomposition.
 fn fof_patch_cases() -> Vec<inputs::Case<[f64; 3]>> {
     let mut rng = StdRng::seed_from_u64(0x5EED_FA7C);
     let mut cloud = |n: usize, lo: f64, hi: f64| -> Vec<[f64; 3]> {
@@ -569,8 +630,42 @@ fn fof_patch_cases() -> Vec<inputs::Case<[f64; 3]>> {
             halo::extended_patch(c, &decomp, &mine, 2.0)
         })
         .swap_remove(0);
+    let mut chains = Vec::new();
+    for axis in 0..3 {
+        for shift in [0.0, 0.125] {
+            chains.extend((0..40).map(|k| {
+                let mut p = [2.0 + 4.0 * shift, -1.0, 5.0];
+                p[axis] += shift + 0.25 * k as f64;
+                p
+            }));
+        }
+    }
+    // At link 0.25, z spans 40 (159 cells capped to 128 of 0.3125) and x
+    // 0.6 (two rows): pairs 0.2 apart across the faces below cells 1, 63,
+    // 64, 65 and 127, in one row and into the next.
+    let mut words = vec![[0.0; 3], [0.6, 0.0, 40.0]];
+    for c in [1.0, 63.0, 64.0, 65.0, 127.0] {
+        let face = c * 0.3125;
+        for (x, dz) in [(0.25, -0.1), (0.25, 0.1), (0.35, -0.05), (0.35, 0.12)] {
+            words.push([x, 0.0, face + dz]);
+        }
+    }
+    let cube = |side: f64, rng: &mut StdRng| -> Vec<[f64; 3]> {
+        (0..60)
+            .map(|_| [(); 3].map(|()| rng.gen_range(0.0..side)))
+            .collect()
+    };
+    let mut pile = vec![[1.5, 2.5, 3.5]; 30];
+    pile.extend(cloud(300, 0.0, 0.01));
+    pile.extend(cloud(20, -2.0, 2.0));
     let case = |name, data| inputs::Case { name, data };
     vec![
+        case("link_chains", chains),
+        case("word_bounds", words),
+        case("one_cell_a_side", cube(1.0, &mut rng)),
+        case("two_cells_a_side", cube(1.5, &mut rng)),
+        case("three_cells_a_side", cube(2.2, &mut rng)),
+        case("pile_up", pile),
         case("unwrapped", unwrapped),
         case("flat", flat),
         case("line", line),
@@ -1376,14 +1471,17 @@ fn run_layout_differential() -> DiffReport {
                 runs.push((case.name, link, case.data.len() as u64, dim));
             }
         }
-        let cells = recorder.finish().counters_by_dim();
+        let counters = recorder.finish().counters_by_dim();
         for (name, link, n, dim) in runs {
-            let got = cells.get(&("halo", "fof_cells", dim)).copied().unwrap_or(0);
+            let got = counters
+                .get(&("halo", "fof_index_bytes", dim))
+                .copied()
+                .unwrap_or(0);
             rep.check_eq(
                 "fof-patch",
-                &format!("cells/{name}/link={link}"),
+                &format!("index_bytes/{name}/link={link}"),
                 "csr-engine",
-                &got.min(8 * n + 1),
+                &got.min(4 * (8 * n + 1)),
                 &got,
             );
         }

@@ -9,8 +9,12 @@
 //!   periodic box (single-domain catalogs, the in-situ halo finder) and
 //!   [`fof_patch`] meshes the points' bounding box with no wrap (a rank's
 //!   overload-extended patch in [`crate::parallel_fof`]). Its cells are a
-//!   counting sort of the particles, at most `8n` of them, so time and
-//!   memory follow `n`, not `box / link`.
+//!   linking length wide where the caps allow (128 along z, `n/2` rows);
+//!   only the occupied cells are indexed — a bit each in one `u128` per
+//!   z-row, a rank per row, a start per cell — and the points are
+//!   counting-sorted by their cell's rank, so time and memory follow `n`,
+//!   not `box / link`, and the index stays within the `4·(8n + 1)` bytes of
+//!   a table of `8n` cells (`halo.fof_index_bytes`).
 //! * [`fof_brute`] — O(n²) oracle for tests. All three number groups by
 //!   first appearance in input order, so equal partitions are equal label
 //!   vectors.
@@ -154,15 +158,8 @@ fn connect_cols(tree: &KdTree, coords: &Coords, a: usize, b: usize, link: f64, u
     }
 }
 
-/// Cells per side of [`fof_grid`]'s mesh for `n ≥ 1` particles: as many as
-/// keep a cell at least one linking length wide, capped at `⌊cbrt(8n)⌋` so
-/// the cell table never outgrows the particle set (`ncell³ ≤ 8n`). Measured
-/// on a 64³ box eight steps in (`box/link` = 320): a side of `cbrt(n)` costs
-/// 70 ms, `2·cbrt(n)` 45 ms, the uncapped 320 220 ms.
-fn grid_cells_per_side(n: usize, link: f64, box_size: f64) -> usize {
-    let cap = (1usize..).take_while(|c| c.pow(3) <= 8 * n).count();
-    ((box_size / link).floor() as usize).clamp(1, cap)
-}
+/// Cells per z-row of the mesh at most: a row's occupancy is one `u128`.
+const ROW_CELLS: usize = 128;
 
 /// `c + d` on a periodic axis of `ncell` cells, for `d ∈ {-1, 0, 1}`.
 #[inline]
@@ -193,84 +190,57 @@ enum Boundary {
     Open,
 }
 
-/// The cell mesh: origin, cell width and cell count per axis.
-struct Mesh {
-    lo: [f64; 3],
-    width: [f64; 3],
-    dims: [usize; 3],
-}
-
-impl Mesh {
-    /// [`fof_grid`]'s mesh: `grid_cells_per_side` cells a side from 0.
-    fn periodic(n: usize, link: f64, box_size: f64) -> Mesh {
-        let ncell = grid_cells_per_side(n, link, box_size);
-        Mesh {
-            lo: [0.0; 3],
-            width: [box_size / ncell as f64; 3],
-            dims: [ncell; 3],
+/// Cells per axis over a box of `extent` for `n ≥ 2` points. Each cell is a
+/// relative 10⁻⁶ wider than `link` — the margin keeps rounding in the key
+/// from putting a linked pair two cells apart — except where a cap widens
+/// it: z has at most [`ROW_CELLS`] cells, and the mesh at most `⌊n/2⌋`
+/// rows (`(x, y)` columns), past which the cells widen evenly over the
+/// multi-cell axes of x and y. The row cap keeps the index (20 bytes a row,
+/// 8 a point and 4 an occupied cell) within the `4·(8n + 1)` bytes of a
+/// table of `8n` cells, and keys below 2³². An axis
+/// with no extent has one cell, as does every capped axis once the extent
+/// overflows.
+fn cells_per_axis(extent: [f64; 3], link: f64, n: usize) -> [usize; 3] {
+    let max_rows = (n / 2).clamp(1, 1 << 25);
+    // `as usize` saturates: ∞ → `usize::MAX`, NaN → 0.
+    let cells = |e: f64, h: f64, cap: usize| ((e / h) as usize).clamp(1, cap);
+    let h = link * (1.0 + 1e-6);
+    let nz = cells(extent[2], h, ROW_CELLS);
+    let xy = |h: f64| [0, 1].map(|d| cells(extent[d], h, max_rows));
+    let rows = |h: f64| xy(h)[0] * xy(h)[1];
+    let mut wide = h;
+    if rows(h) > max_rows {
+        // The width whose cells over the multi-cell axes number `max_rows`.
+        let multi: Vec<f64> = xy(h)
+            .iter()
+            .zip(extent)
+            .filter(|(&c, _)| c > 1)
+            .map(|(_, e)| e)
+            .collect();
+        let log_area: f64 = multi.iter().map(|e| e.ln()).sum();
+        wide = h.max(((log_area - (max_rows as f64).ln()) / multi.len() as f64).exp());
+        while rows(wide) > max_rows {
+            wide *= 1.0 + 1e-6; // a floor rounded up
         }
     }
-
-    /// [`fof_patch`]'s mesh over the bounding box of the finite coordinates:
-    /// per axis, cells a relative 10⁻⁶ wider than `link` — the margin keeps
-    /// rounding in the key from putting a linked pair two cells apart — and
-    /// wider still, evenly over the axes that have more than one, until the
-    /// table holds at most `8n` cells. An axis with no extent (or only
-    /// non-finite coordinates) has one cell, as does every axis once the
-    /// extent overflows.
-    fn open(positions: &[[f64; 3]], link: f64) -> Mesh {
-        let mut lo = [f64::INFINITY; 3];
-        let mut hi = [f64::NEG_INFINITY; 3];
-        for p in positions {
-            for d in 0..3 {
-                if p[d].is_finite() {
-                    lo[d] = lo[d].min(p[d]);
-                    hi[d] = hi[d].max(p[d]);
-                }
-            }
-        }
-        let lo = lo.map(|v| if v.is_finite() { v } else { 0.0 });
-        let extent: [f64; 3] = std::array::from_fn(|d| (hi[d] - lo[d]).max(0.0));
-        let cap = 8 * positions.len();
-        // `as usize` saturates: ∞ → `usize::MAX`, NaN → 0.
-        let dims_for = |h: f64| extent.map(|e| ((e / h) as usize).clamp(1, cap));
-        let total = |dims: [usize; 3]| dims.iter().fold(1usize, |a, &c| a.saturating_mul(c));
-        let mut h = link * (1.0 + 1e-6);
-        if total(dims_for(h)) > cap {
-            // The width whose cells over the multi-cell axes number `cap`.
-            let multi: Vec<f64> = dims_for(h)
-                .iter()
-                .zip(extent)
-                .filter(|(&c, _)| c > 1)
-                .map(|(_, e)| e)
-                .collect();
-            let log_volume: f64 = multi.iter().map(|e| e.ln()).sum();
-            h = h.max(((log_volume - (cap as f64).ln()) / multi.len() as f64).exp());
-            while total(dims_for(h)) > cap {
-                h *= 1.0 + 1e-6; // a floor rounded up
-            }
-        }
-        let dims = dims_for(h);
-        Mesh {
-            lo,
-            width: std::array::from_fn(|d| extent[d] / dims[d] as f64),
-            dims,
-        }
-    }
+    let [nx, ny] = xy(wide);
+    [nx, ny, nz]
 }
 
 /// Linked-cell FOF with periodic boundary conditions in a box of side
 /// `box_size`. Returns group labels.
 ///
-/// The cells are a counting sort, not a table of lists: one key per
-/// particle, one prefix sum, then particle indices and their positions laid
-/// out in cell order, so a cell is a contiguous range and memory is O(n)
-/// whatever `box_size / link` is (`grid_cells_per_side`). Any mesh whose
-/// cells are at least `link` wide offers every pair within `link` to the
-/// same periodic distance test, the test alone decides the partition, and
-/// [`UnionFind::labels`] numbers a partition by first appearance whatever
-/// order its unions came in — so the labels do not depend on the mesh
-/// (`conformance::layout`, `fof-grid`).
+/// The engine behind this and [`fof_patch`] meshes the points in cells at
+/// least one linking length wide (`cells_per_axis`) and keeps only the
+/// occupied cells — a bit each in one `u128` per z-row and the count of
+/// occupied cells before each row — then counting-sorts the points by
+/// their cell's rank into one run per cell, so memory is O(n) whatever
+/// `box_size / link` is. Any mesh whose cells are at least `link` wide
+/// offers every pair within `link` to the same periodic distance test, the
+/// test alone decides the partition, and [`UnionFind::labels`] numbers a
+/// partition by first appearance whatever order its unions came in — so
+/// the labels do not depend on the mesh (`conformance::layout`,
+/// `fof-grid`).
 pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
     assert!(link > 0.0 && box_size > 0.0);
     assert!(
@@ -278,94 +248,161 @@ pub fn fof_grid(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
         "linking length {link} too large for box {box_size}"
     );
     let _span = telemetry::span!("halo", "fof_grid", positions.len());
-    link_cells(positions, link, Boundary::Periodic(box_size))
+    let b2 = link * link;
+    link_cells(positions, link, Boundary::Periodic(box_size), |a, b| {
+        let mut s = 0.0;
+        for d in 0..3 {
+            let mut v = (a[d] - b[d]).abs();
+            if v > box_size / 2.0 {
+                v = box_size - v;
+            }
+            s += v * v;
+        }
+        s <= b2
+    })
 }
 
 /// Linked-cell FOF with open boundaries: [`fof_grid`]'s engine on a mesh
-/// over the points' bounding box, nothing wrapped, at most `8n` cells
-/// whatever the coordinates (non-finite ones included — they link to
-/// nothing). The pair test is [`fof_kdtree_cols`]' own
-/// `dx² + dy² + dz² ≤ link²`, so the two engines see the same partition and,
-/// both numbering it by first appearance, return the same label vector
-/// (`conformance::layout`, `fof-patch`).
+/// over the points' bounding box, nothing wrapped, its index within the
+/// `4·(8n + 1)` bytes of a table of `8n` cells whatever the coordinates
+/// (non-finite ones included — they link to nothing). The pair test is
+/// [`fof_kdtree_cols`]' own `dx² + dy² + dz² ≤ link²`, so the two engines
+/// see the same partition and, both numbering it by first appearance,
+/// return the same label vector (`conformance::layout`, `fof-patch`).
 pub fn fof_patch(positions: &[[f64; 3]], link: f64) -> Vec<u32> {
     assert!(link > 0.0, "linking length {link} must be positive");
     let _span = telemetry::span!("halo", "fof_patch", positions.len());
-    link_cells(positions, link, Boundary::Open)
+    let b2 = link * link;
+    link_cells(positions, link, Boundary::Open, |a, b| {
+        let mut s = 0.0;
+        for d in 0..3 {
+            let v = a[d] - b[d];
+            s += v * v;
+        }
+        s <= b2
+    })
 }
 
-/// The linked-cell body behind [`fof_grid`] and [`fof_patch`].
-fn link_cells(positions: &[[f64; 3]], link: f64, boundary: Boundary) -> Vec<u32> {
+/// The linked-cell body behind [`fof_grid`] and [`fof_patch`]: every pair
+/// in the same or adjacent cells that `linked` accepts is united.
+fn link_cells(
+    positions: &[[f64; 3]],
+    link: f64,
+    boundary: Boundary,
+    linked: impl Fn([f64; 3], [f64; 3]) -> bool,
+) -> Vec<u32> {
     let n = positions.len();
-    if n == 0 {
-        return Vec::new();
+    if n < 2 {
+        return vec![0; n];
     }
-    let mut uf = UnionFind::new(n);
-    let Mesh { lo, width, dims } = match boundary {
-        Boundary::Periodic(box_size) => Mesh::periodic(n, link, box_size),
-        Boundary::Open => Mesh::open(positions, link),
+    let (lo, extent) = match boundary {
+        Boundary::Periodic(box_size) => ([0.0; 3], [box_size; 3]),
+        Boundary::Open => {
+            let mut lo = [f64::INFINITY; 3];
+            let mut hi = [f64::NEG_INFINITY; 3];
+            for p in positions {
+                for d in 0..3 {
+                    if p[d].is_finite() {
+                        lo[d] = lo[d].min(p[d]);
+                        hi[d] = hi[d].max(p[d]);
+                    }
+                }
+            }
+            let lo = lo.map(|v| if v.is_finite() { v } else { 0.0 });
+            (lo, std::array::from_fn(|d| (hi[d] - lo[d]).max(0.0)))
+        }
     };
+    let dims = cells_per_axis(extent, link, n);
     let [nx, ny, nz] = dims;
-    let ncells = nx * ny * nz;
-    telemetry::count!("halo", "fof_cells", ncells);
-    let key_of = |p: [f64; 3]| -> usize {
-        let mut key = 0;
+    telemetry::count!("halo", "fof_cells", dims.iter().product::<usize>());
+    let per_width: [f64; 3] = std::array::from_fn(|d| dims[d] as f64 / extent[d]);
+    // Key `(x · ny + y) << 7 | z`: a row's cells are consecutive keys.
+    let key_of = |p: [f64; 3]| -> u32 {
+        let mut c = [0; 3];
         for d in 0..3 {
+            // `rem_euclid` is the identity inside the box.
             let x = match boundary {
-                Boundary::Periodic(box_size) => p[d].rem_euclid(box_size),
+                Boundary::Periodic(box_size) if !(0.0..box_size).contains(&p[d]) => {
+                    p[d].rem_euclid(box_size)
+                }
+                Boundary::Periodic(_) => p[d],
                 Boundary::Open => p[d] - lo[d],
             };
-            key = key * dims[d] + ((x / width[d]) as usize).min(dims[d] - 1);
+            c[d] = ((x * per_width[d]) as usize).min(dims[d] - 1);
         }
-        key
+        ((c[0] * ny + c[1]) << 7 | c[2]) as u32
     };
-    // Counting sort by cell. Counts go in two slots up, so that after the
-    // prefix sum `start[k + 1]` is cell `k`'s write cursor and, once every
-    // particle is placed, its end: cell `k` is `start[k]..start[k + 1]`.
-    // Particles are linked under their sorted slots (neighbours in space are
-    // neighbours in the forest), and `slot[i]` maps them back for labeling.
-    let mut slot: Vec<u32> = positions.iter().map(|&p| key_of(p) as u32).collect();
-    let mut start = vec![0u32; ncells + 2];
-    for &k in &slot {
-        start[k as usize + 2] += 1;
+
+    // Index the occupied cells — bits of their row's `occupied` word,
+    // `rank[r]` of them before row `r` — then counting-sort the rows by
+    // their cell's rank (`cell[i]`, which first holds row `i`'s key), which
+    // orders them by `(key, row)`: occupied cell `k` holds the rows
+    // `order[start[k]..start[k + 1]]`. The pair tests read the positions
+    // through `order`: a copy gathered in cell order would cost 24 bytes a
+    // row and buys no speed on a rank's patch.
+    let mut cell: Vec<u32> = positions.iter().map(|&p| key_of(p)).collect();
+    let mut occupied = vec![0u128; nx * ny];
+    for &key in &cell {
+        occupied[key as usize >> 7] |= 1 << (key & 127);
+    }
+    let mut rank = Vec::with_capacity(occupied.len());
+    let mut cells = 0;
+    for bits in &occupied {
+        rank.push(cells);
+        cells += bits.count_ones();
+    }
+    // Counts go in two slots up, so that after the prefix sum
+    // `start[k + 1]` is cell `k`'s write cursor and, once every row is
+    // placed, its end.
+    let mut start = vec![0u32; cells as usize + 2];
+    for key in &mut cell {
+        let row = *key as usize >> 7;
+        *key = rank[row] + (occupied[row] & ((1 << (*key & 127)) - 1)).count_ones();
+        start[*key as usize + 2] += 1;
     }
     for k in 2..start.len() {
         start[k] += start[k - 1];
     }
-    let mut sorted = vec![[0.0f64; 3]; n];
-    for (i, key) in slot.iter_mut().enumerate() {
-        let cursor = &mut start[*key as usize + 1];
-        sorted[*cursor as usize] = positions[i];
-        *key = *cursor;
+    let mut order = vec![0u32; n];
+    for (i, &k) in cell.iter().enumerate() {
+        let cursor = &mut start[k as usize + 1];
+        order[*cursor as usize] = i as u32;
         *cursor += 1;
     }
-    let cell = |k: usize| start[k] as usize..start[k + 1] as usize;
+    telemetry::count!(
+        "halo",
+        "fof_index_bytes",
+        4 * (cell.len() + order.len() + rank.len() + start.len()) + 16 * occupied.len()
+    );
+    drop(cell);
 
-    let b2 = link * link;
-    let pd2 = |a: [f64; 3], b: [f64; 3]| -> f64 {
-        let mut s = 0.0;
-        for d in 0..3 {
-            let mut v = a[d] - b[d];
-            if let Boundary::Periodic(box_size) = boundary {
-                v = v.abs();
-                if v > box_size / 2.0 {
-                    v = box_size - v;
-                }
-            }
-            s += v * v;
-        }
-        s
-    };
-    let mut link_pairs = |a: std::ops::Range<usize>, b: std::ops::Range<usize>| {
-        for i in a {
-            for j in b.clone() {
-                if pd2(sorted[i], sorted[j]) <= b2 {
-                    uf.union(i, j);
-                }
-            }
-        }
-    };
+    // Each occupied cell against itself, the next cell of its row and the
+    // three-cell z-runs of the four `FORWARD_ROWS` — wrapped on every axis
+    // when periodic, clipped at the edges when not. The runs are found a
+    // row at a time: one mask of a row's cells with an occupied neighbour in
+    // each forward row, and a rank lookup only for the cells it holds.
     let periodic = matches!(boundary, Boundary::Periodic(_));
+    let mut uf = UnionFind::new(n);
+    // `count` occupied cells from rank `k` on are one run of `order`.
+    let run = |k: usize, count: usize| start[k] as usize..start[k + count] as usize;
+    let mut link_pairs = |a: std::ops::Range<usize>, b: std::ops::Range<usize>| {
+        let theirs = &order[b.clone()];
+        for i in a {
+            let oi = order[i] as usize;
+            let p = positions[oi];
+            for &oj in theirs {
+                if linked(p, positions[oj as usize]) {
+                    uf.union(oi, oj as usize);
+                }
+            }
+        }
+    };
+    for k in 0..start.len() - 2 {
+        let mine = run(k, 1);
+        for i in mine.clone() {
+            link_pairs(i..i + 1, i + 1..mine.end);
+        }
+    }
     // `c + d` on an axis of `nc` cells: wrapped, or `None` past an edge.
     let step = |c: usize, d: i8, nc: usize| -> Option<usize> {
         if periodic {
@@ -377,58 +414,96 @@ fn link_cells(positions: &[[f64; 3]], link: f64, boundary: Boundary) -> Vec<u32>
                 .filter(|&c| c < nc)
         }
     };
-    // The cells `z − 1, z, z + 1` of a row are adjacent in cell order, so
-    // their particles are one run — clipped at the ends of an open row; two
-    // where a periodic row wraps, the whole row when it has no more than
-    // three cells.
-    let z_runs = |cz: usize| -> [std::ops::Range<usize>; 2] {
-        if !periodic {
-            [cz.saturating_sub(1)..(cz + 2).min(nz), 0..0]
-        } else if nz <= 3 {
-            [0..nz, 0..0]
-        } else if cz == 0 {
-            [0..2, nz - 1..nz]
-        } else if cz + 1 == nz {
-            [cz - 1..nz, 0..1]
-        } else {
-            [cz - 1..cz + 2, 0..0]
+    let last: u128 = 1 << (nz - 1);
+    // The cells of a row within one cell in z of an occupied one.
+    let near = |bits: u128| -> u128 {
+        let mut near = bits | bits << 1 | bits >> 1;
+        if periodic && bits & 1 != 0 {
+            near |= last;
         }
+        if periodic && bits & last != 0 {
+            near |= 1;
+        }
+        near
     };
-    // Each occupied cell against itself, the next cell of its row and the
-    // three-cell runs of the four rows after it (those that exist).
     for cx in 0..nx {
         for cy in 0..ny {
-            let row = (cx * ny + cy) * nz;
-            if start[row] == start[row + nz] {
+            let row = cx * ny + cy;
+            let bits = occupied[row];
+            if bits == 0 {
                 continue;
             }
-            let rows = FORWARD_ROWS
-                .map(|[dx, dy]| Some((step(cx, dx, nx)? * ny + step(cy, dy, ny)?) * nz));
-            for cz in 0..nz {
-                let mine = cell(row + cz);
-                if mine.is_empty() {
+            // Cells followed by an occupied cell in z; on a periodic row
+            // of more than two, the last one wraps to the first.
+            let wrap = periodic && nz > 2 && bits & 1 != 0 && bits & last != 0;
+            let mut any = bits & bits >> 1 | if wrap { last } else { 0 };
+            let mut partners = [Partner::default(); 4];
+            let mut np = 0;
+            for [dx, dy] in FORWARD_ROWS {
+                let (Some(ox), Some(oy)) = (step(cx, dx, nx), step(cy, dy, ny)) else {
                     continue;
+                };
+                let other = ox * ny + oy;
+                let hits = bits & near(occupied[other]);
+                if other != row && hits != 0 {
+                    partners[np] = Partner {
+                        bits: occupied[other],
+                        first: rank[other] as usize,
+                        hits,
+                    };
+                    np += 1;
+                    any |= hits;
                 }
-                for i in mine.clone() {
-                    link_pairs(i..i + 1, i + 1..mine.end);
+            }
+            let k0 = rank[row] as usize;
+            while any != 0 {
+                let cz = any.trailing_zeros() as usize;
+                any &= any - 1;
+                let bit = 1u128 << cz;
+                let k = k0 + (bits & (bit - 1)).count_ones() as usize;
+                let mine = run(k, 1);
+                if bits & bit << 1 != 0 {
+                    link_pairs(mine.clone(), run(k + 1, 1));
                 }
-                if let Some(next) = step(cz, 1, nz).filter(|&next| next != cz) {
-                    link_pairs(mine.clone(), cell(row + next));
+                if wrap && cz == nz - 1 {
+                    link_pairs(mine.clone(), run(k0, 1));
                 }
-                for other in rows.into_iter().flatten() {
-                    if other == row {
-                        continue; // wrapped back (few cells)
+                for p in &partners[..np] {
+                    if p.hits & bit == 0 {
+                        continue;
                     }
-                    for run in z_runs(cz) {
-                        let theirs =
-                            start[other + run.start] as usize..start[other + run.end] as usize;
-                        link_pairs(mine.clone(), theirs);
+                    // Cells `cz − 1 ..= cz + 1` (the last past the row's
+                    // end is never occupied), then the wrapped third.
+                    let lo = cz.saturating_sub(1);
+                    let window = p.bits >> lo & if cz == 0 { 0b11 } else { 0b111 };
+                    if window != 0 {
+                        let at = p.first + (p.bits & ((1 << lo) - 1)).count_ones() as usize;
+                        link_pairs(mine.clone(), run(at, window.count_ones() as usize));
+                    }
+                    if periodic && cz == 0 && p.bits & last != 0 {
+                        let end = p.first + p.bits.count_ones() as usize;
+                        link_pairs(mine.clone(), run(end - 1, 1));
+                    }
+                    if periodic && cz == nz - 1 && p.bits & 1 != 0 {
+                        link_pairs(mine.clone(), run(p.first, 1));
                     }
                 }
             }
         }
     }
-    uf.labels_of(slot.iter().map(|&s| s as usize)).0
+    drop((occupied, rank, start, order));
+    uf.labels().0
+}
+
+/// A forward row of [`link_cells`]' current row.
+#[derive(Clone, Copy, Default)]
+struct Partner {
+    /// Its occupancy.
+    bits: u128,
+    /// The rank of its first occupied cell.
+    first: usize,
+    /// The current row's cells with an occupied neighbour in it.
+    hits: u128,
 }
 
 /// Group labels → per-group member lists (groups in label order).

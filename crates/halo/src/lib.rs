@@ -5,9 +5,10 @@
 //!
 //! * **FOF halo identification** (§3.3.1) — balanced k-d tree with
 //!   bounding-box pruning ([`fof::fof_kdtree_cols`]), a linked-cell engine
-//!   with a periodic ([`fof::fof_grid`]) and an open ([`fof::fof_patch`])
-//!   boundary, and the rank-parallel driver with overload regions
-//!   ([`parallel::parallel_fof`]).
+//!   at the linking length (an occupancy bitmap per z-row, points
+//!   counting-sorted by cell) with a periodic ([`fof::fof_grid`]) and an open
+//!   ([`fof::fof_patch`]) boundary, and the rank-parallel driver with
+//!   overload regions ([`parallel::parallel_fof`]).
 //! * **MBP center finding** (§3.3.2) — the data-parallel O(n²) kernel
 //!   ([`mbp::mbp_brute`]) and the serial A* baseline ([`mbp::mbp_astar`]).
 //! * **Spherical overdensity masses** ([`so::so_mass`]).

@@ -243,7 +243,8 @@ pub struct RankTiming {
     pub find_seconds: f64,
     /// Seconds in MBP center finding.
     pub center_seconds: f64,
-    /// Particles linked by the identification: local plus ghost.
+    /// Rows linked by the identification: the extended patch's locals,
+    /// ghosts and periodic self-images.
     pub find_work: u64,
     /// Pair evaluations of the brute-force centers: Σ nᵢ² over the halos
     /// centred on this rank.

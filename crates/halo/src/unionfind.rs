@@ -57,21 +57,11 @@ impl UnionFind {
     /// Compact group labels: element → group id in `0..ngroups`, groups
     /// numbered by first appearance.
     pub fn labels(&mut self) -> (Vec<u32>, usize) {
-        self.labels_of(0..self.len())
-    }
-
-    /// [`labels`](Self::labels) of elements kept under other indices: element
-    /// `i` is the `i`-th item of `members`, groups numbered by first
-    /// appearance in that order.
-    pub fn labels_of(
-        &mut self,
-        members: impl ExactSizeIterator<Item = usize>,
-    ) -> (Vec<u32>, usize) {
         let mut label_of_root = vec![u32::MAX; self.len()];
-        let mut out = Vec::with_capacity(members.len());
+        let mut out = Vec::with_capacity(self.len());
         let mut next = 0u32;
-        for m in members {
-            let r = self.find(m);
+        for i in 0..self.len() {
+            let r = self.find(i);
             if label_of_root[r] == u32::MAX {
                 label_of_root[r] = next;
                 next += 1;
