@@ -162,7 +162,9 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
     let mut rows = Vec::new();
 
     // CIC deposit at the paper's 128³ particle scale: the scalar
-    // per-particle reference vs the blocked kernel. Each runs on its native
+    // per-particle `f64` loop vs the blocked exact deposit (the stepper's,
+    // whose integer sum costs a quantizing conversion per corner term the
+    // `f64` loop does not pay). Each runs on its native
     // layout (timing the AoS→SoA conversion here would measure the
     // allocator, not the kernel). The mesh is 64³ so the local
     // grid stays cache-resident and the measurement tracks the rewritten
@@ -364,7 +366,7 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
         let particles = carried.particles();
         let box_size = carried.config().cosmology.box_size;
         let cols = DepositColumns::from_aos(&pool2, particles);
-        let delta = nbody::cic_deposit_cols(&pool2, cols.positions(), cols.mass(), 64, box_size);
+        let delta = nbody::cic_deposit_exact(&pool2, cols.positions(), cols.mass(), 64, box_size);
         let field = nbody::poisson_accel(&pool2, &delta, 1.5 / carried.scale_factor());
         let mut out = vec![[0.0f64; 3]; particles.len()];
         let before = time_ms(pm_reps, || {

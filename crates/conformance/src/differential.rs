@@ -19,10 +19,9 @@
 //! NaN last and breaks ties by index, so neither depends on how `0..n` was
 //! chunked. The weaker classes exist for the kernel batteries:
 //!
-//! * a float sum merged per chunk reassociates on `static-*` backends (one
-//!   block per worker instead of grain-sized chunks), so cross-backend
-//!   agreement there is tolerance-level ([`Cmp::Approx`]), with NaN treated
-//!   as a single class;
+//! * a transform held to a reference that rounds differently by design
+//!   agrees within tolerance ([`Cmp::Approx`]), with NaN treated as a single
+//!   class;
 //! * NaN *payloads* produced by arithmetic (`NaN + x`) are compared as a
 //!   class ([`Cmp::NumEq`]) where association order is allowed to differ.
 
@@ -200,11 +199,6 @@ impl DiffReport {
             });
         }
     }
-}
-
-/// Is this backend allowed tolerance-level float-reduction agreement?
-pub(crate) fn reassociates_reductions(backend_name: &str) -> bool {
-    backend_name.starts_with("static")
 }
 
 /// The backend roster compared against `Serial`.

@@ -19,6 +19,10 @@
 //!   state (what a checkpoint restore builds), with and without one particle
 //!   moved through `particles_mut()` first: a stale array is impossible and
 //!   a restart re-gathers to the same bits.
+//! * **one trajectory** — every driver configuration, its ranks' particles
+//!   merged in tag order after each step, is the same sequence of bits: no
+//!   backend, worker count or rank count moves one (every deposit is the
+//!   exact integer sum, the slab transform and gather the whole mesh's).
 
 use comm::World;
 use dpp::{Backend, Serial, StaticThreaded, Threaded};
@@ -53,14 +57,29 @@ pub fn step_resolving(sim: &mut Simulation, backend: &dyn Backend) {
     sim.step(backend);
 }
 
-/// Positions and momenta as bit patterns, in storage order.
-fn bits(particles: &[Particle]) -> Vec<[u32; 6]> {
+/// A particle's tag with its position and momentum as bit patterns.
+type Bits = (u64, [u32; 6]);
+
+/// Tags with positions and momenta as bit patterns, in storage order.
+fn bits(particles: &[Particle]) -> Vec<Bits> {
     particles
         .iter()
         .map(|p| {
             let [x, y, z] = p.pos.map(f32::to_bits);
             let [u, v, w] = p.vel.map(f32::to_bits);
-            [x, y, z, u, v, w]
+            (p.tag, [x, y, z, u, v, w])
+        })
+        .collect()
+}
+
+/// A run's `[rank][step]` particle bits as one trajectory: per step, every
+/// rank's particles merged in tag order.
+fn merged(seen: &[Vec<Vec<Bits>>]) -> Vec<Vec<Bits>> {
+    (0..seen[0].len())
+        .map(|step| {
+            let mut all: Vec<_> = seen.iter().flat_map(|rank| rank[step].clone()).collect();
+            all.sort_unstable_by_key(|&(tag, _)| tag);
+            all
         })
         .collect()
 }
@@ -78,7 +97,7 @@ pub(crate) static RECORDER: Mutex<()> = Mutex::new(());
 
 /// A driver configuration's run: name, `[rank][step]` particle bits, and the
 /// `[nbody.pm_solves, nbody.gathers]` it counted.
-type Run = (String, Vec<Vec<Vec<[u32; 6]>>>, [u64; 2]);
+type Run = (String, Vec<Vec<Vec<Bits>>>, [u64; 2]);
 
 /// Run every driver configuration to the end under a recorder — `Simulation`
 /// on three backends, `DistSim` on 1, 2 and 4 ranks — `resolving` discarding
@@ -163,7 +182,13 @@ fn check_invalidation() {
 pub fn assert_integrator_conformance() {
     let n = STEPS as u64;
     let (carried, resolving) = (run_every_driver(false), run_every_driver(true));
+    let trajectory = merged(&carried[0].1);
     for ((name, seen, counts), (_, reference, recounts)) in carried.iter().zip(&resolving) {
+        assert!(
+            merged(seen) == trajectory,
+            "{name}: merged in tag order, the particles leave {}'s trajectory",
+            carried[0].0
+        );
         let ranks = seen.len() as u64;
         assert!(seen == reference, "{name}: the carried array moved a bit");
         assert_eq!(*counts, [ranks * (n + 1); 2], "{name}: N + 1 per rank");

@@ -6,10 +6,11 @@
 //! here. They share no code with what they check — a disagreement means the
 //! kernel changed semantics, not that both sides drifted together:
 //!
-//! * `cic-soa` — [`nbody::pm::cic_deposit_soa`] (cache-blocked, column
-//!   sweep) vs [`cic_deposit_scalar_ref`] (per-particle scalar loop with the
-//!   same per-backend chunking), every backend, over
-//!   [`inputs::particle_cases`] including NaN/±inf positions.
+//! * `cic-soa` — [`nbody::pm::cic_deposit_soa`] (the stepper's deposit: the
+//!   exact sum over a [`ParticleSoA`]) vs `cic_deposit_exact_ref`, on
+//!   `Serial` and every roster backend, on the stored and a shuffled input,
+//!   over [`inputs::particle_cases`] including NaN/±inf positions and
+//!   [`cic_wrap_case`].
 //! * `fof-cols` — [`halo::fof_kdtree_cols`] (packed leaf lanes) vs
 //!   [`halo::fof_brute`] labels (both number groups by first appearance, so
 //!   the O(n²) engine is a label-for-label oracle), plus the column tree's
@@ -66,6 +67,13 @@
 //!   worker) vs `cic_deposit_exact_ref` (its definition, summed in `i128` in
 //!   reversed order), on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded`
 //!   ×3, on the stored and a shuffled input, over `cic_exact_cases`.
+//! * `slab-deposit` — [`nbody::distributed::slab_deposit`] (the same chunk
+//!   body and integer grid over a rank's x-slab plus a ghost plane, folded
+//!   as integers, quantized at the global exponent) on 1, 2, 4 and 8 ranks,
+//!   each rank handed the particles whose x-cell its slab owns, the slabs
+//!   concatenated in rank order, vs `cic_deposit_exact_ref` of the whole set
+//!   bit for bit, over `cic_exact_cases` and `slab_deposit_cases` (slab
+//!   faces, the last plane, non-finite masses on ghost planes, empty ranks).
 //! * `cic-gather` — [`nbody::pm::gather_accel`] (cell and weights once per
 //!   particle, three components per corner) vs three
 //!   [`nbody::pm::cic_interpolate`] calls per particle, per component, on
@@ -106,9 +114,8 @@ use halo::{
     fof_brute, fof_grid, fof_kdtree_cols, fof_patch, mbp_brute_cols, potential_at, Coords, KdTree,
     MassFunction,
 };
-use nbody::pm::{
-    cic_deposit_exact, cic_deposit_soa, cic_interpolate, gather_accel, poisson_accel, to_grid_units,
-};
+use nbody::distributed::slab_deposit;
+use nbody::pm::{cic_deposit_exact, cic_deposit_soa, cic_interpolate, gather_accel, poisson_accel};
 use nbody::{Particle, ParticleSoA};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -116,9 +123,10 @@ use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 12] = [
+pub const REQUIRED_KERNELS: [&str; 13] = [
     "cic-soa",
     "cic-exact",
+    "slab-deposit",
     "cic-gather",
     "fof-cols",
     "fof-grid",
@@ -130,6 +138,21 @@ pub const REQUIRED_KERNELS: [&str; 12] = [
     "poisson-kspace",
     "massfn-sample",
 ];
+
+/// A position in box units as a grid coordinate of an `ng`-cell axis,
+/// wrapped by `rem_euclid` into `[0, ng]` (`ng` itself when a negative
+/// coordinate is too small to move it).
+fn to_grid_units(pos: f32, box_size: f64, ng: usize) -> f64 {
+    (pos as f64 / box_size * ng as f64).rem_euclid(ng as f64)
+}
+
+/// [`to_grid_units`] with `ng` at the origin: the exact deposit's coordinate.
+fn origin_grid_units(pos: f32, box_size: f64, ng: usize) -> f64 {
+    match to_grid_units(pos, box_size, ng) {
+        u if u == ng as f64 => 0.0,
+        u => u,
+    }
+}
 
 /// One particle's eight CIC corner contributions, added to `local` (`ng³`
 /// cells): `rem_euclid` wrap, `% ng` per corner, `m·wx·wy·wz` left to right.
@@ -166,12 +189,12 @@ fn overdensity_ref(mut rho: Vec<f64>, total: f64, ng: usize) -> Grid3<f64> {
     Grid3::from_vec([ng, ng, ng], rho)
 }
 
-/// Scalar CIC deposit reference: one particle at a time, `rem_euclid` wrap
-/// and `% ng` per corner, returning the overdensity `δ = ρ/ρ̄ − 1`. The whole
-/// function is kept — chunking by `backend.concurrency()`, partials merged
-/// in chunk order — so it stays comparable to
-/// [`nbody::pm::cic_deposit_soa`] bit for bit on every backend, not only on
-/// `Serial`.
+/// Scalar CIC deposit: one particle at a time, `rem_euclid` wrap and `% ng`
+/// per corner, an `f64` sum chunked by `backend.concurrency()` with the
+/// partials merged in chunk order, returning the overdensity `δ = ρ/ρ̄ − 1`.
+/// What the deposit was before its sum became exact, kept as the `before`
+/// side of the bench's `cic` and `render_deposit_64` rows: its low bits
+/// follow the worker count, so no family holds a kernel to it.
 pub fn cic_deposit_scalar_ref(
     backend: &dyn Backend,
     particles: &[Particle],
@@ -218,10 +241,7 @@ fn cic_deposit_exact_ref(particles: &[Particle], ng: usize, box_size: f64) -> Gr
     // Class bits: 1 a NaN term, 2 a +∞ one, 4 a −∞ one.
     let (mut sums, mut class) = (vec![0i128; ncell], vec![0u8; ncell]);
     for p in particles.iter().rev() {
-        let u = p.pos.map(|x| match to_grid_units(x, box_size, ng) {
-            u if u == ng as f64 => 0.0,
-            u => u,
-        });
+        let u = p.pos.map(|x| origin_grid_units(x, box_size, ng));
         let i = u.map(|u| u as usize % ng);
         let d = [0, 1, 2].map(|a| u[a] - i[a] as f64);
         for (dx, wx) in [(0usize, 1.0 - d[0]), (1, d[0])] {
@@ -743,6 +763,58 @@ fn cic_exact_cases() -> Vec<inputs::Case<Particle>> {
     cases
 }
 
+/// The `slab-deposit` cases for a box of side `box_size` on a 16-cell mesh
+/// (two cells a slab on 8 ranks): particles on every 8-rank slab face, the
+/// `f32` just below it and on the last plane, whose `+1` corners are rank
+/// 0's first plane through the last rank's ghost; non-finite masses in the
+/// last cell of every slab, their corners on the ghost planes, with `+∞` on
+/// one side of a face and `−∞` on the other meeting in one cell; and a set
+/// in the first slab alone, every other rank empty.
+fn slab_deposit_cases(box_size: f32) -> Vec<inputs::Case<Particle>> {
+    let mut rng = StdRng::seed_from_u64(0x5EED_51AB);
+    let cell = box_size / 16.0;
+    let below = |x: f32| f32::from_bits(x.to_bits() - 1);
+    let mut at = |x: f32, m: f32, tag: usize| {
+        let [y, z] = [(); 2].map(|()| rng.gen_range(0.0..box_size));
+        Particle::at_rest([x, y, z], m, tag as u64)
+    };
+    let faces = (0..8).map(|k| 2.0 * k as f32 * cell);
+    let faces = faces.flat_map(|x| [x, below(x.max(cell)), x + cell / 2.0]);
+    let last = [15.0 * cell, 15.5 * cell, below(box_size), box_size];
+    let mut on_faces: Vec<Particle> = Vec::new();
+    for (i, x) in faces.chain(last).enumerate() {
+        on_faces.push(at(x, 1.0 + (i % 3) as f32, i));
+    }
+    let masses = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5];
+    let mut ghosts: Vec<Particle> = (0..32)
+        .map(|i| {
+            at(
+                (2 * (i % 8) + 1) as f32 * cell + cell / 2.0,
+                masses[i / 8],
+                i,
+            )
+        })
+        .collect();
+    // `+∞`'s upper corner and `−∞`'s lower one share a cell on each face.
+    for (k, (x, m)) in [(7.5, f32::INFINITY), (8.5, f32::NEG_INFINITY)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut p = at(x * cell, m, 32 + k);
+        p.pos[1..].copy_from_slice(&[1.5 * cell, 2.5 * cell]);
+        ghosts.push(p);
+    }
+    let first_slab = (0..300)
+        .map(|i| at((i % 97) as f32 / 97.0 * 2.0 * cell, 0.5 + (i % 4) as f32, i))
+        .collect();
+    let case = |name, data| inputs::Case { name, data };
+    vec![
+        case("slab_faces", on_faces),
+        case("ghost_nonfinite", ghosts),
+        case("empty_ranks", first_slab),
+    ]
+}
+
 /// The `cic-gather` positions for a box of side `box_size`: every coordinate
 /// a gather can be handed and a wrap can get wrong — the box side itself
 /// (as `f32`, which for a side `f32` cannot hold lies just outside the `f64`
@@ -1189,51 +1261,29 @@ fn run_layout_differential() -> DiffReport {
     let (ng, box_size) = (16usize, 32.0f64);
 
     // --- cic-soa ---------------------------------------------------------
+    // The stepper's deposit against the exact deposit's definition: the
+    // same bits on every backend and in any particle order.
     rep.op("cic-soa");
+    let with_serial: Vec<(&str, &dyn Backend)> = std::iter::once(("serial", &Serial as _))
+        .chain(backends.iter().map(|(n, b)| (n.as_str(), b.as_ref())))
+        .collect();
     let wrap_case = cic_wrap_case(box_size as f32);
     for case in inputs::particle_cases().into_iter().chain([wrap_case]) {
-        let reference = cic_deposit_scalar_ref(&Serial, &case.data, ng, box_size);
-        let soa = ParticleSoA::from_aos(&case.data);
-        // Blocked kernel on Serial against the scalar loop on Serial …
-        let got = cic_deposit_soa(&Serial, &soa, ng, box_size);
-        rep.check_f64_slice(
-            Cmp::BitEq,
-            "cic-soa",
-            &format!("serial/{}", case.name),
-            "serial-soa",
-            reference.as_slice(),
-            got.as_slice(),
-        );
-        // … and both on every parallel backend. The claim proper — kernel ≡
-        // scalar reference *on the same backend* — is bit-exact
-        // everywhere. The cross-backend comparison inherits the documented
-        // reduction semantics: `static-*` reassociates the per-chunk grid
-        // merge, so it gets tolerance-level agreement (with NaN as a
-        // class), exactly like float `reduce`.
-        for (name, b) in &backends {
-            let aos = cic_deposit_scalar_ref(b.as_ref(), &case.data, ng, box_size);
-            let soa_grid = cic_deposit_soa(b.as_ref(), &soa, ng, box_size);
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "cic-soa",
-                &format!("soa-vs-aos/{}", case.name),
-                name,
-                aos.as_slice(),
-                soa_grid.as_slice(),
-            );
-            let cross = if crate::differential::reassociates_reductions(name) {
-                Cmp::Approx
-            } else {
-                Cmp::BitEq
-            };
-            rep.check_f64_slice(
-                cross,
-                "cic-soa",
-                &format!("vs-serial/{}", case.name),
-                name,
-                reference.as_slice(),
-                aos.as_slice(),
-            );
+        let reference = cic_deposit_exact_ref(&case.data, ng, box_size);
+        let shuffled = inputs::shuffled(&case.data, 0x5EED_50A0);
+        for (order, data) in [("stored", &case.data), ("shuffled", &shuffled)] {
+            let soa = ParticleSoA::from_aos(data);
+            for &(name, b) in &with_serial {
+                let got = cic_deposit_soa(b, &soa, ng, box_size);
+                rep.check_f64_slice(
+                    Cmp::BitEq,
+                    "cic-soa",
+                    &format!("{}/{order}", case.name),
+                    name,
+                    reference.as_slice(),
+                    got.as_slice(),
+                );
+            }
         }
     }
 
@@ -1271,12 +1321,38 @@ fn run_layout_differential() -> DiffReport {
         }
     }
 
+    // --- slab-deposit ----------------------------------------------------
+    // Every rank count that divides the mesh; each rank deposits the
+    // particles whose x-cell (the definition's) its slab owns, and the slabs
+    // in rank order are the whole mesh.
+    rep.op("slab-deposit");
+    for case in cic_exact_cases()
+        .into_iter()
+        .chain(slab_deposit_cases(box_size as f32))
+    {
+        let reference = cic_deposit_exact_ref(&case.data, ng, box_size);
+        for nranks in [1usize, 2, 4, 8] {
+            let s = ng / nranks;
+            let mut homes = vec![Vec::new(); nranks];
+            for p in &case.data {
+                homes[origin_grid_units(p.pos[0], box_size, ng) as usize % ng / s].push(*p);
+            }
+            let slabs = World::new(nranks)
+                .run(|c| slab_deposit(c, &homes[c.rank()], ng, box_size).into_vec());
+            rep.check_f64_slice(
+                Cmp::BitEq,
+                "slab-deposit",
+                case.name,
+                &format!("ranks-{nranks}"),
+                reference.as_slice(),
+                &slabs.concat(),
+            );
+        }
+    }
+
     // --- cic-gather ------------------------------------------------------
     // The reference is a plain loop, so `Serial` is one more backend here.
     rep.op("cic-gather");
-    let with_serial: Vec<(&str, &dyn Backend)> = std::iter::once(("serial", &Serial as _))
-        .chain(backends.iter().map(|(n, b)| (n.as_str(), b.as_ref())))
-        .collect();
     // 25.6 is a side `f32` cannot hold.
     for (gather_ng, side) in [(1usize, 32.0f64), (2, 25.6), (4, 32.0), (16, 25.6)] {
         let particles = cic_gather_positions(side);
@@ -1898,15 +1974,16 @@ mod tests {
     }
 
     #[test]
-    fn deposit_of_a_coordinate_wrapping_to_ng_matches_the_scalar_reference() {
+    fn deposit_of_a_coordinate_wrapping_to_ng_puts_it_at_the_origin() {
         // Regression: `−f32::from_bits(1)` scales and wraps to exactly `ng`,
         // which indexed one plane past the mesh ("len is 512 but the index is
-        // 512"). One particle takes the deposit's scalar tail, 64 its block.
+        // 512"). It is the origin, offset 0. One particle takes the deposit's
+        // scalar tail, 64 its block.
         let wrapping = Particle::at_rest([-f32::from_bits(1), 1.0, 1.0], 1.0, 0);
         for n in [1usize, 64] {
             let parts = vec![wrapping; n];
             let soa = ParticleSoA::from_aos(&parts);
-            let want = cic_deposit_scalar_ref(&Serial, &parts, 8, 8.0);
+            let want = cic_deposit_exact_ref(&parts, 8, 8.0);
             let got = cic_deposit_soa(&Serial, &soa, 8, 8.0);
             let bits =
                 |g: &Grid3<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

@@ -3,13 +3,16 @@
 //! the `stepper` module docs) over an x-slab force provider — ghost-plane
 //! exchanges around the CIC deposit and the gather, a slab-decomposed
 //! distributed FFT for the Poisson solve, particle re-homing after every
-//! drift. It integrates the same equations as the whole-mesh provider; the
-//! two agree to floating-point noise over short horizons and statistically
-//! over long ones (the system is chaotic: summation orders diverge).
+//! drift. Its deposit is the whole mesh's exact integer sum over the rank's
+//! x-slab, its transform the whole mesh's real transform over slabs, its
+//! gather the whole mesh's on the ghost-extended slab: on any rank count it
+//! computes what the whole-mesh provider computes, and the particles, merged
+//! in tag order, are [`crate::Simulation`]'s bit for bit at every step.
 
 use crate::particle::Particle;
-use crate::pm::{gather_accel, gradient_spectra, grid_wavenumbers};
+use crate::pm::{deposit_window, gather_accel, gradient_spectra, grid_wavenumbers};
 use crate::sim::SimConfig;
+use crate::soa::DepositColumns;
 use crate::stepper::{driver_accessors, ForceProvider, Stepper};
 use comm::Communicator;
 use dpp::{Backend, Serial};
@@ -178,7 +181,7 @@ impl ForceProvider for Slabs<'_> {
 /// Pass `plane` one rank along the ring — `up` to the next rank, else to the
 /// previous — and return the one arriving from the other side; a lone rank
 /// gets its own back without touching the wire.
-fn ring_shift(comm: &Communicator, tag: u64, plane: Vec<f64>, up: bool) -> Vec<f64> {
+fn ring_shift<T: Send + 'static>(comm: &Communicator, tag: u64, plane: Vec<T>, up: bool) -> Vec<T> {
     let (r, nr) = (comm.rank(), comm.size());
     if nr == 1 {
         return plane;
@@ -190,8 +193,11 @@ fn ring_shift(comm: &Communicator, tag: u64, plane: Vec<f64>, up: bool) -> Vec<f
 }
 
 /// Distributed CIC deposit over an x-slab decomposition: every rank deposits
-/// its local particles (whose x must lie in its slab) and one ghost plane is
-/// ring-exchanged. Returns the local overdensity slab `[ng/R, ng, ng]`.
+/// its local particles, whose x-cells must lie in its slab (the deposit
+/// panics otherwise), and one ghost plane is ring-exchanged. Returns the
+/// local overdensity slab `[ng/R, ng, ng]`: the whole mesh's
+/// [`crate::pm::cic_deposit_exact`] planes `r·ng/R..`, bit for bit, on any
+/// rank count.
 ///
 /// This is the shared kernel behind [`DistSim`]'s gravity source and the
 /// distributed in-situ power spectrum.
@@ -204,6 +210,11 @@ pub fn slab_deposit(
     slab_deposit_with_tag(comm, locals, ng, box_size, PLANE_TAG_BASE + (1 << 20))
 }
 
+/// The exact deposit over this rank's x-planes and the ghost plane above
+/// them, at the exponent of the global particle count and largest `|m|`, so
+/// every rank quantizes each term as the whole mesh does; the ghost plane
+/// folds into the next rank's first plane as integers, and the mean is the
+/// integer total of all ranks.
 fn slab_deposit_with_tag(
     comm: &Communicator,
     locals: &[Particle],
@@ -213,47 +224,15 @@ fn slab_deposit_with_tag(
 ) -> Grid3<f64> {
     let nr = comm.size();
     assert_eq!(ng % nr, 0, "mesh {ng} not divisible by {nr} ranks");
-    let s = ng / nr;
-    let x0 = comm.rank() * s;
-    // Local buffer with one ghost plane at the top.
-    let mut buf = vec![0.0f64; (s + 1) * ng * ng];
-    let idx = |xl: usize, y: usize, z: usize| (xl * ng + y) * ng + z;
-    for p in locals {
-        let u = [
-            crate::pm::to_grid_units(p.pos[0], box_size, ng),
-            crate::pm::to_grid_units(p.pos[1], box_size, ng),
-            crate::pm::to_grid_units(p.pos[2], box_size, ng),
-        ];
-        let i = [u[0] as usize % ng, u[1] as usize % ng, u[2] as usize % ng];
-        debug_assert!(i[0] >= x0 && i[0] < x0 + s, "particle not in slab");
-        let d = [u[0] - i[0] as f64, u[1] - i[1] as f64, u[2] - i[2] as f64];
-        let m = p.mass as f64;
-        for (dx, wx) in [(0usize, 1.0 - d[0]), (1, d[0])] {
-            for (dy, wy) in [(0usize, 1.0 - d[1]), (1, d[1])] {
-                for (dz, wz) in [(0usize, 1.0 - d[2]), (1, d[2])] {
-                    let xl = i[0] - x0 + dx; // may hit the ghost plane s
-                    let y = (i[1] + dy) % ng;
-                    let z = (i[2] + dz) % ng;
-                    buf[idx(xl, y, z)] += m * wx * wy * wz;
-                }
-            }
-        }
-    }
-    // Ring exchange: my ghost plane (global x = x0+s) belongs to the next
-    // rank's plane 0 (the periodic wrap onto my own, when alone).
-    let ghost: Vec<f64> = buf[idx(s, 0, 0)..].to_vec();
-    for (k, v) in ring_shift(comm, tag, ghost, true).iter().enumerate() {
-        buf[k] += v;
-    }
-    buf.truncate(s * ng * ng);
-    // Overdensity: global mean mass per cell.
-    let local_mass: f64 = locals.iter().map(|p| p.mass as f64).sum();
-    let total_mass = comm.allreduce_sum_f64(local_mass);
-    let mean = total_mass / (ng * ng * ng) as f64;
-    for v in &mut buf {
-        *v = *v / mean - 1.0;
-    }
-    Grid3::from_vec([s, ng, ng], buf)
+    let (s, x0) = (ng / nr, comm.rank() * (ng / nr));
+    let cols = DepositColumns::from_aos(&Serial, locals);
+    let (pos, mass) = (cols.positions(), cols.mass());
+    // The global particle count and largest `|m|`.
+    let all = |local| comm.allreduce(local, |a: (u64, u32), b| (a.0 + b.0, a.1.max(b.1)));
+    let mut grid = deposit_window(&Serial, pos, mass, ng, box_size, x0..x0 + s, all);
+    grid.fold_ghost(|ghost| ring_shift(comm, tag, ghost, true));
+    let total = comm.allreduce(grid.sums.iter().sum::<i64>(), |a, b| a + b);
+    grid.into_overdensity(total, [s, ng, ng])
 }
 
 #[cfg(test)]
@@ -304,58 +283,92 @@ mod tests {
         }
     }
 
-    #[test]
-    fn short_horizon_matches_shared_memory_sim() {
-        // Few steps: the distributed and shared-memory integrators must
-        // agree to tight tolerance (before chaos amplifies FP noise).
-        let cfg = tiny::cfg(3);
-        let mut reference = Simulation::new(&dpp::Serial, cfg.clone());
-        reference.run(&dpp::Serial);
-        let mut expect: Vec<Particle> = reference.particles().to_vec();
-        expect.sort_by_key(|p| p.tag);
+    /// Position and momentum bits with the tag, per particle.
+    fn bits(particles: &[Particle]) -> Vec<(u64, [u32; 6])> {
+        let bits = |p: &Particle| {
+            let [x, y, z] = p.pos.map(f32::to_bits);
+            let [u, v, w] = p.vel.map(f32::to_bits);
+            (p.tag, [x, y, z, u, v, w])
+        };
+        particles.iter().map(bits).collect()
+    }
 
+    /// `DistSim` on 1, 2 and 4 ranks, every rank's particles merged in tag
+    /// order after every step, against `Simulation`'s at that step.
+    fn assert_dist_is_shared_memory(cfg: SimConfig) {
+        let mut expect = Vec::new();
+        let mut reference = Simulation::new(&dpp::Serial, cfg.clone());
+        reference.run_with_hook(&dpp::Serial, |_, sim| {
+            let mut step = bits(sim.particles());
+            step.sort_unstable_by_key(|&(tag, _)| tag);
+            expect.push(step);
+        });
         for nranks in [1usize, 2, 4] {
-            let world = World::new(nranks);
-            let gathered = world.run(|c| {
-                let mut sim = DistSim::new(c, cfg.clone());
-                sim.run();
-                c.allgather(sim.particles().to_vec())
+            let gathered = World::new(nranks).run(|c| {
+                let mut seen = Vec::new();
+                DistSim::new(c, cfg.clone()).run_with_hook(|_, sim| {
+                    seen.push(c.allgather(bits(sim.particles())));
+                });
+                seen
             });
-            let mut got: Vec<Particle> = gathered[0].iter().flatten().copied().collect();
-            got.sort_by_key(|p| p.tag);
-            assert_eq!(got.len(), expect.len());
-            let l = cfg.cosmology.box_size;
-            let mut worst = 0.0f64;
-            for (g, e) in got.iter().zip(&expect) {
-                assert_eq!(g.tag, e.tag);
-                let d2 = crate::particle::periodic_dist2(g.pos_f64(), e.pos_f64(), l);
-                worst = worst.max(d2.sqrt());
+            for (step, (ranks, want)) in gathered[0].iter().zip(&expect).enumerate() {
+                let mut got: Vec<_> = ranks.iter().flatten().copied().collect();
+                got.sort_unstable_by_key(|&(tag, _)| tag);
+                let differ = got.iter().zip(want).filter(|(g, w)| g != w).count();
+                assert!(
+                    got.len() == want.len() && differ == 0,
+                    "nranks={nranks} step {}: {differ} of {} particles differ",
+                    step + 1,
+                    want.len()
+                );
             }
-            assert!(
-                worst < 1e-3,
-                "nranks={nranks}: max position deviation {worst}"
-            );
+            assert_eq!(gathered[0].len(), expect.len(), "nranks={nranks}");
         }
     }
 
     #[test]
-    fn long_run_matches_statistically() {
-        let cfg = tiny::cfg(12);
-        let mut reference = Simulation::new(&dpp::Serial, cfg.clone());
-        reference.run(&dpp::Serial);
-        let ref_rms = reference.density_rms(&dpp::Serial);
+    fn short_horizon_is_the_shared_memory_sim_bit_for_bit() {
+        assert_dist_is_shared_memory(tiny::cfg(3));
+    }
 
-        let world = World::new(4);
-        let rms = world.run(|c| {
-            let mut sim = DistSim::new(c, cfg.clone());
-            sim.run();
-            sim.density_rms()
-        });
-        for r in rms {
-            assert!(
-                (r / ref_rms - 1.0).abs() < 0.1,
-                "distributed rms {r} vs shared {ref_rms}"
-            );
+    #[test]
+    fn long_run_is_the_shared_memory_sim_bit_for_bit() {
+        // Chaos amplifies any summation-order noise over twelve steps; there
+        // is none to amplify.
+        assert_dist_is_shared_memory(tiny::cfg(12));
+    }
+
+    #[test]
+    fn slabs_are_the_whole_mesh_deposit_for_empty_massless_and_nan_sets() {
+        // An `f64` mass total and a division by the mean with no `mean > 0`
+        // guard made the first and third all NaN, and the last NaN in every
+        // cell rather than in the NaN particle's eight.
+        let at = |x: f32, m: f32, tag| Particle::at_rest([x, 9.5, 31.9], m, tag);
+        let some = |m: [f32; 3]| vec![at(0.3, m[0], 0), at(15.9, m[1], 1), at(31.99, m[2], 2)];
+        let cases = [
+            ("empty", Vec::new()),
+            ("one rank's slab", vec![at(1.0, 1.0, 0), at(3.5, 2.0, 1)]),
+            ("massless", some([0.0, -0.0, 0.0])),
+            ("nan mass", some([1.0, f32::NAN, 2.0])),
+        ];
+        let (ng, l) = (16, 32.0);
+        for (name, parts) in cases {
+            let soa = crate::ParticleSoA::from_aos(&parts);
+            let want =
+                crate::pm::cic_deposit_exact(&dpp::Serial, soa.positions(), soa.mass(), ng, l);
+            let want: Vec<u64> = want.as_slice().iter().map(|v| v.to_bits()).collect();
+            for nranks in [1usize, 2, 4] {
+                let slabs = World::new(nranks).run(|c| {
+                    let mine: Vec<Particle> = parts
+                        .iter()
+                        .filter(|p| owner_of_x(p.pos[0] as f64, l, nranks) == c.rank())
+                        .copied()
+                        .collect();
+                    slab_deposit(c, &mine, ng, l).into_vec()
+                });
+                let got: Vec<u64> = slabs.concat().iter().map(|v| v.to_bits()).collect();
+                assert!(got == want, "{name} on {nranks} ranks");
+            }
         }
     }
 

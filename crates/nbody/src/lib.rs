@@ -36,9 +36,6 @@ pub use cosmology::Cosmology;
 pub use distributed::DistSim;
 pub use ic::{realize_linear_field, zeldovich_particles, IcConfig, LinearField};
 pub use particle::{min_image, periodic_dist2, Particle, PARTICLE_BYTES};
-pub use pm::{
-    cic_deposit_cols, cic_deposit_exact, cic_deposit_soa, cic_interpolate, gather_accel,
-    poisson_accel,
-};
+pub use pm::{cic_deposit_exact, cic_deposit_soa, cic_interpolate, gather_accel, poisson_accel};
 pub use sim::{SimConfig, Simulation};
 pub use soa::{DepositColumns, ParticleSoA, PosColumns};

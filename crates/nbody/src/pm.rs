@@ -1,10 +1,14 @@
 //! Particle-mesh gravity: CIC deposit, k-space Poisson solve, CIC force
 //! gather. All mesh quantities live in *grid units* (cell = 1).
 //!
-//! The deposit reads four columns — positions and mass ([`cic_deposit_cols`];
-//! [`cic_deposit_soa`] is the same body behind a [`ParticleSoA`]).
-//! [`cic_deposit_exact`] runs the same chunk body into integer grids, so its
-//! result does not depend on the particle order or the worker count. The solve
+//! There is one CIC deposit body: `deposit_chunk` hands each particle's eight
+//! corner terms to an integer grid, so the deposit does not depend on the
+//! particle order, the worker count or the rank count.
+//! [`cic_deposit_exact`] is it over the whole mesh (the stepper's force
+//! source, every analysis; [`cic_deposit_soa`] is the same call behind a
+//! [`ParticleSoA`]); [`crate::distributed::slab_deposit`] is it over one
+//! rank's x-slab plus a ghost plane, and the slabs are the whole mesh's, bit
+//! for bit. The solve
 //! lives in [`PoissonSolver`], which a caller keeps across solves for its FFT
 //! plan and `k` table; every grid is transient: `δ` is real, so one
 //! real-to-complex transform to the `ng·ng·(ng/2 + 1)` half spectrum, one
@@ -25,7 +29,7 @@ use parking_lot::Mutex;
 
 /// Convert a position in box units (Mpc/h) to grid units for mesh size `ng`.
 #[inline]
-pub fn to_grid_units(pos: f32, box_size: f64, ng: usize) -> f64 {
+fn to_grid_units(pos: f32, box_size: f64, ng: usize) -> f64 {
     let u = pos as f64 / box_size * ng as f64;
     // Wrap defensively: positions should already be in [0, box_size).
     u.rem_euclid(ng as f64)
@@ -51,98 +55,38 @@ pub(crate) fn wrap_periodic(u: f64, period: f64) -> f64 {
 /// scratch (seven 8-byte lanes) stays within a fraction of L1.
 const CIC_BLOCK: usize = 64;
 
-/// Cloud-in-cell deposit of particle mass onto an `ng³` mesh. Returns the
-/// *overdensity* field `δ = ρ/ρ̄ − 1`, where the mean is taken over the mesh.
+/// The one CIC chunk body: hand each of particles `[r.start, r.end)` to
+/// `sink` as its eight corner cells and terms (see `corners`), the x-cell
+/// counted from the sink's first plane. A coordinate that wraps to exactly
+/// `ng` (a negative one too small to move `ng`) is the box origin, offset 0,
+/// so every weight lies in `[0, 1]`. Panics when a particle's x-cell is not
+/// one of the sink's own planes.
 ///
-/// Each chunk walks its particles in blocks of `CIC_BLOCK` (`deposit_chunk`).
-/// Phase one sweeps the packed position/mass columns in three vectorizable
-/// passes: (a) the pure `pos / box · ng` arithmetic over fixed-size column
-/// windows, (b) a block-level range check that only falls back to the scalar
-/// `rem_euclid` wrap when some lane is out of `[0, ng)` (bit-identical
-/// either way — see `wrap_periodic`), and (c) truncation to cell indices plus
-/// fractional offsets. Indices truncate through `i32` (`u as i32` equals
-/// `u as usize` for every wrapped value including NaN→0, and ng is asserted
-/// to fit), so the cast vectorizes on plain SSE2 where a 64-bit cast would
-/// not. Phase two scatters the eight corner contributions per particle with
-/// straight-line adds in `(dx, dy, dz)` order and `((m·wx)·wy)·wz`
-/// association, the per-axis `% ng` wraps done as compare-and-wrap
-/// increments. Partial grids are collected per chunk and merged in chunk
-/// order, so the result is identical run-to-run; `conformance::layout` holds
-/// it bit-equal, on every backend, to the scalar per-particle loop
-/// (`cic_deposit_scalar_ref`) over the adversarial corpus. Its low bits
-/// depend on the worker count; [`cic_deposit_exact`]'s do not.
-pub fn cic_deposit_cols(
-    backend: &dyn Backend,
-    pos: PosColumns<'_>,
-    masses: &[f32],
-    ng: usize,
-    box_size: f64,
-) -> Grid3<f64> {
-    let ncell = ng * ng * ng;
-    check_columns(pos, masses, ng);
-    let partials: Mutex<Vec<(usize, Vec<f64>)>> = Mutex::new(Vec::new());
-    let grain = (masses.len() / backend.concurrency().max(1)).max(4096);
-    backend.dispatch(masses.len(), grain, &|r| {
-        let start = r.start;
-        let mut local = vec![0.0f64; ncell];
-        deposit_chunk(pos, masses, r, ng, box_size, false, local.as_mut_slice());
-        partials.lock().push((start, local));
-    });
-    let mut partials = partials.into_inner();
-    partials.sort_by_key(|(s, _)| *s);
-    let mut rho = vec![0.0f64; ncell];
-    for (_, local) in partials {
-        for (gv, lv) in rho.iter_mut().zip(&local) {
-            *gv += lv;
-        }
-    }
-    let total: f64 = masses.iter().map(|&m| m as f64).sum();
-    overdensity(rho, total, ng)
-}
-
-/// [`cic_deposit_cols`] over a [`ParticleSoA`]'s position and mass columns.
-pub fn cic_deposit_soa(
-    backend: &dyn Backend,
-    particles: &ParticleSoA,
-    ng: usize,
-    box_size: f64,
-) -> Grid3<f64> {
-    cic_deposit_cols(
-        backend,
-        particles.positions(),
-        particles.mass(),
-        ng,
-        box_size,
-    )
-}
-
-/// The deposits' shared argument checks.
-fn check_columns(pos: PosColumns<'_>, masses: &[f32], ng: usize) {
-    let n = masses.len();
-    assert!(ng <= i32::MAX as usize, "mesh size must fit i32 indices");
-    assert!(
-        [pos.x.len(), pos.y.len(), pos.z.len()] == [n; 3],
-        "deposit columns differ in length"
-    );
-}
-
-/// The one chunk body of both deposits: hand each of particles
-/// `[r.start, r.end)` to `sink` as its eight corner cells and terms (see
-/// `corners`). With `ng_is_origin`, a coordinate that wraps to exactly `ng`
-/// (a negative one too small to move `ng`) is the box origin, offset 0, so
-/// every weight lies in `[0, 1]`; without, it is cell 0 with offset `ng`, as
-/// `% ng` leaves it and `cic_gather` keeps it.
+/// Particles go in blocks of `CIC_BLOCK`. Phase one sweeps the columns in
+/// three vectorizable passes: (a) `pos / box · ng`, (b) a block-level range
+/// check that only falls back to the scalar `rem_euclid` wrap when some lane
+/// is out of `[0, ng)` (bit-identical either way — see `wrap_periodic`), and
+/// (c) truncation to cell indices through `i32` (which vectorizes on plain
+/// SSE2 where a 64-bit cast would not; NaN → 0) plus fractional offsets.
+/// Phase two scatters the eight corners per particle.
+///
+/// The mass comes in scaled by the grid's `2^e`, so each corner term is
+/// `(((m·2^e)·wx)·wy)·wz`: `((m·wx)·wy)·wz` times `2^e` bit for bit wherever
+/// both products stay normal — a power of two commutes with every rounding —
+/// and below `1` in magnitude, so truncated to the same `0`, where either
+/// meets a subnormal (an unscaled term under `2^−1022` is under
+/// `2^(−1022 + e)` scaled, and `e ≤ 206`).
 fn deposit_chunk(
     pos: PosColumns<'_>,
     masses: &[f32],
     r: std::ops::Range<usize>,
     ng: usize,
     box_size: f64,
-    ng_is_origin: bool,
-    sink: &mut (impl Sink + ?Sized),
+    sink: &mut ExactGrid,
 ) {
     let (px, py, pz) = (pos.x, pos.y, pos.z);
     let ngf = ng as f64;
+    let (x0, own, scale) = (sink.x0 as i32, sink.own as u32, sink.scale);
     // Per-block scratch lanes (stack-resident).
     let mut ux = [0.0f64; CIC_BLOCK];
     let mut uy = [0.0f64; CIC_BLOCK];
@@ -165,7 +109,7 @@ fn deposit_chunk(
             ux[k] = pxw[k] as f64 / box_size * ngf;
             uy[k] = pyw[k] as f64 / box_size * ngf;
             uz[k] = pzw[k] as f64 / box_size * ngf;
-            mm[k] = mw[k] as f64;
+            mm[k] = mw[k] as f64 * scale;
         }
         // Phase 1b: the periodic wrap. In-range lanes pass through
         // unchanged (exactly what `rem_euclid` would return), so the
@@ -182,27 +126,29 @@ fn deposit_chunk(
         }
         if !in_range {
             for k in 0..CIC_BLOCK {
-                ux[k] = wrap_grid(ux[k], ngf, ng_is_origin);
-                uy[k] = wrap_grid(uy[k], ngf, ng_is_origin);
-                uz[k] = wrap_grid(uz[k], ngf, ng_is_origin);
+                ux[k] = wrap_grid(ux[k], ngf, true);
+                uy[k] = wrap_grid(uy[k], ngf, true);
+                uz[k] = wrap_grid(uz[k], ngf, true);
             }
         }
-        // Phase 1c: cell indices and fractional offsets. Every lane is
-        // now in `[0, ng]` or NaN (→ 0 under Rust's saturating cast);
-        // exactly `ng` (left only without `ng_is_origin`) reduces to cell 0
-        // with its offset kept, as `% ng` leaves it and as `cic_gather`
-        // does.
-        let wrap = |i: i32| if i == ng as i32 { 0 } else { i };
+        // Phase 1c: every lane is now in `[0, ng)` or NaN; the x-cell moves
+        // into the sink's window.
+        let mut in_window = true;
         for k in 0..CIC_BLOCK {
-            ix[k] = wrap(ux[k] as i32);
-            iy[k] = wrap(uy[k] as i32);
-            iz[k] = wrap(uz[k] as i32);
-            fx[k] = ux[k] - ix[k] as f64;
+            let cx = ux[k] as i32;
+            ix[k] = cx - x0;
+            iy[k] = uy[k] as i32;
+            iz[k] = uz[k] as i32;
+            fx[k] = ux[k] - cx as f64;
             fy[k] = uy[k] - iy[k] as f64;
             fz[k] = uz[k] - iz[k] as f64;
+            in_window &= (ix[k] as u32) < own;
         }
-        // Phase 2: scatter eight corners per particle in the scalar
-        // reference's visit order and product association.
+        assert!(
+            in_window,
+            "a particle's x-cell is outside the deposit window"
+        );
+        // Phase 2: scatter eight corners per particle.
         for k in 0..CIC_BLOCK {
             let cell = |i: i32, f: f64| (i as usize, f);
             let axes = [cell(ix[k], fx[k]), cell(iy[k], fy[k]), cell(iz[k], fz[k])];
@@ -213,28 +159,37 @@ fn deposit_chunk(
     }
     // Tail (< CIC_BLOCK particles): same math per particle, scalar.
     for j in base..r.end {
-        let axes = [px[j], py[j], pz[j]].map(|p| grid_cell(p, box_size, ng, ng_is_origin));
-        let (cells, terms, finite) = corners(axes, masses[j] as f64, ng);
+        let [(x, dx), y, z] = [px[j], py[j], pz[j]].map(|p| grid_cell(p, box_size, ng, true));
+        let x = x.wrapping_sub(sink.x0);
+        assert!(
+            x < sink.own,
+            "a particle's x-cell is outside the deposit window"
+        );
+        let (cells, terms, finite) = corners([(x, dx), y, z], masses[j] as f64 * scale, ng);
         sink.add(cells, terms, finite);
     }
 }
 
 /// A particle's eight corner cells and terms, in `(dx, dy, dz)` order with
-/// `((m·wx)·wy)·wz` association, from its base cell and offset per axis (the
-/// base cell is `< ng`, so the `+1` neighbour wraps by compare-and-reset);
-/// and whether its mass and offsets, so every term, are finite.
+/// `((m·wx)·wy)·wz` association, from its base cell and offset per axis, and
+/// whether its mass and offsets, so every term, are finite. The `+1`
+/// neighbour wraps to 0 at `ng` in y and z; in x it never wraps — a window's
+/// ghost plane takes it.
 #[inline(always)]
 fn corners(axes: [(usize, f64); 3], m: f64, ng: usize) -> ([usize; 8], [f64; 8], bool) {
-    let [(x, wx), (y, wy), (z, wz)] =
-        axes.map(|(i, d)| ([i, if i + 1 == ng { 0 } else { i + 1 }], [1.0 - d, d]));
+    let next = |i: usize| if i + 1 == ng { 0 } else { i + 1 };
+    let [(x, dx), (y, dy), (z, dz)] = axes;
+    let (x, y, z) = ([x, x + 1], [y, next(y)], [z, next(z)]);
+    let (wx, wy, wz) = ([1.0 - dx, dx], [1.0 - dy, dy], [1.0 - dz, dz]);
     let (mut cells, mut terms) = ([0; 8], [0.0; 8]);
     for k in 0..8 {
         let (a, b, c) = (k >> 2, k >> 1 & 1, k & 1);
         cells[k] = (x[a] * ng + y[b]) * ng + z[c];
         terms[k] = m * wx[a] * wy[b] * wz[c];
     }
-    // A finite `m` (an `f32`) plus offsets in `[0, 1]` cannot overflow, and
-    // any NaN or infinity among them leaves the sum non-finite.
+    // A finite `m` (an `f32` times `2^e`, under `2^62`) plus offsets in
+    // `[0, 1]` cannot overflow, and any NaN or infinity among them leaves
+    // the sum non-finite.
     let finite = (m + wx[1] + wy[1] + wz[1]).is_finite();
     (cells, terms, finite)
 }
@@ -250,32 +205,24 @@ fn wrap_grid(u: f64, ngf: f64, ng_is_origin: bool) -> f64 {
     }
 }
 
-/// Convert mass density to overdensity `δ = ρ/ρ̄ − 1` given the total mass
-/// (identity when it is not positive). Shared tail of both deposits.
-fn overdensity(mut rho: Vec<f64>, total: f64, ng: usize) -> Grid3<f64> {
-    let mean = total / rho.len() as f64;
-    if mean > 0.0 {
-        for v in &mut rho {
-            *v = *v / mean - 1.0;
-        }
-    }
-    Grid3::from_vec([ng, ng, ng], rho)
+/// The bits of the largest finite `|m|` (`|m|`'s bits order as its value),
+/// `0` when there is none.
+fn max_abs_mass_bits(masses: &[f32]) -> u32 {
+    let abs_bits = masses.iter().map(|m| m.to_bits() & 0x7fff_ffff);
+    abs_bits.filter(|&b| b < 0x7f80_0000).max().unwrap_or(0)
 }
 
-/// The quantum exponent [`cic_deposit_exact`] deposits at: `e` with
-/// `8·n·M·2^e < 2^62`, `M` the largest finite `|m|` (`e = 0` when there is
-/// none, or no particle). A function of the mass multiset only.
-fn exact_scale_exponent(masses: &[f32]) -> i32 {
-    // `|m|`'s bits order as its value; a non-finite one counts as zero.
-    let abs_bits = masses.iter().map(|m| m.to_bits() & 0x7fff_ffff);
-    let max_bits = abs_bits.map(|b| if b < 0x7f80_0000 { b } else { 0 }).max();
-    let Some(max_bits @ 1..) = max_bits else {
+/// The quantum exponent of an exact deposit of `n` particles whose largest
+/// finite `|m|` has the bits `max_bits`: `e` with `8·n·M·2^e < 2^62`, or `0`
+/// when there is no such mass. A function of the mass multiset only.
+fn exact_scale_exponent(n: u64, max_bits: u32) -> i32 {
+    if max_bits == 0 {
         return 0;
-    };
+    }
     // `8·n·M` is normal and at most one rounding below its true value, so
     // with `2^p ≤ bound < 2^(p+1)` the true value is `< 2^(p+1)·(1 + 2⁻⁵³)`
     // and `e = 60 − p` leaves it under `2^62`.
-    let bound = 8.0 * masses.len() as f64 * f64::from(f32::from_bits(max_bits));
+    let bound = 8.0 * n as f64 * f64::from(f32::from_bits(max_bits));
     let p = ((bound.to_bits() >> 52) & 0x7ff) as i32 - 1023;
     60 - p
 }
@@ -286,46 +233,38 @@ const NAN_CLASS: u8 = 1;
 const POS_INF: u8 = 2;
 const NEG_INF: u8 = 4;
 
-/// Where `deposit_chunk` puts each particle's corners.
-trait Sink {
-    /// Add `terms[k]` to cell `cells[k]`, `k` in order; `finite` says every
-    /// term is.
-    fn add(&mut self, cells: [usize; 8], terms: [f64; 8], finite: bool);
-}
-
-/// [`cic_deposit_cols`]' chunk grid: an `f64` sum in visit order.
-impl Sink for [f64] {
-    #[inline(always)]
-    fn add(&mut self, cells: [usize; 8], terms: [f64; 8], _: bool) {
-        for (c, t) in cells.into_iter().zip(terms) {
-            self[c] += t;
-        }
-    }
-}
-
-/// One worker's [`cic_deposit_exact`] grid: a finite term as a multiple of
-/// the quantum `1/scale`, truncated toward zero and summed per cell; a
-/// non-finite one as its cell's class.
-struct ExactGrid {
-    sums: Vec<i64>,
+/// An exact deposit's integer grid over a window of the mesh: x-planes
+/// `x0..x0 + own`, then a ghost plane that takes the `+1` corners of the
+/// last one until `fold_ghost` hands it on. A finite term, scaled by
+/// `scale = 2^e`, is truncated toward zero and summed per cell; a non-finite
+/// one is its cell's class.
+pub(crate) struct ExactGrid {
+    pub(crate) sums: Vec<i64>,
     nonfinite: Vec<(usize, u8)>,
+    e: i32,
     scale: f64,
+    x0: usize,
+    own: usize,
+    plane: usize,
 }
 
-impl Sink for ExactGrid {
+impl ExactGrid {
+    /// Add the scaled `terms[k]` to cell `cells[k]`, `k` in order; `finite`
+    /// says every term is.
     #[inline(always)]
     fn add(&mut self, cells: [usize; 8], terms: [f64; 8], finite: bool) {
-        // SAFETY (both casts): a finite term has `|t| ≤ M`, so
-        // `|t·2^e| < 2^62` is in range.
+        // SAFETY (both casts): a finite term has `|t| ≤ M·2^e < 2^62`, in
+        // range, as `deposit_window` asserts that no mass exceeds the `M`
+        // that `e` was taken from.
         if finite {
             for (c, t) in cells.into_iter().zip(terms) {
-                self.sums[c] += unsafe { (t * self.scale).to_int_unchecked::<i64>() };
+                self.sums[c] += unsafe { t.to_int_unchecked::<i64>() };
             }
             return;
         }
         for (c, t) in cells.into_iter().zip(terms) {
             if t.is_finite() {
-                self.sums[c] += unsafe { (t * self.scale).to_int_unchecked::<i64>() };
+                self.sums[c] += unsafe { t.to_int_unchecked::<i64>() };
             } else if t.is_nan() {
                 self.nonfinite.push((c, NAN_CLASS));
             } else {
@@ -334,18 +273,118 @@ impl Sink for ExactGrid {
             }
         }
     }
+
+    /// Take the ghost plane off — its sums, then its non-finite entries as
+    /// `cell << 3 | class` — hand it to `shift`, and add the plane `shift`
+    /// returns (the window below's, in the same form) into the first one, as
+    /// integers. The whole mesh's `shift` returns its own.
+    pub(crate) fn fold_ghost(&mut self, shift: impl FnOnce(Vec<i64>) -> Vec<i64>) {
+        let own_cells = self.own * self.plane;
+        let mut ghost = self.sums.split_off(own_cells);
+        let nonfinite = std::mem::take(&mut self.nonfinite);
+        let (mine, above): (Vec<_>, Vec<_>) =
+            nonfinite.into_iter().partition(|&(c, _)| c < own_cells);
+        let encode = |(c, class): (usize, u8)| ((c - own_cells) << 3 | class as usize) as i64;
+        ghost.extend(above.into_iter().map(encode));
+        let arrived = shift(ghost);
+        let (sums, classes) = arrived.split_at(self.plane);
+        for (q, g) in self.sums.iter_mut().zip(sums) {
+            *q += g;
+        }
+        let decode = |&v: &i64| ((v >> 3) as usize, (v & 7) as u8);
+        self.nonfinite = mine.into_iter().chain(classes.iter().map(decode)).collect();
+    }
+
+    /// The overdensity `δ = ρ/ρ̄ − 1` of the folded cells (`ρ` when the mean
+    /// is not positive), in one pass: `ρ = q·2^−e`, or its class's value —
+    /// NaN if any term is NaN or both infinities meet, else the infinity —
+    /// and `ρ̄` the integer `total` over the whole mesh's `ng³` cells.
+    pub(crate) fn into_overdensity(mut self, total: i64, dims: [usize; 3]) -> Grid3<f64> {
+        let quantum = 2f64.powi(-self.e);
+        let mean = total as f64 * quantum / (self.plane * dims[1]) as f64;
+        let delta = |rho: f64| if mean > 0.0 { rho / mean - 1.0 } else { rho };
+        let mut cells: Vec<f64> = self
+            .sums
+            .iter()
+            .map(|&q| delta(q as f64 * quantum))
+            .collect();
+        self.nonfinite.sort_unstable();
+        for run in self.nonfinite.chunk_by(|a, b| a.0 == b.0) {
+            cells[run[0].0] = delta(match run.iter().fold(0, |acc, &(_, class)| acc | class) {
+                POS_INF => f64::INFINITY,
+                NEG_INF => f64::NEG_INFINITY,
+                _ => f64::NAN,
+            });
+        }
+        Grid3::from_vec(dims, cells)
+    }
 }
 
-/// Cloud-in-cell deposit whose grid is a function of the particle multiset
-/// alone — the same bits in any particle order, chunking, backend or worker
-/// count. Returns the overdensity, like [`cic_deposit_cols`], whose terms it
-/// sums (with a coordinate wrapping to `ng` at the origin): each finite one
-/// scaled by `2^e`, `8·n·max|m|·2^e < 2^62`, and truncated to an `i64`, in a
-/// dense integer grid per worker; the grids and the mean come from integer
-/// sums, which cannot overflow and do not depend on order. A NaN or infinite
-/// term marks its cell instead: NaN if any term is NaN or both infinities
-/// meet, else the infinity. The quantum costs at most `n·2⁻⁵⁴` relative on a
-/// cell at the mean density of equal masses (DESIGN.md §15).
+/// Every particle of the columns deposited into an integer grid over
+/// x-planes `planes` of the mesh and a ghost plane, on `backend`: one grid
+/// per chunk, summed as integers. The exponent is that of the particle count
+/// and largest `|m|` `reduce` returns for these columns' — the whole set's,
+/// on every part of it — so the sums cannot overflow
+/// (`8·n·max|m|·2^e < 2^62`) and do not depend on order.
+pub(crate) fn deposit_window(
+    backend: &dyn Backend,
+    pos: PosColumns<'_>,
+    masses: &[f32],
+    ng: usize,
+    box_size: f64,
+    planes: std::ops::Range<usize>,
+    reduce: impl FnOnce((u64, u32)) -> (u64, u32),
+) -> ExactGrid {
+    let n = masses.len();
+    assert!(ng <= i32::MAX as usize, "mesh size must fit i32 indices");
+    let lengths = [pos.x.len(), pos.y.len(), pos.z.len()];
+    assert!(lengths == [n; 3], "deposit columns differ in length");
+    let local = (n as u64, max_abs_mass_bits(masses));
+    let all = reduce(local);
+    assert!(
+        all.0 >= local.0 && all.1 >= local.1,
+        "the exponent's set must hold these masses"
+    );
+    let e = exact_scale_exponent(all.0, all.1);
+    let (x0, own, plane) = (planes.start, planes.len(), ng * ng);
+    let empty = || ExactGrid {
+        sums: vec![0; (own + 1) * plane],
+        nonfinite: Vec::new(),
+        e,
+        scale: 2f64.powi(e),
+        x0,
+        own,
+        plane,
+    };
+    let grids: Mutex<Vec<ExactGrid>> = Mutex::new(Vec::new());
+    let grain = (n / backend.concurrency().max(1)).max(4096);
+    backend.dispatch(n, grain, &|r| {
+        let mut grid = empty();
+        deposit_chunk(pos, masses, r, ng, box_size, &mut grid);
+        grids.lock().push(grid);
+    });
+    let mut grids = grids.into_inner();
+    let mut sum = grids.pop().unwrap_or_else(empty);
+    for grid in grids {
+        for (s, q) in sum.sums.iter_mut().zip(&grid.sums) {
+            *s += q;
+        }
+        sum.nonfinite.extend(grid.nonfinite);
+    }
+    sum
+}
+
+/// Cloud-in-cell deposit of particle mass onto an `ng³` mesh, returning the
+/// *overdensity* field `δ = ρ/ρ̄ − 1` (`ρ` when the mean is not positive).
+/// The grid is a function of the particle multiset alone — the same bits in
+/// any particle order, chunking, backend or worker count, and on any number
+/// of ranks' x-slabs ([`crate::distributed::slab_deposit`]).
+///
+/// Every finite corner term `m·wx·wy·wz` is scaled by `2^e`,
+/// `8·n·max|m|·2^e < 2^62`, and truncated to an `i64`, in a dense integer
+/// grid per worker; the grids and the mean come from integer sums. A NaN or
+/// infinite term marks its cell instead. The quantum costs at most `n·2⁻⁵⁴`
+/// relative on a cell at the mean density of equal masses (DESIGN.md §15).
 pub fn cic_deposit_exact(
     backend: &dyn Backend,
     pos: PosColumns<'_>,
@@ -353,45 +392,27 @@ pub fn cic_deposit_exact(
     ng: usize,
     box_size: f64,
 ) -> Grid3<f64> {
-    let ncell = ng * ng * ng;
-    check_columns(pos, masses, ng);
-    let n = masses.len();
-    let _span = telemetry::span!("nbody", "cic_deposit_exact", n);
-    let e = exact_scale_exponent(masses);
-    let scale = 2f64.powi(e);
-    let grids: Mutex<Vec<ExactGrid>> = Mutex::new(Vec::new());
-    let grain = (n / backend.concurrency().max(1)).max(4096);
-    backend.dispatch(n, grain, &|r| {
-        let mut grid = ExactGrid {
-            sums: vec![0; ncell],
-            nonfinite: Vec::new(),
-            scale,
-        };
-        deposit_chunk(pos, masses, r, ng, box_size, true, &mut grid);
-        grids.lock().push(grid);
-    });
-    let mut grids = grids.into_inner();
-    let Some(mut sum) = grids.pop() else {
-        return overdensity(vec![0.0; ncell], 0.0, ng);
-    };
-    for grid in grids {
-        for (s, q) in sum.sums.iter_mut().zip(&grid.sums) {
-            *s += q;
-        }
-        sum.nonfinite.extend(grid.nonfinite);
-    }
-    let quantum = 2f64.powi(-e);
-    let total = sum.sums.iter().sum::<i64>() as f64 * quantum;
-    let mut rho: Vec<f64> = sum.sums.into_iter().map(|q| q as f64 * quantum).collect();
-    sum.nonfinite.sort_unstable();
-    for run in sum.nonfinite.chunk_by(|a, b| a.0 == b.0) {
-        rho[run[0].0] = match run.iter().fold(0, |acc, &(_, class)| acc | class) {
-            POS_INF => f64::INFINITY,
-            NEG_INF => f64::NEG_INFINITY,
-            _ => f64::NAN,
-        };
-    }
-    overdensity(rho, total, ng)
+    let _span = telemetry::span!("nbody", "cic_deposit_exact", masses.len());
+    let mut grid = deposit_window(backend, pos, masses, ng, box_size, 0..ng, |all| all);
+    grid.fold_ghost(|ghost| ghost);
+    let total = grid.sums.iter().sum();
+    grid.into_overdensity(total, [ng; 3])
+}
+
+/// [`cic_deposit_exact`] over a [`ParticleSoA`]'s position and mass columns.
+pub fn cic_deposit_soa(
+    backend: &dyn Backend,
+    particles: &ParticleSoA,
+    ng: usize,
+    box_size: f64,
+) -> Grid3<f64> {
+    cic_deposit_exact(
+        backend,
+        particles.positions(),
+        particles.mass(),
+        ng,
+        box_size,
+    )
 }
 
 /// The k-space Poisson solver for one cubic `ng³` mesh: what survives a solve
@@ -729,9 +750,7 @@ mod tests {
             .collect();
         let a = cic_deposit(&Serial, &parts, 16, 32.0);
         let b = cic_deposit(&t, &parts, 16, 32.0);
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((x - y).abs() < 1e-9);
-        }
+        assert_eq!(bits(&a), bits(&b));
     }
 
     fn exact(b: &dyn Backend, parts: &[Particle], ng: usize, box_size: f64) -> Grid3<f64> {
@@ -759,9 +778,21 @@ mod tests {
     #[test]
     fn exact_deposit_is_the_f64_deposit_to_its_quantum() {
         let parts = mixed_masses(1000);
-        let a = cic_deposit(&Serial, &parts, 16, 32.0);
-        let b = exact(&Serial, &parts, 16, 32.0);
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        let ng = 16;
+        // The same corner terms summed in `f64`, particle by particle (an
+        // x-neighbour past the last plane wraps to the first).
+        let mut rho = vec![0.0f64; ng * ng * ng];
+        for p in &parts {
+            let axes = p.pos.map(|x| grid_cell(x, 32.0, ng, true));
+            let (cells, terms, _) = corners(axes, p.mass as f64, ng);
+            for (c, t) in cells.into_iter().zip(terms) {
+                rho[c % (ng * ng * ng)] += t;
+            }
+        }
+        let mean = parts.iter().map(|p| p.mass as f64).sum::<f64>() / rho.len() as f64;
+        let b = exact(&Serial, &parts, ng, 32.0);
+        for (x, y) in rho.iter().zip(b.as_slice()) {
+            let x = x / mean - 1.0;
             assert!((x - y).abs() < 1e-12, "{x} vs {y}");
         }
     }

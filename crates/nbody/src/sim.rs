@@ -9,7 +9,7 @@
 
 use crate::cosmology::Cosmology;
 use crate::particle::Particle;
-use crate::pm::{cic_deposit_cols, gather_accel, PoissonSolver};
+use crate::pm::{cic_deposit_exact, gather_accel, PoissonSolver};
 use crate::soa::DepositColumns;
 use crate::stepper::{driver_accessors, ForceProvider, Stepper};
 use dpp::Backend;
@@ -75,7 +75,7 @@ impl ForceProvider for WholeMesh {
         }
         let delta = {
             let _span = telemetry::span!("nbody", "deposit");
-            cic_deposit_cols(backend, cols.positions(), cols.mass(), ng, l)
+            cic_deposit_exact(backend, cols.positions(), cols.mass(), ng, l)
         };
         let grids = solver.solve(backend, &delta, prefactor);
         gather_accel(backend, &grids, 0, particles, l, out);
@@ -146,11 +146,12 @@ impl Simulation {
         self.run_with_hook(backend, |_, _| {});
     }
 
-    /// Clustering diagnostic: RMS of the CIC overdensity field.
+    /// Clustering diagnostic: RMS of the CIC overdensity field (the
+    /// stepper's deposit, so the same bits on every backend).
     pub fn density_rms(&self, backend: &dyn Backend) -> f64 {
         let (ng, l) = (self.0.cfg.ng, self.0.cfg.cosmology.box_size);
         let cols = DepositColumns::from_aos(backend, self.particles());
-        let delta = cic_deposit_cols(backend, cols.positions(), cols.mass(), ng, l);
+        let delta = cic_deposit_exact(backend, cols.positions(), cols.mass(), ng, l);
         let n = delta.len() as f64;
         (delta.as_slice().iter().map(|v| v * v).sum::<f64>() / n).sqrt()
     }
@@ -224,14 +225,19 @@ mod tests {
     #[test]
     fn density_rms_is_the_rms_of_the_column_deposit() {
         // The stepper's deposit and the kernel the benchmark ledger times
-        // (`cic_deposit_soa`) must be one and the same, bit for bit.
+        // (`cic_deposit_soa`) must be one and the same, bit for bit, and
+        // neither may depend on the backend.
         let mut sim = Simulation::new(&Serial, tiny_cfg());
         sim.step(&Serial);
         let soa = ParticleSoA::from_aos(sim.particles());
-        for backend in [&Serial as &dyn Backend, &Threaded::new(2)] {
-            let delta = cic_deposit_soa(backend, &soa, 16, 32.0);
-            let n = delta.len() as f64;
-            let rms = (delta.as_slice().iter().map(|v| v * v).sum::<f64>() / n).sqrt();
+        let delta = cic_deposit_soa(&Serial, &soa, 16, 32.0);
+        let n = delta.len() as f64;
+        let rms = (delta.as_slice().iter().map(|v| v * v).sum::<f64>() / n).sqrt();
+        for backend in [
+            &Serial as &dyn Backend,
+            &Threaded::new(2),
+            &Threaded::new(3),
+        ] {
             assert_eq!(sim.density_rms(backend).to_bits(), rms.to_bits());
         }
     }

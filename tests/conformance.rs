@@ -101,7 +101,8 @@ fn layout_rewrites_agree_with_row_references() {
             "layout differential ran zero checks for kernel `{kernel}`"
         );
     }
-    // 964 over the eight families, 452 of them `mbp-cols`, 151 `cic-gather`.
+    // 964 over the eight families, 452 of them `mbp-cols`, 151 `cic-gather`,
+    // when this floor was set; 1 492 over the thirteen since `slab-deposit`.
     assert!(
         report.checks >= 964,
         "layout corpus collapsed to {} checks",
@@ -371,7 +372,10 @@ fn golden_explorer_reference_catalog() {
 /// (storage order) per (driver, backend or rank count, rank, step), 16³ × 6
 /// steps at seed 1. `Simulation` on three backends, `DistSim` on 1 / 2 / 4
 /// ranks. A change that moves an operand in the kick, the drift, the force
-/// solve or the re-homing order shows up as the first differing step.
+/// solve or the re-homing order shows up as the first differing step. Every
+/// rank count's particles, merged in tag order, must also digest to the
+/// serial `Simulation`'s at each step: the slab deposit, transform and
+/// gather are the whole mesh's, bit for bit.
 #[test]
 fn golden_stepper_bits() {
     use dpp::{Backend, Serial, StaticThreaded, Threaded};
@@ -408,23 +412,43 @@ fn golden_stepper_bits() {
         ("threaded-2", Box::new(Threaded::new(2))),
         ("static-3", Box::new(StaticThreaded::new(3))),
     ];
+    let mut serial = Vec::new();
     for (name, b) in &backends {
         let b = b.as_ref();
         Simulation::new(b, cfg.clone()).run_with_hook(b, |step, sim| {
             let d = digest(sim.particles());
             lines += &format!("sim {name} rank 0 step {step} {d}\n");
+            if *name == "serial" {
+                serial.push(d);
+            }
         });
     }
     for nranks in [1usize, 2, 4] {
         let per_rank = comm::World::new(nranks).run(|c| {
             let mut seen = Vec::new();
             DistSim::new(c, cfg.clone()).run_with_hook(|step, sim| {
-                seen.push((step, sim.particles().len(), digest(sim.particles())));
+                seen.push((step, sim.particles().to_vec()));
             });
             seen
         });
+        // The ranks' particles, merged in tag order, are the serial
+        // simulation's at every step.
+        for (step, want) in serial.iter().enumerate() {
+            let mut merged: Vec<Particle> = per_rank
+                .iter()
+                .flat_map(|seen| seen[step].1.iter().copied())
+                .collect();
+            merged.sort_unstable_by_key(|p| p.tag);
+            assert_eq!(
+                digest(&merged),
+                *want,
+                "dist ranks-{nranks} step {}: merged particles differ from the serial simulation",
+                step + 1
+            );
+        }
         for (rank, seen) in per_rank.into_iter().enumerate() {
-            for (step, n, d) in seen {
+            for (step, particles) in seen {
+                let (n, d) = (particles.len(), digest(&particles));
                 lines += &format!("dist ranks-{nranks} rank {rank} step {step} n {n} {d}\n");
             }
         }

@@ -6,7 +6,7 @@
 use comm::{CartDecomp, World};
 use cosmotools::distributed_power_spectrum;
 use halo::{fof_and_centers_timed, FofConfig};
-use nbody::{DistSim, SimConfig, Simulation};
+use nbody::{DistSim, Particle, SimConfig, Simulation};
 
 fn cfg() -> SimConfig {
     SimConfig {
@@ -82,21 +82,38 @@ fn distributed_sim_feeds_distributed_analysis() {
 }
 
 #[test]
-fn distributed_and_shared_memory_sims_agree_statistically() {
+fn distributed_and_shared_memory_sims_agree_bit_for_bit() {
+    // Twenty steps of a chaotic system amplify any summation-order noise;
+    // the slab deposit is the whole mesh's exact sum, so there is none.
+    let bits = |particles: &[Particle]| -> Vec<(u64, [u32; 6])> {
+        let mut all: Vec<_> = particles
+            .iter()
+            .map(|p| {
+                let [x, y, z] = p.pos.map(f32::to_bits);
+                let [u, v, w] = p.vel.map(f32::to_bits);
+                (p.tag, [x, y, z, u, v, w])
+            })
+            .collect();
+        all.sort_unstable_by_key(|&(tag, _)| tag);
+        all
+    };
     let mut shared = Simulation::new(&dpp::Serial, cfg());
     shared.run(&dpp::Serial);
-    let shared_rms = shared.density_rms(&dpp::Serial);
+    let want = bits(shared.particles());
 
-    let world = World::new(2);
-    let rms = world.run(|comm| {
-        let mut sim = DistSim::new(comm, cfg());
-        sim.run();
-        sim.density_rms()
-    });
-    for r in rms {
+    for nranks in [1usize, 2, 4] {
+        let gathered = World::new(nranks).run(|comm| {
+            let mut sim = DistSim::new(comm, cfg());
+            sim.run();
+            comm.allgather(sim.particles().to_vec())
+        });
+        let merged: Vec<Particle> = gathered[0].iter().flatten().copied().collect();
+        let got = bits(&merged);
+        let differ = got.iter().zip(&want).filter(|(g, w)| g != w).count();
         assert!(
-            (r / shared_rms - 1.0).abs() < 0.1,
-            "distributed rms {r} vs shared {shared_rms}"
+            got.len() == want.len() && differ == 0,
+            "{nranks} ranks: {differ} of {} particles differ from the shared-memory run",
+            want.len()
         );
     }
 }

@@ -1,15 +1,16 @@
 //! An in-situ analysis is a function of the particle set, not of the machine
 //! that runs it: a density frame and a power spectrum of a real 32³ state
 //! come out bit for bit the same at 1, 2, 3 and 8 workers, under the static
-//! scheduler, and — for the frame — from a shuffled particle array. Both
-//! deposit through the exact fixed-point CIC sum, whose grid no summation
-//! order can move; a deposit whose chunks follow the worker count fails the
-//! spectrum half, and one whose sum follows the particle order fails the
-//! frame half.
+//! scheduler, and — for the frame — from a shuffled particle array. So does
+//! the stepper's own deposit, the gravity source. All of them deposit
+//! through the exact fixed-point CIC sum, whose grid no summation order can
+//! move; a deposit whose chunks follow the worker count fails the spectrum
+//! and stepper halves, and one whose sum follows the particle order fails
+//! the frame and stepper halves.
 
 use cosmotools::{compute_power_spectrum, render_frame, render_projection, RenderParams};
 use dpp::{Backend, Serial, StaticThreaded, Threaded};
-use nbody::{Particle, SimConfig, Simulation};
+use nbody::{cic_deposit_soa, Particle, ParticleSoA, SimConfig, Simulation};
 
 /// A 32³ state four steps in: 32 768 particles, several deposit chunks on
 /// every pool below.
@@ -76,5 +77,23 @@ fn power_spectrum_is_bit_identical_across_workers() {
     assert!(!want.is_empty());
     for (name, backend) in backends() {
         assert_eq!(bits(backend.as_ref()), want, "{name}: the bins differ");
+    }
+}
+
+#[test]
+fn stepper_deposit_is_bit_identical_across_workers_and_orders() {
+    let (particles, box_size) = state();
+    let shuffled = conformance::inputs::shuffled(&particles, 36);
+    let cells = |backend: &dyn Backend, data: &[Particle]| -> Vec<u64> {
+        let grid = cic_deposit_soa(backend, &ParticleSoA::from_aos(data), 32, box_size);
+        grid.as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    let want = cells(&Serial, &particles);
+    for (name, backend) in backends() {
+        for (order, data) in [("stored", &particles), ("shuffled", &shuffled)] {
+            let got = cells(backend.as_ref(), data);
+            let differ = got.iter().zip(&want).filter(|(g, w)| g != w).count();
+            assert_eq!(differ, 0, "{name}/{order}: cells of {} differ", want.len());
+        }
     }
 }
