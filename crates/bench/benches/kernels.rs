@@ -89,12 +89,6 @@ fn bench_kdtree(c: &mut Criterion) {
 }
 
 fn bench_comm(c: &mut Criterion) {
-    c.bench_function("comm_allreduce_8_ranks", |b| {
-        b.iter(|| {
-            let world = World::new(8);
-            world.run(|comm| comm.allreduce_sum_f64(comm.rank() as f64))
-        })
-    });
     c.bench_function("comm_alltoallv_8_ranks_64k", |b| {
         b.iter(|| {
             let world = World::new(8);
@@ -376,7 +370,7 @@ fn trajectory_rows(quick: bool) -> Vec<KernelRow> {
             })
         });
         let after = time_ms(pm_reps, || {
-            nbody::gather_accel(&pool2, &field, 0, particles, box_size, &mut out)
+            nbody::gather_accel(&pool2, &field, particles, box_size, &mut out)
         });
         rows.push(KernelRow {
             kernel: "pm_kick_64",

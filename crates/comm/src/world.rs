@@ -101,7 +101,7 @@ impl Communicator {
             tag < COLLECTIVE_TAG_BASE,
             "tag {tag} is reserved for collectives"
         );
-        self.send_raw(dst, tag, value);
+        self.send_bytes(dst, tag, value, std::mem::size_of::<T>());
     }
 
     /// Send the vector `values` to rank `dst` with a user `tag`: counted in
@@ -117,11 +117,6 @@ impl Communicator {
         );
         let bytes = std::mem::size_of_val(values.as_slice());
         self.send_bytes(dst, tag, values, bytes);
-    }
-
-    /// Send a value, counted as `size_of::<T>()` bytes.
-    pub(crate) fn send_raw<T: Send + 'static>(&self, dst: usize, tag: u64, value: T) {
-        self.send_bytes(dst, tag, value, std::mem::size_of::<T>());
     }
 
     /// Send `value`, counted in `comm.bytes_sent` as `bytes`.

@@ -47,15 +47,4 @@ fn counters_read_payload_bytes_per_rank() {
     });
     let expect = (8 * (N / 2) + 4) as u64;
     assert_eq!(bytes, vec![(expect, expect); 2], "send_vec + send");
-
-    // A vector all-reduce: rank 1's `N` values gathered at rank 0, the sum
-    // broadcast back, so each rank sends and receives one vector.
-    let bytes = bytes_per_rank(|c| {
-        assert_eq!(c.allreduce_sum_vec_f64(vec![1.0; N]), vec![2.0; N]);
-    });
-    assert_eq!(
-        bytes,
-        vec![(8 * N as u64, 8 * N as u64); 2],
-        "allreduce_sum_vec_f64"
-    );
 }

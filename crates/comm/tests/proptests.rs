@@ -60,31 +60,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn allreduce_matches_sequential_fold(
-        nranks in 1usize..7,
-        values in proptest::collection::vec(-1000i64..1000, 1..7)
-    ) {
-        let world = World::new(nranks);
-        let out = world.run(|c| {
-            let v = values[c.rank() % values.len()];
-            c.allreduce(v, |a, b| a + b)
-        });
-        let expect: i64 = (0..nranks).map(|r| values[r % values.len()]).sum();
-        for o in out {
-            prop_assert_eq!(o, expect);
-        }
-    }
-
-    #[test]
-    fn allgather_is_rank_indexed(nranks in 1usize..8) {
-        let world = World::new(nranks);
-        let out = world.run(|c| c.allgather(c.rank() * 3));
-        for v in out {
-            prop_assert_eq!(v, (0..nranks).map(|r| r * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn alltoallv_conserves_every_message(nranks in 1usize..6, seed in any::<u64>()) {
         let world = World::new(nranks);
         let received = world.run(|c| {

@@ -1,32 +1,26 @@
 //! Integrator conformance: the per-particle acceleration the KDK stepper
 //! carries across the step boundary must be invisible.
 //!
-//! `nbody` has one stepper over two force providers — [`nbody::Simulation`]
-//! (whole mesh) and [`nbody::DistSim`] (x-slabs) — which asks its provider
-//! once per step: the closing kick's gathered acceleration serves the next
-//! step's opening kick, valid while positions and `a` are unchanged. `nbody`
-//! unit-tests that state machine against a counting fake; here each rule is
-//! held end to end, stated once over every driver configuration, bit-for-bit:
+//! [`nbody::Simulation`] solves once per step: the closing kick's gathered
+//! acceleration serves the next step's opening kick, valid while positions
+//! and `a` are unchanged. Here each rule is held end to end, stated once
+//! over every backend, bit-for-bit:
 //!
 //! * **equivalence** — stepping normally vs. with the carry discarded before
-//!   every step (so every kick solves and gathers), after every step. On 2
-//!   and 4 ranks the drift re-homes particles (asserted), so an array that
-//!   outlived a drift would be the wrong particles' — and the wrong length.
+//!   every step (so every kick solves and gathers), after every step.
 //! * **counted work** — an `N`-step run performs exactly `N + 1` solves and
-//!   `N + 1` gathers per rank, the discarding run `2N`, read off the product's
+//!   `N + 1` gathers, the discarding run `2N`, read off the product's
 //!   `nbody.pm_solves` / `nbody.gathers` counters (counts, not seconds).
 //! * **invalidation** — continue a run mid-way vs. `from_state` of the same
 //!   state (what a checkpoint restore builds), with and without one particle
 //!   moved through `particles_mut()` first: a stale array is impossible and
 //!   a restart re-gathers to the same bits.
-//! * **one trajectory** — every driver configuration, its ranks' particles
-//!   merged in tag order after each step, is the same sequence of bits: no
-//!   backend, worker count or rank count moves one (every deposit is the
-//!   exact integer sum, the slab transform and gather the whole mesh's).
+//! * **one trajectory** — every backend is the same sequence of bits: no
+//!   backend or worker count moves one (every deposit is the exact integer
+//!   sum).
 
-use comm::World;
 use dpp::{Backend, Serial, StaticThreaded, Threaded};
-use nbody::{Cosmology, DistSim, Particle, SimConfig, Simulation};
+use nbody::{Cosmology, Particle, SimConfig, Simulation};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -72,18 +66,6 @@ fn bits(particles: &[Particle]) -> Vec<Bits> {
         .collect()
 }
 
-/// A run's `[rank][step]` particle bits as one trajectory: per step, every
-/// rank's particles merged in tag order.
-fn merged(seen: &[Vec<Vec<Bits>>]) -> Vec<Vec<Bits>> {
-    (0..seen[0].len())
-        .map(|step| {
-            let mut all: Vec<_> = seen.iter().flat_map(|rank| rank[step].clone()).collect();
-            all.sort_unstable_by_key(|&(tag, _)| tag);
-            all
-        })
-        .collect()
-}
-
 fn backends() -> Vec<(&'static str, Box<dyn Backend>)> {
     vec![
         ("serial", Box::new(Serial)),
@@ -95,16 +77,15 @@ fn backends() -> Vec<(&'static str, Box<dyn Backend>)> {
 /// Serializes recorder installs: `telemetry::install` panics on a second one.
 pub(crate) static RECORDER: Mutex<()> = Mutex::new(());
 
-/// A driver configuration's run: name, `[rank][step]` particle bits, and the
+/// A backend's run: name, `[step]` particle bits, and the
 /// `[nbody.pm_solves, nbody.gathers]` it counted.
-type Run = (String, Vec<Vec<Vec<Bits>>>, [u64; 2]);
+type Run = (&'static str, Vec<Vec<Bits>>, [u64; 2]);
 
-/// Run every driver configuration to the end under a recorder — `Simulation`
-/// on three backends, `DistSim` on 1, 2 and 4 ranks — `resolving` discarding
-/// the carried acceleration before every step (collectively on ranks). Each
-/// configuration steps under its own telemetry dim, which also keeps
-/// concurrent tests' solves out of its counts.
-fn run_every_driver(resolving: bool) -> Vec<Run> {
+/// Run on every backend to the end under a recorder, `resolving` discarding
+/// the carried acceleration before every step. Each backend steps under its
+/// own telemetry dim, which also keeps concurrent tests' solves out of its
+/// counts.
+fn run_every_backend(resolving: bool) -> Vec<Run> {
     const DIM: u64 = 0x01C0_FFEE;
     let _serial = RECORDER.lock();
     let recorder = Arc::new(telemetry::Recorder::new(telemetry::Clock::Logical));
@@ -122,23 +103,7 @@ fn run_every_driver(resolving: bool) -> Vec<Run> {
             }
             seen.push(bits(sim.particles()));
         }
-        runs.push((name.to_string(), vec![seen]));
-    }
-    for nranks in [1usize, 2, 4] {
-        let dim = DIM + runs.len() as u64;
-        let per_rank = World::new(nranks).run(|c| {
-            let _dim = telemetry::with_dim(dim);
-            let (mut sim, mut seen) = (DistSim::new(c, cfg()), Vec::new());
-            while !sim.finished() {
-                if resolving {
-                    sim.discard_carried_force();
-                }
-                sim.step();
-                seen.push(bits(sim.particles()));
-            }
-            seen
-        });
-        runs.push((format!("{nranks} ranks"), per_rank));
+        runs.push((name, seen));
     }
     let counters = guard.finish().counters_by_dim();
     let count = |name, dim| counters.get(&("nbody", name, dim)).copied().unwrap_or(0);
@@ -181,33 +146,23 @@ fn check_invalidation() {
 /// Run every check of this module; panics on the first violation.
 pub fn assert_integrator_conformance() {
     let n = STEPS as u64;
-    let (carried, resolving) = (run_every_driver(false), run_every_driver(true));
-    let trajectory = merged(&carried[0].1);
+    let (carried, resolving) = (run_every_backend(false), run_every_backend(true));
+    let trajectory = &carried[0].1;
     for ((name, seen, counts), (_, reference, recounts)) in carried.iter().zip(&resolving) {
         assert!(
-            merged(seen) == trajectory,
-            "{name}: merged in tag order, the particles leave {}'s trajectory",
+            seen == trajectory,
+            "{name}: the particles leave {}'s trajectory",
             carried[0].0
         );
-        let ranks = seen.len() as u64;
         assert!(seen == reference, "{name}: the carried array moved a bit");
-        assert_eq!(*counts, [ranks * (n + 1); 2], "{name}: N + 1 per rank");
-        assert_eq!(*recounts, [ranks * 2 * n; 2], "{name}: 2N when discarding");
-        let rehomed = |rank: &Vec<Vec<_>>| rank.windows(2).any(|w| w[0].len() != w[1].len());
-        assert!(
-            ranks == 1 || seen.iter().any(rehomed),
-            "{name}: no drift moved a particle between ranks"
-        );
+        assert_eq!(*counts, [n + 1; 2], "{name}: N + 1");
+        assert_eq!(*recounts, [2 * n; 2], "{name}: 2N when discarding");
     }
     check_invalidation();
 }
 
 #[cfg(test)]
 mod tests {
-    // `DistSim` reaches the fault-instrumented comm sites. No unit test of
-    // this crate installs a process-global injector (the explorers' tests
-    // pass theirs by value), so nothing can fire here; the root suite, whose
-    // tests do install one, takes its `GLOBAL_INJECTOR_LOCK` around this.
     #[test]
     fn carried_field_is_invisible_and_counted() {
         super::assert_integrator_conformance();

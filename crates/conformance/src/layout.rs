@@ -32,12 +32,6 @@
 //!   [`Cmp::Approx`] on shapes from `[2,2,2]` to the production `[64,64,64]`;
 //!   on the smallest shapes both also vs a direct O(N²) 3-D DFT sum
 //!   (`dft3_direct`); and each bit-equal across every backend.
-//! * `slab-fft` — [`fft::SlabFft`] forward and inverse on 1, 2, 4 and 8
-//!   ranks (every count that divides the mesh), gathered, vs
-//!   [`fft::RealFft3d`] on the whole grid, bit for bit, at `ng` 2, 4, 16 and
-//!   32; and its typed errors (a layout-A shape handed to the inverse,
-//!   `ng = 1`, a world of the wrong size). It freezes no reference: the
-//!   oracle is the product's own whole-mesh transform.
 //! * `poisson-kspace` — [`nbody::pm::poisson_accel`] (a real-to-complex
 //!   transform, one parallel pass over the half spectrum writing all three
 //!   `g_k` with each Nyquist plane zeroed, three complex-to-real transforms)
@@ -67,13 +61,6 @@
 //!   worker) vs `cic_deposit_exact_ref` (its definition, summed in `i128` in
 //!   reversed order), on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded`
 //!   ×3, on the stored and a shuffled input, over `cic_exact_cases`.
-//! * `slab-deposit` — [`nbody::distributed::slab_deposit`] (the same chunk
-//!   body and integer grid over a rank's x-slab plus a ghost plane, folded
-//!   as integers, quantized at the global exponent) on 1, 2, 4 and 8 ranks,
-//!   each rank handed the particles whose x-cell its slab owns, the slabs
-//!   concatenated in rank order, vs `cic_deposit_exact_ref` of the whole set
-//!   bit for bit, over `cic_exact_cases` and `slab_deposit_cases` (slab
-//!   faces, the last plane, non-finite masses on ghost planes, empty ranks).
 //! * `cic-gather` — [`nbody::pm::gather_accel`] (cell and weights once per
 //!   particle, three components per corner) vs three
 //!   [`nbody::pm::cic_interpolate`] calls per particle, per component, on
@@ -107,14 +94,13 @@ use crate::differential::{roster, Cmp, DiffReport};
 use crate::inputs;
 use comm::{CartDecomp, World};
 use dpp::{Backend, SendPtr, Serial, StaticThreaded, Threaded};
-use fft::{freq_index, Complex, Fft1d, Fft3d, FftError, Grid3, RealFft3d, SlabFft};
+use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3, RealFft3d};
 use halo::massfn::GUIDE_BUCKETS;
 use halo::unionfind::UnionFind;
 use halo::{
     fof_brute, fof_grid, fof_kdtree_cols, fof_patch, mbp_brute_cols, potential_at, Coords, KdTree,
     MassFunction,
 };
-use nbody::distributed::slab_deposit;
 use nbody::pm::{cic_deposit_exact, cic_deposit_soa, cic_interpolate, gather_accel, poisson_accel};
 use nbody::{Particle, ParticleSoA};
 use parking_lot::Mutex;
@@ -123,10 +109,9 @@ use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 13] = [
+pub const REQUIRED_KERNELS: [&str; 11] = [
     "cic-soa",
     "cic-exact",
-    "slab-deposit",
     "cic-gather",
     "fof-cols",
     "fof-grid",
@@ -134,7 +119,6 @@ pub const REQUIRED_KERNELS: [&str; 13] = [
     "mbp-cols",
     "fft3d-tiled",
     "rfft3d",
-    "slab-fft",
     "poisson-kspace",
     "massfn-sample",
 ];
@@ -763,58 +747,6 @@ fn cic_exact_cases() -> Vec<inputs::Case<Particle>> {
     cases
 }
 
-/// The `slab-deposit` cases for a box of side `box_size` on a 16-cell mesh
-/// (two cells a slab on 8 ranks): particles on every 8-rank slab face, the
-/// `f32` just below it and on the last plane, whose `+1` corners are rank
-/// 0's first plane through the last rank's ghost; non-finite masses in the
-/// last cell of every slab, their corners on the ghost planes, with `+∞` on
-/// one side of a face and `−∞` on the other meeting in one cell; and a set
-/// in the first slab alone, every other rank empty.
-fn slab_deposit_cases(box_size: f32) -> Vec<inputs::Case<Particle>> {
-    let mut rng = StdRng::seed_from_u64(0x5EED_51AB);
-    let cell = box_size / 16.0;
-    let below = |x: f32| f32::from_bits(x.to_bits() - 1);
-    let mut at = |x: f32, m: f32, tag: usize| {
-        let [y, z] = [(); 2].map(|()| rng.gen_range(0.0..box_size));
-        Particle::at_rest([x, y, z], m, tag as u64)
-    };
-    let faces = (0..8).map(|k| 2.0 * k as f32 * cell);
-    let faces = faces.flat_map(|x| [x, below(x.max(cell)), x + cell / 2.0]);
-    let last = [15.0 * cell, 15.5 * cell, below(box_size), box_size];
-    let mut on_faces: Vec<Particle> = Vec::new();
-    for (i, x) in faces.chain(last).enumerate() {
-        on_faces.push(at(x, 1.0 + (i % 3) as f32, i));
-    }
-    let masses = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5];
-    let mut ghosts: Vec<Particle> = (0..32)
-        .map(|i| {
-            at(
-                (2 * (i % 8) + 1) as f32 * cell + cell / 2.0,
-                masses[i / 8],
-                i,
-            )
-        })
-        .collect();
-    // `+∞`'s upper corner and `−∞`'s lower one share a cell on each face.
-    for (k, (x, m)) in [(7.5, f32::INFINITY), (8.5, f32::NEG_INFINITY)]
-        .into_iter()
-        .enumerate()
-    {
-        let mut p = at(x * cell, m, 32 + k);
-        p.pos[1..].copy_from_slice(&[1.5 * cell, 2.5 * cell]);
-        ghosts.push(p);
-    }
-    let first_slab = (0..300)
-        .map(|i| at((i % 97) as f32 / 97.0 * 2.0 * cell, 0.5 + (i % 4) as f32, i))
-        .collect();
-    let case = |name, data| inputs::Case { name, data };
-    vec![
-        case("slab_faces", on_faces),
-        case("ghost_nonfinite", ghosts),
-        case("empty_ranks", first_slab),
-    ]
-}
-
 /// The `cic-gather` positions for a box of side `box_size`: every coordinate
 /// a gather can be handed and a wrap can get wrong — the box side itself
 /// (as `f32`, which for a side `f32` cannot hold lies just outside the `f64`
@@ -1157,55 +1089,6 @@ pub(crate) fn dft3_direct(grid: &Grid3<Complex>, inverse: bool, out_nz: usize) -
     out
 }
 
-/// [`fft::SlabFft::forward`] on `nranks` ranks, each fed its x-slab of
-/// `real`, with the ranks' y-slabs laid back into the whole
-/// `[ng, ng, ng/2 + 1]` half spectrum (a rank's error, if any, instead).
-pub(crate) fn slab_forward_gathered(
-    real: &Grid3<f64>,
-    nranks: usize,
-) -> Result<Grid3<Complex>, FftError> {
-    let ng = real.dims()[0];
-    let plan = SlabFft::new(ng, nranks)?;
-    let (s, h) = (plan.slab(), ng / 2 + 1);
-    let slabs = World::new(nranks).run(|c| {
-        let cells = s * ng * ng;
-        let mine = &real.as_slice()[c.rank() * cells..(c.rank() + 1) * cells];
-        plan.forward(c, &Grid3::from_vec([s, ng, ng], mine.to_vec()))
-    });
-    let mut half = Grid3::filled([ng, ng, h], Complex::ZERO);
-    for (r, slab) in slabs.into_iter().enumerate() {
-        let slab = slab?;
-        for (x, run) in slab.as_slice().chunks_exact(s * h).enumerate() {
-            let at = half.index(x, r * s, 0);
-            half.as_mut_slice()[at..at + s * h].copy_from_slice(run);
-        }
-    }
-    Ok(half)
-}
-
-/// [`fft::SlabFft::inverse`] on `nranks` ranks, each fed its y-slab of the
-/// whole half spectrum `half`, with the ranks' real x-slabs laid end to end.
-pub(crate) fn slab_inverse_gathered(
-    half: &Grid3<Complex>,
-    nranks: usize,
-) -> Result<Grid3<f64>, FftError> {
-    let [ng, _, h] = half.dims();
-    let plan = SlabFft::new(ng, nranks)?;
-    let s = plan.slab();
-    let slabs = World::new(nranks).run(|c| {
-        let mine = (0..ng).flat_map(|x| {
-            let at = half.index(x, c.rank() * s, 0);
-            half.as_slice()[at..at + s * h].iter().copied()
-        });
-        plan.inverse(c, Grid3::from_vec([ng, s, h], mine.collect()))
-    });
-    let mut real = Vec::with_capacity(ng * ng * ng);
-    for slab in slabs {
-        real.extend_from_slice(slab?.as_slice());
-    }
-    Ok(Grid3::from_vec([ng, ng, ng], real))
-}
-
 /// The CDF bin of a uniform `u`: `binary_search_by` over the whole CDF,
 /// an exact hit as found, otherwise the insertion point clamped to the last
 /// bin.
@@ -1321,35 +1204,6 @@ fn run_layout_differential() -> DiffReport {
         }
     }
 
-    // --- slab-deposit ----------------------------------------------------
-    // Every rank count that divides the mesh; each rank deposits the
-    // particles whose x-cell (the definition's) its slab owns, and the slabs
-    // in rank order are the whole mesh.
-    rep.op("slab-deposit");
-    for case in cic_exact_cases()
-        .into_iter()
-        .chain(slab_deposit_cases(box_size as f32))
-    {
-        let reference = cic_deposit_exact_ref(&case.data, ng, box_size);
-        for nranks in [1usize, 2, 4, 8] {
-            let s = ng / nranks;
-            let mut homes = vec![Vec::new(); nranks];
-            for p in &case.data {
-                homes[origin_grid_units(p.pos[0], box_size, ng) as usize % ng / s].push(*p);
-            }
-            let slabs = World::new(nranks)
-                .run(|c| slab_deposit(c, &homes[c.rank()], ng, box_size).into_vec());
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "slab-deposit",
-                case.name,
-                &format!("ranks-{nranks}"),
-                reference.as_slice(),
-                &slabs.concat(),
-            );
-        }
-    }
-
     // --- cic-gather ------------------------------------------------------
     // The reference is a plain loop, so `Serial` is one more backend here.
     rep.op("cic-gather");
@@ -1369,7 +1223,7 @@ fn run_layout_differential() -> DiffReport {
             });
             for &(name, b) in &with_serial {
                 let mut got = Vec::new();
-                gather_accel(b, &fields, 0, &particles, side, &mut got);
+                gather_accel(b, &fields, &particles, side, &mut got);
                 for (axis, expect) in reference.iter().enumerate() {
                     let component: Vec<f64> = got.iter().map(|g| g[axis]).collect();
                     rep.check_f64_slice(
@@ -1382,44 +1236,6 @@ fn run_layout_differential() -> DiffReport {
                     );
                 }
             }
-        }
-    }
-
-    // The same kernel on a rank's ghost-extended x-slab (`DistSim`'s view:
-    // planes `x0..=x0 + s` of the mesh, the last one wrapping) must read what
-    // it reads on the whole mesh, for every position inside the slab.
-    for (gather_ng, ranks) in [(4usize, 2usize), (16, 4), (16, 1)] {
-        let side = 32.0;
-        let (_, whole) = &cic_gather_fields(gather_ng)[0];
-        let s = gather_ng / ranks;
-        for rank in 0..ranks {
-            let x0 = rank * s;
-            let slab = whole.each_ref().map(|g| {
-                let plane = gather_ng * gather_ng;
-                let cells = (x0..=x0 + s).flat_map(|x| {
-                    let x = x % gather_ng;
-                    g.as_slice()[x * plane..(x + 1) * plane].iter().copied()
-                });
-                Grid3::from_vec([s + 1, gather_ng, gather_ng], cells.collect())
-            });
-            let inside: Vec<Particle> = cic_gather_positions(side)
-                .into_iter()
-                .filter(|p| (0.0..side as f32).contains(&p.pos[0]))
-                .filter(|p| {
-                    (x0..x0 + s).contains(&(to_grid_units(p.pos[0], side, gather_ng) as usize))
-                })
-                .collect();
-            let (mut expect, mut got) = (Vec::new(), Vec::new());
-            gather_accel(&Serial, whole, 0, &inside, side, &mut expect);
-            gather_accel(&Serial, &slab, x0, &inside, side, &mut got);
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "cic-gather",
-                &format!("slab/ng={gather_ng}/rank={rank}of{ranks}"),
-                "serial",
-                expect.as_flattened(),
-                got.as_flattened(),
-            );
         }
     }
 
@@ -1737,86 +1553,6 @@ fn run_layout_differential() -> DiffReport {
             );
         }
     }
-
-    // --- slab-fft --------------------------------------------------------
-    // The distributed transform the `DistSim` solve and the distributed
-    // spectrum run, on every rank count that divides the mesh, against
-    // `RealFft3d` on the gathered grid: the same passes in the same order, so
-    // the same bits. `ng = 2` is one packed point per row; 32 keeps the
-    // 8-rank slabs four planes thick.
-    rep.op("slab-fft");
-    // Its own stream, so the families after it draw what they drew before.
-    let mut slab_rng = StdRng::seed_from_u64(0x05AB_FF73);
-    for ng in [2usize, 4, 16, 32] {
-        let dims = [ng; 3];
-        let plan = RealFft3d::new(dims).expect("power-of-two dims");
-        let real = (0..ng * ng * ng).map(|_| slab_rng.gen_range(-1.0..1.0));
-        let real = Grid3::from_vec(dims, real.collect());
-        let half = hermitian_half(dims, &mut slab_rng);
-        let forward = plan.forward(&Serial, &real).expect("planned dims");
-        let inverse = plan.inverse(&Serial, half.clone()).expect("planned dims");
-        for nranks in [1usize, 2, 4, 8].into_iter().filter(|r| ng % r == 0) {
-            let ranks = format!("ranks-{nranks}");
-            let got = slab_forward_gathered(&real, nranks).expect("a dividing rank count");
-            let case = format!("forward/ng={ng}");
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "slab-fft",
-                &case,
-                &ranks,
-                &re_im(&forward),
-                &re_im(&got),
-            );
-            let got = slab_inverse_gathered(&half, nranks).expect("a dividing rank count");
-            let case = format!("inverse/ng={ng}");
-            rep.check_f64_slice(
-                Cmp::BitEq,
-                "slab-fft",
-                &case,
-                &ranks,
-                inverse.as_slice(),
-                got.as_slice(),
-            );
-        }
-    }
-    // Typed errors: a layout-A shape handed to the inverse, a mesh too short
-    // for a real transform, and a plan run on a world of another size.
-    let plan = SlabFft::new(8, 2).expect("8 splits in 2");
-    let got = World::new(2).run(|c| {
-        plan.inverse(c, Grid3::filled([4, 8, 8], Complex::ZERO))
-            .err()
-    });
-    let want = FftError::ShapeMismatch {
-        expected: [8, 4, 5],
-        got: [4, 8, 8],
-    };
-    rep.check_eq(
-        "slab-fft",
-        "errors/layout-a-inverse",
-        "ranks-2",
-        &vec![Some(want); 2],
-        &got,
-    );
-    let got = SlabFft::new(1, 1).err();
-    rep.check_eq(
-        "slab-fft",
-        "errors/ng=1",
-        "serial",
-        &Some(FftError::RealAxisTooShort(1)),
-        &got,
-    );
-    let got = World::new(4).run(|c| plan.forward(c, &Grid3::filled([4, 8, 8], 0.0)).err());
-    let want = FftError::RankCountMismatch {
-        expected: 2,
-        got: 4,
-    };
-    rep.check_eq(
-        "slab-fft",
-        "errors/world-size",
-        "ranks-4",
-        &vec![Some(want); 4],
-        &got,
-    );
 
     // --- poisson-kspace --------------------------------------------------
     rep.op("poisson-kspace");

@@ -11,18 +11,16 @@
 //!   pruned search agree on the most-bound particle.
 //! * **FFT** — Parseval's theorem (over the half spectrum, weighted), the
 //!   flat-spectrum impulse identity, the DC identity for constant fields, and
-//!   forward/inverse round-trip, through the transforms the product runs:
-//!   [`fft::RealFft3d`] and [`fft::SlabFft`] on 1, 2 and 4 ranks. A direct
-//!   triple-sum DFT (`dft3_direct`, no `fft` code) checks them bin by bin.
+//!   forward/inverse round-trip, through the transform the product runs,
+//!   [`fft::RealFft3d`]. A direct triple-sum DFT (`dft3_direct`, no `fft`
+//!   code) checks it bin by bin.
 //! * **SO mass** — lowering the overdensity threshold Δ can only grow the
 //!   SO radius, mass, and member count (monotonicity).
 //!
 //! Every oracle is deterministic for a given seed and returns `Err(message)`
 //! instead of panicking so [`run_all`] can aggregate failures.
 
-use crate::layout::{
-    dft3_direct, hermitian_extend, hermitian_half, slab_forward_gathered, slab_inverse_gathered,
-};
+use crate::layout::{dft3_direct, hermitian_extend, hermitian_half};
 use comm::{CartDecomp, World};
 use dpp::Serial;
 use fft::{Complex, Grid3, RealFft3d};
@@ -251,31 +249,22 @@ fn mbp_agreement(seed: u64) -> Result<(), String> {
 const FFT_NG: usize = 8;
 const FFT_DIMS: [usize; 3] = [FFT_NG; 3];
 
-/// The product's real transforms: [`RealFft3d`] on the whole mesh (`None`)
-/// and [`fft::SlabFft`] on 1, 2 and 4 ranks, gathered (`Some(ranks)`). Every
-/// FFT oracle below holds each one.
-const TRANSFORMS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(4)];
+/// The product's real transform, [`RealFft3d`], which every FFT oracle below
+/// holds.
+const NAME: &str = "real-fft3d";
 
-fn transform_name(t: Option<usize>) -> String {
-    t.map_or("real-fft3d".to_string(), |r| format!("slab-fft/ranks-{r}"))
+/// The half spectrum of `real`.
+fn forward(real: &Grid3<f64>) -> Result<Grid3<Complex>, String> {
+    RealFft3d::new(real.dims())
+        .and_then(|plan| plan.forward(&Serial, real))
+        .map_err(|e| format!("{NAME}: {e}"))
 }
 
-/// The whole half spectrum of `real` by transform `t`.
-fn forward_by(t: Option<usize>, real: &Grid3<f64>) -> Result<Grid3<Complex>, String> {
-    match t {
-        None => RealFft3d::new(real.dims()).and_then(|plan| plan.forward(&Serial, real)),
-        Some(nranks) => slab_forward_gathered(real, nranks),
-    }
-    .map_err(|e| format!("{}: {e}", transform_name(t)))
-}
-
-/// The real grid whose half spectrum is `half`, by transform `t`.
-fn inverse_by(t: Option<usize>, half: Grid3<Complex>) -> Result<Grid3<f64>, String> {
-    match t {
-        None => RealFft3d::new(FFT_DIMS).and_then(|plan| plan.inverse(&Serial, half)),
-        Some(nranks) => slab_inverse_gathered(&half, nranks),
-    }
-    .map_err(|e| format!("{}: {e}", transform_name(t)))
+/// The real grid whose half spectrum is `half`.
+fn inverse(half: Grid3<Complex>) -> Result<Grid3<f64>, String> {
+    RealFft3d::new(FFT_DIMS)
+        .and_then(|plan| plan.inverse(&Serial, half))
+        .map_err(|e| format!("{NAME}: {e}"))
 }
 
 /// How many full-spectrum bins a half-spectrum bin at `kz` stands for: the
@@ -298,23 +287,21 @@ fn fft_parseval(seed: u64) -> Result<(), String> {
     let data: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let time_energy: f64 = data.iter().map(|x| x * x).sum();
     let grid = Grid3::from_vec(FFT_DIMS, data);
-    for t in TRANSFORMS {
-        let (name, spectrum) = (transform_name(t), forward_by(t, &grid)?);
-        let h = spectrum.dims()[2];
-        let freq_energy: f64 = spectrum
-            .as_slice()
-            .iter()
-            .enumerate()
-            .map(|(i, z)| half_weight(i % h) * z.norm_sqr())
-            .sum::<f64>()
-            / n as f64;
-        let rel = (time_energy - freq_energy).abs() / time_energy.max(1e-300);
-        if rel > 1e-9 {
-            return Err(format!(
-                "{name}: Parseval violated: time-domain energy {time_energy}, \
-                 frequency-domain energy {freq_energy} (rel {rel:e})"
-            ));
-        }
+    let spectrum = forward(&grid)?;
+    let h = spectrum.dims()[2];
+    let freq_energy: f64 = spectrum
+        .as_slice()
+        .iter()
+        .enumerate()
+        .map(|(i, z)| half_weight(i % h) * z.norm_sqr())
+        .sum::<f64>()
+        / n as f64;
+    let rel = (time_energy - freq_energy).abs() / time_energy.max(1e-300);
+    if rel > 1e-9 {
+        return Err(format!(
+            "{NAME}: Parseval violated: time-domain energy {time_energy}, \
+             frequency-domain energy {freq_energy} (rel {rel:e})"
+        ));
     }
     Ok(())
 }
@@ -326,35 +313,31 @@ fn fft_impulse_and_dc() -> Result<(), String> {
 
     let mut impulse = Grid3::filled(FFT_DIMS, 0.0f64);
     *impulse.get_mut(1, 2, 3) = 1.0;
-    for t in TRANSFORMS {
-        let (name, spectrum) = (transform_name(t), forward_by(t, &impulse)?);
-        for (i, z) in spectrum.as_slice().iter().enumerate() {
-            if (z.abs() - 1.0).abs() > 1e-9 {
-                return Err(format!(
-                    "{name}: impulse spectrum not flat: |X[{i}]| = {} (expected 1)",
-                    z.abs()
-                ));
-            }
+    let spectrum = forward(&impulse)?;
+    for (i, z) in spectrum.as_slice().iter().enumerate() {
+        if (z.abs() - 1.0).abs() > 1e-9 {
+            return Err(format!(
+                "{NAME}: impulse spectrum not flat: |X[{i}]| = {} (expected 1)",
+                z.abs()
+            ));
         }
     }
 
     let constant = Grid3::filled(FFT_DIMS, 2.5f64);
-    for t in TRANSFORMS {
-        let (name, spectrum) = (transform_name(t), forward_by(t, &constant)?);
-        let dc = spectrum.as_slice()[0];
-        if (dc.re - 2.5 * n as f64).abs() > 1e-9 * n as f64 || dc.im.abs() > 1e-9 {
+    let spectrum = forward(&constant)?;
+    let dc = spectrum.as_slice()[0];
+    if (dc.re - 2.5 * n as f64).abs() > 1e-9 * n as f64 || dc.im.abs() > 1e-9 {
+        return Err(format!(
+            "{NAME}: DC bin wrong: {dc:?} (expected {})",
+            2.5 * n as f64
+        ));
+    }
+    for (i, z) in spectrum.as_slice().iter().enumerate().skip(1) {
+        if z.abs() > 1e-9 * n as f64 {
             return Err(format!(
-                "{name}: DC bin wrong: {dc:?} (expected {})",
-                2.5 * n as f64
+                "{NAME}: constant field leaked into bin {i}: |X| = {}",
+                z.abs()
             ));
-        }
-        for (i, z) in spectrum.as_slice().iter().enumerate().skip(1) {
-            if z.abs() > 1e-9 * n as f64 {
-                return Err(format!(
-                    "{name}: constant field leaked into bin {i}: |X| = {}",
-                    z.abs()
-                ));
-            }
         }
     }
     Ok(())
@@ -367,12 +350,10 @@ fn fft_roundtrip(seed: u64) -> Result<(), String> {
     let n: usize = FFT_DIMS.iter().product();
     let data: Vec<f64> = (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect();
     let grid = Grid3::from_vec(FFT_DIMS, data.clone());
-    for t in TRANSFORMS {
-        let (name, back) = (transform_name(t), inverse_by(t, forward_by(t, &grid)?)?);
-        for (i, (a, b)) in data.iter().zip(back.as_slice()).enumerate() {
-            if (a - b).abs() > 1e-9 * a.abs().max(1.0) {
-                return Err(format!("{name}: round-trip drift at {i}: {a} vs {b}"));
-            }
+    let back = inverse(forward(&grid)?)?;
+    for (i, (a, b)) in data.iter().zip(back.as_slice()).enumerate() {
+        if (a - b).abs() > 1e-9 * a.abs().max(1.0) {
+            return Err(format!("{NAME}: round-trip drift at {i}: {a} vs {b}"));
         }
     }
     Ok(())
@@ -392,33 +373,31 @@ fn fft_matches_direct_dft(seed: u64) -> Result<(), String> {
     let half = hermitian_half(FFT_DIMS, &mut rng);
     let direct_inverse = dft3_direct(&hermitian_extend(&half, FFT_DIMS), true, FFT_NG);
     let tol = 1e-12 * n as f64;
-    for t in TRANSFORMS {
-        let (name, spectrum) = (transform_name(t), forward_by(t, &real)?);
-        for (i, (want, got)) in direct
-            .as_slice()
-            .iter()
-            .zip(spectrum.as_slice())
-            .enumerate()
-        {
-            if (*want - *got).abs() > tol {
-                return Err(format!(
-                    "{name}: bin {i} is {got:?}, the direct sum {want:?}"
-                ));
-            }
+    let spectrum = forward(&real)?;
+    for (i, (want, got)) in direct
+        .as_slice()
+        .iter()
+        .zip(spectrum.as_slice())
+        .enumerate()
+    {
+        if (*want - *got).abs() > tol {
+            return Err(format!(
+                "{NAME}: bin {i} is {got:?}, the direct sum {want:?}"
+            ));
         }
-        let back = inverse_by(t, half.clone())?;
-        for (i, (want, got)) in direct_inverse
-            .as_slice()
-            .iter()
-            .zip(back.as_slice())
-            .enumerate()
-        {
-            if (want.re - got).abs() > tol / n as f64 {
-                return Err(format!(
-                    "{name}: inverse cell {i} is {got}, the direct sum {}",
-                    want.re
-                ));
-            }
+    }
+    let back = inverse(half.clone())?;
+    for (i, (want, got)) in direct_inverse
+        .as_slice()
+        .iter()
+        .zip(back.as_slice())
+        .enumerate()
+    {
+        if (want.re - got).abs() > tol / n as f64 {
+            return Err(format!(
+                "{NAME}: inverse cell {i} is {got}, the direct sum {}",
+                want.re
+            ));
         }
     }
     Ok(())

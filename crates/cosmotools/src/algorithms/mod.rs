@@ -6,8 +6,6 @@ pub mod somass;
 pub mod subsample;
 
 pub use halofinder::{find_halos_with_centers, HaloFinderTask};
-pub use powerspectrum::{
-    compute_power_spectrum, distributed_power_spectrum, PowerBin, PowerSpectrumTask,
-};
+pub use powerspectrum::{compute_power_spectrum, PowerBin, PowerSpectrumTask};
 pub use somass::SoMassTask;
 pub use subsample::SubsampleTask;

@@ -62,21 +62,19 @@ fn power_spectrum_of_field(
         plan.forward(backend, delta).expect("fft")
     };
     let _span = telemetry::span!(LAYER, "binning", ng);
-    power_bins(bin_half_spectrum(&dk, 0, box_size, nbins))
+    bin_half_spectrum(&dk, box_size, nbins)
 }
 
-/// Bin sums of a half spectrum `δ_k`: `[Σ w·k, Σ w·P, Σ w]` per log-spaced
-/// bin from `k_fund` to `k_nyquist`, `P = V·|δ_k|²/N_cells²`.
+/// The non-empty log-spaced bins from `k_fund` to `k_nyquist` of a half
+/// spectrum `δ_k` (`[ng, ng, ng/2 + 1]`, x-major), each the `w`-weighted
+/// mean `k` and `P = V·|δ_k|²/N_cells²` of its modes.
 ///
-/// `δ_k` is `[ng, sy, ng/2 + 1]`, x-major, holding the global `y` bins
-/// `y0..y0 + sy` — the whole mesh's half spectrum (`y0 = 0`) or a rank's
-/// `fft::SlabFft` y-slab of it. Every bin with `0 < kz < ng/2` stands for
-/// itself and its mirror `−k`, which has the same `|k|` and `|δ_k|²`, so it
-/// carries weight `w = 2`, and the `kz = 0` and `kz = ng/2` planes (their own
-/// mirrors) weight 1: the counts are the full grid's. They are whole numbers
-/// held as `f64`, so slabs' sums reduce exactly.
-fn bin_half_spectrum(dk: &Grid3<Complex>, y0: usize, box_size: f64, nbins: usize) -> [Vec<f64>; 3] {
-    let [ng, sy, h] = dk.dims();
+/// Every bin with `0 < kz < ng/2` stands for itself and its mirror `−k`,
+/// which has the same `|k|` and `|δ_k|²`, so it carries weight `w = 2`, and
+/// the `kz = 0` and `kz = ng/2` planes (their own mirrors) weight 1: the
+/// counts are the full grid's.
+fn bin_half_spectrum(dk: &Grid3<Complex>, box_size: f64, nbins: usize) -> Vec<PowerBin> {
+    let [ng, _, h] = dk.dims();
     let kfund = 2.0 * std::f64::consts::PI / box_size;
     let knyq = kfund * (ng as f64) / 2.0;
     let ncells = (ng * ng * ng) as f64;
@@ -88,8 +86,7 @@ fn bin_half_spectrum(dk: &Grid3<Complex>, y0: usize, box_size: f64, nbins: usize
     let mut p_sum = vec![0.0f64; nbins];
     let mut count = vec![0.0f64; nbins];
     for x in 0..ng {
-        for yl in 0..sy {
-            let y = y0 + yl;
+        for y in 0..ng {
             for z in 0..h {
                 if (x, y, z) == (0, 0, 0) {
                     continue;
@@ -102,7 +99,7 @@ fn bin_half_spectrum(dk: &Grid3<Complex>, y0: usize, box_size: f64, nbins: usize
                     continue;
                 }
                 let b = (((k.ln() - lmin) / (lmax - lmin) * nbins as f64) as usize).min(nbins - 1);
-                let amp2 = dk.get(x, yl, z).norm_sqr() / (ncells * ncells);
+                let amp2 = dk.get(x, y, z).norm_sqr() / (ncells * ncells);
                 let weight = if z == 0 || 2 * z == ng { 1.0 } else { 2.0 };
                 k_sum[b] += weight * k;
                 p_sum[b] += weight * amp2 * volume;
@@ -110,12 +107,7 @@ fn bin_half_spectrum(dk: &Grid3<Complex>, y0: usize, box_size: f64, nbins: usize
             }
         }
     }
-    [k_sum, p_sum, count]
-}
-
-/// The non-empty bins of [`bin_half_spectrum`]'s sums.
-fn power_bins([k_sum, p_sum, count]: [Vec<f64>; 3]) -> Vec<PowerBin> {
-    (0..count.len())
+    (0..nbins)
         .filter(|&b| count[b] > 0.0)
         .map(|b| PowerBin {
             k: k_sum[b] / count[b],
@@ -123,36 +115,6 @@ fn power_bins([k_sum, p_sum, count]: [Vec<f64>; 3]) -> Vec<PowerBin> {
             modes: count[b] as u64,
         })
         .collect()
-}
-
-/// Distributed (rank-parallel) power spectrum: slab CIC deposit, slab
-/// real-to-complex FFT, `bin_half_spectrum` over each rank's y-slab of the
-/// half spectrum, and an allreduce of the bin sums — the form the in-situ
-/// task takes inside the distributed main loop ("density estimation on a
-/// regular grid via CIC and very large FFTs", §1). Every rank returns the
-/// same full spectrum. Each phase is a `cosmotools.powerspectrum` span whose
-/// argument is the rank; `binning` covers the bin allreduce.
-pub fn distributed_power_spectrum(
-    comm: &comm::Communicator,
-    locals: &[Particle],
-    ng: usize,
-    box_size: f64,
-    nbins: usize,
-) -> Vec<PowerBin> {
-    assert!(ng.is_power_of_two() && nbins > 0);
-    let rank = comm.rank();
-    let delta = {
-        let _span = telemetry::span!(LAYER, "deposit", rank);
-        nbody::distributed::slab_deposit(comm, locals, ng, box_size)
-    };
-    let plan = fft::SlabFft::new(ng, comm.size()).expect("validated");
-    let dk = {
-        let _span = telemetry::span!(LAYER, "transform", rank);
-        plan.forward(comm, &delta).expect("planned dims")
-    };
-    let _span = telemetry::span!(LAYER, "binning", rank);
-    let sums = bin_half_spectrum(&dk, rank * plan.slab(), box_size, nbins);
-    power_bins(sums.map(|v| comm.allreduce_sum_vec_f64(v)))
 }
 
 /// The in-situ power-spectrum task: cheap, well balanced, runs every few
@@ -337,63 +299,6 @@ mod tests {
                 (r / mean - 1.0).abs() < 0.6,
                 "ratio {r} deviates from mean {mean}: realization scatter should be the only source"
             );
-        }
-    }
-
-    #[test]
-    fn distributed_spectrum_matches_single_image() {
-        use comm::World;
-        // A deterministic clustered particle set.
-        let parts: Vec<Particle> = (0..4096)
-            .map(|i| {
-                let h = |mut x: u64| {
-                    x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
-                    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    (x >> 11) as f64 / (1u64 << 53) as f64
-                };
-                let s = i as u64 * 3 + 1;
-                // Mix of clustered and uniform particles for structure.
-                let cluster = i % 3 == 0;
-                let (cx, w) = if cluster { (8.0, 4.0) } else { (16.0, 32.0) };
-                Particle::at_rest(
-                    [
-                        ((cx + (h(s) - 0.5) * w).rem_euclid(32.0)) as f32,
-                        ((cx + (h(s * 7) - 0.5) * w).rem_euclid(32.0)) as f32,
-                        ((cx + (h(s * 13) - 0.5) * w).rem_euclid(32.0)) as f32,
-                    ],
-                    1.0,
-                    i as u64,
-                )
-            })
-            .collect();
-        let reference = compute_power_spectrum(&Serial, &parts, 16, 32.0, 10);
-        for nranks in [1usize, 2, 4] {
-            let world = World::new(nranks);
-            let spectra = world.run(|c| {
-                let slab = 32.0 / c.size() as f64;
-                let locals: Vec<Particle> = parts
-                    .iter()
-                    .filter(|p| {
-                        let r = ((p.pos[0] as f64 / slab) as usize).min(c.size() - 1);
-                        r == c.rank()
-                    })
-                    .copied()
-                    .collect();
-                distributed_power_spectrum(c, &locals, 16, 32.0, 10)
-            });
-            for spec in &spectra {
-                assert_eq!(spec.len(), reference.len(), "nranks={nranks}");
-                for (a, b) in spec.iter().zip(&reference) {
-                    assert!((a.k - b.k).abs() < 1e-9, "nranks={nranks}");
-                    assert!(
-                        (a.power - b.power).abs() < 1e-9 * b.power.abs().max(1e-12),
-                        "nranks={nranks}: {} vs {}",
-                        a.power,
-                        b.power
-                    );
-                    assert_eq!(a.modes, b.modes);
-                }
-            }
         }
     }
 

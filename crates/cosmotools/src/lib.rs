@@ -22,8 +22,8 @@ pub mod levels;
 pub mod render;
 
 pub use algorithms::{
-    compute_power_spectrum, distributed_power_spectrum, find_halos_with_centers, HaloFinderTask,
-    PowerBin, PowerSpectrumTask, SoMassTask, SubsampleTask,
+    compute_power_spectrum, find_halos_with_centers, HaloFinderTask, PowerBin, PowerSpectrumTask,
+    SoMassTask, SubsampleTask,
 };
 pub use config::{Config, ConfigError};
 pub use driver::{

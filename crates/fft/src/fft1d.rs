@@ -25,20 +25,6 @@ pub enum FftError {
         /// Supplied grid shape.
         got: [usize; 3],
     },
-    /// A slab plan's rank count is zero or does not divide the mesh side.
-    SlabsDoNotDivide {
-        /// Mesh cells per side.
-        ng: usize,
-        /// Requested rank count.
-        nranks: usize,
-    },
-    /// A slab plan was run on a communicator of another size.
-    RankCountMismatch {
-        /// Ranks the plan was made for.
-        expected: usize,
-        /// Ranks in the communicator.
-        got: usize,
-    },
 }
 
 impl std::fmt::Display for FftError {
@@ -60,18 +46,6 @@ impl std::fmt::Display for FftError {
                 write!(
                     f,
                     "grid shape {got:?} does not match plan shape {expected:?}"
-                )
-            }
-            FftError::SlabsDoNotDivide { ng, nranks } => {
-                write!(
-                    f,
-                    "a {ng}-cell mesh side cannot be split into {nranks} equal slabs"
-                )
-            }
-            FftError::RankCountMismatch { expected, got } => {
-                write!(
-                    f,
-                    "slab plan for {expected} ranks run on a communicator of {got}"
                 )
             }
         }

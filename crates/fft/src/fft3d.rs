@@ -20,7 +20,7 @@
 //! many lines, so it clears `dpp`'s small-`n` inline threshold and runs on
 //! the pool; a chunk walks its lines tile by tile. The pass is one function,
 //! `transform_axis`, which [`crate::RealFft3d`] also runs for the x and y
-//! axes of its half spectra and [`crate::SlabFft`] for those of its slabs.
+//! axes of its half spectra.
 //!
 //! Every line is still handed, alone and in natural order, to the same 1-D
 //! routine (bit reversal, then butterflies stage by stage, then the `1/n`
@@ -104,9 +104,8 @@ impl Fft3d {
 /// Transform all lines along `axis` of `grid` with `plan` (whose length is
 /// `grid.dims()[axis]`); lines are independent, so blocks of them are
 /// dispatched in parallel. See the module docs for the layout of each pass.
-/// [`Fft3d`] runs it on all three axes; [`crate::RealFft3d`] and
-/// [`crate::SlabFft`] run it on the x and y axes of a half spectrum (or a
-/// slab of one), whose rows are `nz/2 + 1` cells long.
+/// [`Fft3d`] runs it on all three axes; [`crate::RealFft3d`] runs it on the
+/// x and y axes of a half spectrum, whose rows are `nz/2 + 1` cells long.
 pub(crate) fn transform_axis(
     backend: &dyn Backend,
     plan: &Fft1d,

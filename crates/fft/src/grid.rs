@@ -46,7 +46,7 @@ impl<T> Grid3<T> {
 
     /// Flat index of `(x, y, z)`.
     #[inline]
-    pub fn index(&self, x: usize, y: usize, z: usize) -> usize {
+    fn index(&self, x: usize, y: usize, z: usize) -> usize {
         debug_assert!(x < self.dims[0] && y < self.dims[1] && z < self.dims[2]);
         (x * self.dims[1] + y) * self.dims[2] + z
     }

@@ -7,16 +7,9 @@
 //! real grid to the `nz/2 + 1`-column half of its Hermitian spectrum and back
 //! — half the data and half the work of promoting it to complex.
 //!
-//! Every product caller is real and runs one of two real transforms built
-//! from the same passes — a packed z-row kernel, then the strided complex
-//! line pass — in the same order:
-//!
-//! * [`RealFft3d`] on the whole mesh: the particle-mesh Poisson solve and the
-//!   initial conditions (`nbody`) and the in-situ power spectrum
-//!   (`cosmotools`);
-//! * [`SlabFft`], rank-distributed over x-slabs with one transpose
-//!   carrying `ng/2 + 1` columns: `DistSim`'s slab solve and the distributed
-//!   power spectrum. Gathered, its slabs are [`RealFft3d`]'s bits.
+//! Every product caller is real and runs [`RealFft3d`] on the whole mesh: the
+//! particle-mesh Poisson solve and the initial conditions (`nbody`) and the
+//! in-situ power spectrum (`cosmotools`).
 //!
 //! [`Fft3d`] is for complex data; it and the complex-output real-grid helpers
 //! ([`forward_real`], [`inverse_to_real`]) have no product caller. A dense
@@ -41,11 +34,9 @@ pub mod fft1d;
 pub mod fft3d;
 pub mod grid;
 pub mod rfft3d;
-pub mod slab;
 
 pub use complex::Complex;
 pub use fft1d::{Fft1d, FftError};
 pub use fft3d::{forward_real, inverse_to_real, Fft3d};
 pub use grid::{freq_index, Grid3};
 pub use rfft3d::RealFft3d;
-pub use slab::SlabFft;

@@ -31,13 +31,9 @@
 //!   `nz/2 + 1` columns: exactly [`crate::Fft3d`]'s tiled strided pass
 //!   (`fft3d::transform_axis`), on a grid with shorter rows.
 //!
-//! The forward runs z, then y, then x; the inverse x, then y, then z — the
-//! order of [`crate::SlabFft`], whose x pass has to wait for its transpose,
-//! so the two transforms are the same passes in the same order and agree bit
-//! for bit (`conformance::layout`, `slab-fft`). The z passes are one private
-//! row kernel both own. Every row and line is transformed alone, so the
-//! result is the same bits on every backend (`conformance::layout`,
-//! `rfft3d`).
+//! The forward runs z, then y, then x; the inverse x, then y, then z. Every
+//! row and line is transformed alone, so the result is the same bits on
+//! every backend (`conformance::layout`, `rfft3d`).
 //!
 //! # What the inverse reads
 //!
@@ -63,19 +59,30 @@ pub struct RealFft3d {
     dims: [usize; 3],
     /// The x and y plans, for the strided passes over the half spectrum.
     plans: [Fft1d; 2],
-    /// The packed z-row kernel.
-    rows: RealRows,
+    /// The `nz/2`-point plan the packed z rows run through.
+    half: Fft1d,
+    /// `W^k = e^{−2πik/nz}` for `k < nz/4`: the pairwise untangle's twiddles.
+    twiddles: Vec<Complex>,
 }
 
 impl RealFft3d {
     /// Plan transforms of real grids of shape `dims`: each axis a power of
     /// two, and `nz ≥ 2`.
     pub fn new(dims: [usize; 3]) -> Result<Self, FftError> {
-        let rows = RealRows::new(dims[2])?;
+        let n = dims[2];
+        Fft1d::new(n)?;
+        if n < 2 {
+            return Err(FftError::RealAxisTooShort(n));
+        }
+        let twiddles = (0..n / 4)
+            .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
+            .collect();
+        let half = Fft1d::new(n / 2)?;
         Ok(RealFft3d {
             dims,
             plans: [Fft1d::new(dims[0])?, Fft1d::new(dims[1])?],
-            rows,
+            half,
+            twiddles,
         })
     }
 
@@ -99,7 +106,7 @@ impl RealFft3d {
             });
         }
         let _span = telemetry::span!("fft", "r2c", real.len());
-        let mut spec = self.rows.forward(backend, real);
+        let mut spec = self.rows_forward(backend, real);
         for axis in [1, 0] {
             transform_axis(backend, &self.plans[axis], &mut spec, axis, false);
         }
@@ -124,48 +131,14 @@ impl RealFft3d {
         for axis in [0, 1] {
             transform_axis(backend, &self.plans[axis], &mut spec, axis, true);
         }
-        Ok(self.rows.inverse(backend, spec))
-    }
-}
-
-/// The z-row passes of a real transform: every contiguous row of `n` reals
-/// to its `n/2 + 1` spectral bins (the packed half-length transform and the
-/// untangle of the module docs) and back. [`RealFft3d`] runs them over the
-/// whole mesh and [`crate::SlabFft`] over its x-slab; both own one.
-#[derive(Debug, Clone)]
-pub(crate) struct RealRows {
-    /// The `n/2`-point plan the packed rows run through.
-    half: Fft1d,
-    /// `W^k = e^{−2πik/n}` for `k < n/4`: the pairwise untangle's twiddles.
-    twiddles: Vec<Complex>,
-}
-
-impl RealRows {
-    /// Rows of `n` reals: a power of two, at least 2.
-    pub(crate) fn new(n: usize) -> Result<Self, FftError> {
-        Fft1d::new(n)?;
-        if n < 2 {
-            return Err(FftError::RealAxisTooShort(n));
-        }
-        let twiddles = (0..n / 4)
-            .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-            .collect();
-        Ok(RealRows {
-            half: Fft1d::new(n / 2)?,
-            twiddles,
-        })
+        Ok(self.rows_inverse(backend, spec))
     }
 
-    /// Row length of the real side.
-    fn n(&self) -> usize {
-        2 * self.half.len()
-    }
-
-    /// Every row of a real `[a, b, n]` grid to the `[a, b, n/2 + 1]` grid of
-    /// their spectra.
-    pub(crate) fn forward(&self, backend: &dyn Backend, real: &Grid3<f64>) -> Grid3<Complex> {
+    /// The z pass of the forward transform: every contiguous row of `n = nz`
+    /// reals of an `[a, b, n]` grid to its `n/2 + 1` spectral bins (the packed
+    /// half-length transform and the untangle of the module docs).
+    fn rows_forward(&self, backend: &dyn Backend, real: &Grid3<f64>) -> Grid3<Complex> {
         let [a, b, n] = real.dims();
-        debug_assert_eq!(n, self.n(), "row length must match the plan");
         let h = n / 2 + 1;
         let mut spec = Grid3::filled([a, b, h], Complex::ZERO);
         let src = real.as_slice();
@@ -183,12 +156,12 @@ impl RealRows {
         spec
     }
 
-    /// Every row of an `[a, b, n/2 + 1]` spectrum back to its `n` reals,
-    /// in place: the `[a, b, n]` real grid in the spectrum's own storage.
-    pub(crate) fn inverse(&self, backend: &dyn Backend, mut spec: Grid3<Complex>) -> Grid3<f64> {
+    /// The z pass of the inverse: every row of an `[a, b, n/2 + 1]` spectrum
+    /// back to its `n` reals, in place — the `[a, b, n]` real grid in the
+    /// spectrum's own storage.
+    fn rows_inverse(&self, backend: &dyn Backend, mut spec: Grid3<Complex>) -> Grid3<f64> {
         let [a, b, h] = spec.dims();
-        let n = self.n();
-        debug_assert_eq!(h, n / 2 + 1, "row length must match the plan");
+        let n = self.dims[2];
         let ptr = SendPtr(spec.as_mut_slice().as_mut_ptr());
         dispatch_rows(backend, a * b, &|rows| {
             // SAFETY: as in `forward`.

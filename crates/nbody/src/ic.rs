@@ -117,8 +117,8 @@ pub fn realize_linear_field(
 
     // Displacement ψ_k = i k (scale·δ_k) / k²: the Poisson pass with the
     // normalization as its prefactor, Nyquist rule included.
-    let psi = gradient_spectra(backend, &k, 0, scale, nk)
-        .map(|pk| plan.inverse(backend, pk).expect("ifft"));
+    let psi =
+        gradient_spectra(backend, &k, scale, nk).map(|pk| plan.inverse(backend, pk).expect("ifft"));
     LinearField { delta, psi }
 }
 

@@ -24,16 +24,13 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod cosmology;
-pub mod distributed;
 pub mod ic;
 pub mod particle;
 pub mod pm;
 pub mod sim;
 pub mod soa;
-mod stepper;
 
 pub use cosmology::Cosmology;
-pub use distributed::DistSim;
 pub use ic::{realize_linear_field, zeldovich_particles, IcConfig, LinearField};
 pub use particle::{min_image, periodic_dist2, Particle, PARTICLE_BYTES};
 pub use pm::{cic_deposit_exact, cic_deposit_soa, cic_interpolate, gather_accel, poisson_accel};

@@ -3,12 +3,9 @@
 //!
 //! There is one CIC deposit body: `deposit_chunk` hands each particle's eight
 //! corner terms to an integer grid, so the deposit does not depend on the
-//! particle order, the worker count or the rank count.
-//! [`cic_deposit_exact`] is it over the whole mesh (the stepper's force
-//! source, every analysis; [`cic_deposit_soa`] is the same call behind a
-//! [`ParticleSoA`]); [`crate::distributed::slab_deposit`] is it over one
-//! rank's x-slab plus a ghost plane, and the slabs are the whole mesh's, bit
-//! for bit. The solve
+//! particle order or the worker count. [`cic_deposit_exact`] is it over the
+//! whole mesh (the stepper's force source, every analysis;
+//! [`cic_deposit_soa`] is the same call behind a [`ParticleSoA`]). The solve
 //! lives in [`PoissonSolver`], which a caller keeps across solves for its FFT
 //! plan and `k` table; every grid is transient: `δ` is real, so one
 //! real-to-complex transform to the `ng·ng·(ng/2 + 1)` half spectrum, one
@@ -56,11 +53,9 @@ pub(crate) fn wrap_periodic(u: f64, period: f64) -> f64 {
 const CIC_BLOCK: usize = 64;
 
 /// The one CIC chunk body: hand each of particles `[r.start, r.end)` to
-/// `sink` as its eight corner cells and terms (see `corners`), the x-cell
-/// counted from the sink's first plane. A coordinate that wraps to exactly
-/// `ng` (a negative one too small to move `ng`) is the box origin, offset 0,
-/// so every weight lies in `[0, 1]`. Panics when a particle's x-cell is not
-/// one of the sink's own planes.
+/// `sink` as its eight corner cells and terms (see `corners`). A coordinate
+/// that wraps to exactly `ng` (a negative one too small to move `ng`) is the
+/// box origin, offset 0, so every weight lies in `[0, 1]`.
 ///
 /// Particles go in blocks of `CIC_BLOCK`. Phase one sweeps the columns in
 /// three vectorizable passes: (a) `pos / box · ng`, (b) a block-level range
@@ -86,7 +81,7 @@ fn deposit_chunk(
 ) {
     let (px, py, pz) = (pos.x, pos.y, pos.z);
     let ngf = ng as f64;
-    let (x0, own, scale) = (sink.x0 as i32, sink.own as u32, sink.scale);
+    let scale = sink.scale;
     // Per-block scratch lanes (stack-resident).
     let mut ux = [0.0f64; CIC_BLOCK];
     let mut uy = [0.0f64; CIC_BLOCK];
@@ -131,23 +126,15 @@ fn deposit_chunk(
                 uz[k] = wrap_grid(uz[k], ngf, true);
             }
         }
-        // Phase 1c: every lane is now in `[0, ng)` or NaN; the x-cell moves
-        // into the sink's window.
-        let mut in_window = true;
+        // Phase 1c: every lane is now in `[0, ng)` or NaN (cell 0).
         for k in 0..CIC_BLOCK {
-            let cx = ux[k] as i32;
-            ix[k] = cx - x0;
+            ix[k] = ux[k] as i32;
             iy[k] = uy[k] as i32;
             iz[k] = uz[k] as i32;
-            fx[k] = ux[k] - cx as f64;
+            fx[k] = ux[k] - ix[k] as f64;
             fy[k] = uy[k] - iy[k] as f64;
             fz[k] = uz[k] - iz[k] as f64;
-            in_window &= (ix[k] as u32) < own;
         }
-        assert!(
-            in_window,
-            "a particle's x-cell is outside the deposit window"
-        );
         // Phase 2: scatter eight corners per particle.
         for k in 0..CIC_BLOCK {
             let cell = |i: i32, f: f64| (i as usize, f);
@@ -159,13 +146,8 @@ fn deposit_chunk(
     }
     // Tail (< CIC_BLOCK particles): same math per particle, scalar.
     for j in base..r.end {
-        let [(x, dx), y, z] = [px[j], py[j], pz[j]].map(|p| grid_cell(p, box_size, ng, true));
-        let x = x.wrapping_sub(sink.x0);
-        assert!(
-            x < sink.own,
-            "a particle's x-cell is outside the deposit window"
-        );
-        let (cells, terms, finite) = corners([(x, dx), y, z], masses[j] as f64 * scale, ng);
+        let axes = [px[j], py[j], pz[j]].map(|p| grid_cell(p, box_size, ng, true));
+        let (cells, terms, finite) = corners(axes, masses[j] as f64 * scale, ng);
         sink.add(cells, terms, finite);
     }
 }
@@ -173,7 +155,7 @@ fn deposit_chunk(
 /// A particle's eight corner cells and terms, in `(dx, dy, dz)` order with
 /// `((m·wx)·wy)·wz` association, from its base cell and offset per axis, and
 /// whether its mass and offsets, so every term, are finite. The `+1`
-/// neighbour wraps to 0 at `ng` in y and z; in x it never wraps — a window's
+/// neighbour wraps to 0 at `ng` in y and z; in x it never wraps — the grid's
 /// ghost plane takes it.
 #[inline(always)]
 fn corners(axes: [(usize, f64); 3], m: f64, ng: usize) -> ([usize; 8], [f64; 8], bool) {
@@ -233,29 +215,37 @@ const NAN_CLASS: u8 = 1;
 const POS_INF: u8 = 2;
 const NEG_INF: u8 = 4;
 
-/// An exact deposit's integer grid over a window of the mesh: x-planes
-/// `x0..x0 + own`, then a ghost plane that takes the `+1` corners of the
-/// last one until `fold_ghost` hands it on. A finite term, scaled by
-/// `scale = 2^e`, is truncated toward zero and summed per cell; a non-finite
-/// one is its cell's class.
-pub(crate) struct ExactGrid {
-    pub(crate) sums: Vec<i64>,
+/// An exact deposit's integer grid: the mesh's `ng` x-planes, then a ghost
+/// plane that takes the `+1` x-corners of the last one until `fold_ghost`
+/// adds it into the first, so the x-neighbour never wraps and costs no
+/// division. A finite term, scaled by `scale = 2^e`, is truncated toward zero
+/// and summed per cell; a non-finite one is its cell's class.
+struct ExactGrid {
+    sums: Vec<i64>,
     nonfinite: Vec<(usize, u8)>,
     e: i32,
     scale: f64,
-    x0: usize,
-    own: usize,
-    plane: usize,
+    ng: usize,
 }
 
 impl ExactGrid {
+    /// The zero grid of an `ng³` mesh at exponent `e`.
+    fn new(ng: usize, e: i32) -> Self {
+        ExactGrid {
+            sums: vec![0; (ng + 1) * ng * ng],
+            nonfinite: Vec::new(),
+            e,
+            scale: 2f64.powi(e),
+            ng,
+        }
+    }
+
     /// Add the scaled `terms[k]` to cell `cells[k]`, `k` in order; `finite`
     /// says every term is.
     #[inline(always)]
     fn add(&mut self, cells: [usize; 8], terms: [f64; 8], finite: bool) {
         // SAFETY (both casts): a finite term has `|t| ≤ M·2^e < 2^62`, in
-        // range, as `deposit_window` asserts that no mass exceeds the `M`
-        // that `e` was taken from.
+        // range, as `e` was taken from the largest `|m|` `M` of the set.
         if finite {
             for (c, t) in cells.into_iter().zip(terms) {
                 self.sums[c] += unsafe { t.to_int_unchecked::<i64>() };
@@ -274,34 +264,31 @@ impl ExactGrid {
         }
     }
 
-    /// Take the ghost plane off — its sums, then its non-finite entries as
-    /// `cell << 3 | class` — hand it to `shift`, and add the plane `shift`
-    /// returns (the window below's, in the same form) into the first one, as
-    /// integers. The whole mesh's `shift` returns its own.
-    pub(crate) fn fold_ghost(&mut self, shift: impl FnOnce(Vec<i64>) -> Vec<i64>) {
-        let own_cells = self.own * self.plane;
-        let mut ghost = self.sums.split_off(own_cells);
-        let nonfinite = std::mem::take(&mut self.nonfinite);
-        let (mine, above): (Vec<_>, Vec<_>) =
-            nonfinite.into_iter().partition(|&(c, _)| c < own_cells);
-        let encode = |(c, class): (usize, u8)| ((c - own_cells) << 3 | class as usize) as i64;
-        ghost.extend(above.into_iter().map(encode));
-        let arrived = shift(ghost);
-        let (sums, classes) = arrived.split_at(self.plane);
-        for (q, g) in self.sums.iter_mut().zip(sums) {
-            *q += g;
+    /// Add the ghost plane into the first plane — its sums as integers, its
+    /// non-finite entries moved to their cells there — and drop it.
+    fn fold_ghost(&mut self) {
+        let own_cells = self.ng * self.ng * self.ng;
+        let (own, ghost) = self.sums.split_at_mut(own_cells);
+        for (q, g) in own.iter_mut().zip(ghost) {
+            *q += *g;
         }
-        let decode = |&v: &i64| ((v >> 3) as usize, (v & 7) as u8);
-        self.nonfinite = mine.into_iter().chain(classes.iter().map(decode)).collect();
+        self.sums.truncate(own_cells);
+        for (c, _) in &mut self.nonfinite {
+            if *c >= own_cells {
+                *c -= own_cells;
+            }
+        }
     }
 
     /// The overdensity `δ = ρ/ρ̄ − 1` of the folded cells (`ρ` when the mean
     /// is not positive), in one pass: `ρ = q·2^−e`, or its class's value —
     /// NaN if any term is NaN or both infinities meet, else the infinity —
-    /// and `ρ̄` the integer `total` over the whole mesh's `ng³` cells.
-    pub(crate) fn into_overdensity(mut self, total: i64, dims: [usize; 3]) -> Grid3<f64> {
+    /// and `ρ̄` the integer total over the `ng³` cells.
+    fn into_overdensity(mut self) -> Grid3<f64> {
+        let ng = self.ng;
+        let total: i64 = self.sums.iter().sum();
         let quantum = 2f64.powi(-self.e);
-        let mean = total as f64 * quantum / (self.plane * dims[1]) as f64;
+        let mean = total as f64 * quantum / (ng * ng * ng) as f64;
         let delta = |rho: f64| if mean > 0.0 { rho / mean - 1.0 } else { rho };
         let mut cells: Vec<f64> = self
             .sums
@@ -316,75 +303,21 @@ impl ExactGrid {
                 _ => f64::NAN,
             });
         }
-        Grid3::from_vec(dims, cells)
+        Grid3::from_vec([ng; 3], cells)
     }
-}
-
-/// Every particle of the columns deposited into an integer grid over
-/// x-planes `planes` of the mesh and a ghost plane, on `backend`: one grid
-/// per chunk, summed as integers. The exponent is that of the particle count
-/// and largest `|m|` `reduce` returns for these columns' — the whole set's,
-/// on every part of it — so the sums cannot overflow
-/// (`8·n·max|m|·2^e < 2^62`) and do not depend on order.
-pub(crate) fn deposit_window(
-    backend: &dyn Backend,
-    pos: PosColumns<'_>,
-    masses: &[f32],
-    ng: usize,
-    box_size: f64,
-    planes: std::ops::Range<usize>,
-    reduce: impl FnOnce((u64, u32)) -> (u64, u32),
-) -> ExactGrid {
-    let n = masses.len();
-    assert!(ng <= i32::MAX as usize, "mesh size must fit i32 indices");
-    let lengths = [pos.x.len(), pos.y.len(), pos.z.len()];
-    assert!(lengths == [n; 3], "deposit columns differ in length");
-    let local = (n as u64, max_abs_mass_bits(masses));
-    let all = reduce(local);
-    assert!(
-        all.0 >= local.0 && all.1 >= local.1,
-        "the exponent's set must hold these masses"
-    );
-    let e = exact_scale_exponent(all.0, all.1);
-    let (x0, own, plane) = (planes.start, planes.len(), ng * ng);
-    let empty = || ExactGrid {
-        sums: vec![0; (own + 1) * plane],
-        nonfinite: Vec::new(),
-        e,
-        scale: 2f64.powi(e),
-        x0,
-        own,
-        plane,
-    };
-    let grids: Mutex<Vec<ExactGrid>> = Mutex::new(Vec::new());
-    let grain = (n / backend.concurrency().max(1)).max(4096);
-    backend.dispatch(n, grain, &|r| {
-        let mut grid = empty();
-        deposit_chunk(pos, masses, r, ng, box_size, &mut grid);
-        grids.lock().push(grid);
-    });
-    let mut grids = grids.into_inner();
-    let mut sum = grids.pop().unwrap_or_else(empty);
-    for grid in grids {
-        for (s, q) in sum.sums.iter_mut().zip(&grid.sums) {
-            *s += q;
-        }
-        sum.nonfinite.extend(grid.nonfinite);
-    }
-    sum
 }
 
 /// Cloud-in-cell deposit of particle mass onto an `ng³` mesh, returning the
 /// *overdensity* field `δ = ρ/ρ̄ − 1` (`ρ` when the mean is not positive).
 /// The grid is a function of the particle multiset alone — the same bits in
-/// any particle order, chunking, backend or worker count, and on any number
-/// of ranks' x-slabs ([`crate::distributed::slab_deposit`]).
+/// any particle order, chunking, backend or worker count.
 ///
 /// Every finite corner term `m·wx·wy·wz` is scaled by `2^e`,
 /// `8·n·max|m|·2^e < 2^62`, and truncated to an `i64`, in a dense integer
-/// grid per worker; the grids and the mean come from integer sums. A NaN or
-/// infinite term marks its cell instead. The quantum costs at most `n·2⁻⁵⁴`
-/// relative on a cell at the mean density of equal masses (DESIGN.md §15).
+/// grid per worker chunk; the grids and the mean come from integer sums, so
+/// they cannot overflow and do not depend on order. A NaN or infinite term
+/// marks its cell instead. The quantum costs at most `n·2⁻⁵⁴` relative on a
+/// cell at the mean density of equal masses (DESIGN.md §15).
 pub fn cic_deposit_exact(
     backend: &dyn Backend,
     pos: PosColumns<'_>,
@@ -393,10 +326,28 @@ pub fn cic_deposit_exact(
     box_size: f64,
 ) -> Grid3<f64> {
     let _span = telemetry::span!("nbody", "cic_deposit_exact", masses.len());
-    let mut grid = deposit_window(backend, pos, masses, ng, box_size, 0..ng, |all| all);
-    grid.fold_ghost(|ghost| ghost);
-    let total = grid.sums.iter().sum();
-    grid.into_overdensity(total, [ng; 3])
+    let n = masses.len();
+    assert!(ng <= i32::MAX as usize, "mesh size must fit i32 indices");
+    let lengths = [pos.x.len(), pos.y.len(), pos.z.len()];
+    assert!(lengths == [n; 3], "deposit columns differ in length");
+    let e = exact_scale_exponent(n as u64, max_abs_mass_bits(masses));
+    let grids: Mutex<Vec<ExactGrid>> = Mutex::new(Vec::new());
+    let grain = (n / backend.concurrency().max(1)).max(4096);
+    backend.dispatch(n, grain, &|r| {
+        let mut grid = ExactGrid::new(ng, e);
+        deposit_chunk(pos, masses, r, ng, box_size, &mut grid);
+        grids.lock().push(grid);
+    });
+    let mut grids = grids.into_inner();
+    let mut sum = grids.pop().unwrap_or_else(|| ExactGrid::new(ng, e));
+    for grid in grids {
+        for (s, q) in sum.sums.iter_mut().zip(&grid.sums) {
+            *s += q;
+        }
+        sum.nonfinite.extend(grid.nonfinite);
+    }
+    sum.fold_ghost();
+    sum.into_overdensity()
 }
 
 /// [`cic_deposit_exact`] over a [`ParticleSoA`]'s position and mass columns.
@@ -453,14 +404,14 @@ impl PoissonSolver {
         let ng = self.k.len();
         assert_eq!(delta.dims(), [ng, ng, ng], "mesh/solver shape mismatch");
         let delta_k = self.plan.forward(backend, delta).expect("planned dims");
-        gradient_spectra(backend, &self.k, 0, prefactor, delta_k)
+        gradient_spectra(backend, &self.k, prefactor, delta_k)
             .map(|gk| self.plan.inverse(backend, gk).expect("planned dims"))
     }
 }
 
 /// `2π·freq_index(i, ng)/ng` for every bin `i` of an `ng`-point axis: the
 /// grid angular frequencies `gradient_spectra` reads.
-pub(crate) fn grid_wavenumbers(ng: usize) -> Vec<f64> {
+fn grid_wavenumbers(ng: usize) -> Vec<f64> {
     let two_pi = 2.0 * std::f64::consts::PI;
     (0..ng)
         .map(|i| two_pi * freq_index(i, ng) as f64 / ng as f64)
@@ -471,14 +422,9 @@ pub(crate) fn grid_wavenumbers(ng: usize) -> Vec<f64> {
 /// prefactor·δ`, from the half spectrum `δ_k` of a real field on a cubic mesh
 /// whose angular frequencies per bin are `k`: `g_d = i·k_d·(prefactor /
 /// k²)·δ_k`, zero at `k = 0`. `δ_k`'s grid is overwritten by `g_x`.
+/// `δ_k` is `[ng, ng, ng/2 + 1]`, x-major.
 ///
-/// `δ_k` is `[ng, sy, ng/2 + 1]`, x-major, and holds the global `y` bins
-/// `y0..y0 + sy`: the whole mesh is `y0 = 0, sy = ng`, and a slab solve
-/// passes its layout-B y-slab (`fft::SlabFft`) with the slab's first global
-/// `y`. Each cell reads the same `k` entries either way, so a slab's cells
-/// are the whole mesh's, bit for bit.
-///
-/// Dispatched over the `ng·sy` rows `(x, y)` — 4 096 at 64³, which clears
+/// Dispatched over the `ng²` rows `(x, y)` — 4 096 at 64³, which clears
 /// dpp's small-n inline threshold where `ng` planes would not; per cell it
 /// reads `δ_k` once, forms `prefactor / k²` once and writes all three
 /// components — the expression, operand for operand, of solving one axis at a
@@ -495,17 +441,15 @@ pub(crate) fn grid_wavenumbers(ng: usize) -> Vec<f64> {
 pub(crate) fn gradient_spectra(
     backend: &dyn Backend,
     k: &[f64],
-    y0: usize,
     prefactor: f64,
     delta_k: Grid3<Complex>,
 ) -> [Grid3<Complex>; 3] {
     let ng = k.len();
     let (nyquist, h) = (ng / 2, ng / 2 + 1);
     let dims = delta_k.dims();
-    let sy = dims[1];
     assert!(
-        dims[0] == ng && dims[2] == h && y0 + sy <= ng,
-        "half spectrum {dims:?} from y = {y0} does not fit the {ng}-bin k table"
+        dims == [ng, ng, h],
+        "half spectrum {dims:?} does not fit the {ng}-bin k table"
     );
     let mut spec = [
         delta_k,
@@ -515,7 +459,7 @@ pub(crate) fn gradient_spectra(
     let grids = spec
         .each_mut()
         .map(|g| SendPtr(g.as_mut_slice().as_mut_ptr()));
-    let rows = ng * sy;
+    let rows = ng * ng;
     let grain = (rows / (4 * backend.concurrency().max(1))).max(1);
     backend.dispatch(rows, grain, &|chunk| {
         for row in chunk {
@@ -523,7 +467,7 @@ pub(crate) fn gradient_spectra(
             // each grid, in bounds and touched by this chunk only.
             let [gx, gy, gz] =
                 [&grids[0], &grids[1], &grids[2]].map(|g| unsafe { g.slice_mut(row * h, h) });
-            let (x, y) = (row / sy, y0 + row % sy);
+            let (x, y) = (row / ng, row % ng);
             let (kx, ky) = (k[x], k[y]);
             for z in 0..h {
                 let kz = k[z];
@@ -619,22 +563,13 @@ fn grid_cell(pos: f32, box_size: f64, ng: usize, ng_is_origin: bool) -> (usize, 
 /// calls compute, so each component is bit-equal to its call
 /// (`conformance::layout`, `cic-gather`).
 ///
-/// `accel` stores x-planes `x_origin..` of the mesh. The whole `ng³` mesh
-/// (`x_origin == 0`) wraps its last plane's `+1` neighbour to plane 0, as
-/// `% ng` does; a rank's x-slab extended by one ghost plane never reaches its
-/// last stored plane from a position inside the slab, so the same
-/// compare-and-reset is inert there and the neighbour is the ghost.
+/// A `+1` neighbour past the last plane wraps to plane 0, as `% ng` does.
 #[inline]
-fn cic_gather(accel: &[Grid3<f64>; 3], x_origin: usize, pos: [f32; 3], box_size: f64) -> [f64; 3] {
-    let [planes, ng, _] = accel[0].dims();
-    let next = |i: usize, n: usize| if i + 1 == n { 0 } else { i + 1 };
+fn cic_gather(accel: &[Grid3<f64>; 3], pos: [f32; 3], box_size: f64) -> [f64; 3] {
+    let ng = accel[0].dims()[0];
+    let next = |i: usize| if i + 1 == ng { 0 } else { i + 1 };
     let [(x0, dx), (y0, dy), (z0, dz)] = pos.map(|p| grid_cell(p, box_size, ng, false));
-    let x0 = x0 - x_origin;
-    let (xs, ys, zs) = (
-        [x0, next(x0, planes)],
-        [y0, next(y0, ng)],
-        [z0, next(z0, ng)],
-    );
+    let (xs, ys, zs) = ([x0, next(x0)], [y0, next(y0)], [z0, next(z0)]);
     let (wx, wy, wz) = ([1.0 - dx, dx], [1.0 - dy, dy], [1.0 - dz, dz]);
     let [fx, fy, fz] = accel.each_ref().map(|g| g.as_slice());
     let mut g = [0.0f64; 3];
@@ -653,21 +588,22 @@ fn cic_gather(accel: &[Grid3<f64>; 3], x_origin: usize, pos: [f32; 3], box_size:
 }
 
 /// `cic_gather` for every particle, dispatched over the particle range:
-/// `out[i]` is particle `i`'s acceleration. The one read of the force mesh a
-/// solve gets; counted as `nbody.gathers`.
+/// `out[i]` is particle `i`'s acceleration from the cubic mesh `accel`. The
+/// one read of the force mesh a solve gets; counted as `nbody.gathers`.
 pub fn gather_accel(
     backend: &dyn Backend,
     accel: &[Grid3<f64>; 3],
-    x_origin: usize,
     particles: &[Particle],
     box_size: f64,
     out: &mut Vec<[f64; 3]>,
 ) {
+    let [nx, ny, nz] = accel[0].dims();
+    assert!(nx == ny && ny == nz, "the force mesh must be cubic");
     let _span = telemetry::span!("nbody", "gather", particles.len());
     telemetry::count!("nbody", "gathers", 1);
     out.resize(particles.len(), [0.0; 3]);
     par_for_each_mut(backend, out, DEFAULT_GRAIN, |i, g| {
-        *g = cic_gather(accel, x_origin, particles[i].pos, box_size);
+        *g = cic_gather(accel, particles[i].pos, box_size);
     });
 }
 
@@ -921,7 +857,7 @@ mod tests {
         .map(|pos| Particle::at_rest(pos, 1.0, 0))
         .collect();
         let mut got = Vec::new();
-        gather_accel(&Threaded::new(2), &g, 0, &parts, l, &mut got);
+        gather_accel(&Threaded::new(2), &g, &parts, l, &mut got);
         for (p, got) in parts.iter().zip(&got) {
             for d in 0..3 {
                 let expect = cic_interpolate(&g[d], p.pos, l);

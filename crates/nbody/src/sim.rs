@@ -1,6 +1,18 @@
-//! The HACC-equivalent simulation driver in shared memory: the shared
-//! kick–drift–kick stepper (the `stepper` module docs have the sequence and
-//! the carried-acceleration rule) over the whole PM mesh.
+//! The HACC-equivalent simulation driver: kick–drift–kick leapfrog over the
+//! scale factor on the whole PM mesh in shared memory. DESIGN.md,
+//! "Integrator: one solve, one gather", has the argument; the rule is:
+//!
+//! A step is half-kick at `a0`, drift, half-kick at `a1`. The closing kick
+//! solves for the acceleration at every particle once, and that array is
+//! *carried* to the next step's opening kick (same positions, same `a` ⇒ same
+//! numbers), so an `N`-step run solves `N + 1` times (`nbody.pm_solves`,
+//! `nbody.gathers`), not `2N`. The array is valid exactly while positions and
+//! `a` are what it was gathered for: the drift and every mutable view of the
+//! particles discard it, [`Simulation::from_state`] starts without one, and it
+//! is freed with the solver's workspace once the run is finished. A kick that
+//! finds none solves again, which yields the same bits: the solve is
+//! deterministic per backend and `g[i]` a pure function of the grids and
+//! particle `i`'s position.
 //!
 //! Hooks let the in-situ analysis layer (`cosmotools`) run at the end of any
 //! step, exactly as HACC calls CosmoTools from its main loop. A hook sees
@@ -8,11 +20,11 @@
 //! cannot invalidate the carried acceleration; it must not assume one exists.
 
 use crate::cosmology::Cosmology;
+use crate::ic::{zeldovich_particles, IcConfig};
 use crate::particle::Particle;
-use crate::pm::{cic_deposit_exact, gather_accel, PoissonSolver};
+use crate::pm::{cic_deposit_exact, gather_accel, wrap_periodic, PoissonSolver};
 use crate::soa::DepositColumns;
-use crate::stepper::{driver_accessors, ForceProvider, Stepper};
-use dpp::Backend;
+use dpp::{par_for_each_mut, Backend, DEFAULT_GRAIN};
 
 /// Full simulation configuration.
 #[derive(Debug, Clone)]
@@ -47,49 +59,36 @@ impl Default for SimConfig {
     }
 }
 
-/// A running N-body simulation.
-pub struct Simulation(Stepper<WholeMesh>);
-
-/// The shared-memory force provider: deposit onto the whole `ng³` mesh,
-/// k-space solve, gather at `x_origin = 0`, all on the caller's backend. Keeps
-/// the FFT plan and the deposit's input columns between solves — no grid.
-#[derive(Default)]
-struct WholeMesh(Option<(PoissonSolver, DepositColumns)>);
-
-impl ForceProvider for WholeMesh {
-    fn accelerations(
-        &mut self,
-        backend: &dyn Backend,
-        cfg: &SimConfig,
-        particles: &[Particle],
-        prefactor: f64,
-        out: &mut Vec<[f64; 3]>,
-    ) {
-        let (ng, l) = (cfg.ng, cfg.cosmology.box_size);
-        let (solver, cols) = self
-            .0
-            .get_or_insert_with(|| (PoissonSolver::new(ng), DepositColumns::default()));
-        {
-            let _span = telemetry::span!("nbody", "deposit_columns");
-            cols.refill(backend, particles);
-        }
-        let delta = {
-            let _span = telemetry::span!("nbody", "deposit");
-            cic_deposit_exact(backend, cols.positions(), cols.mass(), ng, l)
-        };
-        let grids = solver.solve(backend, &delta, prefactor);
-        gather_accel(backend, &grids, 0, particles, l, out);
-    }
-
-    fn release(&mut self) {
-        self.0 = None;
-    }
+/// A running N-body simulation: leapfrog state, the carried acceleration and
+/// the solver it came from.
+pub struct Simulation {
+    cfg: SimConfig,
+    a: f64,
+    step: usize,
+    particles: Vec<Particle>,
+    /// Acceleration at every particle, from the last solve.
+    accel: Vec<[f64; 3]>,
+    /// `accel` was gathered for the current particles and `a`.
+    carried: bool,
+    /// The FFT plan and the deposit's input columns, kept between solves — no
+    /// grid — and dropped once the run is finished.
+    mesh: Option<(PoissonSolver, DepositColumns)>,
 }
 
 impl Simulation {
     /// Generate initial conditions and stand up the simulation.
     pub fn new(backend: &dyn Backend, cfg: SimConfig) -> Self {
-        Simulation(Stepper::new(backend, cfg, WholeMesh::default()))
+        assert!(cfg.np.is_power_of_two() && cfg.ng.is_power_of_two());
+        assert!(cfg.z_init > cfg.z_final, "must evolve forward in time");
+        assert!(cfg.nsteps > 0);
+        let ic = IcConfig {
+            np: cfg.np,
+            seed: cfg.seed,
+            z_init: cfg.z_init,
+        };
+        let particles = zeldovich_particles(backend, &cfg.cosmology, &ic, cfg.ng);
+        let a = Cosmology::a_of_z(cfg.z_init);
+        Self::from_state(cfg, particles, a, 0)
     }
 
     /// Reconstruct a simulation mid-run from its state (particles, scale
@@ -97,36 +96,148 @@ impl Simulation {
     /// of `conformance::integrator` continues from it.
     pub fn from_state(cfg: SimConfig, particles: Vec<Particle>, a: f64, step: usize) -> Self {
         assert_eq!(particles.len(), cfg.np.pow(3), "state/config mismatch");
-        let mesh = WholeMesh::default();
-        Simulation(Stepper::from_state(cfg, particles, a, step, mesh))
+        Simulation {
+            cfg,
+            a,
+            step,
+            particles,
+            accel: Vec::new(),
+            carried: false,
+            mesh: None,
+        }
     }
 
-    driver_accessors!();
+    /// Configuration in use.
+    pub fn config(&self) -> &SimConfig {
+        &self.cfg
+    }
+
+    /// Current scale factor.
+    pub fn scale_factor(&self) -> f64 {
+        self.a
+    }
+
+    /// Current redshift.
+    pub fn redshift(&self) -> f64 {
+        Cosmology::z_of_a(self.a)
+    }
+
+    /// Steps taken so far.
+    pub fn step_index(&self) -> usize {
+        self.step
+    }
+
+    /// True once the configured final redshift is reached.
+    pub fn finished(&self) -> bool {
+        self.step >= self.cfg.nsteps
+    }
+
+    /// Particle view: Level 1 data, "already distributed in memory".
+    pub fn particles(&self) -> &[Particle] {
+        &self.particles
+    }
 
     /// Total steps configured.
     pub fn total_steps(&self) -> usize {
-        self.0.cfg.nsteps
+        self.cfg.nsteps
     }
 
     /// Mutable particle view (used by tests and failure injection). Discards
     /// the carried acceleration: the next kick re-solves and re-gathers.
     pub fn particles_mut(&mut self) -> &mut [Particle] {
-        self.0.particles_mut()
+        self.carried = false;
+        &mut self.particles
     }
 
     /// The particles, moved out of a simulation that is done with them.
-    pub fn into_particles(mut self) -> Vec<Particle> {
-        std::mem::take(self.0.particles_mut())
+    pub fn into_particles(self) -> Vec<Particle> {
+        self.particles
     }
 
     /// The scale-factor increment per step.
-    pub fn da(&self) -> f64 {
-        self.0.da()
+    fn da(&self) -> f64 {
+        let a0 = Cosmology::a_of_z(self.cfg.z_init);
+        let a1 = Cosmology::a_of_z(self.cfg.z_final);
+        (a1 - a0) / self.cfg.nsteps as f64
     }
 
     /// Advance one KDK leapfrog step. No-op when finished.
     pub fn step(&mut self, backend: &dyn Backend) {
-        self.0.step(backend);
+        if self.finished() {
+            return;
+        }
+        let da = self.da();
+        let (a0, a_half, a1) = (self.a, self.a + da / 2.0, self.a + da);
+        let l = self.cfg.cosmology.box_size;
+        let grid_to_mpc = l / self.cfg.ng as f64;
+
+        // Half kick at a0, on the carried acceleration when there is one.
+        self.kick(backend, a0, da / 2.0);
+
+        // Drift with momenta at a_half: dx/da = f(a) p / a² (grid units).
+        let drift = Cosmology::leapfrog_f(a_half) / (a_half * a_half) * da * grid_to_mpc;
+        {
+            let _span = telemetry::span!("nbody", "drift", self.step);
+            self.carried = false;
+            par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |_, p| {
+                for d in 0..3 {
+                    let x = wrap_periodic(p.pos[d] as f64 + drift * p.vel[d] as f64, l);
+                    // rem_euclid may return exactly `l` after f32 rounding.
+                    p.pos[d] = if x >= l { 0.0 } else { x as f32 };
+                }
+            });
+        }
+
+        // Half kick at a1: re-solved, gathered once, kept for the next step.
+        self.kick(backend, a1, da / 2.0);
+
+        self.a = a1;
+        self.step += 1;
+        if self.finished() {
+            self.accel = Vec::new();
+            self.carried = false;
+            self.mesh = None;
+        }
+    }
+
+    /// Momentum update: `p += g·f(a)·da` with `g` the acceleration at each
+    /// particle from the PM solve at `a` — the carried one if it is still
+    /// current, a fresh solve otherwise.
+    fn kick(&mut self, backend: &dyn Backend, a: f64, da: f64) {
+        if !self.carried {
+            // EdS: ∇²φ = (3/2a) δ (Ω_m = 1 dynamics; see cosmology.rs).
+            self.solve(backend, 1.5 / a);
+            telemetry::count!("nbody", "pm_solves", 1);
+            self.carried = true;
+        }
+        let _span = telemetry::span!("nbody", "kick", self.step);
+        let kick = Cosmology::leapfrog_f(a) * da;
+        let accel = &self.accel[..];
+        par_for_each_mut(backend, &mut self.particles, DEFAULT_GRAIN, |i, p| {
+            for d in 0..3 {
+                p.vel[d] += (kick * accel[i][d]) as f32;
+            }
+        });
+    }
+
+    /// `accel[i]` = acceleration at particle `i` from `∇²φ = prefactor·δ`:
+    /// deposit onto the whole `ng³` mesh, k-space solve, one gather, every
+    /// grid dropped before returning.
+    fn solve(&mut self, backend: &dyn Backend, prefactor: f64) {
+        let (ng, l) = (self.cfg.ng, self.cfg.cosmology.box_size);
+        let (solver, cols) = self
+            .mesh
+            .get_or_insert_with(|| (PoissonSolver::new(ng), DepositColumns::default()));
+        {
+            let _span = telemetry::span!("nbody", "deposit_columns");
+            cols.refill(backend, &self.particles);
+        }
+        let delta = {
+            let _span = telemetry::span!("nbody", "deposit");
+            cic_deposit_exact(backend, cols.positions(), cols.mass(), ng, l)
+        };
+        let grids = solver.solve(backend, &delta, prefactor);
+        gather_accel(backend, &grids, &self.particles, l, &mut self.accel);
     }
 
     /// Run all remaining steps, invoking `hook(step_index, &sim)` after each
@@ -149,7 +260,7 @@ impl Simulation {
     /// Clustering diagnostic: RMS of the CIC overdensity field (the
     /// stepper's deposit, so the same bits on every backend).
     pub fn density_rms(&self, backend: &dyn Backend) -> f64 {
-        let (ng, l) = (self.0.cfg.ng, self.0.cfg.cosmology.box_size);
+        let (ng, l) = (self.cfg.ng, self.cfg.cosmology.box_size);
         let cols = DepositColumns::from_aos(backend, self.particles());
         let delta = cic_deposit_exact(backend, cols.positions(), cols.mass(), ng, l);
         let n = delta.len() as f64;
@@ -254,6 +365,18 @@ mod tests {
         assert_eq!(seen.last().unwrap().0, 12);
         // Redshift decreases monotonically.
         assert!(seen.windows(2).all(|w| w[1].1 < w[0].1));
+    }
+
+    #[test]
+    fn a_finished_run_keeps_no_force_state() {
+        let t = Threaded::new(2);
+        let mut sim = Simulation::new(&t, tiny_cfg());
+        sim.step(&t);
+        assert!(sim.carried && sim.accel.len() == 16 * 16 * 16 && sim.mesh.is_some());
+        sim.particles_mut();
+        assert!(!sim.carried, "a mutable view discards the carried field");
+        sim.run(&t);
+        assert!(!sim.carried && sim.accel.capacity() == 0 && sim.mesh.is_none());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct PosColumns<'a> {
 /// The four columns a CIC deposit reads — positions and mass — as a reusable
 /// buffer: [`DepositColumns::refill`] overwrites them from an AoS slice in one
 /// dispatched pass and allocates only when the particle count grows. A caller
-/// that deposits repeatedly (the whole-mesh force provider) keeps one; a
+/// that deposits repeatedly (`Simulation`'s force solve) keeps one; a
 /// one-shot caller (the in-situ power spectrum) builds one with
 /// [`DepositColumns::from_aos`]; a render frame gathers its selection in
 /// level-of-detail order with [`DepositColumns::refill_gather`]. Velocities

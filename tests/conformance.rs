@@ -102,7 +102,8 @@ fn layout_rewrites_agree_with_row_references() {
         );
     }
     // 964 over the eight families, 452 of them `mbp-cols`, 151 `cic-gather`,
-    // when this floor was set; 1 492 over the thirteen since `slab-deposit`.
+    // when this floor was set; 1 492 over thirteen with the slab families,
+    // 1 380 over the eleven after them.
     assert!(
         report.checks >= 964,
         "layout corpus collapsed to {} checks",
@@ -119,14 +120,10 @@ fn layout_rewrites_agree_with_row_references() {
 /// by carrying the closing kick's gathered per-particle acceleration to the
 /// next opening kick. That must be invisible: stepping with it discarded
 /// before every step, and restarting from any (possibly mutated) mid-run
-/// state, give the same bits after every step on every backend and on 1/2/4
-/// `DistSim` ranks; and an N-step run performs exactly N + 1 solves and
-/// N + 1 gathers.
+/// state, give the same bits after every step on every backend; and an
+/// N-step run performs exactly N + 1 solves and N + 1 gathers.
 #[test]
 fn carried_force_field_is_invisible_and_counted() {
-    // `DistSim` steps over a comm World (fault-instrumented sites): an armed
-    // crash schedule firing in one rank would leave its peers blocked.
-    let _serial = GLOBAL_INJECTOR_LOCK.lock();
     conformance::assert_integrator_conformance();
 }
 
@@ -369,19 +366,14 @@ fn golden_explorer_reference_catalog() {
 }
 
 /// The stepper's bits are a golden: one digest of positions, momenta and tags
-/// (storage order) per (driver, backend or rank count, rank, step), 16³ × 6
-/// steps at seed 1. `Simulation` on three backends, `DistSim` on 1 / 2 / 4
-/// ranks. A change that moves an operand in the kick, the drift, the force
-/// solve or the re-homing order shows up as the first differing step. Every
-/// rank count's particles, merged in tag order, must also digest to the
-/// serial `Simulation`'s at each step: the slab deposit, transform and
-/// gather are the whole mesh's, bit for bit.
+/// (storage order) per (backend, step), 16³ × 6 steps at seed 1, `Simulation`
+/// on three backends. A change that moves an operand in the kick, the drift
+/// or the force solve shows up as the first differing step.
 #[test]
 fn golden_stepper_bits() {
     use dpp::{Backend, Serial, StaticThreaded, Threaded};
-    use nbody::{Cosmology, DistSim, Particle, SimConfig, Simulation};
+    use nbody::{Cosmology, Particle, SimConfig, Simulation};
 
-    let _serial = GLOBAL_INJECTOR_LOCK.lock();
     let cfg = SimConfig {
         cosmology: Cosmology {
             box_size: 32.0,
@@ -412,46 +404,12 @@ fn golden_stepper_bits() {
         ("threaded-2", Box::new(Threaded::new(2))),
         ("static-3", Box::new(StaticThreaded::new(3))),
     ];
-    let mut serial = Vec::new();
     for (name, b) in &backends {
         let b = b.as_ref();
         Simulation::new(b, cfg.clone()).run_with_hook(b, |step, sim| {
             let d = digest(sim.particles());
             lines += &format!("sim {name} rank 0 step {step} {d}\n");
-            if *name == "serial" {
-                serial.push(d);
-            }
         });
-    }
-    for nranks in [1usize, 2, 4] {
-        let per_rank = comm::World::new(nranks).run(|c| {
-            let mut seen = Vec::new();
-            DistSim::new(c, cfg.clone()).run_with_hook(|step, sim| {
-                seen.push((step, sim.particles().to_vec()));
-            });
-            seen
-        });
-        // The ranks' particles, merged in tag order, are the serial
-        // simulation's at every step.
-        for (step, want) in serial.iter().enumerate() {
-            let mut merged: Vec<Particle> = per_rank
-                .iter()
-                .flat_map(|seen| seen[step].1.iter().copied())
-                .collect();
-            merged.sort_unstable_by_key(|p| p.tag);
-            assert_eq!(
-                digest(&merged),
-                *want,
-                "dist ranks-{nranks} step {}: merged particles differ from the serial simulation",
-                step + 1
-            );
-        }
-        for (rank, seen) in per_rank.into_iter().enumerate() {
-            for (step, particles) in seen {
-                let (n, d) = (particles.len(), digest(&particles));
-                lines += &format!("dist ranks-{nranks} rank {rank} step {step} n {n} {d}\n");
-            }
-        }
     }
     check_golden("stepper_bits_seed1.txt", &lines);
 }
