@@ -1,6 +1,14 @@
 //! Iterative radix-2 Cooley–Tukey FFT with cached twiddle factors (both
 //! directions: the inverse table is the forward one conjugated, built once
 //! with the plan, so the butterfly loop reads a table and never negates).
+//!
+//! One line at a time ([`Fft1d::forward`], [`Fft1d::inverse`]) or `LANES`
+//! (16) lines at once, lane-interleaved (`LaneLines`): the batch runs every line
+//! through the same stages, twiddles and expressions in the same order, so
+//! each of its lines is the one-line transform bit for bit; the vector
+//! registers then carry lines instead of one line's scattered points. The
+//! 3-D passes use the batch; the one-line routine is the reference it is
+//! held to (`conformance::layout`, `fft3d-tiled`).
 
 use crate::complex::Complex;
 
@@ -53,6 +61,28 @@ impl std::fmt::Display for FftError {
 }
 
 impl std::error::Error for FftError {}
+
+/// Lines a lane-batched transform carries at once: 16 `f64`s, two full
+/// cache lines per point, is a whole contiguous run of a strided pass's
+/// neighbouring lines.
+pub(crate) const LANES: usize = 16;
+
+/// Up to [`LANES`] lines of one plan's length, lane-interleaved: point `k`
+/// of line `j` is `(re[k][j], im[k][j])` once loaded, in bit-reversed row
+/// order until [`Fft1d::run_lanes`] has run. A chunk of a 3-D pass keeps one
+/// and reuses it for every batch of lines it transforms.
+pub(crate) struct LaneLines {
+    pub(crate) re: Vec<[f64; LANES]>,
+    pub(crate) im: Vec<[f64; LANES]>,
+}
+
+impl LaneLines {
+    /// Point `k` of line `j` (after the transform, in natural order).
+    #[inline(always)]
+    pub(crate) fn get(&self, k: usize, j: usize) -> Complex {
+        Complex::new(self.re[k][j], self.im[k][j])
+    }
+}
 
 /// A cached transform plan for a fixed power-of-two length.
 #[derive(Debug, Clone)]
@@ -127,6 +157,87 @@ impl Fft1d {
             let s = 1.0 / self.n as f64;
             for z in data.iter_mut() {
                 *z = z.scale(s);
+            }
+        }
+    }
+
+    /// Scratch for [`Fft1d::run_lanes`]: [`LANES`] lines of this length.
+    pub(crate) fn lane_lines(&self) -> LaneLines {
+        LaneLines {
+            re: vec![[0.0; LANES]; self.n],
+            im: vec![[0.0; LANES]; self.n],
+        }
+    }
+
+    /// The row a batch loads point `k` into: `k` bit-reversed.
+    #[inline(always)]
+    pub(crate) fn bit_reversed(&self, k: usize) -> usize {
+        self.rev[k] as usize
+    }
+
+    /// Load `lines ≤ LANES` lines, point `k` of line `j` being `at(k, j)`,
+    /// straight into bit-reversed rows — row `rev(k)` takes point `k`, where
+    /// [`Fft1d::run`]'s swaps would put it. Lanes past `lines` are zeroed, so
+    /// a short batch computes on zeros.
+    #[inline(always)]
+    pub(crate) fn load_lanes(
+        &self,
+        lanes: &mut LaneLines,
+        lines: usize,
+        at: impl Fn(usize, usize) -> Complex,
+    ) {
+        debug_assert!(lines <= LANES);
+        for (k, &r) in self.rev.iter().enumerate() {
+            let (re, im) = (&mut lanes.re[r as usize], &mut lanes.im[r as usize]);
+            for j in 0..lines {
+                let z = at(k, j);
+                (re[j], im[j]) = (z.re, z.im);
+            }
+            re[lines..].fill(0.0);
+            im[lines..].fill(0.0);
+        }
+    }
+
+    /// [`Fft1d::run`] on every line of a loaded batch at once: the same
+    /// stages, the same twiddle `tw[k·step]`, the same products
+    /// `(b.re·w.re − b.im·w.im, b.re·w.im + b.im·w.re)`, sums and `1/n`
+    /// scale, lane by lane — so each line's bits are its one-line
+    /// transform's. No operation is fused or reassociated.
+    pub(crate) fn run_lanes(&self, lanes: &mut LaneLines, inverse: bool) {
+        let n = self.n;
+        let twiddles = if inverse {
+            &self.twiddles_inv
+        } else {
+            &self.twiddles
+        };
+        let (re, im) = (&mut lanes.re[..], &mut lanes.im[..]);
+        let mut len = 2;
+        while len <= n {
+            let half = len / 2;
+            let step = n / len;
+            for base in (0..n).step_by(len) {
+                let (a_re, b_re) = re[base..base + len].split_at_mut(half);
+                let (a_im, b_im) = im[base..base + len].split_at_mut(half);
+                for k in 0..half {
+                    let w = twiddles[k * step];
+                    let (ar, ai) = (&mut a_re[k], &mut a_im[k]);
+                    let (br, bi) = (&mut b_re[k], &mut b_im[k]);
+                    for j in 0..LANES {
+                        let tr = br[j] * w.re - bi[j] * w.im;
+                        let ti = br[j] * w.im + bi[j] * w.re;
+                        (br[j], bi[j]) = (ar[j] - tr, ai[j] - ti);
+                        (ar[j], ai[j]) = (ar[j] + tr, ai[j] + ti);
+                    }
+                }
+            }
+            len <<= 1;
+        }
+        if inverse {
+            let s = 1.0 / n as f64;
+            for row in re.iter_mut().chain(im.iter_mut()) {
+                for v in row {
+                    *v *= s;
+                }
             }
         }
     }

@@ -5,38 +5,38 @@
 //! # Pass layout
 //!
 //! A transform is three passes, x then y then z, each running the axis'
-//! [`Fft1d`] plan over every line along it:
+//! [`Fft1d`] plan over every line along it, `LANES` (16) lines at a time
+//! through the plan's lane-batched kernel (`Fft1d::run_lanes`):
 //!
-//! * **z (contiguous)** — a line is `nz` adjacent cells, so it is transformed
-//!   in place on the grid slice: no copy in, no copy out.
 //! * **x and y (strided)** — a line's cells are `ny·nz` (resp. `nz`) apart,
-//!   but neighbouring *lines* are adjacent in memory. A chunk gathers
-//!   `TILE_LINES` neighbouring lines at once into a line-major tile — each
-//!   read is a contiguous run of `TILE_LINES` cells, not one cell per cache
-//!   line — transforms the tile's lines, and scatters them back the same way.
-//!   The tile is allocated once per dispatched chunk.
+//!   but neighbouring *lines* are adjacent in memory. A batch takes the next
+//!   `LANES` lines — each point mostly one contiguous run of cells, not one
+//!   cell per cache line — straight into the kernel's bit-reversed rows,
+//!   and writes each point back. A batch runs on across the end of a block
+//!   of `stride` lines, so a stride that is not a multiple of `LANES` (the
+//!   half spectrum's `nz/2 + 1`) costs no short batches: at 64³ the
+//!   stride-33 blocks split into runs of 16, 16 and 1 cells that batches
+//!   share.
+//! * **z (contiguous)** — a line is `nz` adjacent cells; a batch takes
+//!   `LANES` consecutive lines, point `k` of each into row `rev(k)`.
 //!
 //! Every pass is dispatched over *lines* (4 096 of them at 64³) in chunks of
 //! many lines, so it clears `dpp`'s small-`n` inline threshold and runs on
-//! the pool; a chunk walks its lines tile by tile. The pass is one function,
-//! `transform_axis`, which [`crate::RealFft3d`] also runs for the x and y
-//! axes of its half spectra.
+//! the pool; a chunk keeps one lane scratch for all its batches. The pass is
+//! one function, `transform_axis`, which [`crate::RealFft3d`] also runs for
+//! the x and y axes of its half spectra.
 //!
-//! Every line is still handed, alone and in natural order, to the same 1-D
-//! routine (bit reversal, then butterflies stage by stage, then the `1/n`
-//! scale on the inverse), and lines never interact within a pass, so the
-//! result is bit-identical to transforming one gathered line at a time —
-//! whatever the tile width, chunking or backend. `conformance::layout` holds
-//! it to exactly that reference (`fft3d_line_ref`).
+//! Every line goes through the same stages, twiddles and expressions as the
+//! one-line routine `Fft1d::run` (bit reversal, butterflies stage by stage,
+//! the `1/n` scale on the inverse), and lines never interact within a pass,
+//! so the result is bit-identical to transforming one gathered line at a
+//! time — whatever the batch, chunking or backend. `conformance::layout`
+//! holds it to exactly that reference (`fft3d_line_ref`).
 
 use crate::complex::Complex;
-use crate::fft1d::{Fft1d, FftError};
+use crate::fft1d::{Fft1d, FftError, LANES};
 use crate::grid::Grid3;
 use dpp::{Backend, SendPtr};
-
-/// Neighbouring strided lines gathered per tile: 16 cells × 16 B is four
-/// cache lines per contiguous read, and a 64-point tile (16 KiB) stays in L1.
-const TILE_LINES: usize = 16;
 
 /// A plan for 3-D transforms of a fixed power-of-two shape.
 #[derive(Debug, Clone)]
@@ -118,48 +118,35 @@ pub(crate) fn transform_axis(
     assert_eq!(n, grid.dims()[axis], "plan length must match the axis");
     let ptr = SendPtr(grid.as_mut_slice().as_mut_ptr());
     // Dispatch over lines, a few chunks per worker: enough to balance, few
-    // enough that a chunk's tile is allocated a handful of times per pass.
-    // Line `l` starts at flat index `(l / stride)·n·stride + l % stride` and
-    // its cells are `stride` apart, so lines `l..l + r` within one block of
-    // `stride` lines are `r` adjacent cells, `n` times.
+    // enough that a chunk's lane scratch is allocated a handful of times per
+    // pass. Line `l` starts at flat index `(l / stride)·n·stride + l % stride`
+    // and its cells are `stride` apart, so lines `l..l + r` within one block
+    // of `stride` lines are `r` adjacent cells, `n` times.
     let stride = [ny * nz, nz, 1][axis];
     let nlines = nx * ny * nz / n;
     let grain = (nlines / (4 * backend.concurrency().max(1))).max(1);
     backend.dispatch(nlines, grain, &|lines| {
-        if stride == 1 {
-            // SAFETY: contiguous lines `[lines.start, lines.end)` are the
-            // flat range `[lines.start·n, lines.end·n)`, in bounds and
-            // disjoint from every other chunk's.
-            let block = unsafe { ptr.slice_mut(lines.start * n, lines.len() * n) };
-            for line in block.chunks_exact_mut(n) {
-                plan.run(line, inverse);
+        let mut lanes = plan.lane_lines();
+        let mut starts = [0usize; LANES];
+        for first in lines.clone().step_by(LANES) {
+            // A batch is the next `LANES` lines, across a block's end too.
+            let run = LANES.min(lines.end - first);
+            for (j, start) in starts[..run].iter_mut().enumerate() {
+                let l = first + j;
+                *start = (l / stride) * n * stride + l % stride;
             }
-            return;
-        }
-        let mut tile = vec![Complex::ZERO; TILE_LINES * n];
-        let mut l = lines.start;
-        while l < lines.end {
-            let run = TILE_LINES.min(lines.end - l).min(stride - l % stride);
-            let base = (l / stride) * n * stride + l % stride;
-            // SAFETY (both blocks): lines `l..l + run` own the index set
-            // `{base + k·stride + j : k < n, j < run}`, in bounds and
+            // SAFETY (both): the batch's lines own the index set
+            // `{starts[j] + k·stride : k < n, j < run}`, in bounds and
             // disjoint from every other line's.
+            plan.load_lanes(&mut lanes, run, |k, j| unsafe {
+                *ptr.at(starts[j] + k * stride)
+            });
+            plan.run_lanes(&mut lanes, inverse);
             for k in 0..n {
-                let src = unsafe { ptr.slice_mut(base + k * stride, run) };
-                for (j, v) in src.iter().enumerate() {
-                    tile[j * n + k] = *v;
+                for (j, &start) in starts[..run].iter().enumerate() {
+                    unsafe { ptr.write(start + k * stride, lanes.get(k, j)) };
                 }
             }
-            for line in tile[..run * n].chunks_exact_mut(n) {
-                plan.run(line, inverse);
-            }
-            for k in 0..n {
-                let dst = unsafe { ptr.slice_mut(base + k * stride, run) };
-                for (j, v) in dst.iter_mut().enumerate() {
-                    *v = tile[j * n + k];
-                }
-            }
-            l += run;
         }
     });
 }

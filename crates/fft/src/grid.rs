@@ -1,5 +1,7 @@
 //! Dense 3-D grids stored in row-major (x slowest, z fastest) order.
 
+use crate::complex::Complex;
+
 /// A dense `nx × ny × nz` grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid3<T> {
@@ -85,6 +87,25 @@ impl<T> Grid3<T> {
     /// The storage, flat.
     pub fn into_vec(self) -> Vec<T> {
         self.data
+    }
+}
+
+impl Grid3<Complex> {
+    /// The storage as the reals it holds, `re` then `im` per cell: `2·len`
+    /// values (`Complex` is `#[repr(C)]`).
+    pub fn as_reals(&self) -> &[f64] {
+        // SAFETY: `Complex` is two `f64`s with no padding and the same
+        // alignment, so `len` of them are `2·len` initialized `f64`s.
+        unsafe { std::slice::from_raw_parts(self.data.as_ptr().cast(), 2 * self.data.len()) }
+    }
+
+    /// [`Grid3::as_reals`], mutably: a real grid of up to `2·len` values can
+    /// live in a spectrum's storage.
+    pub fn as_reals_mut(&mut self) -> &mut [f64] {
+        // SAFETY: as in `as_reals`; every bit pattern is a valid `f64`.
+        unsafe {
+            std::slice::from_raw_parts_mut(self.data.as_mut_ptr().cast(), 2 * self.data.len())
+        }
     }
 }
 

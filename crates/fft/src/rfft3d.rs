@@ -25,30 +25,31 @@
 //!   `O[k] = (X[k] − conj X[m−k])·conj(W^k) / 2`), then the half-length
 //!   inverse (its `1/m` is the row's whole `1/n`), whose output
 //!   `z[j] = x[2j] + i·x[2j+1]` already is the real row: the inverse runs in
-//!   place and returns the spectrum's own storage with its rows closed up
-//!   (`Complex` is `#[repr(C)]`), allocating nothing.
+//!   place and leaves the real grid in the spectrum's own storage with its
+//!   rows closed up (`Complex` is `#[repr(C)]`), allocating nothing.
+//!   Rows go `LANES` (16) at a time through the half plan's lane-batched
+//!   kernel: packed straight into its bit-reversed rows, transformed, and
+//!   untangled row by row.
 //! * **x and y (strided).** Complex transforms of the half spectrum's
-//!   `nz/2 + 1` columns: exactly [`crate::Fft3d`]'s tiled strided pass
-//!   (`fft3d::transform_axis`), on a grid with shorter rows.
+//!   `nz/2 + 1` columns: exactly [`crate::Fft3d`]'s strided pass
+//!   (`fft3d::transform_axis`), on a grid with shorter rows — at 64³ a
+//!   stride of 33 lines, so each block is batches of 16, 16 and 1.
 //!
-//! The forward runs z, then y, then x; the inverse x, then y, then z. Every
-//! row and line is transformed alone, so the result is the same bits on
-//! every backend (`conformance::layout`, `rfft3d`).
+//! # Storage
 //!
-//! # What the inverse reads
-//!
-//! The inverse reads only the stored half and the real parts of the
-//! `kz = 0` and `kz = nz/2` bins of each row: it returns `Re` of the complex
-//! inverse of the spectrum the half extends to by `X(−k) = conj X(k)`. For a
-//! half cut from a Hermitian spectrum that is the spectrum's own inverse.
-//! A spectrum that is not Hermitian is not represented: in particular a
-//! k-space multiplier odd in `k_d` (a gradient, `i·k_d`) breaks the symmetry
-//! on the plane where `k_d` is the Nyquist frequency, whose bin is its own
-//! mirror — callers zero that plane, as taking `Re` of the full complex
-//! inverse did implicitly (DESIGN.md §"Real fields, half spectra").
+//! [`RealFft3d::forward`] allocates its spectrum and [`RealFft3d::inverse`]
+//! returns the spectrum's storage as the real grid, closing its rows up
+//! (each `n` reals moved down from a stride of `n + 2`, in row order, on one
+//! thread). A caller that transforms repeatedly keeps its spectra instead:
+//! [`RealFft3d::forward_into`] writes a kept spectrum from reals anywhere —
+//! another spectrum's storage will do ([`Grid3::as_reals`]) — and
+//! [`RealFft3d::inverse_in_place`] leaves the real grid in the spectrum's
+//! storage with its rows `n + 2` reals apart, for a reader that strides
+//! over the padding instead of closing the rows up. The same passes, the
+//! same bits.
 
 use crate::complex::Complex;
-use crate::fft1d::{Fft1d, FftError};
+use crate::fft1d::{Fft1d, FftError, LaneLines, LANES};
 use crate::fft3d::transform_axis;
 use crate::grid::Grid3;
 use dpp::{Backend, SendPtr};
@@ -93,7 +94,7 @@ impl RealFft3d {
     }
 
     /// Forward transform of a real grid (no normalization): the stored half
-    /// of its spectrum.
+    /// of its spectrum, in a new grid.
     pub fn forward(
         &self,
         backend: &dyn Backend,
@@ -105,43 +106,92 @@ impl RealFft3d {
                 got: real.dims(),
             });
         }
-        let _span = telemetry::span!("fft", "r2c", real.len());
-        let mut spec = self.rows_forward(backend, real);
-        for axis in [1, 0] {
-            transform_axis(backend, &self.plans[axis], &mut spec, axis, false);
-        }
+        let mut spec = Grid3::filled(self.spectrum_dims(), Complex::ZERO);
+        self.forward_into(backend, real.as_slice(), &mut spec)?;
         Ok(spec)
+    }
+
+    /// [`RealFft3d::forward`] of the `nx·ny·nz` reals `real` (x-major) into a
+    /// caller's half spectrum, every cell of which it overwrites.
+    pub fn forward_into(
+        &self,
+        backend: &dyn Backend,
+        real: &[f64],
+        spec: &mut Grid3<Complex>,
+    ) -> Result<(), FftError> {
+        let len = self.dims.iter().product::<usize>();
+        if real.len() != len {
+            return Err(FftError::LengthMismatch {
+                expected: len,
+                got: real.len(),
+            });
+        }
+        self.check_spectrum(spec)?;
+        let _span = telemetry::span!("fft", "r2c", len);
+        self.rows_forward(backend, real, spec);
+        for axis in [1, 0] {
+            transform_axis(backend, &self.plans[axis], spec, axis, false);
+        }
+        Ok(())
     }
 
     /// Inverse transform of a half spectrum with `1/(nx·ny·nz)`
     /// normalization, consuming it: `Re` of the complex inverse of the
-    /// Hermitian spectrum it extends to (see the module docs).
+    /// Hermitian spectrum it extends to (see the module docs), in the
+    /// spectrum's own storage.
     pub fn inverse(
         &self,
         backend: &dyn Backend,
         mut spec: Grid3<Complex>,
     ) -> Result<Grid3<f64>, FftError> {
+        self.inverse_in_place(backend, &mut spec)?;
+        // Close the rows up, in order (a row's new place overlaps only rows
+        // already moved), and keep the storage.
+        let ([a, b, h], n) = (spec.dims(), self.dims[2]);
+        let mut real = reals(spec.into_vec());
+        for r in 1..a * b {
+            real.copy_within(r * 2 * h..r * 2 * h + n, r * n);
+        }
+        real.truncate(a * b * n);
+        Ok(Grid3::from_vec(self.dims, real))
+    }
+
+    /// [`RealFft3d::inverse`] without giving the storage up or closing the
+    /// rows up: the real grid is left in `spec`'s storage
+    /// ([`Grid3::as_reals`]) with its rows `2·(nz/2 + 1)` reals apart —
+    /// value `(x, y, z)` at real `(x·ny + y)·2·(nz/2 + 1) + z` — and the
+    /// spectrum is gone. The same passes, the same bits.
+    pub fn inverse_in_place(
+        &self,
+        backend: &dyn Backend,
+        spec: &mut Grid3<Complex>,
+    ) -> Result<(), FftError> {
+        self.check_spectrum(spec)?;
+        let _span = telemetry::span!("fft", "c2r", self.dims.iter().product::<usize>());
+        for axis in [0, 1] {
+            transform_axis(backend, &self.plans[axis], spec, axis, true);
+        }
+        self.rows_inverse(backend, spec);
+        Ok(())
+    }
+
+    fn check_spectrum(&self, spec: &Grid3<Complex>) -> Result<(), FftError> {
         if spec.dims() != self.spectrum_dims() {
             return Err(FftError::ShapeMismatch {
                 expected: self.spectrum_dims(),
                 got: spec.dims(),
             });
         }
-        let _span = telemetry::span!("fft", "c2r", self.dims.iter().product::<usize>());
-        for axis in [0, 1] {
-            transform_axis(backend, &self.plans[axis], &mut spec, axis, true);
-        }
-        Ok(self.rows_inverse(backend, spec))
+        Ok(())
     }
 
     /// The z pass of the forward transform: every contiguous row of `n = nz`
-    /// reals of an `[a, b, n]` grid to its `n/2 + 1` spectral bins (the packed
-    /// half-length transform and the untangle of the module docs).
-    fn rows_forward(&self, backend: &dyn Backend, real: &Grid3<f64>) -> Grid3<Complex> {
-        let [a, b, n] = real.dims();
-        let h = n / 2 + 1;
-        let mut spec = Grid3::filled([a, b, h], Complex::ZERO);
-        let src = real.as_slice();
+    /// reals of an `[a, b, n]` grid to its `n/2 + 1` spectral bins in `spec`
+    /// (the packed half-length transform and the untangle of the module
+    /// docs), `LANES` rows per batch.
+    fn rows_forward(&self, backend: &dyn Backend, src: &[f64], spec: &mut Grid3<Complex>) {
+        let [a, b, n] = self.dims;
+        let (m, h) = (n / 2, n / 2 + 1);
         let dst = SendPtr(spec.as_mut_slice().as_mut_ptr());
         dispatch_rows(backend, a * b, &|rows| {
             // SAFETY: rows `[rows.start, rows.end)` of the half spectrum are
@@ -149,81 +199,130 @@ impl RealFft3d {
             // disjoint from every other chunk's.
             let out = unsafe { dst.slice_mut(rows.start * h, rows.len() * h) };
             let input = &src[rows.start * n..rows.end * n];
-            for (x, row) in input.chunks_exact(n).zip(out.chunks_exact_mut(h)) {
-                self.r2c_row(x, row);
+            let mut lanes = self.half.lane_lines();
+            for (x, batch) in input.chunks(LANES * n).zip(out.chunks_mut(LANES * h)) {
+                // Row `j`'s packed point `k` is `x[2k] + i·x[2k+1]`.
+                let at = |k: usize, j: usize| Complex::new(x[j * n + 2 * k], x[j * n + 2 * k + 1]);
+                self.half.load_lanes(&mut lanes, x.len() / n, at);
+                self.half.run_lanes(&mut lanes, false);
+                let last = self.untangle_forward(&mut lanes);
+                for (j, row) in batch.chunks_exact_mut(h).enumerate() {
+                    for (k, z) in row[..m].iter_mut().enumerate() {
+                        *z = lanes.get(k, j);
+                    }
+                    row[m] = Complex::from_real(last[j]);
+                }
             }
         });
-        spec
     }
 
     /// The z pass of the inverse: every row of an `[a, b, n/2 + 1]` spectrum
-    /// back to its `n` reals, in place — the `[a, b, n]` real grid in the
-    /// spectrum's own storage.
-    fn rows_inverse(&self, backend: &dyn Backend, mut spec: Grid3<Complex>) -> Grid3<f64> {
+    /// back to its `n` reals, in place, `LANES` rows per batch:
+    /// `x[2k] + i·x[2k+1]` in the row's cell `k`.
+    fn rows_inverse(&self, backend: &dyn Backend, spec: &mut Grid3<Complex>) {
         let [a, b, h] = spec.dims();
-        let n = self.dims[2];
+        let m = h - 1;
         let ptr = SendPtr(spec.as_mut_slice().as_mut_ptr());
         dispatch_rows(backend, a * b, &|rows| {
-            // SAFETY: as in `forward`.
+            // SAFETY: as in `rows_forward`.
             let block = unsafe { ptr.slice_mut(rows.start * h, rows.len() * h) };
-            for row in block.chunks_exact_mut(h) {
-                self.c2r_row(row);
+            let mut lanes = self.half.lane_lines();
+            for batch in block.chunks_mut(LANES * h) {
+                self.untangle_inverse(batch, &mut lanes);
+                self.half.run_lanes(&mut lanes, true);
+                for (j, row) in batch.chunks_exact_mut(h).enumerate() {
+                    for (k, z) in row[..m].iter_mut().enumerate() {
+                        *z = lanes.get(k, j);
+                    }
+                }
             }
         });
-        // Row `r`'s values are now the `2h = n + 2` reals from `r·2h`, its
-        // first `n` the output: close the rows up, in order (a row's new
-        // place overlaps only rows already moved), and keep the storage.
-        let mut real = reals(spec.into_vec());
-        for r in 1..a * b {
-            real.copy_within(r * 2 * h..r * 2 * h + n, r * n);
-        }
-        real.truncate(a * b * n);
-        Grid3::from_vec([a, b, n], real)
     }
 
-    /// One real row of `n` values to its `n/2 + 1` spectral bins.
-    fn r2c_row(&self, x: &[f64], row: &mut [Complex]) {
-        let m = x.len() / 2;
-        for (z, pair) in row.iter_mut().zip(x.chunks_exact(2)) {
-            *z = Complex::new(pair[0], pair[1]);
+    /// The untangle of the module docs on every lane of a batch at once, in
+    /// place: rows `0..m` (`m = n/2`) hold each packed row's half-length
+    /// transform, and leave holding its bins `0..m`; bin `m`, real, is
+    /// returned per lane. Each lane runs the `Complex` operations of one row,
+    /// component by component: `X[0], X[m] = Re Z[0] ± Im Z[0]`; for `0 < k <
+    /// m/2`, with `a = Z[k]`, `b = conj Z[m−k]`, `E = (a + b)·½`,
+    /// `O = (Im(a − b), −Re(a − b))·½` and `t = W^k·O`, `X[k] = E + t` and
+    /// `X[m−k] = conj(E − t)`; `X[m/2] = conj Z[m/2]`.
+    fn untangle_forward(&self, lanes: &mut LaneLines) -> [f64; LANES] {
+        let (re, im) = (&mut lanes.re, &mut lanes.im);
+        let m = re.len();
+        let mut last = [0.0; LANES];
+        for j in 0..LANES {
+            let (z_re, z_im) = (re[0][j], im[0][j]);
+            (re[0][j], im[0][j]) = (z_re + z_im, 0.0);
+            last[j] = z_re - z_im;
         }
-        self.half.run(&mut row[..m], false);
-        let z0 = row[0];
-        row[0] = Complex::from_real(z0.re + z0.im);
-        row[m] = Complex::from_real(z0.re - z0.im);
         for (k, &w) in self.twiddles.iter().enumerate().skip(1) {
-            let (a, b) = (row[k], row[m - k].conj());
-            let even = (a + b).scale(0.5);
-            let d = a - b;
-            let odd = Complex::new(d.im, -d.re).scale(0.5);
-            let t = w * odd;
-            row[k] = even + t;
-            row[m - k] = (even - t).conj();
+            let (lo, hi) = (k, m - k);
+            for j in 0..LANES {
+                let (ar, ai) = (re[lo][j], im[lo][j]);
+                let (br, bi) = (re[hi][j], -im[hi][j]);
+                let (er, ei) = ((ar + br) * 0.5, (ai + bi) * 0.5);
+                let (dr, di) = (ar - br, ai - bi);
+                let (or, oi) = (di * 0.5, -dr * 0.5);
+                let (tr, ti) = (w.re * or - w.im * oi, w.re * oi + w.im * or);
+                (re[lo][j], im[lo][j]) = (er + tr, ei + ti);
+                (re[hi][j], im[hi][j]) = (er - tr, -(ei - ti));
+            }
         }
         if m >= 2 {
-            row[m / 2] = row[m / 2].conj();
+            for v in im[m / 2].iter_mut() {
+                *v = -*v;
+            }
         }
+        last
     }
 
-    /// One row of `n/2 + 1` spectral bins to its `n` real values, in place:
-    /// they are left in the first `n/2` cells, `x[2j] + i·x[2j+1]` in cell
-    /// `j`. The inverse of [`Self::r2c_row`].
-    fn c2r_row(&self, row: &mut [Complex]) {
-        let m = row.len() - 1;
-        let (x0, xm) = (row[0].re, row[m].re);
-        row[0] = Complex::new(0.5 * (x0 + xm), 0.5 * (x0 - xm));
+    /// The inverse of [`Self::untangle_forward`], from a batch of spectrum
+    /// rows (`n/2 + 1` bins each) straight into `lanes`' bit-reversed rows
+    /// for the half-length inverse: `Z[0] = ((X[0] + X[m])·½, (X[0] − X[m])·½)`
+    /// from the real parts; for `0 < k < m/2`, with `a = X[k]`,
+    /// `b = conj X[m−k]`, `E = (a + b)·½` and `O = ((a − b)·conj W^k)·½`,
+    /// `Z[k] = E + i·O` and `Z[m−k] = conj E + i·conj O`; `Z[m/2] =
+    /// conj X[m/2]` — one row's `Complex` operations, lane by lane. Lanes
+    /// past the batch's rows are zero.
+    fn untangle_inverse(&self, batch: &[Complex], lanes: &mut LaneLines) {
+        let h = self.dims[2] / 2 + 1;
+        let (m, rows) = (h - 1, batch.len() / h);
+        let half = &self.half;
+        let (re, im) = (&mut lanes.re, &mut lanes.im);
+        // Bin `k` of every row of the batch, zero past the last.
+        let bins = |k: usize, conj: bool| {
+            let (mut b_re, mut b_im) = ([0.0; LANES], [0.0; LANES]);
+            for j in 0..rows {
+                let z = batch[j * h + k];
+                let z = if conj { z.conj() } else { z };
+                (b_re[j], b_im[j]) = (z.re, z.im);
+            }
+            (b_re, b_im)
+        };
+        let ((x0, _), (xm, _)) = (bins(0, false), bins(m, false));
+        let r0 = half.bit_reversed(0);
+        for j in 0..LANES {
+            (re[r0][j], im[r0][j]) = (0.5 * (x0[j] + xm[j]), 0.5 * (x0[j] - xm[j]));
+        }
         for (k, &w) in self.twiddles.iter().enumerate().skip(1) {
-            let (a, b) = (row[k], row[m - k].conj());
-            let even = (a + b).scale(0.5);
-            let odd = ((a - b) * w.conj()).scale(0.5);
-            // Z[k] = E + i·O and Z[m−k] = conj E + i·conj O.
-            row[k] = even + Complex::new(-odd.im, odd.re);
-            row[m - k] = even.conj() + Complex::new(odd.im, odd.re);
+            let ((ar, ai), (br, bi)) = (bins(k, false), bins(m - k, true));
+            let (lo, hi) = (half.bit_reversed(k), half.bit_reversed(m - k));
+            let wc = w.conj();
+            for j in 0..LANES {
+                let (er, ei) = ((ar[j] + br[j]) * 0.5, (ai[j] + bi[j]) * 0.5);
+                let (dr, di) = (ar[j] - br[j], ai[j] - bi[j]);
+                let (pr, pi) = (dr * wc.re - di * wc.im, dr * wc.im + di * wc.re);
+                let (or, oi) = (pr * 0.5, pi * 0.5);
+                (re[lo][j], im[lo][j]) = (er + -oi, ei + or);
+                (re[hi][j], im[hi][j]) = (er + oi, -ei + or);
+            }
         }
         if m >= 2 {
-            row[m / 2] = row[m / 2].conj();
+            let (mid_re, mid_im) = bins(m / 2, true);
+            let r = half.bit_reversed(m / 2);
+            (re[r], im[r]) = (mid_re, mid_im);
         }
-        self.half.run(&mut row[..m], true);
     }
 }
 
@@ -358,6 +457,38 @@ mod tests {
         let rb = plan.inverse(&Threaded::new(4), b).unwrap();
         let fbits = |g: &Grid3<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(fbits(&ra), fbits(&rb));
+    }
+
+    #[test]
+    fn kept_storage_entries_are_the_allocating_ones_bit_for_bit() {
+        // Forward from another grid's storage, inverse left with padded rows.
+        let dims = [8, 4, 16];
+        let real = real_grid(dims, 5.0);
+        let plan = RealFft3d::new(dims).unwrap();
+        let t = Threaded::new(3);
+        let spec = plan.forward(&t, &real).unwrap();
+        let want = plan.inverse(&t, spec.clone()).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut host = Grid3::filled(plan.spectrum_dims(), Complex::new(f64::NAN, 1.0));
+        host.as_reals_mut()[..real.len()].copy_from_slice(real.as_slice());
+        let mut kept = Grid3::filled(plan.spectrum_dims(), Complex::ZERO);
+        plan.forward_into(&Serial, &host.as_reals()[..real.len()], &mut kept)
+            .unwrap();
+        assert_eq!(bits(kept.as_reals()), bits(spec.as_reals()));
+        plan.inverse_in_place(&t, &mut kept).unwrap();
+        let rows = kept.as_reals().chunks_exact(2 * (dims[2] / 2 + 1));
+        let padded: Vec<f64> = rows.flat_map(|row| &row[..dims[2]]).copied().collect();
+        assert_eq!(bits(&padded), bits(want.as_slice()));
+        let err = plan
+            .forward_into(&t, &real.as_slice()[1..], &mut kept)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FftError::LengthMismatch {
+                expected: real.len(),
+                got: real.len() - 1
+            }
+        );
     }
 
     #[test]

@@ -117,8 +117,14 @@ pub fn realize_linear_field(
 
     // Displacement ψ_k = i k (scale·δ_k) / k²: the Poisson pass with the
     // normalization as its prefactor, Nyquist rule included.
-    let psi =
-        gradient_spectra(backend, &k, scale, nk).map(|pk| plan.inverse(backend, pk).expect("ifft"));
+    let dims = nk.dims();
+    let mut spectra = [
+        nk,
+        Grid3::filled(dims, Complex::ZERO),
+        Grid3::filled(dims, Complex::ZERO),
+    ];
+    gradient_spectra(backend, &k, scale, &mut spectra);
+    let psi = spectra.map(|pk| plan.inverse(backend, pk).expect("ifft"));
     LinearField { delta, psi }
 }
 

@@ -33,6 +33,8 @@ pub mod soa;
 pub use cosmology::Cosmology;
 pub use ic::{realize_linear_field, zeldovich_particles, IcConfig, LinearField};
 pub use particle::{min_image, periodic_dist2, Particle, PARTICLE_BYTES};
-pub use pm::{cic_deposit_exact, cic_deposit_soa, cic_interpolate, gather_accel, poisson_accel};
+pub use pm::{
+    cic_deposit_exact, cic_deposit_soa, cic_interpolate, gather_accel, poisson_accel, ForceGrids,
+};
 pub use sim::{SimConfig, Simulation};
 pub use soa::{DepositColumns, ParticleSoA, PosColumns};

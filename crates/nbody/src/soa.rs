@@ -86,6 +86,39 @@ impl DepositColumns {
         });
     }
 
+    /// Apply `f(i, &mut particles[i])` to every particle and overwrite the
+    /// columns with the result, in one dispatched pass: the stepper's
+    /// opening kick and drift leave the next deposit's columns behind.
+    pub(crate) fn update(
+        &mut self,
+        backend: &dyn Backend,
+        particles: &mut [Particle],
+        f: impl Fn(usize, &mut Particle) + Sync,
+    ) {
+        let n = particles.len();
+        let cols = self.resized(n);
+        let rows = SendPtr(particles.as_mut_ptr());
+        backend.dispatch(n, DEFAULT_GRAIN, &|r| {
+            // SAFETY: the particles and every column have length `n`, `r`
+            // lies within `0..n` and is handed to this chunk only.
+            let [x, y, z, mass] = [&cols[0], &cols[1], &cols[2], &cols[3]]
+                .map(|c| unsafe { c.slice_mut(r.start, r.len()) });
+            let rows = unsafe { rows.slice_mut(r.start, r.len()) };
+            for (k, p) in rows.iter_mut().enumerate() {
+                f(r.start + k, p);
+                (x[k], y[k], z[k], mass[k]) = (p.pos[0], p.pos[1], p.pos[2], p.mass);
+            }
+        });
+    }
+
+    /// Every column resized to `n`, as pointers for a dispatched fill.
+    fn resized(&mut self, n: usize) -> [SendPtr<f32>; 4] {
+        [&mut self.x, &mut self.y, &mut self.z, &mut self.mass].map(|c| {
+            c.resize(n, 0.0);
+            SendPtr(c.as_mut_ptr())
+        })
+    }
+
     /// Resize every column to `n` and write row `k` from the `k`-th particle
     /// `rows(0..n)` yields, over `backend` in chunks.
     fn fill<'p, I>(
@@ -96,10 +129,7 @@ impl DepositColumns {
     ) where
         I: Iterator<Item = &'p Particle>,
     {
-        let cols = [&mut self.x, &mut self.y, &mut self.z, &mut self.mass].map(|c| {
-            c.resize(n, 0.0);
-            SendPtr(c.as_mut_ptr())
-        });
+        let cols = self.resized(n);
         backend.dispatch(n, DEFAULT_GRAIN, &|r| {
             // SAFETY: every column has length `n`, `r` lies within `0..n`
             // and is handed to this chunk only.

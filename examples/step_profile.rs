@@ -2,8 +2,10 @@
 //! spans: installs a wall-clock [`telemetry::Recorder`], runs eight 64³
 //! leapfrog steps and prints, per span name, how often it ran and its median
 //! and total duration. The first step's opening kick has nothing carried, so
-//! an `N`-step run shows `N + 1` deposits, solves and gathers and `2N` kicks;
-//! each solve is one `fft.r2c` and three `fft.c2r`.
+//! an `N`-step run shows `N + 1` deposits, solves and gathers (the closing
+//! kick rides the gather), `N` `kick_drift` passes (the opening kick, the
+//! drift and the column refill) and one `deposit_columns`; each solve is one
+//! `fft.r2c` and three `fft.c2r`.
 //!
 //! ```text
 //! cargo run --release --example step_profile      # or: just step-profile
