@@ -1,7 +1,7 @@
 //! Property tests for the message-passing layer and the domain
 //! decomposition.
 
-use comm::{exchange_overload, redistribute, CartDecomp, World};
+use comm::{exchange_overload, redistribute, CartDecomp, HasPosition, World};
 use proptest::prelude::*;
 
 /// The definition `overload_targets` enumerates: all 26 neighbour offsets in
@@ -53,6 +53,16 @@ fn special_coord(d: &CartDecomp, a: usize, width: f64, kind: u8, frac: f64) -> f
         3 => lo + width,
         4 => l,
         _ => (hi - width).next_down(),
+    }
+}
+
+/// A point and its index, so a ghost says which point it copies.
+#[derive(Debug, Clone, Copy)]
+struct Indexed([f64; 3], usize);
+
+impl HasPosition for Indexed {
+    fn position(&self) -> [f64; 3] {
+        self.0
     }
 }
 
@@ -167,6 +177,64 @@ proptest! {
                 overload_targets_def(&d, pos, width),
                 "pos {:?} width {}", pos, width
             );
+        }
+    }
+
+    /// `exchange_overload` sends every point (owned by where `owner_of` puts
+    /// it) to the ranks of the 26-offset definition, points exactly at
+    /// `lo + width` (not within the low face's shell: `<`) and at
+    /// `hi − width` (within the high one's: `>=`) and one ulp short of them
+    /// included, in boxes whose block faces are inexact (`1/3` of 1 or of
+    /// 0.7): each rank receives, source by source in rank order, the points
+    /// it is a target of, in the source's order.
+    #[test]
+    fn exchange_overload_targets_equal_the_26_offset_definition(
+        dims in (1usize..4, 1usize..4, 1usize..4),
+        box_size in prop_oneof![Just(24.0f64), Just(1.0), Just(0.7)],
+        width_pick in (0u8..4, 0.0f64..1.0),
+        coords in proptest::collection::vec(
+            ((0u8..6, 0.0f64..1.0), (0u8..6, 0.0f64..1.0), (0u8..6, 0.0f64..1.0)),
+            1..60
+        )
+    ) {
+        let d = CartDecomp::with_dims([dims.0, dims.1, dims.2], box_size);
+        let width = d.min_block_width() * match width_pick.0 {
+            0 => 1.0,
+            1 => 0.0,
+            _ => width_pick.1,
+        };
+        let points: Vec<Indexed> = coords
+            .into_iter()
+            .enumerate()
+            .map(|(i, ((kx, fx), (ky, fy), (kz, fz)))| {
+                let pos = [
+                    special_coord(&d, 0, width, kx, fx),
+                    special_coord(&d, 1, width, ky, fy),
+                    special_coord(&d, 2, width, kz, fz),
+                ];
+                Indexed(pos, i)
+            })
+            .collect();
+        let nranks = d.nranks();
+        let received = World::new(nranks).run(|c| {
+            let mine: Vec<Indexed> = points
+                .iter()
+                .filter(|p| d.owner_of(p.0) == c.rank())
+                .copied()
+                .collect();
+            let ghosts = exchange_overload(c, &d, width, &mine);
+            ghosts.iter().map(|g| g.1).collect::<Vec<_>>()
+        });
+        for (rank, got) in received.iter().enumerate() {
+            let mut expect = Vec::new();
+            for src in (0..nranks).filter(|&s| s != rank) {
+                for p in points.iter().filter(|p| d.owner_of(p.0) == src) {
+                    if overload_targets_def(&d, p.0, width).contains(&rank) {
+                        expect.push(p.1);
+                    }
+                }
+            }
+            prop_assert_eq!(got, &expect, "rank {} width {}", rank, width);
         }
     }
 

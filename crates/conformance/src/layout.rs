@@ -63,6 +63,15 @@
 //!   a pile-up, NaN, ±∞ and `f64::MAX` coordinates, a real two-rank patch —
 //!   and on each, an index within the `4·(8n + 1)` bytes of a table of `8n`
 //!   cells (`halo.fof_index_bytes`).
+//! * `fof-axes` — [`halo::fof_cells`] (the same cell engine, each axis
+//!   periodic or open) vs `fof_periodic_images_ref` (the brute force over
+//!   the images along the periodic axes only) label for label, on each
+//!   periodic-axis set a decomposition leaves (none, z, y + z, all three):
+//!   over the `fof-grid` corpus in its box, the `fof-patch` corpus in a box
+//!   of 8 (wrapped into it along the periodic axes, as a rank's patch is),
+//!   dyadic chains across the seam of each axis, and every rank's real
+//!   extended patch at 1, 2, 4 and 8 ranks with the periods
+//!   [`comm::CartDecomp::single_block_periods`] gives it.
 //! * `cic-exact` — [`nbody::pm::cic_deposit_exact`] (an integer grid per
 //!   worker) vs `cic_deposit_exact_ref` (its definition, summed in `i128` in
 //!   reversed order), on `Serial`, `Threaded` ×2 and ×3 and `StaticThreaded`
@@ -108,8 +117,8 @@ use fft::{freq_index, Complex, Fft1d, Fft3d, Grid3, RealFft3d};
 use halo::massfn::GUIDE_BUCKETS;
 use halo::unionfind::UnionFind;
 use halo::{
-    fof_brute, fof_grid, fof_kdtree_cols, fof_patch, mbp_brute_cols, potential_at, Coords, KdTree,
-    MassFunction,
+    fof_brute, fof_cells, fof_grid, fof_kdtree_cols, fof_patch, mbp_brute_cols, potential_at,
+    Coords, KdTree, MassFunction,
 };
 use nbody::pm::{
     cic_deposit_exact, cic_deposit_soa, cic_interpolate, gather_accel, poisson_accel, ForceGrids,
@@ -121,13 +130,14 @@ use rand::{Rng, SeedableRng};
 
 /// The rewritten-kernel families the layout differential must cover; each
 /// must contribute more than zero checks to a passing run.
-pub const REQUIRED_KERNELS: [&str; 11] = [
+pub const REQUIRED_KERNELS: [&str; 12] = [
     "cic-soa",
     "cic-exact",
     "cic-gather",
     "fof-cols",
     "fof-grid",
     "fof-patch",
+    "fof-axes",
     "mbp-cols",
     "fft3d-tiled",
     "rfft3d",
@@ -356,17 +366,22 @@ pub fn fof_grid_dense_ref(positions: &[[f64; 3]], link: f64, box_size: f64) -> V
     uf.labels().0
 }
 
-/// Periodic FOF by brute force: [`halo::fof_brute`] over all 27 periodic
-/// images of every particle, two particles sharing a group when any of their
-/// images do. O((27n)²), for small inputs; labels numbered by first
-/// appearance like every other engine's.
-fn fof_periodic_images_ref(positions: &[[f64; 3]], link: f64, box_size: f64) -> Vec<u32> {
+/// Periodic FOF by brute force: [`halo::fof_brute`] over the images of
+/// every particle shifted by `−side`, 0 and `side` along each periodic axis
+/// (`Some(side)`; none along an open one — 27 images when all three wrap),
+/// two particles sharing a group when any of their images do. O((3ᵏn)²) for
+/// `k` periodic axes, for small inputs; labels numbered by first appearance
+/// like every other engine's.
+fn fof_periodic_images_ref(positions: &[[f64; 3]], link: f64, periods: Periods) -> Vec<u32> {
     let n = positions.len();
-    let shifts = [-box_size, 0.0, box_size];
-    let mut images = Vec::with_capacity(27 * n);
-    for sx in shifts {
-        for sy in shifts {
-            for sz in shifts {
+    let shifts = periods.map(|p| match p {
+        Some(side) => vec![-side, 0.0, side],
+        None => vec![0.0],
+    });
+    let mut images = Vec::with_capacity(n * shifts.iter().map(Vec::len).product::<usize>());
+    for &sx in &shifts[0] {
+        for &sy in &shifts[1] {
+            for &sz in &shifts[2] {
                 images.extend(positions.iter().map(|p| [p[0] + sx, p[1] + sy, p[2] + sz]));
             }
         }
@@ -382,6 +397,85 @@ fn fof_periodic_images_ref(positions: &[[f64; 3]], link: f64, box_size: f64) -> 
         uf.union(first[l as usize], k % n);
     }
     uf.labels().0
+}
+
+/// Per axis, the side of the box where it wraps, as [`halo::fof_cells`]
+/// takes it.
+type Periods = [Option<f64>; 3];
+
+/// The axes a decomposition leaves in one block, as the periodic-axis sets
+/// [`CartDecomp::single_block_periods`] produces: none (`2×2×2` and up), z (`a×b×1`),
+/// y and z (`n×1×1`) and all three (one rank).
+const PERIODIC_AXIS_SETS: [[bool; 3]; 4] = [
+    [false, false, false],
+    [false, false, true],
+    [false, true, true],
+    [true, true, true],
+];
+
+/// Image rows the `fof-axes` brute reference is handed at most: a case is
+/// cut to its first `FOF_AXES_IMAGE_ROWS / 3ᵏ` points on `k` periodic axes.
+const FOF_AXES_IMAGE_ROWS: usize = 1458;
+
+/// `fof-axes` seam chains: on a box of 8, for each axis, chains of points
+/// exactly one (dyadic) link apart that cross the seam at 8 → 0 (from 7 on,
+/// wrapped), and the same half a link over; each is one group where the
+/// axis wraps and two where it does not.
+fn seam_chains() -> Vec<[f64; 3]> {
+    let mut chains = Vec::new();
+    for axis in 0..3 {
+        for shift in [0.0, 0.125] {
+            chains.extend((0..9).map(|k| {
+                let mut p = [2.0 + shift, 3.5, 5.0 - shift];
+                p[axis] = (7.0 + shift + 0.25 * k as f64).rem_euclid(8.0);
+                p
+            }));
+        }
+    }
+    chains
+}
+
+/// `fof-axes` rank patches: rank by rank, the extended patch
+/// [`halo::extended_patch`] builds for a decomposition over 1, 2, 4 and 8
+/// ranks of a box of 8 (blobs on the seams of every axis and a loose
+/// background, overload width 2), with the periods it is linked with
+/// ([`CartDecomp::single_block_periods`]).
+fn rank_patch_cases() -> Vec<(String, Vec<[f64; 3]>, Periods)> {
+    let mut rng = StdRng::seed_from_u64(0x5EED_A8E5);
+    let mut points: Vec<[f64; 3]> = Vec::new();
+    for center in [
+        [0.1, 4.0, 4.0],
+        [4.0, 7.9, 4.0],
+        [4.0, 4.0, 0.05],
+        [7.95, 0.1, 7.9],
+    ] {
+        points.extend(
+            (0..16).map(|_| center.map(|c: f64| (c + rng.gen_range(-0.4..0.4)).rem_euclid(8.0))),
+        );
+    }
+    points.extend((0..36).map(|_| [(); 3].map(|()| rng.gen_range(0.0..8.0))));
+    let particles: Vec<Particle> = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| Particle::at_rest(p.map(|x| x as f32), 1.0, i as u64))
+        .collect();
+    let mut cases = Vec::new();
+    for nranks in [1usize, 2, 4, 8] {
+        let decomp = CartDecomp::new(nranks, 8.0);
+        let patches = World::new(nranks).run(|c| {
+            let mine: Vec<Particle> = particles
+                .iter()
+                .filter(|p| decomp.owner_of(p.pos_f64()) == c.rank())
+                .copied()
+                .collect();
+            halo::extended_patch(c, &decomp, &mine, 2.0)
+        });
+        for (rank, patch) in patches.into_iter().enumerate() {
+            let periods = decomp.single_block_periods();
+            cases.push((format!("nranks={nranks}/rank={rank}"), patch, periods));
+        }
+    }
+    cases
 }
 
 /// One `fof-grid` input: positions, linking length, box side.
@@ -1469,7 +1563,7 @@ fn run_layout_differential() -> DiffReport {
             "fof-grid",
             &format!("images/{}", case.name),
             "csr-engine",
-            &fof_periodic_images_ref(&case.positions, case.link, case.box_size),
+            &fof_periodic_images_ref(&case.positions, case.link, [Some(case.box_size); 3]),
             &got,
         );
         if case.dense {
@@ -1538,6 +1632,57 @@ fn run_layout_differential() -> DiffReport {
                 &got,
             );
         }
+    }
+
+    // --- fof-axes --------------------------------------------------------
+    // The cell engine with each periodic-axis set a decomposition leaves
+    // (none, z, y + z, all three) against the brute images along exactly
+    // those axes: the `fof-grid` corpus in its own box, the `fof-patch`
+    // corpus in a box of 8 (wrapped into it along the periodic axes, as a
+    // rank's patch is) and the seam chains, each cut to the reference's
+    // budget; then every rank's real patch with its own periods.
+    rep.op("fof-axes");
+    let grid_cases = fof_grid_cases()
+        .into_iter()
+        .map(|c| (c.name, c.positions, vec![c.link], c.box_size));
+    let patch_cases = inputs::coord_cases()
+        .into_iter()
+        .chain(fof_patch_cases())
+        .map(|c| (c.name.to_string(), c.data, vec![0.25, 0.7, 4.0], 8.0));
+    let chains = ("seam_chains".to_string(), seam_chains(), vec![0.25], 8.0);
+    for (name, positions, links, side) in grid_cases.chain(patch_cases).chain([chains]) {
+        for wraps in PERIODIC_AXIS_SETS {
+            let periods = wraps.map(|w| w.then_some(side));
+            let k = wraps.iter().filter(|&&w| w).count() as u32;
+            let keep = (FOF_AXES_IMAGE_ROWS / 3usize.pow(k)).min(positions.len());
+            let points: Vec<[f64; 3]> = positions[..keep]
+                .iter()
+                .map(|p| {
+                    std::array::from_fn(|d| match periods[d] {
+                        Some(side) if p[d].is_finite() => p[d].rem_euclid(side),
+                        _ => p[d],
+                    })
+                })
+                .collect();
+            for &link in &links {
+                rep.check_eq(
+                    "fof-axes",
+                    &format!("{name}/wraps={wraps:?}/link={link}"),
+                    "csr-engine",
+                    &fof_periodic_images_ref(&points, link, periods),
+                    &fof_cells(&points, link, periods),
+                );
+            }
+        }
+    }
+    for (name, patch, periods) in rank_patch_cases() {
+        rep.check_eq(
+            "fof-axes",
+            &format!("rank_patch/{name}"),
+            "csr-engine",
+            &fof_periodic_images_ref(&patch, 0.45, periods),
+            &fof_cells(&patch, 0.45, periods),
+        );
     }
 
     // --- mbp-cols --------------------------------------------------------

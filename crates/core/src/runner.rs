@@ -823,15 +823,21 @@ impl TestBed {
                 return;
             }
             let large = timed(&mut run.phases.analysis, || {
-                let per_rank = cfg.distribute(sim.particles());
+                let per_rank = {
+                    let _span = telemetry::span!("runner", "distribute", step);
+                    cfg.distribute(sim.particles())
+                };
                 let (catalogs, _) = cfg.analyze(&per_rank, cfg.threshold, backend);
                 if last {
                     small_centers = collect_centers(&catalogs);
                 }
                 large_halos(catalogs, cfg.threshold)
             });
-            let container = write_level2_container(&large, meta);
-            cosmotools::write_file(&path, &container).expect("write level 2");
+            {
+                let _span = telemetry::span!("runner", "level2_write", step);
+                let container = write_level2_container(&large, meta);
+                cosmotools::write_file(&path, &container).expect("write level 2");
+            }
             last_good = Some(path);
         });
         // Simulation end in the same epoch as the job start times.

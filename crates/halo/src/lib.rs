@@ -6,9 +6,10 @@
 //! * **FOF halo identification** (§3.3.1) — balanced k-d tree with
 //!   bounding-box pruning ([`fof::fof_kdtree_cols`]), a linked-cell engine
 //!   at the linking length (an occupancy bitmap per z-row, points
-//!   counting-sorted by cell) with a periodic ([`fof::fof_grid`]) and an open
-//!   ([`fof::fof_patch`]) boundary, and the rank-parallel driver with
-//!   overload regions ([`parallel::parallel_fof`]).
+//!   counting-sorted by cell) whose axes are each periodic or open
+//!   ([`fof::fof_cells`]; [`fof::fof_grid`] all periodic, [`fof::fof_patch`]
+//!   all open), and the rank-parallel driver with overload regions
+//!   ([`parallel::parallel_fof`]).
 //! * **MBP center finding** (§3.3.2) — the data-parallel O(n²) kernel
 //!   ([`mbp::mbp_brute`]) and the serial A* baseline ([`mbp::mbp_astar`]).
 //! * **Spherical overdensity masses** ([`so::so_mass`]).
@@ -36,7 +37,8 @@ pub mod unionfind;
 pub use catalog::{unwrap_positions, Halo, HaloCatalog};
 pub use columns::Coords;
 pub use fof::{
-    fof_brute, fof_grid, fof_kdtree_cols, fof_patch, groups_of_at_least, members_by_group,
+    fof_brute, fof_cells, fof_grid, fof_kdtree_cols, fof_patch, groups_of_at_least,
+    members_by_group,
 };
 pub use kdtree::{Aabb, KdTree};
 pub use massfn::{fit_power_law, FittedMassFunction, MassFunction};

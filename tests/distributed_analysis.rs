@@ -4,41 +4,56 @@
 //! rank count.
 
 use comm::{CartDecomp, World};
+use cosmotools::SnapshotMeta;
 use dpp::Threaded;
 use halo::{fof_and_centers_timed, fof_grid, members_by_group, parallel_fof, FofConfig};
 use nbody::{Particle, SimConfig, Simulation};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
-#[test]
-fn parallel_analysis_of_real_simulation_matches_single_domain() {
-    let backend = Threaded::new(4);
-    let cfg = SimConfig {
-        np: 32,
-        ng: 32,
-        nsteps: 30,
-        seed: 31415,
-        ..SimConfig::default()
-    };
-    let box_size = cfg.cosmology.box_size;
-    let mut sim = Simulation::new(&backend, cfg);
-    sim.run(&backend);
-    let particles = sim.particles().to_vec();
+/// A 32³ box after 30 steps (seed 31415), run once per test binary.
+struct RealBox {
+    particles: Vec<Particle>,
+    box_size: f64,
+    redshift: f64,
+    nsteps: usize,
+}
 
+fn real_box() -> &'static RealBox {
+    static BOX: OnceLock<RealBox> = OnceLock::new();
+    BOX.get_or_init(|| {
+        let backend = Threaded::new(4);
+        let cfg = SimConfig {
+            np: 32,
+            ng: 32,
+            nsteps: 30,
+            seed: 31415,
+            ..SimConfig::default()
+        };
+        let (box_size, nsteps) = (cfg.cosmology.box_size, cfg.nsteps);
+        let mut sim = Simulation::new(&backend, cfg);
+        sim.run(&backend);
+        RealBox {
+            redshift: sim.redshift(),
+            particles: sim.into_particles(),
+            box_size,
+            nsteps,
+        }
+    })
+}
+
+/// The real box's linking length, minimum halo size and overload width.
+fn real_box_fof() -> FofConfig {
+    let RealBox {
+        particles,
+        box_size,
+        ..
+    } = real_box();
+    let box_size = *box_size;
     let link = 0.2 * box_size / 24.0;
     let min_size = 30;
-
-    // Reference: single-domain periodic FOF.
     let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
-    let labels = fof_grid(&positions, link, box_size);
-    let groups = members_by_group(&labels);
-    let mut ref_sizes: Vec<usize> = groups
-        .iter()
-        .map(|g| g.len())
-        .filter(|&s| s >= min_size)
-        .collect();
-    ref_sizes.sort_unstable();
-    assert!(!ref_sizes.is_empty(), "the run must form halos");
-
+    let groups = members_by_group(&fof_grid(&positions, link, box_size));
     // The paper's overload guarantee requires the shell to be at least as
     // wide as the maximum feasible halo extent; measure it from the
     // reference catalog (FOF chains can stretch far beyond a virial radius).
@@ -63,28 +78,51 @@ fn parallel_analysis_of_real_simulation_matches_single_domain() {
             max_extent = max_extent.max(hi - lo);
         }
     }
-    let width = (max_extent + 2.0 * link).max(10.0 * link);
+    FofConfig {
+        link_length: link,
+        min_size,
+        overload_width: (max_extent + 2.0 * link).max(10.0 * link),
+    }
+}
+
+/// Rank `rank`'s particles of the real box, in storage (tag) order.
+fn owned_by(decomp: &CartDecomp, rank: usize) -> Vec<Particle> {
+    let mine = real_box().particles.iter();
+    let mine = mine.filter(|p| decomp.owner_of(p.pos_f64()) == rank);
+    mine.copied().collect()
+}
+
+#[test]
+fn parallel_analysis_of_real_simulation_matches_single_domain() {
+    let RealBox {
+        particles,
+        box_size,
+        ..
+    } = real_box();
+    let box_size = *box_size;
+    let fof = real_box_fof();
+    let (link, min_size, width) = (fof.link_length, fof.min_size, fof.overload_width);
+
+    // Reference: single-domain periodic FOF.
+    let positions: Vec<[f64; 3]> = particles.iter().map(|p| p.pos_f64()).collect();
+    let labels = fof_grid(&positions, link, box_size);
+    let groups = members_by_group(&labels);
+    let mut ref_sizes: Vec<usize> = groups
+        .iter()
+        .map(|g| g.len())
+        .filter(|&s| s >= min_size)
+        .collect();
+    ref_sizes.sort_unstable();
+    assert!(!ref_sizes.is_empty(), "the run must form halos");
 
     for nranks in [2usize, 4, 8] {
         let decomp = CartDecomp::new(nranks, box_size);
         assert!(
             width <= decomp.min_block_width(),
-            "halo extent {max_extent:.1} exceeds what {nranks} ranks can overload"
+            "overload width {width:.1} exceeds what {nranks} ranks can overload"
         );
-        let fof = FofConfig {
-            link_length: link,
-            min_size,
-            overload_width: width,
-        };
         let world = World::new(nranks);
-        let catalogs = world.run(|c| {
-            let locals: Vec<_> = particles
-                .iter()
-                .filter(|p| decomp.owner_of(p.pos_f64()) == c.rank())
-                .copied()
-                .collect();
-            parallel_fof(c, &decomp, &locals, &fof)
-        });
+        let catalogs = world.run(|c| parallel_fof(c, &decomp, &owned_by(&decomp, c.rank()), &fof));
         let mut sizes: Vec<usize> = catalogs
             .iter()
             .flat_map(|cat| cat.halos.iter().map(|h| h.count()))
@@ -103,6 +141,25 @@ fn parallel_analysis_of_real_simulation_matches_single_domain() {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n);
+    }
+}
+
+/// At 2 ranks (a `2×1×1` grid, so y and z wrap inside the cell engine)
+/// each rank's identification links its locals and the ghosts the overload
+/// exchange delivers, each particle once — no periodic self-image rows.
+#[test]
+fn find_work_is_locals_plus_delivered_ghosts() {
+    let fof = real_box_fof();
+    let decomp = CartDecomp::new(2, real_box().box_size);
+    assert_eq!(decomp.dims(), [2, 1, 1]);
+    let per_rank = World::new(2).run(|c| {
+        let locals = owned_by(&decomp, c.rank());
+        let ghosts = comm::exchange_overload(c, &decomp, fof.overload_width, &locals);
+        let (_, timing) = fof_and_centers_timed(c, &decomp, &locals, &fof, &dpp::Serial, 1e-3, 0);
+        (locals.len() + ghosts.len(), timing.find_work)
+    });
+    for (rank, (rows, work)) in per_rank.into_iter().enumerate() {
+        assert_eq!(work, rows as u64, "rank {rank}: rows linked");
     }
 }
 
@@ -197,4 +254,85 @@ fn every_rank_count_finds_the_one_rank_catalog() {
             assert!(halo == &one_rank[id], "{nranks} ranks: halo {id} differs");
         }
     }
+}
+
+fn digest(words: impl IntoIterator<Item = u64>) -> cache::Digest {
+    let mut h = cache::Hasher::new();
+    for w in words {
+        h.update(&w.to_le_bytes());
+    }
+    h.finish()
+}
+
+/// Every bit the rank-parallel find hands on, pinned on the real box at 1,
+/// 2, 4 and 8 ranks: per rank, a digest of `fof_and_centers_timed`'s
+/// catalog in catalog order (ids, member tags and position bits, MBP
+/// center bits) and one of the encoded Level-2 container of its halos above
+/// 200; per rank count, the halos whose members are unwrapped across the
+/// seam of an axis with one block (positions below 0 or past the box side
+/// there), which must exist at 1, 2 and 4 ranks so the unwrap is pinned.
+#[test]
+fn golden_halo_bits_32() {
+    let real = real_box();
+    let fof = real_box_fof();
+    let meta = SnapshotMeta {
+        step: real.nsteps as u64,
+        redshift: real.redshift,
+        box_size: real.box_size,
+    };
+    let mut lines = format!(
+        "# 32^3 seed 31415 after {} steps: link {:?}, min_size {}, overload {:?}\n",
+        real.nsteps, fof.link_length, fof.min_size, fof.overload_width
+    );
+    let mut unexercised = Vec::new();
+    for nranks in [1usize, 2, 4, 8] {
+        let decomp = CartDecomp::new(nranks, real.box_size);
+        let single: Vec<usize> = (0..3).filter(|&d| decomp.dims()[d] == 1).collect();
+        let catalogs = World::new(nranks).run(|c| {
+            let locals = owned_by(&decomp, c.rank());
+            let (catalog, _) =
+                fof_and_centers_timed(c, &decomp, &locals, &fof, &dpp::Serial, 1e-3, usize::MAX);
+            catalog
+        });
+        let mut straddling = 0;
+        for (rank, catalog) in catalogs.into_iter().enumerate() {
+            let mut words = Vec::new();
+            for h in &catalog.halos {
+                words.extend([h.id, h.count() as u64]);
+                for p in &h.particles {
+                    words.push(p.tag);
+                    words.extend(p.pos.map(|x| u64::from(x.to_bits())));
+                }
+                let center = h.mbp_center.expect("every halo is centered");
+                words.extend(center.map(f64::to_bits));
+                let outside = |p: &Particle| {
+                    single
+                        .iter()
+                        .any(|&d| !(0.0..real.box_size).contains(&(p.pos[d] as f64)))
+                };
+                straddling += usize::from(h.particles.iter().any(outside));
+            }
+            let halos = catalog.len();
+            let (_, large) = catalog.split_by_size(200);
+            let level2 = cosmotools::write_level2_container(&large, meta.clone());
+            let level2 = cache::digest_bytes(&cosmotools::write_container(&level2));
+            lines += &format!(
+                "nranks {nranks} rank {rank} halos {halos} catalog {} level2 {level2}\n",
+                digest(words)
+            );
+        }
+        lines += &format!("nranks {nranks} seam_straddling_halos {straddling}\n");
+        if !single.is_empty() {
+            unexercised.extend((straddling == 0).then_some(nranks));
+        }
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/halo_bits_32.txt");
+    if let Err(msg) = conformance::golden::compare_or_bless(&path, &lines) {
+        panic!("{msg}");
+    }
+    assert!(
+        unexercised.is_empty(),
+        "no halo crosses a single-block seam at {unexercised:?} ranks"
+    );
 }
